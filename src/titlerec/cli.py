@@ -20,7 +20,8 @@ Artifacts (inside the workdir):
     vocab.txt              one token per line, line number = id
     checkpoint.bin         encoder weights (TRENC001)
     loss_log.tsv           step, mlm, np, total per training step
-    index.bin              article embedding matrix (TRECIDX1)
+    index.bin              article embedding matrix (TRECIDX1) plus the
+                           checkpoint sha256 and pooling it was built from
     submission.csv         customer_id,prediction rows
     eval_report.json       map_at_12 / scored / excluded
 """
@@ -28,6 +29,8 @@ Artifacts (inside the workdir):
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import json
 import math
 import os
@@ -48,7 +51,7 @@ from .errors import (
     WorkdirLockedError,
 )
 from .ioutil import atomic_write_text
-from .tokenizer import FIRST_WORD_ID, Vocabulary, build_vocab, encode_single
+from .tokenizer import FIRST_WORD_ID, Vocabulary, build_vocab, encode_batch
 
 PREPARED_FILE = "prepared_articles.tsv"
 TRANSACTIONS_FILE = "transactions.tsv"
@@ -65,6 +68,15 @@ EVAL_REPORT_FILE = "eval_report.json"
 LOCK_FILE = ".lock"
 
 LOSS_LOG_HEADER = "step\tmlm\tnp\ttotal"
+
+# Failures to read an input, reported as InputFileError like a missing file.
+INPUT_ERRORS = (
+    FileNotFoundError,
+    PermissionError,
+    IsADirectoryError,
+    UnicodeDecodeError,
+    csv.Error,
+)
 
 
 @dataclass(frozen=True)
@@ -230,10 +242,8 @@ def cmd_train(config: PipelineConfig) -> str:
     state = objectives.init_optimizer(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
-    encoded_titles = [encode_single(p.text, vocab, config.max_len) for p in prepared]
-    encoded_titles = [
-        seq for seq in encoded_titles if any(t >= FIRST_WORD_ID for t in seq.ids)
-    ]
+    encoded_titles = encode_batch([p.text for p in prepared], vocab, config.max_len)
+    encoded_titles = encoded_titles[(encoded_titles.ids >= FIRST_WORD_ID).any(axis=1)]
     sessions = corpus.group_sessions(train_window)
     inventory = [p.article_id for p in prepared]
     titles_by_id = {p.article_id: p.text for p in prepared}
@@ -246,7 +256,7 @@ def cmd_train(config: PipelineConfig) -> str:
     for _ in range(config.epochs):
         if steps_done >= step_budget:
             break
-        title_order = rng.permutation(len(encoded_titles)) if encoded_titles else []
+        title_order = rng.permutation(len(encoded_titles)) if len(encoded_titles) else []
         pairs = objectives.sample_pairs(
             sessions, inventory, config.negatives_per_positive, rng
         ) if sessions else []
@@ -255,7 +265,8 @@ def cmd_train(config: PipelineConfig) -> str:
             if pairs
             else []
         )
-        pair_order = rng.permutation(len(encoded_pairs)) if encoded_pairs else []
+        del pairs  # only the compact encoding stays alive through the epoch
+        pair_order = rng.permutation(len(encoded_pairs)) if len(encoded_pairs) else []
         n_steps = max(
             math.ceil(len(encoded_titles) / batch), math.ceil(len(encoded_pairs) / batch)
         )
@@ -264,8 +275,11 @@ def cmd_train(config: PipelineConfig) -> str:
                 break
             masked_batch = []
             for i in title_order[s * batch : (s + 1) * batch]:
-                masked_batch.append(objectives.apply_masking(encoded_titles[i], vocab, rng))
-            pair_batch = [encoded_pairs[i] for i in pair_order[s * batch : (s + 1) * batch]]
+                masked_batch.append(
+                    objectives.apply_masking(encoded_titles.sequence(i), vocab, rng)
+                )
+            pair_rows = pair_order[s * batch : (s + 1) * batch]
+            pair_batch = encoded_pairs[pair_rows] if len(pair_rows) else []
             if not masked_batch and not pair_batch:
                 continue
             params, state, record = objectives.train_step(params, state, masked_batch, pair_batch)
@@ -294,9 +308,9 @@ def _load_customer_universe(config: PipelineConfig, joined) -> list[str]:
 def cmd_recommend(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
     vocab = Vocabulary.load(_require(workdir / VOCAB_FILE, "titlerec train"))
+    checkpoint_path = _require(workdir / CHECKPOINT_FILE, "titlerec train")
     params = enc.load_checkpoint(
-        _require(workdir / CHECKPOINT_FILE, "titlerec train"),
-        expected_config=config.encoder_config(len(vocab)),
+        checkpoint_path, expected_config=config.encoder_config(len(vocab))
     )
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
     joined = corpus.load_saved_transactions(
@@ -305,15 +319,18 @@ def cmd_recommend(config: PipelineConfig) -> str:
     train_window, _ = evaluation.temporal_split(joined, config.holdout_days)
 
     index_path = workdir / INDEX_FILE
-    if index_path.exists():
-        article_index = index_mod.load_index(index_path)
-        if article_index.article_ids != tuple(p.article_id for p in prepared):
-            raise CheckpointMismatchError(
-                f"{index_path} does not cover the prepared catalog; delete it to rebuild"
-            )
-    else:
-        article_index = index_mod.build_index(prepared, params, vocab, config.pooling)
+    source = index_mod.IndexSource(
+        hashlib.sha256(checkpoint_path.read_bytes()).hexdigest(), config.pooling
+    )
+    article_index = index_mod.load_index(index_path) if index_path.exists() else None
+    if article_index is None or article_index.source != source:
+        # absent, or built from another checkpoint or pooling (or of unknown origin)
+        article_index = index_mod.build_index(prepared, params, vocab, config.pooling, source)
         index_mod.save_index(article_index, index_path)
+    elif article_index.article_ids != tuple(p.article_id for p in prepared):
+        raise CheckpointMismatchError(
+            f"{index_path} does not cover the prepared catalog; delete it to rebuild"
+        )
 
     popularity = index_mod.popularity_ranking(train_window)
     prepared_by_id = {p.article_id: p for p in prepared}
@@ -439,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except TitlerecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: InputFileError: {exc}", file=sys.stderr)
         return 1
     print(output)

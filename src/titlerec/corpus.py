@@ -18,6 +18,7 @@ from pathlib import Path
 from .ioutil import atomic_write_text
 from .errors import (
     DuplicateArticleIdError,
+    InputFileError,
     MalformedRowError,
     MissingColumnError,
     UnknownColumnError,
@@ -79,8 +80,11 @@ class SessionGroup:
 
 def _read_table(path: str | Path, required: tuple[str, ...]) -> tuple[dict[str, int], list[list[str]]]:
     """Read a CSV file and check the header names ``required`` columns."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputFileError(f"{path}: {exc}") from None
     if not rows:
         raise MissingColumnError(f"{path}: empty file, header row required")
     header = rows[0]

@@ -1,4 +1,4 @@
-"""Small bidirectional transformer encoder in plain numpy.
+"""Small bidirectional transformer encoder in plain numpy, run over batches.
 
 The model is the usual recipe: summed token/position/segment embeddings,
 a stack of post-norm attention + feed-forward blocks, a per-position
@@ -7,10 +7,28 @@ Everything runs at float64 and the backward pass is written out by hand,
 so analytic gradients can be checked against finite differences to tight
 tolerance.
 
-Padding is excluded from attention with an additive -inf mask before the
-softmax, which makes the weight on PAD keys exactly zero: hidden states at
-non-PAD positions are bit-identical no matter what token ids sit in the
-padded tail.
+Batches. ``forward`` takes B rows of T = max_len tokens at once, as a
+``TokenBatch`` of (B, T) arrays (token ids, segment ids and a live mask);
+a single ``TokenSequence`` is accepted as a 1-row batch. Activations are
+(B, T, d) and every matrix product is a stacked per-row product, so a row
+goes through exactly the operations it would go through alone: its hidden
+states are bit-identical whatever its batch neighbours are.
+
+Padding is masked per row: each row's PAD keys get a score of -inf before
+the softmax, which makes their attention weight exactly zero, so hidden
+states at live positions are also bit-identical no matter what token ids
+sit in the padded tail.
+
+Losses are per row as well. Masked-token targets are (row, position,
+label) triples and pair labels are one per row (-1 for a row without a
+pair term), so one pass may mix masked titles and title pairs.
+``loss_and_grads`` returns the summed losses of the pass and the summed
+gradients of all its rows.
+
+Pass budget. Callers feed at most ``rows_per_pass(max_len)`` rows, about
+``PASS_TOKEN_BUDGET`` tokens, to one forward/backward pass, whatever their
+batch size. That bounds the activations a recorded pass holds: 16 rows at
+max_len 16, 5 rows at max_len 48.
 
 Checkpoint layout (version TRENC001, little-endian):
     magic            8 bytes  b"TRENC001"
@@ -40,12 +58,20 @@ from .errors import (
     PositionOutOfRangeError,
     ShapeMismatchError,
 )
-from .tokenizer import TokenSequence
+from .tokenizer import TokenBatch, TokenSequence
 
 CHECKPOINT_MAGIC = b"TRENC001"
 
 INIT_SCALE = 0.02
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+
+# Tokens one forward/backward pass may hold; see rows_per_pass.
+PASS_TOKEN_BUDGET = 256
+
+
+def rows_per_pass(max_len: int) -> int:
+    """Rows of ``max_len`` tokens that fit the pass budget (at least one)."""
+    return max(1, PASS_TOKEN_BUDGET // max_len)
 
 
 @dataclass(frozen=True)
@@ -104,12 +130,16 @@ class EncoderParams:
 
 @dataclass
 class ForwardTrace:
-    """Outputs of one forward pass plus the cache the backward pass needs."""
+    """Hidden states (B, T, d) of one forward pass, plus the cache the
+    backward pass needs when the pass was recorded."""
 
     hidden_states: np.ndarray
-    attention_weights: tuple[np.ndarray, ...]
-    pooled_cls: np.ndarray
     cache: dict | None = field(default=None, repr=False)
+
+    @property
+    def pooled_cls(self) -> np.ndarray:
+        """(B, d) CLS state of each row."""
+        return self.hidden_states[:, 0]
 
 
 def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -164,12 +194,19 @@ def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(t) for name, t in params.tensors.items()}
 
 
+def gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, the gate of GELU."""
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return x * gelu_cdf(x)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
+    """d gelu / dx; pass the forward's ``gelu_cdf(x)`` to skip recomputing it."""
+    if cdf is None:
+        cdf = gelu_cdf(x)
     pdf = np.exp(-0.5 * x * x) / _SQRT_2PI
     return cdf + x * pdf
 
@@ -190,41 +227,54 @@ def layer_norm_backward(d_out, x_hat, inv, gain):
     m1 = d_hat.mean(axis=-1, keepdims=True)
     m2 = (d_hat * x_hat).mean(axis=-1, keepdims=True)
     d_x = inv * (d_hat - m1 - x_hat * m2)
-    return d_x, (d_out * x_hat).sum(axis=0), d_out.sum(axis=0)
+    return d_x, _rows(d_out * x_hat).sum(axis=0), _rows(d_out).sum(axis=0)
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """(B, T, n) -> (B*T, n): every position as one row."""
+    return x.reshape(-1, x.shape[-1])
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    t, d = x.shape
-    return x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
+    b, t, d = x.shape
+    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, t, dk = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dk)
+    b, h, t, dk = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
+
+
+def _as_batch(rows: TokenBatch | TokenSequence) -> TokenBatch:
+    """A ``TokenBatch`` as is; a single ``TokenSequence`` as a 1-row batch."""
+    if isinstance(rows, TokenSequence):
+        return TokenBatch.stack([rows], 1, len(rows))
+    return rows
 
 
 def forward(
     params: EncoderParams,
-    seq: TokenSequence,
+    rows: TokenBatch | TokenSequence,
     record: bool = True,
     rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
-    """Run the encoder over one fixed-length sequence.
+    """Run the encoder over a batch of fixed-length rows.
 
-    With ``record`` the trace keeps every intermediate needed by the
-    backward pass; embedding-only callers can switch it off. Dropout is
+    With ``record`` the trace keeps every intermediate needed by
+    ``loss_and_grads``; embedding-only callers switch it off. Dropout is
     applied only when both ``rng`` is given and the config rate is nonzero,
     so inference is deterministic by default.
     """
     c = params.config
-    if len(seq) != c.max_len:
-        raise ShapeMismatchError(f"sequence length {len(seq)} != max_len {c.max_len}")
-    ids = np.asarray(seq.ids, dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= c.vocab_size:
+    batch = _as_batch(rows)
+    if batch.max_len != c.max_len:
+        raise ShapeMismatchError(f"sequence length {batch.max_len} != max_len {c.max_len}")
+    ids = batch.ids
+    if ids.size and (ids.min() < 0 or ids.max() >= c.vocab_size):
         raise ShapeMismatchError(f"token ids must lie in [0, {c.vocab_size})")
-    segments = np.asarray(seq.segments, dtype=np.int64)
-    attn_mask = np.asarray(seq.attn_mask, dtype=np.float64)
-    pad_keys = attn_mask == 0.0
+    segments = batch.segments
+    # (B, 1, 1, T): broadcast over heads and query positions
+    pad_keys = ~batch.attn_mask.astype(bool)[:, None, None, :]
 
     drop_rate = c.dropout_rate if rng is not None else 0.0
 
@@ -235,20 +285,22 @@ def forward(
     )
     cache: dict | None = None
     if record:
-        cache = {"ids": ids, "segments": segments, "pad_keys": pad_keys, "layers": []}
+        cache = {"ids": ids, "segments": segments, "layers": []}
 
     scale = 1.0 / np.sqrt(c.d_head)
-    all_attn: list[np.ndarray] = []
     for i in range(c.n_layers):
         p = f"layer{i}"
         q = _split_heads(x @ params[f"{p}.attn.w_q"] + params[f"{p}.attn.b_q"], c.n_heads)
         k = _split_heads(x @ params[f"{p}.attn.w_k"] + params[f"{p}.attn.b_k"], c.n_heads)
         v = _split_heads(x @ params[f"{p}.attn.w_v"] + params[f"{p}.attn.b_v"], c.n_heads)
-        scores = (q @ k.transpose(0, 2, 1)) * scale
-        scores[:, :, pad_keys] = -np.inf
+        # softmax over keys, in place: scores become the attention weights
+        attn = q @ k.transpose(0, 1, 3, 2)
+        attn *= scale
+        np.copyto(attn, -np.inf, where=pad_keys)
         # exp(-inf) underflows to exactly 0, so PAD keys get weight 0.0
-        shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        attn = shifted / shifted.sum(axis=-1, keepdims=True)
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(attn @ v)
         attn_out = ctx @ params[f"{p}.attn.w_o"] + params[f"{p}.attn.b_o"]
         drop1 = None
@@ -259,8 +311,8 @@ def forward(
             x + attn_out, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], c.layer_norm_epsilon
         )
         h1 = ln1_out @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]
-        a1 = gelu(h1)
-        ffn_out = a1 @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
+        cdf = gelu_cdf(h1)
+        ffn_out = (h1 * cdf) @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
         drop2 = None
         if drop_rate > 0.0:
             drop2 = (rng.random(ffn_out.shape) >= drop_rate) / (1.0 - drop_rate)
@@ -271,8 +323,8 @@ def forward(
             params[f"{p}.ln2.bias"],
             c.layer_norm_epsilon,
         )
-        all_attn.append(attn)
         if cache is not None:
+            # ln1_out and the GELU output are recomputed from ln1_hat and cdf
             cache["layers"].append(
                 {
                     "x_in": x,
@@ -284,9 +336,8 @@ def forward(
                     "drop1": drop1,
                     "ln1_hat": ln1_hat,
                     "ln1_inv": ln1_inv,
-                    "ln1_out": ln1_out,
                     "h1": h1,
-                    "a1": a1,
+                    "cdf": cdf,
                     "drop2": drop2,
                     "ln2_hat": ln2_hat,
                     "ln2_inv": ln2_inv,
@@ -294,177 +345,225 @@ def forward(
             )
         x = ln2_out
 
-    if cache is not None:
-        cache["h_final"] = x
-    return ForwardTrace(
-        hidden_states=x,
-        attention_weights=tuple(all_attn),
-        pooled_cls=x[0],
-        cache=cache,
-    )
+    return ForwardTrace(hidden_states=x, cache=cache)
 
 
 def mlm_distribution(params: EncoderParams, trace: ForwardTrace, position: int) -> np.ndarray:
-    """Vocabulary distribution predicted at one position (softmax row)."""
+    """Vocabulary distribution predicted at one position of the first row (softmax row)."""
     if not 0 <= position < params.config.max_len:
         raise PositionOutOfRangeError(f"position {position} outside [0, {params.config.max_len})")
-    logits = trace.hidden_states[position] @ params["mlm_head.weight"] + params["mlm_head.bias"]
+    hidden = trace.hidden_states[0, position]
+    logits = hidden @ params["mlm_head.weight"] + params["mlm_head.bias"]
     shifted = np.exp(logits - logits.max())
     return shifted / shifted.sum()
 
 
 def np_probability(params: EncoderParams, trace: ForwardTrace) -> float:
-    """Probability that the encoded pair is a true co-purchase.
+    """Probability that the pair encoded in the first row is a true co-purchase.
 
     Large logits saturate the sigmoid to exactly 0.0 or 1.0 in float64; the
     result is nudged back inside the open interval so callers can rely on
     0 < p < 1.
     """
-    logit = trace.pooled_cls @ params["np_head.weight"][:, 0] + params["np_head.bias"][0]
+    logit = trace.pooled_cls[0] @ params["np_head.weight"][:, 0] + params["np_head.bias"][0]
     p = float(expit(logit))
     return min(max(p, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
 
 
-def _nll(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label], computed without forming probabilities."""
-    m = logits.max()
-    return float(m + np.log(np.sum(np.exp(logits - m))) - logits[label])
+def _mlm_targets(targets, n_rows: int, max_len: int) -> np.ndarray:
+    """(M, 3) int array of (row, position, label).
+
+    (position, label) pairs are accepted for a 1-row batch.
+    """
+    arr = np.asarray(targets, dtype=np.int64)
+    if arr.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    if arr.ndim == 2 and arr.shape[1] == 2 and n_rows == 1:
+        arr = np.column_stack([np.zeros(len(arr), dtype=np.int64), arr])
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ShapeMismatchError("masked-token targets must be (row, position, label) triples")
+    if arr[:, 0].min() < 0 or arr[:, 0].max() >= n_rows:
+        raise ShapeMismatchError(f"target rows must lie in [0, {n_rows})")
+    if arr[:, 1].min() < 0 or arr[:, 1].max() >= max_len:
+        raise PositionOutOfRangeError(f"target positions must lie in [0, {max_len})")
+    return arr
+
+
+def _pair_labels(np_labels, n_rows: int) -> np.ndarray:
+    """(B,) int array of pair labels, -1 where a row has no pair term.
+
+    None means no row has one; a plain int is accepted for a 1-row batch.
+    """
+    if np_labels is None:
+        return np.full(n_rows, -1, dtype=np.int64)
+    arr = np.atleast_1d(np.asarray(np_labels, dtype=np.int64))
+    if arr.shape != (n_rows,):
+        raise ShapeMismatchError(f"need one pair label per row ({n_rows}), got {arr.shape}")
+    return arr
+
+
+def _head_terms(params: EncoderParams, h_final: np.ndarray, targets, np_labels):
+    """Both heads over a pass: summed losses plus what their gradients need.
+
+    The masked-token term is the NLL of each target's softmax row; the pair
+    term is log(1 + e^z) - label*z, the exact binary cross-entropy of
+    sigmoid(z), finite for any finite logit.
+    """
+    b, t, _ = h_final.shape
+    targets = _mlm_targets(targets, b, t)
+    labels = _pair_labels(np_labels, b)
+    h_mlm = h_final[targets[:, 0], targets[:, 1]]
+    mlm_sum = 0.0
+    probs = None
+    if len(targets):
+        logits = h_mlm @ params["mlm_head.weight"] + params["mlm_head.bias"]
+        m = logits.max(axis=-1, keepdims=True)
+        shifted = np.exp(logits - m)
+        total = shifted.sum(axis=-1, keepdims=True)
+        picked = logits[np.arange(len(targets)), targets[:, 2]]
+        mlm_sum = float(np.sum(m[:, 0] + np.log(total[:, 0]) - picked))
+        probs = shifted / total
+    pair_rows = np.flatnonzero(labels >= 0)
+    y = labels[pair_rows].astype(np.float64)
+    h_cls = h_final[pair_rows, 0]
+    z = h_cls @ params["np_head.weight"][:, 0] + params["np_head.bias"][0]
+    np_sum = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    return mlm_sum, np_sum, (targets, h_mlm, probs, pair_rows, y, h_cls, z)
 
 
 def sequence_loss(
     params: EncoderParams,
     trace: ForwardTrace,
-    mlm_targets: list[tuple[int, int]],
-    np_label: int | None,
+    mlm_targets,
+    np_labels,
 ) -> tuple[float, float]:
-    """Loss terms for one sequence: (sum of masked-token NLLs, pair BCE).
+    """Loss terms of a forward pass: (sum of masked-token NLLs, sum of pair BCEs).
 
-    The pair term is log(1 + e^z) - label*z, the exact binary cross-entropy
-    of sigmoid(z); it stays finite for any finite logit.
+    ``mlm_targets`` are (row, position, label) triples, or (position, label)
+    pairs for a 1-row batch. ``np_labels`` holds one label per row (-1 for
+    a row without a pair term); None means no pair terms, and a plain int
+    is accepted for a 1-row batch.
     """
-    mlm_sum = 0.0
-    if mlm_targets:
-        w, b = params["mlm_head.weight"], params["mlm_head.bias"]
-        for position, label in mlm_targets:
-            mlm_sum += _nll(trace.hidden_states[position] @ w + b, label)
-    np_sum = 0.0
-    if np_label is not None:
-        z = float(trace.pooled_cls @ params["np_head.weight"][:, 0] + params["np_head.bias"][0])
-        np_sum = float(np.logaddexp(0.0, z) - np_label * z)
+    mlm_sum, np_sum, _ = _head_terms(params, trace.hidden_states, mlm_targets, np_labels)
     return mlm_sum, np_sum
 
 
 def loss_and_grads(
     params: EncoderParams,
     trace: ForwardTrace,
-    mlm_targets: list[tuple[int, int]],
-    np_label: int | None = None,
+    mlm_targets,
+    np_labels=None,
     mlm_scale: float = 1.0,
     np_scale: float = 1.0,
+    into: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Losses plus gradients of mlm_scale*mlm_sum + np_scale*np_sum.
 
-    The scales let a batch driver weight each sequence's contribution
-    (for example 1/total masked positions) while accumulating gradients.
+    Targets and labels are as for ``sequence_loss``. Gradients are summed
+    over every row of the recorded pass; the scales let a training step
+    weight the pass (for example 1/total masked positions of the step).
+    Given ``into`` (the gradients of earlier passes), the pass's gradients
+    are added to it in place and it is returned, so a multi-pass step holds
+    one gradient dict rather than two.
     """
     if trace.cache is None:
         raise NoRecordedForwardError("forward was run without record=True")
     c = params.config
     cache = trace.cache
-    grads = zero_grads(params)
-    if not mlm_targets and np_label is None:
-        return 0.0, 0.0, grads
+    h_final = trace.hidden_states
+    mlm_sum, np_sum, heads = _head_terms(params, h_final, mlm_targets, np_labels)
+    targets, h_mlm, probs, pair_rows, y, h_cls, z = heads
+    if not len(targets) and not len(pair_rows):
+        return 0.0, 0.0, zero_grads(params) if into is None else into
 
-    h_final = cache["h_final"]
+    grads: dict[str, np.ndarray] = {} if into is None else into
+
+    def put(name: str, grad: np.ndarray) -> None:
+        if into is None:
+            grads[name] = grad
+        else:
+            grads[name] += grad
+
     d_h = np.zeros_like(h_final)
-    mlm_sum = 0.0
-    if mlm_targets:
-        positions = np.asarray([p for p, _ in mlm_targets], dtype=np.int64)
-        labels = np.asarray([l for _, l in mlm_targets], dtype=np.int64)
-        logits = h_final[positions] @ params["mlm_head.weight"] + params["mlm_head.bias"]
-        m = logits.max(axis=-1, keepdims=True)
-        shifted = np.exp(logits - m)
-        total = shifted.sum(axis=-1, keepdims=True)
-        rows = np.arange(len(positions))
-        mlm_sum = float(np.sum(m[:, 0] + np.log(total[:, 0]) - logits[rows, labels]))
-        d_logits = shifted / total
-        d_logits[rows, labels] -= 1.0
+    w_mlm = params["mlm_head.weight"]
+    if len(targets):
+        d_logits = probs
+        d_logits[np.arange(len(targets)), targets[:, 2]] -= 1.0
         d_logits *= mlm_scale
-        grads["mlm_head.weight"] += h_final[positions].T @ d_logits
-        grads["mlm_head.bias"] += d_logits.sum(axis=0)
-        np.add.at(d_h, positions, d_logits @ params["mlm_head.weight"].T)
+        put("mlm_head.weight", h_mlm.T @ d_logits)
+        put("mlm_head.bias", d_logits.sum(axis=0))
+        np.add.at(d_h, (targets[:, 0], targets[:, 1]), d_logits @ w_mlm.T)
+    elif into is None:
+        grads["mlm_head.weight"] = np.zeros_like(w_mlm)
+        grads["mlm_head.bias"] = np.zeros_like(params["mlm_head.bias"])
 
-    np_sum = 0.0
-    if np_label is not None:
-        z = float(h_final[0] @ params["np_head.weight"][:, 0] + params["np_head.bias"][0])
-        np_sum = float(np.logaddexp(0.0, z) - np_label * z)
-        d_z = (expit(z) - np_label) * np_scale
-        grads["np_head.weight"][:, 0] += h_final[0] * d_z
-        grads["np_head.bias"][0] += d_z
-        d_h[0] += params["np_head.weight"][:, 0] * d_z
+    w_np = params["np_head.weight"][:, 0]
+    d_z = (expit(z) - y) * np_scale
+    put("np_head.weight", (h_cls.T @ d_z)[:, None])
+    put("np_head.bias", np.array([d_z.sum()]))
+    d_h[pair_rows, 0] += d_z[:, None] * w_np
 
     scale = 1.0 / np.sqrt(c.d_head)
     for i in reversed(range(c.n_layers)):
         p = f"layer{i}"
         lc = cache["layers"][i]
-        d_res2, d_g2, d_b2 = layer_norm_backward(
+        d_res2, d_gain, d_bias = layer_norm_backward(
             d_h, lc["ln2_hat"], lc["ln2_inv"], params[f"{p}.ln2.gain"]
         )
-        grads[f"{p}.ln2.gain"] += d_g2
-        grads[f"{p}.ln2.bias"] += d_b2
+        put(f"{p}.ln2.gain", d_gain)
+        put(f"{p}.ln2.bias", d_bias)
 
         d_ffn_out = d_res2 if lc["drop2"] is None else d_res2 * lc["drop2"]
-        grads[f"{p}.ffn.w2"] += lc["a1"].T @ d_ffn_out
-        grads[f"{p}.ffn.b2"] += d_ffn_out.sum(axis=0)
-        d_h1 = (d_ffn_out @ params[f"{p}.ffn.w2"].T) * gelu_grad(lc["h1"])
-        grads[f"{p}.ffn.w1"] += lc["ln1_out"].T @ d_h1
-        grads[f"{p}.ffn.b1"] += d_h1.sum(axis=0)
+        h1, cdf = lc["h1"], lc["cdf"]
+        put(f"{p}.ffn.w2", _rows(h1 * cdf).T @ _rows(d_ffn_out))
+        put(f"{p}.ffn.b2", _rows(d_ffn_out).sum(axis=0))
+        d_h1 = (d_ffn_out @ params[f"{p}.ffn.w2"].T) * gelu_grad(h1, cdf)
+        ln1_out = params[f"{p}.ln1.gain"] * lc["ln1_hat"] + params[f"{p}.ln1.bias"]
+        put(f"{p}.ffn.w1", _rows(ln1_out).T @ _rows(d_h1))
+        put(f"{p}.ffn.b1", _rows(d_h1).sum(axis=0))
         d_ln1_out = d_res2 + d_h1 @ params[f"{p}.ffn.w1"].T
 
-        d_res1, d_g1, d_b1 = layer_norm_backward(
+        d_res1, d_gain, d_bias = layer_norm_backward(
             d_ln1_out, lc["ln1_hat"], lc["ln1_inv"], params[f"{p}.ln1.gain"]
         )
-        grads[f"{p}.ln1.gain"] += d_g1
-        grads[f"{p}.ln1.bias"] += d_b1
+        put(f"{p}.ln1.gain", d_gain)
+        put(f"{p}.ln1.bias", d_bias)
 
         d_attn_out = d_res1 if lc["drop1"] is None else d_res1 * lc["drop1"]
-        grads[f"{p}.attn.w_o"] += lc["ctx"].T @ d_attn_out
-        grads[f"{p}.attn.b_o"] += d_attn_out.sum(axis=0)
+        put(f"{p}.attn.w_o", _rows(lc["ctx"]).T @ _rows(d_attn_out))
+        put(f"{p}.attn.b_o", _rows(d_attn_out).sum(axis=0))
         d_ctx = _split_heads(d_attn_out @ params[f"{p}.attn.w_o"].T, c.n_heads)
 
         attn = lc["attn"]
-        d_attn = d_ctx @ lc["v"].transpose(0, 2, 1)
-        d_v = attn.transpose(0, 2, 1) @ d_ctx
-        # softmax rows: PAD-key columns have weight 0, so they get grad 0
-        d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
+        d_v = _merge_heads(attn.transpose(0, 1, 3, 2) @ d_ctx)
+        # softmax rows, in place: PAD-key columns have weight 0, so grad 0
+        d_scores = d_ctx @ lc["v"].transpose(0, 1, 3, 2)
+        d_scores -= np.sum(d_scores * attn, axis=-1, keepdims=True)
+        d_scores *= attn
         d_q = _merge_heads((d_scores @ lc["k"]) * scale)
-        d_k = _merge_heads((d_scores.transpose(0, 2, 1) @ lc["q"]) * scale)
-        d_v = _merge_heads(d_v)
+        d_k = _merge_heads((d_scores.transpose(0, 1, 3, 2) @ lc["q"]) * scale)
+        del d_scores
 
-        x_in = lc["x_in"]
+        x_in = _rows(lc["x_in"])
         d_x = d_res1.copy()
         for name, d_proj in (("q", d_q), ("k", d_k), ("v", d_v)):
-            grads[f"{p}.attn.w_{name}"] += x_in.T @ d_proj
-            grads[f"{p}.attn.b_{name}"] += d_proj.sum(axis=0)
+            put(f"{p}.attn.w_{name}", x_in.T @ _rows(d_proj))
+            put(f"{p}.attn.b_{name}", _rows(d_proj).sum(axis=0))
             d_x += d_proj @ params[f"{p}.attn.w_{name}"].T
         d_h = d_x
 
-    np.add.at(grads["token_embedding"], cache["ids"], d_h)
-    grads["position_embedding"] += d_h
-    np.add.at(grads["segment_embedding"], cache["segments"], d_h)
-    return mlm_sum, np_sum, grads
-
-
-def backward(
-    params: EncoderParams,
-    trace: ForwardTrace,
-    mlm_targets: list[tuple[int, int]],
-    np_label: int | None = None,
-    mlm_scale: float = 1.0,
-    np_scale: float = 1.0,
-) -> dict[str, np.ndarray]:
-    """Gradient of the recorded sequence's loss for every parameter tensor."""
-    return loss_and_grads(params, trace, mlm_targets, np_label, mlm_scale, np_scale)[2]
+    d_rows = _rows(d_h)
+    for name, index in (
+        ("token_embedding", cache["ids"]),
+        ("segment_embedding", cache["segments"]),
+    ):
+        if into is None:
+            grads[name] = np.zeros_like(params[name])
+        np.add.at(grads[name], index.ravel(), d_rows)
+    put("position_embedding", d_h.sum(axis=0))
+    if into is not None:
+        return mlm_sum, np_sum, into
+    return mlm_sum, np_sum, {name: grads[name] for name in params.tensors}
 
 
 # --- checkpoint io ---

@@ -1,10 +1,11 @@
 """Item embeddings, exact nearest-neighbor retrieval and recommendation.
 
 Every catalog article is embedded once (mean-pooled encoder states,
-unit-normalized) into an in-memory matrix. Retrieval is an exact full
-scan: cosine similarity is a dot product of unit vectors, top-k is
-selected by partition and ties are broken by ascending article id so the
-ordering is total. Customers with no usable purchase history fall back
+unit-normalized) into an in-memory matrix, through the encoder's batched
+forward in passes of ``encoder.rows_per_pass`` articles. Retrieval is an
+exact full scan: cosine similarity is a dot product of unit vectors, top-k
+is selected by partition and ties are broken by ascending article id so
+the ordering is total. Customers with no usable purchase history fall back
 to a global popularity ranking.
 
 Index file layout (version TRECIDX1, little-endian):
@@ -13,6 +14,11 @@ Index file layout (version TRECIDX1, little-endian):
                length, metric tag utf-8 (always "cosine")
     id table   rows x 10 ascii bytes (zero-padded article ids)
     payload    rows x dimension float64, row-major
+    source     optional: b"TRECSRC1", 32-byte sha256 of the checkpoint the
+               vectors came from, uint8 pooling length, pooling ascii
+
+The source block trails the payload, so readers of the plain TRECIDX1
+layout still read the file. A file without it predates source tracking.
 """
 
 from __future__ import annotations
@@ -34,20 +40,34 @@ from .errors import (
     InsufficientCandidatesError,
     KTooLargeError,
 )
-from .tokenizer import Vocabulary, encode_single
+from .tokenizer import Vocabulary, encode_batch
 
 INDEX_MAGIC = b"TRECIDX1"
+SOURCE_MAGIC = b"TRECSRC1"
 METRIC_TAG = "cosine"
 
 NORM_FLOOR = 1e-12
 
 
+@dataclass(frozen=True)
+class IndexSource:
+    """What an index's vectors were computed from."""
+
+    checkpoint_sha256: str
+    pooling: str
+
+
 @dataclass
 class EmbeddingIndex:
-    """Unit-row embedding matrix aligned with an ordered article id list."""
+    """Unit-row embedding matrix aligned with an ordered article id list.
+
+    ``source`` names the checkpoint and pooling behind the vectors; it is
+    None for an index of unknown origin.
+    """
 
     article_ids: tuple[str, ...]
     vectors: np.ndarray
+    source: IndexSource | None = None
     _row_of: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -95,47 +115,48 @@ class CustomerProfile:
     profile_vector: np.ndarray | None
 
 
-def embed_article(
-    params: enc.EncoderParams,
-    article: PreparedArticle,
-    vocab: Vocabulary,
-    pooling: str = "mean",
-) -> np.ndarray:
-    """Unit-length vector for one article's prepared text.
-
-    ``pooling`` is "mean" (average over non-PAD positions) or "cls"
-    (position-0 state only).
-    """
-    if pooling not in ("mean", "cls"):
-        raise ValueError(f"unknown pooling {pooling!r}")
-    seq = encode_single(article.text, vocab, params.config.max_len)
-    trace = enc.forward(params, seq, record=False)
-    if pooling == "cls":
-        pooled = trace.pooled_cls
-    else:
-        mask = np.asarray(seq.attn_mask, dtype=np.float64)
-        pooled = (trace.hidden_states * mask[:, None]).sum(axis=0) / mask.sum()
-    norm = float(np.linalg.norm(pooled))
-    if norm < NORM_FLOOR:
-        raise DegenerateEmbeddingError(
-            f"article {article.article_id}: embedding norm {norm} below {NORM_FLOOR}"
-        )
-    return pooled / norm
-
-
 def build_index(
     articles: list[PreparedArticle],
     params: enc.EncoderParams,
     vocab: Vocabulary,
     pooling: str = "mean",
+    source: IndexSource | None = None,
 ) -> EmbeddingIndex:
-    """Embed every article, preserving input order."""
+    """Embed every article as a unit vector, preserving input order.
+
+    ``pooling`` is "mean" (average over non-PAD positions) or "cls"
+    (position-0 state only). Articles run through the encoder in passes of
+    ``encoder.rows_per_pass`` rows; a row's vector does not depend on the
+    other rows of its pass.
+    """
+    if pooling not in ("mean", "cls"):
+        raise ValueError(f"unknown pooling {pooling!r}")
     if not articles:
         raise ValueError("cannot build an index over zero articles")
-    vectors = np.empty((len(articles), params.config.d_model))
-    for i, article in enumerate(articles):
-        vectors[i] = embed_article(params, article, vocab, pooling)
-    return EmbeddingIndex(tuple(a.article_id for a in articles), vectors)
+    c = params.config
+    batch = encode_batch([a.text for a in articles], vocab, c.max_len)
+    pooled = np.empty((len(articles), c.d_model))
+    step = enc.rows_per_pass(c.max_len)
+    for start in range(0, len(batch), step):
+        rows = batch[start : start + step]
+        hidden = enc.forward(params, rows, record=False).hidden_states
+        if pooling == "cls":
+            pooled[start : start + step] = hidden[:, 0]
+        else:
+            mask = rows.attn_mask.astype(np.float64)
+            summed = (hidden * mask[:, :, None]).sum(axis=1)
+            pooled[start : start + step] = summed / mask.sum(axis=1)[:, None]
+    norms = np.linalg.norm(pooled, axis=1)
+    degenerate = np.flatnonzero(norms < NORM_FLOOR)
+    if degenerate.size:
+        first = int(degenerate[0])
+        raise DegenerateEmbeddingError(
+            f"article {articles[first].article_id}: embedding norm {norms[first]} "
+            f"below {NORM_FLOOR}"
+        )
+    return EmbeddingIndex(
+        tuple(a.article_id for a in articles), pooled / norms[:, None], source
+    )
 
 
 def query_knn(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[NeighborResult]:
@@ -230,7 +251,8 @@ def popularity_ranking(transactions: list[TransactionRecord]) -> list[str]:
 
 
 def save_index(index: EmbeddingIndex, path: str | Path) -> None:
-    """Write the index to ``path`` atomically in the TRECIDX1 layout."""
+    """Write the index to ``path`` atomically in the TRECIDX1 layout, with
+    the source block when the index has a source."""
     tag = METRIC_TAG.encode("utf-8")
     chunks = [
         INDEX_MAGIC,
@@ -243,6 +265,14 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
             raise ArtifactFormatError(f"article id {article_id!r} is not 10 ascii digits")
         chunks.append(raw)
     chunks.append(np.ascontiguousarray(index.vectors, dtype="<f8").tobytes())
+    if index.source is not None:
+        pooling = index.source.pooling.encode("ascii")
+        chunks += [
+            SOURCE_MAGIC,
+            bytes.fromhex(index.source.checkpoint_sha256),
+            struct.pack("<B", len(pooling)),
+            pooling,
+        ]
     atomic_write_bytes(path, b"".join(chunks))
 
 
@@ -257,6 +287,13 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         raise ArtifactFormatError(f"{path}: unsupported metric {tag!r}")
     article_ids = tuple(reader.take(10).decode("ascii") for _ in range(count))
     vectors = np.frombuffer(reader.take(count * dim * 8), dtype="<f8").reshape(count, dim)
+    source = None
+    if reader.offset != len(blob):
+        if reader.take(len(SOURCE_MAGIC)) != SOURCE_MAGIC:
+            raise ArtifactFormatError(f"{path}: unknown block after the payload")
+        digest = reader.take(32).hex()
+        (pooling_len,) = reader.unpack("<B")
+        source = IndexSource(digest, reader.take(pooling_len).decode("ascii"))
     if reader.offset != len(blob):
         raise ArtifactFormatError(f"{path}: {len(blob) - reader.offset} trailing bytes")
-    return EmbeddingIndex(article_ids, vectors.astype(np.float64))
+    return EmbeddingIndex(article_ids, vectors.astype(np.float64), source)

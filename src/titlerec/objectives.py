@@ -7,6 +7,12 @@ prediction encodes two titles as a pair and asks the CLS head whether the
 second item was bought in the same session as the first; negatives are
 drawn at random from the inventory. The joint loss is the plain sum of
 the two terms.
+
+A training step feeds its masked titles and then its pairs through the
+encoder's batched path in passes of at most ``encoder.rows_per_pass`` rows,
+and sums the passes' gradients in batch order before one optimizer update.
+Encoded pairs are kept as compact arrays (``PairBatch``), not as a list of
+sequences.
 """
 
 from __future__ import annotations
@@ -25,7 +31,14 @@ from .errors import (
     NothingToMaskError,
     UnknownArticleError,
 )
-from .tokenizer import FIRST_WORD_ID, MASK_ID, TokenSequence, Vocabulary, encode_pair
+from .tokenizer import (
+    FIRST_WORD_ID,
+    MASK_ID,
+    TokenBatch,
+    TokenSequence,
+    Vocabulary,
+    encode_pair,
+)
 
 MASK_REPLACE = "MASK"
 RANDOM_REPLACE = "RANDOM"
@@ -55,6 +68,21 @@ class TrainingPair:
     seed_article_id: str
     candidate_article_id: str
     label: int
+
+
+@dataclass(frozen=True)
+class PairBatch:
+    """Encoded training pairs: one token row and one 0/1 label per pair."""
+
+    tokens: TokenBatch
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows) -> "PairBatch":
+        """The pairs picked by a slice or an index array."""
+        return PairBatch(self.tokens[rows], self.labels[rows])
 
 
 @dataclass
@@ -160,7 +188,7 @@ def mlm_loss(params: enc.EncoderParams, masked_seq: TokenSequence, plan: Masking
     if not plan.positions:
         raise EmptyPlanError("masking plan selects no positions")
     trace = enc.forward(params, masked_seq, record=False)
-    loss, _ = enc.sequence_loss(params, trace, plan.targets(), np_label=None)
+    loss, _ = enc.sequence_loss(params, trace, plan.targets(), None)
     return loss
 
 
@@ -171,10 +199,13 @@ def np_loss(
     vocab: Vocabulary,
 ) -> float:
     """Summed binary cross-entropy of the pair head over a batch of pairs."""
+    encoded = encode_training_pairs(pairs, titles, vocab, params.config.max_len)
+    step = enc.rows_per_pass(params.config.max_len)
     total = 0.0
-    for seq, label in encode_training_pairs(pairs, titles, vocab, params.config.max_len):
-        trace = enc.forward(params, seq, record=False)
-        total += binary_cross_entropy(enc.np_probability(params, trace), label)
+    for start in range(0, len(encoded), step):
+        chunk = encoded[start : start + step]
+        trace = enc.forward(params, chunk.tokens, record=False)
+        total += enc.sequence_loss(params, trace, [], chunk.labels)[1]
     return total
 
 
@@ -193,20 +224,24 @@ def encode_training_pairs(
     titles: dict[str, str],
     vocab: Vocabulary,
     max_len: int,
-) -> list[tuple[TokenSequence, int]]:
+) -> PairBatch:
     """Resolve article ids to titles and encode each pair for the encoder."""
     if not pairs:
         raise EmptyBatchError("pair batch is empty")
-    encoded = []
-    for pair in pairs:
-        for article_id in (pair.seed_article_id, pair.candidate_article_id):
-            if article_id not in titles:
-                raise UnknownArticleError(f"article {article_id} has no prepared title")
-        seq = encode_pair(
-            titles[pair.seed_article_id], titles[pair.candidate_article_id], vocab, max_len
-        )
-        encoded.append((seq, pair.label))
-    return encoded
+
+    def encoded():
+        for pair in pairs:
+            for article_id in (pair.seed_article_id, pair.candidate_article_id):
+                if article_id not in titles:
+                    raise UnknownArticleError(f"article {article_id} has no prepared title")
+            yield encode_pair(
+                titles[pair.seed_article_id], titles[pair.candidate_article_id], vocab, max_len
+            )
+
+    return PairBatch(
+        TokenBatch.stack(encoded(), len(pairs), max_len),
+        np.fromiter((pair.label for pair in pairs), dtype=np.int8, count=len(pairs)),
+    )
 
 
 @dataclass
@@ -259,49 +294,85 @@ def adam_update(
         )
 
 
+def batch_loss_and_grads(
+    params: enc.EncoderParams,
+    rows: TokenBatch,
+    mlm_targets: np.ndarray,
+    np_labels: np.ndarray,
+    mlm_scale: float,
+    np_scale: float,
+) -> tuple[float, float, dict[str, np.ndarray]]:
+    """Summed losses and gradients of a batch, run in bounded passes.
+
+    ``mlm_targets`` is an (M, 3) array of (row, position, label) and
+    ``np_labels`` one label per row (-1 for none). Rows go through the
+    encoder ``encoder.rows_per_pass`` at a time and each pass's gradients
+    are added to the first pass's in order.
+    """
+    step = enc.rows_per_pass(params.config.max_len)
+    mlm_sum = 0.0
+    np_sum = 0.0
+    total: dict[str, np.ndarray] | None = None
+    for start in range(0, len(rows), step):
+        stop = start + step
+        in_pass = (mlm_targets[:, 0] >= start) & (mlm_targets[:, 0] < stop)
+        # the pass's trace is dropped before the next pass records its own
+        pass_mlm, pass_np, total = enc.loss_and_grads(
+            params,
+            enc.forward(params, rows[start:stop]),
+            mlm_targets[in_pass] - (start, 0, 0),
+            np_labels[start:stop],
+            mlm_scale=mlm_scale,
+            np_scale=np_scale,
+            into=total,
+        )
+        mlm_sum += pass_mlm
+        np_sum += pass_np
+    return mlm_sum, np_sum, total
+
+
 def train_step(
     params: enc.EncoderParams,
     state: OptimizerState,
     masked_batch: list[tuple[TokenSequence, MaskingPlan]],
-    pair_batch: list[tuple[TokenSequence, int]],
+    pair_batch: PairBatch | list,
 ) -> tuple[enc.EncoderParams, OptimizerState, LossRecord]:
     """One optimization step over a mixed batch.
 
     Each loss term is summed over its items and divided by its own count
     (masked positions and pairs respectively) so the two stay on comparable
-    scales; the recorded total is the sum of the two means. Gradients are
-    accumulated in batch order, masked sequences first, to keep the
-    reduction deterministic.
+    scales; the recorded total is the sum of the two means. The masked
+    sequences and then the pairs form one batch whose gradients are
+    accumulated pass by pass in batch order, to keep the reduction
+    deterministic. An empty ``pair_batch`` may be an empty list.
     """
-    if not masked_batch and not pair_batch:
+    if not masked_batch and not len(pair_batch):
         raise EmptyBatchError("train_step needs at least one sequence")
     total_masked = sum(len(plan.positions) for _, plan in masked_batch)
     if masked_batch and total_masked == 0:
         raise EmptyPlanError("masked batch carries no masked positions")
     mlm_scale = 1.0 / total_masked if total_masked else 0.0
-    np_scale = 1.0 / len(pair_batch) if pair_batch else 0.0
+    np_scale = 1.0 / len(pair_batch) if len(pair_batch) else 0.0
 
-    grad_total = enc.zero_grads(params)
-    mlm_sum = 0.0
-    np_sum = 0.0
-    for seq, plan in masked_batch:
-        trace = enc.forward(params, seq)
-        seq_mlm, _, grads = enc.loss_and_grads(
-            params, trace, plan.targets(), np_label=None, mlm_scale=mlm_scale
-        )
-        mlm_sum += seq_mlm
-        for name, grad in grads.items():
-            grad_total[name] += grad
-    for seq, label in pair_batch:
-        trace = enc.forward(params, seq)
-        _, seq_np, grads = enc.loss_and_grads(
-            params, trace, [], np_label=label, np_scale=np_scale
-        )
-        np_sum += seq_np
-        for name, grad in grads.items():
-            grad_total[name] += grad
+    max_len = params.config.max_len
+    rows = TokenBatch.stack((seq for seq, _ in masked_batch), len(masked_batch), max_len)
+    targets = np.array(
+        [
+            (row, position, label)
+            for row, (_, plan) in enumerate(masked_batch)
+            for position, label in zip(plan.positions, plan.labels)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    labels = np.full(len(masked_batch), -1, dtype=np.int64)
+    if len(pair_batch):
+        rows = TokenBatch.concat(rows, pair_batch.tokens)
+        labels = np.concatenate([labels, pair_batch.labels])
 
-    adam_update(params, state, grad_total)
+    mlm_sum, np_sum, grads = batch_loss_and_grads(
+        params, rows, targets, labels, mlm_scale, np_scale
+    )
+    adam_update(params, state, grads)
     mlm_mean = mlm_sum * mlm_scale
     np_mean = np_sum * np_scale
     record = LossRecord(

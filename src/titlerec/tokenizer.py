@@ -4,14 +4,19 @@ Tokens are whitespace-split words from prepared article text. Five special
 tokens occupy ids 0..4 in every vocabulary; the rest of the id space is
 ranked by corpus frequency. Encoding pads and truncates to a fixed length
 and records segment ids plus an attention mask, so downstream code never
-sees ragged sequences.
+sees ragged sequences. Many encoded rows are kept as one ``TokenBatch`` of
+compact arrays rather than as a list of ``TokenSequence`` tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from .corpus import PreparedArticle
 from .ioutil import atomic_write_text
@@ -52,6 +57,73 @@ class TokenSequence:
     def seq_len(self) -> int:
         """Number of non-PAD positions."""
         return sum(self.attn_mask)
+
+
+# Sequences converted to arrays at a time by TokenBatch.stack, so a long
+# stream of encodings never exists as tuples all at once.
+STACK_CHUNK = 1024
+
+
+@dataclass(frozen=True)
+class TokenBatch:
+    """B fixed-length rows as compact (B, T) arrays: int32 token ids, int8
+    segment ids and a bool live (non-PAD) mask."""
+
+    ids: np.ndarray
+    segments: np.ndarray
+    attn_mask: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.ids.ndim != 2 or not (
+            self.ids.shape == self.segments.shape == self.attn_mask.shape
+        ):
+            raise ValueError("ids, segments and attn_mask must be (B, T) arrays of one shape")
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    @property
+    def max_len(self) -> int:
+        return self.ids.shape[1]
+
+    def __getitem__(self, rows) -> "TokenBatch":
+        """The rows picked by a slice or an index array, as a new batch."""
+        return TokenBatch(self.ids[rows], self.segments[rows], self.attn_mask[rows])
+
+    def sequence(self, row: int) -> TokenSequence:
+        return TokenSequence(
+            tuple(self.ids[row].tolist()),
+            tuple(self.segments[row].tolist()),
+            tuple(self.attn_mask[row].astype(np.int64).tolist()),
+        )
+
+    @classmethod
+    def stack(cls, seqs: Iterable[TokenSequence], count: int, max_len: int) -> "TokenBatch":
+        """Stack ``count`` sequences of length ``max_len`` into one batch."""
+        ids = np.empty((count, max_len), dtype=np.int32)
+        segments = np.empty((count, max_len), dtype=np.int8)
+        attn_mask = np.empty((count, max_len), dtype=bool)
+        row = 0
+        stream = iter(seqs)
+        while chunk := list(islice(stream, STACK_CHUNK)):
+            stop = row + len(chunk)
+            if stop > count:
+                raise ValueError(f"more than {count} sequences")
+            ids[row:stop] = [seq.ids for seq in chunk]
+            segments[row:stop] = [seq.segments for seq in chunk]
+            attn_mask[row:stop] = [seq.attn_mask for seq in chunk]
+            row = stop
+        if row != count:
+            raise ValueError(f"expected {count} sequences, got {row}")
+        return cls(ids, segments, attn_mask)
+
+    @classmethod
+    def concat(cls, first: "TokenBatch", second: "TokenBatch") -> "TokenBatch":
+        return cls(
+            np.concatenate([first.ids, second.ids]),
+            np.concatenate([first.segments, second.segments]),
+            np.concatenate([first.attn_mask, second.attn_mask]),
+        )
 
 
 class Vocabulary:
@@ -125,6 +197,13 @@ def encode_single(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
         ids=tuple(ids + [PAD_ID] * n_pad),
         segments=(0,) * max_len,
         attn_mask=tuple([1] * len(ids) + [0] * n_pad),
+    )
+
+
+def encode_batch(texts: list[str], vocab: Vocabulary, max_len: int) -> TokenBatch:
+    """``encode_single`` of every text, stacked into one batch."""
+    return TokenBatch.stack(
+        (encode_single(text, vocab, max_len) for text in texts), len(texts), max_len
     )
 
 

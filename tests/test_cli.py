@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 
@@ -261,6 +262,56 @@ class TestRecommend:
         assert "error: CheckpointMismatchError" in err
         assert "delete it to rebuild" in err
 
+    def test_retrained_checkpoint_rebuilds_index(self, pipeline, tmp_path):
+        stale = fresh_copy(pipeline, tmp_path / "stale")
+        fresh = fresh_copy(pipeline, tmp_path / "fresh")
+        old_index = (stale["workdir"] / cli.INDEX_FILE).read_bytes()
+        (fresh["workdir"] / cli.INDEX_FILE).unlink()
+        for world in (stale, fresh):
+            assert run_cli("train", *world["base"], "--seed", "1") == 0
+            assert run_cli("recommend", *world["base"], "--seed", "1") == 0
+        rebuilt = (stale["workdir"] / cli.INDEX_FILE).read_bytes()
+        assert rebuilt != old_index
+        assert rebuilt == (fresh["workdir"] / cli.INDEX_FILE).read_bytes()
+        assert (stale["workdir"] / cli.SUBMISSION_FILE).read_bytes() == (
+            fresh["workdir"] / cli.SUBMISSION_FILE
+        ).read_bytes()
+
+    def test_pooling_change_rebuilds_index(self, pipeline, tmp_path):
+        stale = fresh_copy(pipeline, tmp_path / "stale")
+        fresh = fresh_copy(pipeline, tmp_path / "fresh")
+        (fresh["workdir"] / cli.INDEX_FILE).unlink()
+        for world in (stale, fresh):
+            assert run_cli("recommend", *world["base"], "--pooling", "cls") == 0
+        index = ix.load_index(stale["workdir"] / cli.INDEX_FILE)
+        assert index.source.pooling == "cls"
+        for name in (cli.INDEX_FILE, cli.SUBMISSION_FILE):
+            assert (stale["workdir"] / name).read_bytes() == (
+                fresh["workdir"] / name
+            ).read_bytes(), name
+
+    def test_index_without_source_is_rebuilt(self, pipeline, tmp_path):
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.INDEX_FILE
+        current = path.read_bytes()
+        loaded = ix.load_index(path)
+        ix.save_index(ix.EmbeddingIndex(loaded.article_ids, loaded.vectors), path)
+        assert path.read_bytes() != current
+        assert run_cli("recommend", *clone["base"]) == 0
+        assert path.read_bytes() == current
+
+    def test_matching_index_is_reused(self, pipeline, tmp_path, monkeypatch):
+        clone = fresh_copy(pipeline, tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matching index must not be rebuilt")
+
+        monkeypatch.setattr(cli.index_mod, "build_index", refuse)
+        assert run_cli("recommend", *clone["base"]) == 0
+        assert (clone["workdir"] / cli.SUBMISSION_FILE).read_bytes() == (
+            pipeline["workdir"] / cli.SUBMISSION_FILE
+        ).read_bytes()
+
     def test_checkpoint_config_mismatch_detected(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
         base = clone["base"]
@@ -375,3 +426,59 @@ class TestErrorSurface:
         assert lines[0].startswith("error: ")
         name = lines[0].split(":")[1].strip()
         assert name.endswith("Error")
+
+
+class TestInputFileErrors:
+    """Unreadable inputs keep the one-line ``error: InputFileError`` contract."""
+
+    def ingest(self, tmp_path, articles, transactions):
+        return run_cli(
+            "ingest",
+            "--workdir", tmp_path / "w",
+            "--articles", articles,
+            "--transactions", transactions,
+        )
+
+    def assert_input_error(self, capsys, *fragments):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: InputFileError: ")
+        for fragment in fragments:
+            assert fragment in lines[0]
+
+    def test_non_utf8_articles(self, tmp_path, capsys):
+        inputs = small_inputs(tmp_path)
+        articles = inputs["articles_path"]
+        latin1 = "pl\xe4in".encode("latin-1")
+        articles.write_bytes(articles.read_bytes().replace(b"plain", latin1))
+        assert self.ingest(tmp_path, articles, inputs["transactions_path"]) == 1
+        self.assert_input_error(capsys, str(articles), "utf-8")
+
+    def test_directory_as_articles(self, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        transactions = small_inputs(tmp_path)["transactions_path"]
+        assert self.ingest(tmp_path, folder, transactions) == 1
+        self.assert_input_error(capsys, str(folder))
+
+    def test_permission_denied(self, tmp_path, capsys, monkeypatch):
+        inputs = small_inputs(tmp_path)
+        articles = inputs["articles_path"]
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli.corpus, "load_articles", denied)
+        assert self.ingest(tmp_path, articles, inputs["transactions_path"]) == 1
+        self.assert_input_error(capsys, "Permission denied", str(articles))
+
+    def test_malformed_csv(self, tmp_path, capsys):
+        inputs = small_inputs(tmp_path)
+        transactions = inputs["transactions_path"]
+        oversized = "x" * (csv.field_size_limit() + 1)
+        transactions.write_text(
+            transactions.read_text() + f"2020-03-03,{oversized},0000000001,0.05,2\n"
+        )
+        assert self.ingest(tmp_path, inputs["articles_path"], transactions) == 1
+        self.assert_input_error(capsys, str(transactions), "field larger than field limit")

@@ -12,7 +12,7 @@ from titlerec.errors import (
     PositionOutOfRangeError,
     ShapeMismatchError,
 )
-from titlerec.tokenizer import TokenSequence
+from titlerec.tokenizer import TokenBatch, TokenSequence
 
 from conftest import zeroed_params
 
@@ -86,23 +86,27 @@ class TestInitParams:
 
 class TestForward:
     def test_output_shapes(self, tiny_config, tiny_params, tiny_seq):
+        # a single sequence runs as a 1-row batch
         trace = enc.forward(tiny_params, tiny_seq)
-        assert trace.hidden_states.shape == (tiny_config.max_len, tiny_config.d_model)
-        assert len(trace.attention_weights) == tiny_config.n_layers
-        for attn in trace.attention_weights:
-            assert attn.shape == (tiny_config.n_heads, tiny_config.max_len, tiny_config.max_len)
-        assert np.array_equal(trace.pooled_cls, trace.hidden_states[0])
+        assert trace.hidden_states.shape == (1, tiny_config.max_len, tiny_config.d_model)
+        layers = trace.cache["layers"]
+        assert len(layers) == tiny_config.n_layers
+        for layer in layers:
+            assert layer["attn"].shape == (
+                1, tiny_config.n_heads, tiny_config.max_len, tiny_config.max_len
+            )
+        assert np.array_equal(trace.pooled_cls, trace.hidden_states[:, 0])
 
     def test_attention_rows_normalized(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
-        for attn in trace.attention_weights:
-            assert np.all(np.abs(attn.sum(axis=-1) - 1.0) < 1e-6)
+        for layer in trace.cache["layers"]:
+            assert np.all(np.abs(layer["attn"].sum(axis=-1) - 1.0) < 1e-6)
 
     def test_pad_keys_get_exactly_zero_weight(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
         pad_cols = [p for p, m in enumerate(tiny_seq.attn_mask) if m == 0]
-        for attn in trace.attention_weights:
-            assert np.all(attn[:, :, pad_cols] == 0.0)
+        for layer in trace.cache["layers"]:
+            assert np.all(layer["attn"][..., pad_cols] == 0.0)
 
     def test_pad_region_ids_cannot_leak(self, tiny_params, tiny_seq):
         base = enc.forward(tiny_params, tiny_seq)
@@ -113,7 +117,7 @@ class TestForward:
         )
         other = enc.forward(tiny_params, altered)
         live = tiny_seq.seq_len
-        assert np.array_equal(base.hidden_states[:live], other.hidden_states[:live])
+        assert np.array_equal(base.hidden_states[0, :live], other.hidden_states[0, :live])
 
     def test_deterministic_without_dropout(self, tiny_params, tiny_seq):
         a = enc.forward(tiny_params, tiny_seq)
@@ -214,18 +218,18 @@ class TestBackwardContract:
     def test_requires_recorded_forward(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq, record=False)
         with pytest.raises(NoRecordedForwardError):
-            enc.backward(tiny_params, trace, [(1, 5)])
+            enc.loss_and_grads(tiny_params, trace, [(1, 5)])
 
     def test_no_targets_gives_zero_grads(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
-        grads = enc.backward(tiny_params, trace, [], np_label=None)
+        _, _, grads = enc.loss_and_grads(tiny_params, trace, [], np_labels=None)
         assert set(grads) == set(tiny_params.names())
         for g in grads.values():
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_grad_shapes_mirror_params(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
-        grads = enc.backward(tiny_params, trace, [(1, 5), (2, 6)], np_label=1)
+        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(1, 5), (2, 6)], np_labels=1)
         for name in tiny_params.names():
             assert grads[name].shape == tiny_params[name].shape
             assert np.all(np.isfinite(grads[name]))
@@ -233,15 +237,15 @@ class TestBackwardContract:
     def test_loss_matches_sequence_loss(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
         targets = [(1, 7), (3, 5)]
-        mlm_a, np_a = enc.sequence_loss(tiny_params, trace, targets, np_label=0)
-        mlm_b, np_b, _ = enc.loss_and_grads(tiny_params, trace, targets, np_label=0)
+        mlm_a, np_a = enc.sequence_loss(tiny_params, trace, targets, np_labels=0)
+        mlm_b, np_b, _ = enc.loss_and_grads(tiny_params, trace, targets, np_labels=0)
         assert mlm_a == pytest.approx(mlm_b, rel=1e-12)
         assert np_a == pytest.approx(np_b, rel=1e-12)
 
     def test_determinism(self, tiny_params, tiny_seq):
         targets = [(1, 5), (2, 9)]
-        first = enc.backward(tiny_params, enc.forward(tiny_params, tiny_seq), targets, np_label=1)
-        second = enc.backward(tiny_params, enc.forward(tiny_params, tiny_seq), targets, np_label=1)
+        first = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, tiny_seq), targets, 1)[2]
+        second = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, tiny_seq), targets, 1)[2]
         for name in first:
             assert np.array_equal(first[name], second[name])
 
@@ -289,3 +293,134 @@ class TestCheckpoint:
         a = enc.forward(tiny_params, tiny_seq)
         b = enc.forward(loaded, tiny_seq)
         assert np.array_equal(a.hidden_states, b.hidden_states)
+
+
+class TestBatchedForward:
+    def rows(self, config, rng, lives):
+        seqs = []
+        for live in lives:
+            n_pad = config.max_len - live
+            seqs.append(
+                TokenSequence(
+                    ids=tuple(int(i) for i in rng.integers(5, config.vocab_size, live))
+                    + (0,) * n_pad,
+                    segments=tuple(int(s) for s in rng.integers(0, 2, live)) + (0,) * n_pad,
+                    attn_mask=(1,) * live + (0,) * n_pad,
+                )
+            )
+        return seqs
+
+    def test_row_states_ignore_neighbours_and_pad_tail(self, tiny_config, tiny_params):
+        rng = np.random.default_rng(31)
+        seqs = self.rows(tiny_config, rng, (3, 7, 5, 4))
+        T = tiny_config.max_len
+        target = seqs[2]
+        live = target.seq_len
+        alone = enc.forward(tiny_params, target).hidden_states[0, :live]
+
+        batch = TokenBatch.stack(seqs, 4, T)
+        assert np.array_equal(enc.forward(tiny_params, batch).hidden_states[2, :live], alone)
+
+        others = self.rows(tiny_config, rng, (6, 2, 7))
+        shuffled = TokenBatch.stack([others[0], target, others[1], others[2], seqs[0]], 5, T)
+        assert np.array_equal(enc.forward(tiny_params, shuffled).hidden_states[1, :live], alone)
+
+        shuffled.ids[1, live:] = [9, 10]  # any ids may sit in the PAD tail
+        assert np.array_equal(enc.forward(tiny_params, shuffled).hidden_states[1, :live], alone)
+
+    def test_attention_per_row_mask(self, tiny_config, tiny_params):
+        seqs = self.rows(tiny_config, np.random.default_rng(32), (3, 7, 5))
+        batch = TokenBatch.stack(seqs, 3, tiny_config.max_len)
+        trace = enc.forward(tiny_params, batch)
+        for layer in trace.cache["layers"]:
+            attn = layer["attn"]
+            assert attn.shape == (3, tiny_config.n_heads, tiny_config.max_len, tiny_config.max_len)
+            assert np.all(np.abs(attn.sum(axis=-1) - 1.0) < 1e-12)
+            for row, seq in enumerate(seqs):
+                assert np.all(attn[row][..., seq.seq_len :] == 0.0)
+                assert np.all(attn[row][..., : seq.seq_len] > 0.0)
+
+    def test_record_false_keeps_no_cache(self, tiny_config, tiny_params):
+        seqs = self.rows(tiny_config, np.random.default_rng(33), (3, 6))
+        batch = TokenBatch.stack(seqs, 2, tiny_config.max_len)
+        plain = enc.forward(tiny_params, batch, record=False)
+        assert plain.cache is None
+        recorded = enc.forward(tiny_params, batch)
+        assert np.array_equal(plain.hidden_states, recorded.hidden_states)
+        with pytest.raises(NoRecordedForwardError):
+            enc.loss_and_grads(tiny_params, plain, [(0, 1, 5)], [1, -1])
+
+    def test_target_and_label_shapes_checked(self, tiny_config, tiny_params):
+        seqs = self.rows(tiny_config, np.random.default_rng(34), (3, 6))
+        trace = enc.forward(tiny_params, TokenBatch.stack(seqs, 2, tiny_config.max_len))
+        with pytest.raises(ShapeMismatchError):  # (position, label) is ambiguous for 2 rows
+            enc.loss_and_grads(tiny_params, trace, [(1, 5)])
+        with pytest.raises(ShapeMismatchError):
+            enc.loss_and_grads(tiny_params, trace, [(2, 1, 5)])
+        with pytest.raises(PositionOutOfRangeError):
+            enc.loss_and_grads(tiny_params, trace, [(1, tiny_config.max_len, 5)])
+        with pytest.raises(ShapeMismatchError):
+            enc.loss_and_grads(tiny_params, trace, [], np_labels=1)
+
+    def test_one_sequence_is_a_one_row_batch(self, tiny_params, tiny_seq):
+        batch = TokenBatch.stack([tiny_seq], 1, len(tiny_seq))
+        a = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, tiny_seq), [(1, 5)], 1)
+        b = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, batch), [(0, 1, 5)], [1])
+        assert a[:2] == b[:2]
+        for name in a[2]:
+            assert np.array_equal(a[2][name], b[2][name])
+
+
+class TestGelu:
+    def test_recorded_cdf_gives_the_same_gradient(self):
+        x = np.linspace(-5.0, 5.0, 101)
+        assert np.array_equal(enc.gelu_grad(x, enc.gelu_cdf(x)), enc.gelu_grad(x))
+
+    def test_gelu_is_x_times_cdf_bit_for_bit(self):
+        from scipy.special import erf
+
+        x = np.random.default_rng(35).normal(0.0, 3.0, 1000)
+        assert np.array_equal(enc.gelu(x), 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+
+
+class TestPassBudget:
+    def test_rows_times_length_within_budget(self):
+        for max_len in range(5, enc.PASS_TOKEN_BUDGET + 1):
+            rows = enc.rows_per_pass(max_len)
+            assert rows >= 1
+            assert rows * max_len <= enc.PASS_TOKEN_BUDGET
+            assert (rows + 1) * max_len > enc.PASS_TOKEN_BUDGET
+        assert enc.rows_per_pass(enc.PASS_TOKEN_BUDGET + 1) == 1
+        assert [enc.rows_per_pass(n) for n in (16, 32, 48)] == [16, 8, 5]
+
+    def test_train_step_passes_stay_within_budget(self, monkeypatch):
+        from titlerec import objectives as obj
+        from titlerec.tokenizer import Vocabulary, encode_single
+
+        words = [f"w{i:02d}" for i in range(20)]
+        vocab = Vocabulary(words)
+        config = enc.EncoderConfig(
+            vocab_size=len(vocab), d_model=8, n_heads=2, n_layers=1, d_ff=8, max_len=48
+        )
+        params = enc.init_params(config, seed=0)
+        rng = np.random.default_rng(36)
+        masked = [
+            obj.apply_masking(encode_single(" ".join(words[i : i + 5]), vocab, 48), vocab, rng)
+            for i in range(16)
+        ]
+        titles = {f"{i:010d}": " ".join(words[i : i + 3]) for i in range(16)}
+        pairs = [obj.TrainingPair(f"{i:010d}", f"{15 - i:010d}", i % 2) for i in range(16)]
+        pair_batch = obj.encode_training_pairs(pairs, titles, vocab, 48)
+
+        sizes = []
+        real_forward = enc.forward
+
+        def spy(params, rows, *args, **kwargs):
+            sizes.append(len(rows))
+            return real_forward(params, rows, *args, **kwargs)
+
+        monkeypatch.setattr(enc, "forward", spy)
+        obj.train_step(params, obj.init_optimizer(params), masked, pair_batch)
+        assert sum(sizes) == 32
+        assert max(sizes) * config.max_len <= enc.PASS_TOKEN_BUDGET
+        assert len(sizes) == -(-32 // enc.rows_per_pass(config.max_len))

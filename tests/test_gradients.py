@@ -6,8 +6,11 @@ difference-quotient oracles so a failure localizes.
 """
 
 import numpy as np
+import pytest
 
 from titlerec import encoder as enc
+from titlerec import objectives as obj
+from titlerec.tokenizer import TokenBatch, TokenSequence
 
 from conftest import (
     central_difference,
@@ -141,9 +144,9 @@ class TestFullGraphFiniteDifference:
     def test_scale_linearity(self, tiny_params, tiny_seq):
         targets = [(1, 5)]
         trace = enc.forward(tiny_params, tiny_seq)
-        full = enc.backward(tiny_params, trace, targets, 1, mlm_scale=1.0, np_scale=1.0)
+        _, _, full = enc.loss_and_grads(tiny_params, trace, targets, 1, mlm_scale=1.0, np_scale=1.0)
         trace = enc.forward(tiny_params, tiny_seq)
-        half = enc.backward(tiny_params, trace, targets, 1, mlm_scale=0.5, np_scale=0.5)
+        _, _, half = enc.loss_and_grads(tiny_params, trace, targets, 1, mlm_scale=0.5, np_scale=0.5)
         for name in full:
             assert np.allclose(half[name], 0.5 * full[name], rtol=1e-12, atol=0.0)
 
@@ -151,7 +154,7 @@ class TestFullGraphFiniteDifference:
 class TestPadGradientIsolation:
     def test_pad_rows_receive_zero_grad(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
-        grads = enc.backward(tiny_params, trace, [(1, 5), (4, 3)], np_label=1)
+        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(1, 5), (4, 3)], np_labels=1)
         live = tiny_seq.seq_len
         # PAD positions cannot influence the loss, exactly
         assert np.all(grads["position_embedding"][live:] == 0.0)
@@ -160,7 +163,7 @@ class TestPadGradientIsolation:
 
     def test_unused_vocab_rows_receive_zero_grad(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
-        grads = enc.backward(tiny_params, trace, [(1, 5)], np_label=None)
+        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(1, 5)], np_labels=None)
         used = set(tiny_seq.ids[: tiny_seq.seq_len])
         for token_id in range(tiny_params.config.vocab_size):
             if token_id not in used:
@@ -186,3 +189,142 @@ class TestLossValues:
         _, np_neg = enc.sequence_loss(tiny_params, trace, [], 0)
         assert abs(np_pos - (-np.log(p))) < 1e-12
         assert abs(np_neg - (-np.log1p(-p))) < 1e-12
+
+
+# --- the batched path: several rows per pass, per-row targets and labels ---
+
+
+def sequence_of_length(config, rng, live):
+    """Random TokenSequence with exactly ``live`` non-PAD positions."""
+    n_pad = config.max_len - live
+    return TokenSequence(
+        ids=tuple(int(i) for i in rng.integers(0, config.vocab_size, live)) + (0,) * n_pad,
+        segments=tuple(int(s) for s in rng.integers(0, 2, live)) + (0,) * n_pad,
+        attn_mask=(1,) * live + (0,) * n_pad,
+    )
+
+
+def mixed_batch(config, rng, lives=(3, 7, 5, 9, 4)):
+    """Rows 0-1 carry masked-token targets, rows 2-4 pair labels; every row
+    has its own live length."""
+    seqs = [sequence_of_length(config, rng, live) for live in lives]
+    batch = TokenBatch.stack(seqs, len(seqs), config.max_len)
+    targets = [(0, 1, 4), (0, 2, 7), (1, 3, 9), (1, 6, 2)]
+    labels = np.array([-1, -1, 1, 0, 1])
+    return batch, targets, labels
+
+
+def assert_close_rel(actual, expected, rel=1e-12, abs_floor=1e-18):
+    """Each tensor within ``rel`` of the other, relative to its largest entry.
+
+    The floor covers tensors that are zero up to rounding: the key bias's
+    gradient vanishes analytically (softmax ignores a per-query shift).
+    """
+    for name in expected:
+        scale = np.abs(expected[name]).max()
+        assert np.abs(actual[name] - expected[name]).max() <= rel * scale + abs_floor, name
+
+
+@pytest.fixture
+def batch_config():
+    return enc.EncoderConfig(vocab_size=13, d_model=8, n_heads=2, n_layers=2, d_ff=12, max_len=10)
+
+
+@pytest.fixture
+def batch_params(batch_config):
+    rng = np.random.default_rng(8)
+    params = enc.init_params(batch_config, seed=8)
+    for name in params.names():
+        params[name] = params[name] + rng.normal(0.0, 0.05, params[name].shape)
+    return params
+
+
+class TestBatchedPath:
+    def test_finite_differences_every_tensor_on_mixed_batch(self, batch_params):
+        rng = np.random.default_rng(21)
+        batch, targets, labels = mixed_batch(batch_params.config, rng)
+        trace = enc.forward(batch_params, batch)
+        _, _, grads = enc.loss_and_grads(
+            batch_params, trace, targets, labels, mlm_scale=0.25, np_scale=0.5
+        )
+        coords = [
+            (name, int(rng.integers(0, batch_params[name].size)))
+            for name in batch_params.names()
+        ]
+        d = batch_params.config.d_model
+        coords += [("token_embedding", int(batch.ids[r, 0]) * d + 3) for r in range(len(batch))]
+        for name, index in coords:
+            analytic = grads[name].reshape(-1)[index]
+            numeric = central_difference(
+                batch_params, batch, targets, labels, name, index, mlm_scale=0.25, np_scale=0.5
+            )
+            assert grads_agree(analytic, numeric), (name, index, analytic, numeric)
+
+    def test_batch_equals_sum_of_one_row_batches(self, batch_params):
+        batch, targets, labels = mixed_batch(batch_params.config, np.random.default_rng(22))
+        mlm, np_sum, grads = enc.loss_and_grads(
+            batch_params, enc.forward(batch_params, batch), targets, labels
+        )
+        mlm_rows = np_rows = 0.0
+        summed = {name: np.zeros_like(t) for name, t in batch_params.tensors.items()}
+        for row in range(len(batch)):
+            row_targets = [(0, p, l) for r, p, l in targets if r == row]
+            row_mlm, row_np, row_grads = enc.loss_and_grads(
+                batch_params,
+                enc.forward(batch_params, batch[row : row + 1]),
+                row_targets,
+                labels[row : row + 1],
+            )
+            mlm_rows += row_mlm
+            np_rows += row_np
+            for name in summed:
+                summed[name] += row_grads[name]
+        assert mlm == pytest.approx(mlm_rows, rel=1e-12)
+        assert np_sum == pytest.approx(np_rows, rel=1e-12)
+        assert_close_rel(grads, summed)
+
+    def test_splitting_into_passes_keeps_grads(self, batch_params, monkeypatch):
+        batch, targets, labels = mixed_batch(batch_params.config, np.random.default_rng(23))
+        targets = np.array(targets)
+        max_len = batch_params.config.max_len
+
+        def run(rows_per_pass):
+            monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", rows_per_pass * max_len)
+            return obj.batch_loss_and_grads(batch_params, batch, targets, labels, 0.25, 0.5)
+
+        whole = run(len(batch))
+        for rows_per_pass in (1, 2, 3):
+            split = run(rows_per_pass)
+            assert split[0] == pytest.approx(whole[0], rel=1e-12)
+            assert split[1] == pytest.approx(whole[1], rel=1e-12)
+            assert_close_rel(split[2], whole[2])
+
+    def test_into_adds_a_pass_to_earlier_grads(self, batch_params):
+        batch, targets, labels = mixed_batch(batch_params.config, np.random.default_rng(24))
+        head, tail = batch[:2], batch[2:]
+        first = enc.loss_and_grads(
+            batch_params, enc.forward(batch_params, head), targets, labels[:2]
+        )[2]
+        second = enc.loss_and_grads(
+            batch_params, enc.forward(batch_params, tail), [], labels[2:]
+        )[2]
+        expected = {name: first[name] + second[name] for name in first}
+        _, _, total = enc.loss_and_grads(
+            batch_params, enc.forward(batch_params, tail), [], labels[2:], into=first
+        )
+        assert total is first
+        assert_close_rel(total, expected)
+
+    def test_pad_positions_of_every_row_get_zero_grad(self, batch_params):
+        config = batch_params.config
+        rng = np.random.default_rng(25)
+        # PAD ids point at vocabulary rows no live position uses
+        seqs = [sequence_of_length(config, rng, live) for live in (4, 6)]
+        batch = TokenBatch.stack(seqs, 2, config.max_len)
+        batch.ids[batch.ids >= 11] = 5
+        batch.ids[~batch.attn_mask] = 12
+        _, _, grads = enc.loss_and_grads(
+            batch_params, enc.forward(batch_params, batch), [(0, 1, 3), (1, 2, 4)], [1, 0]
+        )
+        assert np.all(grads["position_embedding"][6:] == 0.0)
+        assert np.all(grads["token_embedding"][12] == 0.0)

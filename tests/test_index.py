@@ -48,11 +48,16 @@ def brute_force_knn(index, query, k):
     ]
 
 
+def embed_one(params, article, vocab, pooling="mean"):
+    """An article's vector from a one-article index."""
+    return ix.build_index([article], params, vocab, pooling).vectors[0]
+
+
 class TestEmbedArticle:
     def test_unit_norm_and_determinism(self, tiny_params):
         articles, vocab = small_world()
-        first = ix.embed_article(tiny_params, articles[0], vocab)
-        again = ix.embed_article(tiny_params, articles[0], vocab)
+        first = embed_one(tiny_params, articles[0], vocab)
+        again = embed_one(tiny_params, articles[0], vocab)
         assert abs(np.linalg.norm(first) - 1.0) < 1e-6
         assert np.array_equal(first, again)
 
@@ -60,31 +65,30 @@ class TestEmbedArticle:
         _, vocab = small_world()
         a = PreparedArticle("0000000101", "w00 w01", 2)
         b = PreparedArticle("0000000202", "w00 w01", 2)
-        assert np.array_equal(
-            ix.embed_article(tiny_params, a, vocab), ix.embed_article(tiny_params, b, vocab)
-        )
+        index = ix.build_index([a, b], tiny_params, vocab)
+        assert np.array_equal(index.row(a.article_id), index.row(b.article_id))
 
     def test_self_cosine_is_one(self, tiny_params):
         articles, vocab = small_world()
-        vec = ix.embed_article(tiny_params, articles[2], vocab)
+        vec = embed_one(tiny_params, articles[2], vocab)
         assert abs(float(vec @ vec) - 1.0) < 1e-12
 
     def test_cls_pooling_differs_from_mean(self, tiny_params):
         articles, vocab = small_world()
-        mean = ix.embed_article(tiny_params, articles[0], vocab, pooling="mean")
-        cls = ix.embed_article(tiny_params, articles[0], vocab, pooling="cls")
+        mean = embed_one(tiny_params, articles[0], vocab, pooling="mean")
+        cls = embed_one(tiny_params, articles[0], vocab, pooling="cls")
         assert not np.allclose(mean, cls)
 
     def test_degenerate_embedding_rejected(self, tiny_config):
         articles, vocab = small_world()
         params = zeroed_params(tiny_config)
         with pytest.raises(DegenerateEmbeddingError):
-            ix.embed_article(params, articles[0], vocab)
+            embed_one(params, articles[0], vocab)
 
     def test_unknown_pooling_rejected(self, tiny_params):
         articles, vocab = small_world()
         with pytest.raises(ValueError):
-            ix.embed_article(tiny_params, articles[0], vocab, pooling="max")
+            embed_one(tiny_params, articles[0], vocab, pooling="max")
 
 
 class TestBuildIndex:
@@ -95,8 +99,9 @@ class TestBuildIndex:
         assert index.article_ids == tuple(a.article_id for a in articles)
         assert index.norm_flag
         for article in articles:
+            # a row's vector does not depend on the other articles of its pass
             assert np.array_equal(
-                index.row(article.article_id), ix.embed_article(tiny_params, article, vocab)
+                index.row(article.article_id), embed_one(tiny_params, article, vocab)
             )
 
     def test_rebuild_bit_identical(self, tiny_params):
@@ -356,5 +361,26 @@ class TestPersistence:
         offset = len(ix.INDEX_MAGIC) + 9  # first byte of the metric tag
         blob[offset : offset + 6] = b"volume"
         path.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactFormatError):
+            ix.load_index(path)
+
+    def test_source_block_round_trip(self, tmp_path):
+        index = spread_index(6, dim=4)
+        plain_path, sourced_path = tmp_path / "plain.bin", tmp_path / "sourced.bin"
+        ix.save_index(index, plain_path)
+        source = ix.IndexSource("ab" * 32, "cls")
+        ix.save_index(ix.EmbeddingIndex(index.article_ids, index.vectors, source), sourced_path)
+        assert ix.load_index(plain_path).source is None
+        loaded = ix.load_index(sourced_path)
+        assert loaded.source == source
+        assert np.array_equal(loaded.vectors, index.vectors)
+        # the block only trails the TRECIDX1 layout, which stays readable as before
+        plain = plain_path.read_bytes()
+        assert sourced_path.read_bytes().startswith(plain)
+
+    def test_unknown_trailing_block_rejected(self, tmp_path):
+        path = tmp_path / "index.bin"
+        ix.save_index(spread_index(3, dim=2), path)
+        path.write_bytes(path.read_bytes() + b"NOTASRC1" + b"\x00" * 40)
         with pytest.raises(ArtifactFormatError):
             ix.load_index(path)

@@ -427,7 +427,7 @@ def run_training(steps, seed=6, learning_rate=5e-3):
             seq = encode_single(article.text, vocab, config.max_len)
             masked_batch.append(obj.apply_masking(seq, vocab, rng))
         start = (step * 10) % len(pair_seqs)
-        pair_batch = [pair_seqs[(start + i) % len(pair_seqs)] for i in range(10)]
+        pair_batch = pair_seqs[(start + np.arange(10)) % len(pair_seqs)]
         params, state, record = obj.train_step(params, state, masked_batch, pair_batch)
         records.append(record)
     return params, records

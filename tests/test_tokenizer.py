@@ -202,3 +202,47 @@ class TestDecode:
         for text in ["strap top vest", "cap", "", "dress moon"]:
             seq = tok.encode_single(text, vocab, max_len=8)
             assert tok.decode(seq.ids, vocab) == text
+
+
+class TestTokenBatch:
+    def test_stack_round_trips_sequences(self, vocab):
+        seqs = [
+            tok.encode_single("strap top", vocab, 8),
+            tok.encode_pair("cap moon", "strap dress", vocab, 8),
+            tok.encode_single("", vocab, 8),
+        ]
+        batch = tok.TokenBatch.stack(seqs, 3, 8)
+        assert len(batch) == 3 and batch.max_len == 8
+        assert batch.ids.dtype == np.int32
+        assert batch.segments.dtype == np.int8
+        assert batch.attn_mask.dtype == bool
+        assert [batch.sequence(i) for i in range(3)] == seqs
+
+    def test_encode_batch_matches_encode_single(self, vocab):
+        texts = ["strap top vest top", "cap", "unknown words here", "top top"]
+        batch = tok.encode_batch(texts, vocab, 6)
+        for row, text in enumerate(texts):
+            assert batch.sequence(row) == tok.encode_single(text, vocab, 6)
+
+    def test_stack_spans_chunks(self, vocab, monkeypatch):
+        monkeypatch.setattr(tok, "STACK_CHUNK", 2)
+        texts = ["strap", "cap moon", "top", "strap dress", "vest"]
+        batch = tok.encode_batch(texts, vocab, 5)
+        assert [batch.sequence(i) for i in range(5)] == [
+            tok.encode_single(t, vocab, 5) for t in texts
+        ]
+
+    def test_stack_count_must_match(self, vocab):
+        seq = tok.encode_single("cap", vocab, 5)
+        with pytest.raises(ValueError):
+            tok.TokenBatch.stack([seq], 2, 5)
+        with pytest.raises(ValueError):
+            tok.TokenBatch.stack([seq, seq], 1, 5)
+
+    def test_rows_select_and_concat(self, vocab):
+        batch = tok.encode_batch(["strap", "cap", "top", "vest"], vocab, 5)
+        picked = batch[np.array([3, 1])]
+        assert [picked.sequence(i) for i in range(2)] == [batch.sequence(3), batch.sequence(1)]
+        joined = tok.TokenBatch.concat(batch[:1], picked)
+        assert len(joined) == 3
+        assert joined.sequence(2) == batch.sequence(1)
