@@ -13,15 +13,15 @@ ranking used for serving all draw from the remaining earlier window.
 Artifacts (inside the workdir):
     prepared_articles.tsv  cleaned one-line text per article
     transactions.tsv       catalog-joined purchase log
-    sessions.tsv           per-customer-day purchase groups (full log)
-    popularity.txt         full-log popularity ranking, one id per line
     ingest_summary.json    row counts and the missing-description histogram
     stats.txt              text-length and missing-description histograms
     vocab.txt              one token per line, line number = id
     checkpoint.bin         encoder weights (TRENC001)
     loss_log.tsv           step, mlm, np, total per training step
     index.bin              article embedding matrix (TRECIDX1) plus the
-                           checkpoint sha256 and pooling it was built from
+                           sha256 of the checkpoint and of
+                           prepared_articles.tsv, and the pooling, it was
+                           built from
     submission.csv         customer_id,prediction rows
     eval_report.json       map_at_12 / scored / excluded
 """
@@ -55,8 +55,6 @@ from .tokenizer import FIRST_WORD_ID, Vocabulary, build_vocab, encode_batch
 
 PREPARED_FILE = "prepared_articles.tsv"
 TRANSACTIONS_FILE = "transactions.tsv"
-SESSIONS_FILE = "sessions.tsv"
-POPULARITY_FILE = "popularity.txt"
 INGEST_SUMMARY_FILE = "ingest_summary.json"
 STATS_FILE = "stats.txt"
 VOCAB_FILE = "vocab.txt"
@@ -182,13 +180,10 @@ def cmd_ingest(config: PipelineConfig) -> str:
     transactions = corpus.load_transactions(config.transactions)
     joined_pairs, dropped = corpus.join_transactions(transactions, prepared)
     joined = [tx for tx, _ in joined_pairs]
-    sessions = corpus.group_sessions(joined)
-    popularity = index_mod.popularity_ranking(joined)
+    sessions = len({(tx.customer_id, tx.t_dat) for tx in joined})
 
     corpus.save_prepared(prepared, workdir / PREPARED_FILE)
     corpus.save_transactions(joined, workdir / TRANSACTIONS_FILE)
-    corpus.save_sessions(sessions, workdir / SESSIONS_FILE)
-    atomic_write_text(workdir / POPULARITY_FILE, "".join(f"{a}\n" for a in popularity))
     histogram = corpus.missing_description_histogram(articles)
     _write_json(
         workdir / INGEST_SUMMARY_FILE,
@@ -197,13 +192,13 @@ def cmd_ingest(config: PipelineConfig) -> str:
             "transactions": len(transactions),
             "joined": len(joined),
             "dropped": dropped,
-            "sessions": len(sessions),
+            "sessions": sessions,
             "missing_description": {k: list(v) for k, v in histogram.items()},
         },
     )
     return (
         f"articles={len(articles)} transactions={len(transactions)} "
-        f"joined={len(joined)} dropped={dropped} sessions={len(sessions)}"
+        f"joined={len(joined)} dropped={dropped} sessions={sessions}"
     )
 
 
@@ -282,7 +277,9 @@ def cmd_train(config: PipelineConfig) -> str:
             pair_batch = encoded_pairs[pair_rows] if len(pair_rows) else []
             if not masked_batch and not pair_batch:
                 continue
-            params, state, record = objectives.train_step(params, state, masked_batch, pair_batch)
+            params, state, record = objectives.train_step(
+                params, state, masked_batch, pair_batch, rng
+            )
             log_lines.append(
                 f"{record.step}\t{record.mlm_mean!r}\t{record.np_mean!r}\t{record.total!r}"
             )
@@ -319,32 +316,40 @@ def cmd_recommend(config: PipelineConfig) -> str:
     train_window, _ = evaluation.temporal_split(joined, config.holdout_days)
 
     index_path = workdir / INDEX_FILE
+    catalog = tuple(p.article_id for p in prepared)
     source = index_mod.IndexSource(
-        hashlib.sha256(checkpoint_path.read_bytes()).hexdigest(), config.pooling
+        hashlib.sha256(checkpoint_path.read_bytes()).hexdigest(),
+        hashlib.sha256((workdir / PREPARED_FILE).read_bytes()).hexdigest(),
+        config.pooling,
     )
-    article_index = index_mod.load_index(index_path) if index_path.exists() else None
-    if article_index is None or article_index.source != source:
-        # absent, or built from another checkpoint or pooling (or of unknown origin)
-        article_index = index_mod.build_index(prepared, params, vocab, config.pooling, source)
-        index_mod.save_index(article_index, index_path)
-    elif article_index.article_ids != tuple(p.article_id for p in prepared):
+    stored = index_mod.load_index(index_path) if index_path.exists() else None
+    if stored is not None and stored.source == source:
+        article_index = stored
+    elif (
+        stored is not None
+        and stored.source is not None
+        and replace(stored.source, prepared_sha256=source.prepared_sha256) == source
+        and stored.article_ids != catalog
+    ):
+        # this checkpoint and pooling over another article set: the catalog
+        # was re-ingested with other articles after training
         raise CheckpointMismatchError(
             f"{index_path} does not cover the prepared catalog; delete it to rebuild"
         )
+    else:
+        # absent, or built from other texts, checkpoint or pooling, or of unknown origin
+        article_index = index_mod.build_index(prepared, params, vocab, config.pooling, source)
+        index_mod.save_index(article_index, index_path)
 
-    popularity = index_mod.popularity_ranking(train_window)
-    prepared_by_id = {p.article_id: p for p in prepared}
-    history: dict[str, list] = {}
-    for tx in train_window:
-        history.setdefault(tx.customer_id, []).append((tx, prepared_by_id[tx.article_id]))
-
-    rows = []
-    for customer_id in _load_customer_universe(config, joined):
-        profile = index_mod.customer_profile(
-            customer_id, history.get(customer_id, []), article_index
-        )
-        picks = index_mod.recommend(profile, article_index, popularity, config.top_n)
-        rows.append(evaluation.SubmissionRow(customer_id, tuple(picks)))
+    customers = _load_customer_universe(config, joined)
+    served = index_mod.serve(
+        customers,
+        train_window,
+        article_index,
+        index_mod.popularity_ranking(train_window),
+        config.top_n,
+    )
+    rows = [evaluation.SubmissionRow(c, picks) for c, picks in zip(customers, served)]
     evaluation.write_submission(rows, workdir / SUBMISSION_FILE)
     return f"customers={len(rows)} articles={len(article_index)}"
 

@@ -322,23 +322,3 @@ def load_saved_transactions(path: str | Path) -> list[TransactionRecord]:
         )
     return out
 
-
-def save_sessions(sessions: list[SessionGroup], path: str | Path) -> None:
-    lines = ["customer_id\tt_dat\tarticle_ids"]
-    lines += [
-        f"{s.customer_id}\t{s.t_dat.isoformat()}\t{' '.join(s.article_ids)}" for s in sessions
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_sessions(path: str | Path) -> list[SessionGroup]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "customer_id\tt_dat\tarticle_ids":
-        raise MalformedRowError(f"{path}: not a sessions file")
-    out = []
-    for n, line in enumerate(lines[1:], start=1):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedRowError(f"{path}: row {n} has {len(fields)} fields, expected 3")
-        out.append(SessionGroup(fields[0], date.fromisoformat(fields[1]), tuple(fields[2].split())))
-    return out

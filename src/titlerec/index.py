@@ -5,8 +5,19 @@ unit-normalized) into an in-memory matrix, through the encoder's batched
 forward in passes of ``encoder.rows_per_pass`` articles. Retrieval is an
 exact full scan: cosine similarity is a dot product of unit vectors, top-k
 is selected by partition and ties are broken by ascending article id so
-the ordering is total. Customers with no usable purchase history fall back
-to a global popularity ranking.
+the ordering is total.
+
+Serving is one pass over integer arrays built once per index or per call:
+the index ranks its rows by ascending article id once (``id_rank``), so
+tie-breaks compare integers; each customer's purchases are grouped into a
+set of index rows in one scan of the transactions; exclusion and the
+popularity and ascending-id backfills work on row numbers, and ids are
+looked up only to write the result. Customers with no usable purchase
+history get the popularity ranking. Each profile is scored with its own
+matrix-vector product rather than a customers x articles matrix product:
+the two round differently in the last bit, which can split exact ties
+(duplicate titles) that a per-customer product keeps tied, and it keeps
+the scores held at once to one row per article.
 
 Index file layout (version TRECIDX1, little-endian):
     magic      8 bytes  b"TRECIDX1"
@@ -14,11 +25,14 @@ Index file layout (version TRECIDX1, little-endian):
                length, metric tag utf-8 (always "cosine")
     id table   rows x 10 ascii bytes (zero-padded article ids)
     payload    rows x dimension float64, row-major
-    source     optional: b"TRECSRC1", 32-byte sha256 of the checkpoint the
-               vectors came from, uint8 pooling length, pooling ascii
+    source     optional: b"TRECSRC2", 32-byte sha256 of the checkpoint the
+               vectors came from, 32-byte sha256 of the prepared-articles
+               file whose texts were embedded, uint8 pooling length,
+               pooling ascii
 
 The source block trails the payload, so readers of the plain TRECIDX1
-layout still read the file. A file without it predates source tracking.
+layout still read the file. A file without it, or with the earlier
+b"TRECSRC1" block (no prepared-text digest), is of unknown origin.
 """
 
 from __future__ import annotations
@@ -43,7 +57,10 @@ from .errors import (
 from .tokenizer import Vocabulary, encode_batch
 
 INDEX_MAGIC = b"TRECIDX1"
-SOURCE_MAGIC = b"TRECSRC1"
+SOURCE_MAGIC = b"TRECSRC2"
+# An earlier source block without the prepared-text digest: such an index is
+# read as one of unknown origin.
+UNTRACKED_TEXT_MAGIC = b"TRECSRC1"
 METRIC_TAG = "cosine"
 
 NORM_FLOOR = 1e-12
@@ -51,9 +68,11 @@ NORM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class IndexSource:
-    """What an index's vectors were computed from."""
+    """What an index's vectors were computed from: the sha256 of the
+    checkpoint and of the prepared-articles file, and the pooling."""
 
     checkpoint_sha256: str
+    prepared_sha256: str
     pooling: str
 
 
@@ -61,14 +80,18 @@ class IndexSource:
 class EmbeddingIndex:
     """Unit-row embedding matrix aligned with an ordered article id list.
 
-    ``source`` names the checkpoint and pooling behind the vectors; it is
-    None for an index of unknown origin.
+    ``source`` names what the vectors were computed from; it is None for an
+    index of unknown origin. ``id_order`` lists the rows by ascending
+    article id and ``id_rank`` is its inverse (a row's position in that
+    order), so id tie-breaks compare integers.
     """
 
     article_ids: tuple[str, ...]
     vectors: np.ndarray
     source: IndexSource | None = None
     _row_of: dict[str, int] = field(init=False, repr=False)
+    id_order: np.ndarray = field(init=False, repr=False)
+    id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.article_ids) != self.vectors.shape[0]:
@@ -78,6 +101,9 @@ class EmbeddingIndex:
         if self.vectors.size and not self.norm_flag:
             raise ValueError("index rows must be unit length")
         self._row_of = {a: i for i, a in enumerate(self.article_ids)}
+        self.id_order = np.argsort(np.asarray(self.article_ids, dtype=str), kind="stable")
+        self.id_rank = np.empty_like(self.id_order)
+        self.id_rank[self.id_order] = np.arange(len(self.id_order))
 
     def __len__(self) -> int:
         return len(self.article_ids)
@@ -103,16 +129,15 @@ class NeighborResult:
 
 @dataclass(frozen=True)
 class CustomerProfile:
-    """A customer's distinct purchases and their normalized mean vector.
+    """A customer's distinct indexed purchases and their normalized mean vector.
 
-    ``profile_vector`` is None when the customer has no purchases resolvable
-    in the index, and also in the degenerate case where the purchase vectors
-    cancel to (near) zero; both routes fall back to popularity downstream.
+    ``rows`` are index rows in ascending article-id order. ``vector`` is None
+    in the degenerate case where the purchase vectors cancel to (near) zero;
+    such a customer is served like one without purchases.
     """
 
-    customer_id: str
-    purchased_article_ids: frozenset[str]
-    profile_vector: np.ndarray | None
+    rows: np.ndarray
+    vector: np.ndarray | None
 
 
 def build_index(
@@ -159,85 +184,119 @@ def build_index(
     )
 
 
-def query_knn(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[NeighborResult]:
-    """Exact top-k by cosine, ties broken by ascending article id.
+def top_rows(sims: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the ``k`` highest similarities, ties broken by ascending id.
 
-    Full scan plus partial selection: partition for the k best, then widen
-    to every row tied with the boundary similarity before the final sort,
-    so boundary ties resolve by id exactly as a full sort would.
+    ``id_rank`` is the index's ``id_rank``. Partition for the k best, then
+    widen to every row tied with the boundary similarity before the final
+    sort, so boundary ties resolve by id exactly as a full sort would.
     """
-    if not 1 <= k <= len(index):
-        raise KTooLargeError(f"k={k} outside [1, {len(index)}]")
-    sims = index.vectors @ query
     if k < len(sims):
         cut = np.argpartition(-sims, k - 1)[:k]
         pool = np.flatnonzero(sims >= sims[cut].min())
     else:
         pool = np.arange(len(sims))
-    ids = np.asarray(index.article_ids)
-    order = pool[np.lexsort((ids[pool], -sims[pool]))][:k]
+    return pool[np.lexsort((id_rank[pool], -sims[pool]))][:k]
+
+
+def query_knn(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[NeighborResult]:
+    """Exact top-k by cosine, ties broken by ascending article id."""
+    if not 1 <= k <= len(index):
+        raise KTooLargeError(f"k={k} outside [1, {len(index)}]")
+    sims = index.vectors @ query
     return [
-        NeighborResult(index.article_ids[i], float(np.clip(sims[i], -1.0, 1.0))) for i in order
+        NeighborResult(index.article_ids[i], float(np.clip(sims[i], -1.0, 1.0)))
+        for i in top_rows(sims, index.id_rank, k)
     ]
 
 
-def customer_profile(
-    customer_id: str,
-    joined: list[tuple[TransactionRecord, PreparedArticle]],
-    index: EmbeddingIndex,
-) -> CustomerProfile:
-    """Normalized mean of the index vectors of the customer's purchases."""
-    purchased = {
-        article.article_id
-        for tx, article in joined
-        if tx.customer_id == customer_id and article.article_id in index
-    }
-    if not purchased:
-        return CustomerProfile(customer_id, frozenset(), None)
-    mean = np.mean([index.row(a) for a in sorted(purchased)], axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < NORM_FLOOR:
-        return CustomerProfile(customer_id, frozenset(purchased), None)
-    return CustomerProfile(customer_id, frozenset(purchased), mean / norm)
+def customer_profiles(
+    transactions: list[TransactionRecord], index: EmbeddingIndex
+) -> dict[str, CustomerProfile]:
+    """Profiles of every customer with a purchase in the index.
+
+    Purchases are grouped into sets of index rows in one scan; purchases of
+    articles outside the index are ignored. A profile vector is the mean of
+    the customer's rows in ascending article-id order divided by its norm.
+    """
+    bought: dict[str, set[int]] = {}
+    row_of = index._row_of
+    for tx in transactions:
+        row = row_of.get(tx.article_id)
+        if row is not None:
+            bought.setdefault(tx.customer_id, set()).add(row)
+    rank = index.id_rank
+    profiles = {}
+    for customer_id, distinct in bought.items():
+        rows = np.fromiter(distinct, dtype=np.intp, count=len(distinct))
+        rows = rows[np.argsort(rank[rows])]
+        mean = np.mean(index.vectors[rows], axis=0)
+        norm = float(np.linalg.norm(mean))
+        profiles[customer_id] = CustomerProfile(rows, mean / norm if norm >= NORM_FLOOR else None)
+    return profiles
 
 
-def recommend(
-    profile: CustomerProfile,
+def serve(
+    customers: list[str],
+    transactions: list[TransactionRecord],
     index: EmbeddingIndex,
     popularity: list[str],
     n: int = 12,
-) -> list[str]:
-    """Exactly ``n`` distinct article ids for one customer.
+) -> list[tuple[str, ...]]:
+    """Exactly ``n`` distinct article ids for each customer, in input order.
 
-    Profile customers get their nearest unpurchased neighbors, backfilled
-    from popularity (still excluding purchases) if the filter leaves fewer
-    than ``n``. Cold-start customers get the popularity head verbatim.
-    Both paths extend from the catalog in ascending-id order as a last
-    resort before giving up.
+    A customer with a profile vector gets their nearest unpurchased
+    neighbors: ``top_rows`` over ``min(n + purchases, len(index))`` rows with
+    the purchases filtered out, backfilled from ``popularity`` and then the
+    catalog in ascending-id order (still excluding purchases) if fewer than
+    ``n`` remain. Every other customer (no indexed purchase, a degenerate
+    profile, or never seen in ``transactions``) gets the popularity head
+    verbatim, extended from the catalog in ascending-id order. Raises
+    InsufficientCandidatesError at the first customer left short.
+
+    Candidates are integers: index rows, then the popularity ids the index
+    lacks. Each customer is scored with its own matrix-vector product, so a
+    similarity never depends on which other customers are served.
     """
-    chosen: list[str] = []
-    taken: set[str] = set()
-    if profile.profile_vector is not None:
-        excluded = profile.purchased_article_ids
+    if n < 1:
+        raise KTooLargeError(f"n={n} must be at least 1")
+    profiles = customer_profiles(transactions, index)
+    labels = index.article_ids + tuple(a for a in dict.fromkeys(popularity) if a not in index)
+    row_of = {a: i for i, a in enumerate(labels)}
+    backfill = [row_of[a] for a in popularity] + index.id_order.tolist()
+    cold: tuple[str, ...] | None = None  # the same for every customer without a profile
+    served = []
+    for customer_id in customers:
+        profile = profiles.get(customer_id)
+        if profile is None or profile.vector is None:
+            if cold is None:
+                cold = tuple(labels[row] for row in _backfill([], set(), backfill, n, customer_id))
+            served.append(cold)
+            continue
+        excluded = set(profile.rows.tolist())
         k = min(n + len(excluded), len(index))
-        for neighbor in query_knn(index, profile.profile_vector, k):
-            if neighbor.article_id not in excluded:
-                chosen.append(neighbor.article_id)
-                taken.add(neighbor.article_id)
-                if len(chosen) == n:
-                    return chosen
-    else:
-        excluded = frozenset()
-    for pool in (popularity, sorted(index.article_ids)):
-        for article_id in pool:
-            if article_id in taken or article_id in excluded:
-                continue
-            chosen.append(article_id)
-            taken.add(article_id)
+        nearest = top_rows(index.vectors @ profile.vector, index.id_rank, k).tolist()
+        picks = [row for row in nearest if row not in excluded][:n]
+        if len(picks) < n:
+            picks = _backfill(picks, excluded, backfill, n, customer_id)
+        served.append(tuple(labels[row] for row in picks))
+    return served
+
+
+def _backfill(
+    chosen: list[int], excluded: set[int], candidates: list[int], n: int, customer_id: str
+) -> list[int]:
+    """Extend ``chosen`` from ``candidates`` in order, skipping repeats and
+    exclusions, until it holds ``n`` rows."""
+    taken = set(chosen)
+    for row in candidates:
+        if row not in taken and row not in excluded:
+            chosen.append(row)
+            taken.add(row)
             if len(chosen) == n:
                 return chosen
     raise InsufficientCandidatesError(
-        f"only {len(chosen)} of {n} candidates available for {profile.customer_id}"
+        f"only {len(chosen)} of {n} candidates available for {customer_id}"
     )
 
 
@@ -270,6 +329,7 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
         chunks += [
             SOURCE_MAGIC,
             bytes.fromhex(index.source.checkpoint_sha256),
+            bytes.fromhex(index.source.prepared_sha256),
             struct.pack("<B", len(pooling)),
             pooling,
         ]
@@ -289,11 +349,15 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     vectors = np.frombuffer(reader.take(count * dim * 8), dtype="<f8").reshape(count, dim)
     source = None
     if reader.offset != len(blob):
-        if reader.take(len(SOURCE_MAGIC)) != SOURCE_MAGIC:
+        magic = reader.take(len(SOURCE_MAGIC))
+        if magic not in (SOURCE_MAGIC, UNTRACKED_TEXT_MAGIC):
             raise ArtifactFormatError(f"{path}: unknown block after the payload")
-        digest = reader.take(32).hex()
+        checkpoint = reader.take(32).hex()
+        prepared = reader.take(32).hex() if magic == SOURCE_MAGIC else None
         (pooling_len,) = reader.unpack("<B")
-        source = IndexSource(digest, reader.take(pooling_len).decode("ascii"))
+        pooling = reader.take(pooling_len).decode("ascii")
+        if prepared is not None:
+            source = IndexSource(checkpoint, prepared, pooling)
     if reader.offset != len(blob):
         raise ArtifactFormatError(f"{path}: {len(blob) - reader.offset} trailing bytes")
     return EmbeddingIndex(article_ids, vectors.astype(np.float64), source)

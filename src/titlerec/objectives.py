@@ -301,13 +301,15 @@ def batch_loss_and_grads(
     np_labels: np.ndarray,
     mlm_scale: float,
     np_scale: float,
+    rng: np.random.Generator | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Summed losses and gradients of a batch, run in bounded passes.
 
     ``mlm_targets`` is an (M, 3) array of (row, position, label) and
     ``np_labels`` one label per row (-1 for none). Rows go through the
     encoder ``encoder.rows_per_pass`` at a time and each pass's gradients
-    are added to the first pass's in order.
+    are added to the first pass's in order. ``rng`` drives dropout (see
+    ``encoder.forward``).
     """
     step = enc.rows_per_pass(params.config.max_len)
     mlm_sum = 0.0
@@ -319,7 +321,7 @@ def batch_loss_and_grads(
         # the pass's trace is dropped before the next pass records its own
         pass_mlm, pass_np, total = enc.loss_and_grads(
             params,
-            enc.forward(params, rows[start:stop]),
+            enc.forward(params, rows[start:stop], rng=rng),
             mlm_targets[in_pass] - (start, 0, 0),
             np_labels[start:stop],
             mlm_scale=mlm_scale,
@@ -336,6 +338,7 @@ def train_step(
     state: OptimizerState,
     masked_batch: list[tuple[TokenSequence, MaskingPlan]],
     pair_batch: PairBatch | list,
+    rng: np.random.Generator | None = None,
 ) -> tuple[enc.EncoderParams, OptimizerState, LossRecord]:
     """One optimization step over a mixed batch.
 
@@ -344,7 +347,9 @@ def train_step(
     scales; the recorded total is the sum of the two means. The masked
     sequences and then the pairs form one batch whose gradients are
     accumulated pass by pass in batch order, to keep the reduction
-    deterministic. An empty ``pair_batch`` may be an empty list.
+    deterministic. An empty ``pair_batch`` may be an empty list. With
+    ``rng`` and a nonzero ``dropout_rate`` the forward drops activations,
+    drawing from ``rng``; at rate 0 nothing is drawn.
     """
     if not masked_batch and not len(pair_batch):
         raise EmptyBatchError("train_step needs at least one sequence")
@@ -370,7 +375,7 @@ def train_step(
         labels = np.concatenate([labels, pair_batch.labels])
 
     mlm_sum, np_sum, grads = batch_loss_and_grads(
-        params, rows, targets, labels, mlm_scale, np_scale
+        params, rows, targets, labels, mlm_scale, np_scale, rng
     )
     adam_update(params, state, grads)
     mlm_mean = mlm_sum * mlm_scale

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,15 +100,18 @@ class TestIngest:
         for name in (
             cli.PREPARED_FILE,
             cli.TRANSACTIONS_FILE,
-            cli.SESSIONS_FILE,
-            cli.POPULARITY_FILE,
             cli.INGEST_SUMMARY_FILE,
         ):
             assert (workdir / name).exists(), name
+        # no write-only artifacts: nothing reads a sessions or popularity file
+        assert not (workdir / "sessions.tsv").exists()
+        assert not (workdir / "popularity.txt").exists()
         summary = json.loads((workdir / cli.INGEST_SUMMARY_FILE).read_text())
         assert summary["articles"] == 30
         assert summary["transactions"] == 60
         assert summary["joined"] + summary["dropped"] == summary["transactions"]
+        joined = corpus.load_saved_transactions(workdir / cli.TRANSACTIONS_FILE)
+        assert summary["sessions"] == len(corpus.group_sessions(joined))
 
     def test_unmatched_transactions_counted_as_dropped(self, tmp_path, capsys):
         inputs = small_inputs(tmp_path)
@@ -195,6 +202,15 @@ class TestTrain:
             assert (clone["workdir"] / name).read_bytes() == (
                 pipeline["workdir"] / name
             ).read_bytes(), name
+
+    def test_dropout_rate_reaches_training(self, pipeline, tmp_path):
+        logs = []
+        for name in ("first", "second"):
+            clone = fresh_copy(pipeline, tmp_path / name)
+            assert run_cli("train", *clone["base"], "--dropout-rate", "0.5") == 0
+            logs.append((clone["workdir"] / cli.LOSS_LOG_FILE).read_bytes())
+        assert logs[0] == logs[1]
+        assert logs[0] != (pipeline["workdir"] / cli.LOSS_LOG_FILE).read_bytes()
 
     def test_zero_epochs_checkpoints_seed_init(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
@@ -300,6 +316,21 @@ class TestRecommend:
         assert run_cli("recommend", *clone["base"]) == 0
         assert path.read_bytes() == current
 
+    def test_reingest_with_other_text_columns_rebuilds_index(self, pipeline, tmp_path):
+        stale = fresh_copy(pipeline, tmp_path / "stale")
+        fresh = fresh_copy(pipeline, tmp_path / "fresh")
+        old_index = (stale["workdir"] / cli.INDEX_FILE).read_bytes()
+        (fresh["workdir"] / cli.INDEX_FILE).unlink()
+        for world in (stale, fresh):
+            assert run_cli("ingest", *world["base"], "--text-columns", "prod_name") == 0
+            assert run_cli("recommend", *world["base"]) == 0
+        rebuilt = (stale["workdir"] / cli.INDEX_FILE).read_bytes()
+        assert rebuilt != old_index
+        for name in (cli.INDEX_FILE, cli.SUBMISSION_FILE):
+            assert (stale["workdir"] / name).read_bytes() == (
+                fresh["workdir"] / name
+            ).read_bytes(), name
+
     def test_matching_index_is_reused(self, pipeline, tmp_path, monkeypatch):
         clone = fresh_copy(pipeline, tmp_path)
 
@@ -323,6 +354,21 @@ class TestRecommend:
         rc = run_cli("recommend", "--workdir", tmp_path / "w")
         assert rc == 1
         assert "error: MissingArtifactError" in capsys.readouterr().err
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_sparse_unloaded(self):
+        # every command pays the package's import time first
+        code = (
+            "import sys, titlerec.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestEvaluate:

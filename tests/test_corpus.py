@@ -185,12 +185,6 @@ class TestPersistence:
         corpus.save_transactions(transactions, tmp_path / "tx.tsv")
         assert corpus.load_saved_transactions(tmp_path / "tx.tsv") == transactions
 
-    def test_sessions_round_trip(self, tmp_path):
-        transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
-        sessions = corpus.group_sessions(transactions)
-        corpus.save_sessions(sessions, tmp_path / "sessions.tsv")
-        assert corpus.load_sessions(tmp_path / "sessions.tsv") == sessions
-
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "prepared.tsv").write_text("nope\n", encoding="utf-8")
         with pytest.raises(MalformedRowError):

@@ -180,53 +180,84 @@ def tx(customer, article, day=1):
     return TransactionRecord(date(2020, 9, day), customer, article)
 
 
-def joined_for(index, purchases):
-    return [
-        (tx(customer, article), PreparedArticle(article, "text", 1))
-        for customer, article in purchases
-    ]
+def purchases_of(pairs):
+    return [tx(customer, article) for customer, article in pairs]
+
+
+def profile_of(index, pairs, customer="u"):
+    """The customer's profile from the serving pass's grouping, or None."""
+    return ix.customer_profiles(purchases_of(pairs), index).get(customer)
+
+
+def serve_one(index, pairs, popularity, n=12, customer="u"):
+    """One customer's picks through the serving pass."""
+    (picks,) = ix.serve([customer], purchases_of(pairs), index, popularity, n)
+    return list(picks)
+
+
+def bought_ids(index, profile):
+    return {index.article_ids[row] for row in profile.rows}
+
+
+def per_customer_profile(index, purchased):
+    """Reference: the per-customer arithmetic, by article id."""
+    mean = np.mean([index.row(a) for a in sorted(purchased)], axis=0)
+    norm = float(np.linalg.norm(mean))
+    return None if norm < ix.NORM_FLOOR else mean / norm
 
 
 class TestCustomerProfile:
     def test_single_purchase_copies_row(self):
         index = unit_index(["0000000001", "0000000002"], [[3.0, 4.0], [0.0, 1.0]])
-        profile = ix.customer_profile("u", joined_for(index, [("u", "0000000001")]), index)
-        assert profile.purchased_article_ids == frozenset({"0000000001"})
-        assert np.allclose(profile.profile_vector, index.row("0000000001"))
-        assert abs(np.linalg.norm(profile.profile_vector) - 1.0) < 1e-9
+        profile = profile_of(index, [("u", "0000000001")])
+        assert bought_ids(index, profile) == {"0000000001"}
+        assert np.allclose(profile.vector, index.row("0000000001"))
+        assert abs(np.linalg.norm(profile.vector) - 1.0) < 1e-9
 
     def test_no_purchases_gives_absent_vector(self):
         index = unit_index(["0000000001"], [[1.0, 0.0]])
-        profile = ix.customer_profile("u", [], index)
-        assert profile.profile_vector is None
-        assert profile.purchased_article_ids == frozenset()
+        assert profile_of(index, []) is None
+        # served like any customer without a profile
+        assert serve_one(index, [], ["0000000001"], n=1) == ["0000000001"]
 
     def test_unindexed_purchases_ignored(self):
         index = unit_index(["0000000001"], [[1.0, 0.0]])
-        profile = ix.customer_profile("u", joined_for(index, [("u", "0000000099")]), index)
-        assert profile.profile_vector is None
+        assert profile_of(index, [("u", "0000000099")]) is None
 
     def test_other_customers_ignored(self):
         index = unit_index(["0000000001", "0000000002"], np.eye(2))
-        joined = joined_for(index, [("u", "0000000001"), ("v", "0000000002")])
-        profile = ix.customer_profile("u", joined, index)
-        assert profile.purchased_article_ids == frozenset({"0000000001"})
+        profile = profile_of(index, [("u", "0000000001"), ("v", "0000000002")])
+        assert bought_ids(index, profile) == {"0000000001"}
 
     def test_duplicate_purchases_counted_once(self):
         index = unit_index(["0000000001", "0000000002"], np.eye(2))
-        joined = joined_for(
+        profile = profile_of(
             index, [("u", "0000000001"), ("u", "0000000001"), ("u", "0000000002")]
         )
-        profile = ix.customer_profile("u", joined, index)
         expected = (index.row("0000000001") + index.row("0000000002")) / 2.0
-        assert np.allclose(profile.profile_vector, expected / np.linalg.norm(expected))
+        assert np.allclose(profile.vector, expected / np.linalg.norm(expected))
 
     def test_cancelling_purchases_degenerate(self):
         index = unit_index(["0000000001", "0000000002"], [[1.0, 0.0], [-1.0, 0.0]])
-        joined = joined_for(index, [("u", "0000000001"), ("u", "0000000002")])
-        profile = ix.customer_profile("u", joined, index)
-        assert profile.profile_vector is None
-        assert profile.purchased_article_ids == frozenset({"0000000001", "0000000002"})
+        profile = profile_of(index, [("u", "0000000001"), ("u", "0000000002")])
+        assert profile.vector is None
+        assert bought_ids(index, profile) == {"0000000001", "0000000002"}
+
+    def test_rows_in_ascending_id_order_and_bit_identical(self):
+        rng = np.random.default_rng(4)
+        index = random_index(60, 7, rng)
+        pairs = [
+            (f"c{c}", index.article_ids[int(i)])
+            for c in range(40)
+            for i in rng.integers(0, 60, size=int(rng.integers(1, 9)))
+        ]
+        profiles = ix.customer_profiles(purchases_of(pairs), index)
+        assert len(profiles) == 40
+        for customer, profile in profiles.items():
+            purchased = {a for c, a in pairs if c == customer}
+            ids = [index.article_ids[row] for row in profile.rows]
+            assert ids == sorted(purchased)
+            assert np.array_equal(profile.vector, per_customer_profile(index, purchased))
 
 
 def spread_index(n, dim=6, seed=3):
@@ -240,8 +271,7 @@ class TestRecommend:
         ids = ["0000000001", "0000000002", "0000000003", "0000000004"]
         vectors = [shared, shared, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
         index = unit_index(ids, vectors)
-        profile = ix.customer_profile("u", joined_for(index, [("u", "0000000001")]), index)
-        result = ix.recommend(profile, index, popularity=[], n=3)
+        result = serve_one(index, [("u", "0000000001")], popularity=[], n=3)
         assert result[0] == "0000000002"
         assert "0000000001" not in result
         assert len(result) == 3
@@ -249,59 +279,167 @@ class TestRecommend:
     def test_cold_start_takes_popularity_head(self):
         index = spread_index(30)
         popularity = sorted(index.article_ids, reverse=True)
-        profile = ix.CustomerProfile("u", frozenset(), None)
-        assert ix.recommend(profile, index, popularity) == popularity[:12]
+        assert serve_one(index, [], popularity) == popularity[:12]
 
     def test_degenerate_profile_takes_popularity_head(self):
         index = unit_index(
             ["0000000001", "0000000002", "0000000003"],
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
         )
-        joined = joined_for(index, [("u", "0000000001"), ("u", "0000000002")])
-        profile = ix.customer_profile("u", joined, index)
+        pairs = [("u", "0000000001"), ("u", "0000000002")]
         popularity = ["0000000002", "0000000003", "0000000001"]
-        assert ix.recommend(profile, index, popularity, n=3) == popularity
+        assert serve_one(index, pairs, popularity, n=3) == popularity
 
     def test_contract_twelve_distinct_valid_ids(self):
         index = spread_index(40)
-        joined = joined_for(index, [("u", index.article_ids[0]), ("u", index.article_ids[5])])
-        profile = ix.customer_profile("u", joined, index)
-        result = ix.recommend(profile, index, list(index.article_ids))
+        bought = {index.article_ids[0], index.article_ids[5]}
+        result = serve_one(index, [("u", a) for a in bought], list(index.article_ids))
         assert len(result) == 12
         assert len(set(result)) == 12
         assert all(re.fullmatch(r"[0-9]{10}", a) for a in result)
-        assert not set(result) & profile.purchased_article_ids
+        assert not set(result) & bought
 
     def test_popularity_backfill_when_index_is_small(self):
         index = unit_index(
             ["0000000001", "0000000002"], [[1.0, 0.0], [0.0, 1.0]]
         )
         popularity = [f"{i:010d}" for i in range(20, 2, -1)]
-        profile = ix.customer_profile("u", joined_for(index, [("u", "0000000001")]), index)
-        result = ix.recommend(profile, index, popularity, n=5)
+        result = serve_one(index, [("u", "0000000001")], popularity, n=5)
         # one surviving neighbor, then popularity order, never the purchase
         assert result == ["0000000002"] + popularity[:4]
         assert "0000000001" not in result
 
     def test_catalog_extension_after_popularity_runs_out(self):
         index = spread_index(15)
-        profile = ix.CustomerProfile("u", frozenset(), None)
-        result = ix.recommend(profile, index, popularity=[], n=12)
+        result = serve_one(index, [], popularity=[], n=12)
         assert result == sorted(index.article_ids)[:12]
 
     def test_insufficient_candidates(self):
         index = unit_index(["0000000001", "0000000002"], np.eye(2))
-        profile = ix.CustomerProfile("u", frozenset(), None)
         with pytest.raises(InsufficientCandidatesError):
-            ix.recommend(profile, index, popularity=["0000000001"], n=12)
+            serve_one(index, [], popularity=["0000000001"], n=12)
 
     def test_deterministic(self):
         index = spread_index(50)
-        joined = joined_for(index, [("u", index.article_ids[3])])
-        profile = ix.customer_profile("u", joined, index)
-        first = ix.recommend(profile, index, list(index.article_ids))
-        second = ix.recommend(profile, index, list(index.article_ids))
+        pairs = [("u", index.article_ids[3])]
+        first = serve_one(index, pairs, list(index.article_ids))
+        second = serve_one(index, pairs, list(index.article_ids))
         assert first == second
+
+
+def full_sort_serve(customers, pairs, index, popularity, n):
+    """Reference serving: per customer, a full sort of every row on
+    (similarity desc, article id asc), purchases dropped, then popularity
+    and the catalog in ascending-id order; customers without a profile
+    vector take popularity and the catalog with nothing dropped. None
+    marks a customer left with fewer than ``n`` candidates."""
+    served = []
+    for customer in customers:
+        purchased = {a for c, a in pairs if c == customer and a in index}
+        vector = per_customer_profile(index, purchased) if purchased else None
+        if vector is None:
+            ranked, excluded = [], set()
+        else:
+            sims = index.vectors @ vector
+            order = sorted(range(len(index)), key=lambda i: (-sims[i], index.article_ids[i]))
+            ranked, excluded = [index.article_ids[i] for i in order], purchased
+        picks = []
+        for article_id in ranked + list(popularity) + sorted(index.article_ids):
+            if article_id not in excluded and article_id not in picks:
+                picks.append(article_id)
+        served.append(tuple(picks[:n]) if len(picks) >= n else None)
+    return served
+
+
+def tied_index(rng, n_rows, dim):
+    """A random unit index in which some rows repeat others exactly and some
+    negate others, so exact ties and cancelling profiles occur."""
+    vectors = rng.normal(size=(n_rows, dim))
+    for row in range(1, n_rows):
+        draw = rng.random()
+        if draw < 0.3:
+            vectors[row] = vectors[int(rng.integers(0, row))]
+        elif draw < 0.4:
+            vectors[row] = -vectors[int(rng.integers(0, row))]
+    ids = tuple(f"{int(i):010d}" for i in rng.choice(10**6, size=n_rows, replace=False))
+    return unit_index(ids, vectors)
+
+
+class TestServe:
+    def test_matches_full_sort_oracle(self):
+        rng = np.random.default_rng(11)
+        degenerate = short = 0
+        for _ in range(60):
+            index = tied_index(rng, int(rng.integers(2, 40)), int(rng.integers(2, 6)))
+            ids = list(index.article_ids)
+            unindexed = [f"{int(i):010d}" for i in rng.choice(10**6, 4) + 10**6]
+            n = int(rng.integers(1, 13))
+            pairs = []
+            for c in range(12):
+                pool = ids + unindexed[:2]
+                for i in rng.integers(0, len(pool), size=int(rng.integers(0, 6))):
+                    pairs.append((f"c{c:02d}", pool[int(i)]))
+            # c12-c14 are never seen in the log
+            customers = [f"c{c:02d}" for c in range(15)]
+            popularity = list(rng.permutation(ids + unindexed[2:]))[: int(rng.integers(0, 12))]
+            expected = full_sort_serve(customers, pairs, index, popularity, n)
+            degenerate += sum(
+                p.vector is None
+                for p in ix.customer_profiles(purchases_of(pairs), index).values()
+            )
+            if None in expected:
+                short += 1
+                with pytest.raises(InsufficientCandidatesError):
+                    ix.serve(customers, purchases_of(pairs), index, popularity, n)
+            else:
+                assert ix.serve(customers, purchases_of(pairs), index, popularity, n) == expected
+        # the draws reach cancelling profiles and short candidate lists too
+        assert degenerate > 0 and short > 0
+
+    def test_boundary_ties_and_purchases_on_both_sides(self):
+        base = [1.0, 0.0, 0.0]
+        ids = ["0000000007", "0000000003", "0000000005", "0000000001", "0000000009",
+               "0000000002", "0000000004"]
+        vectors = [base, base, base, base, [1.0, 0.2, 0.0], [1.0, -0.2, 0.0], [0.0, 0.0, 1.0]]
+        index = unit_index(ids, vectors)
+        # the profile points along base, so four rows tie at the top; the
+        # purchase 0000000003 sits inside that tie, 0000000009 and 0000000002
+        # tie just below it, at the k = n + 3 boundary for n = 2
+        pairs = [("u", "0000000003"), ("u", "0000000009"), ("u", "0000000002")]
+        popularity = ["0000000004"]
+        for n in range(1, 5):
+            expected = full_sort_serve(["u"], pairs, index, popularity, n)[0]
+            assert tuple(serve_one(index, pairs, popularity, n)) == expected
+        assert serve_one(index, pairs, popularity, n=3) == [
+            "0000000001", "0000000005", "0000000007"
+        ]
+
+    def test_small_index_backfills_popularity_then_ascending_ids(self):
+        index = spread_index(6, dim=3)
+        ids = sorted(index.article_ids)
+        pairs = [("u", ids[1]), ("u", ids[4])]
+        popularity = [ids[4], ids[5], "0000000000"]
+        # 6 rows < n + 2 purchases: u gets the four unpurchased rows, then
+        # popularity less the purchase and the rows already taken; v, never
+        # seen, gets popularity and then the catalog in ascending-id order
+        warm, cold = ix.serve(["u", "v"], purchases_of(pairs), index, popularity, 5)
+        assert sorted(warm[:4]) == [ids[0], ids[2], ids[3], ids[5]]
+        assert warm[4] == "0000000000"
+        assert cold == (ids[4], ids[5], "0000000000", ids[0], ids[1])
+        assert [warm, cold] == full_sort_serve(["u", "v"], pairs, index, popularity, 5)
+
+    def test_insufficient_candidates_names_customer(self):
+        index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
+        pairs = [("a", "0000000001"), ("b", "0000000002"), ("b", "0000000003")]
+        # a still has two unpurchased rows; b has one, one short of n = 2
+        assert serve_one(index, pairs, [], n=2, customer="a") == ["0000000002", "0000000003"]
+        with pytest.raises(InsufficientCandidatesError, match="for b"):
+            ix.serve(["a", "b"], purchases_of(pairs), index, [], 2)
+
+    def test_n_below_one_rejected(self):
+        index = unit_index(["0000000001"], [[1.0]])
+        with pytest.raises(KTooLargeError):
+            ix.serve(["u"], [], index, [], 0)
 
 
 class TestPopularityRanking:
@@ -368,7 +506,7 @@ class TestPersistence:
         index = spread_index(6, dim=4)
         plain_path, sourced_path = tmp_path / "plain.bin", tmp_path / "sourced.bin"
         ix.save_index(index, plain_path)
-        source = ix.IndexSource("ab" * 32, "cls")
+        source = ix.IndexSource("ab" * 32, "cd" * 32, "cls")
         ix.save_index(ix.EmbeddingIndex(index.article_ids, index.vectors, source), sourced_path)
         assert ix.load_index(plain_path).source is None
         loaded = ix.load_index(sourced_path)
@@ -377,6 +515,16 @@ class TestPersistence:
         # the block only trails the TRECIDX1 layout, which stays readable as before
         plain = plain_path.read_bytes()
         assert sourced_path.read_bytes().startswith(plain)
+
+    def test_untracked_text_block_reads_as_unknown_origin(self, tmp_path):
+        path = tmp_path / "index.bin"
+        index = spread_index(3, dim=2)
+        ix.save_index(index, path)
+        # the earlier source block: checkpoint sha256 and pooling only
+        path.write_bytes(path.read_bytes() + b"TRECSRC1" + b"\xab" * 32 + b"\x04mean")
+        loaded = ix.load_index(path)
+        assert loaded.source is None
+        assert np.array_equal(loaded.vectors, index.vectors)
 
     def test_unknown_trailing_block_rejected(self, tmp_path):
         path = tmp_path / "index.bin"
