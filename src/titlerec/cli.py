@@ -142,6 +142,23 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     return replace(config, **applicable)
 
 
+def _lock_holder(lock_path: Path) -> str:
+    """Who holds a lock: the pid its file records and whether that process runs."""
+    try:
+        pid = int(lock_path.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        pid = 0  # unreadable, or left by a run killed before it wrote its pid
+    if pid < 1:
+        return f"{lock_path} records no pid; remove it if no other run is active"
+    try:
+        os.kill(pid, 0)  # signal 0 only checks that the process exists
+    except (ProcessLookupError, OverflowError):
+        return f"pid {pid} in {lock_path} is not running; remove the stale lock"
+    except PermissionError:
+        pass  # it exists, under another user
+    return f"pid {pid} in {lock_path} is running"
+
+
 @contextmanager
 def workdir_lock(workdir: Path):
     """Advisory single-writer lock: a .lock file created exclusively."""
@@ -150,9 +167,7 @@ def workdir_lock(workdir: Path):
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise WorkdirLockedError(
-            f"{workdir} is in use (remove {lock_path} if no other run is active)"
-        ) from None
+        raise WorkdirLockedError(f"{workdir} is in use: {_lock_holder(lock_path)}") from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         os.close(fd)
@@ -255,16 +270,8 @@ def cmd_train(config: PipelineConfig) -> str:
         pairs = objectives.sample_pairs(
             sessions, inventory, config.negatives_per_positive, rng
         ) if sessions else []
-        encoded_pairs = (
-            objectives.encode_training_pairs(pairs, titles_by_id, vocab, config.max_len)
-            if pairs
-            else []
-        )
-        del pairs  # only the compact encoding stays alive through the epoch
-        pair_order = rng.permutation(len(encoded_pairs)) if len(encoded_pairs) else []
-        n_steps = max(
-            math.ceil(len(encoded_titles) / batch), math.ceil(len(encoded_pairs) / batch)
-        )
+        pair_order = rng.permutation(len(pairs)) if pairs else []
+        n_steps = max(math.ceil(len(encoded_titles) / batch), math.ceil(len(pairs) / batch))
         for s in range(n_steps):
             if steps_done >= step_budget:
                 break
@@ -273,10 +280,15 @@ def cmd_train(config: PipelineConfig) -> str:
                 masked_batch.append(
                     objectives.apply_masking(encoded_titles.sequence(i), vocab, rng)
                 )
+            # a step's pairs are encoded when it trains them
             pair_rows = pair_order[s * batch : (s + 1) * batch]
-            pair_batch = encoded_pairs[pair_rows] if len(pair_rows) else []
-            if not masked_batch and not pair_batch:
-                continue
+            pair_batch = (
+                objectives.encode_training_pairs(
+                    [pairs[i] for i in pair_rows], titles_by_id, vocab, config.max_len
+                )
+                if len(pair_rows)
+                else []
+            )
             params, state, record = objectives.train_step(
                 params, state, masked_batch, pair_batch, rng
             )
@@ -380,12 +392,7 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
     if config.articles is None:
         raise InvalidConfigError("--customer spot check needs --articles for product types")
     articles = corpus.load_articles(config.articles)
-    prepared_by_id = {p.article_id: p for p in corpus.load_prepared(workdir / PREPARED_FILE)}
-    purchase_rows = [
-        (tx, prepared_by_id[tx.article_id])
-        for tx in train_window
-        if tx.customer_id == spot_check_customer
-    ]
+    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
     recommended = [
         (article_id, None)
         for row in rows
@@ -393,7 +400,7 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
         for article_id in row.article_ids
     ]
     spot = evaluation.manual_eval_report(
-        spot_check_customer, purchase_rows, recommended, articles
+        spot_check_customer, train_window, recommended, articles, prepared
     )
     return summary + "\n\n" + spot.rstrip("\n")
 

@@ -43,7 +43,7 @@ Checkpoint layout (version TRENC001, little-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +248,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def _as_batch(rows: TokenBatch | TokenSequence) -> TokenBatch:
     """A ``TokenBatch`` as is; a single ``TokenSequence`` as a 1-row batch."""
     if isinstance(rows, TokenSequence):
-        return TokenBatch.stack([rows], 1, len(rows))
+        return TokenBatch.stack([rows], len(rows))
     return rows
 
 
@@ -617,7 +617,11 @@ class ByteReader:
 
 
 def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = None) -> EncoderParams:
-    """Read a TRENC001 checkpoint; any structural inconsistency fails loudly."""
+    """Read a TRENC001 checkpoint; any structural inconsistency fails loudly.
+
+    ``expected_config`` must match the stored config in every field but
+    ``dropout_rate``, which only shapes training.
+    """
     reader = ByteReader(Path(path).read_bytes(), str(path))
     if reader.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise ArtifactFormatError(f"{path}: bad magic, not a checkpoint file")
@@ -626,7 +630,9 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
         config = EncoderConfig(v, d_model, n_heads, n_layers, d_ff, max_len, dropout, eps)
     except InvalidConfigError as exc:
         raise ArtifactFormatError(f"{path}: invalid stored config ({exc})") from None
-    if expected_config is not None and config != expected_config:
+    if expected_config is not None and (
+        replace(config, dropout_rate=expected_config.dropout_rate) != expected_config
+    ):
         raise CheckpointMismatchError(
             f"{path}: stored config {config} != expected {expected_config}"
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 
-from .corpus import ArticleRecord, PreparedArticle, TransactionRecord, prepare_articles
+from .corpus import ArticleRecord, PreparedArticle, TransactionRecord
 from .ioutil import atomic_write_text
 from .errors import (
     DuplicateCustomerError,
@@ -156,30 +156,31 @@ def read_submission(path: str | Path) -> list[SubmissionRow]:
 
 def manual_eval_report(
     customer_id: str,
-    joined: list[tuple[TransactionRecord, PreparedArticle]],
+    transactions: list[TransactionRecord],
     recommendations: list[tuple[str, float | None]],
     articles: list[ArticleRecord],
+    prepared: list[PreparedArticle],
 ) -> str:
     """Plain-text spot check: purchases vs recommendations for one customer.
 
-    Each side lists article id, product type and prepared text; the closing
-    line names the product types the two lists share, the signal a human
-    reviewer scans for.
+    Each side lists article id, product type and the prepared text the
+    model embedded (from ``prepared``); the closing line names the product
+    types the two lists share, the signal a human reviewer scans for.
     """
-    if not recommendations and not any(tx.customer_id == customer_id for tx, _ in joined):
+    if not recommendations and not any(tx.customer_id == customer_id for tx in transactions):
         raise UnknownCustomerError(f"customer {customer_id} has no purchases or recommendations")
     type_of = {a.article_id: a.product_type_name for a in articles}
-    text_of = {p.article_id: p.text for p in prepare_articles(articles)}
+    text_of = {p.article_id: p.text for p in prepared}
 
     purchased: list[str] = []
     purchased_types: set[str] = set()
     seen: set[str] = set()
-    for tx, article in joined:
-        if tx.customer_id != customer_id or article.article_id in seen:
+    for tx in transactions:
+        if tx.customer_id != customer_id or tx.article_id in seen:
             continue
-        seen.add(article.article_id)
-        kind = type_of.get(article.article_id, "?")
-        purchased.append(f"  {article.article_id}  {kind}  {article.text}")
+        seen.add(tx.article_id)
+        kind = type_of.get(tx.article_id, "?")
+        purchased.append(f"  {tx.article_id}  {kind}  {text_of.get(tx.article_id, '')}")
         purchased_types.add(kind)
 
     recommended: list[str] = []

@@ -11,8 +11,8 @@ the two terms.
 A training step feeds its masked titles and then its pairs through the
 encoder's batched path in passes of at most ``encoder.rows_per_pass`` rows,
 and sums the passes' gradients in batch order before one optimizer update.
-Encoded pairs are kept as compact arrays (``PairBatch``), not as a list of
-sequences.
+A step's pairs are encoded (``encode_training_pairs`` -> ``PairBatch``) only
+when that step runs, so no pair is encoded that is not trained.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from .tokenizer import (
 MASK_REPLACE = "MASK"
 RANDOM_REPLACE = "RANDOM"
 KEEP_REPLACE = "KEEP"
-
-PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,10 +77,6 @@ class PairBatch:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, rows) -> "PairBatch":
-        """The pairs picked by a slice or an index array."""
-        return PairBatch(self.tokens[rows], self.labels[rows])
 
 
 @dataclass
@@ -177,12 +171,6 @@ def sample_pairs(
     return pairs
 
 
-def binary_cross_entropy(prob: float, label: int) -> float:
-    """BCE of one prediction with the probability clamped away from 0 and 1."""
-    clamped = min(max(prob, PROB_FLOOR), 1.0 - PROB_FLOOR)
-    return -float(np.log(clamped)) if label == 1 else -float(np.log1p(-clamped))
-
-
 def mlm_loss(params: enc.EncoderParams, masked_seq: TokenSequence, plan: MaskingPlan) -> float:
     """Summed negative log-likelihood of the true tokens at the plan positions."""
     if not plan.positions:
@@ -203,9 +191,9 @@ def np_loss(
     step = enc.rows_per_pass(params.config.max_len)
     total = 0.0
     for start in range(0, len(encoded), step):
-        chunk = encoded[start : start + step]
-        trace = enc.forward(params, chunk.tokens, record=False)
-        total += enc.sequence_loss(params, trace, [], chunk.labels)[1]
+        rows = slice(start, start + step)
+        trace = enc.forward(params, encoded.tokens[rows], record=False)
+        total += enc.sequence_loss(params, trace, [], encoded.labels[rows])[1]
     return total
 
 
@@ -228,19 +216,17 @@ def encode_training_pairs(
     """Resolve article ids to titles and encode each pair for the encoder."""
     if not pairs:
         raise EmptyBatchError("pair batch is empty")
-
-    def encoded():
-        for pair in pairs:
-            for article_id in (pair.seed_article_id, pair.candidate_article_id):
-                if article_id not in titles:
-                    raise UnknownArticleError(f"article {article_id} has no prepared title")
-            yield encode_pair(
-                titles[pair.seed_article_id], titles[pair.candidate_article_id], vocab, max_len
-            )
-
+    for pair in pairs:
+        for article_id in (pair.seed_article_id, pair.candidate_article_id):
+            if article_id not in titles:
+                raise UnknownArticleError(f"article {article_id} has no prepared title")
+    encoded = [
+        encode_pair(titles[pair.seed_article_id], titles[pair.candidate_article_id], vocab, max_len)
+        for pair in pairs
+    ]
     return PairBatch(
-        TokenBatch.stack(encoded(), len(pairs), max_len),
-        np.fromiter((pair.label for pair in pairs), dtype=np.int8, count=len(pairs)),
+        TokenBatch.stack(encoded, max_len),
+        np.array([pair.label for pair in pairs], dtype=np.int8),
     )
 
 
@@ -360,7 +346,7 @@ def train_step(
     np_scale = 1.0 / len(pair_batch) if len(pair_batch) else 0.0
 
     max_len = params.config.max_len
-    rows = TokenBatch.stack((seq for seq, _ in masked_batch), len(masked_batch), max_len)
+    rows = TokenBatch.stack([seq for seq, _ in masked_batch], max_len)
     targets = np.array(
         [
             (row, position, label)

@@ -4,17 +4,15 @@ Tokens are whitespace-split words from prepared article text. Five special
 tokens occupy ids 0..4 in every vocabulary; the rest of the id space is
 ranked by corpus frequency. Encoding pads and truncates to a fixed length
 and records segment ids plus an attention mask, so downstream code never
-sees ragged sequences. Many encoded rows are kept as one ``TokenBatch`` of
-compact arrays rather than as a list of ``TokenSequence`` tuples.
+sees ragged sequences. Rows that go through the encoder together are
+stacked into one ``TokenBatch`` of compact arrays.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -59,11 +57,6 @@ class TokenSequence:
         return sum(self.attn_mask)
 
 
-# Sequences converted to arrays at a time by TokenBatch.stack, so a long
-# stream of encodings never exists as tuples all at once.
-STACK_CHUNK = 1024
-
-
 @dataclass(frozen=True)
 class TokenBatch:
     """B fixed-length rows as compact (B, T) arrays: int32 token ids, int8
@@ -98,24 +91,15 @@ class TokenBatch:
         )
 
     @classmethod
-    def stack(cls, seqs: Iterable[TokenSequence], count: int, max_len: int) -> "TokenBatch":
-        """Stack ``count`` sequences of length ``max_len`` into one batch."""
-        ids = np.empty((count, max_len), dtype=np.int32)
-        segments = np.empty((count, max_len), dtype=np.int8)
-        attn_mask = np.empty((count, max_len), dtype=bool)
-        row = 0
-        stream = iter(seqs)
-        while chunk := list(islice(stream, STACK_CHUNK)):
-            stop = row + len(chunk)
-            if stop > count:
-                raise ValueError(f"more than {count} sequences")
-            ids[row:stop] = [seq.ids for seq in chunk]
-            segments[row:stop] = [seq.segments for seq in chunk]
-            attn_mask[row:stop] = [seq.attn_mask for seq in chunk]
-            row = stop
-        if row != count:
-            raise ValueError(f"expected {count} sequences, got {row}")
-        return cls(ids, segments, attn_mask)
+    def stack(cls, seqs: list[TokenSequence], max_len: int) -> "TokenBatch":
+        """Stack sequences of length ``max_len`` into one batch; ``max_len``
+        also shapes the batch of an empty list."""
+        shape = (len(seqs), max_len)
+        return cls(
+            np.array([seq.ids for seq in seqs], dtype=np.int32).reshape(shape),
+            np.array([seq.segments for seq in seqs], dtype=np.int8).reshape(shape),
+            np.array([seq.attn_mask for seq in seqs], dtype=bool).reshape(shape),
+        )
 
     @classmethod
     def concat(cls, first: "TokenBatch", second: "TokenBatch") -> "TokenBatch":
@@ -202,9 +186,7 @@ def encode_single(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
 
 def encode_batch(texts: list[str], vocab: Vocabulary, max_len: int) -> TokenBatch:
     """``encode_single`` of every text, stacked into one batch."""
-    return TokenBatch.stack(
-        (encode_single(text, vocab, max_len) for text in texts), len(texts), max_len
-    )
+    return TokenBatch.stack([encode_single(text, vocab, max_len) for text in texts], max_len)
 
 
 def truncate_pair(len_a: int, len_b: int, budget: int) -> tuple[int, int]:

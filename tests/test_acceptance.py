@@ -158,9 +158,7 @@ def test_02_loss_formula_oracles():
         abs=1e-9,
     )
 
-    # clamping keeps saturated probabilities finite
-    assert objectives.binary_cross_entropy(0.0, 1) == pytest.approx(-np.log(1e-12))
-    assert np.isfinite(objectives.binary_cross_entropy(1.0, 0))
+    # saturated pair logits keep the loss finite
     saturated = zeroed_params(config)
     for sign in (1000.0, -1000.0):
         saturated["np_head.bias"] = np.array([sign])

@@ -212,6 +212,30 @@ class TestTrain:
         assert logs[0] == logs[1]
         assert logs[0] != (pipeline["workdir"] / cli.LOSS_LOG_FILE).read_bytes()
 
+    def test_pairs_encoded_equal_pairs_trained(self, pipeline, tmp_path, monkeypatch):
+        clone = fresh_copy(pipeline, tmp_path)
+        encoded, trained = [], []
+        real_encode, real_step = cli.objectives.encode_training_pairs, cli.objectives.train_step
+
+        def encode_spy(*args, **kwargs):
+            batch = real_encode(*args, **kwargs)
+            encoded.append(len(batch))
+            return batch
+
+        def step_spy(params, state, masked_batch, pair_batch, *args, **kwargs):
+            trained.append(len(pair_batch))
+            return real_step(params, state, masked_batch, pair_batch, *args, **kwargs)
+
+        monkeypatch.setattr(cli.objectives, "encode_training_pairs", encode_spy)
+        monkeypatch.setattr(cli.objectives, "train_step", step_spy)
+        # 8 pairs in the epoch (2 positives, 3 negatives each); 2 steps of 2 train 4
+        assert run_cli(
+            "train", *clone["base"][:-2], "--max-steps", "2",
+            "--batch-size", "2", "--negatives-per-positive", "3",
+        ) == 0
+        assert trained == [2, 2]
+        assert sum(encoded) == sum(trained)
+
     def test_zero_epochs_checkpoints_seed_init(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
         assert run_cli("train", *clone["base"], "--epochs", "0") == 0
@@ -350,6 +374,15 @@ class TestRecommend:
         assert rc == 1
         assert "error: CheckpointMismatchError" in capsys.readouterr().err
 
+    def test_dropout_trained_checkpoint_served_without_flag(self, pipeline, tmp_path):
+        submissions = []
+        for flags in ([], ["--dropout-rate", "0.5"]):
+            clone = fresh_copy(pipeline, tmp_path / str(len(flags)))
+            assert run_cli("train", *clone["base"], "--dropout-rate", "0.5") == 0
+            assert run_cli("recommend", *clone["base"], *flags) == 0
+            submissions.append((clone["workdir"] / cli.SUBMISSION_FILE).read_bytes())
+        assert submissions[0] == submissions[1]
+
     def test_requires_train(self, tmp_path, capsys):
         rc = run_cli("recommend", "--workdir", tmp_path / "w")
         assert rc == 1
@@ -419,6 +452,24 @@ class TestEvaluate:
         assert "recommended items (12):" in out
         assert "shared product types:" in out
 
+    def test_spot_check_shows_ingested_texts(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        assert run_cli("ingest", *clone["base"], "--text-columns", "prod_name") == 0
+        assert run_cli("recommend", *clone["base"]) == 0
+        rows = evaluation.read_submission(clone["workdir"] / cli.SUBMISSION_FILE)
+        customer = rows[0].customer_id
+        capsys.readouterr()
+        assert run_cli("evaluate", *clone["base"], "--customer", customer) == 0
+        out = capsys.readouterr().out
+        text_of = {
+            p.article_id: p.text
+            for p in corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
+        }
+        items = [line for line in out.splitlines() if line.startswith("  0")]
+        assert len(items) > 12  # the recommended items and at least one purchase
+        for line in items:
+            assert line.endswith("  " + text_of[line.split()[0]]), line
+
     def test_spot_check_needs_articles_path(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
         base = clone["base"]
@@ -444,6 +495,33 @@ class TestWorkdirLock:
         rc = run_cli("stats", "--workdir", workdir)
         assert rc == 1
         assert "error: WorkdirLockedError" in capsys.readouterr().err
+
+    def test_lock_names_running_holder(self, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        workdir.mkdir()
+        (workdir / cli.LOCK_FILE).write_text(f"{os.getpid()}\n")
+        assert run_cli("stats", "--workdir", workdir) == 1
+        err = capsys.readouterr().err
+        assert f"pid {os.getpid()} in {workdir / cli.LOCK_FILE} is running" in err
+        assert (workdir / cli.LOCK_FILE).exists()
+
+    def test_lock_names_stale_holder(self, tmp_path, capsys):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: the pid no longer names a process
+        workdir = tmp_path / "w"
+        workdir.mkdir()
+        (workdir / cli.LOCK_FILE).write_text(f"{child.pid}\n")
+        assert run_cli("stats", "--workdir", workdir) == 1
+        err = capsys.readouterr().err
+        assert f"pid {child.pid} in {workdir / cli.LOCK_FILE} is not running" in err
+        assert err.count("\n") == 1
+
+    def test_lock_without_pid_reported(self, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        workdir.mkdir()
+        (workdir / cli.LOCK_FILE).write_text("")
+        assert run_cli("stats", "--workdir", workdir) == 1
+        assert f"{workdir / cli.LOCK_FILE} records no pid" in capsys.readouterr().err
 
     def test_lock_released_after_failure(self, tmp_path, capsys):
         workdir = tmp_path / "w"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatchError):
             enc.load_checkpoint(path, expected_config=other)
 
+    def test_dropout_rate_ignored_by_expected_config(self, tiny_params, tiny_config, tmp_path):
+        path = tmp_path / "model.bin"
+        enc.save_checkpoint(tiny_params, path)
+        loaded = enc.load_checkpoint(path, expected_config=replace(tiny_config, dropout_rate=0.5))
+        assert loaded.config == tiny_config
+        with pytest.raises(CheckpointMismatchError):
+            enc.load_checkpoint(
+                path, expected_config=replace(tiny_config, dropout_rate=0.5, d_ff=16)
+            )
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes(b"NOTMODEL" + b"\x00" * 64)
@@ -318,11 +329,11 @@ class TestBatchedForward:
         live = target.seq_len
         alone = enc.forward(tiny_params, target).hidden_states[0, :live]
 
-        batch = TokenBatch.stack(seqs, 4, T)
+        batch = TokenBatch.stack(seqs, T)
         assert np.array_equal(enc.forward(tiny_params, batch).hidden_states[2, :live], alone)
 
         others = self.rows(tiny_config, rng, (6, 2, 7))
-        shuffled = TokenBatch.stack([others[0], target, others[1], others[2], seqs[0]], 5, T)
+        shuffled = TokenBatch.stack([others[0], target, others[1], others[2], seqs[0]], T)
         assert np.array_equal(enc.forward(tiny_params, shuffled).hidden_states[1, :live], alone)
 
         shuffled.ids[1, live:] = [9, 10]  # any ids may sit in the PAD tail
@@ -330,7 +341,7 @@ class TestBatchedForward:
 
     def test_attention_per_row_mask(self, tiny_config, tiny_params):
         seqs = self.rows(tiny_config, np.random.default_rng(32), (3, 7, 5))
-        batch = TokenBatch.stack(seqs, 3, tiny_config.max_len)
+        batch = TokenBatch.stack(seqs, tiny_config.max_len)
         trace = enc.forward(tiny_params, batch)
         for layer in trace.cache["layers"]:
             attn = layer["attn"]
@@ -342,7 +353,7 @@ class TestBatchedForward:
 
     def test_record_false_keeps_no_cache(self, tiny_config, tiny_params):
         seqs = self.rows(tiny_config, np.random.default_rng(33), (3, 6))
-        batch = TokenBatch.stack(seqs, 2, tiny_config.max_len)
+        batch = TokenBatch.stack(seqs, tiny_config.max_len)
         plain = enc.forward(tiny_params, batch, record=False)
         assert plain.cache is None
         recorded = enc.forward(tiny_params, batch)
@@ -352,7 +363,7 @@ class TestBatchedForward:
 
     def test_target_and_label_shapes_checked(self, tiny_config, tiny_params):
         seqs = self.rows(tiny_config, np.random.default_rng(34), (3, 6))
-        trace = enc.forward(tiny_params, TokenBatch.stack(seqs, 2, tiny_config.max_len))
+        trace = enc.forward(tiny_params, TokenBatch.stack(seqs, tiny_config.max_len))
         with pytest.raises(ShapeMismatchError):  # (position, label) is ambiguous for 2 rows
             enc.loss_and_grads(tiny_params, trace, [(1, 5)])
         with pytest.raises(ShapeMismatchError):
@@ -363,7 +374,7 @@ class TestBatchedForward:
             enc.loss_and_grads(tiny_params, trace, [], np_labels=1)
 
     def test_one_sequence_is_a_one_row_batch(self, tiny_params, tiny_seq):
-        batch = TokenBatch.stack([tiny_seq], 1, len(tiny_seq))
+        batch = TokenBatch.stack([tiny_seq], len(tiny_seq))
         a = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, tiny_seq), [(1, 5)], 1)
         b = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, batch), [(0, 1, 5)], [1])
         assert a[:2] == b[:2]

@@ -269,25 +269,27 @@ def catalog():
     ]
 
 
-def joined_purchases(customer, article_ids):
+def prepared():
     texts = {
         "0000000001": "summer gown dress ladieswear flowing hem",
         "0000000002": "winter gown dress ladieswear",
         "0000000003": "rain cap hat menswear waxed cotton",
     }
-    return [
-        (tx(customer, a, 2), PreparedArticle(a, texts[a], len(texts[a].split())))
-        for a in article_ids
-    ]
+    return [PreparedArticle(a, text, len(text.split())) for a, text in texts.items()]
+
+
+def purchases(customer, article_ids):
+    return [tx(customer, a, 2) for a in article_ids]
 
 
 class TestManualReport:
     def test_sections_populated(self):
         report = ev.manual_eval_report(
             "alice",
-            joined_purchases("alice", ["0000000001"]),
+            purchases("alice", ["0000000001"]),
             [("0000000002", 0.9231), ("0000000003", None)],
             catalog(),
+            prepared(),
         )
         assert "purchased items (1):" in report
         assert "recommended items (2):" in report
@@ -296,16 +298,17 @@ class TestManualReport:
     def test_planted_shared_type_reported(self):
         report = ev.manual_eval_report(
             "alice",
-            joined_purchases("alice", ["0000000001"]),
+            purchases("alice", ["0000000001"]),
             [("0000000002", 0.8), ("0000000003", 0.1)],
             catalog(),
+            prepared(),
         )
         overlap_line = [l for l in report.splitlines() if l.startswith("shared product types:")]
         assert overlap_line == ["shared product types: dress"]
 
     def test_cold_start_notes_fallback(self):
         report = ev.manual_eval_report(
-            "bob", [], [("0000000003", None)], catalog()
+            "bob", [], [("0000000003", None)], catalog(), prepared()
         )
         assert "purchased items (0):" in report
         assert "cold start, popularity fallback applies" in report
@@ -313,13 +316,28 @@ class TestManualReport:
 
     def test_unknown_customer_rejected(self):
         with pytest.raises(UnknownCustomerError):
-            ev.manual_eval_report("ghost", joined_purchases("alice", ["0000000001"]), [], catalog())
+            ev.manual_eval_report(
+                "ghost", purchases("alice", ["0000000001"]), [], catalog(), prepared()
+            )
 
     def test_disjoint_types_reported_as_none(self):
         report = ev.manual_eval_report(
             "alice",
-            joined_purchases("alice", ["0000000001"]),
+            purchases("alice", ["0000000001"]),
             [("0000000003", 0.5)],
             catalog(),
+            prepared(),
         )
         assert report.rstrip().endswith("shared product types: none")
+
+    def test_both_sides_show_the_prepared_text(self):
+        names_only = [PreparedArticle(a.article_id, a.prod_name.lower(), 2) for a in catalog()]
+        report = ev.manual_eval_report(
+            "alice",
+            purchases("alice", ["0000000001"]),
+            [("0000000002", None)],
+            catalog(),
+            names_only,
+        )
+        assert report.splitlines()[3] == "  0000000001  dress  summer gown"
+        assert report.splitlines()[6] == "  0000000002  sim=n/a  dress  winter gown"

@@ -208,7 +208,7 @@ def mixed_batch(config, rng, lives=(3, 7, 5, 9, 4)):
     """Rows 0-1 carry masked-token targets, rows 2-4 pair labels; every row
     has its own live length."""
     seqs = [sequence_of_length(config, rng, live) for live in lives]
-    batch = TokenBatch.stack(seqs, len(seqs), config.max_len)
+    batch = TokenBatch.stack(seqs, config.max_len)
     targets = [(0, 1, 4), (0, 2, 7), (1, 3, 9), (1, 6, 2)]
     labels = np.array([-1, -1, 1, 0, 1])
     return batch, targets, labels
@@ -320,7 +320,7 @@ class TestBatchedPath:
         rng = np.random.default_rng(25)
         # PAD ids point at vocabulary rows no live position uses
         seqs = [sequence_of_length(config, rng, live) for live in (4, 6)]
-        batch = TokenBatch.stack(seqs, 2, config.max_len)
+        batch = TokenBatch.stack(seqs, config.max_len)
         batch.ids[batch.ids >= 11] = 5
         batch.ids[~batch.attn_mask] = 12
         _, _, grads = enc.loss_and_grads(

@@ -211,7 +211,7 @@ class TestTokenBatch:
             tok.encode_pair("cap moon", "strap dress", vocab, 8),
             tok.encode_single("", vocab, 8),
         ]
-        batch = tok.TokenBatch.stack(seqs, 3, 8)
+        batch = tok.TokenBatch.stack(seqs, 8)
         assert len(batch) == 3 and batch.max_len == 8
         assert batch.ids.dtype == np.int32
         assert batch.segments.dtype == np.int8
@@ -224,20 +224,13 @@ class TestTokenBatch:
         for row, text in enumerate(texts):
             assert batch.sequence(row) == tok.encode_single(text, vocab, 6)
 
-    def test_stack_spans_chunks(self, vocab, monkeypatch):
-        monkeypatch.setattr(tok, "STACK_CHUNK", 2)
-        texts = ["strap", "cap moon", "top", "strap dress", "vest"]
-        batch = tok.encode_batch(texts, vocab, 5)
-        assert [batch.sequence(i) for i in range(5)] == [
-            tok.encode_single(t, vocab, 5) for t in texts
-        ]
+    def test_stack_of_nothing_keeps_width(self):
+        batch = tok.TokenBatch.stack([], 5)
+        assert len(batch) == 0 and batch.max_len == 5
 
-    def test_stack_count_must_match(self, vocab):
-        seq = tok.encode_single("cap", vocab, 5)
+    def test_stack_rejects_other_lengths(self, vocab):
         with pytest.raises(ValueError):
-            tok.TokenBatch.stack([seq], 2, 5)
-        with pytest.raises(ValueError):
-            tok.TokenBatch.stack([seq, seq], 1, 5)
+            tok.TokenBatch.stack([tok.encode_single("cap", vocab, 5)], 6)
 
     def test_rows_select_and_concat(self, vocab):
         batch = tok.encode_batch(["strap", "cap", "top", "vest"], vocab, 5)
