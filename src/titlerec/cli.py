@@ -394,7 +394,7 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
     articles = corpus.load_articles(config.articles)
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
     recommended = [
-        (article_id, None)
+        article_id
         for row in rows
         if row.customer_id == spot_check_customer
         for article_id in row.article_ids

@@ -7,11 +7,15 @@ Everything runs at float64 and the backward pass is written out by hand,
 so analytic gradients can be checked against finite differences to tight
 tolerance.
 
-Batches. ``forward`` takes B rows of T = max_len tokens at once, as a
+Batches. ``forward`` takes B rows of T tokens at once, as a
 ``TokenBatch`` of (B, T) arrays (token ids, segment ids and a live mask);
-a single ``TokenSequence`` is accepted as a 1-row batch. Activations are
-(B, T, d) and every matrix product is a stacked per-row product, so a row
-goes through exactly the operations it would go through alone: its hidden
+a single ``TokenSequence`` is accepted as a 1-row batch. The width T may
+be anything from 1 to ``max_len``: the batch reads the first T rows of the
+position table, and positions past T get no position gradient. Training
+runs every pass at ``max_len``; embedding cuts each pass to the live
+length of its rows (see ``index.build_index``). Activations are (B, T, d)
+and every matrix product is a stacked per-row product, so a row goes
+through exactly the operations it would go through alone: its hidden
 states are bit-identical whatever its batch neighbours are.
 
 Padding is masked per row: each row's PAD keys get a score of -inf before
@@ -25,10 +29,10 @@ pair term), so one pass may mix masked titles and title pairs.
 ``loss_and_grads`` returns the summed losses of the pass and the summed
 gradients of all its rows.
 
-Pass budget. Callers feed at most ``rows_per_pass(max_len)`` rows, about
-``PASS_TOKEN_BUDGET`` tokens, to one forward/backward pass, whatever their
-batch size. That bounds the activations a recorded pass holds: 16 rows at
-max_len 16, 5 rows at max_len 48.
+Pass budget. Callers feed at most ``rows_per_pass(width)`` rows, about
+``PASS_TOKEN_BUDGET`` tokens, to one forward/backward pass of that width,
+whatever their batch size. That bounds the activations a pass holds: 16
+rows at width 16, 5 rows at width 48, 51 rows of a 5-token title.
 
 Checkpoint layout (version TRENC001, little-endian):
     magic            8 bytes  b"TRENC001"
@@ -69,9 +73,9 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 PASS_TOKEN_BUDGET = 256
 
 
-def rows_per_pass(max_len: int) -> int:
-    """Rows of ``max_len`` tokens that fit the pass budget (at least one)."""
-    return max(1, PASS_TOKEN_BUDGET // max_len)
+def rows_per_pass(width: int) -> int:
+    """Rows of ``width`` tokens that fit the pass budget (at least one)."""
+    return max(1, PASS_TOKEN_BUDGET // width)
 
 
 @dataclass(frozen=True)
@@ -258,7 +262,7 @@ def forward(
     record: bool = True,
     rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
-    """Run the encoder over a batch of fixed-length rows.
+    """Run the encoder over a batch of rows of one width, 1 to ``max_len``.
 
     With ``record`` the trace keeps every intermediate needed by
     ``loss_and_grads``; embedding-only callers switch it off. Dropout is
@@ -267,8 +271,9 @@ def forward(
     """
     c = params.config
     batch = _as_batch(rows)
-    if batch.max_len != c.max_len:
-        raise ShapeMismatchError(f"sequence length {batch.max_len} != max_len {c.max_len}")
+    width = batch.max_len
+    if not 1 <= width <= c.max_len:
+        raise ShapeMismatchError(f"sequence length {width} outside [1, max_len {c.max_len}]")
     ids = batch.ids
     if ids.size and (ids.min() < 0 or ids.max() >= c.vocab_size):
         raise ShapeMismatchError(f"token ids must lie in [0, {c.vocab_size})")
@@ -280,7 +285,7 @@ def forward(
 
     x = (
         params["token_embedding"][ids]
-        + params["position_embedding"]
+        + params["position_embedding"][:width]
         + params["segment_embedding"][segments]
     )
     cache: dict | None = None
@@ -350,8 +355,9 @@ def forward(
 
 def mlm_distribution(params: EncoderParams, trace: ForwardTrace, position: int) -> np.ndarray:
     """Vocabulary distribution predicted at one position of the first row (softmax row)."""
-    if not 0 <= position < params.config.max_len:
-        raise PositionOutOfRangeError(f"position {position} outside [0, {params.config.max_len})")
+    width = trace.hidden_states.shape[1]
+    if not 0 <= position < width:
+        raise PositionOutOfRangeError(f"position {position} outside [0, {width})")
     hidden = trace.hidden_states[0, position]
     logits = hidden @ params["mlm_head.weight"] + params["mlm_head.bias"]
     shifted = np.exp(logits - logits.max())
@@ -560,7 +566,8 @@ def loss_and_grads(
         if into is None:
             grads[name] = np.zeros_like(params[name])
         np.add.at(grads[name], index.ravel(), d_rows)
-    put("position_embedding", d_h.sum(axis=0))
+    # positions past a narrower pass's width get zero gradient
+    put("position_embedding", np.pad(d_h.sum(axis=0), ((0, c.max_len - d_h.shape[1]), (0, 0))))
     if into is not None:
         return mlm_sum, np_sum, into
     return mlm_sum, np_sum, {name: grads[name] for name in params.tensors}

@@ -157,11 +157,12 @@ def read_submission(path: str | Path) -> list[SubmissionRow]:
 def manual_eval_report(
     customer_id: str,
     transactions: list[TransactionRecord],
-    recommendations: list[tuple[str, float | None]],
+    recommendations: list[str],
     articles: list[ArticleRecord],
     prepared: list[PreparedArticle],
 ) -> str:
-    """Plain-text spot check: purchases vs recommendations for one customer.
+    """Plain-text spot check: purchases vs recommended article ids for one
+    customer.
 
     Each side lists article id, product type and the prepared text the
     model embedded (from ``prepared``); the closing line names the product
@@ -185,10 +186,9 @@ def manual_eval_report(
 
     recommended: list[str] = []
     recommended_types: set[str] = set()
-    for article_id, similarity in recommendations:
-        sim = "n/a" if similarity is None else f"{similarity:.4f}"
+    for article_id in recommendations:
         kind = type_of.get(article_id, "?")
-        recommended.append(f"  {article_id}  sim={sim}  {kind}  {text_of.get(article_id, '')}")
+        recommended.append(f"  {article_id}  {kind}  {text_of.get(article_id, '')}")
         recommended_types.add(kind)
 
     overlap = sorted(purchased_types & recommended_types)

@@ -2,10 +2,12 @@
 
 Every catalog article is embedded once (mean-pooled encoder states,
 unit-normalized) into an in-memory matrix, through the encoder's batched
-forward in passes of ``encoder.rows_per_pass`` articles. Retrieval is an
-exact full scan: cosine similarity is a dot product of unit vectors, top-k
-is selected by partition and ties are broken by ascending article id so
-the ordering is total.
+forward. Articles are grouped by live length and each group runs in
+passes of ``encoder.rows_per_pass(length)`` articles cut to that length,
+so no PAD position is embedded and a title of 8 tokens costs 8 positions,
+not ``max_len``. Retrieval is an exact full scan: cosine similarity is a
+dot product of unit vectors, top-k is selected by partition and ties are
+broken by ascending article id so the ordering is total.
 
 Serving is one pass over integer arrays built once per index or per call:
 the index ranks its rows by ascending article id once (``id_rank``), so
@@ -150,9 +152,12 @@ def build_index(
     """Embed every article as a unit vector, preserving input order.
 
     ``pooling`` is "mean" (average over non-PAD positions) or "cls"
-    (position-0 state only). Articles run through the encoder in passes of
-    ``encoder.rows_per_pass`` rows; a row's vector does not depend on the
-    other rows of its pass.
+    (position-0 state only). Articles are grouped by live length, in input
+    order within a length, and each group runs through the encoder in
+    passes of ``encoder.rows_per_pass(length)`` rows cut to that length, so
+    no PAD position is embedded; the pooled vectors go back to their input
+    rows. A row is computed as it would be alone at its own length, so its
+    vector does not depend on the other rows of its pass.
     """
     if pooling not in ("mean", "cls"):
         raise ValueError(f"unknown pooling {pooling!r}")
@@ -160,17 +165,15 @@ def build_index(
         raise ValueError("cannot build an index over zero articles")
     c = params.config
     batch = encode_batch([a.text for a in articles], vocab, c.max_len)
+    lengths = batch.attn_mask.sum(axis=1)
     pooled = np.empty((len(articles), c.d_model))
-    step = enc.rows_per_pass(c.max_len)
-    for start in range(0, len(batch), step):
-        rows = batch[start : start + step]
-        hidden = enc.forward(params, rows, record=False).hidden_states
-        if pooling == "cls":
-            pooled[start : start + step] = hidden[:, 0]
-        else:
-            mask = rows.attn_mask.astype(np.float64)
-            summed = (hidden * mask[:, :, None]).sum(axis=1)
-            pooled[start : start + step] = summed / mask.sum(axis=1)[:, None]
+    for width in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == width)
+        step = enc.rows_per_pass(width)
+        for start in range(0, len(group), step):
+            rows = group[start : start + step]
+            hidden = enc.forward(params, batch[rows, :width], record=False).hidden_states
+            pooled[rows] = hidden[:, 0] if pooling == "cls" else hidden.sum(axis=1) / width
     norms = np.linalg.norm(pooled, axis=1)
     degenerate = np.flatnonzero(norms < NORM_FLOOR)
     if degenerate.size:

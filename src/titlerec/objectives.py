@@ -9,9 +9,10 @@ drawn at random from the inventory. The joint loss is the plain sum of
 the two terms.
 
 A training step feeds its masked titles and then its pairs through the
-encoder's batched path in passes of at most ``encoder.rows_per_pass`` rows,
-and sums the passes' gradients in batch order before one optimizer update.
-A step's pairs are encoded (``encode_training_pairs`` -> ``PairBatch``) only
+encoder's batched path in passes of at most
+``encoder.rows_per_pass(max_len)`` rows at the full ``max_len``, and sums
+the passes' gradients in batch order before one optimizer update. A
+step's pairs are encoded (``encode_training_pairs`` -> ``PairBatch``) only
 when that step runs, so no pair is encoded that is not trained.
 """
 
@@ -293,9 +294,9 @@ def batch_loss_and_grads(
 
     ``mlm_targets`` is an (M, 3) array of (row, position, label) and
     ``np_labels`` one label per row (-1 for none). Rows go through the
-    encoder ``encoder.rows_per_pass`` at a time and each pass's gradients
-    are added to the first pass's in order. ``rng`` drives dropout (see
-    ``encoder.forward``).
+    encoder ``encoder.rows_per_pass(max_len)`` at a time, at the full
+    width, and each pass's gradients are added to the first pass's in
+    order. ``rng`` drives dropout (see ``encoder.forward``).
     """
     step = enc.rows_per_pass(params.config.max_len)
     mlm_sum = 0.0

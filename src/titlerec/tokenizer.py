@@ -80,7 +80,9 @@ class TokenBatch:
         return self.ids.shape[1]
 
     def __getitem__(self, rows) -> "TokenBatch":
-        """The rows picked by a slice or an index array, as a new batch."""
+        """The rows picked by a slice or an index array, as a new batch;
+        ``batch[rows, :width]`` also cuts every row to its first ``width``
+        positions."""
         return TokenBatch(self.ids[rows], self.segments[rows], self.attn_mask[rows])
 
     def sequence(self, row: int) -> TokenSequence:

@@ -470,6 +470,27 @@ class TestEvaluate:
         for line in items:
             assert line.endswith("  " + text_of[line.split()[0]]), line
 
+    def test_spot_check_lists_recommendations_without_empty_similarity(
+        self, pipeline, tmp_path, capsys
+    ):
+        clone = fresh_copy(pipeline, tmp_path)
+        rows = evaluation.read_submission(clone["workdir"] / cli.SUBMISSION_FILE)
+        customer = rows[0].customer_id
+        assert run_cli("evaluate", *clone["base"], "--customer", customer) == 0
+        out = capsys.readouterr().out
+        assert "sim=" not in out
+        lines = out.splitlines()
+        start = lines.index("recommended items (12):") + 1
+        articles = corpus.load_articles(clone["root"] / "articles.csv")
+        type_of = {a.article_id: a.product_type_name for a in articles}
+        text_of = {
+            p.article_id: p.text
+            for p in corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
+        }
+        assert lines[start : start + 12] == [
+            f"  {a}  {type_of[a]}  {text_of[a]}" for a in rows[0].article_ids
+        ]
+
     def test_spot_check_needs_articles_path(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
         base = clone["base"]

@@ -125,10 +125,26 @@ class TestForward:
         b = enc.forward(tiny_params, tiny_seq)
         assert np.array_equal(a.hidden_states, b.hidden_states)
 
-    def test_wrong_length_rejected(self, tiny_params):
-        seq = TokenSequence(ids=(2, 3), segments=(0, 0), attn_mask=(1, 1))
+    def test_wrong_length_rejected(self, tiny_params, tiny_config):
+        wider = tiny_config.max_len + 1
+        seq = TokenSequence(ids=(2,) * wider, segments=(0,) * wider, attn_mask=(1,) * wider)
         with pytest.raises(ShapeMismatchError):
             enc.forward(tiny_params, seq)
+        empty = TokenBatch.stack([TokenSequence((), (), ())], 0)
+        with pytest.raises(ShapeMismatchError):
+            enc.forward(tiny_params, empty)
+
+    def test_narrow_batch_matches_live_prefix(self, tiny_params, tiny_seq):
+        """A batch cut to its rows' live length computes the live positions
+        of the full-width batch, up to the softmax denominators' rounding."""
+        full = enc.forward(tiny_params, tiny_seq).hidden_states
+        live = tiny_seq.seq_len
+        narrow = enc.forward(tiny_params, TokenBatch.stack([tiny_seq], 7)[:, :live])
+        assert narrow.hidden_states.shape == (1, live, 8)
+        assert np.abs(narrow.hidden_states - full[:, :live]).max() <= 1e-14
+        for width in range(1, 8):
+            short = TokenSequence((2,) * width, (0,) * width, (1,) * width)
+            assert enc.forward(tiny_params, short).hidden_states.shape == (1, width, 8)
 
     def test_out_of_vocab_id_rejected(self, tiny_params, tiny_config):
         seq = TokenSequence(

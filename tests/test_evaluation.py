@@ -287,19 +287,21 @@ class TestManualReport:
         report = ev.manual_eval_report(
             "alice",
             purchases("alice", ["0000000001"]),
-            [("0000000002", 0.9231), ("0000000003", None)],
+            ["0000000002", "0000000003"],
             catalog(),
             prepared(),
         )
         assert "purchased items (1):" in report
         assert "recommended items (2):" in report
-        assert "0000000001" in report and "sim=0.9231" in report and "sim=n/a" in report
+        assert "0000000001" in report and "0000000003" in report
+        # recommendations are plain ids: no similarity field that nothing fills
+        assert "sim=" not in report
 
     def test_planted_shared_type_reported(self):
         report = ev.manual_eval_report(
             "alice",
             purchases("alice", ["0000000001"]),
-            [("0000000002", 0.8), ("0000000003", 0.1)],
+            ["0000000002", "0000000003"],
             catalog(),
             prepared(),
         )
@@ -308,7 +310,7 @@ class TestManualReport:
 
     def test_cold_start_notes_fallback(self):
         report = ev.manual_eval_report(
-            "bob", [], [("0000000003", None)], catalog(), prepared()
+            "bob", [], ["0000000003"], catalog(), prepared()
         )
         assert "purchased items (0):" in report
         assert "cold start, popularity fallback applies" in report
@@ -324,7 +326,7 @@ class TestManualReport:
         report = ev.manual_eval_report(
             "alice",
             purchases("alice", ["0000000001"]),
-            [("0000000003", 0.5)],
+            ["0000000003"],
             catalog(),
             prepared(),
         )
@@ -335,9 +337,9 @@ class TestManualReport:
         report = ev.manual_eval_report(
             "alice",
             purchases("alice", ["0000000001"]),
-            [("0000000002", None)],
+            ["0000000002"],
             catalog(),
             names_only,
         )
         assert report.splitlines()[3] == "  0000000001  dress  summer gown"
-        assert report.splitlines()[6] == "  0000000002  sim=n/a  dress  winter gown"
+        assert report.splitlines()[6] == "  0000000002  dress  winter gown"

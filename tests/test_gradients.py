@@ -315,6 +315,26 @@ class TestBatchedPath:
         assert total is first
         assert_close_rel(total, expected)
 
+    def test_narrow_pass_matches_full_width(self, batch_params):
+        """A pass cut to its widest live row gives the full-width losses and
+        gradients; positions past its width get exactly zero."""
+        batch, targets, labels = mixed_batch(batch_params.config, np.random.default_rng(26))
+        full = enc.loss_and_grads(batch_params, enc.forward(batch_params, batch), targets, labels)
+        narrow = enc.loss_and_grads(
+            batch_params, enc.forward(batch_params, batch[:, :9]), targets, labels
+        )
+        assert narrow[0] == pytest.approx(full[0], rel=1e-12)
+        assert narrow[1] == pytest.approx(full[1], rel=1e-12)
+        assert_close_rel(narrow[2], full[2])
+        assert np.all(narrow[2]["position_embedding"][9:] == 0.0)
+        # a narrow pass adds into the gradients of a full-width one
+        first = enc.loss_and_grads(batch_params, enc.forward(batch_params, batch), [], labels)[2]
+        expected = {name: first[name] + narrow[2][name] for name in first}
+        _, _, total = enc.loss_and_grads(
+            batch_params, enc.forward(batch_params, batch[:, :9]), targets, labels, into=first
+        )
+        assert_close_rel(total, expected)
+
     def test_pad_positions_of_every_row_get_zero_grad(self, batch_params):
         config = batch_params.config
         rng = np.random.default_rng(25)

@@ -4,8 +4,10 @@ from datetime import date
 import numpy as np
 import pytest
 
+from titlerec import corpus
 from titlerec import encoder as enc
 from titlerec import index as ix
+from titlerec import objectives as obj
 from titlerec.corpus import PreparedArticle, TransactionRecord
 from titlerec.errors import (
     ArtifactFormatError,
@@ -14,9 +16,10 @@ from titlerec.errors import (
     InsufficientCandidatesError,
     KTooLargeError,
 )
-from titlerec.tokenizer import build_vocab
+from titlerec.tokenizer import build_vocab, encode_batch, encode_single
 
 from conftest import zeroed_params
+from synth import write_planted_inputs
 
 
 def small_world():
@@ -122,6 +125,128 @@ class TestBuildIndex:
         _, vocab = small_world()
         with pytest.raises(ValueError):
             ix.build_index([], tiny_params, vocab)
+
+
+def ragged_world():
+    """Titles of four live lengths (3, 5, 7 and a truncated 10 = max_len),
+    interleaved in input order, with one repeated title; params perturbed
+    off their init so every layer matters."""
+    words = [f"w{i:02d}" for i in range(12)]
+    sizes = (1, 3, 5, 9)
+    articles = [
+        PreparedArticle(
+            f"{i:010d}",
+            " ".join(words[(i + j) % 12] for j in range(sizes[i % 4])),
+            sizes[i % 4],
+        )
+        for i in range(26)
+    ]
+    articles.append(PreparedArticle("0000000099", articles[5].text, articles[5].text_len))
+    vocab = build_vocab(articles)
+    config = enc.EncoderConfig(
+        vocab_size=len(vocab), d_model=8, n_heads=2, n_layers=2, d_ff=12, max_len=10
+    )
+    params = enc.init_params(config, seed=4)
+    rng = np.random.default_rng(4)
+    for name in params.names():
+        params[name] = params[name] + rng.normal(0.0, 0.3, params[name].shape)
+    return articles, vocab, params
+
+
+def full_width_vectors(articles, params, vocab, pooling):
+    """Reference: every title through one forward at max_len, PAD keys
+    masked, mean over the live positions (the arithmetic before length
+    grouping)."""
+    batch = encode_batch([a.text for a in articles], vocab, params.config.max_len)
+    hidden = enc.forward(params, batch, record=False).hidden_states
+    if pooling == "cls":
+        pooled = hidden[:, 0]
+    else:
+        mask = batch.attn_mask.astype(np.float64)
+        pooled = (hidden * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
+    return pooled / np.linalg.norm(pooled, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "cls"])
+class TestLengthGroupedPasses:
+    @pytest.fixture(autouse=True)
+    def small_passes(self, monkeypatch):
+        # 8 rows of 3 tokens, 2 rows of 10: every length needs several passes
+        monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 24)
+
+    def test_row_equals_one_article_index(self, pooling):
+        articles, vocab, params = ragged_world()
+        lengths = encode_batch([a.text for a in articles], vocab, 10).attn_mask.sum(axis=1)
+        assert set(lengths.tolist()) == {3, 5, 7, 10}
+        index = ix.build_index(articles, params, vocab, pooling)
+        assert index.article_ids == tuple(a.article_id for a in articles)
+        for row, article in enumerate(articles):
+            alone = ix.build_index([article], params, vocab, pooling).vectors[0]
+            assert np.array_equal(index.vectors[row], alone), article.article_id
+        assert np.array_equal(index.row("0000000099"), index.row(articles[5].article_id))
+
+    def test_rows_within_tolerance_of_full_width(self, pooling):
+        articles, vocab, params = ragged_world()
+        index = ix.build_index(articles, params, vocab, pooling)
+        reference = full_width_vectors(articles, params, vocab, pooling)
+        assert np.abs(index.vectors - reference).max() <= 1e-15
+
+    def test_knn_matches_full_width(self, pooling):
+        """Every rank holds the reference's article, or one whose reference
+        similarity ties it within 1e-15: vectors 1 ulp apart may order such
+        near-ties (and BLAS may split exact ones) either way."""
+        articles, vocab, params = ragged_world()
+        index = ix.build_index(articles, params, vocab, pooling)
+        reference = ix.EmbeddingIndex(
+            index.article_ids, full_width_vectors(articles, params, vocab, pooling)
+        )
+        for row in range(len(index)):
+            sim_of = dict(zip(reference.article_ids, reference.vectors @ reference.vectors[row]))
+            for k in (1, 5, len(index)):
+                got = ix.query_knn(index, index.vectors[row], k)
+                want = ix.query_knn(reference, reference.vectors[row], k)
+                for g, w in zip(got, want, strict=True):
+                    assert abs(sim_of[g.article_id] - sim_of[w.article_id]) <= 1e-15
+
+
+class TestEmbeddingTraffic:
+    def test_passes_embed_no_pad_and_training_keeps_max_len(self, tmp_path, monkeypatch):
+        paths = write_planted_inputs(tmp_path)
+        articles = corpus.prepare_articles(corpus.load_articles(paths["articles_path"]))
+        vocab = build_vocab(articles)
+        config = enc.EncoderConfig(
+            vocab_size=len(vocab), d_model=8, n_heads=2, n_layers=1, d_ff=8, max_len=16
+        )
+        params = enc.init_params(config, seed=0)
+        passes = []
+        real_forward = enc.forward
+
+        def spy(params, rows, *args, **kwargs):
+            passes.append(rows)
+            return real_forward(params, rows, *args, **kwargs)
+
+        monkeypatch.setattr(enc, "forward", spy)
+        ix.build_index(articles, params, vocab)
+        assert len({p.max_len for p in passes}) > 1
+        for rows in passes:
+            assert np.all(rows.attn_mask.sum(axis=1) == rows.max_len)
+            assert len(rows) * rows.max_len <= enc.PASS_TOKEN_BUDGET
+        assert sum(len(rows) for rows in passes) == len(articles)
+
+        passes.clear()
+        rng = np.random.default_rng(0)
+        masked = [
+            obj.apply_masking(encode_single(a.text, vocab, config.max_len), vocab, rng)
+            for a in articles[:8]
+        ]
+        titles = {a.article_id: a.text for a in articles}
+        pairs = [
+            obj.TrainingPair(articles[i].article_id, articles[-1 - i].article_id, i % 2)
+            for i in range(8)
+        ]
+        pair_batch = obj.encode_training_pairs(pairs, titles, vocab, config.max_len)
+        obj.train_step(params, obj.init_optimizer(params), masked, pair_batch)
+        assert passes and all(rows.max_len == config.max_len for rows in passes)
 
 
 class TestQueryKnn:
