@@ -52,8 +52,6 @@ class TransactionRecord:
     t_dat: date
     customer_id: str
     article_id: str
-    price: float = 0.0
-    sales_channel_id: int = 1
 
 
 @dataclass(frozen=True)
@@ -139,12 +137,16 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
 def load_transactions(path: str | Path) -> list[TransactionRecord]:
     """Load the purchase log. Duplicate rows are preserved as-is.
 
-    ``price`` and ``sales_channel_id`` columns are optional (defaults 0.0
-    and 1); an empty cell also takes the default.
+    ``price`` and ``sales_channel_id`` columns are optional and no stage
+    uses them, but a nonempty cell must still parse as a number (an
+    integer for the channel).
     """
     columns, rows = _read_table(path, TRANSACTION_COLUMNS)
-    price_col = columns.get("price")
-    channel_col = columns.get("sales_channel_id")
+    checked = [
+        (columns[name], name, parse)
+        for name, parse in (("price", float), ("sales_channel_id", int))
+        if name in columns
+    ]
     records: list[TransactionRecord] = []
     for row_index, row in enumerate(rows, start=1):
         raw_date = row[columns["t_dat"]].strip()
@@ -153,27 +155,17 @@ def load_transactions(path: str | Path) -> list[TransactionRecord]:
         except ValueError:
             raise UnparsableDateError(f"row {row_index}: unparsable t_dat {raw_date!r}") from None
         article_id = _normalize_article_id(row[columns["article_id"]], row_index)
-        price = 0.0
-        if price_col is not None and row[price_col].strip() != "":
-            try:
-                price = float(row[price_col])
-            except ValueError:
-                raise MalformedRowError(f"row {row_index}: bad price {row[price_col]!r}") from None
-        channel = 1
-        if channel_col is not None and row[channel_col].strip() != "":
-            try:
-                channel = int(row[channel_col])
-            except ValueError:
-                raise MalformedRowError(
-                    f"row {row_index}: bad sales_channel_id {row[channel_col]!r}"
-                ) from None
+        for col, name, parse in checked:
+            if row[col].strip() != "":
+                try:
+                    parse(row[col])
+                except ValueError:
+                    raise MalformedRowError(f"row {row_index}: bad {name} {row[col]!r}") from None
         records.append(
             TransactionRecord(
                 t_dat=t_dat,
                 customer_id=row[columns["customer_id"]].strip(),
                 article_id=article_id,
-                price=price,
-                sales_channel_id=channel,
             )
         )
     return records
@@ -293,32 +285,30 @@ def load_prepared(path: str | Path) -> list[PreparedArticle]:
     return out
 
 
+_TRANSACTIONS_HEADER = "t_dat\tcustomer_id\tarticle_id"
+# transactions.tsv as an earlier ingest wrote it, with price and channel
+_OLD_TRANSACTIONS_HEADER = _TRANSACTIONS_HEADER + "\tprice\tsales_channel_id"
+
+
 def save_transactions(transactions: list[TransactionRecord], path: str | Path) -> None:
-    lines = ["t_dat\tcustomer_id\tarticle_id\tprice\tsales_channel_id"]
-    lines += [
-        f"{t.t_dat.isoformat()}\t{t.customer_id}\t{t.article_id}\t{t.price!r}\t{t.sales_channel_id}"
-        for t in transactions
-    ]
+    lines = [_TRANSACTIONS_HEADER]
+    lines += [f"{t.t_dat.isoformat()}\t{t.customer_id}\t{t.article_id}" for t in transactions]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_saved_transactions(path: str | Path) -> list[TransactionRecord]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "t_dat\tcustomer_id\tarticle_id\tprice\tsales_channel_id":
+    if lines and lines[0] == _OLD_TRANSACTIONS_HEADER:
+        raise MalformedRowError(
+            f"{path}: written by an older ingest with price and sales_channel_id "
+            "columns; re-run `titlerec ingest`"
+        )
+    if not lines or lines[0] != _TRANSACTIONS_HEADER:
         raise MalformedRowError(f"{path}: not a transactions file")
     out = []
     for n, line in enumerate(lines[1:], start=1):
         fields = line.split("\t")
-        if len(fields) != 5:
-            raise MalformedRowError(f"{path}: row {n} has {len(fields)} fields, expected 5")
-        out.append(
-            TransactionRecord(
-                t_dat=date.fromisoformat(fields[0]),
-                customer_id=fields[1],
-                article_id=fields[2],
-                price=float(fields[3]),
-                sales_channel_id=int(fields[4]),
-            )
-        )
+        if len(fields) != 3:
+            raise MalformedRowError(f"{path}: row {n} has {len(fields)} fields, expected 3")
+        out.append(TransactionRecord(date.fromisoformat(fields[0]), fields[1], fields[2]))
     return out
-

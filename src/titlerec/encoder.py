@@ -7,6 +7,17 @@ Everything runs at float64 and the backward pass is written out by hand,
 so analytic gradients can be checked against finite differences to tight
 tolerance.
 
+Special functions. numpy is the only dependency. The GELU gate is the
+normal CDF through ``erf``, a port of Cephes' ``ndtr.c`` erf, the routine
+scipy compiles for real ``erf``, so results equal scipy's bit for bit. For
+|x| <= 1, where nearly all GELU inputs fall, it is one rational polynomial
+in x^2, evaluated over the whole array by Horner's rule. Beyond that it is
+``1 - erfc(x)``, whose ``e^(-x^2)`` factor must come from libm's ``exp``
+(``math.exp``) one value at a time: ``np.exp`` differs from libm in the
+last bit on some inputs, and that bit survives into the result. The pair
+head's ``sigmoid`` uses libm's ``exp`` for the same reason; it runs on one
+logit per pair row.
+
 Batches. ``forward`` takes B rows of T tokens at once, as a
 ``TokenBatch`` of (B, T) arrays (token ids, segment ids and a live mask);
 a single ``TokenSequence`` is accepted as a 1-row batch. The width T may
@@ -46,12 +57,12 @@ Checkpoint layout (version TRENC001, little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .ioutil import atomic_write_bytes
 from .errors import (
@@ -119,14 +130,8 @@ class EncoderParams:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        self.tensors[name] = value
-
     def names(self) -> list[str]:
         return list(self.tensors)
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(t)) for t in self.tensors.values())
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
@@ -198,9 +203,131 @@ def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(t) for name, t in params.tensors.items()}
 
 
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and 1 - erfc(x)
+# beyond, with erfc(x) = e^(-x^2) P(x) / Q(x). U and Q have an implied
+# leading coefficient of 1.
+_ERF_T = (
+    9.60497373987051638749e0,
+    9.00260197203842689217e1,
+    2.23200534594684319226e3,
+    7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1,
+    5.21357949780152679795e2,
+    4.59432382970980127987e3,
+    2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10,
+    5.64189564831068821977e-1,
+    7.46321056442269912687e0,
+    4.86371970985681366614e1,
+    1.96520832956077098242e2,
+    5.26445194995477358631e2,
+    9.34528527171957607540e2,
+    1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1,
+    8.67072140885989742329e1,
+    3.54937778887819891062e2,
+    9.75708501743205489753e2,
+    1.82390916687909736289e3,
+    2.24633760818710981792e3,
+    1.65666309194161350182e3,
+    5.57535340817727675546e2,
+)
+_SQRT_2 = float(np.sqrt(2.0))
+
+
+def _horner(z, coefs: tuple[float, ...], monic: bool = False):
+    """Cephes ``p1evl`` (``monic``) or ``polevl`` at ``z``, one rounding per step."""
+    if monic:
+        p = z + coefs[0]
+    else:
+        p = z * coefs[0]
+        p += coefs[1]
+    for c in coefs[1 if monic else 2 :]:
+        p *= z
+        p += c
+    return p
+
+
+def _libm_exp(v: float) -> float:
+    """libm's e^v, with an overflow read as inf."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _erf_unit(x: np.ndarray) -> np.ndarray:
+    """Cephes erf where every |x| <= 1: x T(x^2) / U(x^2)."""
+    z = x * x
+    p = _horner(z, _ERF_T)
+    p *= x
+    p /= _horner(z, _ERF_U, monic=True)
+    return p
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """Cephes erf of a 1-d array of |x| > 1 (or nan): +-(1 - erfc(|x|)).
+
+    erfc(a) = e^(-a^2) P(a) / Q(a), with e^(-a^2) from libm one value at a
+    time. From a = 6 on, erfc(a) < 2^-54, so 1 - erfc(a) rounds to exactly 1
+    whatever erfc's last bits are: Cephes' other branch for erfc (a >= 8)
+    and its underflow rule never change an erf result, so they are left
+    out. A nan input gives a plain nan, as in Cephes.
+    """
+    a = np.abs(x)
+    y = np.minimum(a, 1.0)  # 1.0, or a plain nan for a nan
+    rows = np.flatnonzero(a < 6.0)
+    b = a[rows]
+    e = np.fromiter(map(math.exp, (-b * b).tolist()), np.float64, len(b))
+    y[rows] = 1.0 - e * _horner(b, _ERFC_P) / _horner(b, _ERFC_Q, monic=True)
+    np.negative(y, out=y, where=x < 0.0)
+    return y
+
+
+def erf(x) -> np.ndarray:
+    """The error function, equal bit for bit to Cephes' (and so scipy's) erf.
+
+    The common case, every |x| <= 1, is the Cephes rational polynomial run
+    in place over the whole array. Otherwise the values outside that range
+    go through ``1 - erfc``, whose exponential needs libm's ``exp``: the
+    vectorized ``np.exp`` differs from it in the last bit on some inputs.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    # a nan makes both reductions nan, which fails the test
+    if x.max(initial=0.0) <= 1.0 and x.min(initial=0.0) >= -1.0:
+        return _erf_unit(x)
+    flat = x.reshape(-1)
+    out = _erf_unit(np.clip(flat, -1.0, 1.0))
+    outside = np.flatnonzero(~(np.abs(flat) <= 1.0))
+    out[outside] = _erf_tail(flat[outside])
+    return out.reshape(x.shape)
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) per element with libm's ``exp``, equal to scipy's expit.
+
+    Meant for the few pair logits of a pass; a huge negative logit gives 0.0.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    values = [1.0 / (1.0 + _libm_exp(-v)) for v in z.reshape(-1).tolist()]
+    return np.array(values, dtype=np.float64).reshape(z.shape)
+
+
 def gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, the gate of GELU."""
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    """Standard normal CDF, the gate of GELU: 0.5 (1 + erf(x / sqrt 2))."""
+    cdf = erf(x / _SQRT_2)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -353,29 +480,6 @@ def forward(
     return ForwardTrace(hidden_states=x, cache=cache)
 
 
-def mlm_distribution(params: EncoderParams, trace: ForwardTrace, position: int) -> np.ndarray:
-    """Vocabulary distribution predicted at one position of the first row (softmax row)."""
-    width = trace.hidden_states.shape[1]
-    if not 0 <= position < width:
-        raise PositionOutOfRangeError(f"position {position} outside [0, {width})")
-    hidden = trace.hidden_states[0, position]
-    logits = hidden @ params["mlm_head.weight"] + params["mlm_head.bias"]
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
-def np_probability(params: EncoderParams, trace: ForwardTrace) -> float:
-    """Probability that the pair encoded in the first row is a true co-purchase.
-
-    Large logits saturate the sigmoid to exactly 0.0 or 1.0 in float64; the
-    result is nudged back inside the open interval so callers can rely on
-    0 < p < 1.
-    """
-    logit = trace.pooled_cls[0] @ params["np_head.weight"][:, 0] + params["np_head.bias"][0]
-    p = float(expit(logit))
-    return min(max(p, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
-
-
 def _mlm_targets(targets, n_rows: int, max_len: int) -> np.ndarray:
     """(M, 3) int array of (row, position, label).
 
@@ -504,7 +608,7 @@ def loss_and_grads(
         grads["mlm_head.bias"] = np.zeros_like(params["mlm_head.bias"])
 
     w_np = params["np_head.weight"][:, 0]
-    d_z = (expit(z) - y) * np_scale
+    d_z = (sigmoid(z) - y) * np_scale
     put("np_head.weight", (h_cls.T @ d_z)[:, None])
     put("np_head.bias", np.array([d_z.sum()]))
     d_h[pair_rows, 0] += d_z[:, None] * w_np

@@ -167,7 +167,7 @@ def build_index(
     batch = encode_batch([a.text for a in articles], vocab, c.max_len)
     lengths = batch.attn_mask.sum(axis=1)
     pooled = np.empty((len(articles), c.d_model))
-    for width in np.unique(lengths).tolist():
+    for width in sorted(set(lengths.tolist())):
         group = np.flatnonzero(lengths == width)
         step = enc.rows_per_pass(width)
         for start in range(0, len(group), step):

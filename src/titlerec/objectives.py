@@ -276,7 +276,7 @@ def adam_update(
         m += (1.0 - state.beta1) * grad
         v *= state.beta2
         v += (1.0 - state.beta2) * grad * grad
-        params[name] -= (
+        params.tensors[name] -= (
             state.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + state.epsilon)
         )
 

@@ -78,7 +78,7 @@ def random_params(config, rng):
     """Seeded init plus noise so no tensor sits at a symmetric point."""
     params = enc.init_params(config, seed=int(rng.integers(10_000)))
     for name in params.names():
-        params[name] = params[name] + rng.normal(0.0, 0.05, size=params[name].shape)
+        params.tensors[name] = params[name] + rng.normal(0.0, 0.05, size=params[name].shape)
     return params
 
 
@@ -128,14 +128,14 @@ def test_02_loss_formula_oracles():
     confident = zeroed_params(config)
     bias = np.zeros(len(vocab))
     bias[5] = 60.0
-    confident["mlm_head.bias"] = bias
+    confident.tensors["mlm_head.bias"] = bias
     assert objectives.mlm_loss(confident, seq, plan) == pytest.approx(0.0, abs=1e-9)
 
     # uniform doubt over four candidates costs ln 4
     uniform4 = zeroed_params(config)
     bias = np.full(len(vocab), -40.0)
     bias[[1, 5, 6, 7]] = 0.0
-    uniform4["mlm_head.bias"] = bias
+    uniform4.tensors["mlm_head.bias"] = bias
     assert objectives.mlm_loss(uniform4, seq, plan) == pytest.approx(np.log(4.0), abs=1e-9)
 
     # an undecided pair head costs ln 2 per pair
@@ -161,7 +161,7 @@ def test_02_loss_formula_oracles():
     # saturated pair logits keep the loss finite
     saturated = zeroed_params(config)
     for sign in (1000.0, -1000.0):
-        saturated["np_head.bias"] = np.array([sign])
+        saturated.tensors["np_head.bias"] = np.array([sign])
         loss = objectives.np_loss(saturated, pairs, titles, vocab)
         assert np.isfinite(loss)
         assert np.isfinite(objectives.joint_loss(loss, loss))

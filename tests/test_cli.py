@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from titlerec import cli, corpus, evaluation
@@ -191,7 +192,7 @@ class TestTrain:
     def test_checkpoint_loadable(self, pipeline):
         params = enc.load_checkpoint(pipeline["workdir"] / cli.CHECKPOINT_FILE)
         assert params.config.d_model == 8
-        assert params.all_finite()
+        assert all(np.isfinite(t).all() for t in params.tensors.values())
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         clone = fresh_copy(pipeline, tmp_path)
@@ -390,18 +391,30 @@ class TestRecommend:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_scipy_sparse_unloaded(self):
-        # every command pays the package's import time first
+    def test_cli_import_leaves_scipy_sparse_unloaded(self, pipeline, tmp_path):
+        # every command pays the package's import time first: neither the
+        # import nor a cold recommend (which builds the index) may load scipy
+        # or numpy.ma
+        clone = fresh_copy(pipeline, tmp_path)
+        (clone["workdir"] / cli.INDEX_FILE).unlink()
         code = (
-            "import sys, titlerec.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+            "import json, sys\n"
+            "from titlerec import cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('scipy') or m.split('.')[:2] == ['numpy', 'ma'])\n"
+            "after_import = loaded()\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([after_import, rc, loaded()]))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", code, "recommend", *map(str, clone["base"])],
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert json.loads(result.stdout.strip().splitlines()[-1]) == [[], 0, []]
+        assert (clone["workdir"] / cli.INDEX_FILE).exists()
 
 
 class TestEvaluate:
@@ -571,6 +584,21 @@ class TestErrorSurface:
         assert lines[0].startswith("error: ")
         name = lines[0].split(":")[1].strip()
         assert name.endswith("Error")
+
+
+    def test_older_workdir_transactions_refused(self, pipeline, tmp_path, capsys):
+        # an ingest before price and sales_channel_id were dropped wrote five columns
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.TRANSACTIONS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines()
+        old = [lines[0] + "\tprice\tsales_channel_id"] + [line + "\t0.05\t2" for line in lines[1:]]
+        path.write_text("\n".join(old) + "\n", encoding="utf-8")
+        for command in ("train", "recommend", "evaluate"):
+            assert run_cli(command, *clone["base"]) == 1, command
+            captured = capsys.readouterr()
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: MalformedRowError: ")
+            assert "re-run `titlerec ingest`" in line
 
 
 class TestInputFileErrors:

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from datetime import date
 
 import pytest
@@ -69,9 +70,11 @@ class TestLoadTransactions:
         records = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
         assert len(records) == 4
         assert records[0].t_dat == date(2020, 9, 1)
-        assert records[0].price == pytest.approx(0.0508)
-        assert records[1].price == 0.0
-        assert records[2].sales_channel_id == 1
+        assert records[2] == corpus.TransactionRecord(date(2020, 9, 3), "def", "0000095002")
+        # price and sales_channel_id are validated but not kept
+        assert [f.name for f in fields(corpus.TransactionRecord)] == list(
+            corpus.TRANSACTION_COLUMNS
+        )
 
     def test_duplicates_preserved(self, tmp_path):
         records = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
@@ -80,9 +83,7 @@ class TestLoadTransactions:
     def test_optional_columns_may_be_absent(self, tmp_path):
         text = "t_dat,customer_id,article_id\n2020-01-05,u,42\n"
         (record,) = corpus.load_transactions(write(tmp_path, "t.csv", text))
-        assert record.price == 0.0
-        assert record.sales_channel_id == 1
-        assert record.article_id == "0000000042"
+        assert record == corpus.TransactionRecord(date(2020, 1, 5), "u", "0000000042")
 
     def test_unparsable_date_rejected(self, tmp_path):
         text = "t_dat,customer_id,article_id\n01/05/2020,u,42\n"
@@ -92,6 +93,11 @@ class TestLoadTransactions:
     def test_bad_price_rejected(self, tmp_path):
         text = "t_dat,customer_id,article_id,price\n2020-01-05,u,42,cheap\n"
         with pytest.raises(MalformedRowError):
+            corpus.load_transactions(write(tmp_path, "t.csv", text))
+
+    def test_bad_sales_channel_rejected(self, tmp_path):
+        text = "t_dat,customer_id,article_id,price,sales_channel_id\n2020-01-05,u,42,0.5,1.5\n"
+        with pytest.raises(MalformedRowError, match="row 1: bad sales_channel_id"):
             corpus.load_transactions(write(tmp_path, "t.csv", text))
 
 
@@ -184,6 +190,22 @@ class TestPersistence:
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
         corpus.save_transactions(transactions, tmp_path / "tx.tsv")
         assert corpus.load_saved_transactions(tmp_path / "tx.tsv") == transactions
+
+    def test_saved_transactions_keep_three_columns(self, tmp_path):
+        transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
+        corpus.save_transactions(transactions[:1], tmp_path / "tx.tsv")
+        assert (tmp_path / "tx.tsv").read_text(encoding="utf-8") == (
+            "t_dat\tcustomer_id\tarticle_id\n2020-09-01\tabc\t0108775015\n"
+        )
+
+    def test_five_column_transactions_from_older_ingest_refused(self, tmp_path):
+        (tmp_path / "tx.tsv").write_text(
+            "t_dat\tcustomer_id\tarticle_id\tprice\tsales_channel_id\n"
+            "2020-09-01\tabc\t0108775015\t0.0508\t2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRowError, match="re-run `titlerec ingest`"):
+            corpus.load_saved_transactions(tmp_path / "tx.tsv")
 
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "prepared.tsv").write_text("nope\n", encoding="utf-8")

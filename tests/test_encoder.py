@@ -82,7 +82,7 @@ class TestInitParams:
             assert tiny_params[name].shape == shape
         assert shapes["token_embedding"] == (11, 8)
         assert shapes["np_head.weight"] == (8, 1)
-        assert tiny_params.all_finite()
+        assert all(np.isfinite(t).all() for t in tiny_params.tensors.values())
 
 
 class TestForward:
@@ -180,11 +180,27 @@ class TestForward:
 
 
 class TestHeads:
+    @staticmethod
+    def mlm_probabilities(params, trace, position):
+        """Predicted vocabulary distribution at one position of the first row,
+        read back from the per-label NLLs of ``sequence_loss``."""
+        return np.array(
+            [
+                math.exp(-enc.sequence_loss(params, trace, [(position, label)], None)[0])
+                for label in range(params.config.vocab_size)
+            ]
+        )
+
+    @staticmethod
+    def pair_probability(params, trace):
+        """sigmoid(z) of the first row: the pair-bias gradient at label 0."""
+        _, _, grads = enc.loss_and_grads(params, trace, [], np_labels=0)
+        return float(grads["np_head.bias"][0])
+
     def test_mlm_distribution_normalized(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
         for position in range(len(tiny_seq)):
-            dist = enc.mlm_distribution(tiny_params, trace, position)
-            assert dist.shape == (tiny_params.config.vocab_size,)
+            dist = self.mlm_probabilities(tiny_params, trace, position)
             assert np.all(dist > 0)
             assert abs(dist.sum() - 1.0) < 1e-9
 
@@ -194,41 +210,48 @@ class TestHeads:
         seq = TokenSequence(ids=(2, 1, 3, 0, 0), segments=(0,) * 5, attn_mask=(1, 1, 1, 0, 0))
         trace = enc.forward(params, seq)
         assert np.array_equal(trace.hidden_states, np.zeros_like(trace.hidden_states))
-        dist = enc.mlm_distribution(params, trace, 1)
-        assert np.allclose(dist, 0.25, atol=1e-12)
+        assert np.allclose(self.mlm_probabilities(params, trace, 1), 0.25, atol=1e-12)
 
     def test_mlm_hand_evaluated_softmax(self):
         # logits [0,0,0,ln 3] -> [1/6, 1/6, 1/6, 1/2]
         config = enc.EncoderConfig(vocab_size=4, d_model=8, n_heads=2, n_layers=1, d_ff=8, max_len=5)
         params = zeroed_params(config)
-        params["mlm_head.bias"] = np.array([0.0, 0.0, 0.0, math.log(3.0)])
+        params.tensors["mlm_head.bias"] = np.array([0.0, 0.0, 0.0, math.log(3.0)])
         seq = TokenSequence(ids=(2, 1, 3, 0, 0), segments=(0,) * 5, attn_mask=(1, 1, 1, 0, 0))
-        dist = enc.mlm_distribution(params, enc.forward(params, seq), 0)
+        dist = self.mlm_probabilities(params, enc.forward(params, seq), 0)
         assert np.allclose(dist, [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-12)
 
     def test_mlm_position_bounds(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
         with pytest.raises(PositionOutOfRangeError):
-            enc.mlm_distribution(tiny_params, trace, len(tiny_seq))
+            enc.sequence_loss(tiny_params, trace, [(len(tiny_seq), 5)], None)
         with pytest.raises(PositionOutOfRangeError):
-            enc.mlm_distribution(tiny_params, trace, -1)
+            enc.sequence_loss(tiny_params, trace, [(-1, 5)], None)
 
     def test_np_probability_half_at_zero_logit(self, tiny_config, tiny_seq):
         params = zeroed_params(tiny_config)
-        assert enc.np_probability(params, enc.forward(params, tiny_seq)) == 0.5
+        assert self.pair_probability(params, enc.forward(params, tiny_seq)) == 0.5
 
     def test_np_probability_hand_evaluated_sigmoid(self, tiny_config, tiny_seq):
         params = zeroed_params(tiny_config)
-        params["np_head.bias"] = np.array([math.log(3.0)])
-        prob = enc.np_probability(params, enc.forward(params, tiny_seq))
+        params.tensors["np_head.bias"] = np.array([math.log(3.0)])
+        prob = self.pair_probability(params, enc.forward(params, tiny_seq))
         assert abs(prob - 0.75) < 1e-12
 
-    def test_np_probability_always_in_open_interval(self, tiny_config, tiny_seq):
+    def test_pair_gradient_finite_at_saturated_logits(self, tiny_config, tiny_seq):
+        # e^-z overflows a double from z <= -710: the sigmoid must read it as
+        # inf and give exactly 0, not raise or return nan
         params = zeroed_params(tiny_config)
-        for logit in (-1000.0, -30.0, 0.0, 30.0, 1000.0):
-            params["np_head.bias"] = np.array([logit])
-            prob = enc.np_probability(params, enc.forward(params, tiny_seq))
-            assert 0.0 < prob < 1.0
+        for logit in (-1e300, -1000.0, -745.0, -710.0, -30.0, 0.0, 30.0, 710.0, 1000.0, 1e300):
+            params.tensors["np_head.bias"] = np.array([logit])
+            trace = enc.forward(params, tiny_seq)
+            for label in (0, 1):
+                mlm, pair, grads = enc.loss_and_grads(params, trace, [], np_labels=label)
+                assert mlm == 0.0 and np.isfinite(pair)
+                assert all(np.isfinite(g).all() for g in grads.values())
+                assert -1.0 <= grads["np_head.bias"][0] <= 1.0
+        params.tensors["np_head.bias"] = np.array([-710.0])
+        assert self.pair_probability(params, enc.forward(params, tiny_seq)) == 0.0
 
 
 class TestBackwardContract:
@@ -398,16 +421,79 @@ class TestBatchedForward:
             assert np.array_equal(a[2][name], b[2][name])
 
 
+@pytest.fixture
+def scipy_special():
+    """scipy is a test-only oracle: the encoder's erf and sigmoid must equal it."""
+    return pytest.importorskip("scipy.special")
+
+
+def assert_bitwise_equal(actual, expected):
+    """Same shape and the same doubles, nan and the sign of zero included."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def erf_edges() -> np.ndarray:
+    """The branch edges of Cephes erf and of its port, and the special values."""
+    tiny = np.nextafter(0.0, 1.0)
+    underflow = math.sqrt(7.09782712893383996843e2)  # |x| where erfc reaches 0
+    points = [0.0, -0.0, tiny, -tiny, 2.2e-308, -1e-310, math.inf, -math.inf]
+    points += [math.nan, math.copysign(math.nan, -1.0)]  # erf(+-nan) is a plain nan
+    for edge in (1.0, 6.0, 8.0, underflow, 26.64, 1e300):
+        points += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)]
+    points += [-v for v in points[10:]]
+    return np.array(points)
+
+
 class TestGelu:
     def test_recorded_cdf_gives_the_same_gradient(self):
         x = np.linspace(-5.0, 5.0, 101)
         assert np.array_equal(enc.gelu_grad(x, enc.gelu_cdf(x)), enc.gelu_grad(x))
 
-    def test_gelu_is_x_times_cdf_bit_for_bit(self):
-        from scipy.special import erf
-
+    def test_gelu_is_x_times_cdf_bit_for_bit(self, scipy_special):
         x = np.random.default_rng(35).normal(0.0, 3.0, 1000)
-        assert np.array_equal(enc.gelu(x), 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+        assert np.array_equal(enc.gelu(x), 0.5 * x * (1.0 + scipy_special.erf(x / np.sqrt(2.0))))
+
+
+class TestScipyOracle:
+    """erf, gelu_cdf and sigmoid equal scipy's erf and expit bit for bit."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(37)
+        sweep = np.linspace(-10.0, 10.0, 200_001)
+        yield sweep
+        yield sweep[1:].reshape(400, 500)[:, ::-1].T  # 2-d, not contiguous
+        for scale in (0.3, 1.0, 3.0):
+            yield rng.normal(0.0, scale, 50_000)
+        yield rng.uniform(-1.0, 1.0, (4, 16, 64))  # the all-polynomial case
+        yield rng.normal(0.0, 0.5, (16, 16, 64))  # a few values past |x| = 1
+        yield erf_edges()
+        yield erf_edges() * math.sqrt(2.0)
+        yield np.array(0.5)
+        yield np.array(-3.0)
+        yield np.array(-0.0)
+        yield np.array(math.nan)
+        yield np.array([])
+        yield np.empty((0, 3))
+
+    def test_erf(self, scipy_special):
+        for x in self.inputs():
+            assert_bitwise_equal(enc.erf(x), scipy_special.erf(x))
+
+    def test_gelu_cdf(self, scipy_special):
+        for x in self.inputs():
+            assert_bitwise_equal(enc.gelu_cdf(x), 0.5 * (1.0 + scipy_special.erf(x / np.sqrt(2.0))))
+
+    def test_sigmoid(self, scipy_special):
+        z = np.concatenate(
+            [np.linspace(-800.0, 800.0, 320_001), [math.inf, -math.inf, math.nan, -0.0, -710.0]]
+        )
+        assert_bitwise_equal(enc.sigmoid(z), scipy_special.expit(z))
+        assert_bitwise_equal(enc.sigmoid(z[:0]), scipy_special.expit(z[:0]))
 
 
 class TestPassBudget:

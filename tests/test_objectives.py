@@ -232,7 +232,7 @@ class TestAnalyticLosses:
         label = 5
         bias = np.zeros(8)
         bias[label] = 60.0
-        params["mlm_head.bias"] = bias
+        params.tensors["mlm_head.bias"] = bias
         plan = obj.MaskingPlan((1,), (label,), (obj.MASK_REPLACE,))
         assert obj.mlm_loss(params, self.seq(), plan) <= 1e-9
 
@@ -240,7 +240,7 @@ class TestAnalyticLosses:
         params = self.rig()
         bias = np.full(8, -40.0)
         bias[:4] = 0.0
-        params["mlm_head.bias"] = bias
+        params.tensors["mlm_head.bias"] = bias
         plan = obj.MaskingPlan((1,), (2,), (obj.MASK_REPLACE,))
         assert abs(obj.mlm_loss(params, self.seq(), plan) - math.log(4.0)) < 1e-9
 
@@ -249,7 +249,7 @@ class TestAnalyticLosses:
         bias = np.full(8, -40.0)
         bias[5] = 0.0
         bias[6] = math.log(math.e - 1.0)
-        params["mlm_head.bias"] = bias
+        params.tensors["mlm_head.bias"] = bias
         plan = obj.MaskingPlan((1, 2), (5, 5), (obj.MASK_REPLACE, obj.MASK_REPLACE))
         assert abs(obj.mlm_loss(params, self.seq(), plan) - 2.0) < 1e-9
 
@@ -275,7 +275,7 @@ class TestAnalyticLosses:
     def np_fixture(self, bias):
         vocab, words = make_vocab()
         params = self.rig(vocab_size=len(vocab), max_len=8)
-        params["np_head.bias"] = np.array([bias])
+        params.tensors["np_head.bias"] = np.array([bias])
         titles = {"0000000001": "w00 w01", "0000000002": "w02", "0000000003": "w03 w04"}
         return params, titles, vocab
 
@@ -475,4 +475,4 @@ class TestTrainStep:
 
     def test_params_stay_finite(self):
         params, _ = run_training(steps=25, learning_rate=5e-3)
-        assert params.all_finite()
+        assert all(np.isfinite(t).all() for t in params.tensors.values())
