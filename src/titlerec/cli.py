@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -66,6 +67,12 @@ EVAL_REPORT_FILE = "eval_report.json"
 LOCK_FILE = ".lock"
 
 LOSS_LOG_HEADER = "step\tmlm\tnp\ttotal"
+
+# glibc's mallopt parameters (malloc.h) and the values pinned at startup
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+TRIM_THRESHOLD_BYTES = 64 << 20
+MMAP_THRESHOLD_BYTES = 32 << 20
 
 # Failures to read an input, reported as InputFileError like a missing file.
 INPUT_ERRORS = (
@@ -447,7 +454,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def pin_heap_thresholds() -> tuple[int, ...]:
+    """Fix glibc's malloc trim and mmap thresholds; return mallopt's results.
+
+    By default glibc gives the top of the heap back to the kernel when more
+    than the trim threshold is free, and serves blocks above the mmap
+    threshold with their own mappings, raising both as big blocks are
+    freed. Training allocates and frees the same activation sizes in every
+    pass, so the process would keep faulting the same pages in again.
+    32 MiB is glibc's own ceiling for its dynamic mmap threshold on 64-bit,
+    and glibc keeps the trim threshold at twice the mmap threshold, so this
+    is the state its dynamic rule tends to, reached at once. Where libc has
+    no ``mallopt`` (another C library or platform) nothing is done and the
+    result is empty.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return ()
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES),
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
+    pin_heap_thresholds()
     args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
     config_path = args.pop("config", None)

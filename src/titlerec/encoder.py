@@ -40,6 +40,16 @@ pair term), so one pass may mix masked titles and title pairs.
 ``loss_and_grads`` returns the summed losses of the pass and the summed
 gradients of all its rows.
 
+Parameters. ``EncoderParams`` holds every tensor as a reshaped view of
+one contiguous float64 buffer, ``flat``, laid out back to back in
+``parameter_shapes`` order (the checkpoint's order too). Gradients and the
+optimizer's moments are arenas of the same layout (``zero_grads``), so an
+optimizer step is a few whole-buffer operations instead of a loop over
+~40 tensors. ``tensors`` is a read-only mapping: a tensor is changed in
+place (``params[name][...] = x``) and cannot be rebound to an array
+outside the arena. ``init_params``, ``load_checkpoint``, ``copy`` and
+construction from a plain mapping each fill a fresh arena.
+
 Pass budget. Callers feed at most ``rows_per_pass(width)`` rows, about
 ``PASS_TOKEN_BUDGET`` tokens, to one forward/backward pass of that width,
 whatever their batch size. That bounds the activations a pass holds: 16
@@ -59,8 +69,10 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -120,12 +132,37 @@ class EncoderConfig:
         return self.d_model // self.n_heads
 
 
-@dataclass
 class EncoderParams:
-    """Named parameter tensors plus the config that fixes their shapes."""
+    """Named parameter tensors, all views of one flat float64 arena.
 
-    config: EncoderConfig
-    tensors: dict[str, np.ndarray]
+    ``flat`` holds the tensors back to back in ``tensors`` order. ``tensors``
+    is a read-only mapping: a tensor is written in place (``t[...] = x``),
+    never rebound, so it cannot leave the arena. Built from a mapping of
+    arrays, the arena gets a copy of each.
+    """
+
+    def __init__(self, config: EncoderConfig, tensors: Mapping[str, np.ndarray]):
+        self._lay_out(config, {name: np.shape(t) for name, t in tensors.items()}, None)
+        for name, tensor in tensors.items():
+            self.tensors[name][...] = tensor
+
+    @classmethod
+    def _on(cls, config: EncoderConfig, shapes: Mapping[str, tuple[int, ...]], flat):
+        """Params over ``flat`` (a fresh uninitialized arena when None)."""
+        params = cls.__new__(cls)
+        params._lay_out(config, shapes, flat)
+        return params
+
+    def _lay_out(self, config, shapes, flat) -> None:
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.config = config
+        self.flat = np.empty(sum(sizes)) if flat is None else flat
+        views = {}
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            views[name] = self.flat[offset : offset + size].reshape(shape)
+            offset += size
+        self.tensors = MappingProxyType(views)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -133,8 +170,11 @@ class EncoderParams:
     def names(self) -> list[str]:
         return list(self.tensors)
 
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: t.shape for name, t in self.tensors.items()}
+
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return EncoderParams._on(self.config, self.shapes(), self.flat.copy())
 
 
 @dataclass
@@ -187,20 +227,21 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     """Gaussian(0, 0.02) weight matrices, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config).items():
+    params = EncoderParams._on(config, parameter_shapes(config), None)
+    for name, tensor in params.tensors.items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("gain",):
-            tensors[name] = np.ones(shape)
+            tensor.fill(1.0)
         elif leaf in ("bias", "b_q", "b_k", "b_v", "b_o", "b1", "b2"):
-            tensors[name] = np.zeros(shape)
+            tensor.fill(0.0)
         else:
-            tensors[name] = rng.normal(0.0, INIT_SCALE, size=shape)
-    return EncoderParams(config, tensors)
+            tensor[...] = rng.normal(0.0, INIT_SCALE, size=tensor.shape)
+    return params
 
 
-def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
+def zero_grads(params: EncoderParams) -> EncoderParams:
+    """A zeroed arena in the layout of ``params``, for gradients or moments."""
+    return EncoderParams._on(params.config, params.shapes(), np.zeros_like(params.flat))
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and 1 - erfc(x)
@@ -565,16 +606,17 @@ def loss_and_grads(
     np_labels=None,
     mlm_scale: float = 1.0,
     np_scale: float = 1.0,
-    into: dict[str, np.ndarray] | None = None,
-) -> tuple[float, float, dict[str, np.ndarray]]:
+    into: EncoderParams | None = None,
+) -> tuple[float, float, EncoderParams]:
     """Losses plus gradients of mlm_scale*mlm_sum + np_scale*np_sum.
 
     Targets and labels are as for ``sequence_loss``. Gradients are summed
     over every row of the recorded pass; the scales let a training step
     weight the pass (for example 1/total masked positions of the step).
-    Given ``into`` (the gradients of earlier passes), the pass's gradients
-    are added to it in place and it is returned, so a multi-pass step holds
-    one gradient dict rather than two.
+    They are added in place to ``into``, an arena in the layout of
+    ``params`` (see ``zero_grads``) holding earlier passes' gradients, which
+    is returned; without it they go to a fresh zeroed arena. So a
+    multi-pass step holds one gradient arena for all its passes.
     """
     if trace.cache is None:
         raise NoRecordedForwardError("forward was run without record=True")
@@ -583,16 +625,13 @@ def loss_and_grads(
     h_final = trace.hidden_states
     mlm_sum, np_sum, heads = _head_terms(params, h_final, mlm_targets, np_labels)
     targets, h_mlm, probs, pair_rows, y, h_cls, z = heads
+    grads = zero_grads(params) if into is None else into
     if not len(targets) and not len(pair_rows):
-        return 0.0, 0.0, zero_grads(params) if into is None else into
-
-    grads: dict[str, np.ndarray] = {} if into is None else into
+        return 0.0, 0.0, grads
 
     def put(name: str, grad: np.ndarray) -> None:
-        if into is None:
-            grads[name] = grad
-        else:
-            grads[name] += grad
+        target = grads[name]
+        target += grad
 
     d_h = np.zeros_like(h_final)
     w_mlm = params["mlm_head.weight"]
@@ -603,14 +642,11 @@ def loss_and_grads(
         put("mlm_head.weight", h_mlm.T @ d_logits)
         put("mlm_head.bias", d_logits.sum(axis=0))
         np.add.at(d_h, (targets[:, 0], targets[:, 1]), d_logits @ w_mlm.T)
-    elif into is None:
-        grads["mlm_head.weight"] = np.zeros_like(w_mlm)
-        grads["mlm_head.bias"] = np.zeros_like(params["mlm_head.bias"])
 
     w_np = params["np_head.weight"][:, 0]
     d_z = (sigmoid(z) - y) * np_scale
     put("np_head.weight", (h_cls.T @ d_z)[:, None])
-    put("np_head.bias", np.array([d_z.sum()]))
+    put("np_head.bias", d_z.sum())
     d_h[pair_rows, 0] += d_z[:, None] * w_np
 
     scale = 1.0 / np.sqrt(c.d_head)
@@ -663,18 +699,12 @@ def loss_and_grads(
         d_h = d_x
 
     d_rows = _rows(d_h)
-    for name, index in (
-        ("token_embedding", cache["ids"]),
-        ("segment_embedding", cache["segments"]),
-    ):
-        if into is None:
-            grads[name] = np.zeros_like(params[name])
-        np.add.at(grads[name], index.ravel(), d_rows)
-    # positions past a narrower pass's width get zero gradient
-    put("position_embedding", np.pad(d_h.sum(axis=0), ((0, c.max_len - d_h.shape[1]), (0, 0))))
-    if into is not None:
-        return mlm_sum, np_sum, into
-    return mlm_sum, np_sum, {name: grads[name] for name in params.tensors}
+    np.add.at(grads["token_embedding"], cache["ids"].ravel(), d_rows)
+    np.add.at(grads["segment_embedding"], cache["segments"].ravel(), d_rows)
+    # positions past a narrower pass's width get no gradient
+    positions = grads["position_embedding"][: d_h.shape[1]]
+    positions += d_h.sum(axis=0)
+    return mlm_sum, np_sum, grads
 
 
 # --- checkpoint io ---
@@ -755,8 +785,7 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
         (ndim,) = reader.unpack("<B")
         shape = reader.unpack(f"<{ndim}I")
         size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(reader.take(size * 8), dtype="<f8").reshape(shape)
-        tensors[name] = data.astype(np.float64)
+        tensors[name] = np.frombuffer(reader.take(size * 8), dtype="<f8").reshape(shape)
     expected_shapes = parameter_shapes(config)
     if set(tensors) != set(expected_shapes):
         raise CheckpointMismatchError(f"{path}: tensor names do not match the stored config")
@@ -765,4 +794,5 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
             raise CheckpointMismatchError(
                 f"{path}: tensor {name} has shape {tensors[name].shape}, expected {shape}"
             )
+    # the arena copies each tensor in, in parameter_shapes order
     return EncoderParams(config, {name: tensors[name] for name in expected_shapes})

@@ -14,6 +14,13 @@ encoder's batched path in passes of at most
 the passes' gradients in batch order before one optimizer update. A
 step's pairs are encoded (``encode_training_pairs`` -> ``PairBatch``) only
 when that step runs, so no pair is encoded that is not trained.
+
+The optimizer state holds Adam's two moments and one gradient arena, all
+in the parameters' flat layout (see ``encoder``), plus one scratch buffer.
+Each step zeroes the gradient arena, every pass adds into it, and
+``adam_update`` runs in place over the flat buffers, allocating no array.
+The loss values themselves come from ``encoder.forward`` plus
+``encoder.sequence_loss``, the one loss path.
 """
 
 from __future__ import annotations
@@ -172,32 +179,6 @@ def sample_pairs(
     return pairs
 
 
-def mlm_loss(params: enc.EncoderParams, masked_seq: TokenSequence, plan: MaskingPlan) -> float:
-    """Summed negative log-likelihood of the true tokens at the plan positions."""
-    if not plan.positions:
-        raise EmptyPlanError("masking plan selects no positions")
-    trace = enc.forward(params, masked_seq, record=False)
-    loss, _ = enc.sequence_loss(params, trace, plan.targets(), None)
-    return loss
-
-
-def np_loss(
-    params: enc.EncoderParams,
-    pairs: list[TrainingPair],
-    titles: dict[str, str],
-    vocab: Vocabulary,
-) -> float:
-    """Summed binary cross-entropy of the pair head over a batch of pairs."""
-    encoded = encode_training_pairs(pairs, titles, vocab, params.config.max_len)
-    step = enc.rows_per_pass(params.config.max_len)
-    total = 0.0
-    for start in range(0, len(encoded), step):
-        rows = slice(start, start + step)
-        trace = enc.forward(params, encoded.tokens[rows], record=False)
-        total += enc.sequence_loss(params, trace, [], encoded.labels[rows])[1]
-    return total
-
-
 def joint_loss(mlm_component: float, np_component: float) -> float:
     """The training objective: an unweighted sum of the two loss terms."""
     for value in (mlm_component, np_component):
@@ -233,15 +214,18 @@ def encode_training_pairs(
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment accumulators, one pair per parameter tensor."""
+    """Adam's two moments plus the gradient arena every step reuses and one
+    scratch buffer, all in the flat layout of the parameters."""
 
     learning_rate: float
     beta1: float
     beta2: float
     epsilon: float
     step: int
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    first_moment: enc.EncoderParams
+    second_moment: enc.EncoderParams
+    grads: enc.EncoderParams
+    scratch: np.ndarray
 
 
 def init_optimizer(
@@ -259,26 +243,41 @@ def init_optimizer(
         step=0,
         first_moment=enc.zero_grads(params),
         second_moment=enc.zero_grads(params),
+        grads=enc.zero_grads(params),
+        scratch=np.empty_like(params.flat),
     )
 
 
 def adam_update(
-    params: enc.EncoderParams, state: OptimizerState, grads: dict[str, np.ndarray]
+    params: enc.EncoderParams, state: OptimizerState, grads: enc.EncoderParams
 ) -> None:
-    """One bias-corrected adaptive-moment step, applied to params in place."""
+    """One bias-corrected adaptive-moment step, applied to params in place.
+
+    Every operation runs in place over the flat arenas, in the order of
+    m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
+    p -= lr (m / c1) / (sqrt(v / c2) + eps), so no temporary is allocated.
+    ``grads`` (in the layout of ``params``) is spent: it holds the
+    denominator afterwards.
+    """
     state.step += 1
     correction1 = 1.0 - state.beta1**state.step
     correction2 = 1.0 - state.beta2**state.step
-    for name, grad in grads.items():
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        params.tensors[name] -= (
-            state.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + state.epsilon)
-        )
+    m, v = state.first_moment.flat, state.second_moment.flat
+    g, tmp = grads.flat, state.scratch
+    np.multiply(m, state.beta1, out=m)
+    np.multiply(g, 1.0 - state.beta1, out=tmp)
+    np.add(m, tmp, out=m)
+    np.multiply(v, state.beta2, out=v)
+    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    np.multiply(tmp, g, out=tmp)
+    np.add(v, tmp, out=v)
+    np.divide(m, correction1, out=tmp)
+    np.multiply(tmp, state.learning_rate, out=tmp)
+    np.divide(v, correction2, out=g)
+    np.sqrt(g, out=g)
+    np.add(g, state.epsilon, out=g)
+    np.divide(tmp, g, out=tmp)
+    np.subtract(params.flat, tmp, out=params.flat)
 
 
 def batch_loss_and_grads(
@@ -289,35 +288,37 @@ def batch_loss_and_grads(
     mlm_scale: float,
     np_scale: float,
     rng: np.random.Generator | None = None,
-) -> tuple[float, float, dict[str, np.ndarray]]:
+    into: enc.EncoderParams | None = None,
+) -> tuple[float, float, enc.EncoderParams]:
     """Summed losses and gradients of a batch, run in bounded passes.
 
     ``mlm_targets`` is an (M, 3) array of (row, position, label) and
     ``np_labels`` one label per row (-1 for none). Rows go through the
     encoder ``encoder.rows_per_pass(max_len)`` at a time, at the full
-    width, and each pass's gradients are added to the first pass's in
-    order. ``rng`` drives dropout (see ``encoder.forward``).
+    width, and each pass's gradients are added in order to ``into``, a
+    zeroed arena in the layout of ``params`` (a fresh one when None),
+    which is returned. ``rng`` drives dropout (see ``encoder.forward``).
     """
     step = enc.rows_per_pass(params.config.max_len)
+    grads = enc.zero_grads(params) if into is None else into
     mlm_sum = 0.0
     np_sum = 0.0
-    total: dict[str, np.ndarray] | None = None
     for start in range(0, len(rows), step):
         stop = start + step
         in_pass = (mlm_targets[:, 0] >= start) & (mlm_targets[:, 0] < stop)
         # the pass's trace is dropped before the next pass records its own
-        pass_mlm, pass_np, total = enc.loss_and_grads(
+        pass_mlm, pass_np, _ = enc.loss_and_grads(
             params,
             enc.forward(params, rows[start:stop], rng=rng),
             mlm_targets[in_pass] - (start, 0, 0),
             np_labels[start:stop],
             mlm_scale=mlm_scale,
             np_scale=np_scale,
-            into=total,
+            into=grads,
         )
         mlm_sum += pass_mlm
         np_sum += pass_np
-    return mlm_sum, np_sum, total
+    return mlm_sum, np_sum, grads
 
 
 def train_step(
@@ -361,8 +362,9 @@ def train_step(
         rows = TokenBatch.concat(rows, pair_batch.tokens)
         labels = np.concatenate([labels, pair_batch.labels])
 
+    state.grads.flat.fill(0.0)
     mlm_sum, np_sum, grads = batch_loss_and_grads(
-        params, rows, targets, labels, mlm_scale, np_scale, rng
+        params, rows, targets, labels, mlm_scale, np_scale, rng, into=state.grads
     )
     adam_update(params, state, grads)
     mlm_mean = mlm_sum * mlm_scale

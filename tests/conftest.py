@@ -32,7 +32,7 @@ def zeroed_params(config: enc.EncoderConfig) -> enc.EncoderParams:
     params = enc.init_params(config, seed=0)
     for name in params.names():
         if not name.endswith(".gain"):
-            params.tensors[name] = np.zeros_like(params[name])
+            params[name][...] = np.zeros_like(params[name])
     return params
 
 

@@ -78,7 +78,7 @@ def random_params(config, rng):
     """Seeded init plus noise so no tensor sits at a symmetric point."""
     params = enc.init_params(config, seed=int(rng.integers(10_000)))
     for name in params.names():
-        params.tensors[name] = params[name] + rng.normal(0.0, 0.05, size=params[name].shape)
+        params[name][...] = params[name] + rng.normal(0.0, 0.05, size=params[name].shape)
     return params
 
 
@@ -123,29 +123,36 @@ def test_02_loss_formula_oracles():
                                n_layers=1, d_ff=8, max_len=6)
     seq = encode_single("alpha beta", vocab, config.max_len)
     plan = objectives.MaskingPlan((1,), (5,), (MASK_REPLACE,))
+    titles = {"0000000001": "alpha", "0000000002": "beta"}
+
+    def masked_loss(params, seq, plan):
+        trace = enc.forward(params, seq, record=False)
+        return enc.sequence_loss(params, trace, plan.targets(), None)[0]
+
+    def pair_loss(params, pairs):
+        encoded = objectives.encode_training_pairs(pairs, titles, vocab, config.max_len)
+        trace = enc.forward(params, encoded.tokens, record=False)
+        return enc.sequence_loss(params, trace, [], encoded.labels)[1]
 
     # a certain prediction costs nothing
     confident = zeroed_params(config)
     bias = np.zeros(len(vocab))
     bias[5] = 60.0
-    confident.tensors["mlm_head.bias"] = bias
-    assert objectives.mlm_loss(confident, seq, plan) == pytest.approx(0.0, abs=1e-9)
+    confident["mlm_head.bias"][...] = bias
+    assert masked_loss(confident, seq, plan) == pytest.approx(0.0, abs=1e-9)
 
     # uniform doubt over four candidates costs ln 4
     uniform4 = zeroed_params(config)
     bias = np.full(len(vocab), -40.0)
     bias[[1, 5, 6, 7]] = 0.0
-    uniform4.tensors["mlm_head.bias"] = bias
-    assert objectives.mlm_loss(uniform4, seq, plan) == pytest.approx(np.log(4.0), abs=1e-9)
+    uniform4["mlm_head.bias"][...] = bias
+    assert masked_loss(uniform4, seq, plan) == pytest.approx(np.log(4.0), abs=1e-9)
 
     # an undecided pair head costs ln 2 per pair
-    titles = {"0000000001": "alpha", "0000000002": "beta"}
     pairs = [TrainingPair("0000000001", "0000000002", 1),
              TrainingPair("0000000001", "0000000002", 0)]
     undecided = zeroed_params(config)
-    assert objectives.np_loss(undecided, pairs, titles, vocab) == pytest.approx(
-        2.0 * np.log(2.0), abs=1e-9
-    )
+    assert pair_loss(undecided, pairs) == pytest.approx(2.0 * np.log(2.0), abs=1e-9)
 
     # the masked loss sums position by position
     real = enc.init_params(config, seed=9)
@@ -153,16 +160,16 @@ def test_02_loss_formula_oracles():
     two = objectives.MaskingPlan((1, 3), (5, 7), (MASK_REPLACE, KEEP_REPLACE))
     first = objectives.MaskingPlan((1,), (5,), (MASK_REPLACE,))
     second = objectives.MaskingPlan((3,), (7,), (KEEP_REPLACE,))
-    assert objectives.mlm_loss(real, masked, two) == pytest.approx(
-        objectives.mlm_loss(real, masked, first) + objectives.mlm_loss(real, masked, second),
+    assert masked_loss(real, masked, two) == pytest.approx(
+        masked_loss(real, masked, first) + masked_loss(real, masked, second),
         abs=1e-9,
     )
 
     # saturated pair logits keep the loss finite
     saturated = zeroed_params(config)
     for sign in (1000.0, -1000.0):
-        saturated.tensors["np_head.bias"] = np.array([sign])
-        loss = objectives.np_loss(saturated, pairs, titles, vocab)
+        saturated["np_head.bias"][...] = np.array([sign])
+        loss = pair_loss(saturated, pairs)
         assert np.isfinite(loss)
         assert np.isfinite(objectives.joint_loss(loss, loss))
 

@@ -1,6 +1,8 @@
 import csv
+import ctypes
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -236,6 +238,25 @@ class TestTrain:
         ) == 0
         assert trained == [2, 2]
         assert sum(encoded) == sum(trained)
+
+    def test_three_arenas_whatever_the_step_count(self, pipeline, tmp_path, monkeypatch):
+        # two Adam moments and one gradient arena reused by every step
+        real = enc.zero_grads
+        calls = []
+
+        def counting(params):
+            calls.append(1)
+            return real(params)
+
+        monkeypatch.setattr(enc, "zero_grads", counting)
+        for steps in ("1", "6"):
+            calls.clear()
+            clone = fresh_copy(pipeline, tmp_path / steps)
+            flags = ["--epochs", "4", "--max-steps", steps]
+            assert run_cli("train", *clone["base"][:-4], *flags) == 0
+            assert len(calls) == 3, steps
+        log = (clone["workdir"] / cli.LOSS_LOG_FILE).read_text().splitlines()
+        assert len(log) == 1 + 6
 
     def test_zero_epochs_checkpoints_seed_init(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
@@ -519,6 +540,61 @@ class TestEvaluate:
         rc = run_cli("evaluate", "--workdir", workdir)
         assert rc == 1
         assert "error: MissingArtifactError" in capsys.readouterr().err
+
+
+class MallInfo2(ctypes.Structure):
+    """glibc's ``struct mallinfo2``."""
+
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                     "fsmblks", "uordblks", "fordblks", "keepcost")
+    ]
+
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+
+
+class TestHeapPin:
+    @glibc_only
+    def test_both_thresholds_accepted(self):
+        # mallopt returns 1 on success and 0 for a value it refuses
+        assert cli.pin_heap_thresholds() == (1, 1)
+
+    @glibc_only
+    def test_pinned_thresholds_take_effect(self):
+        libc = ctypes.CDLL(None)
+        if not hasattr(libc, "mallinfo2"):
+            pytest.skip("mallinfo2 needs glibc 2.33")
+        libc.mallinfo2.restype = MallInfo2
+        libc.malloc.argtypes = (ctypes.c_size_t,)
+        libc.malloc.restype = ctypes.c_void_p
+        libc.free.argtypes = (ctypes.c_void_p,)
+        cli.pin_heap_thresholds()
+        mib = 1 << 20
+
+        def mapped_blocks_while_holding(size):
+            block = libc.malloc(size)
+            assert block
+            try:
+                return libc.mallinfo2().hblks
+            finally:
+                libc.free(block)
+
+        before = libc.mallinfo2().hblks
+        # the mmap threshold is 32 MiB: a block above it gets its own mapping
+        assert mapped_blocks_while_holding(33 * mib) == before + 1
+        assert mapped_blocks_while_holding(31 * mib) == before
+        # the 31 MiB freed at the top of the heap stay there: below the trim threshold
+        assert libc.mallinfo2().keepcost >= 31 * mib
+
+    def test_libc_without_mallopt_is_a_no_op(self, pipeline, tmp_path, monkeypatch):
+        opened = []
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or object())
+        assert cli.pin_heap_thresholds() == ()
+        clone = fresh_copy(pipeline, tmp_path)
+        assert run_cli("evaluate", *clone["base"]) == 0
+        assert opened == [None, None]  # the command tried to pin, then ran
 
 
 class TestWorkdirLock:

@@ -85,6 +85,87 @@ class TestInitParams:
         assert all(np.isfinite(t).all() for t in tiny_params.tensors.values())
 
 
+def assert_arena_layout(params):
+    """Every tensor is a view of ``params.flat``, back to back in name order."""
+    offset = 0
+    for name in params.names():
+        tensor = params[name]
+        assert np.shares_memory(tensor, params.flat), name
+        assert tensor.__array_interface__["data"][0] == (
+            params.flat.__array_interface__["data"][0] + offset * 8
+        ), name
+        offset += tensor.size
+    assert offset == params.flat.size
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+
+
+class TestParameterArena:
+    def test_init_lays_tensors_out_in_parameter_shapes_order(self, tiny_config, tiny_params):
+        assert tiny_params.names() == list(enc.parameter_shapes(tiny_config))
+        assert_arena_layout(tiny_params)
+        assert_arena_layout(enc.zero_grads(tiny_params))
+        assert_arena_layout(tiny_params.copy())
+
+    def test_init_draws_as_one_tensor_at_a_time(self, tiny_config, tiny_params):
+        # the arena is filled in the order and with the values of a per-tensor init
+        rng = np.random.default_rng(3)
+        for name, shape in enc.parameter_shapes(tiny_config).items():
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf == "gain":
+                expected = np.ones(shape)
+            elif leaf in ("bias", "b_q", "b_k", "b_v", "b_o", "b1", "b2"):
+                expected = np.zeros(shape)
+            else:
+                expected = rng.normal(0.0, enc.INIT_SCALE, size=shape)
+            assert np.array_equal(tiny_params[name], expected), name
+
+    def test_tensors_cannot_be_rebound(self, tiny_params):
+        replacement = np.zeros_like(tiny_params["np_head.bias"])
+        with pytest.raises(TypeError):
+            tiny_params.tensors["np_head.bias"] = replacement
+        with pytest.raises(TypeError):
+            tiny_params["np_head.bias"] = replacement
+        with pytest.raises(TypeError):
+            del tiny_params.tensors["np_head.bias"]
+
+    def test_in_place_write_reaches_the_arena(self, tiny_params):
+        tiny_params["np_head.bias"][...] = 7.0
+        assert tiny_params.flat[-1] == 7.0
+        assert tiny_params.copy()["np_head.bias"][0] == 7.0
+
+    def test_copy_is_independent(self, tiny_params):
+        clone = tiny_params.copy()
+        assert clone.names() == tiny_params.names()
+        assert np.array_equal(clone.flat, tiny_params.flat)
+        assert not np.shares_memory(clone.flat, tiny_params.flat)
+        before = tiny_params.flat.copy()
+        clone["layer0.ffn.w1"][...] = 1.0
+        assert np.array_equal(tiny_params.flat, before)
+        tiny_params["token_embedding"][...] = 0.0
+        assert np.all(clone["token_embedding"] != 0.0)
+
+    def test_dict_built_params_copy_their_source(self, tiny_config):
+        source = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([5.0]), "s": 2.5}
+        params = enc.EncoderParams(tiny_config, source)
+        assert params.names() == ["w", "b", "s"]
+        assert params["s"].shape == ()
+        assert np.array_equal(params.flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 2.5])
+        assert_arena_layout(params)
+        source["w"][0, 0] = 99.0
+        params["b"][...] = -1.0
+        assert params["w"][0, 0] == 0.0
+        assert source["b"][0] == 5.0
+
+    def test_loaded_checkpoint_is_an_arena(self, tiny_params, tmp_path):
+        path = tmp_path / "model.bin"
+        enc.save_checkpoint(tiny_params, path)
+        loaded = enc.load_checkpoint(path)
+        assert_arena_layout(loaded)
+        assert np.array_equal(loaded.flat, tiny_params.flat)
+        loaded["token_embedding"][...] = 0.0  # writable, not a view of the file bytes
+        assert np.all(tiny_params["token_embedding"] != 0.0)
+
+
 class TestForward:
     def test_output_shapes(self, tiny_config, tiny_params, tiny_seq):
         # a single sequence runs as a 1-row batch
@@ -216,7 +297,7 @@ class TestHeads:
         # logits [0,0,0,ln 3] -> [1/6, 1/6, 1/6, 1/2]
         config = enc.EncoderConfig(vocab_size=4, d_model=8, n_heads=2, n_layers=1, d_ff=8, max_len=5)
         params = zeroed_params(config)
-        params.tensors["mlm_head.bias"] = np.array([0.0, 0.0, 0.0, math.log(3.0)])
+        params["mlm_head.bias"][...] = np.array([0.0, 0.0, 0.0, math.log(3.0)])
         seq = TokenSequence(ids=(2, 1, 3, 0, 0), segments=(0,) * 5, attn_mask=(1, 1, 1, 0, 0))
         dist = self.mlm_probabilities(params, enc.forward(params, seq), 0)
         assert np.allclose(dist, [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-12)
@@ -234,7 +315,7 @@ class TestHeads:
 
     def test_np_probability_hand_evaluated_sigmoid(self, tiny_config, tiny_seq):
         params = zeroed_params(tiny_config)
-        params.tensors["np_head.bias"] = np.array([math.log(3.0)])
+        params["np_head.bias"][...] = np.array([math.log(3.0)])
         prob = self.pair_probability(params, enc.forward(params, tiny_seq))
         assert abs(prob - 0.75) < 1e-12
 
@@ -243,14 +324,14 @@ class TestHeads:
         # inf and give exactly 0, not raise or return nan
         params = zeroed_params(tiny_config)
         for logit in (-1e300, -1000.0, -745.0, -710.0, -30.0, 0.0, 30.0, 710.0, 1000.0, 1e300):
-            params.tensors["np_head.bias"] = np.array([logit])
+            params["np_head.bias"][...] = np.array([logit])
             trace = enc.forward(params, tiny_seq)
             for label in (0, 1):
                 mlm, pair, grads = enc.loss_and_grads(params, trace, [], np_labels=label)
                 assert mlm == 0.0 and np.isfinite(pair)
-                assert all(np.isfinite(g).all() for g in grads.values())
+                assert all(np.isfinite(g).all() for g in grads.tensors.values())
                 assert -1.0 <= grads["np_head.bias"][0] <= 1.0
-        params.tensors["np_head.bias"] = np.array([-710.0])
+        params["np_head.bias"][...] = np.array([-710.0])
         assert self.pair_probability(params, enc.forward(params, tiny_seq)) == 0.0
 
 
@@ -263,8 +344,8 @@ class TestBackwardContract:
     def test_no_targets_gives_zero_grads(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
         _, _, grads = enc.loss_and_grads(tiny_params, trace, [], np_labels=None)
-        assert set(grads) == set(tiny_params.names())
-        for g in grads.values():
+        assert grads.names() == tiny_params.names()
+        for g in grads.tensors.values():
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_grad_shapes_mirror_params(self, tiny_params, tiny_seq):
@@ -286,7 +367,7 @@ class TestBackwardContract:
         targets = [(1, 5), (2, 9)]
         first = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, tiny_seq), targets, 1)[2]
         second = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, tiny_seq), targets, 1)[2]
-        for name in first:
+        for name in first.names():
             assert np.array_equal(first[name], second[name])
 
 
@@ -417,7 +498,7 @@ class TestBatchedForward:
         a = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, tiny_seq), [(1, 5)], 1)
         b = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, batch), [(0, 1, 5)], [1])
         assert a[:2] == b[:2]
-        for name in a[2]:
+        for name in a[2].names():
             assert np.array_equal(a[2][name], b[2][name])
 
 

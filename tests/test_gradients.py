@@ -107,7 +107,7 @@ class TestFullGraphFiniteDifference:
             # non-trivial biases so their gradients are not trivially zero
             for name in params.names():
                 if params[name].ndim == 1:
-                    params.tensors[name] = params[name] + rng.normal(0.0, 0.05, params[name].shape)
+                    params[name][...] = params[name] + rng.normal(0.0, 0.05, params[name].shape)
             seq = random_sequence(config, rng)
             targets = random_targets(config, seq, rng)
             np_label = int(rng.integers(0, 2))
@@ -147,7 +147,7 @@ class TestFullGraphFiniteDifference:
         _, _, full = enc.loss_and_grads(tiny_params, trace, targets, 1, mlm_scale=1.0, np_scale=1.0)
         trace = enc.forward(tiny_params, tiny_seq)
         _, _, half = enc.loss_and_grads(tiny_params, trace, targets, 1, mlm_scale=0.5, np_scale=0.5)
-        for name in full:
+        for name in full.names():
             assert np.allclose(half[name], 0.5 * full[name], rtol=1e-12, atol=0.0)
 
 
@@ -221,7 +221,7 @@ def assert_close_rel(actual, expected, rel=1e-12, abs_floor=1e-18):
     The floor covers tensors that are zero up to rounding: the key bias's
     gradient vanishes analytically (softmax ignores a per-query shift).
     """
-    for name in expected:
+    for name in actual.names():
         scale = np.abs(expected[name]).max()
         assert np.abs(actual[name] - expected[name]).max() <= rel * scale + abs_floor, name
 
@@ -236,7 +236,7 @@ def batch_params(batch_config):
     rng = np.random.default_rng(8)
     params = enc.init_params(batch_config, seed=8)
     for name in params.names():
-        params.tensors[name] = params[name] + rng.normal(0.0, 0.05, params[name].shape)
+        params[name][...] = params[name] + rng.normal(0.0, 0.05, params[name].shape)
     return params
 
 
@@ -309,7 +309,7 @@ class TestBatchedPath:
         second = enc.loss_and_grads(
             batch_params, enc.forward(batch_params, tail), [], labels[2:]
         )[2]
-        expected = {name: first[name] + second[name] for name in first}
+        expected = {name: first[name] + second[name] for name in first.names()}
         _, _, total = enc.loss_and_grads(
             batch_params, enc.forward(batch_params, tail), [], labels[2:], into=first
         )
@@ -330,7 +330,7 @@ class TestBatchedPath:
         assert np.all(narrow[2]["position_embedding"][9:] == 0.0)
         # a narrow pass adds into the gradients of a full-width one
         first = enc.loss_and_grads(batch_params, enc.forward(batch_params, batch), [], labels)[2]
-        expected = {name: first[name] + narrow[2][name] for name in first}
+        expected = {name: first[name] + narrow[2][name] for name in first.names()}
         _, _, total = enc.loss_and_grads(
             batch_params, enc.forward(batch_params, batch[:, :9]), targets, labels, into=first
         )

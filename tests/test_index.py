@@ -149,7 +149,7 @@ def ragged_world():
     params = enc.init_params(config, seed=4)
     rng = np.random.default_rng(4)
     for name in params.names():
-        params.tensors[name] = params[name] + rng.normal(0.0, 0.3, params[name].shape)
+        params[name][...] = params[name] + rng.normal(0.0, 0.3, params[name].shape)
     return articles, vocab, params
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date
 from fractions import Fraction
 
@@ -212,7 +213,8 @@ class TestSamplePairs:
 
 class TestAnalyticLosses:
     """Head biases on a zero-activation encoder pin the output distribution,
-    so each loss value has a hand-computable oracle."""
+    so each loss value of ``forward`` plus ``sequence_loss`` has a
+    hand-computable oracle."""
 
     def rig(self, vocab_size=8, max_len=6):
         config = enc.EncoderConfig(
@@ -227,31 +229,44 @@ class TestAnalyticLosses:
             attn_mask=(1, 1, 1, 1, 0, 0)[:max_len],
         )
 
+    @staticmethod
+    def masked_loss(params, seq, plan):
+        """Summed NLL of the plan's labels at its positions."""
+        trace = enc.forward(params, seq, record=False)
+        return enc.sequence_loss(params, trace, plan.targets(), None)[0]
+
+    @staticmethod
+    def pair_loss(params, pairs, titles, vocab):
+        """Summed pair BCE of a batch of training pairs, in one pass."""
+        encoded = obj.encode_training_pairs(pairs, titles, vocab, params.config.max_len)
+        trace = enc.forward(params, encoded.tokens, record=False)
+        return enc.sequence_loss(params, trace, [], encoded.labels)[1]
+
     def test_mlm_loss_zero_when_label_certain(self):
         params = self.rig()
         label = 5
         bias = np.zeros(8)
         bias[label] = 60.0
-        params.tensors["mlm_head.bias"] = bias
+        params["mlm_head.bias"][...] = bias
         plan = obj.MaskingPlan((1,), (label,), (obj.MASK_REPLACE,))
-        assert obj.mlm_loss(params, self.seq(), plan) <= 1e-9
+        assert self.masked_loss(params, self.seq(), plan) <= 1e-9
 
     def test_mlm_loss_uniform_four_way(self):
         params = self.rig()
         bias = np.full(8, -40.0)
         bias[:4] = 0.0
-        params.tensors["mlm_head.bias"] = bias
+        params["mlm_head.bias"][...] = bias
         plan = obj.MaskingPlan((1,), (2,), (obj.MASK_REPLACE,))
-        assert abs(obj.mlm_loss(params, self.seq(), plan) - math.log(4.0)) < 1e-9
+        assert abs(self.masked_loss(params, self.seq(), plan) - math.log(4.0)) < 1e-9
 
     def test_mlm_loss_two_positions_prob_inv_e(self):
         params = self.rig()
         bias = np.full(8, -40.0)
         bias[5] = 0.0
         bias[6] = math.log(math.e - 1.0)
-        params.tensors["mlm_head.bias"] = bias
+        params["mlm_head.bias"][...] = bias
         plan = obj.MaskingPlan((1, 2), (5, 5), (obj.MASK_REPLACE, obj.MASK_REPLACE))
-        assert abs(obj.mlm_loss(params, self.seq(), plan) - 2.0) < 1e-9
+        assert abs(self.masked_loss(params, self.seq(), plan) - 2.0) < 1e-9
 
     def test_mlm_loss_additive_over_positions(self):
         params = enc.init_params(
@@ -260,22 +275,26 @@ class TestAnalyticLosses:
         )
         seq = self.seq()
         lone = [
-            obj.mlm_loss(params, seq, obj.MaskingPlan((p,), (l,), (obj.MASK_REPLACE,)))
+            self.masked_loss(params, seq, obj.MaskingPlan((p,), (l,), (obj.MASK_REPLACE,)))
             for p, l in ((1, 5), (2, 7))
         ]
-        both = obj.mlm_loss(
+        both = self.masked_loss(
             params, seq, obj.MaskingPlan((1, 2), (5, 7), (obj.MASK_REPLACE,) * 2)
         )
         assert abs(both - sum(lone)) < 1e-9
 
     def test_mlm_loss_empty_plan(self):
+        # a plan without positions adds nothing to the sum, and training refuses it
+        params = self.rig()
+        empty = obj.MaskingPlan((), (), ())
+        assert self.masked_loss(params, self.seq(), empty) == 0.0
         with pytest.raises(EmptyPlanError):
-            obj.mlm_loss(self.rig(), self.seq(), obj.MaskingPlan((), (), ()))
+            obj.train_step(params, obj.init_optimizer(params), [(self.seq(), empty)], [])
 
     def np_fixture(self, bias):
         vocab, words = make_vocab()
         params = self.rig(vocab_size=len(vocab), max_len=8)
-        params.tensors["np_head.bias"] = np.array([bias])
+        params["np_head.bias"][...] = np.array([bias])
         titles = {"0000000001": "w00 w01", "0000000002": "w02", "0000000003": "w03 w04"}
         return params, titles, vocab
 
@@ -285,13 +304,13 @@ class TestAnalyticLosses:
             obj.TrainingPair("0000000001", "0000000002", 1),
             obj.TrainingPair("0000000001", "0000000003", 0),
         ]
-        loss = obj.np_loss(params, pairs, titles, vocab)
+        loss = self.pair_loss(params, pairs, titles, vocab)
         assert abs(loss - 2.0 * math.log(2.0)) < 1e-9
 
     def test_np_loss_single_positive_quarter(self):
         params, titles, vocab = self.np_fixture(-math.log(3.0))
         pairs = [obj.TrainingPair("0000000001", "0000000002", 1)]
-        loss = obj.np_loss(params, pairs, titles, vocab)
+        loss = self.pair_loss(params, pairs, titles, vocab)
         assert abs(loss - math.log(4.0)) < 1e-9
 
     def test_np_loss_saturated_logits_stay_finite(self):
@@ -301,17 +320,19 @@ class TestAnalyticLosses:
                 obj.TrainingPair("0000000001", "0000000002", 1),
                 obj.TrainingPair("0000000001", "0000000003", 0),
             ]
-            assert np.isfinite(obj.np_loss(params, pairs, titles, vocab))
+            assert np.isfinite(self.pair_loss(params, pairs, titles, vocab))
 
     def test_np_loss_unknown_article(self):
         params, titles, vocab = self.np_fixture(0.0)
         with pytest.raises(UnknownArticleError):
-            obj.np_loss(params, [obj.TrainingPair("0000000001", "0000000099", 1)], titles, vocab)
+            self.pair_loss(
+                params, [obj.TrainingPair("0000000001", "0000000099", 1)], titles, vocab
+            )
 
     def test_np_loss_empty_batch(self):
         params, titles, vocab = self.np_fixture(0.0)
         with pytest.raises(EmptyBatchError):
-            obj.np_loss(params, [], titles, vocab)
+            self.pair_loss(params, [], titles, vocab)
 
 
 class TestJointLoss:
@@ -346,7 +367,7 @@ class TestOptimizer:
         config = enc.EncoderConfig(vocab_size=5, d_model=2, n_heads=1, n_layers=1, d_ff=2, max_len=5)
         params = enc.EncoderParams(config, {"w": np.array([1.0])})
         state = obj.init_optimizer(params, learning_rate=0.1)
-        obj.adam_update(params, state, {"w": np.array([0.5])})
+        obj.adam_update(params, state, enc.EncoderParams(config, {"w": np.array([0.5])}))
         # bias-corrected moments after one step are exactly the raw gradient
         m_hat, v_hat = 0.5, 0.25
         expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
@@ -359,7 +380,7 @@ class TestOptimizer:
         state = obj.init_optimizer(params, learning_rate=0.05)
         w, m, v = 0.3, 0.0, 0.0
         for step, grad in enumerate((0.5, -0.2), start=1):
-            obj.adam_update(params, state, {"w": np.array([grad])})
+            obj.adam_update(params, state, enc.EncoderParams(config, {"w": np.array([grad])}))
             m = 0.9 * m + 0.1 * grad
             v = 0.999 * v + 0.001 * grad * grad
             m_hat = m / (1.0 - 0.9**step)
@@ -367,6 +388,101 @@ class TestOptimizer:
             w -= 0.05 * m_hat / (math.sqrt(v_hat) + 1e-8)
         assert params["w"][0] == pytest.approx(w, rel=1e-12)
         assert state.step == 2
+
+
+def reference_adam(tensors, first, second, grads, step, lr, beta1, beta2, eps):
+    """The per-tensor Adam step, one tensor at a time, as plain numpy."""
+    correction1 = 1.0 - beta1**step
+    correction2 = 1.0 - beta2**step
+    for name, grad in grads.items():
+        m, v = first[name], second[name]
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        tensors[name] -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+
+
+def assert_same_doubles(actual, expected):
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestArenaAdam:
+    def test_matches_per_tensor_reference_bit_for_bit(self, tiny_params):
+        params = tiny_params.copy()
+        state = obj.init_optimizer(params, learning_rate=3e-3)
+        tensors = {name: t.copy() for name, t in tiny_params.tensors.items()}
+        first = {name: np.zeros_like(t) for name, t in tensors.items()}
+        second = {name: np.zeros_like(t) for name, t in tensors.items()}
+        rng = np.random.default_rng(11)
+        extremes = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
+        for step in range(1, 6):
+            grads = enc.zero_grads(params)
+            grads.flat[...] = rng.normal(0.0, 0.1, grads.flat.size)
+            slots = rng.choice(grads.flat.size, size=len(extremes), replace=False)
+            grads.flat[slots] = extremes
+            reference = {name: g.copy() for name, g in grads.tensors.items()}
+            with np.errstate(over="ignore", invalid="ignore"):
+                obj.adam_update(params, state, grads)
+                reference_adam(tensors, first, second, reference, step,
+                               3e-3, state.beta1, state.beta2, state.epsilon)
+            assert state.step == step
+            for name in params.names():
+                assert_same_doubles(params[name], tensors[name])
+                assert_same_doubles(state.first_moment[name], first[name])
+                assert_same_doubles(state.second_moment[name], second[name])
+
+    def test_update_allocates_no_temporaries(self):
+        # the planted workload's model: d_model 32, d_ff 64, max_len 16, 249 words
+        config = enc.EncoderConfig(
+            vocab_size=249, d_model=32, n_heads=4, n_layers=2, d_ff=64, max_len=16
+        )
+        params = enc.init_params(config, seed=0)
+        state = obj.init_optimizer(params)
+        rng = np.random.default_rng(5)
+        state.grads.flat[...] = rng.normal(0.0, 0.1, params.flat.size)
+        obj.adam_update(params, state, state.grads)  # warm-up
+        state.grads.flat[...] = rng.normal(0.0, 0.1, params.flat.size)
+        tracemalloc.start()
+        try:
+            obj.adam_update(params, state, state.grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * params.flat.nbytes, (peak, params.flat.nbytes)
+
+    def test_train_step_reuses_one_gradient_arena(self, tiny_params, tiny_seq, monkeypatch):
+        state = obj.init_optimizer(tiny_params)
+        arena = state.grads.flat
+        seen = []
+        real = obj.adam_update
+
+        def spy(params, state, grads):
+            seen.append(grads)
+            real(params, state, grads)
+
+        monkeypatch.setattr(obj, "adam_update", spy)
+        plan = obj.MaskingPlan((1,), (5,), (obj.MASK_REPLACE,))
+        for _ in range(3):
+            obj.train_step(tiny_params, state, [(tiny_seq, plan)], [])
+        assert all(grads is state.grads for grads in seen) and len(seen) == 3
+        assert state.grads.flat is arena
+
+    def test_each_step_starts_from_zero_gradients(self, tiny_params, tiny_seq):
+        # whatever the arena holds before a step (adam_update leaves its
+        # denominator there) must not reach that step's update
+        plan = obj.MaskingPlan((1, 3), (5, 7), (obj.MASK_REPLACE,) * 2)
+        runs = []
+        for junk in (None, np.nan):
+            params = tiny_params.copy()
+            state = obj.init_optimizer(params)
+            for _ in range(2):
+                if junk is not None:
+                    state.grads.flat.fill(junk)
+                obj.train_step(params, state, [(tiny_seq, plan)], [])
+            runs.append(params.flat)
+        assert np.array_equal(runs[0], runs[1])
 
 
 def tiny_training_world(seed=6):
