@@ -71,10 +71,6 @@ class SessionGroup:
     t_dat: date
     article_ids: tuple[str, ...]
 
-    @property
-    def session_key(self) -> tuple[str, date]:
-        return (self.customer_id, self.t_dat)
-
 
 def _read_table(path: str | Path, required: tuple[str, ...]) -> tuple[dict[str, int], list[list[str]]]:
     """Read a CSV file and check the header names ``required`` columns."""

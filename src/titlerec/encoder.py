@@ -40,6 +40,23 @@ pair term), so one pass may mix masked titles and title pairs.
 ``loss_and_grads`` returns the summed losses of the pass and the summed
 gradients of all its rows.
 
+The heads read only the masked targets and the CLS state of pair rows, so
+a training pass may run its last layer at those positions only:
+``read_positions`` lists each row's reads, padded to the pass's largest
+count m with the row's lowest unread positions, and ``forward(reads=)``
+runs the last layer's queries, attention rows, output projection, layer
+norms and feed-forward block over B x m positions, with keys and values
+over all T. The losses and every gradient stay bit-identical to the full
+pass under two rules. m is at least 2: a product over one row per batch
+row is a matrix-vector product, which BLAS rounds differently. And the
+backward products by a transposed weight (``d @ W.T``: feed-forward
+``w2`` and ``w1``, attention ``w_o`` and ``w_q``) run at full width with
+zeros at the unread positions, and the read rows are gathered from the
+result: BLAS picks its kernel by size, and over 2 to 8 rows it rounds some
+shapes differently from the full-width product. Dropout masks are drawn
+at full width and gathered, so the random stream does not move. The loss
+functions refuse a target or pair CLS outside a trace's reads.
+
 Parameters. ``EncoderParams`` holds every tensor as a reshaped view of
 one contiguous float64 buffer, ``flat``, laid out back to back in
 ``parameter_shapes`` order (the checkpoint's order too). Gradients and the
@@ -84,6 +101,7 @@ from .errors import (
     NoRecordedForwardError,
     PositionOutOfRangeError,
     ShapeMismatchError,
+    UnreadPositionError,
 )
 from .tokenizer import TokenBatch, TokenSequence
 
@@ -180,10 +198,13 @@ class EncoderParams:
 @dataclass
 class ForwardTrace:
     """Hidden states (B, T, d) of one forward pass, plus the cache the
-    backward pass needs when the pass was recorded."""
+    backward pass needs when the pass was recorded. ``reads`` holds the
+    (B, m) positions the last layer computed when the pass was cut to
+    them (see ``read_positions``); its hidden states are zero elsewhere."""
 
     hidden_states: np.ndarray
     cache: dict | None = field(default=None, repr=False)
+    reads: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def pooled_cls(self) -> np.ndarray:
@@ -379,27 +400,54 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
     """d gelu / dx; pass the forward's ``gelu_cdf(x)`` to skip recomputing it."""
     if cdf is None:
         cdf = gelu_cdf(x)
-    pdf = np.exp(-0.5 * x * x) / _SQRT_2PI
-    return cdf + x * pdf
+    # cdf + x pdf(x), pdf(x) = exp(-0.5 x x) / sqrt(2 pi), built in one buffer
+    grad = -0.5 * x
+    grad *= x
+    np.exp(grad, out=grad)
+    grad /= _SQRT_2PI
+    grad *= x
+    grad += cdf
+    return grad
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
-    """Per-position normalization. Returns (out, x_hat, inv_std) for backward."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    """Per-position normalization. Returns (out, x_hat, inv_std) for backward.
+
+    A mean is ``np.add.reduce`` over the width divided by the width, the
+    sum and division ``ndarray.mean`` makes, without its Python wrapper.
+    """
+    width = x.shape[-1]
+    x_hat = x - np.add.reduce(x, axis=-1, keepdims=True) / width
+    var = np.add.reduce(x_hat * x_hat, axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv
-    return gain * x_hat + bias, x_hat, inv
+    x_hat *= inv
+    out = x_hat * gain
+    out += bias
+    return out, x_hat, inv
 
 
 def layer_norm_backward(d_out, x_hat, inv, gain):
     """Gradients of layer_norm: returns (d_x, d_gain, d_bias)."""
-    d_hat = d_out * gain
-    m1 = d_hat.mean(axis=-1, keepdims=True)
-    m2 = (d_hat * x_hat).mean(axis=-1, keepdims=True)
-    d_x = inv * (d_hat - m1 - x_hat * m2)
+    width = x_hat.shape[-1]
+    d_x = d_out * gain
+    m1 = np.add.reduce(d_x, axis=-1, keepdims=True) / width
+    m2 = np.add.reduce(d_x * x_hat, axis=-1, keepdims=True) / width
+    # inv * (d_hat - m1 - x_hat * m2), in place
+    d_x -= m1
+    d_x -= x_hat * m2
+    d_x *= inv
     return d_x, _rows(d_out * x_hat).sum(axis=0), _rows(d_out).sum(axis=0)
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Max over the last axis, kept as an axis of 1.
+
+    The rows are copied to columns and reduced across them: on rows of a
+    few dozen values that beats ``ndarray.max``, and a max is exact in any
+    order.
+    """
+    columns = np.ascontiguousarray(_rows(x).T)
+    return np.maximum.reduce(columns, axis=0).reshape(x.shape[:-1] + (1,))
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -424,18 +472,98 @@ def _as_batch(rows: TokenBatch | TokenSequence) -> TokenBatch:
     return rows
 
 
+def read_positions(targets, np_labels, width: int) -> np.ndarray | None:
+    """The positions of each row the loss heads read, for ``forward(reads=)``.
+
+    ``targets`` are (row, position, label) triples and ``np_labels`` holds
+    one pair label per row (-1 for none), as for ``loss_and_grads``.
+    Returns a (B, m) array of each row's sorted, distinct positions: its
+    masked-token targets, plus position 0 for a pair row. A row that needs
+    fewer than m is padded with its lowest unread positions, whose
+    gradient is zero. m is the most positions any row needs, but at least
+    2 (see *Batches*); when m reaches ``width`` the result is None, meaning
+    every position.
+    """
+    labels = np.atleast_1d(np.asarray(np_labels, dtype=np.int64))
+    targets = _mlm_targets(targets, len(labels), width)
+    need = np.zeros((len(labels), width), dtype=bool)
+    need[targets[:, 0], targets[:, 1]] = True
+    need[labels >= 0, 0] = True
+    m = max(2, int(need.sum(axis=1).max(initial=0)))
+    if m >= width:
+        return None
+    # a stable sort puts each row's needed positions first, in order
+    return np.sort(np.argsort(~need, axis=1, kind="stable")[:, :m], axis=1)
+
+
+def _read_picks(reads, n_rows: int, width: int) -> np.ndarray:
+    """(B, m) indices into ``_rows`` of a (B, width, n) array: each row's
+    reads, after checking they are distinct, sorted and in range."""
+    if (
+        reads.ndim != 2
+        or reads.shape[0] != n_rows
+        or not 2 <= reads.shape[1] <= width
+        or not np.issubdtype(reads.dtype, np.integer)
+    ):
+        raise ShapeMismatchError(
+            f"reads must be ({n_rows}, m) integer positions with 2 <= m <= {width}"
+        )
+    if n_rows and (
+        reads[:, 0].min() < 0 or reads[:, -1].max() >= width or (np.diff(reads, axis=1) <= 0).any()
+    ):
+        raise PositionOutOfRangeError(
+            f"each row's reads must be sorted, distinct positions in [0, {width})"
+        )
+    return np.arange(n_rows)[:, None] * width + reads
+
+
+def _gather(x: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """(B, T, n) -> (B, m, n): the rows of ``_rows(x)`` that ``picks`` names."""
+    return _rows(x)[picks]
+
+
+def _scatter(x: np.ndarray, picks: np.ndarray, width: int) -> np.ndarray:
+    """(B, m, n) -> (B, width, n): ``x`` at its picks, zero everywhere else."""
+    b, _, n = x.shape
+    out = np.zeros((b * width, n))
+    out[picks] = x
+    return out.reshape(b, width, n)
+
+
+def _times_transposed(d: np.ndarray, weight: np.ndarray, picks, width: int) -> np.ndarray:
+    """``d @ weight.T``. With ``picks``, ``d`` holds read positions only and
+    the product still runs at full width (zeros elsewhere) and is gathered
+    back, so each row is rounded as in the full pass (see *Batches*)."""
+    if picks is None:
+        return d @ weight.T
+    return _gather(_scatter(d, picks, width) @ weight.T, picks)
+
+
+def _dropout_mask(rng, shape, rate: float, picks) -> np.ndarray:
+    """A full-width keep mask scaled by 1/(1-rate), gathered to ``picks`` if
+    given: the draw is the same either way."""
+    keep = rng.random(shape) >= rate
+    if picks is not None:
+        keep = _gather(keep, picks)
+    return keep / (1.0 - rate)
+
+
 def forward(
     params: EncoderParams,
     rows: TokenBatch | TokenSequence,
     record: bool = True,
     rng: np.random.Generator | None = None,
+    reads: np.ndarray | None = None,
 ) -> ForwardTrace:
     """Run the encoder over a batch of rows of one width, 1 to ``max_len``.
 
     With ``record`` the trace keeps every intermediate needed by
     ``loss_and_grads``; embedding-only callers switch it off. Dropout is
     applied only when both ``rng`` is given and the config rate is nonzero,
-    so inference is deterministic by default.
+    so inference is deterministic by default. ``reads`` (from
+    ``read_positions``) cuts the last layer's per-position work to each
+    row's read positions; its keys and values still cover every position,
+    and its hidden states are zero at the others.
     """
     c = params.config
     batch = _as_batch(rows)
@@ -445,6 +573,10 @@ def forward(
     ids = batch.ids
     if ids.size and (ids.min() < 0 or ids.max() >= c.vocab_size):
         raise ShapeMismatchError(f"token ids must lie in [0, {c.vocab_size})")
+    picks = None
+    if reads is not None:
+        reads = np.asarray(reads)
+        picks = _read_picks(reads, len(batch), width)
     segments = batch.segments
     # (B, 1, 1, T): broadcast over heads and query positions
     pad_keys = ~batch.attn_mask.astype(bool)[:, None, None, :]
@@ -458,12 +590,15 @@ def forward(
     )
     cache: dict | None = None
     if record:
-        cache = {"ids": ids, "segments": segments, "layers": []}
+        cache = {"ids": ids, "segments": segments, "picks": picks, "layers": []}
 
     scale = 1.0 / np.sqrt(c.d_head)
     for i in range(c.n_layers):
         p = f"layer{i}"
-        q = _split_heads(x @ params[f"{p}.attn.w_q"] + params[f"{p}.attn.b_q"], c.n_heads)
+        # the last layer of a pass with reads runs its queries at them only
+        layer_picks = picks if i == c.n_layers - 1 else None
+        x_q = x if layer_picks is None else _gather(x, layer_picks)
+        q = _split_heads(x_q @ params[f"{p}.attn.w_q"] + params[f"{p}.attn.b_q"], c.n_heads)
         k = _split_heads(x @ params[f"{p}.attn.w_k"] + params[f"{p}.attn.b_k"], c.n_heads)
         v = _split_heads(x @ params[f"{p}.attn.w_v"] + params[f"{p}.attn.b_v"], c.n_heads)
         # softmax over keys, in place: scores become the attention weights
@@ -471,24 +606,24 @@ def forward(
         attn *= scale
         np.copyto(attn, -np.inf, where=pad_keys)
         # exp(-inf) underflows to exactly 0, so PAD keys get weight 0.0
-        attn -= attn.max(axis=-1, keepdims=True)
+        attn -= _row_max(attn)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(attn @ v)
         attn_out = ctx @ params[f"{p}.attn.w_o"] + params[f"{p}.attn.b_o"]
         drop1 = None
         if drop_rate > 0.0:
-            drop1 = (rng.random(attn_out.shape) >= drop_rate) / (1.0 - drop_rate)
+            drop1 = _dropout_mask(rng, x.shape, drop_rate, layer_picks)
             attn_out = attn_out * drop1
         ln1_out, ln1_hat, ln1_inv = layer_norm(
-            x + attn_out, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], c.layer_norm_epsilon
+            x_q + attn_out, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], c.layer_norm_epsilon
         )
         h1 = ln1_out @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]
         cdf = gelu_cdf(h1)
         ffn_out = (h1 * cdf) @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
         drop2 = None
         if drop_rate > 0.0:
-            drop2 = (rng.random(ffn_out.shape) >= drop_rate) / (1.0 - drop_rate)
+            drop2 = _dropout_mask(rng, x.shape, drop_rate, layer_picks)
             ffn_out = ffn_out * drop2
         ln2_out, ln2_hat, ln2_inv = layer_norm(
             ln1_out + ffn_out,
@@ -501,6 +636,7 @@ def forward(
             cache["layers"].append(
                 {
                     "x_in": x,
+                    "x_q": x_q,
                     "q": q,
                     "k": k,
                     "v": v,
@@ -518,7 +654,9 @@ def forward(
             )
         x = ln2_out
 
-    return ForwardTrace(hidden_states=x, cache=cache)
+    if picks is not None:
+        x = _scatter(x, picks, width)
+    return ForwardTrace(hidden_states=x, cache=cache, reads=reads)
 
 
 def _mlm_targets(targets, n_rows: int, max_len: int) -> np.ndarray:
@@ -553,16 +691,26 @@ def _pair_labels(np_labels, n_rows: int) -> np.ndarray:
     return arr
 
 
-def _head_terms(params: EncoderParams, h_final: np.ndarray, targets, np_labels):
+def _head_terms(params: EncoderParams, trace: ForwardTrace, targets, np_labels):
     """Both heads over a pass: summed losses plus what their gradients need.
 
     The masked-token term is the NLL of each target's softmax row; the pair
     term is log(1 + e^z) - label*z, the exact binary cross-entropy of
-    sigmoid(z), finite for any finite logit.
+    sigmoid(z), finite for any finite logit. A pass cut to its reads
+    refuses a target or pair CLS outside them.
     """
+    h_final = trace.hidden_states
     b, t, _ = h_final.shape
     targets = _mlm_targets(targets, b, t)
     labels = _pair_labels(np_labels, b)
+    pair_rows = np.flatnonzero(labels >= 0)
+    if trace.reads is not None:
+        readable = np.zeros((b, t), dtype=bool)
+        readable[np.arange(b)[:, None], trace.reads] = True
+        if not (readable[targets[:, 0], targets[:, 1]].all() and readable[pair_rows, 0].all()):
+            raise UnreadPositionError(
+                "a masked-token target or pair CLS lies outside the pass's read positions"
+            )
     h_mlm = h_final[targets[:, 0], targets[:, 1]]
     mlm_sum = 0.0
     probs = None
@@ -574,7 +722,6 @@ def _head_terms(params: EncoderParams, h_final: np.ndarray, targets, np_labels):
         picked = logits[np.arange(len(targets)), targets[:, 2]]
         mlm_sum = float(np.sum(m[:, 0] + np.log(total[:, 0]) - picked))
         probs = shifted / total
-    pair_rows = np.flatnonzero(labels >= 0)
     y = labels[pair_rows].astype(np.float64)
     h_cls = h_final[pair_rows, 0]
     z = h_cls @ params["np_head.weight"][:, 0] + params["np_head.bias"][0]
@@ -593,9 +740,10 @@ def sequence_loss(
     ``mlm_targets`` are (row, position, label) triples, or (position, label)
     pairs for a 1-row batch. ``np_labels`` holds one label per row (-1 for
     a row without a pair term); None means no pair terms, and a plain int
-    is accepted for a 1-row batch.
+    is accepted for a 1-row batch. A trace cut to its reads raises
+    ``UnreadPositionError`` for a target or pair CLS outside them.
     """
-    mlm_sum, np_sum, _ = _head_terms(params, trace.hidden_states, mlm_targets, np_labels)
+    mlm_sum, np_sum, _ = _head_terms(params, trace, mlm_targets, np_labels)
     return mlm_sum, np_sum
 
 
@@ -623,7 +771,7 @@ def loss_and_grads(
     c = params.config
     cache = trace.cache
     h_final = trace.hidden_states
-    mlm_sum, np_sum, heads = _head_terms(params, h_final, mlm_targets, np_labels)
+    mlm_sum, np_sum, heads = _head_terms(params, trace, mlm_targets, np_labels)
     targets, h_mlm, probs, pair_rows, y, h_cls, z = heads
     grads = zero_grads(params) if into is None else into
     if not len(targets) and not len(pair_rows):
@@ -649,10 +797,14 @@ def loss_and_grads(
     put("np_head.bias", d_z.sum())
     d_h[pair_rows, 0] += d_z[:, None] * w_np
 
+    width = h_final.shape[1]
     scale = 1.0 / np.sqrt(c.d_head)
     for i in reversed(range(c.n_layers)):
         p = f"layer{i}"
         lc = cache["layers"][i]
+        layer_picks = cache["picks"] if i == c.n_layers - 1 else None
+        if layer_picks is not None:
+            d_h = _gather(d_h, layer_picks)
         d_res2, d_gain, d_bias = layer_norm_backward(
             d_h, lc["ln2_hat"], lc["ln2_inv"], params[f"{p}.ln2.gain"]
         )
@@ -663,11 +815,12 @@ def loss_and_grads(
         h1, cdf = lc["h1"], lc["cdf"]
         put(f"{p}.ffn.w2", _rows(h1 * cdf).T @ _rows(d_ffn_out))
         put(f"{p}.ffn.b2", _rows(d_ffn_out).sum(axis=0))
-        d_h1 = (d_ffn_out @ params[f"{p}.ffn.w2"].T) * gelu_grad(h1, cdf)
+        d_h1 = _times_transposed(d_ffn_out, params[f"{p}.ffn.w2"], layer_picks, width)
+        d_h1 *= gelu_grad(h1, cdf)
         ln1_out = params[f"{p}.ln1.gain"] * lc["ln1_hat"] + params[f"{p}.ln1.bias"]
         put(f"{p}.ffn.w1", _rows(ln1_out).T @ _rows(d_h1))
         put(f"{p}.ffn.b1", _rows(d_h1).sum(axis=0))
-        d_ln1_out = d_res2 + d_h1 @ params[f"{p}.ffn.w1"].T
+        d_ln1_out = d_res2 + _times_transposed(d_h1, params[f"{p}.ffn.w1"], layer_picks, width)
 
         d_res1, d_gain, d_bias = layer_norm_backward(
             d_ln1_out, lc["ln1_hat"], lc["ln1_inv"], params[f"{p}.ln1.gain"]
@@ -678,7 +831,10 @@ def loss_and_grads(
         d_attn_out = d_res1 if lc["drop1"] is None else d_res1 * lc["drop1"]
         put(f"{p}.attn.w_o", _rows(lc["ctx"]).T @ _rows(d_attn_out))
         put(f"{p}.attn.b_o", _rows(d_attn_out).sum(axis=0))
-        d_ctx = _split_heads(d_attn_out @ params[f"{p}.attn.w_o"].T, c.n_heads)
+        d_ctx = _split_heads(
+            _times_transposed(d_attn_out, params[f"{p}.attn.w_o"], layer_picks, width),
+            c.n_heads,
+        )
 
         attn = lc["attn"]
         d_v = _merge_heads(attn.transpose(0, 1, 3, 2) @ d_ctx)
@@ -690,11 +846,16 @@ def loss_and_grads(
         d_k = _merge_heads((d_scores.transpose(0, 1, 3, 2) @ lc["q"]) * scale)
         del d_scores
 
-        x_in = _rows(lc["x_in"])
-        d_x = d_res1.copy()
-        for name, d_proj in (("q", d_q), ("k", d_k), ("v", d_v)):
-            put(f"{p}.attn.w_{name}", x_in.T @ _rows(d_proj))
+        x_in, x_q = _rows(lc["x_in"]), _rows(lc["x_q"])
+        for name, x_proj, d_proj in (("q", x_q, d_q), ("k", x_in, d_k), ("v", x_in, d_v)):
+            put(f"{p}.attn.w_{name}", x_proj.T @ _rows(d_proj))
             put(f"{p}.attn.b_{name}", _rows(d_proj).sum(axis=0))
+        if layer_picks is not None:
+            # back to full width; the query product runs there anyway
+            d_res1 = _scatter(d_res1, layer_picks, width)
+            d_q = _scatter(d_q, layer_picks, width)
+        d_x = d_res1
+        for name, d_proj in (("q", d_q), ("k", d_k), ("v", d_v)):
             d_x += d_proj @ params[f"{p}.attn.w_{name}"].T
         d_h = d_x
 

@@ -59,6 +59,10 @@ class NoRecordedForwardError(TitlerecError):
     pass
 
 
+class UnreadPositionError(TitlerecError):
+    """A loss asked for a hidden state its forward pass did not compute."""
+
+
 # --- training objectives ---
 
 class NothingToMaskError(TitlerecError):

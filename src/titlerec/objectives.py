@@ -13,7 +13,10 @@ encoder's batched path in passes of at most
 ``encoder.rows_per_pass(max_len)`` rows at the full ``max_len``, and sums
 the passes' gradients in batch order before one optimizer update. A
 step's pairs are encoded (``encode_training_pairs`` -> ``PairBatch``) only
-when that step runs, so no pair is encoded that is not trained.
+when that step runs, so no pair is encoded that is not trained. Each pass
+runs its last encoder layer only at the positions its heads read
+(``encoder.read_positions``): the masked targets and the CLS state of
+pair rows. The gradients equal the full pass's bit for bit.
 
 The optimizer state holds Adam's two moments and one gradient arena, all
 in the parameters' flat layout (see ``encoder``), plus one scratch buffer.
@@ -295,9 +298,11 @@ def batch_loss_and_grads(
     ``mlm_targets`` is an (M, 3) array of (row, position, label) and
     ``np_labels`` one label per row (-1 for none). Rows go through the
     encoder ``encoder.rows_per_pass(max_len)`` at a time, at the full
-    width, and each pass's gradients are added in order to ``into``, a
-    zeroed arena in the layout of ``params`` (a fresh one when None),
-    which is returned. ``rng`` drives dropout (see ``encoder.forward``).
+    width, with the last layer cut to the pass's reads (see
+    ``encoder.read_positions``). Each pass's gradients are added in order
+    to ``into``, a zeroed arena in the layout of ``params`` (a fresh one
+    when None), which is returned. ``rng`` drives dropout (see
+    ``encoder.forward``).
     """
     step = enc.rows_per_pass(params.config.max_len)
     grads = enc.zero_grads(params) if into is None else into
@@ -306,12 +311,15 @@ def batch_loss_and_grads(
     for start in range(0, len(rows), step):
         stop = start + step
         in_pass = (mlm_targets[:, 0] >= start) & (mlm_targets[:, 0] < stop)
+        pass_targets = mlm_targets[in_pass] - (start, 0, 0)
+        pass_labels = np_labels[start:stop]
+        reads = enc.read_positions(pass_targets, pass_labels, rows.max_len)
         # the pass's trace is dropped before the next pass records its own
         pass_mlm, pass_np, _ = enc.loss_and_grads(
             params,
-            enc.forward(params, rows[start:stop], rng=rng),
-            mlm_targets[in_pass] - (start, 0, 0),
-            np_labels[start:stop],
+            enc.forward(params, rows[start:stop], rng=rng, reads=reads),
+            pass_targets,
+            pass_labels,
             mlm_scale=mlm_scale,
             np_scale=np_scale,
             into=grads,

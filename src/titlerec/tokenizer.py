@@ -51,11 +51,6 @@ class TokenSequence:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def seq_len(self) -> int:
-        """Number of non-PAD positions."""
-        return sum(self.attn_mask)
-
 
 @dataclass(frozen=True)
 class TokenBatch:
@@ -220,13 +215,3 @@ def encode_pair(text_a: str, text_b: str, vocab: Vocabulary, max_len: int) -> To
         segments=tuple(segments),
         attn_mask=tuple([1] * len(ids) + [0] * n_pad),
     )
-
-
-def decode(ids, vocab: Vocabulary) -> str:
-    """Space-joined tokens with all special tokens dropped."""
-    words = []
-    for token_id in ids:
-        token = vocab.token(int(token_id))
-        if token not in SPECIAL_TOKENS:
-            words.append(token)
-    return " ".join(words)

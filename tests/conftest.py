@@ -79,7 +79,7 @@ def random_sequence(config, rng, min_live=2):
 
 def random_targets(config, seq, rng, max_targets=3):
     """Distinct (position, label) pairs within the live region."""
-    live = seq.seq_len
+    live = sum(seq.attn_mask)
     count = int(rng.integers(1, min(max_targets, live) + 1))
     positions = rng.choice(live, size=count, replace=False)
     return [(int(p), int(rng.integers(0, config.vocab_size))) for p in sorted(positions)]

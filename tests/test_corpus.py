@@ -157,9 +157,9 @@ class TestJoinAndSessions:
     def test_group_sessions_by_customer_and_day(self, tmp_path):
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
         sessions = corpus.group_sessions(transactions)
-        keys = [s.session_key for s in sessions]
+        keys = [(s.customer_id, s.t_dat) for s in sessions]
         assert keys == sorted(keys)
-        by_key = {s.session_key: s.article_ids for s in sessions}
+        by_key = {(s.customer_id, s.t_dat): s.article_ids for s in sessions}
         assert by_key[("abc", date(2020, 9, 1))] == ("0108775015", "0000095002")
         assert by_key[("abc", date(2020, 9, 3))] == ("0108775015",)
         assert by_key[("def", date(2020, 9, 3))] == ("0000095002",)

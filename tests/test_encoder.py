@@ -198,7 +198,7 @@ class TestForward:
             attn_mask=tiny_seq.attn_mask,
         )
         other = enc.forward(tiny_params, altered)
-        live = tiny_seq.seq_len
+        live = sum(tiny_seq.attn_mask)
         assert np.array_equal(base.hidden_states[0, :live], other.hidden_states[0, :live])
 
     def test_deterministic_without_dropout(self, tiny_params, tiny_seq):
@@ -219,7 +219,7 @@ class TestForward:
         """A batch cut to its rows' live length computes the live positions
         of the full-width batch, up to the softmax denominators' rounding."""
         full = enc.forward(tiny_params, tiny_seq).hidden_states
-        live = tiny_seq.seq_len
+        live = sum(tiny_seq.attn_mask)
         narrow = enc.forward(tiny_params, TokenBatch.stack([tiny_seq], 7)[:, :live])
         assert narrow.hidden_states.shape == (1, live, 8)
         assert np.abs(narrow.hidden_states - full[:, :live]).max() <= 1e-14
@@ -446,7 +446,7 @@ class TestBatchedForward:
         seqs = self.rows(tiny_config, rng, (3, 7, 5, 4))
         T = tiny_config.max_len
         target = seqs[2]
-        live = target.seq_len
+        live = sum(target.attn_mask)
         alone = enc.forward(tiny_params, target).hidden_states[0, :live]
 
         batch = TokenBatch.stack(seqs, T)
@@ -468,8 +468,8 @@ class TestBatchedForward:
             assert attn.shape == (3, tiny_config.n_heads, tiny_config.max_len, tiny_config.max_len)
             assert np.all(np.abs(attn.sum(axis=-1) - 1.0) < 1e-12)
             for row, seq in enumerate(seqs):
-                assert np.all(attn[row][..., seq.seq_len :] == 0.0)
-                assert np.all(attn[row][..., : seq.seq_len] > 0.0)
+                assert np.all(attn[row][..., sum(seq.attn_mask) :] == 0.0)
+                assert np.all(attn[row][..., : sum(seq.attn_mask)] > 0.0)
 
     def test_record_false_keeps_no_cache(self, tiny_config, tiny_params):
         seqs = self.rows(tiny_config, np.random.default_rng(33), (3, 6))
@@ -537,6 +537,64 @@ class TestGelu:
     def test_gelu_is_x_times_cdf_bit_for_bit(self, scipy_special):
         x = np.random.default_rng(35).normal(0.0, 3.0, 1000)
         assert np.array_equal(enc.gelu(x), 0.5 * x * (1.0 + scipy_special.erf(x / np.sqrt(2.0))))
+
+
+class TestInPlaceKernels:
+    """Layer norm, the GELU derivative and the softmax row max equal their
+    plain formulas, kept here as references, bit for bit."""
+
+    SHAPES = [(16, 16, 32), (5, 48, 64), (8, 3, 32), (8, 16, 48), (2, 1, 7)]
+
+    @staticmethod
+    def reference_layer_norm(x, gain, bias, eps):
+        mean = x.mean(axis=-1, keepdims=True)
+        centered = x - mean
+        var = np.mean(centered * centered, axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        x_hat = centered * inv
+        return gain * x_hat + bias, x_hat, inv
+
+    @staticmethod
+    def reference_layer_norm_backward(d_out, x_hat, inv, gain):
+        d_hat = d_out * gain
+        m1 = d_hat.mean(axis=-1, keepdims=True)
+        m2 = (d_hat * x_hat).mean(axis=-1, keepdims=True)
+        d_x = inv * (d_hat - m1 - x_hat * m2)
+        rows = (-1, x_hat.shape[-1])
+        return d_x, (d_out * x_hat).reshape(rows).sum(axis=0), d_out.reshape(rows).sum(axis=0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layer_norm_and_backward(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(3.0, 5.0, shape)
+        gain, bias = rng.normal(1.0, 0.3, shape[-1]), rng.normal(0.0, 0.3, shape[-1])
+        forward = enc.layer_norm(x, gain, bias, 1e-5)
+        expected = self.reference_layer_norm(x, gain, bias, 1e-5)
+        for actual, want in zip(forward, expected):
+            assert_bitwise_equal(actual, want)
+        d_out = rng.normal(0.0, 1.0, shape)
+        backward = enc.layer_norm_backward(d_out, forward[1], forward[2], gain)
+        want = self.reference_layer_norm_backward(d_out, forward[1], forward[2], gain)
+        for actual, reference in zip(backward, want):
+            assert_bitwise_equal(actual, reference)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gelu_grad(self, shape):
+        x = np.random.default_rng(sum(shape)).normal(0.0, 2.0, shape)
+        cdf = enc.gelu_cdf(x)
+        kept = cdf.copy()
+        expected = cdf + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+        assert_bitwise_equal(enc.gelu_grad(x, cdf), expected)
+        assert_bitwise_equal(cdf, kept)
+        assert_bitwise_equal(enc.gelu_grad(x), expected)
+
+    @pytest.mark.parametrize("shape", [(16, 4, 16, 16), (5, 4, 3, 48), (2, 2, 5, 1), (3, 7)])
+    def test_row_max(self, shape):
+        scores = np.random.default_rng(sum(shape)).normal(0.0, 1.0, shape)
+        scores[..., -1:] = -np.inf  # masked keys
+        scores.reshape(-1, shape[-1])[0] = -0.0
+        scores.reshape(-1, shape[-1])[-1, 0] = np.nan
+        assert_bitwise_equal(enc._row_max(scores), scores.max(axis=-1, keepdims=True))
 
 
 class TestScipyOracle:

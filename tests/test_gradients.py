@@ -155,7 +155,7 @@ class TestPadGradientIsolation:
     def test_pad_rows_receive_zero_grad(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
         _, _, grads = enc.loss_and_grads(tiny_params, trace, [(1, 5), (4, 3)], np_labels=1)
-        live = tiny_seq.seq_len
+        live = sum(tiny_seq.attn_mask)
         # PAD positions cannot influence the loss, exactly
         assert np.all(grads["position_embedding"][live:] == 0.0)
         # token id 0 only ever appears at PAD positions in tiny_seq
@@ -164,7 +164,7 @@ class TestPadGradientIsolation:
     def test_unused_vocab_rows_receive_zero_grad(self, tiny_params, tiny_seq):
         trace = enc.forward(tiny_params, tiny_seq)
         _, _, grads = enc.loss_and_grads(tiny_params, trace, [(1, 5)], np_labels=None)
-        used = set(tiny_seq.ids[: tiny_seq.seq_len])
+        used = set(tiny_seq.ids[: sum(tiny_seq.attn_mask)])
         for token_id in range(tiny_params.config.vocab_size):
             if token_id not in used:
                 assert np.all(grads["token_embedding"][token_id] == 0.0)

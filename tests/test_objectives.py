@@ -174,7 +174,6 @@ class TestSamplePairs:
             size = int(rng.integers(1, 5))
             items = rng.choice(inventory, size=size, replace=False)
             sessions.append(session(f"c{s}", 1 + s % 20, *items))
-        by_key = {sess.session_key: set(sess.article_ids) for sess in sessions}
         pairs = obj.sample_pairs(sessions, inventory, 2, rng)
         cursor = 0
         for sess in sessions:
@@ -195,7 +194,7 @@ class TestSamplePairs:
                     for _ in range(2):
                         negative = pairs[cursor]
                         assert negative.label == 0
-                        assert negative.candidate_article_id not in by_key[sess.session_key]
+                        assert negative.candidate_article_id not in sess.article_ids
                         cursor += 1
         assert cursor == len(pairs)
 

@@ -88,7 +88,7 @@ class TestEncodeSingle:
         assert seq.ids == (tok.CLS_ID, 7, 5, tok.SEP_ID, 0, 0)
         assert seq.segments == (0, 0, 0, 0, 0, 0)
         assert seq.attn_mask == (1, 1, 1, 1, 0, 0)
-        assert seq.seq_len == 4
+        assert sum(seq.attn_mask) == 4
         assert len(seq) == 6
 
     def test_unknown_word_maps_to_unk(self, vocab):
@@ -98,12 +98,12 @@ class TestEncodeSingle:
     def test_truncates_long_text(self, vocab):
         seq = tok.encode_single("top top top top top top", vocab, max_len=5)
         assert seq.ids == (tok.CLS_ID, 5, 5, 5, tok.SEP_ID)
-        assert seq.seq_len == 5
+        assert sum(seq.attn_mask) == 5
 
     def test_empty_text(self, vocab):
         seq = tok.encode_single("", vocab, max_len=4)
         assert seq.ids == (tok.CLS_ID, tok.SEP_ID, 0, 0)
-        assert seq.seq_len == 2
+        assert sum(seq.attn_mask) == 2
 
 
 def reference_truncate(len_a, len_b, budget):
@@ -142,7 +142,7 @@ class TestEncodePair:
         assert seq.ids == (tok.CLS_ID, 7, 5, tok.SEP_ID, 6, tok.SEP_ID, 0, 0, 0, 0)
         assert seq.segments == (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
         assert seq.attn_mask == (1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
-        assert seq.seq_len == 6
+        assert sum(seq.attn_mask) == 6
 
     def test_truncation_budget(self, vocab):
         seq = tok.encode_pair(
@@ -151,13 +151,13 @@ class TestEncodePair:
         # budget 5: (5,5) -> (3,2)
         assert seq.ids == (tok.CLS_ID, 5, 5, 5, tok.SEP_ID, 6, 6, tok.SEP_ID)
         assert seq.segments == (0, 0, 0, 0, 0, 1, 1, 1)
-        assert seq.seq_len == 8
+        assert sum(seq.attn_mask) == 8
 
     def test_empty_sides_still_delimited(self, vocab):
         seq = tok.encode_pair("", "", vocab, max_len=5)
         assert seq.ids == (tok.CLS_ID, tok.SEP_ID, tok.SEP_ID, 0, 0)
         assert seq.segments == (0, 0, 1, 0, 0)
-        assert seq.seq_len == 3
+        assert sum(seq.attn_mask) == 3
 
     def test_random_pairs_respect_invariants(self, vocab):
         rng = np.random.default_rng(7)
@@ -168,10 +168,10 @@ class TestEncodePair:
             max_len = int(rng.integers(5, 14))
             seq = tok.encode_pair(text_a, text_b, vocab, max_len=max_len)
             assert len(seq) == max_len
-            assert seq.seq_len <= max_len
+            assert sum(seq.attn_mask) <= max_len
             assert seq.ids[0] == tok.CLS_ID
             assert seq.ids.count(tok.SEP_ID) == 2
-            live = seq.seq_len
+            live = sum(seq.attn_mask)
             assert seq.ids[live - 1] == tok.SEP_ID
             assert all(i == tok.PAD_ID for i in seq.ids[live:])
             assert all(s == 0 for s in seq.segments[live:])
@@ -182,26 +182,42 @@ class TestEncodePair:
             assert all(s == 1 for s in seq.segments[first_sep + 1 : live])
 
 
+def decode(ids, vocab):
+    """Space-joined words of an encoded row, read back through the vocabulary
+    with every special token (UNK included) dropped."""
+    tokens = [vocab.token(int(token_id)) for token_id in ids]
+    return " ".join(token for token in tokens if token not in tok.SPECIAL_TOKENS)
+
+
 class TestDecode:
+    """Encoding keeps every in-vocabulary word's id, in order, and adds only
+    special tokens around them."""
+
     def test_omits_specials(self, vocab):
         seq = tok.encode_pair("strap top", "cap", vocab, max_len=10)
-        assert tok.decode(seq.ids, vocab) == "strap top cap"
+        assert decode(seq.ids, vocab) == "strap top cap"
 
     def test_unknown_ids_dropped_like_other_specials(self, vocab):
         seq = tok.encode_single("zebra top", vocab, max_len=5)
-        assert tok.decode(seq.ids, vocab) == "top"
+        assert seq.ids[1] == tok.UNK_ID
+        assert decode(seq.ids, vocab) == "top"
 
     def test_out_of_range_id_rejected(self, vocab):
         with pytest.raises(IdOutOfRangeError):
-            tok.decode([len(vocab)], vocab)
+            vocab.token(len(vocab))
+        with pytest.raises(IdOutOfRangeError):
+            vocab.token(-1)
 
     def test_cls_sep_only_is_empty(self, vocab):
-        assert tok.decode([tok.CLS_ID, tok.SEP_ID], vocab) == ""
+        seq = tok.encode_single("", vocab, max_len=4)
+        assert decode(seq.ids, vocab) == ""
 
     def test_round_trip_for_in_vocab_text(self, vocab):
         for text in ["strap top vest", "cap", "", "dress moon"]:
             seq = tok.encode_single(text, vocab, max_len=8)
-            assert tok.decode(seq.ids, vocab) == text
+            assert decode(seq.ids, vocab) == text
+            pair = tok.encode_pair(text, "cap", vocab, max_len=8)
+            assert decode(pair.ids, vocab) == f"{text} cap".strip()
 
 
 class TestTokenBatch:
