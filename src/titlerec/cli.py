@@ -52,7 +52,7 @@ from .errors import (
     WorkdirLockedError,
 )
 from .ioutil import atomic_write_text
-from .tokenizer import FIRST_WORD_ID, Vocabulary, build_vocab, encode_batch
+from .tokenizer import FIRST_WORD_ID, Vocabulary, build_vocab, encode_single
 
 PREPARED_FILE = "prepared_articles.tsv"
 TRANSACTIONS_FILE = "transactions.tsv"
@@ -82,6 +82,18 @@ INPUT_ERRORS = (
     UnicodeDecodeError,
     csv.Error,
 )
+
+
+# Least accepted value of the integer training and window knobs; below it
+# a run would fail mid-way or silently train nothing. ``epochs`` 0 (and
+# ``max_steps`` 0) deliberately keeps the seed-initialized checkpoint.
+LEAST_VALUES = {
+    "epochs": 0,
+    "max_steps": 0,
+    "batch_size": 1,
+    "negatives_per_positive": 1,
+    "holdout_days": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,12 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     applicable = {k: v for k, v in overrides.items() if k in known and v is not None}
     if "text_columns" in applicable:
         applicable["text_columns"] = tuple(applicable["text_columns"])
-    return replace(config, **applicable)
+    config = replace(config, **applicable)
+    for name, least in LEAST_VALUES.items():
+        value = getattr(config, name)
+        if value is not None and (type(value) is not int or value < least):
+            raise InvalidConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return config
 
 
 def _lock_holder(lock_path: Path) -> str:
@@ -259,11 +276,20 @@ def cmd_train(config: PipelineConfig) -> str:
     state = objectives.init_optimizer(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
-    encoded_titles = encode_batch([p.text for p in prepared], vocab, config.max_len)
-    encoded_titles = encoded_titles[(encoded_titles.ids >= FIRST_WORD_ID).any(axis=1)]
-    sessions = corpus.group_sessions(train_window)
-    inventory = [p.article_id for p in prepared]
-    titles_by_id = {p.article_id: p.text for p in prepared}
+    # each article's word ids, looked up once for its masked rows and its pairs,
+    # and the articles whose title keeps a word to mask within the max_len - 2
+    # words that encode_single keeps
+    word_ids = [vocab.word_ids(p.text) for p in prepared]
+    titles = [
+        row
+        for row, ids in enumerate(word_ids)
+        if any(token_id >= FIRST_WORD_ID for token_id in ids[: config.max_len - 2])
+    ]
+    positives = objectives.positive_table(
+        corpus.group_sessions(train_window),
+        [p.article_id for p in prepared],
+        config.negatives_per_positive,
+    )
 
     batch = config.batch_size
     step_budget = math.inf if config.max_steps is None else config.max_steps
@@ -273,27 +299,25 @@ def cmd_train(config: PipelineConfig) -> str:
     for _ in range(config.epochs):
         if steps_done >= step_budget:
             break
-        title_order = rng.permutation(len(encoded_titles)) if len(encoded_titles) else []
-        pairs = objectives.sample_pairs(
-            sessions, inventory, config.negatives_per_positive, rng
-        ) if sessions else []
-        pair_order = rng.permutation(len(pairs)) if pairs else []
-        n_steps = max(math.ceil(len(encoded_titles) / batch), math.ceil(len(pairs) / batch))
+        title_order = rng.permutation(len(titles)) if titles else []
+        pair_order = rng.permutation(positives.slot_count) if len(positives) else []
+        n_steps = max(math.ceil(len(titles) / batch), math.ceil(len(pair_order) / batch))
         for s in range(n_steps):
             if steps_done >= step_budget:
                 break
-            masked_batch = []
-            for i in title_order[s * batch : (s + 1) * batch]:
-                masked_batch.append(
-                    objectives.apply_masking(encoded_titles.sequence(i), vocab, rng)
+            masked_batch = [
+                objectives.apply_masking(
+                    encode_single(word_ids[titles[i]], config.max_len), vocab, rng
                 )
-            # a step's pairs are encoded when it trains them
-            pair_rows = pair_order[s * batch : (s + 1) * batch]
+                for i in title_order[s * batch : (s + 1) * batch]
+            ]
+            # a step's pairs are sampled and encoded when it trains them
+            slots = pair_order[s * batch : (s + 1) * batch]
             pair_batch = (
                 objectives.encode_training_pairs(
-                    [pairs[i] for i in pair_rows], titles_by_id, vocab, config.max_len
+                    objectives.sample_pairs(positives, slots, rng), word_ids, config.max_len
                 )
-                if len(pair_rows)
+                if len(slots)
                 else []
             )
             params, state, record = objectives.train_step(

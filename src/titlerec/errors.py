@@ -37,10 +37,6 @@ class EmptyCorpusError(TitlerecError):
     pass
 
 
-class IdOutOfRangeError(TitlerecError):
-    pass
-
-
 # --- encoder ---
 
 class InvalidConfigError(TitlerecError):

@@ -8,13 +8,20 @@ second item was bought in the same session as the first; negatives are
 drawn at random from the inventory. The joint loss is the plain sum of
 the two terms.
 
+Pairs are drawn step by step. ``positive_table`` lists every positive
+once per run, as inventory indices, and draws nothing. Each positive owns
+1 + ``negatives_per_positive`` slots; an epoch permutes all the slots
+first, and each step takes the next ``batch_size`` of them.
+``sample_pairs`` draws the negatives of those slots only, when the step
+runs, and ``encode_training_pairs`` encodes them from each article's word
+ids, looked up once per run. So no pair is sampled or encoded that is not
+trained.
+
 A training step feeds its masked titles and then its pairs through the
 encoder's batched path in passes of at most
 ``encoder.rows_per_pass(max_len)`` rows at the full ``max_len``, and sums
-the passes' gradients in batch order before one optimizer update. A
-step's pairs are encoded (``encode_training_pairs`` -> ``PairBatch``) only
-when that step runs, so no pair is encoded that is not trained. Each pass
-runs its last encoder layer only at the positions its heads read
+the passes' gradients in batch order before one optimizer update. Each
+pass runs its last encoder layer only at the positions its heads read
 (``encoder.read_positions``): the masked targets and the CLS state of
 pair rows. The gradients equal the full pass's bit for bit.
 
@@ -73,10 +80,49 @@ class MaskingPlan:
 
 
 @dataclass(frozen=True)
-class TrainingPair:
-    seed_article_id: str
-    candidate_article_id: str
-    label: int
+class PositiveTable:
+    """Every ordered pair of distinct co-purchases, as inventory indices.
+
+    Positive i is the pair (``seeds[i]``, ``candidates[i]``) from session
+    ``sessions[i]``. Session j's distinct articles, in first-purchase order,
+    are ``members[bounds[j]:bounds[j + 1]]``. Positive i owns the
+    1 + ``negatives_per_positive`` slots from i * (1 + ``negatives_per_positive``)
+    on: the first is the positive itself and each other is one of its
+    negatives.
+    """
+
+    seeds: np.ndarray
+    candidates: np.ndarray
+    sessions: np.ndarray
+    members: np.ndarray
+    bounds: np.ndarray
+    inventory_size: int
+    negatives_per_positive: int
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    @property
+    def slot_count(self) -> int:
+        return len(self.seeds) * (1 + self.negatives_per_positive)
+
+    def members_of(self, positive: int) -> set[int]:
+        """The distinct articles of the session a positive comes from."""
+        session = self.sessions[positive]
+        return set(self.members[self.bounds[session] : self.bounds[session + 1]].tolist())
+
+
+@dataclass(frozen=True)
+class SampledPairs:
+    """The pairs of some slots: seed and candidate inventory indices and one
+    0/1 label per pair."""
+
+    seeds: np.ndarray
+    candidates: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -140,46 +186,91 @@ def apply_masking(
     return masked, MaskingPlan(tuple(plan_positions), tuple(labels), tuple(kinds))
 
 
-def sample_pairs(
+def positive_table(
     sessions: list[SessionGroup],
     inventory: list[str],
     negatives_per_positive: int,
-    rng: np.random.Generator,
-) -> list[TrainingPair]:
-    """Positives from co-purchases, negatives rejection-sampled from inventory.
+) -> PositiveTable:
+    """The positives of some sessions, in generation order; no randomness.
 
-    Every ordered pair of distinct articles in a session yields one positive
-    (duplicate purchases collapse first); each positive is followed by its
-    negatives in the output, so the list order is reproducible. A session
-    whose articles cover the whole inventory leaves no legal negative and
-    raises, but only if it actually produced a positive.
+    Every ordered pair of distinct articles in a session yields one
+    positive (duplicate purchases collapse first): sessions in order, and
+    within a session each article in first-purchase order as the seed,
+    followed by every other article in that order as the candidate. A
+    session whose articles cover the whole inventory leaves no legal
+    negative and raises, but only if it actually produced a positive.
     """
     if not inventory:
         raise InventoryTooSmallError("inventory is empty")
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
-    pairs: list[TrainingPair] = []
-    for session in sessions:
-        unique_ids = list(dict.fromkeys(session.article_ids))
-        if len(unique_ids) < 2:
-            continue
-        session_set = set(unique_ids)
-        if all(article in session_set for article in inventory):
-            raise InventoryTooSmallError(
-                f"session ({session.customer_id}, {session.t_dat}) covers the whole inventory"
-            )
-        for seed in unique_ids:
-            for candidate in unique_ids:
-                if candidate == seed:
-                    continue
-                pairs.append(TrainingPair(seed, candidate, 1))
-                for _ in range(negatives_per_positive):
-                    while True:
-                        negative = inventory[int(rng.integers(0, len(inventory)))]
-                        if negative not in session_set:
-                            break
-                    pairs.append(TrainingPair(seed, negative, 0))
-    return pairs
+    row_of = {article_id: row for row, article_id in enumerate(inventory)}
+    if len(row_of) != len(inventory):
+        raise ValueError("inventory repeats an article id")
+    try:
+        rows = np.array(
+            [row_of[article_id] for session in sessions for article_id in session.article_ids],
+            dtype=np.int64,
+        )
+    except KeyError as exc:
+        raise UnknownArticleError(f"article {exc.args[0]} is not in the inventory") from None
+    owner = np.repeat(np.arange(len(sessions)), [len(s.article_ids) for s in sessions])
+    # each session's distinct articles, in first-purchase order
+    _, first = np.unique(owner * len(inventory) + rows, return_index=True)
+    first.sort()
+    rows, owner = rows[first], owner[first]
+    sizes = np.bincount(owner, minlength=len(sessions))
+    yields = sizes >= 2
+    covering = np.flatnonzero(yields & (sizes == len(inventory)))
+    if len(covering):
+        session = sessions[covering[0]]
+        raise InventoryTooSmallError(
+            f"session ({session.customer_id}, {session.t_dat}) covers the whole inventory"
+        )
+    # Keep the sessions that yield a positive. Member m, at position p of a
+    # session of n members, seeds n - 1 positives in a row; the k-th of them
+    # (k = 0..n-2) takes the member at position k, or k + 1 from k = p on.
+    members, sizes = rows[yields[owner]], sizes[yields]
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    start = np.repeat(bounds[:-1], sizes)  # per member: its session's first
+    others = np.repeat(sizes - 1, sizes)  # per member: how many positives it seeds
+    seed = np.repeat(np.arange(len(members)), others)  # per positive: its seed member
+    k = np.arange(len(seed)) - np.repeat(np.cumsum(others) - others, others)
+    k += k >= seed - start[seed]
+    return PositiveTable(
+        seeds=members[seed],
+        candidates=members[start[seed] + k],
+        sessions=np.repeat(np.arange(len(sizes)), sizes * (sizes - 1)),
+        members=members,
+        bounds=bounds,
+        inventory_size=len(inventory),
+        negatives_per_positive=negatives_per_positive,
+    )
+
+
+def sample_pairs(
+    table: PositiveTable, slots: np.ndarray, rng: np.random.Generator
+) -> SampledPairs:
+    """The pairs of the given slots, drawing their negatives from ``rng``.
+
+    Slot s belongs to positive s // (1 + k), for k negatives per positive.
+    At s % (1 + k) == 0 it is that positive; otherwise it is a negative for
+    the positive's seed: a candidate drawn uniformly from the inventory and
+    redrawn while it is in the seed's session. Negatives are drawn in slot
+    order, so only the slots asked for consume randomness.
+    """
+    positive, offset = np.divmod(
+        np.asarray(slots, dtype=np.int64), 1 + table.negatives_per_positive
+    )
+    candidates = table.candidates[positive]
+    for i in np.flatnonzero(offset).tolist():
+        session = table.members_of(positive[i])
+        while True:
+            candidate = int(rng.integers(0, table.inventory_size))
+            if candidate not in session:
+                break
+        candidates[i] = candidate
+    return SampledPairs(table.seeds[positive], candidates, (offset == 0).astype(np.int8))
 
 
 def joint_loss(mlm_component: float, np_component: float) -> float:
@@ -193,26 +284,17 @@ def joint_loss(mlm_component: float, np_component: float) -> float:
 
 
 def encode_training_pairs(
-    pairs: list[TrainingPair],
-    titles: dict[str, str],
-    vocab: Vocabulary,
-    max_len: int,
+    pairs: SampledPairs, word_ids: list[list[int]], max_len: int
 ) -> PairBatch:
-    """Resolve article ids to titles and encode each pair for the encoder."""
-    if not pairs:
+    """Encode each pair from its articles' word ids (one list per inventory
+    index) for the encoder."""
+    if not len(pairs):
         raise EmptyBatchError("pair batch is empty")
-    for pair in pairs:
-        for article_id in (pair.seed_article_id, pair.candidate_article_id):
-            if article_id not in titles:
-                raise UnknownArticleError(f"article {article_id} has no prepared title")
     encoded = [
-        encode_pair(titles[pair.seed_article_id], titles[pair.candidate_article_id], vocab, max_len)
-        for pair in pairs
+        encode_pair(word_ids[seed], word_ids[candidate], max_len)
+        for seed, candidate in zip(pairs.seeds.tolist(), pairs.candidates.tolist())
     ]
-    return PairBatch(
-        TokenBatch.stack(encoded, max_len),
-        np.array([pair.label for pair in pairs], dtype=np.int8),
-    )
+    return PairBatch(TokenBatch.stack(encoded, max_len), pairs.labels)
 
 
 @dataclass

@@ -2,10 +2,12 @@
 
 Tokens are whitespace-split words from prepared article text. Five special
 tokens occupy ids 0..4 in every vocabulary; the rest of the id space is
-ranked by corpus frequency. Encoding pads and truncates to a fixed length
-and records segment ids plus an attention mask, so downstream code never
-sees ragged sequences. Rows that go through the encoder together are
-stacked into one ``TokenBatch`` of compact arrays.
+ranked by corpus frequency. A text's words are looked up once
+(``Vocabulary.word_ids``); ``encode_single`` and ``encode_pair`` lay those
+ids out as fixed-length rows, padded and truncated, with segment ids plus
+an attention mask, so downstream code never sees ragged sequences. Rows
+that go through the encoder together are stacked into one ``TokenBatch``
+of compact arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .corpus import PreparedArticle
 from .ioutil import atomic_write_text
-from .errors import ArtifactFormatError, EmptyCorpusError, IdOutOfRangeError
+from .errors import ArtifactFormatError, EmptyCorpusError
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -80,13 +82,6 @@ class TokenBatch:
         positions."""
         return TokenBatch(self.ids[rows], self.segments[rows], self.attn_mask[rows])
 
-    def sequence(self, row: int) -> TokenSequence:
-        return TokenSequence(
-            tuple(self.ids[row].tolist()),
-            tuple(self.segments[row].tolist()),
-            tuple(self.attn_mask[row].astype(np.int64).tolist()),
-        )
-
     @classmethod
     def stack(cls, seqs: list[TokenSequence], max_len: int) -> "TokenBatch":
         """Stack sequences of length ``max_len`` into one batch; ``max_len``
@@ -122,17 +117,10 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-    def lookup(self, token: str) -> int:
-        """Id for a token, UNK when out of vocabulary."""
-        return self.token_to_id.get(token, UNK_ID)
-
-    def token(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.id_to_token):
-            raise IdOutOfRangeError(f"id {token_id} outside vocabulary of size {len(self)}")
-        return self.id_to_token[token_id]
+    def word_ids(self, text: str) -> list[int]:
+        """Id of each whitespace-split word of a text, UNK when out of vocabulary."""
+        get = self.token_to_id.get
+        return [get(word, UNK_ID) for word in text.split()]
 
     def save(self, path: str | Path) -> None:
         """One token per line, line number = id."""
@@ -167,12 +155,11 @@ def build_vocab(corpus: list[PreparedArticle], min_freq: int = 1, max_size: int 
     return Vocabulary(kept[: max_size - FIRST_WORD_ID])
 
 
-def encode_single(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
+def encode_single(word_ids: list[int], max_len: int) -> TokenSequence:
     """[CLS] words [SEP], truncated to fit and padded to exactly max_len."""
     if max_len < 3:
         raise ValueError("max_len must be >= 3 for single encoding")
-    word_ids = [vocab.lookup(w) for w in text.split()][: max_len - 2]
-    ids = [CLS_ID] + word_ids + [SEP_ID]
+    ids = [CLS_ID, *word_ids[: max_len - 2], SEP_ID]
     n_pad = max_len - len(ids)
     return TokenSequence(
         ids=tuple(ids + [PAD_ID] * n_pad),
@@ -182,8 +169,10 @@ def encode_single(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
 
 
 def encode_batch(texts: list[str], vocab: Vocabulary, max_len: int) -> TokenBatch:
-    """``encode_single`` of every text, stacked into one batch."""
-    return TokenBatch.stack([encode_single(text, vocab, max_len) for text in texts], max_len)
+    """``encode_single`` of every text's word ids, stacked into one batch."""
+    return TokenBatch.stack(
+        [encode_single(vocab.word_ids(text), max_len) for text in texts], max_len
+    )
 
 
 def truncate_pair(len_a: int, len_b: int, budget: int) -> tuple[int, int]:
@@ -200,14 +189,13 @@ def truncate_pair(len_a: int, len_b: int, budget: int) -> tuple[int, int]:
     return len_a, len_b
 
 
-def encode_pair(text_a: str, text_b: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """[CLS] A [SEP] B [SEP] with segment ids 0 for the A half, 1 for B."""
+def encode_pair(ids_a: list[int], ids_b: list[int], max_len: int) -> TokenSequence:
+    """[CLS] A [SEP] B [SEP] of two word-id lists, with segment ids 0 for the
+    A half and 1 for B."""
     if max_len < 5:
         raise ValueError("max_len must be >= 5 for pair encoding")
-    ids_a = [vocab.lookup(w) for w in text_a.split()]
-    ids_b = [vocab.lookup(w) for w in text_b.split()]
     keep_a, keep_b = truncate_pair(len(ids_a), len(ids_b), max_len - 3)
-    ids = [CLS_ID] + ids_a[:keep_a] + [SEP_ID] + ids_b[:keep_b] + [SEP_ID]
+    ids = [CLS_ID, *ids_a[:keep_a], SEP_ID, *ids_b[:keep_b], SEP_ID]
     n_pad = max_len - len(ids)
     segments = [0] * (keep_a + 2) + [1] * (keep_b + 1) + [0] * n_pad
     return TokenSequence(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from titlerec import encoder as enc
+from titlerec import objectives as obj
 from titlerec.tokenizer import TokenSequence
 
 
@@ -34,6 +35,20 @@ def zeroed_params(config: enc.EncoderConfig) -> enc.EncoderParams:
         if not name.endswith(".gain"):
             params[name][...] = np.zeros_like(params[name])
     return params
+
+
+def encode_id_pairs(triples, titles, vocab, max_len):
+    """``encode_training_pairs`` of (seed id, candidate id, label) triples,
+    with ``titles`` (article id -> text) in order as the inventory."""
+    row = {article_id: i for i, article_id in enumerate(titles)}
+    columns = list(zip(*triples)) or [(), (), ()]
+    pairs = obj.SampledPairs(
+        np.array([row[a] for a in columns[0]], dtype=np.int64),
+        np.array([row[a] for a in columns[1]], dtype=np.int64),
+        np.array(columns[2], dtype=np.int8),
+    )
+    word_ids = [vocab.word_ids(text) for text in titles.values()]
+    return obj.encode_training_pairs(pairs, word_ids, max_len)
 
 
 # --- finite-difference gradient oracle, shared by unit and acceptance tests ---

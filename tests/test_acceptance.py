@@ -18,16 +18,12 @@ from titlerec import cli, corpus, evaluation, objectives
 from titlerec import encoder as enc
 from titlerec import index as ix
 from titlerec.corpus import SessionGroup
-from titlerec.objectives import (
-    KEEP_REPLACE,
-    MASK_REPLACE,
-    RANDOM_REPLACE,
-    TrainingPair,
-)
+from titlerec.objectives import KEEP_REPLACE, MASK_REPLACE, RANDOM_REPLACE
 from titlerec.tokenizer import FIRST_WORD_ID, Vocabulary, encode_single
 
 from conftest import (
     central_difference,
+    encode_id_pairs,
     grads_agree,
     random_sequence,
     random_targets,
@@ -121,7 +117,7 @@ def test_02_loss_formula_oracles():
     vocab = Vocabulary(["alpha", "beta", "gamma"])
     config = enc.EncoderConfig(vocab_size=len(vocab), d_model=8, n_heads=2,
                                n_layers=1, d_ff=8, max_len=6)
-    seq = encode_single("alpha beta", vocab, config.max_len)
+    seq = encode_single(vocab.word_ids("alpha beta"), config.max_len)
     plan = objectives.MaskingPlan((1,), (5,), (MASK_REPLACE,))
     titles = {"0000000001": "alpha", "0000000002": "beta"}
 
@@ -130,7 +126,7 @@ def test_02_loss_formula_oracles():
         return enc.sequence_loss(params, trace, plan.targets(), None)[0]
 
     def pair_loss(params, pairs):
-        encoded = objectives.encode_training_pairs(pairs, titles, vocab, config.max_len)
+        encoded = encode_id_pairs(pairs, titles, vocab, config.max_len)
         trace = enc.forward(params, encoded.tokens, record=False)
         return enc.sequence_loss(params, trace, [], encoded.labels)[1]
 
@@ -149,14 +145,13 @@ def test_02_loss_formula_oracles():
     assert masked_loss(uniform4, seq, plan) == pytest.approx(np.log(4.0), abs=1e-9)
 
     # an undecided pair head costs ln 2 per pair
-    pairs = [TrainingPair("0000000001", "0000000002", 1),
-             TrainingPair("0000000001", "0000000002", 0)]
+    pairs = [("0000000001", "0000000002", 1), ("0000000001", "0000000002", 0)]
     undecided = zeroed_params(config)
     assert pair_loss(undecided, pairs) == pytest.approx(2.0 * np.log(2.0), abs=1e-9)
 
     # the masked loss sums position by position
     real = enc.init_params(config, seed=9)
-    masked = encode_single("alpha beta gamma", vocab, config.max_len)
+    masked = encode_single(vocab.word_ids("alpha beta gamma"), config.max_len)
     two = objectives.MaskingPlan((1, 3), (5, 7), (MASK_REPLACE, KEEP_REPLACE))
     first = objectives.MaskingPlan((1,), (5,), (MASK_REPLACE,))
     second = objectives.MaskingPlan((3,), (7,), (KEEP_REPLACE,))
@@ -183,7 +178,7 @@ def test_03_masking_statistics():
     for _ in range(10_000):
         n = int(rng.integers(1, 31))
         text = " ".join(words[int(rng.integers(0, len(words)))] for _ in range(n))
-        seq = encode_single(text, vocab, max_len=34)
+        seq = encode_single(vocab.word_ids(text), max_len=34)
         masked, plan = objectives.apply_masking(seq, vocab, rng)
 
         expected = max(1, int(Fraction(3 * n, 20) + Fraction(1, 2)))
@@ -217,9 +212,17 @@ def test_04_pair_sampling_soundness():
             )
             sessions.append(SessionGroup(f"c{j}", date(2020, 1, 1) + timedelta(days=j), members))
         ratio = int(rng.integers(1, 4))
-        pairs = objectives.sample_pairs(sessions, inventory, ratio, rng)
+        table = objectives.positive_table(sessions, inventory, ratio)
+        # every slot, in a random order, as the epochs of training draw them
+        order = rng.permutation(table.slot_count)
+        drawn = objectives.sample_pairs(table, order, rng)
+        pairs = [None] * table.slot_count
+        for slot, seed, candidate, label in zip(
+            order.tolist(), drawn.seeds.tolist(), drawn.candidates.tolist(), drawn.labels.tolist()
+        ):
+            pairs[slot] = (inventory[seed], inventory[candidate], label)
 
-        # replay the generation order and check every pair exhaustively
+        # replay the generation order and check every slot exhaustively
         cursor = 0
         for session in sessions:
             unique_ids = list(dict.fromkeys(session.article_ids))
@@ -230,16 +233,18 @@ def test_04_pair_sampling_soundness():
                 for candidate in unique_ids:
                     if candidate == seed:
                         continue
-                    assert pairs[cursor] == TrainingPair(seed, candidate, 1)
+                    assert pairs[cursor] == (seed, candidate, 1)
                     cursor += 1
                     for _ in range(ratio):
-                        negative = pairs[cursor]
-                        assert negative.label == 0
-                        assert negative.seed_article_id == seed
-                        assert negative.candidate_article_id in inventory
-                        assert negative.candidate_article_id not in session_set
+                        negative_seed, negative, label = pairs[cursor]
+                        assert label == 0
+                        assert negative_seed == seed
+                        assert negative in inventory
+                        assert negative not in session_set
                         cursor += 1
-        assert cursor == len(pairs), f"fixture {fixture} left unexplained pairs"
+        assert cursor == table.slot_count == len(table) * (1 + ratio), (
+            f"fixture {fixture} left unexplained slots"
+        )
 
 
 def brute_force_neighbors(article_ids, vectors, query, k):

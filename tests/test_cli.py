@@ -16,7 +16,7 @@ from titlerec import encoder as enc
 from titlerec import index as ix
 from titlerec.errors import InvalidConfigError
 
-from synth import small_inputs
+from synth import ARTICLE_HEADER, TRANSACTION_HEADER, small_inputs, to_csv
 
 TINY_MODEL = [
     "--d-model", "8",
@@ -88,6 +88,37 @@ class TestLoadConfig:
         path = tmp_path / "config.json"
         path.write_text("{nope")
         with pytest.raises(InvalidConfigError):
+            cli.load_config(str(path), {})
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--negatives-per-positive", "0"),
+            ("train", "--batch-size", "0"),
+            ("train", "--batch-size", "-1"),
+            ("train", "--epochs", "-1"),
+            ("train", "--max-steps", "-1"),
+            ("train", "--holdout-days", "0"),
+            ("recommend", "--holdout-days", "0"),
+        ],
+    )
+    def test_bad_training_knob_rejected(self, pipeline, tmp_path, capsys, command, flag, value):
+        clone = fresh_copy(pipeline, tmp_path)
+        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        assert run_cli(command, *clone["base"], flag, value) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: InvalidConfigError: ")
+        assert flag[2:].replace("-", "_") in line
+        assert captured.out == ""
+        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        assert after == before
+
+    @pytest.mark.parametrize("value", [0, "16", 2.0, True])
+    def test_bad_knob_in_config_file_rejected(self, tmp_path, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"batch_size": value}))
+        with pytest.raises(InvalidConfigError, match="batch_size"):
             cli.load_config(str(path), {})
 
     def test_text_columns_normalized(self, tmp_path):
@@ -217,8 +248,14 @@ class TestTrain:
 
     def test_pairs_encoded_equal_pairs_trained(self, pipeline, tmp_path, monkeypatch):
         clone = fresh_copy(pipeline, tmp_path)
-        encoded, trained = [], []
+        drawn, encoded, trained, trained_negatives = [], [], [], []
+        real_sample = cli.objectives.sample_pairs
         real_encode, real_step = cli.objectives.encode_training_pairs, cli.objectives.train_step
+
+        def sample_spy(*args, **kwargs):
+            pairs = real_sample(*args, **kwargs)
+            drawn.append(int((pairs.labels == 0).sum()))
+            return pairs
 
         def encode_spy(*args, **kwargs):
             batch = real_encode(*args, **kwargs)
@@ -227,17 +264,94 @@ class TestTrain:
 
         def step_spy(params, state, masked_batch, pair_batch, *args, **kwargs):
             trained.append(len(pair_batch))
+            trained_negatives.append(int((pair_batch.labels == 0).sum()))
             return real_step(params, state, masked_batch, pair_batch, *args, **kwargs)
 
+        monkeypatch.setattr(cli.objectives, "sample_pairs", sample_spy)
         monkeypatch.setattr(cli.objectives, "encode_training_pairs", encode_spy)
         monkeypatch.setattr(cli.objectives, "train_step", step_spy)
-        # 8 pairs in the epoch (2 positives, 3 negatives each); 2 steps of 2 train 4
+        # 8 slots in the epoch (2 positives, 3 negatives each); 2 steps of 2 train 4
         assert run_cli(
             "train", *clone["base"][:-2], "--max-steps", "2",
             "--batch-size", "2", "--negatives-per-positive", "3",
         ) == 0
         assert trained == [2, 2]
         assert sum(encoded) == sum(trained)
+        # a negative is drawn for each negative slot trained, and for no other
+        assert drawn == trained_negatives and sum(drawn) >= 2
+
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, pipeline, tmp_path):
+        logs = {}
+        for steps in ("3", "6"):
+            clone = fresh_copy(pipeline, tmp_path / steps)
+            flags = ["--epochs", "4", "--batch-size", "2", "--max-steps", steps]
+            assert run_cli("train", *clone["base"][:-4], *flags) == 0
+            logs[steps] = (clone["workdir"] / cli.LOSS_LOG_FILE).read_text().splitlines()
+        assert len(logs["3"]) == 1 + 3 and len(logs["6"]) == 1 + 6
+        assert logs["3"] == logs["6"][:4]
+
+    def test_inventory_check_precedes_the_first_step(self, tmp_path, capsys, monkeypatch):
+        # one train-window session buys the whole two-article catalog
+        articles = [
+            ("0000000001", "red top", "type0", "Ladieswear", ""),
+            ("0000000002", "blue cap", "type1", "Sport", ""),
+        ]
+        transactions = [
+            ("2020-03-02", "shopper000", "0000000001", "0.05", "2"),
+            ("2020-03-02", "shopper000", "0000000002", "0.05", "2"),
+            ("2020-03-20", "shopper001", "0000000001", "0.05", "2"),
+        ]
+        (tmp_path / "articles.csv").write_text(to_csv(ARTICLE_HEADER, articles))
+        (tmp_path / "transactions.csv").write_text(to_csv(TRANSACTION_HEADER, transactions))
+        base = [
+            "--workdir", tmp_path / "w",
+            "--articles", tmp_path / "articles.csv",
+            "--transactions", tmp_path / "transactions.csv",
+            *TINY_MODEL,
+        ]
+        assert run_cli("ingest", *base) == 0
+        steps = []
+        monkeypatch.setattr(cli.objectives, "train_step", lambda *args: steps.append(1))
+        capsys.readouterr()
+        assert run_cli("train", *base, "--max-steps", "1") == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: InventoryTooSmallError: ")
+        assert steps == []
+        assert not (tmp_path / "w" / cli.CHECKPOINT_FILE).exists()
+
+    def test_title_without_a_kept_word_is_not_masked(self, tmp_path, monkeypatch):
+        # with --min-freq 2 the words seen once are unknown; at --max-len 12 a
+        # title keeps its first ten words, so the third title keeps a word to
+        # mask and the fourth does not
+        articles = [
+            ("0000000001", "red blue", "type0", "Sport", ""),
+            ("0000000002", "blue red", "type0", "Sport", ""),
+            ("0000000003", " ".join(f"x{i}" for i in range(9)) + " red", "type0", "Sport", ""),
+            ("0000000004", " ".join(f"y{i}" for i in range(10)) + " red", "type0", "Sport", ""),
+        ]
+        transactions = [
+            ("2020-03-02", "shopper000", "0000000001", "0.05", "2"),
+            ("2020-03-20", "shopper001", "0000000002", "0.05", "2"),
+        ]
+        (tmp_path / "articles.csv").write_text(to_csv(ARTICLE_HEADER, articles))
+        (tmp_path / "transactions.csv").write_text(to_csv(TRANSACTION_HEADER, transactions))
+        base = [
+            "--workdir", tmp_path / "w",
+            "--articles", tmp_path / "articles.csv",
+            "--transactions", tmp_path / "transactions.csv",
+            *TINY_MODEL, "--min-freq", "2",
+        ]
+        assert run_cli("ingest", *base) == 0
+        masked = []
+        real = cli.objectives.apply_masking
+
+        def spy(seq, *args):
+            masked.append(seq)
+            return real(seq, *args)
+
+        monkeypatch.setattr(cli.objectives, "apply_masking", spy)
+        assert run_cli("train", *base, "--batch-size", "4") == 0
+        assert len(masked) == 3
 
     def test_three_arenas_whatever_the_step_count(self, pipeline, tmp_path, monkeypatch):
         # two Adam moments and one gradient arena reused by every step

@@ -15,7 +15,7 @@ from titlerec.errors import (
 )
 from titlerec.tokenizer import TokenBatch, TokenSequence
 
-from conftest import zeroed_params
+from conftest import encode_id_pairs, zeroed_params
 
 
 class TestConfig:
@@ -657,12 +657,14 @@ class TestPassBudget:
         params = enc.init_params(config, seed=0)
         rng = np.random.default_rng(36)
         masked = [
-            obj.apply_masking(encode_single(" ".join(words[i : i + 5]), vocab, 48), vocab, rng)
+            obj.apply_masking(
+                encode_single(vocab.word_ids(" ".join(words[i : i + 5])), 48), vocab, rng
+            )
             for i in range(16)
         ]
         titles = {f"{i:010d}": " ".join(words[i : i + 3]) for i in range(16)}
-        pairs = [obj.TrainingPair(f"{i:010d}", f"{15 - i:010d}", i % 2) for i in range(16)]
-        pair_batch = obj.encode_training_pairs(pairs, titles, vocab, 48)
+        pairs = [(f"{i:010d}", f"{15 - i:010d}", i % 2) for i in range(16)]
+        pair_batch = encode_id_pairs(pairs, titles, vocab, 48)
 
         sizes = []
         real_forward = enc.forward

@@ -18,7 +18,7 @@ from titlerec.errors import (
 )
 from titlerec.tokenizer import build_vocab, encode_batch, encode_single
 
-from conftest import zeroed_params
+from conftest import encode_id_pairs, zeroed_params
 from synth import write_planted_inputs
 
 
@@ -236,15 +236,14 @@ class TestEmbeddingTraffic:
         passes.clear()
         rng = np.random.default_rng(0)
         masked = [
-            obj.apply_masking(encode_single(a.text, vocab, config.max_len), vocab, rng)
+            obj.apply_masking(
+                encode_single(vocab.word_ids(a.text), config.max_len), vocab, rng
+            )
             for a in articles[:8]
         ]
         titles = {a.article_id: a.text for a in articles}
-        pairs = [
-            obj.TrainingPair(articles[i].article_id, articles[-1 - i].article_id, i % 2)
-            for i in range(8)
-        ]
-        pair_batch = obj.encode_training_pairs(pairs, titles, vocab, config.max_len)
+        pairs = [(articles[i].article_id, articles[-1 - i].article_id, i % 2) for i in range(8)]
+        pair_batch = encode_id_pairs(pairs, titles, vocab, config.max_len)
         obj.train_step(params, obj.init_optimizer(params), masked, pair_batch)
         assert passes and all(rows.max_len == config.max_len for rows in passes)
 

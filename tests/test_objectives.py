@@ -25,7 +25,7 @@ from titlerec.tokenizer import (
     encode_single,
 )
 
-from conftest import zeroed_params
+from conftest import encode_id_pairs, zeroed_params
 
 
 def make_vocab(n_words=12):
@@ -57,13 +57,13 @@ class TestApplyMasking:
         rng = np.random.default_rng(0)
         for live_words in (1, 2, 7, 13):
             text = " ".join(f"w{i % 12:02d}" for i in range(live_words))
-            seq = encode_single(text, vocab, max_len=live_words + 4)
+            seq = encode_single(vocab.word_ids(text), max_len=live_words + 4)
             masked, plan = obj.apply_masking(seq, vocab, rng)
             assert len(plan.positions) == obj.masked_count(live_words)
 
     def test_only_word_positions_touched(self, vocab):
         rng = np.random.default_rng(1)
-        seq = encode_single("w00 w01 w02 w03 w04", vocab, max_len=10)
+        seq = encode_single(vocab.word_ids("w00 w01 w02 w03 w04"), max_len=10)
         for _ in range(100):
             masked, plan = obj.apply_masking(seq, vocab, rng)
             maskable = {i for i, t in enumerate(seq.ids) if t >= FIRST_WORD_ID}
@@ -76,7 +76,7 @@ class TestApplyMasking:
 
     def test_labels_and_kinds_consistent(self, vocab):
         rng = np.random.default_rng(2)
-        seq = encode_single("w00 w01 w02 w03 w04 w05 w06 w07", vocab, max_len=12)
+        seq = encode_single(vocab.word_ids("w00 w01 w02 w03 w04 w05 w06 w07"), max_len=12)
         for _ in range(300):
             masked, plan = obj.apply_masking(seq, vocab, rng)
             for position, label, kind in zip(
@@ -93,13 +93,14 @@ class TestApplyMasking:
 
     def test_nothing_to_mask(self, vocab):
         rng = np.random.default_rng(3)
-        seq = encode_single("", vocab, max_len=6)
+        seq = encode_single(vocab.word_ids(""), max_len=6)
         with pytest.raises(NothingToMaskError):
             obj.apply_masking(seq, vocab, rng)
 
     def test_replacement_mix_statistics(self, vocab):
         rng = np.random.default_rng(4)
-        seq = encode_single(" ".join(f"w{i % 12:02d}" for i in range(20)), vocab, max_len=24)
+        text = " ".join(f"w{i % 12:02d}" for i in range(20))
+        seq = encode_single(vocab.word_ids(text), max_len=24)
         kinds = []
         for _ in range(2000):
             _, plan = obj.apply_masking(seq, vocab, rng)
@@ -110,7 +111,7 @@ class TestApplyMasking:
         assert abs(shares[obj.KEEP_REPLACE] - 0.10) < 0.03
 
     def test_deterministic_given_seed(self, vocab):
-        seq = encode_single("w00 w01 w02 w03 w04 w05", vocab, max_len=10)
+        seq = encode_single(vocab.word_ids("w00 w01 w02 w03 w04 w05"), max_len=10)
         a = obj.apply_masking(seq, vocab, np.random.default_rng(77))
         b = obj.apply_masking(seq, vocab, np.random.default_rng(77))
         assert a == b
@@ -120,51 +121,53 @@ def session(customer, day, *article_ids):
     return SessionGroup(customer, date(2020, 9, day), tuple(article_ids))
 
 
+def every_slot(sessions, inventory, ratio, rng):
+    """Every slot of the sessions' pairs, drawn in slot order, as (seed id,
+    candidate id, label) triples."""
+    table = obj.positive_table(sessions, inventory, ratio)
+    pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
+    return [
+        (inventory[seed], inventory[candidate], label)
+        for seed, candidate, label in zip(
+            pairs.seeds.tolist(), pairs.candidates.tolist(), pairs.labels.tolist()
+        )
+    ]
+
+
 class TestSamplePairs:
     def test_two_item_session(self):
         inventory = ["A", "B", "C", "D"]
-        pairs = obj.sample_pairs(
-            [session("u", 1, "A", "B")], inventory, 1, np.random.default_rng(0)
-        )
-        assert [(p.seed_article_id, p.candidate_article_id, p.label) for p in pairs[::2]] == [
-            ("A", "B", 1),
-            ("B", "A", 1),
-        ]
+        pairs = every_slot([session("u", 1, "A", "B")], inventory, 1, np.random.default_rng(0))
+        assert pairs[::2] == [("A", "B", 1), ("B", "A", 1)]
         for positive, negative in zip(pairs[::2], pairs[1::2]):
-            assert negative.label == 0
-            assert negative.seed_article_id == positive.seed_article_id
-            assert negative.candidate_article_id in {"C", "D"}
+            assert negative[2] == 0
+            assert negative[0] == positive[0]
+            assert negative[1] in {"C", "D"}
 
     def test_singleton_session_yields_nothing(self):
-        pairs = obj.sample_pairs(
-            [session("u", 1, "A")], ["A", "B"], 1, np.random.default_rng(0)
-        )
-        assert pairs == []
+        table = obj.positive_table([session("u", 1, "A")], ["A", "B"], 1)
+        assert len(table) == 0 and table.slot_count == 0
 
     def test_session_covering_inventory_raises(self):
         with pytest.raises(InventoryTooSmallError):
-            obj.sample_pairs(
-                [session("u", 1, "A", "B")], ["A", "B"], 1, np.random.default_rng(0)
-            )
+            obj.positive_table([session("u", 1, "A", "B")], ["A", "B"], 1)
 
     def test_covering_singleton_session_is_harmless(self):
         # a size-1 session produces no positive, so it needs no negative
-        pairs = obj.sample_pairs([session("u", 1, "A")], ["A"], 1, np.random.default_rng(0))
-        assert pairs == []
+        table = obj.positive_table([session("u", 1, "A")], ["A"], 1)
+        assert table.slot_count == 0
 
     def test_duplicate_purchases_collapse(self):
-        pairs = obj.sample_pairs(
+        pairs = every_slot(
             [session("u", 1, "A", "A", "B")], ["A", "B", "C"], 1, np.random.default_rng(0)
         )
-        positives = [(p.seed_article_id, p.candidate_article_id) for p in pairs if p.label == 1]
-        assert positives == [("A", "B"), ("B", "A")]
+        assert [p[:2] for p in pairs if p[2] == 1] == [("A", "B"), ("B", "A")]
 
     def test_negative_ratio(self):
-        pairs = obj.sample_pairs(
-            [session("u", 1, "A", "B")], ["A", "B", "C", "D", "E"], 3, np.random.default_rng(0)
-        )
-        assert len(pairs) == 2 * (1 + 3)
-        assert sum(p.label for p in pairs) == 2
+        table = obj.positive_table([session("u", 1, "A", "B")], ["A", "B", "C", "D", "E"], 3)
+        assert table.slot_count == 2 * (1 + 3)
+        pairs = obj.sample_pairs(table, np.arange(table.slot_count), np.random.default_rng(0))
+        assert len(pairs) == 8 and int(pairs.labels.sum()) == 2
 
     def test_soundness_on_random_sessions(self):
         rng = np.random.default_rng(5)
@@ -174,7 +177,7 @@ class TestSamplePairs:
             size = int(rng.integers(1, 5))
             items = rng.choice(inventory, size=size, replace=False)
             sessions.append(session(f"c{s}", 1 + s % 20, *items))
-        pairs = obj.sample_pairs(sessions, inventory, 2, rng)
+        pairs = every_slot(sessions, inventory, 2, rng)
         cursor = 0
         for sess in sessions:
             unique = list(dict.fromkeys(sess.article_ids))
@@ -184,30 +187,76 @@ class TestSamplePairs:
                 for candidate in unique:
                     if candidate == seed:
                         continue
-                    positive = pairs[cursor]
-                    assert (positive.seed_article_id, positive.candidate_article_id) == (
-                        seed,
-                        candidate,
-                    )
-                    assert positive.label == 1
+                    assert pairs[cursor] == (seed, candidate, 1)
                     cursor += 1
                     for _ in range(2):
                         negative = pairs[cursor]
-                        assert negative.label == 0
-                        assert negative.candidate_article_id not in sess.article_ids
+                        assert negative[0] == seed and negative[2] == 0
+                        assert negative[1] not in sess.article_ids
                         cursor += 1
         assert cursor == len(pairs)
 
     def test_empty_inventory_rejected(self):
         with pytest.raises(InventoryTooSmallError):
-            obj.sample_pairs([], [], 1, np.random.default_rng(0))
+            obj.positive_table([], [], 1)
 
     def test_deterministic_given_seed(self):
         sessions = [session("u", 1, "A", "B"), session("v", 2, "B", "C")]
         inventory = ["A", "B", "C", "D", "E"]
-        a = obj.sample_pairs(sessions, inventory, 2, np.random.default_rng(9))
-        b = obj.sample_pairs(sessions, inventory, 2, np.random.default_rng(9))
+        a = every_slot(sessions, inventory, 2, np.random.default_rng(9))
+        b = every_slot(sessions, inventory, 2, np.random.default_rng(9))
         assert a == b
+
+    def test_slots_map_to_their_positive(self):
+        sessions = [session("u", 1, "A", "B", "C"), session("v", 2, "D", "E")]
+        inventory = ["A", "B", "C", "D", "E", "F", "G"]
+        table = obj.positive_table(sessions, inventory, 2)
+        order = np.random.default_rng(3).permutation(table.slot_count)
+        pairs = obj.sample_pairs(table, order, np.random.default_rng(4))
+        for slot, seed, candidate, label in zip(
+            order.tolist(), pairs.seeds.tolist(), pairs.candidates.tolist(), pairs.labels.tolist()
+        ):
+            positive, offset = divmod(slot, 3)
+            assert seed == table.seeds[positive]
+            assert label == (offset == 0)
+            if offset == 0:
+                assert candidate == table.candidates[positive]
+            else:
+                assert candidate not in table.members_of(positive)
+
+    def test_only_negative_slots_draw(self):
+        # positives take no randomness; each negative slot takes at least one draw
+        table = obj.positive_table([session("u", 1, "A", "B")], list("ABCDEFGH"), 1)
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        obj.sample_pairs(table, np.array([2, 0]), rng)
+        assert rng.bit_generator.state == before
+        obj.sample_pairs(table, np.array([3]), rng)
+        assert rng.bit_generator.state != before
+
+    def test_negative_frequencies_within_binomial_bound(self):
+        # 10,000 draws for one seed: uniform over the 7 articles outside its
+        # session, none inside it
+        inventory = [f"{i:010d}" for i in range(10)]
+        table = obj.positive_table([session("u", 1, *inventory[:3])], inventory, 1)
+        draws = 10_000
+        pairs = obj.sample_pairs(table, np.ones(draws, dtype=np.int64), np.random.default_rng(21))
+        assert not pairs.labels.any()
+        counts = np.bincount(pairs.candidates, minlength=len(inventory))
+        assert counts[:3].tolist() == [0, 0, 0]
+        p = 1 / 7
+        bound = 5 * math.sqrt(draws * p * (1 - p))  # five standard deviations
+        assert np.all(np.abs(counts[3:] - draws * p) < bound), counts
+
+    def test_article_outside_inventory_rejected(self):
+        with pytest.raises(UnknownArticleError):
+            obj.positive_table([session("u", 1, "A", "Z")], ["A", "B", "C"], 1)
+
+    def test_bad_ratio_and_repeated_inventory_rejected(self):
+        with pytest.raises(ValueError):
+            obj.positive_table([], ["A", "B"], 0)
+        with pytest.raises(ValueError):
+            obj.positive_table([], ["A", "B", "A"], 1)
 
 
 class TestAnalyticLosses:
@@ -236,8 +285,8 @@ class TestAnalyticLosses:
 
     @staticmethod
     def pair_loss(params, pairs, titles, vocab):
-        """Summed pair BCE of a batch of training pairs, in one pass."""
-        encoded = obj.encode_training_pairs(pairs, titles, vocab, params.config.max_len)
+        """Summed pair BCE of (seed id, candidate id, label) pairs, in one pass."""
+        encoded = encode_id_pairs(pairs, titles, vocab, params.config.max_len)
         trace = enc.forward(params, encoded.tokens, record=False)
         return enc.sequence_loss(params, trace, [], encoded.labels)[1]
 
@@ -299,34 +348,27 @@ class TestAnalyticLosses:
 
     def test_np_loss_balanced_pair_at_half(self):
         params, titles, vocab = self.np_fixture(0.0)
-        pairs = [
-            obj.TrainingPair("0000000001", "0000000002", 1),
-            obj.TrainingPair("0000000001", "0000000003", 0),
-        ]
+        pairs = [("0000000001", "0000000002", 1), ("0000000001", "0000000003", 0)]
         loss = self.pair_loss(params, pairs, titles, vocab)
         assert abs(loss - 2.0 * math.log(2.0)) < 1e-9
 
     def test_np_loss_single_positive_quarter(self):
         params, titles, vocab = self.np_fixture(-math.log(3.0))
-        pairs = [obj.TrainingPair("0000000001", "0000000002", 1)]
+        pairs = [("0000000001", "0000000002", 1)]
         loss = self.pair_loss(params, pairs, titles, vocab)
         assert abs(loss - math.log(4.0)) < 1e-9
 
     def test_np_loss_saturated_logits_stay_finite(self):
         for logit in (-1000.0, 1000.0):
             params, titles, vocab = self.np_fixture(logit)
-            pairs = [
-                obj.TrainingPair("0000000001", "0000000002", 1),
-                obj.TrainingPair("0000000001", "0000000003", 0),
-            ]
+            pairs = [("0000000001", "0000000002", 1), ("0000000001", "0000000003", 0)]
             assert np.isfinite(self.pair_loss(params, pairs, titles, vocab))
 
     def test_np_loss_unknown_article(self):
+        # an article without a prepared title never becomes a pair
         params, titles, vocab = self.np_fixture(0.0)
         with pytest.raises(UnknownArticleError):
-            self.pair_loss(
-                params, [obj.TrainingPair("0000000001", "0000000099", 1)], titles, vocab
-            )
+            obj.positive_table([session("u", 1, "0000000001", "0000000099")], list(titles), 1)
 
     def test_np_loss_empty_batch(self):
         params, titles, vocab = self.np_fixture(0.0)
@@ -498,8 +540,8 @@ def tiny_training_world(seed=6):
         for member in range(5):
             articles.append(PreparedArticle(f"{group * 10 + member:010d}", text, 2))
     vocab = build_vocab(articles)
-    titles = {a.article_id: a.text for a in articles}
-    inventory = sorted(titles)
+    inventory = [a.article_id for a in articles]
+    word_ids = [vocab.word_ids(a.text) for a in articles]
     sessions = []
     for s in range(25):
         group = s % 10
@@ -509,25 +551,26 @@ def tiny_training_world(seed=6):
     config = enc.EncoderConfig(
         vocab_size=len(vocab), d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=10
     )
-    return config, vocab, titles, inventory, sessions, articles
+    return config, vocab, word_ids, inventory, sessions, articles
 
 
 def run_training(steps, seed=6, learning_rate=5e-3):
-    config, vocab, titles, inventory, sessions, articles = tiny_training_world(seed=seed)
+    config, vocab, word_ids, inventory, sessions, articles = tiny_training_world(seed=seed)
     params = enc.init_params(config, seed=seed)
     state = obj.init_optimizer(params, learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
-    pairs = obj.sample_pairs(sessions, inventory, 1, rng)
+    table = obj.positive_table(sessions, inventory, 1)
     records = []
     for step in range(steps):
         masked_batch = []
         for offset in range(10):
             article = articles[(step * 10 + offset) % len(articles)]
-            seq = encode_single(article.text, vocab, config.max_len)
+            seq = encode_single(vocab.word_ids(article.text), config.max_len)
             masked_batch.append(obj.apply_masking(seq, vocab, rng))
-        start = (step * 10) % len(pairs)
-        step_pairs = [pairs[(start + k) % len(pairs)] for k in range(10)]
-        pair_batch = obj.encode_training_pairs(step_pairs, titles, vocab, config.max_len)
+        start = step * 10
+        slots = [(start + k) % table.slot_count for k in range(10)]
+        step_pairs = obj.sample_pairs(table, slots, rng)
+        pair_batch = obj.encode_training_pairs(step_pairs, word_ids, config.max_len)
         params, state, record = obj.train_step(params, state, masked_batch, pair_batch)
         records.append(record)
     return params, records
@@ -535,15 +578,16 @@ def run_training(steps, seed=6, learning_rate=5e-3):
 
 class TestTrainStep:
     def test_zero_learning_rate_keeps_params(self, vocab):
-        config, vocab, titles, inventory, sessions, articles = tiny_training_world()
+        config, vocab, word_ids, inventory, sessions, articles = tiny_training_world()
         params = enc.init_params(config, seed=0)
         before = params.copy()
         state = obj.init_optimizer(params, learning_rate=0.0)
         rng = np.random.default_rng(1)
-        seq = encode_single(articles[0].text, vocab, config.max_len)
+        seq = encode_single(vocab.word_ids(articles[0].text), config.max_len)
         masked_batch = [obj.apply_masking(seq, vocab, rng)]
-        pairs = obj.sample_pairs(sessions[:2], inventory, 1, rng)
-        pair_batch = obj.encode_training_pairs(pairs, titles, vocab, config.max_len)
+        table = obj.positive_table(sessions[:2], inventory, 1)
+        pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
+        pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
         params, state, record = obj.train_step(params, state, masked_batch, pair_batch)
         for name in params.names():
             assert np.array_equal(params[name], before[name])
@@ -551,17 +595,18 @@ class TestTrainStep:
         assert record.total == pytest.approx(record.mlm_mean + record.np_mean)
 
     def test_every_tensor_group_receives_gradient(self):
-        config, vocab, titles, inventory, sessions, articles = tiny_training_world()
+        config, vocab, word_ids, inventory, sessions, articles = tiny_training_world()
         params = enc.init_params(config, seed=0)
         before = params.copy()
         state = obj.init_optimizer(params)
         rng = np.random.default_rng(2)
         masked_batch = [
-            obj.apply_masking(encode_single(a.text, vocab, config.max_len), vocab, rng)
+            obj.apply_masking(encode_single(vocab.word_ids(a.text), config.max_len), vocab, rng)
             for a in articles[:8]
         ]
-        pairs = obj.sample_pairs(sessions[:6], inventory, 1, rng)
-        pair_batch = obj.encode_training_pairs(pairs, titles, vocab, config.max_len)
+        table = obj.positive_table(sessions[:6], inventory, 1)
+        pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
+        pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
         params, _, _ = obj.train_step(params, state, masked_batch, pair_batch)
         for name in params.names():
             assert not np.array_equal(params[name], before[name]), name

@@ -21,6 +21,8 @@ from titlerec.tokenizer import (
     encode_single,
 )
 
+from conftest import encode_id_pairs
+
 # (vocab, d_model, d_ff, max_len, rows per pass) of the planted, catalog
 # and log workloads; each runs 4 heads over 2 layers
 SHAPES = {
@@ -204,12 +206,14 @@ class TestTrainStepTraffic:
         params = shaped_params("planted")
         rng = np.random.default_rng(5)
         masked = [
-            obj.apply_masking(encode_single(" ".join(words[i : i + 9]), vocab, 16), vocab, rng)
+            obj.apply_masking(
+                encode_single(vocab.word_ids(" ".join(words[i : i + 9])), 16), vocab, rng
+            )
             for i in range(20)
         ]
         titles = {f"{i:010d}": " ".join(words[i : i + 4]) for i in range(20)}
-        pairs = [obj.TrainingPair(f"{i:010d}", f"{19 - i:010d}", i % 2) for i in range(20)]
-        pair_batch = obj.encode_training_pairs(pairs, titles, vocab, 16)
+        pairs = [(f"{i:010d}", f"{19 - i:010d}", i % 2) for i in range(20)]
+        pair_batch = encode_id_pairs(pairs, titles, vocab, 16)
 
         ffn_shapes, passes = [], []
         real_forward, real_cdf = enc.forward, enc.gelu_cdf

@@ -3,7 +3,7 @@ import pytest
 
 from titlerec import tokenizer as tok
 from titlerec.corpus import PreparedArticle
-from titlerec.errors import ArtifactFormatError, EmptyCorpusError, IdOutOfRangeError
+from titlerec.errors import ArtifactFormatError, EmptyCorpusError
 
 
 def prepared(texts):
@@ -51,20 +51,13 @@ class TestBuildVocab:
             tok.build_vocab([])
 
     def test_lookup_and_miss(self, vocab):
-        assert vocab.lookup("top") == 5
-        assert vocab.lookup("zebra") == tok.UNK_ID
-        assert "top" in vocab and "zebra" not in vocab
+        assert vocab.word_ids("top zebra  top") == [5, tok.UNK_ID, 5]
+        assert vocab.word_ids("") == []
+        assert "top" in vocab.token_to_id and "zebra" not in vocab.token_to_id
 
     def test_maps_are_inverses(self, vocab):
         for token_id, token in enumerate(vocab.id_to_token):
             assert vocab.token_to_id[token] == token_id
-
-    def test_token_by_id_bounds(self, vocab):
-        assert vocab.token(5) == "top"
-        with pytest.raises(IdOutOfRangeError):
-            vocab.token(len(vocab))
-        with pytest.raises(IdOutOfRangeError):
-            vocab.token(-1)
 
     def test_round_trip(self, vocab, tmp_path):
         vocab.save(tmp_path / "vocab.txt")
@@ -84,7 +77,7 @@ class TestBuildVocab:
 
 class TestEncodeSingle:
     def test_layout(self, vocab):
-        seq = tok.encode_single("strap top", vocab, max_len=6)
+        seq = tok.encode_single(vocab.word_ids("strap top"), max_len=6)
         assert seq.ids == (tok.CLS_ID, 7, 5, tok.SEP_ID, 0, 0)
         assert seq.segments == (0, 0, 0, 0, 0, 0)
         assert seq.attn_mask == (1, 1, 1, 1, 0, 0)
@@ -92,16 +85,16 @@ class TestEncodeSingle:
         assert len(seq) == 6
 
     def test_unknown_word_maps_to_unk(self, vocab):
-        seq = tok.encode_single("zebra", vocab, max_len=4)
+        seq = tok.encode_single(vocab.word_ids("zebra"), max_len=4)
         assert seq.ids[1] == tok.UNK_ID
 
     def test_truncates_long_text(self, vocab):
-        seq = tok.encode_single("top top top top top top", vocab, max_len=5)
+        seq = tok.encode_single(vocab.word_ids("top top top top top top"), max_len=5)
         assert seq.ids == (tok.CLS_ID, 5, 5, 5, tok.SEP_ID)
         assert sum(seq.attn_mask) == 5
 
     def test_empty_text(self, vocab):
-        seq = tok.encode_single("", vocab, max_len=4)
+        seq = tok.encode_single(vocab.word_ids(""), max_len=4)
         assert seq.ids == (tok.CLS_ID, tok.SEP_ID, 0, 0)
         assert sum(seq.attn_mask) == 2
 
@@ -138,7 +131,7 @@ class TestTruncatePair:
 
 class TestEncodePair:
     def test_layout_and_segments(self, vocab):
-        seq = tok.encode_pair("strap top", "cap", vocab, max_len=10)
+        seq = tok.encode_pair(vocab.word_ids("strap top"), vocab.word_ids("cap"), max_len=10)
         assert seq.ids == (tok.CLS_ID, 7, 5, tok.SEP_ID, 6, tok.SEP_ID, 0, 0, 0, 0)
         assert seq.segments == (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
         assert seq.attn_mask == (1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
@@ -146,7 +139,7 @@ class TestEncodePair:
 
     def test_truncation_budget(self, vocab):
         seq = tok.encode_pair(
-            "top top top top top", "cap cap cap cap cap", vocab, max_len=8
+            vocab.word_ids("top top top top top"), vocab.word_ids("cap cap cap cap cap"), max_len=8
         )
         # budget 5: (5,5) -> (3,2)
         assert seq.ids == (tok.CLS_ID, 5, 5, 5, tok.SEP_ID, 6, 6, tok.SEP_ID)
@@ -154,7 +147,7 @@ class TestEncodePair:
         assert sum(seq.attn_mask) == 8
 
     def test_empty_sides_still_delimited(self, vocab):
-        seq = tok.encode_pair("", "", vocab, max_len=5)
+        seq = tok.encode_pair(vocab.word_ids(""), vocab.word_ids(""), max_len=5)
         assert seq.ids == (tok.CLS_ID, tok.SEP_ID, tok.SEP_ID, 0, 0)
         assert seq.segments == (0, 0, 1, 0, 0)
         assert sum(seq.attn_mask) == 3
@@ -166,7 +159,9 @@ class TestEncodePair:
             text_a = " ".join(rng.choice(words, size=rng.integers(0, 12)))
             text_b = " ".join(rng.choice(words, size=rng.integers(0, 12)))
             max_len = int(rng.integers(5, 14))
-            seq = tok.encode_pair(text_a, text_b, vocab, max_len=max_len)
+            seq = tok.encode_pair(
+                vocab.word_ids(text_a), vocab.word_ids(text_b), max_len=max_len
+            )
             assert len(seq) == max_len
             assert sum(seq.attn_mask) <= max_len
             assert seq.ids[0] == tok.CLS_ID
@@ -182,10 +177,77 @@ class TestEncodePair:
             assert all(s == 1 for s in seq.segments[first_sep + 1 : live])
 
 
+def text_encode_single(text, vocab, max_len):
+    """The row layout of a single title, encoded straight from its text."""
+    word_ids = [vocab.token_to_id.get(w, tok.UNK_ID) for w in text.split()][: max_len - 2]
+    ids = [tok.CLS_ID] + word_ids + [tok.SEP_ID]
+    n_pad = max_len - len(ids)
+    return tok.TokenSequence(
+        tuple(ids + [tok.PAD_ID] * n_pad), (0,) * max_len, tuple([1] * len(ids) + [0] * n_pad)
+    )
+
+
+def text_encode_pair(text_a, text_b, vocab, max_len):
+    """The row layout of a title pair, encoded straight from its texts."""
+    ids_a = [vocab.token_to_id.get(w, tok.UNK_ID) for w in text_a.split()]
+    ids_b = [vocab.token_to_id.get(w, tok.UNK_ID) for w in text_b.split()]
+    keep_a, keep_b = reference_truncate(len(ids_a), len(ids_b), max_len - 3)
+    ids = [tok.CLS_ID] + ids_a[:keep_a] + [tok.SEP_ID] + ids_b[:keep_b] + [tok.SEP_ID]
+    n_pad = max_len - len(ids)
+    segments = [0] * (keep_a + 2) + [1] * (keep_b + 1) + [0] * n_pad
+    return tok.TokenSequence(
+        tuple(ids + [tok.PAD_ID] * n_pad), tuple(segments), tuple([1] * len(ids) + [0] * n_pad)
+    )
+
+
+class TestRowsFromWordIds:
+    """Rows built from word ids looked up once equal rows encoded from the
+    texts, byte for byte, over every ordered pair of the small synthetic
+    corpus (plus an empty and a long title) at every max_len from 5 to 16."""
+
+    def test_every_ordered_pair_of_the_synth_corpus(self, tmp_path):
+        from titlerec import corpus
+        from synth import small_inputs
+
+        inputs = small_inputs(tmp_path)
+        texts = [
+            article.text
+            for article in corpus.prepare_articles(
+                corpus.load_articles(inputs["articles_path"]), corpus.DEFAULT_TEXT_COLUMNS
+            )
+        ]
+        texts += ["", " ".join(texts[:3])]
+        # the rarest words fall out of the vocabulary, so rows carry UNK ids too
+        vocab = tok.build_vocab(prepared(texts), max_size=tok.FIRST_WORD_ID + 12)
+        word_ids = [vocab.word_ids(text) for text in texts]
+        assert any(tok.UNK_ID in ids for ids in word_ids)
+        ties = 0
+        for max_len in range(5, 17):
+            singles = [tok.encode_single(ids, max_len) for ids in word_ids]
+            expected = [text_encode_single(text, vocab, max_len) for text in texts]
+            assert singles == expected
+            assert_same_rows(singles, expected, max_len)
+            pairs, expected = [], []
+            for ids_a, text_a in zip(word_ids, texts):
+                for ids_b, text_b in zip(word_ids, texts):
+                    pairs.append(tok.encode_pair(ids_a, ids_b, max_len))
+                    expected.append(text_encode_pair(text_a, text_b, vocab, max_len))
+                    ties += len(ids_a) == len(ids_b) and 2 * len(ids_a) > max_len - 3
+            assert pairs == expected
+            assert_same_rows(pairs, expected, max_len)
+        assert ties > 100  # truncation ties, which trim the second title
+
+
+def assert_same_rows(rows, expected, max_len):
+    got, want = tok.TokenBatch.stack(rows, max_len), tok.TokenBatch.stack(expected, max_len)
+    for name in ("ids", "segments", "attn_mask"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def decode(ids, vocab):
     """Space-joined words of an encoded row, read back through the vocabulary
     with every special token (UNK included) dropped."""
-    tokens = [vocab.token(int(token_id)) for token_id in ids]
+    tokens = [vocab.id_to_token[int(token_id)] for token_id in ids]
     return " ".join(token for token in tokens if token not in tok.SPECIAL_TOKENS)
 
 
@@ -194,51 +256,54 @@ class TestDecode:
     special tokens around them."""
 
     def test_omits_specials(self, vocab):
-        seq = tok.encode_pair("strap top", "cap", vocab, max_len=10)
+        seq = tok.encode_pair(vocab.word_ids("strap top"), vocab.word_ids("cap"), max_len=10)
         assert decode(seq.ids, vocab) == "strap top cap"
 
     def test_unknown_ids_dropped_like_other_specials(self, vocab):
-        seq = tok.encode_single("zebra top", vocab, max_len=5)
+        seq = tok.encode_single(vocab.word_ids("zebra top"), max_len=5)
         assert seq.ids[1] == tok.UNK_ID
         assert decode(seq.ids, vocab) == "top"
 
-    def test_out_of_range_id_rejected(self, vocab):
-        with pytest.raises(IdOutOfRangeError):
-            vocab.token(len(vocab))
-        with pytest.raises(IdOutOfRangeError):
-            vocab.token(-1)
-
     def test_cls_sep_only_is_empty(self, vocab):
-        seq = tok.encode_single("", vocab, max_len=4)
+        seq = tok.encode_single(vocab.word_ids(""), max_len=4)
         assert decode(seq.ids, vocab) == ""
 
     def test_round_trip_for_in_vocab_text(self, vocab):
         for text in ["strap top vest", "cap", "", "dress moon"]:
-            seq = tok.encode_single(text, vocab, max_len=8)
+            seq = tok.encode_single(vocab.word_ids(text), max_len=8)
             assert decode(seq.ids, vocab) == text
-            pair = tok.encode_pair(text, "cap", vocab, max_len=8)
+            pair = tok.encode_pair(vocab.word_ids(text), vocab.word_ids("cap"), max_len=8)
             assert decode(pair.ids, vocab) == f"{text} cap".strip()
+
+
+def sequences(batch):
+    """Each row of a batch as a TokenSequence."""
+    return [
+        tok.TokenSequence(tuple(ids), tuple(segments), tuple(int(live) for live in mask))
+        for ids, segments, mask in zip(
+            batch.ids.tolist(), batch.segments.tolist(), batch.attn_mask.tolist()
+        )
+    ]
 
 
 class TestTokenBatch:
     def test_stack_round_trips_sequences(self, vocab):
         seqs = [
-            tok.encode_single("strap top", vocab, 8),
-            tok.encode_pair("cap moon", "strap dress", vocab, 8),
-            tok.encode_single("", vocab, 8),
+            tok.encode_single(vocab.word_ids("strap top"), 8),
+            tok.encode_pair(vocab.word_ids("cap moon"), vocab.word_ids("strap dress"), 8),
+            tok.encode_single(vocab.word_ids(""), 8),
         ]
         batch = tok.TokenBatch.stack(seqs, 8)
         assert len(batch) == 3 and batch.max_len == 8
         assert batch.ids.dtype == np.int32
         assert batch.segments.dtype == np.int8
         assert batch.attn_mask.dtype == bool
-        assert [batch.sequence(i) for i in range(3)] == seqs
+        assert sequences(batch) == seqs
 
     def test_encode_batch_matches_encode_single(self, vocab):
         texts = ["strap top vest top", "cap", "unknown words here", "top top"]
         batch = tok.encode_batch(texts, vocab, 6)
-        for row, text in enumerate(texts):
-            assert batch.sequence(row) == tok.encode_single(text, vocab, 6)
+        assert sequences(batch) == [tok.encode_single(vocab.word_ids(t), 6) for t in texts]
 
     def test_stack_of_nothing_keeps_width(self):
         batch = tok.TokenBatch.stack([], 5)
@@ -246,12 +311,12 @@ class TestTokenBatch:
 
     def test_stack_rejects_other_lengths(self, vocab):
         with pytest.raises(ValueError):
-            tok.TokenBatch.stack([tok.encode_single("cap", vocab, 5)], 6)
+            tok.TokenBatch.stack([tok.encode_single(vocab.word_ids("cap"), 5)], 6)
 
     def test_rows_select_and_concat(self, vocab):
         batch = tok.encode_batch(["strap", "cap", "top", "vest"], vocab, 5)
         picked = batch[np.array([3, 1])]
-        assert [picked.sequence(i) for i in range(2)] == [batch.sequence(3), batch.sequence(1)]
+        assert sequences(picked) == [sequences(batch)[3], sequences(batch)[1]]
         joined = tok.TokenBatch.concat(batch[:1], picked)
         assert len(joined) == 3
-        assert joined.sequence(2) == batch.sequence(1)
+        assert sequences(joined)[2] == sequences(batch)[1]
