@@ -8,11 +8,13 @@ byte-identical artifacts.
 The holdout convention is shared by every stage that needs it: the final
 ``holdout_days`` calendar days of the joined transaction log are reserved
 as ground truth, and training, customer profiles and the popularity
-ranking used for serving all draw from the remaining earlier window.
+ranking used for serving all draw from the remaining earlier window. Each
+stage reads ``transactions.tsv`` once, into a ``corpus.PurchaseLog`` of
+integer columns, and splits, groups and counts it with array operations.
 
 Artifacts (inside the workdir):
     prepared_articles.tsv  cleaned one-line text per article
-    transactions.tsv       catalog-joined purchase log
+    transactions.tsv       catalog-joined purchase log, in input order
     ingest_summary.json    row counts and the missing-description histogram
     stats.txt              text-length and missing-description histograms
     vocab.txt              one token per line, line number = id
@@ -217,9 +219,9 @@ def cmd_ingest(config: PipelineConfig) -> str:
     articles = corpus.load_articles(config.articles)
     prepared = corpus.prepare_articles(articles, config.text_columns)
     transactions = corpus.load_transactions(config.transactions)
-    joined_pairs, dropped = corpus.join_transactions(transactions, prepared)
-    joined = [tx for tx, _ in joined_pairs]
-    sessions = len({(tx.customer_id, tx.t_dat) for tx in joined})
+    joined = transactions.of_articles(p.article_id for p in prepared)
+    dropped = len(transactions) - len(joined)
+    sessions = int(joined.sessions()[1].max(initial=-1)) + 1
 
     corpus.save_prepared(prepared, workdir / PREPARED_FILE)
     corpus.save_transactions(joined, workdir / TRANSACTIONS_FILE)
@@ -286,9 +288,7 @@ def cmd_train(config: PipelineConfig) -> str:
         if any(token_id >= FIRST_WORD_ID for token_id in ids[: config.max_len - 2])
     ]
     positives = objectives.positive_table(
-        corpus.group_sessions(train_window),
-        [p.article_id for p in prepared],
-        config.negatives_per_positive,
+        train_window, [p.article_id for p in prepared], config.negatives_per_positive
     )
 
     batch = config.batch_size
@@ -336,8 +336,10 @@ def cmd_train(config: PipelineConfig) -> str:
     return f"steps={steps_done} vocab={len(vocab)} final_total={last_total:.6f}"
 
 
-def _load_customer_universe(config: PipelineConfig, joined) -> list[str]:
-    universe = {tx.customer_id for tx in joined if tx.customer_id}
+def _load_customer_universe(config: PipelineConfig, joined: corpus.PurchaseLog) -> list[str]:
+    seen = np.bincount(joined.customers, minlength=len(joined.customer_ids))
+    universe = {joined.customer_ids[code] for code in np.flatnonzero(seen).tolist()}
+    universe.discard("")
     if config.customer_list is not None:
         for line in Path(config.customer_list).read_text(encoding="utf-8").splitlines():
             if line.strip():

@@ -1,8 +1,13 @@
 """Catalog and transaction ingestion plus text preparation.
 
-Loads the raw article / transaction CSVs, normalizes item text (lowercase,
-single-spaced), joins purchases against the catalog and groups them into
-per-customer-day sessions. All functions are pure with respect to their
+Loads the raw article / transaction CSVs and normalizes item text
+(lowercase, single-spaced). The purchase log is held as integer columns
+(``PurchaseLog``): day ordinals, and customer and article codes into the
+sorted tables of distinct ids, so a stage filters, groups and counts
+purchases with array operations and builds no object per row. Joining
+against the catalog is a mask over article codes, and per-customer-day
+sessions come from one stable sort. Each loader checks and converts each
+distinct cell string once. All functions are pure with respect to their
 inputs; loaders perform no shared mutation and are safe to call concurrently.
 """
 
@@ -10,10 +15,14 @@ from __future__ import annotations
 
 import csv
 import re
-from collections import Counter, defaultdict
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .ioutil import atomic_write_text
 from .errors import (
@@ -47,11 +56,53 @@ class ArticleRecord:
     detail_desc: str | None = None
 
 
-@dataclass(frozen=True)
-class TransactionRecord:
-    t_dat: date
-    customer_id: str
-    article_id: str
+@dataclass(frozen=True, eq=False)
+class PurchaseLog:
+    """The purchase log as three integer columns, one entry per purchase in
+    file order.
+
+    ``days`` holds each purchase's date as a ``date.toordinal`` day number;
+    ``customers`` and ``articles`` hold codes into ``customer_ids`` and
+    ``article_ids``, the sorted distinct (stripped, zero-padded) ids of the
+    file the log was read from, so codes order as their ids do. A sub-log
+    from ``select`` shares those tables, so a table may name ids that no
+    purchase of the sub-log uses.
+    """
+
+    days: np.ndarray
+    customers: np.ndarray
+    articles: np.ndarray
+    customer_ids: tuple[str, ...]
+    article_ids: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.days)
+
+    def select(self, mask: np.ndarray) -> PurchaseLog:
+        """The purchases where ``mask`` is true, in order, over the same id tables."""
+        return PurchaseLog(
+            self.days[mask], self.customers[mask], self.articles[mask],
+            self.customer_ids, self.article_ids,
+        )
+
+    def of_articles(self, article_ids: Iterable[str]) -> PurchaseLog:
+        """The purchases of the given articles (the join against a catalog)."""
+        wanted = set(article_ids)
+        known = np.array([a in wanted for a in self.article_ids], dtype=bool)
+        return self.select(known[self.articles])
+
+    def sessions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Group the purchases into (customer, day) sessions.
+
+        Returns the row order sorted by customer id, then date, then file
+        order (one stable sort), and the session number of each row in that
+        order, counting from 0.
+        """
+        order = np.lexsort((self.days, self.customers))
+        customers, days = self.customers[order], self.days[order]
+        starts = np.ones(len(order), dtype=np.int64)
+        starts[1:] = (customers[1:] != customers[:-1]) | (days[1:] != days[:-1])
+        return order, np.cumsum(starts) - 1
 
 
 @dataclass(frozen=True)
@@ -61,15 +112,6 @@ class PreparedArticle:
     article_id: str
     text: str
     text_len: int
-
-
-@dataclass(frozen=True)
-class SessionGroup:
-    """All purchases of one customer on one calendar date, in file order."""
-
-    customer_id: str
-    t_dat: date
-    article_ids: tuple[str, ...]
 
 
 def _read_table(path: str | Path, required: tuple[str, ...]) -> tuple[dict[str, int], list[list[str]]]:
@@ -95,11 +137,45 @@ def _read_table(path: str | Path, required: tuple[str, ...]) -> tuple[dict[str, 
     return columns, rows[1:]
 
 
-def _normalize_article_id(raw: str, row_index: int) -> str:
+def _canonical_article_id(raw: str) -> str:
+    """The 10-digit form of an article id cell; ValueError unless it holds
+    1 to 10 digits."""
     value = raw.strip()
     if not _ARTICLE_ID_RE.match(value):
-        raise MalformedRowError(f"row {row_index}: bad article_id {raw!r}")
+        raise ValueError(f"bad article_id {raw!r}")
     return value.zfill(10)
+
+
+def _parse_each(values: Sequence[str], parse: Callable[[str], object]) -> tuple[dict, int | None]:
+    """``parse`` of each distinct value, and the index of the first value it
+    raises ValueError on (None when it accepts them all).
+
+    Distinct values are parsed in first-appearance order, so the first one
+    rejected is the first rejected value of ``values``; parsing stops there.
+    """
+    parsed = {}
+    for value in dict.fromkeys(values):
+        try:
+            parsed[value] = parse(value)
+        except ValueError:
+            return parsed, values.index(value)
+    return parsed, None
+
+
+def _codes(values: Sequence[str], canonical: dict[str, str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each value's code into the sorted distinct canonical ids, and those ids.
+
+    ``canonical`` maps every distinct value to its id; values sharing an id
+    share a code.
+    """
+    table = tuple(sorted(set(canonical.values())))
+    code_of = {ident: code for code, ident in enumerate(table)}
+    code = {value: code_of[ident] for value, ident in canonical.items()}
+    return np.fromiter(map(code.__getitem__, values), np.int64, len(values)), table
+
+
+def _day_numbers(values: Sequence[str], ordinal: dict[str, int]) -> np.ndarray:
+    return np.fromiter(map(ordinal.__getitem__, values), np.int64, len(values))
 
 
 def load_articles(path: str | Path) -> list[ArticleRecord]:
@@ -113,7 +189,11 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
     records: list[ArticleRecord] = []
     seen: set[str] = set()
     for row_index, row in enumerate(rows, start=1):
-        article_id = _normalize_article_id(row[columns["article_id"]], row_index)
+        raw_id = row[columns["article_id"]]
+        try:
+            article_id = _canonical_article_id(raw_id)
+        except ValueError:
+            raise MalformedRowError(f"row {row_index}: bad article_id {raw_id!r}") from None
         if article_id in seen:
             raise DuplicateArticleIdError(f"article_id {article_id} appears more than once")
         seen.add(article_id)
@@ -130,41 +210,52 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
     return records
 
 
-def load_transactions(path: str | Path) -> list[TransactionRecord]:
+def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse`` for a cell that may be blank."""
+    return lambda raw: parse(raw) if raw.strip() != "" else None
+
+
+# The checked transaction columns, in the order a row's cells are checked,
+# and how each cell parses.
+_TRANSACTION_CHECKS = (
+    ("t_dat", lambda raw: date.fromisoformat(raw.strip()).toordinal()),
+    ("article_id", _canonical_article_id),
+    ("price", _optional(float)),
+    ("sales_channel_id", _optional(int)),
+)
+
+
+def load_transactions(path: str | Path) -> PurchaseLog:
     """Load the purchase log. Duplicate rows are preserved as-is.
 
     ``price`` and ``sales_channel_id`` columns are optional and no stage
     uses them, but a nonempty cell must still parse as a number (an
-    integer for the channel).
+    integer for the channel). Each check runs once per distinct cell
+    string; the error names the first bad row, and within a row the first
+    bad cell in the order date, article id, price, channel.
     """
     columns, rows = _read_table(path, TRANSACTION_COLUMNS)
-    checked = [
-        (columns[name], name, parse)
-        for name, parse in (("price", float), ("sales_channel_id", int))
-        if name in columns
-    ]
-    records: list[TransactionRecord] = []
-    for row_index, row in enumerate(rows, start=1):
-        raw_date = row[columns["t_dat"]].strip()
-        try:
-            t_dat = date.fromisoformat(raw_date)
-        except ValueError:
-            raise UnparsableDateError(f"row {row_index}: unparsable t_dat {raw_date!r}") from None
-        article_id = _normalize_article_id(row[columns["article_id"]], row_index)
-        for col, name, parse in checked:
-            if row[col].strip() != "":
-                try:
-                    parse(row[col])
-                except ValueError:
-                    raise MalformedRowError(f"row {row_index}: bad {name} {row[col]!r}") from None
-        records.append(
-            TransactionRecord(
-                t_dat=t_dat,
-                customer_id=row[columns["customer_id"]].strip(),
-                article_id=article_id,
-            )
-        )
-    return records
+    cells = {name: list(map(itemgetter(i), rows)) for name, i in columns.items()}
+    parsed: dict[str, dict] = {}
+    failures = []
+    for check, (name, parse) in enumerate(_TRANSACTION_CHECKS):
+        if name in columns:
+            parsed[name], bad = _parse_each(cells[name], parse)
+            if bad is not None:
+                failures.append((bad, check, name))
+    if failures:
+        row, _, name = min(failures)
+        raw = cells[name][row]
+        if name == "t_dat":
+            raise UnparsableDateError(f"row {row + 1}: unparsable t_dat {raw.strip()!r}")
+        raise MalformedRowError(f"row {row + 1}: bad {name} {raw!r}")
+    customer_cells = cells["customer_id"]
+    customers, customer_ids = _codes(
+        customer_cells, {raw: raw.strip() for raw in set(customer_cells)}
+    )
+    articles, article_ids = _codes(cells["article_id"], parsed["article_id"])
+    days = _day_numbers(cells["t_dat"], parsed["t_dat"])
+    return PurchaseLog(days, customers, articles, customer_ids, article_ids)
 
 
 def clean_text(raw: str | None) -> str:
@@ -199,43 +290,6 @@ def prepare_articles(
         text = clean_text(" ".join(parts))
         prepared.append(PreparedArticle(article.article_id, text, seq_length(text)))
     return prepared
-
-
-def join_transactions(
-    transactions: list[TransactionRecord],
-    articles: list[PreparedArticle],
-) -> tuple[list[tuple[TransactionRecord, PreparedArticle]], int]:
-    """Left-join transactions against the prepared catalog on article_id.
-
-    Transactions whose article is not in the catalog cannot be embedded, so
-    they are dropped; the dropped count is returned alongside the joined rows
-    (joined + dropped always equals the input length).
-    """
-    by_id = {article.article_id: article for article in articles}
-    joined: list[tuple[TransactionRecord, PreparedArticle]] = []
-    dropped = 0
-    for tx in transactions:
-        article = by_id.get(tx.article_id)
-        if article is None:
-            dropped += 1
-        else:
-            joined.append((tx, article))
-    return joined, dropped
-
-
-def group_sessions(transactions: list[TransactionRecord]) -> list[SessionGroup]:
-    """Group purchases into (customer_id, date) sessions.
-
-    Within a session, article ids keep their input order; the group list is
-    sorted by customer id then date so iteration order is reproducible.
-    """
-    buckets: dict[tuple[str, date], list[str]] = defaultdict(list)
-    for tx in transactions:
-        buckets[(tx.customer_id, tx.t_dat)].append(tx.article_id)
-    return [
-        SessionGroup(customer_id, t_dat, tuple(buckets[(customer_id, t_dat)]))
-        for customer_id, t_dat in sorted(buckets)
-    ]
 
 
 def missing_description_histogram(articles: list[ArticleRecord]) -> dict[str, tuple[int, int]]:
@@ -277,7 +331,11 @@ def load_prepared(path: str | Path) -> list[PreparedArticle]:
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedRowError(f"{path}: row {n} has {len(fields)} fields, expected 3")
-        out.append(PreparedArticle(fields[0], fields[1], int(fields[2])))
+        try:
+            text_len = int(fields[2])
+        except ValueError:
+            raise MalformedRowError(f"{path}: row {n}: bad text_len {fields[2]!r}") from None
+        out.append(PreparedArticle(fields[0], fields[1], text_len))
     return out
 
 
@@ -286,14 +344,39 @@ _TRANSACTIONS_HEADER = "t_dat\tcustomer_id\tarticle_id"
 _OLD_TRANSACTIONS_HEADER = _TRANSACTIONS_HEADER + "\tprice\tsales_channel_id"
 
 
-def save_transactions(transactions: list[TransactionRecord], path: str | Path) -> None:
-    lines = [_TRANSACTIONS_HEADER]
-    lines += [f"{t.t_dat.isoformat()}\t{t.customer_id}\t{t.article_id}" for t in transactions]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+# One saved row: three tab-separated fields free of line boundaries (every
+# character ``str.splitlines`` splits at), then a newline.
+_SAVED_FIELD = r"[^\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*"
+_SAVED_ROWS_RE = re.compile(f"(?:{_SAVED_FIELD}\t{_SAVED_FIELD}\t{_SAVED_FIELD}\n)*")
 
 
-def load_saved_transactions(path: str | Path) -> list[TransactionRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def _saved_day(raw: str) -> int:
+    return date.fromisoformat(raw).toordinal()
+
+
+def save_transactions(log: PurchaseLog, path: str | Path) -> None:
+    """Write the log as tab-separated rows of ISO date, customer id and
+    article id, formatting each distinct day once."""
+    days, day_codes = np.unique(log.days, return_inverse=True)
+    day_text = [date.fromordinal(day).isoformat() for day in days.tolist()]
+    cells = np.empty((len(log), 3), dtype=object)
+    cells[:, 0] = _cell_texts(day_text, "\t")[day_codes]
+    cells[:, 1] = _cell_texts(log.customer_ids, "\t")[log.customers]
+    cells[:, 2] = _cell_texts(log.article_ids, "\n")[log.articles]
+    atomic_write_text(path, _TRANSACTIONS_HEADER + "\n" + "".join(cells.ravel().tolist()))
+
+
+def _cell_texts(table: Sequence[str], end: str) -> np.ndarray:
+    """Each entry of ``table`` followed by ``end``, as an object array to
+    gather from by code."""
+    return np.array([text + end for text in table], dtype=object)
+
+
+def _saved_fields_slowly(path: str | Path, text: str) -> list[str]:
+    """The fields of every row, row by row, for a file that is not exactly
+    header and rows each ending in a newline: a wrong header, a row of the
+    wrong shape or an unparsable date raises, naming the first bad row."""
+    lines = text.splitlines()
     if lines and lines[0] == _OLD_TRANSACTIONS_HEADER:
         raise MalformedRowError(
             f"{path}: written by an older ingest with price and sales_channel_id "
@@ -301,10 +384,38 @@ def load_saved_transactions(path: str | Path) -> list[TransactionRecord]:
         )
     if not lines or lines[0] != _TRANSACTIONS_HEADER:
         raise MalformedRowError(f"{path}: not a transactions file")
-    out = []
+    fields = []
     for n, line in enumerate(lines[1:], start=1):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedRowError(f"{path}: row {n} has {len(fields)} fields, expected 3")
-        out.append(TransactionRecord(date.fromisoformat(fields[0]), fields[1], fields[2]))
-    return out
+        row = line.split("\t")
+        if len(row) != 3:
+            raise MalformedRowError(f"{path}: row {n} has {len(row)} fields, expected 3")
+        try:
+            _saved_day(row[0])
+        except ValueError:
+            raise MalformedRowError(f"{path}: row {n}: bad t_dat {row[0]!r}") from None
+        fields += row
+    return fields
+
+
+def load_saved_transactions(path: str | Path) -> PurchaseLog:
+    """Read ``transactions.tsv`` as written by ``save_transactions``.
+
+    One regular-expression match checks the shape of every row at once;
+    only a file that fails it is scanned row by row, to name its first bad
+    row. Each distinct date string is parsed once.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    start = len(_TRANSACTIONS_HEADER) + 1
+    if text.startswith(_TRANSACTIONS_HEADER + "\n") and _SAVED_ROWS_RE.fullmatch(text, start):
+        fields = text[start:].replace("\n", "\t").split("\t")[:-1]
+    else:
+        fields = _saved_fields_slowly(path, text)
+    dates, customer_cells, article_cells = fields[0::3], fields[1::3], fields[2::3]
+    ordinal, bad = _parse_each(dates, _saved_day)
+    if bad is not None:
+        raise MalformedRowError(f"{path}: row {bad + 1}: bad t_dat {dates[bad]!r}")
+    customers, customer_ids = _codes(customer_cells, {c: c for c in set(customer_cells)})
+    articles, article_ids = _codes(article_cells, {a: a for a in set(article_cells)})
+    return PurchaseLog(
+        _day_numbers(dates, ordinal), customers, articles, customer_ids, article_ids
+    )

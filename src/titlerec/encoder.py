@@ -206,11 +206,6 @@ class ForwardTrace:
     cache: dict | None = field(default=None, repr=False)
     reads: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def pooled_cls(self) -> np.ndarray:
-        """(B, d) CLS state of each row."""
-        return self.hidden_states[:, 0]
-
 
 def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Canonical tensor names and shapes; also fixes serialization order."""
@@ -861,7 +856,12 @@ def loss_and_grads(
 
     d_rows = _rows(d_h)
     np.add.at(grads["token_embedding"], cache["ids"].ravel(), d_rows)
-    np.add.at(grads["segment_embedding"], cache["segments"].ravel(), d_rows)
+    # Two segment rows: each sums its positions' gradients onto itself in
+    # position order, as np.add.at would, with one reduction.
+    segments = cache["segments"].ravel()
+    table = grads["segment_embedding"]
+    for s in range(len(table)):
+        table[s] = np.add.reduce(np.concatenate([table[s : s + 1], d_rows[segments == s]]), axis=0)
     # positions past a narrower pass's width get no gradient
     positions = grads["position_embedding"][: d_h.shape[1]]
     positions += d_h.sum(axis=0)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import timedelta
 from pathlib import Path
 
-from .corpus import ArticleRecord, PreparedArticle, TransactionRecord
+from .corpus import ArticleRecord, PreparedArticle, PurchaseLog
 from .ioutil import atomic_write_text
 from .errors import (
     DuplicateCustomerError,
@@ -103,27 +102,23 @@ def map_at_12(submission: list[SubmissionRow], truth: GroundTruth) -> EvalReport
     return EvalReport(mean, len(scored), excluded, tuple(scored))
 
 
-def temporal_split(
-    transactions: list[TransactionRecord], holdout_days: int = 7
-) -> tuple[list[TransactionRecord], list[TransactionRecord]]:
+def temporal_split(log: PurchaseLog, holdout_days: int = 7) -> tuple[PurchaseLog, PurchaseLog]:
     """Split into (train, holdout): the final ``holdout_days`` calendar
     days of the log, ending at its maximum date, form the holdout."""
     if holdout_days < 1:
         raise ValueError("holdout_days must be >= 1")
-    if not transactions:
-        return [], []
-    cutoff = max(tx.t_dat for tx in transactions) - timedelta(days=holdout_days - 1)
-    train = [tx for tx in transactions if tx.t_dat < cutoff]
-    holdout = [tx for tx in transactions if tx.t_dat >= cutoff]
-    return train, holdout
+    if not len(log):
+        return log, log
+    held = log.days >= log.days.max() - (holdout_days - 1)
+    return log.select(~held), log.select(held)
 
 
-def build_ground_truth(holdout: list[TransactionRecord]) -> GroundTruth:
+def build_ground_truth(holdout: PurchaseLog) -> GroundTruth:
     """Held-out purchases per customer; blank customer ids are unusable."""
     truth: GroundTruth = {}
-    for tx in holdout:
-        if tx.customer_id:
-            truth.setdefault(tx.customer_id, set()).add(tx.article_id)
+    for customer, article in zip(holdout.customers.tolist(), holdout.articles.tolist()):
+        truth.setdefault(holdout.customer_ids[customer], set()).add(holdout.article_ids[article])
+    truth.pop("", None)
     return truth
 
 
@@ -156,7 +151,7 @@ def read_submission(path: str | Path) -> list[SubmissionRow]:
 
 def manual_eval_report(
     customer_id: str,
-    transactions: list[TransactionRecord],
+    log: PurchaseLog,
     recommendations: list[str],
     articles: list[ArticleRecord],
     prepared: list[PreparedArticle],
@@ -168,7 +163,9 @@ def manual_eval_report(
     model embedded (from ``prepared``); the closing line names the product
     types the two lists share, the signal a human reviewer scans for.
     """
-    if not recommendations and not any(tx.customer_id == customer_id for tx in transactions):
+    code = log.customer_ids.index(customer_id) if customer_id in log.customer_ids else -1
+    bought = [log.article_ids[a] for a in log.articles[log.customers == code].tolist()]
+    if not recommendations and not bought:
         raise UnknownCustomerError(f"customer {customer_id} has no purchases or recommendations")
     type_of = {a.article_id: a.product_type_name for a in articles}
     text_of = {p.article_id: p.text for p in prepared}
@@ -176,12 +173,12 @@ def manual_eval_report(
     purchased: list[str] = []
     purchased_types: set[str] = set()
     seen: set[str] = set()
-    for tx in transactions:
-        if tx.customer_id != customer_id or tx.article_id in seen:
+    for article_id in bought:
+        if article_id in seen:
             continue
-        seen.add(tx.article_id)
-        kind = type_of.get(tx.article_id, "?")
-        purchased.append(f"  {tx.article_id}  {kind}  {text_of.get(tx.article_id, '')}")
+        seen.add(article_id)
+        kind = type_of.get(article_id, "?")
+        purchased.append(f"  {article_id}  {kind}  {text_of.get(article_id, '')}")
         purchased_types.add(kind)
 
     recommended: list[str] = []

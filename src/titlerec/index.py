@@ -11,10 +11,10 @@ broken by ascending article id so the ordering is total.
 
 Serving is one pass over integer arrays built once per index or per call:
 the index ranks its rows by ascending article id once (``id_rank``), so
-tie-breaks compare integers; each customer's purchases are grouped into a
-set of index rows in one scan of the transactions; exclusion and the
-popularity and ascending-id backfills work on row numbers, and ids are
-looked up only to write the result. Customers with no usable purchase
+tie-breaks compare integers; every customer's distinct purchases become
+index rows through one sort of the purchase log's codes; exclusion and
+the popularity and ascending-id backfills work on row numbers, and ids
+are looked up only to write the result. Customers with no usable purchase
 history get the popularity ranking. Each profile is scored with its own
 matrix-vector product rather than a customers x articles matrix product:
 the two round differently in the last bit, which can split exact ties
@@ -40,14 +40,13 @@ b"TRECSRC1" block (no prepared-text digest), is of unknown origin.
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import encoder as enc
-from .corpus import PreparedArticle, TransactionRecord
+from .corpus import PreparedArticle, PurchaseLog
 from .ioutil import atomic_write_bytes
 from .errors import (
     ArtifactFormatError,
@@ -213,35 +212,49 @@ def query_knn(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[Neighbor
     ]
 
 
-def customer_profiles(
-    transactions: list[TransactionRecord], index: EmbeddingIndex
-) -> dict[str, CustomerProfile]:
+def customer_profiles(log: PurchaseLog, index: EmbeddingIndex) -> dict[str, CustomerProfile]:
     """Profiles of every customer with a purchase in the index.
 
-    Purchases are grouped into sets of index rows in one scan; purchases of
-    articles outside the index are ignored. A profile vector is the mean of
-    the customer's rows in ascending article-id order divided by its norm.
+    Purchases of articles outside the index are ignored. The distinct
+    (customer, article) purchases come from one sort of the log's codes, by
+    customer and then ascending article id. A profile vector is the mean of
+    the customer's rows in that order divided by its norm: the rows are
+    summed one after another, as ``np.mean`` over the customer's rows sums
+    them, so the vector equals that per-customer mean bit for bit.
     """
-    bought: dict[str, set[int]] = {}
+    n = len(index)
     row_of = index._row_of
-    for tx in transactions:
-        row = row_of.get(tx.article_id)
-        if row is not None:
-            bought.setdefault(tx.customer_id, set()).add(row)
-    rank = index.id_rank
+    rank_of_code = np.array(
+        [index.id_rank[row_of[a]] if a in row_of else -1 for a in log.article_ids],
+        dtype=np.int64,
+    )
+    ranks = rank_of_code[log.articles]
+    indexed = ranks >= 0
+    keys = np.sort(log.customers[indexed] * n + ranks[indexed])
+    # (np.unique would load numpy.ma, a cost every recommend would pay)
+    owners, ranks = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    rows = index.id_order[ranks]
+    starts = np.flatnonzero(np.diff(owners, prepend=-1))
+    sizes = np.diff(starts, append=len(rows))
+    # the j-th rows of every customer with more than j, added in turn
+    sums = index.vectors[rows[starts]]
+    for j in range(1, int(sizes.max(initial=1))):
+        more = sizes > j
+        sums[more] += index.vectors[rows[starts[more] + j]]
+    means = sums / sizes[:, None]
     profiles = {}
-    for customer_id, distinct in bought.items():
-        rows = np.fromiter(distinct, dtype=np.intp, count=len(distinct))
-        rows = rows[np.argsort(rank[rows])]
-        mean = np.mean(index.vectors[rows], axis=0)
+    customers = owners[starts].tolist()
+    for customer, start, size, mean in zip(customers, starts.tolist(), sizes.tolist(), means):
         norm = float(np.linalg.norm(mean))
-        profiles[customer_id] = CustomerProfile(rows, mean / norm if norm >= NORM_FLOOR else None)
+        profiles[log.customer_ids[customer]] = CustomerProfile(
+            rows[start : start + size], mean / norm if norm >= NORM_FLOOR else None
+        )
     return profiles
 
 
 def serve(
     customers: list[str],
-    transactions: list[TransactionRecord],
+    log: PurchaseLog,
     index: EmbeddingIndex,
     popularity: list[str],
     n: int = 12,
@@ -253,7 +266,7 @@ def serve(
     the purchases filtered out, backfilled from ``popularity`` and then the
     catalog in ascending-id order (still excluding purchases) if fewer than
     ``n`` remain. Every other customer (no indexed purchase, a degenerate
-    profile, or never seen in ``transactions``) gets the popularity head
+    profile, or never seen in ``log``) gets the popularity head
     verbatim, extended from the catalog in ascending-id order. Raises
     InsufficientCandidatesError at the first customer left short.
 
@@ -263,7 +276,7 @@ def serve(
     """
     if n < 1:
         raise KTooLargeError(f"n={n} must be at least 1")
-    profiles = customer_profiles(transactions, index)
+    profiles = customer_profiles(log, index)
     labels = index.article_ids + tuple(a for a in dict.fromkeys(popularity) if a not in index)
     row_of = {a: i for i, a in enumerate(labels)}
     backfill = [row_of[a] for a in popularity] + index.id_order.tolist()
@@ -303,10 +316,12 @@ def _backfill(
     )
 
 
-def popularity_ranking(transactions: list[TransactionRecord]) -> list[str]:
+def popularity_ranking(log: PurchaseLog) -> list[str]:
     """Article ids by purchase count descending, ties by id ascending."""
-    counts = Counter(tx.article_id for tx in transactions)
-    return sorted(counts, key=lambda a: (-counts[a], a))
+    counts = np.bincount(log.articles, minlength=len(log.article_ids))
+    # codes order as ids do, so a stable sort breaks ties by ascending id
+    order = np.argsort(-counts, kind="stable")
+    return [log.article_ids[code] for code in order[: np.count_nonzero(counts)].tolist()]
 
 
 # --- index persistence ---

@@ -36,11 +36,12 @@ The loss values themselves come from ``encoder.forward`` plus
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 
 import numpy as np
 
 from . import encoder as enc
-from .corpus import SessionGroup
+from .corpus import PurchaseLog
 from .errors import (
     EmptyBatchError,
     EmptyPlanError,
@@ -187,18 +188,20 @@ def apply_masking(
 
 
 def positive_table(
-    sessions: list[SessionGroup],
+    log: PurchaseLog,
     inventory: list[str],
     negatives_per_positive: int,
 ) -> PositiveTable:
-    """The positives of some sessions, in generation order; no randomness.
+    """The positives of a purchase log's sessions, in generation order; no
+    randomness.
 
-    Every ordered pair of distinct articles in a session yields one
-    positive (duplicate purchases collapse first): sessions in order, and
-    within a session each article in first-purchase order as the seed,
-    followed by every other article in that order as the candidate. A
-    session whose articles cover the whole inventory leaves no legal
-    negative and raises, but only if it actually produced a positive.
+    A session is one customer's purchases on one day (``PurchaseLog.sessions``),
+    and sessions run by customer id, then date. Every ordered pair of
+    distinct articles in a session yields one positive (duplicate purchases
+    collapse first): within a session each article in first-purchase order
+    as the seed, followed by every other article in that order as the
+    candidate. A session whose articles cover the whole inventory leaves no
+    legal negative and raises, but only if it actually produced a positive.
     """
     if not inventory:
         raise InventoryTooSmallError("inventory is empty")
@@ -207,26 +210,25 @@ def positive_table(
     row_of = {article_id: row for row, article_id in enumerate(inventory)}
     if len(row_of) != len(inventory):
         raise ValueError("inventory repeats an article id")
-    try:
-        rows = np.array(
-            [row_of[article_id] for session in sessions for article_id in session.article_ids],
-            dtype=np.int64,
-        )
-    except KeyError as exc:
-        raise UnknownArticleError(f"article {exc.args[0]} is not in the inventory") from None
-    owner = np.repeat(np.arange(len(sessions)), [len(s.article_ids) for s in sessions])
+    order, owner = log.sessions()
+    row_of_code = np.array([row_of.get(a, -1) for a in log.article_ids], dtype=np.int64)
+    rows = row_of_code[log.articles[order]]
+    unknown = np.flatnonzero(rows < 0)
+    if len(unknown):
+        article = log.article_ids[log.articles[order[unknown[0]]]]
+        raise UnknownArticleError(f"article {article} is not in the inventory")
     # each session's distinct articles, in first-purchase order
     _, first = np.unique(owner * len(inventory) + rows, return_index=True)
     first.sort()
     rows, owner = rows[first], owner[first]
-    sizes = np.bincount(owner, minlength=len(sessions))
+    sizes = np.bincount(owner)  # every session keeps at least one member
     yields = sizes >= 2
     covering = np.flatnonzero(yields & (sizes == len(inventory)))
     if len(covering):
-        session = sessions[covering[0]]
-        raise InventoryTooSmallError(
-            f"session ({session.customer_id}, {session.t_dat}) covers the whole inventory"
-        )
+        member = order[first[np.searchsorted(owner, covering[0])]]
+        customer = log.customer_ids[log.customers[member]]
+        day = date.fromordinal(int(log.days[member]))
+        raise InventoryTooSmallError(f"session ({customer}, {day}) covers the whole inventory")
     # Keep the sessions that yield a positive. Member m, at position p of a
     # session of n members, seeds n - 1 positives in a row; the k-th of them
     # (k = 0..n-2) takes the member at position k, or k + 1 from k = p on.

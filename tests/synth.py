@@ -15,6 +15,8 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from titlerec.corpus import PurchaseLog
+
 N_GROUPS = 20
 PER_GROUP = 10
 N_CUSTOMERS = 100
@@ -152,3 +154,37 @@ def small_inputs(directory, n_articles: int = 30, n_customers: int = 15, seed: i
         "article_rows": articles,
         "transaction_rows": transactions,
     }
+
+
+def purchase_log(rows) -> PurchaseLog:
+    """A purchase log of (date, customer id, article id) rows, in order,
+    coded into the sorted distinct ids as the loaders code them."""
+    rows = list(rows)
+    customer_ids = tuple(sorted({customer for _, customer, _ in rows}))
+    article_ids = tuple(sorted({article for _, _, article in rows}))
+    customer_code = {c: i for i, c in enumerate(customer_ids)}
+    article_code = {a: i for i, a in enumerate(article_ids)}
+    return PurchaseLog(
+        np.array([day.toordinal() for day, _, _ in rows], dtype=np.int64),
+        np.array([customer_code[c] for _, c, _ in rows], dtype=np.int64),
+        np.array([article_code[a] for _, _, a in rows], dtype=np.int64),
+        customer_ids,
+        article_ids,
+    )
+
+
+def sessions_log(sessions) -> PurchaseLog:
+    """The purchase log of (customer id, date, article ids) sessions."""
+    return purchase_log(
+        (day, customer, article) for customer, day, articles in sessions for article in articles
+    )
+
+
+def log_rows(log: PurchaseLog) -> list[tuple[date, str, str]]:
+    """The log's purchases as (date, customer id, article id) rows, in order."""
+    return [
+        (date.fromordinal(day), log.customer_ids[customer], log.article_ids[article])
+        for day, customer, article in zip(
+            log.days.tolist(), log.customers.tolist(), log.articles.tolist()
+        )
+    ]

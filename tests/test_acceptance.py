@@ -17,7 +17,6 @@ import pytest
 from titlerec import cli, corpus, evaluation, objectives
 from titlerec import encoder as enc
 from titlerec import index as ix
-from titlerec.corpus import SessionGroup
 from titlerec.objectives import KEEP_REPLACE, MASK_REPLACE, RANDOM_REPLACE
 from titlerec.tokenizer import FIRST_WORD_ID, Vocabulary, encode_single
 
@@ -29,7 +28,7 @@ from conftest import (
     random_targets,
     zeroed_params,
 )
-from synth import write_planted_inputs
+from synth import sessions_log, write_planted_inputs
 
 PLANTED_FLAGS = [
     "--d-model", "32",
@@ -210,9 +209,9 @@ def test_04_pair_sampling_soundness():
             members = tuple(
                 inventory[int(rng.integers(0, n))] for _ in range(size)
             )
-            sessions.append(SessionGroup(f"c{j}", date(2020, 1, 1) + timedelta(days=j), members))
+            sessions.append((f"c{j}", date(2020, 1, 1) + timedelta(days=j), members))
         ratio = int(rng.integers(1, 4))
-        table = objectives.positive_table(sessions, inventory, ratio)
+        table = objectives.positive_table(sessions_log(sessions), inventory, ratio)
         # every slot, in a random order, as the epochs of training draw them
         order = rng.permutation(table.slot_count)
         drawn = objectives.sample_pairs(table, order, rng)
@@ -224,8 +223,8 @@ def test_04_pair_sampling_soundness():
 
         # replay the generation order and check every slot exhaustively
         cursor = 0
-        for session in sessions:
-            unique_ids = list(dict.fromkeys(session.article_ids))
+        for _, _, members in sessions:
+            unique_ids = list(dict.fromkeys(members))
             if len(unique_ids) < 2:
                 continue
             session_set = set(unique_ids)

@@ -16,7 +16,7 @@ from titlerec import encoder as enc
 from titlerec import index as ix
 from titlerec.errors import InvalidConfigError
 
-from synth import ARTICLE_HEADER, TRANSACTION_HEADER, small_inputs, to_csv
+from synth import ARTICLE_HEADER, TRANSACTION_HEADER, purchase_log, small_inputs, to_csv
 
 TINY_MODEL = [
     "--d-model", "8",
@@ -145,7 +145,9 @@ class TestIngest:
         assert summary["transactions"] == 60
         assert summary["joined"] + summary["dropped"] == summary["transactions"]
         joined = corpus.load_saved_transactions(workdir / cli.TRANSACTIONS_FILE)
-        assert summary["sessions"] == len(corpus.group_sessions(joined))
+        rows = zip(joined.days.tolist(), joined.customers.tolist())
+        assert summary["joined"] == len(joined)
+        assert summary["sessions"] == len(set(rows))
 
     def test_unmatched_transactions_counted_as_dropped(self, tmp_path, capsys):
         inputs = small_inputs(tmp_path)
@@ -396,7 +398,7 @@ class TestRecommend:
         transactions = corpus.load_saved_transactions(
             pipeline["workdir"] / cli.TRANSACTIONS_FILE
         )
-        universe = sorted({tx.customer_id for tx in transactions})
+        universe = sorted({transactions.customer_ids[c] for c in transactions.customers.tolist()})
         assert [r.customer_id for r in rows] == universe
         assert all(len(r.article_ids) == 12 for r in rows)
 
@@ -650,7 +652,7 @@ class TestEvaluate:
     def test_requires_submission(self, tmp_path, capsys):
         workdir = tmp_path / "w"
         workdir.mkdir()
-        corpus.save_transactions([], workdir / cli.TRANSACTIONS_FILE)
+        corpus.save_transactions(purchase_log([]), workdir / cli.TRANSACTIONS_FILE)
         rc = run_cli("evaluate", "--workdir", workdir)
         assert rc == 1
         assert "error: MissingArtifactError" in capsys.readouterr().err
@@ -789,6 +791,31 @@ class TestErrorSurface:
             (line,) = captured.err.splitlines()
             assert line.startswith("error: MalformedRowError: ")
             assert "re-run `titlerec ingest`" in line
+
+    @pytest.mark.parametrize(
+        "artifact, row, field, bad, command, message",
+        [
+            (cli.TRANSACTIONS_FILE, 3, 0, "2020-13-45", "evaluate",
+             "row 3: bad t_dat '2020-13-45'"),
+            (cli.TRANSACTIONS_FILE, 2, 0, "2020-02-30", "train", "row 2: bad t_dat '2020-02-30'"),
+            (cli.PREPARED_FILE, 4, 2, "four", "stats", "row 4: bad text_len 'four'"),
+            (cli.PREPARED_FILE, 1, 2, "1.5", "train", "row 1: bad text_len '1.5'"),
+        ],
+    )
+    def test_corrupt_workdir_row_named(
+        self, pipeline, tmp_path, capsys, artifact, row, field, bad, command, message
+    ):
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / artifact
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[row].split("\t")
+        cells[field] = bad
+        lines[row] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli(command, *clone["base"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == f"error: MalformedRowError: {path}: {message}"
 
 
 class TestInputFileErrors:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from titlerec import evaluation as ev
-from titlerec.corpus import ArticleRecord, PreparedArticle, TransactionRecord
+from titlerec.corpus import ArticleRecord, PreparedArticle
 from titlerec.errors import (
     DuplicateCustomerError,
     DuplicatePredictionError,
@@ -15,6 +15,8 @@ from titlerec.errors import (
     NoScorableCustomersError,
     UnknownCustomerError,
 )
+
+from synth import purchase_log
 
 A = [f"{i:010d}" for i in range(1, 40)]
 
@@ -216,49 +218,61 @@ class TestSubmissionFile:
 
 
 def tx(customer, article, day):
-    return TransactionRecord(date(2020, 9, day), customer, article)
+    return date(2020, 9, day), customer, article
+
+
+def days_of(log):
+    return [date.fromordinal(day).day for day in log.days.tolist()]
 
 
 class TestTemporalSplit:
     def test_last_week_held_out(self):
-        transactions = [tx("u", A[0], d) for d in range(1, 29)]
+        transactions = purchase_log(tx("u", A[0], d) for d in range(1, 29))
         train, holdout = ev.temporal_split(transactions, holdout_days=7)
-        assert {t.t_dat.day for t in holdout} == set(range(22, 29))
-        assert {t.t_dat.day for t in train} == set(range(1, 22))
+        assert days_of(holdout) == list(range(22, 29))
+        assert days_of(train) == list(range(1, 22))
         assert len(train) + len(holdout) == len(transactions)
+        # both halves keep the log's id tables
+        assert train.customer_ids is holdout.customer_ids is transactions.customer_ids
+        assert train.article_ids is holdout.article_ids is transactions.article_ids
 
     def test_single_day_holdout(self):
-        transactions = [tx("u", A[0], d) for d in (3, 9, 15)]
+        transactions = purchase_log(tx("u", A[0], d) for d in (3, 9, 15))
         train, holdout = ev.temporal_split(transactions, holdout_days=1)
-        assert [t.t_dat.day for t in holdout] == [15]
-        assert [t.t_dat.day for t in train] == [3, 9]
+        assert days_of(holdout) == [15]
+        assert days_of(train) == [3, 9]
 
     def test_window_wider_than_log(self):
-        transactions = [tx("u", A[0], d) for d in (3, 9)]
+        transactions = purchase_log([tx("u", A[0], 3), tx("v", A[1], 9)])
         train, holdout = ev.temporal_split(transactions, holdout_days=30)
-        assert train == []
-        assert holdout == transactions
+        assert len(train) == 0
+        assert days_of(holdout) == [3, 9]
+        assert holdout.customers.tolist() == transactions.customers.tolist()
+        assert holdout.articles.tolist() == transactions.articles.tolist()
 
     def test_empty_log(self):
-        assert ev.temporal_split([], holdout_days=7) == ([], [])
+        train, holdout = ev.temporal_split(purchase_log([]), holdout_days=7)
+        assert len(train) == len(holdout) == 0
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
-            ev.temporal_split([], holdout_days=0)
+            ev.temporal_split(purchase_log([]), holdout_days=0)
 
 
 class TestGroundTruth:
     def test_sets_per_customer(self):
-        holdout = [tx("u", A[0], 22), tx("u", A[1], 23), tx("v", A[0], 24), tx("u", A[0], 25)]
+        holdout = purchase_log(
+            [tx("u", A[0], 22), tx("u", A[1], 23), tx("v", A[0], 24), tx("u", A[0], 25)]
+        )
         truth = ev.build_ground_truth(holdout)
         assert truth == {"u": {A[0], A[1]}, "v": {A[0]}}
 
     def test_blank_customer_rows_skipped(self):
-        truth = ev.build_ground_truth([tx("", A[0], 22), tx("u", A[1], 22)])
+        truth = ev.build_ground_truth(purchase_log([tx("", A[0], 22), tx("u", A[1], 22)]))
         assert truth == {"u": {A[1]}}
 
     def test_empty_holdout(self):
-        assert ev.build_ground_truth([]) == {}
+        assert ev.build_ground_truth(purchase_log([])) == {}
 
 
 def catalog():
@@ -279,7 +293,7 @@ def prepared():
 
 
 def purchases(customer, article_ids):
-    return [tx(customer, a, 2) for a in article_ids]
+    return purchase_log(tx(customer, a, 2) for a in article_ids)
 
 
 class TestManualReport:
@@ -310,7 +324,7 @@ class TestManualReport:
 
     def test_cold_start_notes_fallback(self):
         report = ev.manual_eval_report(
-            "bob", [], ["0000000003"], catalog(), prepared()
+            "bob", purchase_log([]), ["0000000003"], catalog(), prepared()
         )
         assert "purchased items (0):" in report
         assert "cold start, popularity fallback applies" in report

@@ -8,7 +8,7 @@ from titlerec import corpus
 from titlerec import encoder as enc
 from titlerec import index as ix
 from titlerec import objectives as obj
-from titlerec.corpus import PreparedArticle, TransactionRecord
+from titlerec.corpus import PreparedArticle
 from titlerec.errors import (
     ArtifactFormatError,
     DegenerateEmbeddingError,
@@ -19,7 +19,7 @@ from titlerec.errors import (
 from titlerec.tokenizer import build_vocab, encode_batch, encode_single
 
 from conftest import encode_id_pairs, zeroed_params
-from synth import write_planted_inputs
+from synth import purchase_log, write_planted_inputs
 
 
 def small_world():
@@ -300,12 +300,9 @@ class TestQueryKnn:
             ix.query_knn(index, np.array([1.0, 0.0]), 0)
 
 
-def tx(customer, article, day=1):
-    return TransactionRecord(date(2020, 9, day), customer, article)
-
-
 def purchases_of(pairs):
-    return [tx(customer, article) for customer, article in pairs]
+    """The purchase log of (customer, article) pairs, all on one day."""
+    return purchase_log((date(2020, 9, 1), customer, article) for customer, article in pairs)
 
 
 def profile_of(index, pairs, customer="u"):
@@ -563,24 +560,24 @@ class TestServe:
     def test_n_below_one_rejected(self):
         index = unit_index(["0000000001"], [[1.0]])
         with pytest.raises(KTooLargeError):
-            ix.serve(["u"], [], index, [], 0)
+            ix.serve(["u"], purchases_of([]), index, [], 0)
 
 
 class TestPopularityRanking:
     def test_count_then_id(self):
-        records = [tx("a", "0000000002"), tx("b", "0000000002"), tx("c", "0000000001")]
-        assert ix.popularity_ranking(records) == ["0000000002", "0000000001"]
+        log = purchases_of([("a", "0000000002"), ("b", "0000000002"), ("c", "0000000001")])
+        assert ix.popularity_ranking(log) == ["0000000002", "0000000001"]
 
     def test_all_tied_is_ascending(self):
-        records = [tx("a", "0000000009"), tx("b", "0000000001"), tx("c", "0000000005")]
-        assert ix.popularity_ranking(records) == [
+        log = purchases_of([("a", "0000000009"), ("b", "0000000001"), ("c", "0000000005")])
+        assert ix.popularity_ranking(log) == [
             "0000000001",
             "0000000005",
             "0000000009",
         ]
 
     def test_empty(self):
-        assert ix.popularity_ranking([]) == []
+        assert ix.popularity_ranking(purchases_of([])) == []
 
 
 class TestPersistence:

@@ -8,7 +8,7 @@ import pytest
 
 from titlerec import encoder as enc
 from titlerec import objectives as obj
-from titlerec.corpus import PreparedArticle, SessionGroup
+from titlerec.corpus import PreparedArticle
 from titlerec.errors import (
     EmptyBatchError,
     EmptyPlanError,
@@ -26,6 +26,7 @@ from titlerec.tokenizer import (
 )
 
 from conftest import encode_id_pairs, zeroed_params
+from synth import sessions_log
 
 
 def make_vocab(n_words=12):
@@ -118,13 +119,13 @@ class TestApplyMasking:
 
 
 def session(customer, day, *article_ids):
-    return SessionGroup(customer, date(2020, 9, day), tuple(article_ids))
+    return customer, date(2020, 9, day), tuple(article_ids)
 
 
 def every_slot(sessions, inventory, ratio, rng):
     """Every slot of the sessions' pairs, drawn in slot order, as (seed id,
     candidate id, label) triples."""
-    table = obj.positive_table(sessions, inventory, ratio)
+    table = obj.positive_table(sessions_log(sessions), inventory, ratio)
     pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
     return [
         (inventory[seed], inventory[candidate], label)
@@ -145,16 +146,16 @@ class TestSamplePairs:
             assert negative[1] in {"C", "D"}
 
     def test_singleton_session_yields_nothing(self):
-        table = obj.positive_table([session("u", 1, "A")], ["A", "B"], 1)
+        table = obj.positive_table(sessions_log([session("u", 1, "A")]), ["A", "B"], 1)
         assert len(table) == 0 and table.slot_count == 0
 
     def test_session_covering_inventory_raises(self):
         with pytest.raises(InventoryTooSmallError):
-            obj.positive_table([session("u", 1, "A", "B")], ["A", "B"], 1)
+            obj.positive_table(sessions_log([session("u", 1, "A", "B")]), ["A", "B"], 1)
 
     def test_covering_singleton_session_is_harmless(self):
         # a size-1 session produces no positive, so it needs no negative
-        table = obj.positive_table([session("u", 1, "A")], ["A"], 1)
+        table = obj.positive_table(sessions_log([session("u", 1, "A")]), ["A"], 1)
         assert table.slot_count == 0
 
     def test_duplicate_purchases_collapse(self):
@@ -164,7 +165,9 @@ class TestSamplePairs:
         assert [p[:2] for p in pairs if p[2] == 1] == [("A", "B"), ("B", "A")]
 
     def test_negative_ratio(self):
-        table = obj.positive_table([session("u", 1, "A", "B")], ["A", "B", "C", "D", "E"], 3)
+        table = obj.positive_table(
+            sessions_log([session("u", 1, "A", "B")]), ["A", "B", "C", "D", "E"], 3
+        )
         assert table.slot_count == 2 * (1 + 3)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), np.random.default_rng(0))
         assert len(pairs) == 8 and int(pairs.labels.sum()) == 2
@@ -176,11 +179,11 @@ class TestSamplePairs:
         for s in range(40):
             size = int(rng.integers(1, 5))
             items = rng.choice(inventory, size=size, replace=False)
-            sessions.append(session(f"c{s}", 1 + s % 20, *items))
+            sessions.append(session(f"c{s:02d}", 1 + s % 20, *items))
         pairs = every_slot(sessions, inventory, 2, rng)
         cursor = 0
-        for sess in sessions:
-            unique = list(dict.fromkeys(sess.article_ids))
+        for _, _, bought in sessions:
+            unique = list(dict.fromkeys(bought))
             if len(unique) < 2:
                 continue
             for seed in unique:
@@ -192,13 +195,13 @@ class TestSamplePairs:
                     for _ in range(2):
                         negative = pairs[cursor]
                         assert negative[0] == seed and negative[2] == 0
-                        assert negative[1] not in sess.article_ids
+                        assert negative[1] not in bought
                         cursor += 1
         assert cursor == len(pairs)
 
     def test_empty_inventory_rejected(self):
         with pytest.raises(InventoryTooSmallError):
-            obj.positive_table([], [], 1)
+            obj.positive_table(sessions_log([]), [], 1)
 
     def test_deterministic_given_seed(self):
         sessions = [session("u", 1, "A", "B"), session("v", 2, "B", "C")]
@@ -210,7 +213,7 @@ class TestSamplePairs:
     def test_slots_map_to_their_positive(self):
         sessions = [session("u", 1, "A", "B", "C"), session("v", 2, "D", "E")]
         inventory = ["A", "B", "C", "D", "E", "F", "G"]
-        table = obj.positive_table(sessions, inventory, 2)
+        table = obj.positive_table(sessions_log(sessions), inventory, 2)
         order = np.random.default_rng(3).permutation(table.slot_count)
         pairs = obj.sample_pairs(table, order, np.random.default_rng(4))
         for slot, seed, candidate, label in zip(
@@ -226,7 +229,7 @@ class TestSamplePairs:
 
     def test_only_negative_slots_draw(self):
         # positives take no randomness; each negative slot takes at least one draw
-        table = obj.positive_table([session("u", 1, "A", "B")], list("ABCDEFGH"), 1)
+        table = obj.positive_table(sessions_log([session("u", 1, "A", "B")]), list("ABCDEFGH"), 1)
         rng = np.random.default_rng(8)
         before = rng.bit_generator.state
         obj.sample_pairs(table, np.array([2, 0]), rng)
@@ -238,7 +241,7 @@ class TestSamplePairs:
         # 10,000 draws for one seed: uniform over the 7 articles outside its
         # session, none inside it
         inventory = [f"{i:010d}" for i in range(10)]
-        table = obj.positive_table([session("u", 1, *inventory[:3])], inventory, 1)
+        table = obj.positive_table(sessions_log([session("u", 1, *inventory[:3])]), inventory, 1)
         draws = 10_000
         pairs = obj.sample_pairs(table, np.ones(draws, dtype=np.int64), np.random.default_rng(21))
         assert not pairs.labels.any()
@@ -250,13 +253,13 @@ class TestSamplePairs:
 
     def test_article_outside_inventory_rejected(self):
         with pytest.raises(UnknownArticleError):
-            obj.positive_table([session("u", 1, "A", "Z")], ["A", "B", "C"], 1)
+            obj.positive_table(sessions_log([session("u", 1, "A", "Z")]), ["A", "B", "C"], 1)
 
     def test_bad_ratio_and_repeated_inventory_rejected(self):
         with pytest.raises(ValueError):
-            obj.positive_table([], ["A", "B"], 0)
+            obj.positive_table(sessions_log([]), ["A", "B"], 0)
         with pytest.raises(ValueError):
-            obj.positive_table([], ["A", "B", "A"], 1)
+            obj.positive_table(sessions_log([]), ["A", "B", "A"], 1)
 
 
 class TestAnalyticLosses:
@@ -368,7 +371,9 @@ class TestAnalyticLosses:
         # an article without a prepared title never becomes a pair
         params, titles, vocab = self.np_fixture(0.0)
         with pytest.raises(UnknownArticleError):
-            obj.positive_table([session("u", 1, "0000000001", "0000000099")], list(titles), 1)
+            obj.positive_table(
+                sessions_log([session("u", 1, "0000000001", "0000000099")]), list(titles), 1
+            )
 
     def test_np_loss_empty_batch(self):
         params, titles, vocab = self.np_fixture(0.0)
@@ -559,7 +564,7 @@ def run_training(steps, seed=6, learning_rate=5e-3):
     params = enc.init_params(config, seed=seed)
     state = obj.init_optimizer(params, learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
-    table = obj.positive_table(sessions, inventory, 1)
+    table = obj.positive_table(sessions_log(sessions), inventory, 1)
     records = []
     for step in range(steps):
         masked_batch = []
@@ -585,7 +590,7 @@ class TestTrainStep:
         rng = np.random.default_rng(1)
         seq = encode_single(vocab.word_ids(articles[0].text), config.max_len)
         masked_batch = [obj.apply_masking(seq, vocab, rng)]
-        table = obj.positive_table(sessions[:2], inventory, 1)
+        table = obj.positive_table(sessions_log(sessions[:2]), inventory, 1)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
         pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
         params, state, record = obj.train_step(params, state, masked_batch, pair_batch)
@@ -604,7 +609,7 @@ class TestTrainStep:
             obj.apply_masking(encode_single(vocab.word_ids(a.text), config.max_len), vocab, rng)
             for a in articles[:8]
         ]
-        table = obj.positive_table(sessions[:6], inventory, 1)
+        table = obj.positive_table(sessions_log(sessions[:6]), inventory, 1)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
         pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
         params, _, _ = obj.train_step(params, state, masked_batch, pair_batch)
