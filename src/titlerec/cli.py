@@ -47,6 +47,7 @@ import numpy as np
 from . import corpus, evaluation, index as index_mod, objectives
 from . import encoder as enc
 from .errors import (
+    ArtifactFormatError,
     CheckpointMismatchError,
     InvalidConfigError,
     MissingArtifactError,
@@ -243,21 +244,34 @@ def cmd_ingest(config: PipelineConfig) -> str:
     )
 
 
+def _missing_description(summary_path: Path) -> dict[str, tuple[int, int]]:
+    """The missing-description histogram of an ingest summary: index_name ->
+    (with description, without)."""
+    text = summary_path.read_text(encoding="utf-8")
+    try:
+        return {
+            str(name): (int(with_desc), int(without_desc))
+            for name, (with_desc, without_desc) in json.loads(text)["missing_description"].items()
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ArtifactFormatError(
+            f"{summary_path}: not an ingest summary ({type(exc).__name__}: {exc})"
+        ) from None
+
+
 def cmd_stats(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
     if not prepared:
         raise MissingArtifactError("prepared corpus is empty; rerun ingest on real data")
-    summary = json.loads(
-        _require(workdir / INGEST_SUMMARY_FILE, "titlerec ingest").read_text(encoding="utf-8")
-    )
+    missing = _missing_description(_require(workdir / INGEST_SUMMARY_FILE, "titlerec ingest"))
     lines = ["# text length histogram", "length\tcount"]
     for length, count in corpus.text_length_histogram(prepared).items():
         lines.append(f"{length}\t{count}")
     lines.append("")
     lines.append("# missing descriptions by index_name")
     lines.append("index_name\twith_desc\twithout_desc")
-    for name, (with_desc, without_desc) in sorted(summary["missing_description"].items()):
+    for name, (with_desc, without_desc) in sorted(missing.items()):
         lines.append(f"{name}\t{with_desc}\t{without_desc}")
     report = "\n".join(lines) + "\n"
     atomic_write_text(workdir / STATS_FILE, report)
@@ -305,20 +319,16 @@ def cmd_train(config: PipelineConfig) -> str:
         for s in range(n_steps):
             if steps_done >= step_budget:
                 break
-            masked_batch = [
-                objectives.apply_masking(
-                    encode_single(word_ids[titles[i]], config.max_len), vocab, rng
-                )
-                for i in title_order[s * batch : (s + 1) * batch]
-            ]
+            step_titles = title_order[s * batch : (s + 1) * batch]
+            masked_batch = objectives.mask_titles(
+                encode_single([word_ids[titles[i]] for i in step_titles], config.max_len),
+                vocab,
+                rng,
+            )
             # a step's pairs are sampled and encoded when it trains them
             slots = pair_order[s * batch : (s + 1) * batch]
-            pair_batch = (
-                objectives.encode_training_pairs(
-                    objectives.sample_pairs(positives, slots, rng), word_ids, config.max_len
-                )
-                if len(slots)
-                else []
+            pair_batch = objectives.encode_training_pairs(
+                objectives.sample_pairs(positives, slots, rng), word_ids, config.max_len
             )
             params, state, record = objectives.train_step(
                 params, state, masked_batch, pair_batch, rng

@@ -19,15 +19,15 @@ head's ``sigmoid`` uses libm's ``exp`` for the same reason; it runs on one
 logit per pair row.
 
 Batches. ``forward`` takes B rows of T tokens at once, as a
-``TokenBatch`` of (B, T) arrays (token ids, segment ids and a live mask);
-a single ``TokenSequence`` is accepted as a 1-row batch. The width T may
-be anything from 1 to ``max_len``: the batch reads the first T rows of the
-position table, and positions past T get no position gradient. Training
-runs every pass at ``max_len``; embedding cuts each pass to the live
-length of its rows (see ``index.build_index``). Activations are (B, T, d)
-and every matrix product is a stacked per-row product, so a row goes
-through exactly the operations it would go through alone: its hidden
-states are bit-identical whatever its batch neighbours are.
+``TokenBatch`` of (B, T) arrays (token ids, segment ids and a live mask).
+The width T may be anything from 1 to ``max_len``: the batch reads the
+first T rows of the position table, and positions past T get no position
+gradient. Training runs every pass at ``max_len``; embedding cuts each
+pass to the live length of its rows (see ``index.build_index``).
+Activations are (B, T, d) and every matrix product is a stacked per-row
+product, so a row goes through exactly the operations it would go through
+alone: its hidden states are bit-identical whatever its batch neighbours
+are.
 
 Padding is masked per row: each row's PAD keys get a score of -inf before
 the softmax, which makes their attention weight exactly zero, so hidden
@@ -64,8 +64,8 @@ optimizer's moments are arenas of the same layout (``zero_grads``), so an
 optimizer step is a few whole-buffer operations instead of a loop over
 ~40 tensors. ``tensors`` is a read-only mapping: a tensor is changed in
 place (``params[name][...] = x``) and cannot be rebound to an array
-outside the arena. ``init_params``, ``load_checkpoint``, ``copy`` and
-construction from a plain mapping each fill a fresh arena.
+outside the arena. ``init_params``, ``load_checkpoint`` and construction
+from a plain mapping each fill a fresh arena.
 
 Pass budget. Callers feed at most ``rows_per_pass(width)`` rows, about
 ``PASS_TOKEN_BUDGET`` tokens, to one forward/backward pass of that width,
@@ -103,7 +103,7 @@ from .errors import (
     ShapeMismatchError,
     UnreadPositionError,
 )
-from .tokenizer import TokenBatch, TokenSequence
+from .tokenizer import TokenBatch
 
 CHECKPOINT_MAGIC = b"TRENC001"
 
@@ -185,14 +185,8 @@ class EncoderParams:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {name: t.shape for name, t in self.tensors.items()}
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams._on(self.config, self.shapes(), self.flat.copy())
 
 
 @dataclass
@@ -387,14 +381,8 @@ def gelu_cdf(x: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return x * gelu_cdf(x)
-
-
-def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
-    """d gelu / dx; pass the forward's ``gelu_cdf(x)`` to skip recomputing it."""
-    if cdf is None:
-        cdf = gelu_cdf(x)
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx of GELU(x) = x cdf(x), given the forward's ``cdf = gelu_cdf(x)``."""
     # cdf + x pdf(x), pdf(x) = exp(-0.5 x x) / sqrt(2 pi), built in one buffer
     grad = -0.5 * x
     grad *= x
@@ -460,13 +448,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
 
-def _as_batch(rows: TokenBatch | TokenSequence) -> TokenBatch:
-    """A ``TokenBatch`` as is; a single ``TokenSequence`` as a 1-row batch."""
-    if isinstance(rows, TokenSequence):
-        return TokenBatch.stack([rows], len(rows))
-    return rows
-
-
 def read_positions(targets, np_labels, width: int) -> np.ndarray | None:
     """The positions of each row the loss heads read, for ``forward(reads=)``.
 
@@ -479,7 +460,7 @@ def read_positions(targets, np_labels, width: int) -> np.ndarray | None:
     2 (see *Batches*); when m reaches ``width`` the result is None, meaning
     every position.
     """
-    labels = np.atleast_1d(np.asarray(np_labels, dtype=np.int64))
+    labels = np.asarray(np_labels, dtype=np.int64)
     targets = _mlm_targets(targets, len(labels), width)
     need = np.zeros((len(labels), width), dtype=bool)
     need[targets[:, 0], targets[:, 1]] = True
@@ -545,7 +526,7 @@ def _dropout_mask(rng, shape, rate: float, picks) -> np.ndarray:
 
 def forward(
     params: EncoderParams,
-    rows: TokenBatch | TokenSequence,
+    batch: TokenBatch,
     record: bool = True,
     rng: np.random.Generator | None = None,
     reads: np.ndarray | None = None,
@@ -561,7 +542,6 @@ def forward(
     and its hidden states are zero at the others.
     """
     c = params.config
-    batch = _as_batch(rows)
     width = batch.max_len
     if not 1 <= width <= c.max_len:
         raise ShapeMismatchError(f"sequence length {width} outside [1, max_len {c.max_len}]")
@@ -655,15 +635,10 @@ def forward(
 
 
 def _mlm_targets(targets, n_rows: int, max_len: int) -> np.ndarray:
-    """(M, 3) int array of (row, position, label).
-
-    (position, label) pairs are accepted for a 1-row batch.
-    """
+    """(M, 3) int array of (row, position, label)."""
     arr = np.asarray(targets, dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 3), dtype=np.int64)
-    if arr.ndim == 2 and arr.shape[1] == 2 and n_rows == 1:
-        arr = np.column_stack([np.zeros(len(arr), dtype=np.int64), arr])
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ShapeMismatchError("masked-token targets must be (row, position, label) triples")
     if arr[:, 0].min() < 0 or arr[:, 0].max() >= n_rows:
@@ -674,13 +649,8 @@ def _mlm_targets(targets, n_rows: int, max_len: int) -> np.ndarray:
 
 
 def _pair_labels(np_labels, n_rows: int) -> np.ndarray:
-    """(B,) int array of pair labels, -1 where a row has no pair term.
-
-    None means no row has one; a plain int is accepted for a 1-row batch.
-    """
-    if np_labels is None:
-        return np.full(n_rows, -1, dtype=np.int64)
-    arr = np.atleast_1d(np.asarray(np_labels, dtype=np.int64))
+    """(B,) int array of pair labels, -1 where a row has no pair term."""
+    arr = np.asarray(np_labels, dtype=np.int64)
     if arr.shape != (n_rows,):
         raise ShapeMismatchError(f"need one pair label per row ({n_rows}), got {arr.shape}")
     return arr
@@ -724,36 +694,22 @@ def _head_terms(params: EncoderParams, trace: ForwardTrace, targets, np_labels):
     return mlm_sum, np_sum, (targets, h_mlm, probs, pair_rows, y, h_cls, z)
 
 
-def sequence_loss(
-    params: EncoderParams,
-    trace: ForwardTrace,
-    mlm_targets,
-    np_labels,
-) -> tuple[float, float]:
-    """Loss terms of a forward pass: (sum of masked-token NLLs, sum of pair BCEs).
-
-    ``mlm_targets`` are (row, position, label) triples, or (position, label)
-    pairs for a 1-row batch. ``np_labels`` holds one label per row (-1 for
-    a row without a pair term); None means no pair terms, and a plain int
-    is accepted for a 1-row batch. A trace cut to its reads raises
-    ``UnreadPositionError`` for a target or pair CLS outside them.
-    """
-    mlm_sum, np_sum, _ = _head_terms(params, trace, mlm_targets, np_labels)
-    return mlm_sum, np_sum
-
-
 def loss_and_grads(
     params: EncoderParams,
     trace: ForwardTrace,
     mlm_targets,
-    np_labels=None,
+    np_labels,
     mlm_scale: float = 1.0,
     np_scale: float = 1.0,
     into: EncoderParams | None = None,
 ) -> tuple[float, float, EncoderParams]:
-    """Losses plus gradients of mlm_scale*mlm_sum + np_scale*np_sum.
+    """Losses (sum of masked-token NLLs, sum of pair BCEs) plus gradients
+    of mlm_scale*mlm_sum + np_scale*np_sum.
 
-    Targets and labels are as for ``sequence_loss``. Gradients are summed
+    ``mlm_targets`` are (row, position, label) triples and ``np_labels``
+    holds one label per row (-1 for a row without a pair term). A trace cut
+    to its reads raises ``UnreadPositionError`` for a target or pair CLS
+    outside them. Gradients are summed
     over every row of the recorded pass; the scales let a training step
     weight the pass (for example 1/total masked positions of the step).
     They are added in place to ``into``, an arena in the layout of
@@ -900,7 +856,8 @@ def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
 
 
 class ByteReader:
-    """Cursor over a binary blob that fails loudly on truncation."""
+    """Cursor over a binary blob that fails loudly on truncation, on text
+    that does not decode and on trailing bytes."""
 
     def __init__(self, blob: bytes, source: str):
         self.blob = blob
@@ -916,6 +873,23 @@ class ByteReader:
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int, encoding: str) -> str:
+        """The next ``n`` bytes decoded as ``encoding``."""
+        start = self.offset
+        try:
+            return self.take(n).decode(encoding)
+        except UnicodeDecodeError:
+            raise ArtifactFormatError(
+                f"{self.source}: bytes {start}..{self.offset} are not {encoding} text"
+            ) from None
+
+    def finish(self) -> None:
+        """Refuse bytes past the last one read."""
+        if self.offset != len(self.blob):
+            raise ArtifactFormatError(
+                f"{self.source}: {len(self.blob) - self.offset} trailing bytes"
+            )
 
 
 def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = None) -> EncoderParams:
@@ -942,11 +916,12 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = reader.text(name_len, "utf-8")
         (ndim,) = reader.unpack("<B")
         shape = reader.unpack(f"<{ndim}I")
         size = int(np.prod(shape)) if ndim else 1
         tensors[name] = np.frombuffer(reader.take(size * 8), dtype="<f8").reshape(shape)
+    reader.finish()
     expected_shapes = parameter_shapes(config)
     if set(tensors) != set(expected_shapes):
         raise CheckpointMismatchError(f"{path}: tensor names do not match the stored config")

@@ -6,8 +6,9 @@ forward. Articles are grouped by live length and each group runs in
 passes of ``encoder.rows_per_pass(length)`` articles cut to that length,
 so no PAD position is embedded and a title of 8 tokens costs 8 positions,
 not ``max_len``. Retrieval is an exact full scan: cosine similarity is a
-dot product of unit vectors, top-k is selected by partition and ties are
-broken by ascending article id so the ordering is total.
+dot product of unit vectors, and ``top_rows`` selects the top k by
+partition and breaks ties by ascending article id, so the ordering is
+total.
 
 Serving is one pass over integer arrays built once per index or per call:
 the index ranks its rows by ascending article id once (``id_rank``), so
@@ -55,7 +56,7 @@ from .errors import (
     InsufficientCandidatesError,
     KTooLargeError,
 )
-from .tokenizer import Vocabulary, encode_batch
+from .tokenizer import Vocabulary, encode_single
 
 INDEX_MAGIC = b"TRECIDX1"
 SOURCE_MAGIC = b"TRECSRC2"
@@ -115,17 +116,8 @@ class EmbeddingIndex:
         norms = np.linalg.norm(self.vectors, axis=1)
         return bool(np.all(np.abs(norms - 1.0) <= 1e-6))
 
-    def row(self, article_id: str) -> np.ndarray:
-        return self.vectors[self._row_of[article_id]]
-
     def __contains__(self, article_id: str) -> bool:
         return article_id in self._row_of
-
-
-@dataclass(frozen=True)
-class NeighborResult:
-    article_id: str
-    similarity: float
 
 
 @dataclass(frozen=True)
@@ -163,7 +155,7 @@ def build_index(
     if not articles:
         raise ValueError("cannot build an index over zero articles")
     c = params.config
-    batch = encode_batch([a.text for a in articles], vocab, c.max_len)
+    batch = encode_single([vocab.word_ids(a.text) for a in articles], c.max_len)
     lengths = batch.attn_mask.sum(axis=1)
     pooled = np.empty((len(articles), c.d_model))
     for width in sorted(set(lengths.tolist())):
@@ -199,17 +191,6 @@ def top_rows(sims: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
     else:
         pool = np.arange(len(sims))
     return pool[np.lexsort((id_rank[pool], -sims[pool]))][:k]
-
-
-def query_knn(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[NeighborResult]:
-    """Exact top-k by cosine, ties broken by ascending article id."""
-    if not 1 <= k <= len(index):
-        raise KTooLargeError(f"k={k} outside [1, {len(index)}]")
-    sims = index.vectors @ query
-    return [
-        NeighborResult(index.article_ids[i], float(np.clip(sims[i], -1.0, 1.0)))
-        for i in top_rows(sims, index.id_rank, k)
-    ]
 
 
 def customer_profiles(log: PurchaseLog, index: EmbeddingIndex) -> dict[str, CustomerProfile]:
@@ -360,10 +341,10 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     if reader.take(len(INDEX_MAGIC)) != INDEX_MAGIC:
         raise ArtifactFormatError(f"{path}: bad magic, not an index file")
     count, dim, tag_len = reader.unpack("<2IB")
-    tag = reader.take(tag_len).decode("utf-8")
+    tag = reader.text(tag_len, "utf-8")
     if tag != METRIC_TAG:
         raise ArtifactFormatError(f"{path}: unsupported metric {tag!r}")
-    article_ids = tuple(reader.take(10).decode("ascii") for _ in range(count))
+    article_ids = tuple(reader.text(10, "ascii") for _ in range(count))
     vectors = np.frombuffer(reader.take(count * dim * 8), dtype="<f8").reshape(count, dim)
     source = None
     if reader.offset != len(blob):
@@ -373,9 +354,8 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         checkpoint = reader.take(32).hex()
         prepared = reader.take(32).hex() if magic == SOURCE_MAGIC else None
         (pooling_len,) = reader.unpack("<B")
-        pooling = reader.take(pooling_len).decode("ascii")
+        pooling = reader.text(pooling_len, "ascii")
         if prepared is not None:
             source = IndexSource(checkpoint, prepared, pooling)
-    if reader.offset != len(blob):
-        raise ArtifactFormatError(f"{path}: {len(blob) - reader.offset} trailing bytes")
+    reader.finish()
     return EmbeddingIndex(article_ids, vectors.astype(np.float64), source)

@@ -15,7 +15,8 @@ first, and each step takes the next ``batch_size`` of them.
 ``sample_pairs`` draws the negatives of those slots only, when the step
 runs, and ``encode_training_pairs`` encodes them from each article's word
 ids, looked up once per run. So no pair is sampled or encoded that is not
-trained.
+trained. A step's titles are encoded into one ``TokenBatch`` and
+``mask_titles`` masks its rows in place.
 
 A training step feeds its masked titles and then its pairs through the
 encoder's batched path in passes of at most
@@ -29,8 +30,6 @@ The optimizer state holds Adam's two moments and one gradient arena, all
 in the parameters' flat layout (see ``encoder``), plus one scratch buffer.
 Each step zeroes the gradient arena, every pass adds into it, and
 ``adam_update`` runs in place over the flat buffers, allocating no array.
-The loss values themselves come from ``encoder.forward`` plus
-``encoder.sequence_loss``, the one loss path.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .tokenizer import (
     FIRST_WORD_ID,
     MASK_ID,
     TokenBatch,
-    TokenSequence,
     Vocabulary,
     encode_pair,
 )
@@ -76,8 +74,16 @@ class MaskingPlan:
         if not (len(self.positions) == len(self.labels) == len(self.replacement_kinds)):
             raise ValueError("positions, labels and replacement_kinds must have equal length")
 
-    def targets(self) -> list[tuple[int, int]]:
-        return list(zip(self.positions, self.labels))
+
+@dataclass(frozen=True)
+class MaskedBatch:
+    """Masked titles: one token row and one masking plan per title."""
+
+    tokens: TokenBatch
+    plans: tuple[MaskingPlan, ...]
+
+    def __len__(self) -> int:
+        return len(self.plans)
 
 
 @dataclass(frozen=True)
@@ -153,38 +159,41 @@ def masked_count(n_maskable: int) -> int:
 
 
 def apply_masking(
-    seq: TokenSequence, vocab: Vocabulary, rng: np.random.Generator
-) -> tuple[TokenSequence, MaskingPlan]:
-    """Hide 15% of word tokens (at least one) and record the plan.
+    batch: TokenBatch, row: int, vocab: Vocabulary, rng: np.random.Generator
+) -> MaskingPlan:
+    """Hide 15% of the word tokens of one batch row (at least one) in place,
+    and return the plan.
 
     Only ids >= FIRST_WORD_ID are candidates, so specials and padding are
     never touched. Draw order per plan: one choice() for the position set,
     then per selected position (ascending) one uniform for the replacement
     kind and, for RANDOM only, one integer for the substitute word.
     """
-    maskable = [i for i, t in enumerate(seq.ids) if t >= FIRST_WORD_ID]
-    if not maskable:
-        raise NothingToMaskError("sequence has no maskable word tokens")
+    ids = batch.ids[row]
+    maskable = np.flatnonzero(ids >= FIRST_WORD_ID)
+    if not len(maskable):
+        raise NothingToMaskError(f"row {row} has no maskable word tokens")
     count = masked_count(len(maskable))
-    positions = sorted(rng.choice(len(maskable), size=count, replace=False))
-    new_ids = list(seq.ids)
-    plan_positions, labels, kinds = [], [], []
-    for slot in positions:
-        position = maskable[slot]
+    positions = maskable[np.sort(rng.choice(len(maskable), size=count, replace=False))].tolist()
+    labels = ids[positions].tolist()
+    kinds = []
+    for position in positions:
         draw = rng.random()
         if draw < 0.8:
-            kind = MASK_REPLACE
-            new_ids[position] = MASK_ID
+            kinds.append(MASK_REPLACE)
+            ids[position] = MASK_ID
         elif draw < 0.9:
-            kind = RANDOM_REPLACE
-            new_ids[position] = int(rng.integers(FIRST_WORD_ID, len(vocab)))
+            kinds.append(RANDOM_REPLACE)
+            ids[position] = int(rng.integers(FIRST_WORD_ID, len(vocab)))
         else:
-            kind = KEEP_REPLACE
-        plan_positions.append(position)
-        labels.append(seq.ids[position])
-        kinds.append(kind)
-    masked = TokenSequence(tuple(new_ids), seq.segments, seq.attn_mask)
-    return masked, MaskingPlan(tuple(plan_positions), tuple(labels), tuple(kinds))
+            kinds.append(KEEP_REPLACE)
+    return MaskingPlan(tuple(positions), tuple(labels), tuple(kinds))
+
+
+def mask_titles(tokens: TokenBatch, vocab: Vocabulary, rng: np.random.Generator) -> MaskedBatch:
+    """Mask every row of a batch of encoded titles in place, in row order."""
+    plans = tuple(apply_masking(tokens, row, vocab, rng) for row in range(len(tokens)))
+    return MaskedBatch(tokens, plans)
 
 
 def positive_table(
@@ -289,14 +298,13 @@ def encode_training_pairs(
     pairs: SampledPairs, word_ids: list[list[int]], max_len: int
 ) -> PairBatch:
     """Encode each pair from its articles' word ids (one list per inventory
-    index) for the encoder."""
-    if not len(pairs):
-        raise EmptyBatchError("pair batch is empty")
-    encoded = [
-        encode_pair(word_ids[seed], word_ids[candidate], max_len)
-        for seed, candidate in zip(pairs.seeds.tolist(), pairs.candidates.tolist())
-    ]
-    return PairBatch(TokenBatch.stack(encoded, max_len), pairs.labels)
+    index) for the encoder; no pairs give a batch of no rows."""
+    tokens = encode_pair(
+        [word_ids[seed] for seed in pairs.seeds.tolist()],
+        [word_ids[candidate] for candidate in pairs.candidates.tolist()],
+        max_len,
+    )
+    return PairBatch(tokens, pairs.labels)
 
 
 @dataclass
@@ -416,8 +424,8 @@ def batch_loss_and_grads(
 def train_step(
     params: enc.EncoderParams,
     state: OptimizerState,
-    masked_batch: list[tuple[TokenSequence, MaskingPlan]],
-    pair_batch: PairBatch | list,
+    masked_batch: MaskedBatch,
+    pair_batch: PairBatch,
     rng: np.random.Generator | None = None,
 ) -> tuple[enc.EncoderParams, OptimizerState, LossRecord]:
     """One optimization step over a mixed batch.
@@ -425,34 +433,30 @@ def train_step(
     Each loss term is summed over its items and divided by its own count
     (masked positions and pairs respectively) so the two stay on comparable
     scales; the recorded total is the sum of the two means. The masked
-    sequences and then the pairs form one batch whose gradients are
+    titles and then the pairs form one batch whose gradients are
     accumulated pass by pass in batch order, to keep the reduction
-    deterministic. An empty ``pair_batch`` may be an empty list. With
+    deterministic. Either batch may have no rows, but not both. With
     ``rng`` and a nonzero ``dropout_rate`` the forward drops activations,
     drawing from ``rng``; at rate 0 nothing is drawn.
     """
-    if not masked_batch and not len(pair_batch):
+    if not len(masked_batch) and not len(pair_batch):
         raise EmptyBatchError("train_step needs at least one sequence")
-    total_masked = sum(len(plan.positions) for _, plan in masked_batch)
-    if masked_batch and total_masked == 0:
+    total_masked = sum(len(plan.positions) for plan in masked_batch.plans)
+    if len(masked_batch) and total_masked == 0:
         raise EmptyPlanError("masked batch carries no masked positions")
     mlm_scale = 1.0 / total_masked if total_masked else 0.0
     np_scale = 1.0 / len(pair_batch) if len(pair_batch) else 0.0
 
-    max_len = params.config.max_len
-    rows = TokenBatch.stack([seq for seq, _ in masked_batch], max_len)
+    rows = TokenBatch.concat(masked_batch.tokens, pair_batch.tokens)
     targets = np.array(
         [
             (row, position, label)
-            for row, (_, plan) in enumerate(masked_batch)
+            for row, plan in enumerate(masked_batch.plans)
             for position, label in zip(plan.positions, plan.labels)
         ],
         dtype=np.int64,
     ).reshape(-1, 3)
-    labels = np.full(len(masked_batch), -1, dtype=np.int64)
-    if len(pair_batch):
-        rows = TokenBatch.concat(rows, pair_batch.tokens)
-        labels = np.concatenate([labels, pair_batch.labels])
+    labels = np.concatenate([np.full(len(masked_batch), -1, dtype=np.int64), pair_batch.labels])
 
     state.grads.flat.fill(0.0)
     mlm_sum, np_sum, grads = batch_loss_and_grads(

@@ -3,17 +3,17 @@
 Tokens are whitespace-split words from prepared article text. Five special
 tokens occupy ids 0..4 in every vocabulary; the rest of the id space is
 ranked by corpus frequency. A text's words are looked up once
-(``Vocabulary.word_ids``); ``encode_single`` and ``encode_pair`` lay those
-ids out as fixed-length rows, padded and truncated, with segment ids plus
-an attention mask, so downstream code never sees ragged sequences. Rows
-that go through the encoder together are stacked into one ``TokenBatch``
-of compact arrays.
+(``Vocabulary.word_ids``); ``encode_single`` (titles) and ``encode_pair``
+(title pairs) write those ids straight into the fixed-length rows of one
+``TokenBatch`` of compact arrays, padded and truncated, with segment ids
+plus an attention mask, so downstream code never sees ragged sequences.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,22 +36,6 @@ SEP_ID = 3
 MASK_ID = 4
 # First id available to corpus words.
 FIRST_WORD_ID = len(SPECIAL_TOKENS)
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Fixed-length encoded input: ids, segment ids and non-PAD mask."""
-
-    ids: tuple[int, ...]
-    segments: tuple[int, ...]
-    attn_mask: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.ids) == len(self.segments) == len(self.attn_mask)):
-            raise ValueError("ids, segments and attn_mask must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -83,18 +67,8 @@ class TokenBatch:
         return TokenBatch(self.ids[rows], self.segments[rows], self.attn_mask[rows])
 
     @classmethod
-    def stack(cls, seqs: list[TokenSequence], max_len: int) -> "TokenBatch":
-        """Stack sequences of length ``max_len`` into one batch; ``max_len``
-        also shapes the batch of an empty list."""
-        shape = (len(seqs), max_len)
-        return cls(
-            np.array([seq.ids for seq in seqs], dtype=np.int32).reshape(shape),
-            np.array([seq.segments for seq in seqs], dtype=np.int8).reshape(shape),
-            np.array([seq.attn_mask for seq in seqs], dtype=bool).reshape(shape),
-        )
-
-    @classmethod
     def concat(cls, first: "TokenBatch", second: "TokenBatch") -> "TokenBatch":
+        """The rows of ``first`` and then of ``second``, in one batch."""
         return cls(
             np.concatenate([first.ids, second.ids]),
             np.concatenate([first.segments, second.segments]),
@@ -131,7 +105,10 @@ class Vocabulary:
         tokens = Path(path).read_text(encoding="utf-8").splitlines()
         if tuple(tokens[:FIRST_WORD_ID]) != SPECIAL_TOKENS:
             raise ArtifactFormatError(f"{path}: special tokens missing or reordered")
-        return cls(tokens[FIRST_WORD_ID:])
+        try:
+            return cls(tokens[FIRST_WORD_ID:])
+        except ValueError as exc:
+            raise ArtifactFormatError(f"{path}: {exc}") from None
 
 
 def build_vocab(corpus: list[PreparedArticle], min_freq: int = 1, max_size: int = 30000) -> Vocabulary:
@@ -155,24 +132,26 @@ def build_vocab(corpus: list[PreparedArticle], min_freq: int = 1, max_size: int 
     return Vocabulary(kept[: max_size - FIRST_WORD_ID])
 
 
-def encode_single(word_ids: list[int], max_len: int) -> TokenSequence:
-    """[CLS] words [SEP], truncated to fit and padded to exactly max_len."""
+
+
+def _pack(rows: list[list[int]], max_len: int) -> TokenBatch:
+    """Rows of at most ``max_len`` ids as one batch: each row's ids from
+    position 0, PAD after them, and segment 0 throughout."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    attn_mask = np.arange(max_len) < lengths[:, None]
+    ids = np.full(attn_mask.shape, PAD_ID, dtype=np.int32)
+    # live positions are a prefix of each row, so in C order they take the
+    # rows' ids one row after another
+    ids[attn_mask] = np.fromiter(chain.from_iterable(rows), np.int32, int(lengths.sum()))
+    return TokenBatch(ids, np.zeros(attn_mask.shape, dtype=np.int8), attn_mask)
+
+
+def encode_single(word_ids: list[list[int]], max_len: int) -> TokenBatch:
+    """One row per title, [CLS] words [SEP], truncated to fit and padded to
+    exactly max_len."""
     if max_len < 3:
         raise ValueError("max_len must be >= 3 for single encoding")
-    ids = [CLS_ID, *word_ids[: max_len - 2], SEP_ID]
-    n_pad = max_len - len(ids)
-    return TokenSequence(
-        ids=tuple(ids + [PAD_ID] * n_pad),
-        segments=(0,) * max_len,
-        attn_mask=tuple([1] * len(ids) + [0] * n_pad),
-    )
-
-
-def encode_batch(texts: list[str], vocab: Vocabulary, max_len: int) -> TokenBatch:
-    """``encode_single`` of every text's word ids, stacked into one batch."""
-    return TokenBatch.stack(
-        [encode_single(vocab.word_ids(text), max_len) for text in texts], max_len
-    )
+    return _pack([[CLS_ID, *ids[: max_len - 2], SEP_ID] for ids in word_ids], max_len)
 
 
 def truncate_pair(len_a: int, len_b: int, budget: int) -> tuple[int, int]:
@@ -189,17 +168,18 @@ def truncate_pair(len_a: int, len_b: int, budget: int) -> tuple[int, int]:
     return len_a, len_b
 
 
-def encode_pair(ids_a: list[int], ids_b: list[int], max_len: int) -> TokenSequence:
-    """[CLS] A [SEP] B [SEP] of two word-id lists, with segment ids 0 for the
-    A half and 1 for B."""
+def encode_pair(firsts: list[list[int]], seconds: list[list[int]], max_len: int) -> TokenBatch:
+    """One row per pair, [CLS] A [SEP] B [SEP] of the word-id lists
+    ``firsts[i]`` and ``seconds[i]``, with segment ids 0 for the A half and
+    1 for B."""
     if max_len < 5:
         raise ValueError("max_len must be >= 5 for pair encoding")
-    keep_a, keep_b = truncate_pair(len(ids_a), len(ids_b), max_len - 3)
-    ids = [CLS_ID, *ids_a[:keep_a], SEP_ID, *ids_b[:keep_b], SEP_ID]
-    n_pad = max_len - len(ids)
-    segments = [0] * (keep_a + 2) + [1] * (keep_b + 1) + [0] * n_pad
-    return TokenSequence(
-        ids=tuple(ids + [PAD_ID] * n_pad),
-        segments=tuple(segments),
-        attn_mask=tuple([1] * len(ids) + [0] * n_pad),
-    )
+    rows, b_starts = [], []
+    for ids_a, ids_b in zip(firsts, seconds, strict=True):
+        keep_a, keep_b = truncate_pair(len(ids_a), len(ids_b), max_len - 3)
+        rows.append([CLS_ID, *ids_a[:keep_a], SEP_ID, *ids_b[:keep_b], SEP_ID])
+        b_starts.append(keep_a + 2)
+    batch = _pack(rows, max_len)
+    b_half = np.arange(max_len) >= np.array(b_starts, dtype=np.int64)[:, None]
+    batch.segments[b_half & batch.attn_mask] = 1
+    return batch

@@ -3,7 +3,7 @@ import pytest
 
 from titlerec import encoder as enc
 from titlerec import objectives as obj
-from titlerec.tokenizer import TokenSequence
+from titlerec.tokenizer import TokenBatch
 
 
 @pytest.fixture
@@ -18,20 +18,27 @@ def tiny_params(tiny_config):
     return enc.init_params(tiny_config, seed=3)
 
 
-@pytest.fixture
-def tiny_seq():
-    return TokenSequence(
-        ids=(2, 5, 6, 7, 3, 0, 0),
-        segments=(0, 0, 0, 1, 1, 0, 0),
-        attn_mask=(1, 1, 1, 1, 1, 0, 0),
+def token_rows(ids, segments, attn_mask):
+    """A ``TokenBatch`` of rows given as nested lists (one row may be given
+    as a flat list): token ids, segment ids and 0/1 live flags."""
+    return TokenBatch(
+        np.atleast_2d(np.array(ids, dtype=np.int32)),
+        np.atleast_2d(np.array(segments, dtype=np.int8)),
+        np.atleast_2d(np.array(attn_mask, dtype=bool)),
     )
+
+
+@pytest.fixture
+def tiny_row():
+    """One row of the tiny config's width: five live tokens, two PAD."""
+    return token_rows([2, 5, 6, 7, 3, 0, 0], [0, 0, 0, 1, 1, 0, 0], [1, 1, 1, 1, 1, 0, 0])
 
 
 def zeroed_params(config: enc.EncoderConfig) -> enc.EncoderParams:
     """Params whose forward pass yields all-zero hidden states, so head
     biases fully determine the output logits. Layer-norm gains stay 1."""
     params = enc.init_params(config, seed=0)
-    for name in params.names():
+    for name in params.tensors:
         if not name.endswith(".gain"):
             params[name][...] = np.zeros_like(params[name])
     return params
@@ -51,24 +58,32 @@ def encode_id_pairs(triples, titles, vocab, max_len):
     return obj.encode_training_pairs(pairs, word_ids, max_len)
 
 
+def no_pairs(max_len):
+    """The pair batch of a step without pairs: no rows, of width ``max_len``."""
+    empty = np.empty(0, dtype=np.int64)
+    return obj.encode_training_pairs(
+        obj.SampledPairs(empty, empty, empty.astype(np.int8)), [], max_len
+    )
+
+
 # --- finite-difference gradient oracle, shared by unit and acceptance tests ---
 
 
-def scalar_loss(params, seq, targets, np_label, mlm_scale=1.0, np_scale=1.0):
-    trace = enc.forward(params, seq)
-    mlm_sum, np_sum = enc.sequence_loss(params, trace, targets, np_label)
+def scalar_loss(params, batch, targets, np_labels, mlm_scale=1.0, np_scale=1.0):
+    trace = enc.forward(params, batch)
+    mlm_sum, np_sum, _ = enc.loss_and_grads(params, trace, targets, np_labels)
     return mlm_scale * mlm_sum + np_scale * np_sum
 
 
-def central_difference(params, seq, targets, np_label, name, index, step=1e-4, **scales):
+def central_difference(params, batch, targets, np_labels, name, index, step=1e-4, **scales):
     """Two-sided difference quotient of the scalar loss in one coordinate."""
-    probe = params.copy()
+    probe = enc.EncoderParams(params.config, params.tensors)
     flat = probe[name].reshape(-1)
     original = flat[index]
     flat[index] = original + step
-    up = scalar_loss(probe, seq, targets, np_label, **scales)
+    up = scalar_loss(probe, batch, targets, np_labels, **scales)
     flat[index] = original - step
-    down = scalar_loss(probe, seq, targets, np_label, **scales)
+    down = scalar_loss(probe, batch, targets, np_labels, **scales)
     return (up - down) / (2.0 * step)
 
 
@@ -79,22 +94,18 @@ def grads_agree(analytic, numeric, rel_tol=1e-4, abs_floor=1e-7):
     )
 
 
-def random_sequence(config, rng, min_live=2):
-    """Random well-formed TokenSequence for a config: live prefix, PAD tail."""
+def random_row(config, rng, min_live=2):
+    """Random well-formed 1-row batch for a config: live prefix, PAD tail."""
     live = int(rng.integers(min_live, config.max_len + 1))
     ids = [int(rng.integers(0, config.vocab_size)) for _ in range(live)]
     segments = [int(rng.integers(0, 2)) for _ in range(live)]
     n_pad = config.max_len - live
-    return TokenSequence(
-        ids=tuple(ids) + (0,) * n_pad,
-        segments=tuple(segments) + (0,) * n_pad,
-        attn_mask=(1,) * live + (0,) * n_pad,
-    )
+    return token_rows(ids + [0] * n_pad, segments + [0] * n_pad, [1] * live + [0] * n_pad)
 
 
-def random_targets(config, seq, rng, max_targets=3):
-    """Distinct (position, label) pairs within the live region."""
-    live = sum(seq.attn_mask)
+def random_targets(config, batch, rng, max_targets=3):
+    """Distinct (0, position, label) targets within the live region of row 0."""
+    live = int(batch.attn_mask[0].sum())
     count = int(rng.integers(1, min(max_targets, live) + 1))
     positions = rng.choice(live, size=count, replace=False)
-    return [(int(p), int(rng.integers(0, config.vocab_size))) for p in sorted(positions)]
+    return [(0, int(p), int(rng.integers(0, config.vocab_size))) for p in sorted(positions)]

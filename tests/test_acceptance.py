@@ -24,7 +24,7 @@ from conftest import (
     central_difference,
     encode_id_pairs,
     grads_agree,
-    random_sequence,
+    random_row,
     random_targets,
     zeroed_params,
 )
@@ -72,7 +72,7 @@ def planted_world(tmp_path_factory):
 def random_params(config, rng):
     """Seeded init plus noise so no tensor sits at a symmetric point."""
     params = enc.init_params(config, seed=int(rng.integers(10_000)))
-    for name in params.names():
+    for name in params.tensors:
         params[name][...] = params[name] + rng.normal(0.0, 0.05, size=params[name].shape)
     return params
 
@@ -93,16 +93,17 @@ def test_01_gradients_match_finite_differences():
             max_len=int(rng.integers(6, 13)),
         )
         params = random_params(config, rng)
-        seq = random_sequence(config, rng)
-        targets = random_targets(config, seq, rng)
-        np_label = int(rng.integers(0, 2))
-        trace = enc.forward(params, seq)
-        _, _, grads = enc.loss_and_grads(params, trace, targets, np_label)
+        batch = random_row(config, rng)
+        targets = random_targets(config, batch, rng)
+        np_labels = [int(rng.integers(0, 2))]
+        trace = enc.forward(params, batch)
+        _, _, grads = enc.loss_and_grads(params, trace, targets, np_labels)
 
-        name = params.names()[int(rng.integers(0, len(params.names())))]
+        names = list(params.tensors)
+        name = names[int(rng.integers(0, len(names)))]
         index = int(rng.integers(0, params[name].size))
         analytic = grads[name].reshape(-1)[index]
-        numeric = central_difference(params, seq, targets, np_label, name, index)
+        numeric = central_difference(params, batch, targets, np_labels, name, index)
         assert grads_agree(analytic, numeric), (
             f"sample {sample}: {name}[{index}] analytic={analytic!r} numeric={numeric!r}"
         )
@@ -116,18 +117,19 @@ def test_02_loss_formula_oracles():
     vocab = Vocabulary(["alpha", "beta", "gamma"])
     config = enc.EncoderConfig(vocab_size=len(vocab), d_model=8, n_heads=2,
                                n_layers=1, d_ff=8, max_len=6)
-    seq = encode_single(vocab.word_ids("alpha beta"), config.max_len)
+    seq = encode_single([vocab.word_ids("alpha beta")], config.max_len)
     plan = objectives.MaskingPlan((1,), (5,), (MASK_REPLACE,))
     titles = {"0000000001": "alpha", "0000000002": "beta"}
 
-    def masked_loss(params, seq, plan):
-        trace = enc.forward(params, seq, record=False)
-        return enc.sequence_loss(params, trace, plan.targets(), None)[0]
+    def masked_loss(params, row, plan):
+        trace = enc.forward(params, row)
+        targets = [(0, position, label) for position, label in zip(plan.positions, plan.labels)]
+        return enc.loss_and_grads(params, trace, targets, [-1])[0]
 
     def pair_loss(params, pairs):
         encoded = encode_id_pairs(pairs, titles, vocab, config.max_len)
-        trace = enc.forward(params, encoded.tokens, record=False)
-        return enc.sequence_loss(params, trace, [], encoded.labels)[1]
+        trace = enc.forward(params, encoded.tokens)
+        return enc.loss_and_grads(params, trace, [], encoded.labels)[1]
 
     # a certain prediction costs nothing
     confident = zeroed_params(config)
@@ -150,7 +152,7 @@ def test_02_loss_formula_oracles():
 
     # the masked loss sums position by position
     real = enc.init_params(config, seed=9)
-    masked = encode_single(vocab.word_ids("alpha beta gamma"), config.max_len)
+    masked = encode_single([vocab.word_ids("alpha beta gamma")], config.max_len)
     two = objectives.MaskingPlan((1, 3), (5, 7), (MASK_REPLACE, KEEP_REPLACE))
     first = objectives.MaskingPlan((1,), (5,), (MASK_REPLACE,))
     second = objectives.MaskingPlan((3,), (7,), (KEEP_REPLACE,))
@@ -177,17 +179,18 @@ def test_03_masking_statistics():
     for _ in range(10_000):
         n = int(rng.integers(1, 31))
         text = " ".join(words[int(rng.integers(0, len(words)))] for _ in range(n))
-        seq = encode_single(vocab.word_ids(text), max_len=34)
-        masked, plan = objectives.apply_masking(seq, vocab, rng)
+        masked = encode_single([vocab.word_ids(text)], max_len=34)
+        ids = masked.ids[0].copy()
+        plan = objectives.apply_masking(masked, 0, vocab, rng)
 
         expected = max(1, int(Fraction(3 * n, 20) + Fraction(1, 2)))
         assert len(plan.positions) == expected
 
         for position, label in zip(plan.positions, plan.labels):
-            assert seq.ids[position] == label
+            assert ids[position] == label
             assert label >= FIRST_WORD_ID  # specials are never hidden
-        untouched = set(range(len(seq.ids))) - set(plan.positions)
-        assert all(masked.ids[i] == seq.ids[i] for i in untouched)
+        untouched = set(range(len(ids))) - set(plan.positions)
+        assert all(masked.ids[0, i] == ids[i] for i in untouched)
 
         for kind in plan.replacement_kinds:
             kind_counts[kind] += 1
@@ -273,7 +276,11 @@ def test_05_knn_matches_brute_force():
         query = query / np.linalg.norm(query)
         k = int(rng.integers(1, n + 1))
 
-        got = [(r.article_id, r.similarity) for r in ix.query_knn(index, query, k)]
+        sims = index.vectors @ query
+        got = [
+            (ids[row], float(np.clip(sims[row], -1.0, 1.0)))
+            for row in ix.top_rows(sims, index.id_rank, k)
+        ]
         assert got == brute_force_neighbors(ids, rows, query, k), f"instance {instance}"
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"k-NN sweep took {elapsed:.1f}s"

@@ -3,6 +3,7 @@ import ctypes
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -383,7 +384,7 @@ class TestTrain:
         params = enc.load_checkpoint(clone["workdir"] / cli.CHECKPOINT_FILE)
         seeded = enc.init_params(params.config, seed=0)
         assert all(
-            (params[name] == seeded[name]).all() for name in params.names()
+            (params[name] == seeded[name]).all() for name in params.tensors
         )
 
     def test_requires_ingest(self, tmp_path, capsys):
@@ -817,6 +818,29 @@ class TestErrorSurface:
         (line,) = captured.err.splitlines()
         assert line == f"error: MalformedRowError: {path}: {message}"
 
+    @pytest.mark.parametrize(
+        "artifact, corrupt, command",
+        [
+            (cli.INGEST_SUMMARY_FILE, lambda blob: blob[: len(blob) // 2], "stats"),
+            (cli.INGEST_SUMMARY_FILE, lambda blob: b"{}", "stats"),
+            (cli.VOCAB_FILE, lambda blob: blob + blob.splitlines(True)[-1], "recommend"),
+            (cli.CHECKPOINT_FILE, lambda blob: blob + b"0123456789", "recommend"),
+            # inside the first tensor name
+            (cli.CHECKPOINT_FILE, lambda blob: blob[:60] + b"\xff\xfe" + blob[60:], "recommend"),
+        ],
+        ids=["summary-halved", "summary-empty-object", "vocab-repeated-line",
+             "checkpoint-trailing-bytes", "checkpoint-bad-utf8"],
+    )
+    def test_corrupt_artifact_named(self, pipeline, tmp_path, capsys, artifact, corrupt, command):
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / artifact
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        assert run_cli(command, *clone["base"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: ArtifactFormatError: {path}: ")
+
 
 class TestInputFileErrors:
     """Unreadable inputs keep the one-line ``error: InputFileError`` contract."""
@@ -872,3 +896,21 @@ class TestInputFileErrors:
         )
         assert self.ingest(tmp_path, inputs["articles_path"], transactions) == 1
         self.assert_input_error(capsys, str(transactions), "field larger than field limit")
+
+
+class TestLibraryExample:
+    def test_readme_example_runs(self, pipeline, tmp_path, monkeypatch, capsys):
+        """The README's library example runs as printed, against a trained
+        workdir named run1."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library use", 1)[1]
+        example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        shutil.copytree(pipeline["workdir"], tmp_path / "run1")
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        exec(compile(example, "README.md", "exec"), {})
+        hits = [line.split() for line in capsys.readouterr().out.splitlines()]
+        catalog = ix.load_index(tmp_path / "run1" / cli.INDEX_FILE).article_ids
+        assert len(hits) == 5 and all(article_id in catalog for article_id, _ in hits)
+        sims = [float(sim) for _, sim in hits]
+        assert sims == sorted(sims, reverse=True)

@@ -10,30 +10,39 @@ import pytest
 
 from titlerec import encoder as enc
 from titlerec import objectives as obj
-from titlerec.tokenizer import TokenBatch, TokenSequence
 
 from conftest import (
     central_difference,
     grads_agree,
-    random_sequence,
+    random_row,
     random_targets,
     scalar_loss,
+    token_rows,
 )
+
+
+def gelu(x):
+    """GELU as the forward pass computes it: x times the normal CDF."""
+    return x * enc.gelu_cdf(x)
+
+
+def gelu_grad(x):
+    return enc.gelu_grad(x, enc.gelu_cdf(x))
 
 
 class TestGeluOracle:
     def test_matches_difference_quotient(self):
         xs = np.linspace(-4.0, 4.0, 41)
         h = 1e-5
-        numeric = (enc.gelu(xs + h) - enc.gelu(xs - h)) / (2 * h)
-        assert np.allclose(enc.gelu_grad(xs), numeric, atol=1e-8)
+        numeric = (gelu(xs + h) - gelu(xs - h)) / (2 * h)
+        assert np.allclose(gelu_grad(xs), numeric, atol=1e-8)
 
     def test_known_values(self):
-        assert enc.gelu(np.array([0.0]))[0] == 0.0
+        assert gelu(np.array([0.0]))[0] == 0.0
         # gelu(x) -> x for large x, -> 0 for very negative x
-        assert abs(enc.gelu(np.array([10.0]))[0] - 10.0) < 1e-12
-        assert abs(enc.gelu(np.array([-10.0]))[0]) < 1e-12
-        assert abs(enc.gelu_grad(np.array([0.0]))[0] - 0.5) < 1e-12
+        assert abs(gelu(np.array([10.0]))[0] - 10.0) < 1e-12
+        assert abs(gelu(np.array([-10.0]))[0]) < 1e-12
+        assert abs(gelu_grad(np.array([0.0]))[0] - 0.5) < 1e-12
 
 
 class TestLayerNormOracle:
@@ -75,25 +84,25 @@ class TestLayerNormOracle:
         assert np.allclose(x_hat.std(axis=-1), 1.0, atol=1e-3)
 
 
-def check_coordinates(params, seq, targets, np_label, coords, **scales):
+def check_coordinates(params, batch, targets, np_labels, coords, **scales):
     """Assert analytic grads match FD for a list of (tensor, flat index)."""
-    trace = enc.forward(params, seq)
-    mlm_sum, np_sum, grads = enc.loss_and_grads(params, trace, targets, np_label, **scales)
+    trace = enc.forward(params, batch)
+    mlm_sum, np_sum, grads = enc.loss_and_grads(params, trace, targets, np_labels, **scales)
     for name, index in coords:
         analytic = grads[name].reshape(-1)[index]
-        numeric = central_difference(params, seq, targets, np_label, name, index, **scales)
+        numeric = central_difference(params, batch, targets, np_labels, name, index, **scales)
         assert grads_agree(analytic, numeric), (name, index, analytic, numeric)
 
 
 class TestFullGraphFiniteDifference:
-    def test_every_tensor_once(self, tiny_config, tiny_params, tiny_seq):
+    def test_every_tensor_once(self, tiny_config, tiny_params, tiny_row):
         rng = np.random.default_rng(0)
-        targets = [(1, 5), (3, 9)]
+        targets = [(0, 1, 5), (0, 3, 9)]
         coords = [
             (name, int(rng.integers(0, tiny_params[name].size)))
-            for name in tiny_params.names()
+            for name in tiny_params.tensors
         ]
-        check_coordinates(tiny_params, tiny_seq, targets, 1, coords)
+        check_coordinates(tiny_params, tiny_row, targets, [1], coords)
 
     def test_random_setups(self):
         rng = np.random.default_rng(42)
@@ -105,89 +114,91 @@ class TestFullGraphFiniteDifference:
         for trial, config in enumerate(configs):
             params = enc.init_params(config, seed=trial)
             # non-trivial biases so their gradients are not trivially zero
-            for name in params.names():
+            for name in params.tensors:
                 if params[name].ndim == 1:
                     params[name][...] = params[name] + rng.normal(0.0, 0.05, params[name].shape)
-            seq = random_sequence(config, rng)
-            targets = random_targets(config, seq, rng)
-            np_label = int(rng.integers(0, 2))
-            names = params.names()
+            batch = random_row(config, rng)
+            targets = random_targets(config, batch, rng)
+            np_labels = [int(rng.integers(0, 2))]
+            names = list(params.tensors)
             coords = [
                 (names[int(rng.integers(0, len(names)))], 0) for _ in range(4)
             ]
             coords += [
-                ("token_embedding", int(seq.ids[0]) * config.d_model),
+                ("token_embedding", int(batch.ids[0, 0]) * config.d_model),
                 ("mlm_head.weight", int(rng.integers(0, config.d_model * config.vocab_size))),
                 ("np_head.weight", int(rng.integers(0, config.d_model))),
             ]
-            check_coordinates(params, seq, targets, np_label, coords)
+            check_coordinates(params, batch, targets, np_labels, coords)
 
-    def test_mlm_only_path(self, tiny_params, tiny_seq):
+    def test_mlm_only_path(self, tiny_params, tiny_row):
         check_coordinates(
-            tiny_params, tiny_seq, [(2, 6)], None,
+            tiny_params, tiny_row, [(0, 2, 6)], [-1],
             [("mlm_head.bias", 6), ("layer1.ffn.w1", 7), ("token_embedding", 5 * 8)],
         )
 
-    def test_np_only_path(self, tiny_params, tiny_seq):
+    def test_np_only_path(self, tiny_params, tiny_row):
         check_coordinates(
-            tiny_params, tiny_seq, [], 0,
+            tiny_params, tiny_row, [], [0],
             [("np_head.bias", 0), ("np_head.weight", 3), ("layer0.attn.w_q", 11)],
         )
 
-    def test_scaled_loss(self, tiny_params, tiny_seq):
+    def test_scaled_loss(self, tiny_params, tiny_row):
         check_coordinates(
-            tiny_params, tiny_seq, [(1, 8), (2, 4)], 1,
+            tiny_params, tiny_row, [(0, 1, 8), (0, 2, 4)], [1],
             [("mlm_head.weight", 9), ("layer0.ln1.gain", 2)],
             mlm_scale=0.25, np_scale=2.0,
         )
 
-    def test_scale_linearity(self, tiny_params, tiny_seq):
-        targets = [(1, 5)]
-        trace = enc.forward(tiny_params, tiny_seq)
-        _, _, full = enc.loss_and_grads(tiny_params, trace, targets, 1, mlm_scale=1.0, np_scale=1.0)
-        trace = enc.forward(tiny_params, tiny_seq)
-        _, _, half = enc.loss_and_grads(tiny_params, trace, targets, 1, mlm_scale=0.5, np_scale=0.5)
-        for name in full.names():
+    def test_scale_linearity(self, tiny_params, tiny_row):
+        targets = [(0, 1, 5)]
+        trace = enc.forward(tiny_params, tiny_row)
+        _, _, full = enc.loss_and_grads(tiny_params, trace, targets, [1])
+        trace = enc.forward(tiny_params, tiny_row)
+        _, _, half = enc.loss_and_grads(
+            tiny_params, trace, targets, [1], mlm_scale=0.5, np_scale=0.5
+        )
+        for name in full.tensors:
             assert np.allclose(half[name], 0.5 * full[name], rtol=1e-12, atol=0.0)
 
 
 class TestPadGradientIsolation:
-    def test_pad_rows_receive_zero_grad(self, tiny_params, tiny_seq):
-        trace = enc.forward(tiny_params, tiny_seq)
-        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(1, 5), (4, 3)], np_labels=1)
-        live = sum(tiny_seq.attn_mask)
+    def test_pad_rows_receive_zero_grad(self, tiny_params, tiny_row):
+        trace = enc.forward(tiny_params, tiny_row)
+        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(0, 1, 5), (0, 4, 3)], [1])
+        live = int(tiny_row.attn_mask.sum())
         # PAD positions cannot influence the loss, exactly
         assert np.all(grads["position_embedding"][live:] == 0.0)
-        # token id 0 only ever appears at PAD positions in tiny_seq
+        # token id 0 only ever appears at PAD positions in tiny_row
         assert np.all(grads["token_embedding"][0] == 0.0)
 
-    def test_unused_vocab_rows_receive_zero_grad(self, tiny_params, tiny_seq):
-        trace = enc.forward(tiny_params, tiny_seq)
-        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(1, 5)], np_labels=None)
-        used = set(tiny_seq.ids[: sum(tiny_seq.attn_mask)])
+    def test_unused_vocab_rows_receive_zero_grad(self, tiny_params, tiny_row):
+        trace = enc.forward(tiny_params, tiny_row)
+        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(0, 1, 5)], [-1])
+        used = set(tiny_row.ids[tiny_row.attn_mask].tolist())
         for token_id in range(tiny_params.config.vocab_size):
             if token_id not in used:
                 assert np.all(grads["token_embedding"][token_id] == 0.0)
 
 
 class TestLossValues:
-    def test_scalar_loss_is_finite_and_positive(self, tiny_params, tiny_seq):
-        value = scalar_loss(tiny_params, tiny_seq, [(1, 5), (2, 6)], 1)
+    def test_scalar_loss_is_finite_and_positive(self, tiny_params, tiny_row):
+        value = scalar_loss(tiny_params, tiny_row, [(0, 1, 5), (0, 2, 6)], [1])
         assert np.isfinite(value) and value > 0.0
 
-    def test_mlm_sum_adds_per_position_nll(self, tiny_params, tiny_seq):
-        trace = enc.forward(tiny_params, tiny_seq)
-        lone_a, _ = enc.sequence_loss(tiny_params, trace, [(1, 5)], None)
-        lone_b, _ = enc.sequence_loss(tiny_params, trace, [(2, 6)], None)
-        both, _ = enc.sequence_loss(tiny_params, trace, [(1, 5), (2, 6)], None)
+    def test_mlm_sum_adds_per_position_nll(self, tiny_params, tiny_row):
+        trace = enc.forward(tiny_params, tiny_row)
+        lone_a = enc.loss_and_grads(tiny_params, trace, [(0, 1, 5)], [-1])[0]
+        lone_b = enc.loss_and_grads(tiny_params, trace, [(0, 2, 6)], [-1])[0]
+        both = enc.loss_and_grads(tiny_params, trace, [(0, 1, 5), (0, 2, 6)], [-1])[0]
         assert abs(both - (lone_a + lone_b)) < 1e-12
 
-    def test_np_loss_is_exact_bce(self, tiny_params, tiny_seq):
-        trace = enc.forward(tiny_params, tiny_seq)
+    def test_np_loss_is_exact_bce(self, tiny_params, tiny_row):
+        trace = enc.forward(tiny_params, tiny_row)
         # at label 0 the pair-bias gradient is sigmoid(z) itself
-        p = enc.loss_and_grads(tiny_params, trace, [], np_labels=0)[2]["np_head.bias"][0]
-        _, np_pos = enc.sequence_loss(tiny_params, trace, [], 1)
-        _, np_neg = enc.sequence_loss(tiny_params, trace, [], 0)
+        _, np_neg, grads = enc.loss_and_grads(tiny_params, trace, [], [0])
+        p = grads["np_head.bias"][0]
+        np_pos = enc.loss_and_grads(tiny_params, trace, [], [1])[1]
         assert abs(np_pos - (-np.log(p))) < 1e-12
         assert abs(np_neg - (-np.log1p(-p))) < 1e-12
 
@@ -195,21 +206,21 @@ class TestLossValues:
 # --- the batched path: several rows per pass, per-row targets and labels ---
 
 
-def sequence_of_length(config, rng, live):
-    """Random TokenSequence with exactly ``live`` non-PAD positions."""
-    n_pad = config.max_len - live
-    return TokenSequence(
-        ids=tuple(int(i) for i in rng.integers(0, config.vocab_size, live)) + (0,) * n_pad,
-        segments=tuple(int(s) for s in rng.integers(0, 2, live)) + (0,) * n_pad,
-        attn_mask=(1,) * live + (0,) * n_pad,
-    )
+def rows_of_lengths(config, rng, lives):
+    """Random rows, the i-th with exactly ``lives[i]`` non-PAD positions."""
+    rows = []
+    for live in lives:
+        n_pad = config.max_len - live
+        ids = rng.integers(0, config.vocab_size, live).tolist() + [0] * n_pad
+        segments = rng.integers(0, 2, live).tolist() + [0] * n_pad
+        rows.append((ids, segments, [1] * live + [0] * n_pad))
+    return token_rows(*zip(*rows))
 
 
 def mixed_batch(config, rng, lives=(3, 7, 5, 9, 4)):
     """Rows 0-1 carry masked-token targets, rows 2-4 pair labels; every row
     has its own live length."""
-    seqs = [sequence_of_length(config, rng, live) for live in lives]
-    batch = TokenBatch.stack(seqs, config.max_len)
+    batch = rows_of_lengths(config, rng, lives)
     targets = [(0, 1, 4), (0, 2, 7), (1, 3, 9), (1, 6, 2)]
     labels = np.array([-1, -1, 1, 0, 1])
     return batch, targets, labels
@@ -221,7 +232,7 @@ def assert_close_rel(actual, expected, rel=1e-12, abs_floor=1e-18):
     The floor covers tensors that are zero up to rounding: the key bias's
     gradient vanishes analytically (softmax ignores a per-query shift).
     """
-    for name in actual.names():
+    for name in actual.tensors:
         scale = np.abs(expected[name]).max()
         assert np.abs(actual[name] - expected[name]).max() <= rel * scale + abs_floor, name
 
@@ -235,7 +246,7 @@ def batch_config():
 def batch_params(batch_config):
     rng = np.random.default_rng(8)
     params = enc.init_params(batch_config, seed=8)
-    for name in params.names():
+    for name in params.tensors:
         params[name][...] = params[name] + rng.normal(0.0, 0.05, params[name].shape)
     return params
 
@@ -250,7 +261,7 @@ class TestBatchedPath:
         )
         coords = [
             (name, int(rng.integers(0, batch_params[name].size)))
-            for name in batch_params.names()
+            for name in batch_params.tensors
         ]
         d = batch_params.config.d_model
         coords += [("token_embedding", int(batch.ids[r, 0]) * d + 3) for r in range(len(batch))]
@@ -309,7 +320,7 @@ class TestBatchedPath:
         second = enc.loss_and_grads(
             batch_params, enc.forward(batch_params, tail), [], labels[2:]
         )[2]
-        expected = {name: first[name] + second[name] for name in first.names()}
+        expected = {name: first[name] + second[name] for name in first.tensors}
         _, _, total = enc.loss_and_grads(
             batch_params, enc.forward(batch_params, tail), [], labels[2:], into=first
         )
@@ -330,7 +341,7 @@ class TestBatchedPath:
         assert np.all(narrow[2]["position_embedding"][9:] == 0.0)
         # a narrow pass adds into the gradients of a full-width one
         first = enc.loss_and_grads(batch_params, enc.forward(batch_params, batch), [], labels)[2]
-        expected = {name: first[name] + narrow[2][name] for name in first.names()}
+        expected = {name: first[name] + narrow[2][name] for name in first.tensors}
         _, _, total = enc.loss_and_grads(
             batch_params, enc.forward(batch_params, batch[:, :9]), targets, labels, into=first
         )
@@ -340,8 +351,7 @@ class TestBatchedPath:
         config = batch_params.config
         rng = np.random.default_rng(25)
         # PAD ids point at vocabulary rows no live position uses
-        seqs = [sequence_of_length(config, rng, live) for live in (4, 6)]
-        batch = TokenBatch.stack(seqs, config.max_len)
+        batch = rows_of_lengths(config, rng, (4, 6))
         batch.ids[batch.ids >= 11] = 5
         batch.ids[~batch.attn_mask] = 12
         _, _, grads = enc.loss_and_grads(

@@ -16,7 +16,7 @@ from titlerec.errors import (
     InsufficientCandidatesError,
     KTooLargeError,
 )
-from titlerec.tokenizer import build_vocab, encode_batch, encode_single
+from titlerec.tokenizer import build_vocab, encode_single
 
 from conftest import encode_id_pairs, zeroed_params
 from synth import purchase_log, write_planted_inputs
@@ -41,14 +41,19 @@ def random_index(n, dim, rng):
     return unit_index(ids, rng.normal(size=(n, dim)))
 
 
+def vector_of(index, article_id):
+    return index.vectors[index.article_ids.index(article_id)]
+
+
+def knn(index, query, k):
+    """The index's k nearest rows to a query, as serving selects them."""
+    return ix.top_rows(index.vectors @ query, index.id_rank, k).tolist()
+
+
 def brute_force_knn(index, query, k):
-    """Reference: full sort on (similarity desc, article id asc)."""
+    """Reference: rows by full sort on (similarity desc, article id asc)."""
     sims = index.vectors @ query
-    order = sorted(range(len(index)), key=lambda i: (-sims[i], index.article_ids[i]))
-    return [
-        ix.NeighborResult(index.article_ids[i], float(np.clip(sims[i], -1.0, 1.0)))
-        for i in order[:k]
-    ]
+    return sorted(range(len(index)), key=lambda i: (-sims[i], index.article_ids[i]))[:k]
 
 
 def embed_one(params, article, vocab, pooling="mean"):
@@ -69,7 +74,7 @@ class TestEmbedArticle:
         a = PreparedArticle("0000000101", "w00 w01", 2)
         b = PreparedArticle("0000000202", "w00 w01", 2)
         index = ix.build_index([a, b], tiny_params, vocab)
-        assert np.array_equal(index.row(a.article_id), index.row(b.article_id))
+        assert np.array_equal(vector_of(index, a.article_id), vector_of(index, b.article_id))
 
     def test_self_cosine_is_one(self, tiny_params):
         articles, vocab = small_world()
@@ -104,7 +109,7 @@ class TestBuildIndex:
         for article in articles:
             # a row's vector does not depend on the other articles of its pass
             assert np.array_equal(
-                index.row(article.article_id), embed_one(tiny_params, article, vocab)
+                vector_of(index, article.article_id), embed_one(tiny_params, article, vocab)
             )
 
     def test_rebuild_bit_identical(self, tiny_params):
@@ -148,7 +153,7 @@ def ragged_world():
     )
     params = enc.init_params(config, seed=4)
     rng = np.random.default_rng(4)
-    for name in params.names():
+    for name in params.tensors:
         params[name][...] = params[name] + rng.normal(0.0, 0.3, params[name].shape)
     return articles, vocab, params
 
@@ -157,7 +162,7 @@ def full_width_vectors(articles, params, vocab, pooling):
     """Reference: every title through one forward at max_len, PAD keys
     masked, mean over the live positions (the arithmetic before length
     grouping)."""
-    batch = encode_batch([a.text for a in articles], vocab, params.config.max_len)
+    batch = encode_single([vocab.word_ids(a.text) for a in articles], params.config.max_len)
     hidden = enc.forward(params, batch, record=False).hidden_states
     if pooling == "cls":
         pooled = hidden[:, 0]
@@ -176,14 +181,16 @@ class TestLengthGroupedPasses:
 
     def test_row_equals_one_article_index(self, pooling):
         articles, vocab, params = ragged_world()
-        lengths = encode_batch([a.text for a in articles], vocab, 10).attn_mask.sum(axis=1)
+        rows = encode_single([vocab.word_ids(a.text) for a in articles], 10)
+        lengths = rows.attn_mask.sum(axis=1)
         assert set(lengths.tolist()) == {3, 5, 7, 10}
         index = ix.build_index(articles, params, vocab, pooling)
         assert index.article_ids == tuple(a.article_id for a in articles)
         for row, article in enumerate(articles):
             alone = ix.build_index([article], params, vocab, pooling).vectors[0]
             assert np.array_equal(index.vectors[row], alone), article.article_id
-        assert np.array_equal(index.row("0000000099"), index.row(articles[5].article_id))
+        # the last article repeats the title of row 5
+        assert np.array_equal(index.vectors[-1], index.vectors[5])
 
     def test_rows_within_tolerance_of_full_width(self, pooling):
         articles, vocab, params = ragged_world()
@@ -201,12 +208,12 @@ class TestLengthGroupedPasses:
             index.article_ids, full_width_vectors(articles, params, vocab, pooling)
         )
         for row in range(len(index)):
-            sim_of = dict(zip(reference.article_ids, reference.vectors @ reference.vectors[row]))
+            sims = reference.vectors @ reference.vectors[row]
             for k in (1, 5, len(index)):
-                got = ix.query_knn(index, index.vectors[row], k)
-                want = ix.query_knn(reference, reference.vectors[row], k)
+                got = knn(index, index.vectors[row], k)
+                want = knn(reference, reference.vectors[row], k)
                 for g, w in zip(got, want, strict=True):
-                    assert abs(sim_of[g.article_id] - sim_of[w.article_id]) <= 1e-15
+                    assert abs(sims[g] - sims[w]) <= 1e-15
 
 
 class TestEmbeddingTraffic:
@@ -235,12 +242,8 @@ class TestEmbeddingTraffic:
 
         passes.clear()
         rng = np.random.default_rng(0)
-        masked = [
-            obj.apply_masking(
-                encode_single(vocab.word_ids(a.text), config.max_len), vocab, rng
-            )
-            for a in articles[:8]
-        ]
+        rows = encode_single([vocab.word_ids(a.text) for a in articles[:8]], config.max_len)
+        masked = obj.mask_titles(rows, vocab, rng)
         titles = {a.article_id: a.text for a in articles}
         pairs = [(articles[i].article_id, articles[-1 - i].article_id, i % 2) for i in range(8)]
         pair_batch = encode_id_pairs(pairs, titles, vocab, config.max_len)
@@ -249,20 +252,23 @@ class TestEmbeddingTraffic:
 
 
 class TestQueryKnn:
+    """``top_rows`` over an index's similarities to a query: the exact k
+    nearest rows, ties broken by ascending article id."""
+
     def test_self_retrieval(self):
         rng = np.random.default_rng(0)
         index = random_index(40, 8, rng)
-        for article_id in index.article_ids[::7]:
-            (top,) = ix.query_knn(index, index.row(article_id), 1)
-            assert top.article_id == article_id
-            assert abs(top.similarity - 1.0) < 1e-6
+        for row in range(0, len(index), 7):
+            (top,) = knn(index, index.vectors[row], 1)
+            assert top == row
+            assert abs(index.vectors[top] @ index.vectors[row] - 1.0) < 1e-6
 
     def test_orthogonal_query_orders_by_id(self):
         ids = ["0000000004", "0000000002", "0000000009", "0000000001"]
         index = unit_index(ids, np.eye(5)[:4])
-        results = ix.query_knn(index, np.eye(5)[4], 3)
-        assert [r.article_id for r in results] == ["0000000001", "0000000002", "0000000004"]
-        assert all(r.similarity == 0.0 for r in results)
+        rows = knn(index, np.eye(5)[4], 3)
+        assert [ids[row] for row in rows] == ["0000000001", "0000000002", "0000000004"]
+        assert np.all(index.vectors[rows] @ np.eye(5)[4] == 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -273,7 +279,7 @@ class TestQueryKnn:
             query = rng.normal(size=dim)
             query /= np.linalg.norm(query)
             k = int(rng.integers(1, n + 1))
-            assert ix.query_knn(index, query, k) == brute_force_knn(index, query, k)
+            assert knn(index, query, k) == brute_force_knn(index, query, k)
 
     def test_boundary_ties_resolve_by_id(self):
         # three identical vectors tie at the k=2 boundary
@@ -281,23 +287,9 @@ class TestQueryKnn:
         ids = ["0000000007", "0000000003", "0000000005", "0000000001"]
         vectors = [base, base, base, [0.0, 1.0]]
         index = unit_index(ids, vectors)
-        results = ix.query_knn(index, base, 2)
-        assert [r.article_id for r in results] == ["0000000003", "0000000005"]
-        assert ix.query_knn(index, base, 2) == brute_force_knn(index, base, 2)
-
-    def test_similarity_reported_within_bounds(self):
-        rng = np.random.default_rng(2)
-        index = random_index(20, 4, rng)
-        for row in (0, 7, 13):
-            results = ix.query_knn(index, index.vectors[row], len(index))
-            assert all(-1.0 <= r.similarity <= 1.0 for r in results)
-
-    def test_k_bounds(self):
-        index = unit_index(["0000000001", "0000000002"], np.eye(2))
-        with pytest.raises(KTooLargeError):
-            ix.query_knn(index, np.array([1.0, 0.0]), 3)
-        with pytest.raises(KTooLargeError):
-            ix.query_knn(index, np.array([1.0, 0.0]), 0)
+        rows = knn(index, base, 2)
+        assert [ids[row] for row in rows] == ["0000000003", "0000000005"]
+        assert rows == brute_force_knn(index, base, 2)
 
 
 def purchases_of(pairs):
@@ -322,7 +314,7 @@ def bought_ids(index, profile):
 
 def per_customer_profile(index, purchased):
     """Reference: the per-customer arithmetic, by article id."""
-    mean = np.mean([index.row(a) for a in sorted(purchased)], axis=0)
+    mean = np.mean([vector_of(index, a) for a in sorted(purchased)], axis=0)
     norm = float(np.linalg.norm(mean))
     return None if norm < ix.NORM_FLOOR else mean / norm
 
@@ -332,7 +324,7 @@ class TestCustomerProfile:
         index = unit_index(["0000000001", "0000000002"], [[3.0, 4.0], [0.0, 1.0]])
         profile = profile_of(index, [("u", "0000000001")])
         assert bought_ids(index, profile) == {"0000000001"}
-        assert np.allclose(profile.vector, index.row("0000000001"))
+        assert np.allclose(profile.vector, vector_of(index, "0000000001"))
         assert abs(np.linalg.norm(profile.vector) - 1.0) < 1e-9
 
     def test_no_purchases_gives_absent_vector(self):
@@ -355,7 +347,7 @@ class TestCustomerProfile:
         profile = profile_of(
             index, [("u", "0000000001"), ("u", "0000000001"), ("u", "0000000002")]
         )
-        expected = (index.row("0000000001") + index.row("0000000002")) / 2.0
+        expected = (vector_of(index, "0000000001") + vector_of(index, "0000000002")) / 2.0
         assert np.allclose(profile.vector, expected / np.linalg.norm(expected))
 
     def test_cancelling_purchases_degenerate(self):
@@ -559,8 +551,9 @@ class TestServe:
 
     def test_n_below_one_rejected(self):
         index = unit_index(["0000000001"], [[1.0]])
-        with pytest.raises(KTooLargeError):
-            ix.serve(["u"], purchases_of([]), index, [], 0)
+        for n in (0, -1):
+            with pytest.raises(KTooLargeError):
+                ix.serve(["u"], purchases_of([]), index, [], n)
 
 
 class TestPopularityRanking:

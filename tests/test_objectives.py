@@ -17,15 +17,9 @@ from titlerec.errors import (
     NothingToMaskError,
     UnknownArticleError,
 )
-from titlerec.tokenizer import (
-    FIRST_WORD_ID,
-    MASK_ID,
-    TokenSequence,
-    build_vocab,
-    encode_single,
-)
+from titlerec.tokenizer import FIRST_WORD_ID, MASK_ID, build_vocab, encode_single
 
-from conftest import encode_id_pairs, zeroed_params
+from conftest import encode_id_pairs, no_pairs, token_rows, zeroed_params
 from synth import sessions_log
 
 
@@ -53,58 +47,77 @@ class TestMaskedCount:
         assert obj.masked_count(10) == 2  # 1.5 rounds half up
 
 
+def titles(vocab, texts, max_len):
+    """Encoded titles, one batch row per text."""
+    return encode_single([vocab.word_ids(text) for text in texts], max_len)
+
+
+def masked_copy(batch, row, vocab, rng):
+    """Mask a 1-row copy of one batch row (an index list copies it); the
+    batch stays as it was."""
+    copy = batch[[row]]
+    return copy, obj.apply_masking(copy, 0, vocab, rng)
+
+
 class TestApplyMasking:
     def test_plan_respects_count_law(self, vocab):
         rng = np.random.default_rng(0)
         for live_words in (1, 2, 7, 13):
             text = " ".join(f"w{i % 12:02d}" for i in range(live_words))
-            seq = encode_single(vocab.word_ids(text), max_len=live_words + 4)
-            masked, plan = obj.apply_masking(seq, vocab, rng)
+            plan = obj.apply_masking(titles(vocab, [text], live_words + 4), 0, vocab, rng)
             assert len(plan.positions) == obj.masked_count(live_words)
 
     def test_only_word_positions_touched(self, vocab):
         rng = np.random.default_rng(1)
-        seq = encode_single(vocab.word_ids("w00 w01 w02 w03 w04"), max_len=10)
+        batch = titles(vocab, ["w00 w01 w02 w03 w04"], 10)
         for _ in range(100):
-            masked, plan = obj.apply_masking(seq, vocab, rng)
-            maskable = {i for i, t in enumerate(seq.ids) if t >= FIRST_WORD_ID}
+            masked, plan = masked_copy(batch, 0, vocab, rng)
+            maskable = set(np.flatnonzero(batch.ids[0] >= FIRST_WORD_ID).tolist())
             assert set(plan.positions) <= maskable
-            for position in range(len(seq)):
+            for position in range(batch.max_len):
                 if position not in plan.positions:
-                    assert masked.ids[position] == seq.ids[position]
-            assert masked.segments == seq.segments
-            assert masked.attn_mask == seq.attn_mask
+                    assert masked.ids[0, position] == batch.ids[0, position]
+            assert np.array_equal(masked.segments, batch.segments)
+            assert np.array_equal(masked.attn_mask, batch.attn_mask)
 
     def test_labels_and_kinds_consistent(self, vocab):
         rng = np.random.default_rng(2)
-        seq = encode_single(vocab.word_ids("w00 w01 w02 w03 w04 w05 w06 w07"), max_len=12)
+        batch = titles(vocab, ["w00 w01 w02 w03 w04 w05 w06 w07"], 12)
         for _ in range(300):
-            masked, plan = obj.apply_masking(seq, vocab, rng)
+            masked, plan = masked_copy(batch, 0, vocab, rng)
             for position, label, kind in zip(
                 plan.positions, plan.labels, plan.replacement_kinds
             ):
-                assert label == seq.ids[position]
+                assert label == batch.ids[0, position]
                 if kind == obj.MASK_REPLACE:
-                    assert masked.ids[position] == MASK_ID
+                    assert masked.ids[0, position] == MASK_ID
                 elif kind == obj.RANDOM_REPLACE:
-                    assert masked.ids[position] >= FIRST_WORD_ID
+                    assert masked.ids[0, position] >= FIRST_WORD_ID
                 else:
                     assert kind == obj.KEEP_REPLACE
-                    assert masked.ids[position] == label
+                    assert masked.ids[0, position] == label
+
+    def test_masks_only_its_row(self, vocab):
+        texts = ["w00 w01 w02", "w03 w04 w05 w06", "w07 w08"]
+        batch = titles(vocab, texts, 8)
+        before = batch.ids.copy()
+        plan = obj.apply_masking(batch, 1, vocab, np.random.default_rng(5))
+        changed = np.flatnonzero(batch.ids[1] != before[1]).tolist()
+        assert set(changed) <= set(plan.positions)
+        assert np.array_equal(batch.ids[[0, 2]], before[[0, 2]])
 
     def test_nothing_to_mask(self, vocab):
         rng = np.random.default_rng(3)
-        seq = encode_single(vocab.word_ids(""), max_len=6)
         with pytest.raises(NothingToMaskError):
-            obj.apply_masking(seq, vocab, rng)
+            obj.apply_masking(titles(vocab, [""], 6), 0, vocab, rng)
 
     def test_replacement_mix_statistics(self, vocab):
         rng = np.random.default_rng(4)
         text = " ".join(f"w{i % 12:02d}" for i in range(20))
-        seq = encode_single(vocab.word_ids(text), max_len=24)
+        batch = titles(vocab, [text], 24)
         kinds = []
         for _ in range(2000):
-            _, plan = obj.apply_masking(seq, vocab, rng)
+            _, plan = masked_copy(batch, 0, vocab, rng)
             kinds.extend(plan.replacement_kinds)
         shares = {k: kinds.count(k) / len(kinds) for k in set(kinds)}
         assert abs(shares[obj.MASK_REPLACE] - 0.80) < 0.03
@@ -112,10 +125,11 @@ class TestApplyMasking:
         assert abs(shares[obj.KEEP_REPLACE] - 0.10) < 0.03
 
     def test_deterministic_given_seed(self, vocab):
-        seq = encode_single(vocab.word_ids("w00 w01 w02 w03 w04 w05"), max_len=10)
-        a = obj.apply_masking(seq, vocab, np.random.default_rng(77))
-        b = obj.apply_masking(seq, vocab, np.random.default_rng(77))
+        batch = titles(vocab, ["w00 w01 w02 w03 w04 w05"] * 2, 10)
+        a = obj.apply_masking(batch, 0, vocab, np.random.default_rng(77))
+        b = obj.apply_masking(batch, 1, vocab, np.random.default_rng(77))
         assert a == b
+        assert np.array_equal(batch.ids[0], batch.ids[1])
 
 
 def session(customer, day, *article_ids):
@@ -264,7 +278,7 @@ class TestSamplePairs:
 
 class TestAnalyticLosses:
     """Head biases on a zero-activation encoder pin the output distribution,
-    so each loss value of ``forward`` plus ``sequence_loss`` has a
+    so each loss value of ``forward`` plus ``loss_and_grads`` has a
     hand-computable oracle."""
 
     def rig(self, vocab_size=8, max_len=6):
@@ -273,25 +287,22 @@ class TestAnalyticLosses:
         )
         return zeroed_params(config)
 
-    def seq(self, max_len=6):
-        return TokenSequence(
-            ids=(2, 5, 6, 3, 0, 0)[:max_len],
-            segments=(0,) * max_len,
-            attn_mask=(1, 1, 1, 1, 0, 0)[:max_len],
-        )
+    def seq(self):
+        return token_rows([2, 5, 6, 3, 0, 0], [0] * 6, [1, 1, 1, 1, 0, 0])
 
     @staticmethod
-    def masked_loss(params, seq, plan):
-        """Summed NLL of the plan's labels at its positions."""
-        trace = enc.forward(params, seq, record=False)
-        return enc.sequence_loss(params, trace, plan.targets(), None)[0]
+    def masked_loss(params, row, plan):
+        """Summed NLL of the plan's labels at its positions of a 1-row batch."""
+        trace = enc.forward(params, row)
+        targets = [(0, position, label) for position, label in zip(plan.positions, plan.labels)]
+        return enc.loss_and_grads(params, trace, targets, [-1])[0]
 
     @staticmethod
     def pair_loss(params, pairs, titles, vocab):
         """Summed pair BCE of (seed id, candidate id, label) pairs, in one pass."""
         encoded = encode_id_pairs(pairs, titles, vocab, params.config.max_len)
-        trace = enc.forward(params, encoded.tokens, record=False)
-        return enc.sequence_loss(params, trace, [], encoded.labels)[1]
+        trace = enc.forward(params, encoded.tokens)
+        return enc.loss_and_grads(params, trace, [], encoded.labels)[1]
 
     def test_mlm_loss_zero_when_label_certain(self):
         params = self.rig()
@@ -339,8 +350,9 @@ class TestAnalyticLosses:
         params = self.rig()
         empty = obj.MaskingPlan((), (), ())
         assert self.masked_loss(params, self.seq(), empty) == 0.0
+        masked = obj.MaskedBatch(self.seq(), (empty,))
         with pytest.raises(EmptyPlanError):
-            obj.train_step(params, obj.init_optimizer(params), [(self.seq(), empty)], [])
+            obj.train_step(params, obj.init_optimizer(params), masked, no_pairs(6))
 
     def np_fixture(self, bias):
         vocab, words = make_vocab()
@@ -376,9 +388,14 @@ class TestAnalyticLosses:
             )
 
     def test_np_loss_empty_batch(self):
+        # no pairs encode to a batch of no rows, which adds no pair term to a step
         params, titles, vocab = self.np_fixture(0.0)
-        with pytest.raises(EmptyBatchError):
-            self.pair_loss(params, [], titles, vocab)
+        empty = encode_id_pairs([], titles, vocab, params.config.max_len)
+        assert len(empty) == 0 and empty.tokens.max_len == params.config.max_len
+        rows = encode_single([vocab.word_ids("w00 w01")], 8)
+        masked = obj.mask_titles(rows, vocab, np.random.default_rng(0))
+        record = obj.train_step(params, obj.init_optimizer(params), masked, empty)[2]
+        assert record.np_sum == 0.0 and record.np_mean == 0.0 and record.mlm_sum > 0.0
 
 
 class TestJointLoss:
@@ -404,7 +421,7 @@ class TestOptimizer:
     def test_init_mirrors_param_shapes(self, tiny_params):
         state = obj.init_optimizer(tiny_params)
         assert state.step == 0
-        for name in tiny_params.names():
+        for name in tiny_params.tensors:
             assert state.first_moment[name].shape == tiny_params[name].shape
             assert state.second_moment[name].shape == tiny_params[name].shape
             assert np.all(state.first_moment[name] == 0.0)
@@ -456,7 +473,7 @@ def assert_same_doubles(actual, expected):
 
 class TestArenaAdam:
     def test_matches_per_tensor_reference_bit_for_bit(self, tiny_params):
-        params = tiny_params.copy()
+        params = enc.EncoderParams(tiny_params.config, tiny_params.tensors)
         state = obj.init_optimizer(params, learning_rate=3e-3)
         tensors = {name: t.copy() for name, t in tiny_params.tensors.items()}
         first = {name: np.zeros_like(t) for name, t in tensors.items()}
@@ -474,7 +491,7 @@ class TestArenaAdam:
                 reference_adam(tensors, first, second, reference, step,
                                3e-3, state.beta1, state.beta2, state.epsilon)
             assert state.step == step
-            for name in params.names():
+            for name in params.tensors:
                 assert_same_doubles(params[name], tensors[name])
                 assert_same_doubles(state.first_moment[name], first[name])
                 assert_same_doubles(state.second_moment[name], second[name])
@@ -498,7 +515,7 @@ class TestArenaAdam:
             tracemalloc.stop()
         assert peak < 0.01 * params.flat.nbytes, (peak, params.flat.nbytes)
 
-    def test_train_step_reuses_one_gradient_arena(self, tiny_params, tiny_seq, monkeypatch):
+    def test_train_step_reuses_one_gradient_arena(self, tiny_params, tiny_row, monkeypatch):
         state = obj.init_optimizer(tiny_params)
         arena = state.grads.flat
         seen = []
@@ -509,24 +526,25 @@ class TestArenaAdam:
             real(params, state, grads)
 
         monkeypatch.setattr(obj, "adam_update", spy)
-        plan = obj.MaskingPlan((1,), (5,), (obj.MASK_REPLACE,))
+        masked = obj.MaskedBatch(tiny_row, (obj.MaskingPlan((1,), (5,), (obj.MASK_REPLACE,)),))
         for _ in range(3):
-            obj.train_step(tiny_params, state, [(tiny_seq, plan)], [])
+            obj.train_step(tiny_params, state, masked, no_pairs(tiny_row.max_len))
         assert all(grads is state.grads for grads in seen) and len(seen) == 3
         assert state.grads.flat is arena
 
-    def test_each_step_starts_from_zero_gradients(self, tiny_params, tiny_seq):
+    def test_each_step_starts_from_zero_gradients(self, tiny_params, tiny_row):
         # whatever the arena holds before a step (adam_update leaves its
         # denominator there) must not reach that step's update
         plan = obj.MaskingPlan((1, 3), (5, 7), (obj.MASK_REPLACE,) * 2)
+        masked = obj.MaskedBatch(tiny_row, (plan,))
         runs = []
         for junk in (None, np.nan):
-            params = tiny_params.copy()
+            params = enc.EncoderParams(tiny_params.config, tiny_params.tensors)
             state = obj.init_optimizer(params)
             for _ in range(2):
                 if junk is not None:
                     state.grads.flat.fill(junk)
-                obj.train_step(params, state, [(tiny_seq, plan)], [])
+                obj.train_step(params, state, masked, no_pairs(tiny_row.max_len))
             runs.append(params.flat)
         assert np.array_equal(runs[0], runs[1])
 
@@ -567,11 +585,10 @@ def run_training(steps, seed=6, learning_rate=5e-3):
     table = obj.positive_table(sessions_log(sessions), inventory, 1)
     records = []
     for step in range(steps):
-        masked_batch = []
-        for offset in range(10):
-            article = articles[(step * 10 + offset) % len(articles)]
-            seq = encode_single(vocab.word_ids(article.text), config.max_len)
-            masked_batch.append(obj.apply_masking(seq, vocab, rng))
+        texts = [articles[(step * 10 + offset) % len(articles)].text for offset in range(10)]
+        masked_batch = obj.mask_titles(
+            encode_single([vocab.word_ids(text) for text in texts], config.max_len), vocab, rng
+        )
         start = step * 10
         slots = [(start + k) % table.slot_count for k in range(10)]
         step_pairs = obj.sample_pairs(table, slots, rng)
@@ -585,16 +602,16 @@ class TestTrainStep:
     def test_zero_learning_rate_keeps_params(self, vocab):
         config, vocab, word_ids, inventory, sessions, articles = tiny_training_world()
         params = enc.init_params(config, seed=0)
-        before = params.copy()
+        before = enc.EncoderParams(params.config, params.tensors)
         state = obj.init_optimizer(params, learning_rate=0.0)
         rng = np.random.default_rng(1)
-        seq = encode_single(vocab.word_ids(articles[0].text), config.max_len)
-        masked_batch = [obj.apply_masking(seq, vocab, rng)]
+        rows = encode_single([vocab.word_ids(articles[0].text)], config.max_len)
+        masked_batch = obj.mask_titles(rows, vocab, rng)
         table = obj.positive_table(sessions_log(sessions[:2]), inventory, 1)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
         pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
         params, state, record = obj.train_step(params, state, masked_batch, pair_batch)
-        for name in params.names():
+        for name in params.tensors:
             assert np.array_equal(params[name], before[name])
         assert record.step == 1
         assert record.total == pytest.approx(record.mlm_mean + record.np_mean)
@@ -602,18 +619,16 @@ class TestTrainStep:
     def test_every_tensor_group_receives_gradient(self):
         config, vocab, word_ids, inventory, sessions, articles = tiny_training_world()
         params = enc.init_params(config, seed=0)
-        before = params.copy()
+        before = enc.EncoderParams(params.config, params.tensors)
         state = obj.init_optimizer(params)
         rng = np.random.default_rng(2)
-        masked_batch = [
-            obj.apply_masking(encode_single(vocab.word_ids(a.text), config.max_len), vocab, rng)
-            for a in articles[:8]
-        ]
+        rows = encode_single([vocab.word_ids(a.text) for a in articles[:8]], config.max_len)
+        masked_batch = obj.mask_titles(rows, vocab, rng)
         table = obj.positive_table(sessions_log(sessions[:6]), inventory, 1)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
         pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
         params, _, _ = obj.train_step(params, state, masked_batch, pair_batch)
-        for name in params.names():
+        for name in params.tensors:
             assert not np.array_equal(params[name], before[name]), name
 
     def test_loss_decreases_over_training(self):
@@ -629,14 +644,15 @@ class TestTrainStep:
 
     def test_empty_batches_rejected(self, tiny_params):
         state = obj.init_optimizer(tiny_params)
+        no_titles = obj.MaskedBatch(encode_single([], 7), ())
         with pytest.raises(EmptyBatchError):
-            obj.train_step(tiny_params, state, [], [])
+            obj.train_step(tiny_params, state, no_titles, no_pairs(7))
 
-    def test_masked_batch_with_empty_plan_rejected(self, tiny_params, tiny_seq):
+    def test_masked_batch_with_empty_plan_rejected(self, tiny_params, tiny_row):
         state = obj.init_optimizer(tiny_params)
-        empty = obj.MaskingPlan((), (), ())
+        masked = obj.MaskedBatch(tiny_row, (obj.MaskingPlan((), (), ()),))
         with pytest.raises(EmptyPlanError):
-            obj.train_step(tiny_params, state, [(tiny_seq, empty)], [])
+            obj.train_step(tiny_params, state, masked, no_pairs(7))
 
     def test_params_stay_finite(self):
         params, _ = run_training(steps=25, learning_rate=5e-3)

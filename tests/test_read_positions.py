@@ -12,16 +12,9 @@ import pytest
 from titlerec import encoder as enc
 from titlerec import objectives as obj
 from titlerec.errors import PositionOutOfRangeError, ShapeMismatchError, UnreadPositionError
-from titlerec.tokenizer import (
-    CLS_ID,
-    SEP_ID,
-    TokenBatch,
-    TokenSequence,
-    Vocabulary,
-    encode_single,
-)
+from titlerec.tokenizer import CLS_ID, SEP_ID, Vocabulary, encode_single
 
-from conftest import encode_id_pairs
+from conftest import encode_id_pairs, token_rows
 
 # (vocab, d_model, d_ff, max_len, rows per pass) of the planted, catalog
 # and log workloads; each runs 4 heads over 2 layers
@@ -40,15 +33,16 @@ def shaped_params(shape, dropout_rate=0.0, seed=0):
     )
     params = enc.init_params(config, seed=seed)
     rng = np.random.default_rng(seed + 100)
-    for name in params.names():
+    for name in params.tensors:
         params[name][...] += rng.normal(0.0, 0.05, params[name].shape)
     return params
 
 
 def title_row(rng, vocab, max_len, live):
-    """[CLS] words [SEP] over ``live`` positions, then a PAD tail."""
+    """(ids, segments, live flags) of [CLS] words [SEP] over ``live``
+    positions, then a PAD tail."""
     ids = [CLS_ID, *rng.integers(5, vocab, live - 2).tolist(), SEP_ID] + [0] * (max_len - live)
-    return TokenSequence(tuple(ids), (0,) * max_len, (1,) * live + (0,) * (max_len - live))
+    return ids, [0] * max_len, [1] * live + [0] * (max_len - live)
 
 
 def mixed_pass(shape, kind="mixed", seed=0):
@@ -68,7 +62,7 @@ def mixed_pass(shape, kind="mixed", seed=0):
         positions = np.sort(rng.choice(np.arange(1, live - 1), min(count, live - 2), replace=False))
         targets += [(row, int(p), int(rng.integers(5, vocab))) for p in positions]
     return (
-        TokenBatch.stack(rows, max_len),
+        token_rows(*zip(*rows)),
         np.array(targets, dtype=np.int64).reshape(-1, 3),
         np.array(labels, dtype=np.int64),
     )
@@ -144,7 +138,7 @@ class TestCutPassParity:
         unread[rows, reads] = False
         assert np.all(cut.hidden_states[unread] == 0.0)
         assert cut_out[0] == full_out[0] and cut_out[1] == full_out[1]
-        for name in params.names():
+        for name in params.tensors:
             assert_same_bits(cut_out[2][name], full_out[2][name], name)
 
     def test_trace_keeps_its_reads(self):
@@ -169,8 +163,6 @@ class TestCutPassFailsClosed:
         unread = sorted(set(range(16)) - set(reads[row].tolist()))[0]
         stray = np.vstack([targets, [(row, unread, 5)]])
         with pytest.raises(UnreadPositionError):
-            enc.sequence_loss(params, trace, stray, labels)
-        with pytest.raises(UnreadPositionError):
             enc.loss_and_grads(params, trace, stray, labels)
 
     def test_pair_cls_outside_reads_refused(self, cut):
@@ -178,8 +170,6 @@ class TestCutPassFailsClosed:
         row = next(r for r in range(len(labels)) if labels[r] < 0 and reads[r, 0] != 0)
         stray = labels.copy()
         stray[row] = 1
-        with pytest.raises(UnreadPositionError):
-            enc.sequence_loss(params, trace, targets, stray)
         with pytest.raises(UnreadPositionError):
             enc.loss_and_grads(params, trace, targets, stray)
 
@@ -205,12 +195,8 @@ class TestTrainStepTraffic:
         vocab = Vocabulary(words)
         params = shaped_params("planted")
         rng = np.random.default_rng(5)
-        masked = [
-            obj.apply_masking(
-                encode_single(vocab.word_ids(" ".join(words[i : i + 9])), 16), vocab, rng
-            )
-            for i in range(20)
-        ]
+        rows = encode_single([vocab.word_ids(" ".join(words[i : i + 9])) for i in range(20)], 16)
+        masked = obj.mask_titles(rows, vocab, rng)
         titles = {f"{i:010d}": " ".join(words[i : i + 4]) for i in range(20)}
         pairs = [(f"{i:010d}", f"{19 - i:010d}", i % 2) for i in range(20)]
         pair_batch = encode_id_pairs(pairs, titles, vocab, 16)

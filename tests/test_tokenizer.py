@@ -5,6 +5,8 @@ from titlerec import tokenizer as tok
 from titlerec.corpus import PreparedArticle
 from titlerec.errors import ArtifactFormatError, EmptyCorpusError
 
+from conftest import token_rows
+
 
 def prepared(texts):
     return [
@@ -75,28 +77,52 @@ class TestBuildVocab:
         assert first.id_to_token == second.id_to_token
 
 
+def rows(batch):
+    """Each row of a batch as (ids, segments, live flags) tuples of ints."""
+    return list(
+        zip(
+            map(tuple, batch.ids.tolist()),
+            map(tuple, batch.segments.tolist()),
+            map(tuple, batch.attn_mask.astype(int).tolist()),
+        )
+    )
+
+
+def single(vocab, text, max_len):
+    """The one row of a title, as (ids, segments, live flags)."""
+    (row,) = rows(tok.encode_single([vocab.word_ids(text)], max_len))
+    return row
+
+
+def pair(vocab, text_a, text_b, max_len):
+    """The one row of a title pair, as (ids, segments, live flags)."""
+    (row,) = rows(tok.encode_pair([vocab.word_ids(text_a)], [vocab.word_ids(text_b)], max_len))
+    return row
+
+
 class TestEncodeSingle:
     def test_layout(self, vocab):
-        seq = tok.encode_single(vocab.word_ids("strap top"), max_len=6)
-        assert seq.ids == (tok.CLS_ID, 7, 5, tok.SEP_ID, 0, 0)
-        assert seq.segments == (0, 0, 0, 0, 0, 0)
-        assert seq.attn_mask == (1, 1, 1, 1, 0, 0)
-        assert sum(seq.attn_mask) == 4
-        assert len(seq) == 6
+        batch = tok.encode_single([vocab.word_ids("strap top")], max_len=6)
+        assert len(batch) == 1 and batch.max_len == 6
+        ids, segments, mask = rows(batch)[0]
+        assert ids == (tok.CLS_ID, 7, 5, tok.SEP_ID, 0, 0)
+        assert segments == (0, 0, 0, 0, 0, 0)
+        assert mask == (1, 1, 1, 1, 0, 0)
+        assert sum(mask) == 4
 
     def test_unknown_word_maps_to_unk(self, vocab):
-        seq = tok.encode_single(vocab.word_ids("zebra"), max_len=4)
-        assert seq.ids[1] == tok.UNK_ID
+        ids, _, _ = single(vocab, "zebra", 4)
+        assert ids[1] == tok.UNK_ID
 
     def test_truncates_long_text(self, vocab):
-        seq = tok.encode_single(vocab.word_ids("top top top top top top"), max_len=5)
-        assert seq.ids == (tok.CLS_ID, 5, 5, 5, tok.SEP_ID)
-        assert sum(seq.attn_mask) == 5
+        ids, _, mask = single(vocab, "top top top top top top", 5)
+        assert ids == (tok.CLS_ID, 5, 5, 5, tok.SEP_ID)
+        assert sum(mask) == 5
 
     def test_empty_text(self, vocab):
-        seq = tok.encode_single(vocab.word_ids(""), max_len=4)
-        assert seq.ids == (tok.CLS_ID, tok.SEP_ID, 0, 0)
-        assert sum(seq.attn_mask) == 2
+        ids, _, mask = single(vocab, "", 4)
+        assert ids == (tok.CLS_ID, tok.SEP_ID, 0, 0)
+        assert sum(mask) == 2
 
 
 def reference_truncate(len_a, len_b, budget):
@@ -131,26 +157,28 @@ class TestTruncatePair:
 
 class TestEncodePair:
     def test_layout_and_segments(self, vocab):
-        seq = tok.encode_pair(vocab.word_ids("strap top"), vocab.word_ids("cap"), max_len=10)
-        assert seq.ids == (tok.CLS_ID, 7, 5, tok.SEP_ID, 6, tok.SEP_ID, 0, 0, 0, 0)
-        assert seq.segments == (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
-        assert seq.attn_mask == (1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
-        assert sum(seq.attn_mask) == 6
+        ids, segments, mask = pair(vocab, "strap top", "cap", 10)
+        assert ids == (tok.CLS_ID, 7, 5, tok.SEP_ID, 6, tok.SEP_ID, 0, 0, 0, 0)
+        assert segments == (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
+        assert mask == (1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
+        assert sum(mask) == 6
 
     def test_truncation_budget(self, vocab):
-        seq = tok.encode_pair(
-            vocab.word_ids("top top top top top"), vocab.word_ids("cap cap cap cap cap"), max_len=8
-        )
+        ids, segments, mask = pair(vocab, "top top top top top", "cap cap cap cap cap", 8)
         # budget 5: (5,5) -> (3,2)
-        assert seq.ids == (tok.CLS_ID, 5, 5, 5, tok.SEP_ID, 6, 6, tok.SEP_ID)
-        assert seq.segments == (0, 0, 0, 0, 0, 1, 1, 1)
-        assert sum(seq.attn_mask) == 8
+        assert ids == (tok.CLS_ID, 5, 5, 5, tok.SEP_ID, 6, 6, tok.SEP_ID)
+        assert segments == (0, 0, 0, 0, 0, 1, 1, 1)
+        assert sum(mask) == 8
 
     def test_empty_sides_still_delimited(self, vocab):
-        seq = tok.encode_pair(vocab.word_ids(""), vocab.word_ids(""), max_len=5)
-        assert seq.ids == (tok.CLS_ID, tok.SEP_ID, tok.SEP_ID, 0, 0)
-        assert seq.segments == (0, 0, 1, 0, 0)
-        assert sum(seq.attn_mask) == 3
+        ids, segments, mask = pair(vocab, "", "", 5)
+        assert ids == (tok.CLS_ID, tok.SEP_ID, tok.SEP_ID, 0, 0)
+        assert segments == (0, 0, 1, 0, 0)
+        assert sum(mask) == 3
+
+    def test_needs_one_second_title_per_first(self, vocab):
+        with pytest.raises(ValueError):
+            tok.encode_pair([vocab.word_ids("cap")] * 2, [vocab.word_ids("top")], 6)
 
     def test_random_pairs_respect_invariants(self, vocab):
         rng = np.random.default_rng(7)
@@ -159,22 +187,20 @@ class TestEncodePair:
             text_a = " ".join(rng.choice(words, size=rng.integers(0, 12)))
             text_b = " ".join(rng.choice(words, size=rng.integers(0, 12)))
             max_len = int(rng.integers(5, 14))
-            seq = tok.encode_pair(
-                vocab.word_ids(text_a), vocab.word_ids(text_b), max_len=max_len
-            )
-            assert len(seq) == max_len
-            assert sum(seq.attn_mask) <= max_len
-            assert seq.ids[0] == tok.CLS_ID
-            assert seq.ids.count(tok.SEP_ID) == 2
-            live = sum(seq.attn_mask)
-            assert seq.ids[live - 1] == tok.SEP_ID
-            assert all(i == tok.PAD_ID for i in seq.ids[live:])
-            assert all(s == 0 for s in seq.segments[live:])
-            assert seq.attn_mask == tuple(1 if p < live else 0 for p in range(max_len))
+            ids, segments, mask = pair(vocab, text_a, text_b, max_len)
+            assert len(ids) == max_len
+            assert sum(mask) <= max_len
+            assert ids[0] == tok.CLS_ID
+            assert ids.count(tok.SEP_ID) == 2
+            live = sum(mask)
+            assert ids[live - 1] == tok.SEP_ID
+            assert all(i == tok.PAD_ID for i in ids[live:])
+            assert all(s == 0 for s in segments[live:])
+            assert mask == tuple(1 if p < live else 0 for p in range(max_len))
             # segments: 0 through the first SEP, then 1 until the second
-            first_sep = seq.ids.index(tok.SEP_ID)
-            assert all(s == 0 for s in seq.segments[: first_sep + 1])
-            assert all(s == 1 for s in seq.segments[first_sep + 1 : live])
+            first_sep = ids.index(tok.SEP_ID)
+            assert all(s == 0 for s in segments[: first_sep + 1])
+            assert all(s == 1 for s in segments[first_sep + 1 : live])
 
 
 def text_encode_single(text, vocab, max_len):
@@ -182,9 +208,7 @@ def text_encode_single(text, vocab, max_len):
     word_ids = [vocab.token_to_id.get(w, tok.UNK_ID) for w in text.split()][: max_len - 2]
     ids = [tok.CLS_ID] + word_ids + [tok.SEP_ID]
     n_pad = max_len - len(ids)
-    return tok.TokenSequence(
-        tuple(ids + [tok.PAD_ID] * n_pad), (0,) * max_len, tuple([1] * len(ids) + [0] * n_pad)
-    )
+    return tuple(ids + [tok.PAD_ID] * n_pad), (0,) * max_len, tuple([1] * len(ids) + [0] * n_pad)
 
 
 def text_encode_pair(text_a, text_b, vocab, max_len):
@@ -195,9 +219,7 @@ def text_encode_pair(text_a, text_b, vocab, max_len):
     ids = [tok.CLS_ID] + ids_a[:keep_a] + [tok.SEP_ID] + ids_b[:keep_b] + [tok.SEP_ID]
     n_pad = max_len - len(ids)
     segments = [0] * (keep_a + 2) + [1] * (keep_b + 1) + [0] * n_pad
-    return tok.TokenSequence(
-        tuple(ids + [tok.PAD_ID] * n_pad), tuple(segments), tuple([1] * len(ids) + [0] * n_pad)
-    )
+    return tuple(ids + [tok.PAD_ID] * n_pad), tuple(segments), tuple([1] * len(ids) + [0] * n_pad)
 
 
 class TestRowsFromWordIds:
@@ -223,23 +245,25 @@ class TestRowsFromWordIds:
         assert any(tok.UNK_ID in ids for ids in word_ids)
         ties = 0
         for max_len in range(5, 17):
-            singles = [tok.encode_single(ids, max_len) for ids in word_ids]
+            singles = tok.encode_single(word_ids, max_len)
             expected = [text_encode_single(text, vocab, max_len) for text in texts]
-            assert singles == expected
-            assert_same_rows(singles, expected, max_len)
-            pairs, expected = [], []
+            assert_same_rows(singles, expected)
+            firsts, seconds, expected = [], [], []
             for ids_a, text_a in zip(word_ids, texts):
                 for ids_b, text_b in zip(word_ids, texts):
-                    pairs.append(tok.encode_pair(ids_a, ids_b, max_len))
+                    firsts.append(ids_a)
+                    seconds.append(ids_b)
                     expected.append(text_encode_pair(text_a, text_b, vocab, max_len))
                     ties += len(ids_a) == len(ids_b) and 2 * len(ids_a) > max_len - 3
-            assert pairs == expected
-            assert_same_rows(pairs, expected, max_len)
+            assert_same_rows(tok.encode_pair(firsts, seconds, max_len), expected)
         assert ties > 100  # truncation ties, which trim the second title
 
 
-def assert_same_rows(rows, expected, max_len):
-    got, want = tok.TokenBatch.stack(rows, max_len), tok.TokenBatch.stack(expected, max_len)
+def assert_same_rows(got, expected):
+    """A batch holds the expected (ids, segments, live flags) rows, in its
+    compact dtypes."""
+    assert rows(got) == expected
+    want = token_rows(*zip(*expected))
     for name in ("ids", "segments", "attn_mask"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -256,67 +280,54 @@ class TestDecode:
     special tokens around them."""
 
     def test_omits_specials(self, vocab):
-        seq = tok.encode_pair(vocab.word_ids("strap top"), vocab.word_ids("cap"), max_len=10)
-        assert decode(seq.ids, vocab) == "strap top cap"
+        ids, _, _ = pair(vocab, "strap top", "cap", 10)
+        assert decode(ids, vocab) == "strap top cap"
 
     def test_unknown_ids_dropped_like_other_specials(self, vocab):
-        seq = tok.encode_single(vocab.word_ids("zebra top"), max_len=5)
-        assert seq.ids[1] == tok.UNK_ID
-        assert decode(seq.ids, vocab) == "top"
+        ids, _, _ = single(vocab, "zebra top", 5)
+        assert ids[1] == tok.UNK_ID
+        assert decode(ids, vocab) == "top"
 
     def test_cls_sep_only_is_empty(self, vocab):
-        seq = tok.encode_single(vocab.word_ids(""), max_len=4)
-        assert decode(seq.ids, vocab) == ""
+        ids, _, _ = single(vocab, "", 4)
+        assert decode(ids, vocab) == ""
 
     def test_round_trip_for_in_vocab_text(self, vocab):
         for text in ["strap top vest", "cap", "", "dress moon"]:
-            seq = tok.encode_single(vocab.word_ids(text), max_len=8)
-            assert decode(seq.ids, vocab) == text
-            pair = tok.encode_pair(vocab.word_ids(text), vocab.word_ids("cap"), max_len=8)
-            assert decode(pair.ids, vocab) == f"{text} cap".strip()
-
-
-def sequences(batch):
-    """Each row of a batch as a TokenSequence."""
-    return [
-        tok.TokenSequence(tuple(ids), tuple(segments), tuple(int(live) for live in mask))
-        for ids, segments, mask in zip(
-            batch.ids.tolist(), batch.segments.tolist(), batch.attn_mask.tolist()
-        )
-    ]
+            assert decode(single(vocab, text, 8)[0], vocab) == text
+            assert decode(pair(vocab, text, "cap", 8)[0], vocab) == f"{text} cap".strip()
 
 
 class TestTokenBatch:
     def test_stack_round_trips_sequences(self, vocab):
-        seqs = [
-            tok.encode_single(vocab.word_ids("strap top"), 8),
-            tok.encode_pair(vocab.word_ids("cap moon"), vocab.word_ids("strap dress"), 8),
-            tok.encode_single(vocab.word_ids(""), 8),
-        ]
-        batch = tok.TokenBatch.stack(seqs, 8)
+        # titles and pairs stacked into one batch keep their rows and dtypes
+        titles = tok.encode_single([vocab.word_ids("strap top"), vocab.word_ids("")], 8)
+        pairs = tok.encode_pair([vocab.word_ids("cap moon")], [vocab.word_ids("strap dress")], 8)
+        batch = tok.TokenBatch.concat(titles, pairs)
         assert len(batch) == 3 and batch.max_len == 8
         assert batch.ids.dtype == np.int32
         assert batch.segments.dtype == np.int8
         assert batch.attn_mask.dtype == bool
-        assert sequences(batch) == seqs
-
-    def test_encode_batch_matches_encode_single(self, vocab):
-        texts = ["strap top vest top", "cap", "unknown words here", "top top"]
-        batch = tok.encode_batch(texts, vocab, 6)
-        assert sequences(batch) == [tok.encode_single(vocab.word_ids(t), 6) for t in texts]
+        assert rows(batch) == rows(titles) + rows(pairs)
 
     def test_stack_of_nothing_keeps_width(self):
-        batch = tok.TokenBatch.stack([], 5)
-        assert len(batch) == 0 and batch.max_len == 5
+        # a training step may have no titles or no pairs
+        for batch in (tok.encode_single([], 5), tok.encode_pair([], [], 5)):
+            assert len(batch) == 0 and batch.max_len == 5
 
     def test_stack_rejects_other_lengths(self, vocab):
         with pytest.raises(ValueError):
-            tok.TokenBatch.stack([tok.encode_single(vocab.word_ids("cap"), 5)], 6)
+            tok.TokenBatch.concat(
+                tok.encode_single([vocab.word_ids("cap")], 5),
+                tok.encode_single([vocab.word_ids("cap")], 6),
+            )
+        with pytest.raises(ValueError):
+            tok.TokenBatch(np.zeros((1, 5), np.int32), np.zeros((1, 6), np.int8), np.ones((1, 5)))
 
     def test_rows_select_and_concat(self, vocab):
-        batch = tok.encode_batch(["strap", "cap", "top", "vest"], vocab, 5)
+        batch = tok.encode_single([vocab.word_ids(t) for t in ("strap", "cap", "top", "vest")], 5)
         picked = batch[np.array([3, 1])]
-        assert sequences(picked) == [sequences(batch)[3], sequences(batch)[1]]
+        assert rows(picked) == [rows(batch)[3], rows(batch)[1]]
         joined = tok.TokenBatch.concat(batch[:1], picked)
         assert len(joined) == 3
-        assert sequences(joined)[2] == sequences(batch)[1]
+        assert rows(joined)[2] == rows(batch)[1]
