@@ -359,11 +359,24 @@ def _load_customer_universe(config: PipelineConfig, joined: corpus.PurchaseLog) 
 
 def cmd_recommend(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
-    vocab = Vocabulary.load(_require(workdir / VOCAB_FILE, "titlerec train"))
+    vocab_path = _require(workdir / VOCAB_FILE, "titlerec train")
+    vocab = Vocabulary.load(vocab_path)
     checkpoint_path = _require(workdir / CHECKPOINT_FILE, "titlerec train")
-    params = enc.load_checkpoint(
-        checkpoint_path, expected_config=config.encoder_config(len(vocab))
-    )
+    expected = config.encoder_config(len(vocab))
+    try:
+        params = enc.load_checkpoint(checkpoint_path, expected_config=expected)
+    except CheckpointMismatchError:
+        # a vocabulary that lost or gained lines, not the checkpoint, is at fault
+        # when the stored config differs from the flags in its size alone
+        stored = enc.load_checkpoint(checkpoint_path).config
+        if stored.vocab_size == expected.vocab_size or replace(
+            stored, vocab_size=expected.vocab_size, dropout_rate=expected.dropout_rate
+        ) != expected:
+            raise
+        raise CheckpointMismatchError(
+            f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} was trained with "
+            f"{stored.vocab_size}; both must come from the same `titlerec train`"
+        ) from None
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
     joined = corpus.load_saved_transactions(
         _require(workdir / TRANSACTIONS_FILE, "titlerec ingest")
@@ -397,16 +410,17 @@ def cmd_recommend(config: PipelineConfig) -> str:
         index_mod.save_index(article_index, index_path)
 
     customers = _load_customer_universe(config, joined)
-    served = index_mod.serve(
+    picks, labels = index_mod.serve(
         customers,
         train_window,
         article_index,
         index_mod.popularity_ranking(train_window),
         config.top_n,
     )
-    rows = [evaluation.SubmissionRow(c, picks) for c, picks in zip(customers, served)]
-    evaluation.write_submission(rows, workdir / SUBMISSION_FILE)
-    return f"customers={len(rows)} articles={len(article_index)}"
+    evaluation.write_submission(
+        evaluation.Submission(tuple(customers), picks, labels), workdir / SUBMISSION_FILE
+    )
+    return f"customers={len(customers)} articles={len(article_index)}"
 
 
 def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None) -> str:
@@ -416,8 +430,10 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
     )
     train_window, holdout = evaluation.temporal_split(joined, config.holdout_days)
     truth = evaluation.build_ground_truth(holdout)
-    rows = evaluation.read_submission(_require(workdir / SUBMISSION_FILE, "titlerec recommend"))
-    report = evaluation.map_at_12(rows, truth)
+    submission = evaluation.read_submission(
+        _require(workdir / SUBMISSION_FILE, "titlerec recommend")
+    )
+    report = evaluation.map_at_12(submission, truth)
     _write_json(
         workdir / EVAL_REPORT_FILE,
         {
@@ -438,7 +454,7 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
     recommended = [
         article_id
-        for row in rows
+        for row in submission
         if row.customer_id == spot_check_customer
         for article_id in row.article_ids
     ]

@@ -10,17 +10,26 @@ dot product of unit vectors, and ``top_rows`` selects the top k by
 partition and breaks ties by ascending article id, so the ordering is
 total.
 
-Serving is one pass over integer arrays built once per index or per call:
-the index ranks its rows by ascending article id once (``id_rank``), so
-tie-breaks compare integers; every customer's distinct purchases become
-index rows through one sort of the purchase log's codes; exclusion and
-the popularity and ascending-id backfills work on row numbers, and ids
-are looked up only to write the result. Customers with no usable purchase
-history get the popularity ranking. Each profile is scored with its own
-matrix-vector product rather than a customers x articles matrix product:
-the two round differently in the last bit, which can split exact ties
-(duplicate titles) that a per-customer product keeps tied, and it keeps
-the scores held at once to one row per article.
+Serving selects for a block of customers at a time with whole-array
+operations. The index ranks its rows by ascending article id once
+(``id_rank``), so tie-breaks compare integers, and every customer's
+distinct purchases become index rows, and their profiles one matrix,
+through one sort of the purchase log's codes. Each profile is scored with
+its own matrix-vector product, written into its row of the block's score
+matrix, rather than with one customers x articles matrix product: the two
+round differently in the last bit, and this way a score never depends on
+which customers share the block. Purchases are set to -inf, one partition
+per block finds each customer's n-th best score, and one row-wise sort of
+the entries at or above it (boundary ties included) orders every
+customer's picks by descending similarity and then ascending id, as a full
+sort would. Identical index rows (duplicate titles) are scored once and
+share that float, so they tie exactly and order by id; BLAS rounds a
+matrix's last ``rows mod 4`` rows differently, which would otherwise split
+such a tie. Customers with no usable purchase history share one popularity
+row, and only customers left short of n go through the popularity and
+ascending-id backfills, which work on row numbers. ``serve`` returns the
+picks as integers with their label table; ids are formatted only to write
+the submission.
 
 Index file layout (version TRECIDX1, little-endian):
     magic      8 bytes  b"TRECIDX1"
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +76,11 @@ UNTRACKED_TEXT_MAGIC = b"TRECSRC1"
 METRIC_TAG = "cosine"
 
 NORM_FLOOR = 1e-12
+
+# Similarities ``serve`` scores at once: a block of warm customers holds
+# ``BLOCK_SCORES // len(index)`` of them (at least one), so the block's
+# score matrix and its partitioned copy stay at 256 KiB each.
+BLOCK_SCORES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -119,18 +134,45 @@ class EmbeddingIndex:
     def __contains__(self, article_id: str) -> bool:
         return article_id in self._row_of
 
+    @cached_property
+    def twins(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The distinct vectors, in first-occurrence order, and each row's
+        position among them; None when no two rows are equal.
 
-@dataclass(frozen=True)
-class CustomerProfile:
-    """A customer's distinct indexed purchases and their normalized mean vector.
+        Rows are compared by their bytes with -0.0 folded into 0.0, in a dict
+        (np.unique would load numpy.ma, a cost every recommend would pay).
+        """
+        width = self.vectors.shape[1] * self.vectors.itemsize
+        blob = (self.vectors + 0.0).tobytes()
+        first_row: dict[bytes, int] = {}
+        twin_of = [
+            first_row.setdefault(blob[start : start + width], row)
+            for row, start in enumerate(range(0, len(blob), width))
+        ]
+        if len(first_row) == len(self):
+            return None
+        firsts = np.fromiter(first_row.values(), dtype=np.int64, count=len(first_row))
+        return self.vectors[firsts], np.searchsorted(firsts, twin_of)
 
-    ``rows`` are index rows in ascending article-id order. ``vector`` is None
-    in the degenerate case where the purchase vectors cancel to (near) zero;
-    such a customer is served like one without purchases.
+
+@dataclass(frozen=True, eq=False)
+class CustomerProfiles:
+    """Every customer with an indexed purchase, as arrays in customer-code order.
+
+    Profile ``p`` belongs to the log's customer code ``owners[p]``. Its
+    distinct purchases are the index rows ``rows[starts[p] : starts[p] +
+    sizes[p]]``, in ascending article-id order, and ``vectors[p]`` is their
+    normalized mean. ``usable[p]`` is False in the degenerate case where the
+    purchase vectors cancel to (near) zero; such a customer is served like
+    one without purchases, and its vector row is zero.
     """
 
+    owners: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
     rows: np.ndarray
-    vector: np.ndarray | None
+    vectors: np.ndarray
+    usable: np.ndarray
 
 
 def build_index(
@@ -193,7 +235,24 @@ def top_rows(sims: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
     return pool[np.lexsort((id_rank[pool], -sims[pool]))][:k]
 
 
-def customer_profiles(log: PurchaseLog, index: EmbeddingIndex) -> dict[str, CustomerProfile]:
+def similarities(index: EmbeddingIndex, queries: np.ndarray) -> np.ndarray:
+    """Cosine similarities of unit query rows to every index row (queries x rows).
+
+    Each query gets its own matrix-vector product, written into its row, so
+    a score never depends on the other queries. Identical index rows are
+    scored once, from ``twins``, and share that float: BLAS rounds a
+    matrix's last ``rows mod 4`` rows differently, so a title repeated there
+    would otherwise score an ulp off its twin.
+    """
+    twins = index.twins
+    matrix = index.vectors if twins is None else twins[0]
+    scores = np.empty((len(queries), len(matrix)))
+    for out, query in zip(scores, queries):
+        np.matmul(matrix, query, out=out)
+    return scores if twins is None else scores[:, twins[1]]
+
+
+def customer_profiles(log: PurchaseLog, index: EmbeddingIndex) -> CustomerProfiles:
     """Profiles of every customer with a purchase in the index.
 
     Purchases of articles outside the index are ignored. The distinct
@@ -201,7 +260,9 @@ def customer_profiles(log: PurchaseLog, index: EmbeddingIndex) -> dict[str, Cust
     customer and then ascending article id. A profile vector is the mean of
     the customer's rows in that order divided by its norm: the rows are
     summed one after another, as ``np.mean`` over the customer's rows sums
-    them, so the vector equals that per-customer mean bit for bit.
+    them, and each norm is the ``sqrt(mean.dot(mean))`` that
+    ``np.linalg.norm`` takes, so the vector equals that per-customer
+    arithmetic bit for bit.
     """
     n = len(index)
     row_of = index._row_of
@@ -223,14 +284,11 @@ def customer_profiles(log: PurchaseLog, index: EmbeddingIndex) -> dict[str, Cust
         more = sizes > j
         sums[more] += index.vectors[rows[starts[more] + j]]
     means = sums / sizes[:, None]
-    profiles = {}
-    customers = owners[starts].tolist()
-    for customer, start, size, mean in zip(customers, starts.tolist(), sizes.tolist(), means):
-        norm = float(np.linalg.norm(mean))
-        profiles[log.customer_ids[customer]] = CustomerProfile(
-            rows[start : start + size], mean / norm if norm >= NORM_FLOOR else None
-        )
-    return profiles
+    norms = np.sqrt([mean.dot(mean) for mean in means])
+    usable = norms >= NORM_FLOOR
+    vectors = np.zeros_like(means)
+    np.divide(means, norms[:, None], out=vectors, where=usable[:, None])
+    return CustomerProfiles(owners[starts], starts, sizes, rows, vectors, usable)
 
 
 def serve(
@@ -239,21 +297,26 @@ def serve(
     index: EmbeddingIndex,
     popularity: list[str],
     n: int = 12,
-) -> list[tuple[str, ...]]:
-    """Exactly ``n`` distinct article ids for each customer, in input order.
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Exactly ``n`` distinct picks for each customer, in input order.
 
-    A customer with a profile vector gets their nearest unpurchased
-    neighbors: ``top_rows`` over ``min(n + purchases, len(index))`` rows with
-    the purchases filtered out, backfilled from ``popularity`` and then the
-    catalog in ascending-id order (still excluding purchases) if fewer than
-    ``n`` remain. Every other customer (no indexed purchase, a degenerate
-    profile, or never seen in ``log``) gets the popularity head
-    verbatim, extended from the catalog in ascending-id order. Raises
-    InsufficientCandidatesError at the first customer left short.
+    Returns ``(picks, labels)``: row ``i`` of the int array ``picks`` holds
+    customer ``i``'s picks as positions in ``labels``, the index's article
+    ids followed by the popularity ids the index lacks.
 
-    Candidates are integers: index rows, then the popularity ids the index
-    lacks. Each customer is scored with its own matrix-vector product, so a
-    similarity never depends on which other customers are served.
+    A customer with a usable profile gets their nearest unpurchased rows, in
+    descending similarity and then ascending article id, backfilled from
+    ``popularity`` and then the catalog in ascending-id order (still
+    excluding purchases) if fewer than ``n`` remain. Every other customer
+    (no indexed purchase, a degenerate profile, or never seen in ``log``)
+    gets the popularity head verbatim, extended from the catalog in
+    ascending-id order; they all share one row. Raises
+    InsufficientCandidatesError naming the first customer, in input order,
+    left short.
+
+    Warm customers are selected in blocks of ``BLOCK_SCORES // len(index)``,
+    as the module docstring describes; only customers left short go through
+    the backfill.
     """
     if n < 1:
         raise KTooLargeError(f"n={n} must be at least 1")
@@ -261,40 +324,95 @@ def serve(
     labels = index.article_ids + tuple(a for a in dict.fromkeys(popularity) if a not in index)
     row_of = {a: i for i, a in enumerate(labels)}
     backfill = [row_of[a] for a in popularity] + index.id_order.tolist()
-    cold: tuple[str, ...] | None = None  # the same for every customer without a profile
-    served = []
-    for customer_id in customers:
-        profile = profiles.get(customer_id)
-        if profile is None or profile.vector is None:
-            if cold is None:
-                cold = tuple(labels[row] for row in _backfill([], set(), backfill, n, customer_id))
-            served.append(cold)
-            continue
-        excluded = set(profile.rows.tolist())
-        k = min(n + len(excluded), len(index))
-        nearest = top_rows(index.vectors @ profile.vector, index.id_rank, k).tolist()
-        picks = [row for row in nearest if row not in excluded][:n]
-        if len(picks) < n:
-            picks = _backfill(picks, excluded, backfill, n, customer_id)
-        served.append(tuple(labels[row] for row in picks))
-    return served
+    usable = np.flatnonzero(profiles.usable)
+    owners = [log.customer_ids[c] for c in profiles.owners[usable].tolist()]
+    profile_of = dict(zip(owners, usable.tolist()))
+    chosen = np.array([profile_of.get(c, -1) for c in customers], dtype=np.int64)
+
+    picks = np.zeros((len(customers), n), dtype=np.int64)
+    short: dict[int, int] = {}  # input position -> candidates found, for each customer left short
+    cold = np.flatnonzero(chosen < 0)
+    if cold.size:
+        head = _backfill([], set(), backfill, n)
+        picks[cold, : len(head)] = head
+        if len(head) < n:
+            short[int(cold[0])] = len(head)
+    warm = np.flatnonzero(chosen >= 0)
+    k = min(n, len(index))
+    block = max(1, BLOCK_SCORES // max(len(index), 1))
+    for first in range(0, len(warm), block):
+        at = warm[first : first + block]
+        members = chosen[at]
+        sims = similarities(index, profiles.vectors[members])
+        sizes = profiles.sizes[members]
+        owner = np.repeat(np.arange(len(at)), sizes)
+        offsets = np.repeat(profiles.starts[members] - np.cumsum(sizes) + sizes, sizes)
+        bought = profiles.rows[offsets + np.arange(len(owner))]
+        sims[owner, bought] = -np.inf
+        columns, scores = _ranked_pools(sims, index.id_rank, k)
+        # purchases and padding (-inf) sort last, so a customer's picks are
+        # the first n entries of their row when those are finite
+        full = np.zeros(len(at), dtype=bool)
+        if scores.shape[1] >= n:
+            full = np.isfinite(scores[:, n - 1])
+            picks[at[full]] = columns[full, :n]
+        for i in np.flatnonzero(~full).tolist():
+            found = _backfill(
+                columns[i, np.isfinite(scores[i])].tolist(),
+                set(bought[owner == i].tolist()),
+                backfill,
+                n,
+            )
+            picks[at[i], : len(found)] = found
+            if len(found) < n:
+                short[int(at[i])] = len(found)
+    if short:
+        position = min(short)
+        raise InsufficientCandidatesError(
+            f"only {short[position]} of {n} candidates available for {customers[position]}"
+        )
+    return picks, labels
 
 
-def _backfill(
-    chosen: list[int], excluded: set[int], candidates: list[int], n: int, customer_id: str
-) -> list[int]:
+def _backfill(chosen: list[int], excluded: set[int], candidates: list[int], n: int) -> list[int]:
     """Extend ``chosen`` from ``candidates`` in order, skipping repeats and
-    exclusions, until it holds ``n`` rows."""
+    exclusions, until it holds ``n`` rows or the candidates run out."""
     taken = set(chosen)
     for row in candidates:
+        if len(chosen) == n:
+            break
         if row not in taken and row not in excluded:
             chosen.append(row)
             taken.add(row)
-            if len(chosen) == n:
-                return chosen
-    raise InsufficientCandidatesError(
-        f"only {len(chosen)} of {n} candidates available for {customer_id}"
-    )
+    return chosen
+
+
+def _ranked_pools(
+    sims: np.ndarray, id_rank: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's columns at or above its k-th best similarity, boundary ties
+    included, by descending similarity and then ascending ``id_rank``:
+    ``(columns, similarities)``, rows padded at the end with -inf.
+
+    One partition finds every row's k-th best; the pools are laid out as
+    rows again, so one row-wise lexsort orders them all (a flat lexsort
+    with the row as a third key is ~10x slower).
+    """
+    width = sims.shape[1]
+    kth = np.partition(sims, width - k, axis=1)[:, width - k]
+    pool = np.flatnonzero(sims >= kth[:, None])  # (2-D np.nonzero is ~8x slower)
+    member, column = np.divmod(pool, width)
+    counts = np.bincount(member, minlength=len(sims))
+    place = np.arange(len(pool)) - np.repeat(np.cumsum(counts) - counts, counts)
+    shape = (len(sims), int(counts.max(initial=0)))
+    scores = np.full(shape, -np.inf)
+    scores[member, place] = sims.ravel()[pool]
+    ranks = np.full(shape, len(id_rank))
+    ranks[member, place] = id_rank[column]
+    columns = np.zeros(shape, dtype=np.int64)
+    columns[member, place] = column
+    order = np.lexsort((ranks, -scores), axis=1)
+    return np.take_along_axis(columns, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
 
 def popularity_ranking(log: PurchaseLog) -> list[str]:

@@ -1,7 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from titlerec import encoder as enc
+from titlerec import index as ix
 from titlerec import objectives as obj
 from titlerec.tokenizer import TokenBatch
 
@@ -56,6 +59,35 @@ def encode_id_pairs(triples, titles, vocab, max_len):
     )
     word_ids = [vocab.word_ids(text) for text in titles.values()]
     return obj.encode_training_pairs(pairs, word_ids, max_len)
+
+
+def profiles_by_customer(log, index):
+    """``index.customer_profiles`` as customer id -> (rows, vector), with the
+    vector None for a degenerate profile."""
+    profiles = ix.customer_profiles(log, index)
+    return {
+        log.customer_ids[owner]: Profile(
+            profiles.rows[start : start + size], vector if usable else None
+        )
+        for owner, start, size, vector, usable in zip(
+            profiles.owners.tolist(),
+            profiles.starts.tolist(),
+            profiles.sizes.tolist(),
+            profiles.vectors,
+            profiles.usable.tolist(),
+        )
+    }
+
+
+class Profile(NamedTuple):
+    rows: np.ndarray
+    vector: np.ndarray | None
+
+
+def served_ids(customers, log, index, popularity, n):
+    """``index.serve``'s picks as one tuple of article ids per customer."""
+    picks, labels = ix.serve(customers, log, index, popularity, n)
+    return [tuple(labels[p] for p in row) for row in picks.tolist()]
 
 
 def no_pairs(max_len):

@@ -569,7 +569,9 @@ class TestEvaluate:
         rows = evaluation.read_submission(clone["workdir"] / cli.SUBMISSION_FILE)
         unknown = tuple(f"{900000000 + i:010d}" for i in range(12))
         rewritten = [evaluation.SubmissionRow(r.customer_id, unknown) for r in rows]
-        evaluation.write_submission(rewritten, clone["workdir"] / cli.SUBMISSION_FILE)
+        evaluation.write_submission(
+            evaluation.Submission.of_rows(rewritten), clone["workdir"] / cli.SUBMISSION_FILE
+        )
         assert run_cli("evaluate", *clone["base"]) == 0
         assert "map_at_12=0.000000" in capsys.readouterr().out
         report = json.loads((clone["workdir"] / cli.EVAL_REPORT_FILE).read_text())
@@ -589,7 +591,9 @@ class TestEvaluate:
             relevant = sorted(truth.get(row.customer_id, ()))
             ids = (relevant + [f for f in filler if f not in relevant])[:12]
             rewritten.append(evaluation.SubmissionRow(row.customer_id, tuple(ids)))
-        evaluation.write_submission(rewritten, clone["workdir"] / cli.SUBMISSION_FILE)
+        evaluation.write_submission(
+            evaluation.Submission.of_rows(rewritten), clone["workdir"] / cli.SUBMISSION_FILE
+        )
         assert run_cli("evaluate", *clone["base"]) == 0
         assert "map_at_12=1.000000" in capsys.readouterr().out
 
@@ -817,6 +821,29 @@ class TestErrorSurface:
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line == f"error: MalformedRowError: {path}: {message}"
+
+    def test_vocabulary_that_lost_lines_named(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        vocab_path = clone["workdir"] / cli.VOCAB_FILE
+        lines = vocab_path.read_text(encoding="utf-8").splitlines(True)
+        vocab_path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("recommend", *clone["base"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        # the vocabulary is named with both sizes; the intact checkpoint is not blamed
+        assert line == (
+            f"error: CheckpointMismatchError: {vocab_path}: {len(lines) // 2} tokens, but "
+            f"{clone['workdir'] / cli.CHECKPOINT_FILE} was trained with {len(lines)}; "
+            "both must come from the same `titlerec train`"
+        )
+
+    def test_other_config_mismatch_still_names_checkpoint(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        base = clone["base"]
+        assert run_cli("recommend", *base[:-2], "--seed", "0", "--d-model", "16") == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        checkpoint = clone["workdir"] / cli.CHECKPOINT_FILE
+        assert line.startswith(f"error: CheckpointMismatchError: {checkpoint}: stored config")
 
     @pytest.mark.parametrize(
         "artifact, corrupt, command",

@@ -36,6 +36,10 @@ def row(customer, ids):
     return ev.SubmissionRow(customer, tuple(ids))
 
 
+def submission(*rows):
+    return ev.Submission.of_rows(list(rows))
+
+
 class TestAveragePrecision:
     def test_perfect_first_hit(self):
         assert ev.average_precision_at_k(A[:12], {A[0]}) == 1.0
@@ -171,26 +175,77 @@ class TestSubmissionRow:
                 row(customer, A[:12])
 
 
+class TestSubmission:
+    """The integer form checks every row by SubmissionRow's rules, in bulk."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("", A[:12]),
+            ("a,b", A[:12]),
+            ("a\nb", A[:12]),
+            ("bob", [A[0]] * 2 + A[2:12]),
+            ("bob", A[:11] + ["12345"]),
+            ("bob", A[:11] + ["abcdefghij"]),
+            ("bob", A[:11] + [A[11] + "\n"]),
+        ],
+    )
+    def test_first_bad_row_named_as_a_row_would_be(self, bad):
+        with pytest.raises(InvalidRowError) as alone:
+            row(*bad)
+        customers = ("alice", bad[0], "carol", bad[0] + "x")
+        labels = tuple(dict.fromkeys(A[:13] + bad[1]))
+        picks = [[labels.index(a) for a in ids] for ids in (A[:12], bad[1], A[1:13], bad[1])]
+        with pytest.raises(InvalidRowError) as bulk:
+            ev.Submission(customers, np.array(picks), labels)
+        assert str(bulk.value) == str(alone.value)
+
+    def test_wrong_width_names_first_row(self):
+        for width in (11, 13):
+            with pytest.raises(InvalidRowError, match=f"alice: {width} ids, expected 12"):
+                ev.Submission(("alice", "bob"), np.tile(np.arange(width), (2, 1)), tuple(A))
+
+    def test_unused_labels_and_no_rows_pass(self):
+        assert len(ev.Submission(("alice",), np.arange(12)[None], tuple(A[:12]) + ("bad",))) == 1
+        assert len(ev.Submission((), np.zeros((0, 12), dtype=np.int64), ())) == 0
+
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(ValueError):
+            ev.Submission(("alice",), np.arange(12)[None], tuple(A[:12]) + (A[0],))
+
+    def test_rows_and_integers_score_alike(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            rows = [row(f"c{c}", [A[i] for i in rng.choice(len(A), 12, replace=False)])
+                    for c in range(int(rng.integers(1, 30)))]
+            truth = {r.customer_id: {A[i] for i in rng.choice(len(A), int(rng.integers(1, 6)))}
+                     for r in rows if rng.random() < 0.7}
+            truth.setdefault(rows[0].customer_id, {A[0]})
+            integers = submission(*rows)
+            assert list(integers) == rows
+            assert ev.map_at_12(integers, truth) == ev.map_at_12(rows, truth)
+
+
 class TestSubmissionFile:
     def test_round_trip_byte_exact(self, tmp_path):
         rows = [row(f"customer{i:03d}", A[i : i + 12]) for i in range(20)]
         path = tmp_path / "submission.csv"
-        ev.write_submission(rows, path)
-        assert ev.read_submission(path) == rows
+        ev.write_submission(submission(*rows), path)
+        assert list(ev.read_submission(path)) == rows
         ev.write_submission(ev.read_submission(path), tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_layout(self, tmp_path):
         path = tmp_path / "submission.csv"
-        ev.write_submission([row("0000dbacf0", A[:12])], path)
+        ev.write_submission(submission(row("0000dbacf0", A[:12])), path)
         text = path.read_text()
         assert text == f"customer_id,prediction\n0000dbacf0,{' '.join(A[:12])}\n"
 
     def test_empty_rows_gives_header_only(self, tmp_path):
         path = tmp_path / "submission.csv"
-        ev.write_submission([], path)
+        ev.write_submission(submission(), path)
         assert path.read_text() == "customer_id,prediction\n"
-        assert ev.read_submission(path) == []
+        assert list(ev.read_submission(path)) == []
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "submission.csv"
@@ -209,6 +264,33 @@ class TestSubmissionFile:
         path.write_text("customer_id,prediction\nalice\n")
         with pytest.raises(FormatViolationError, match="no comma"):
             ev.read_submission(path)
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (f",{' '.join(A[:12])}", "bad customer_id ''"),
+            (f"bob,{' '.join(A[:11] + [A[0]])}", "bob: prediction ids must be distinct"),
+            (f"bob,{' '.join(A[:11] + ['12345'])}", "bob: bad article id '12345'"),
+            (f"bob,{' '.join(A[:11])}", "bob: 11 ids, expected 12"),
+            (f"bob,{' '.join(A[:11])}  {A[11]}", "bob: 13 ids, expected 12"),
+            (f"bob, {' '.join(A[:12])}", "bob: 13 ids, expected 12"),
+        ],
+    )
+    def test_first_bad_line_named(self, tmp_path, line, reason):
+        good = [f"c{i},{' '.join(A[i : i + 12])}" for i in range(3)]
+        path = tmp_path / "submission.csv"
+        lines = ["customer_id,prediction", *good[:2], line, good[2], line]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatViolationError) as caught:
+            ev.read_submission(path)
+        assert str(caught.value) == f"{path}: line 4: {reason}"
+
+    def test_crlf_lines_read_as_lf(self, tmp_path):
+        rows = [row(f"c{i}", A[i : i + 12]) for i in range(3)]
+        path = tmp_path / "submission.csv"
+        ev.write_submission(submission(*rows), path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert list(ev.read_submission(path)) == rows
 
     def test_missing_trailing_newline_rejected(self, tmp_path):
         path = tmp_path / "submission.csv"

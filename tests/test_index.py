@@ -18,7 +18,7 @@ from titlerec.errors import (
 )
 from titlerec.tokenizer import build_vocab, encode_single
 
-from conftest import encode_id_pairs, zeroed_params
+from conftest import encode_id_pairs, profiles_by_customer, served_ids, zeroed_params
 from synth import purchase_log, write_planted_inputs
 
 
@@ -299,12 +299,12 @@ def purchases_of(pairs):
 
 def profile_of(index, pairs, customer="u"):
     """The customer's profile from the serving pass's grouping, or None."""
-    return ix.customer_profiles(purchases_of(pairs), index).get(customer)
+    return profiles_by_customer(purchases_of(pairs), index).get(customer)
 
 
 def serve_one(index, pairs, popularity, n=12, customer="u"):
     """One customer's picks through the serving pass."""
-    (picks,) = ix.serve([customer], purchases_of(pairs), index, popularity, n)
+    (picks,) = served_ids([customer], purchases_of(pairs), index, popularity, n)
     return list(picks)
 
 
@@ -364,7 +364,7 @@ class TestCustomerProfile:
             for c in range(40)
             for i in rng.integers(0, 60, size=int(rng.integers(1, 9)))
         ]
-        profiles = ix.customer_profiles(purchases_of(pairs), index)
+        profiles = profiles_by_customer(purchases_of(pairs), index)
         assert len(profiles) == 40
         for customer, profile in profiles.items():
             purchased = {a for c, a in pairs if c == customer}
@@ -496,16 +496,13 @@ class TestServe:
             customers = [f"c{c:02d}" for c in range(15)]
             popularity = list(rng.permutation(ids + unindexed[2:]))[: int(rng.integers(0, 12))]
             expected = full_sort_serve(customers, pairs, index, popularity, n)
-            degenerate += sum(
-                p.vector is None
-                for p in ix.customer_profiles(purchases_of(pairs), index).values()
-            )
+            degenerate += int((~ix.customer_profiles(purchases_of(pairs), index).usable).sum())
             if None in expected:
                 short += 1
                 with pytest.raises(InsufficientCandidatesError):
                     ix.serve(customers, purchases_of(pairs), index, popularity, n)
             else:
-                assert ix.serve(customers, purchases_of(pairs), index, popularity, n) == expected
+                assert served_ids(customers, purchases_of(pairs), index, popularity, n) == expected
         # the draws reach cancelling profiles and short candidate lists too
         assert degenerate > 0 and short > 0
 
@@ -535,7 +532,7 @@ class TestServe:
         # 6 rows < n + 2 purchases: u gets the four unpurchased rows, then
         # popularity less the purchase and the rows already taken; v, never
         # seen, gets popularity and then the catalog in ascending-id order
-        warm, cold = ix.serve(["u", "v"], purchases_of(pairs), index, popularity, 5)
+        warm, cold = served_ids(["u", "v"], purchases_of(pairs), index, popularity, 5)
         assert sorted(warm[:4]) == [ids[0], ids[2], ids[3], ids[5]]
         assert warm[4] == "0000000000"
         assert cold == (ids[4], ids[5], "0000000000", ids[0], ids[1])
@@ -646,3 +643,197 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"NOTASRC1" + b"\x00" * 40)
         with pytest.raises(ArtifactFormatError):
             ix.load_index(path)
+
+
+def twins_ordered(picks, twins):
+    """Whether the ``twins`` that appear in ``picks`` sit side by side in
+    ascending id order."""
+    places = [i for i, article_id in enumerate(picks) if article_id in twins]
+    found = [picks[i] for i in places]
+    return not places or (places[-1] - places[0] == len(places) - 1 and found == sorted(found))
+
+
+class TestTwins:
+    """Identical index rows share one similarity and tie by id, wherever
+    BLAS puts them."""
+
+    def tail_twin_index(self):
+        # 2001 rows: the copy of row 0 lands in the last ``rows mod 4`` rows,
+        # which OpenBLAS's dgemv rounds differently; its id sorts first
+        rng = np.random.default_rng(21)
+        vectors = rng.normal(size=(2001, 32))
+        vectors[2000] = vectors[0]
+        ids = [f"{i + 10:010d}" for i in range(2001)]
+        ids[2000] = "0000000001"
+        return unit_index(ids, vectors)
+
+    def test_tail_twin_scores_once(self):
+        index = self.tail_twin_index()
+        queries = np.random.default_rng(22).normal(size=(200, 32))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        sims = ix.similarities(index, queries)
+        assert np.array_equal(sims[:, 0], sims[:, 2000])
+        # every other row keeps the bits of the plain matrix-vector product
+        distinct = np.delete(index.vectors, 2000, axis=0)
+        assert np.array_equal(np.delete(sims, 2000, axis=1)[7], distinct @ queries[7])
+
+    def test_tail_twins_served_by_id(self):
+        index = self.tail_twin_index()
+        customers = [f"c{i:03d}" for i in range(60)]
+        pairs = [(c, index.article_ids[100 + i]) for i, c in enumerate(customers)]
+        served = served_ids(customers, purchases_of(pairs), index, [], len(index) - 1)
+        # each customer gets every other row, so both twins, adjacent and by id
+        assert all(twins_ordered(p, {"0000000010", "0000000001"}) for p in served)
+
+    def test_ragged_reference_rows_5_and_26(self):
+        articles, vocab, params = ragged_world()
+        index = ix.build_index(articles, params, vocab)
+        # titles repeat every 12 articles, and row 26 repeats row 5's title:
+        # rows 5, 17 and 26 are one vector, and 24 to 26 are BLAS's tail rows
+        position = index.twins[1]
+        assert position[26] == position[17] == position[5]
+        sims = ix.similarities(index, index.vectors)
+        assert np.array_equal(sims[:, 5], sims[:, 26])
+        customers = [a.article_id for a in articles]
+        pairs = [(a.article_id, a.article_id) for a in articles]
+        served = served_ids(customers, purchases_of(pairs), index, [], 26)
+        for group in set(position.tolist()):
+            twins = {customers[row] for row in np.flatnonzero(position == group).tolist()}
+            assert all(twins_ordered(picks, twins) for picks in served), twins
+
+    def test_distinct_rows_score_with_the_plain_product(self):
+        index = spread_index(50, dim=7)
+        assert index.twins is None
+        queries = index.vectors[:9]
+        expected = np.stack([index.vectors @ query for query in queries])
+        assert np.array_equal(ix.similarities(index, queries), expected)
+
+    def test_signed_zeros_are_twins(self):
+        index = ix.EmbeddingIndex(
+            ("0000000002", "0000000001", "0000000003"),
+            np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]]),
+        )
+        distinct, position = index.twins
+        assert position.tolist() == [0, 0, 1]
+        assert np.array_equal(distinct, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def loop_serve(customers, log, index, popularity, n):
+    """Reference: the per-customer serving loop that block selection replaced.
+
+    A customer with a usable profile takes ``top_rows`` over ``min(n +
+    purchases, len(index))`` rows of their own similarities, drops their
+    purchases and backfills from popularity and then the catalog in
+    ascending-id order; every other customer gets the popularity head so
+    extended. Raises InsufficientCandidatesError at the first customer left
+    short, in input order.
+    """
+    profiles = profiles_by_customer(log, index)
+    labels = index.article_ids + tuple(a for a in dict.fromkeys(popularity) if a not in index)
+    row_of = {a: i for i, a in enumerate(labels)}
+    backfill = [row_of[a] for a in popularity] + index.id_order.tolist()
+    served = []
+    for customer in customers:
+        profile = profiles.get(customer)
+        picks, excluded = [], set()
+        if profile is not None and profile.vector is not None:
+            excluded = set(profile.rows.tolist())
+            k = min(n + len(excluded), len(index))
+            sims = ix.similarities(index, profile.vector[None])[0]
+            nearest = ix.top_rows(sims, index.id_rank, k).tolist()
+            picks = [row for row in nearest if row not in excluded][:n]
+        for row in backfill:
+            if len(picks) == n:
+                break
+            if row not in picks and row not in excluded:
+                picks.append(row)
+        if len(picks) < n:
+            raise InsufficientCandidatesError(
+                f"only {len(picks)} of {n} candidates available for {customer}"
+            )
+        served.append(tuple(labels[row] for row in picks))
+    return served
+
+
+def interleaved_customers(rng, index, count, spare=0):
+    """``count`` customers in a shuffled order, with their purchases: some
+    never seen, some with cancelling (degenerate) purchases, some who bought
+    all but ``spare`` to ``spare + 3`` rows of the index, the rest a few rows."""
+    ids = list(index.article_ids)
+    opposite = {}
+    for i, vector in enumerate(index.vectors):
+        for j in range(i):
+            if np.array_equal(index.vectors[j], -vector):
+                opposite[ids[i]] = ids[j]
+    pairs, customers = [], []
+    for c in range(count):
+        customer = f"c{c:04d}"
+        customers.append(customer)
+        kind = rng.random()
+        if kind < 0.15:
+            continue  # never seen
+        if kind < 0.25 and opposite:
+            a = list(opposite)[int(rng.integers(0, len(opposite)))]
+            bought = [a, opposite[a]]
+        elif kind < 0.35:
+            left = spare + int(rng.integers(0, 4))
+            bought = list(rng.choice(ids, size=max(1, len(ids) - left), replace=False))
+        else:
+            bought = list(rng.choice(ids, size=int(rng.integers(1, 4))))
+        pairs += [(customer, a) for a in bought]
+    order = rng.permutation(count)
+    return [customers[i] for i in order], pairs
+
+
+class TestBlockSelection:
+    """Block selection equals the per-customer loop it replaced."""
+
+    def check(self, rng, n_rows, dim, customers, n, spare=0):
+        index = tied_index(rng, n_rows, dim)
+        customers, pairs = interleaved_customers(rng, index, customers, spare)
+        log = purchases_of(pairs)
+        popularity = list(rng.permutation(list(index.article_ids) + ["0000000000"]))[
+            : int(rng.integers(0, 8))
+        ]
+        warm = int(ix.customer_profiles(log, index).usable.sum())
+        try:
+            expected = loop_serve(customers, log, index, popularity, n)
+        except InsufficientCandidatesError as exc:
+            with pytest.raises(InsufficientCandidatesError) as caught:
+                ix.serve(customers, log, index, popularity, n)
+            assert str(caught.value) == str(exc)
+            return "short", warm
+        assert served_ids(customers, log, index, popularity, n) == expected
+        return "served", warm
+
+    def test_small_blocks_match_the_loop(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        outcomes = []
+        for _ in range(80):
+            n_rows = int(rng.integers(2, 30))
+            # a block holds one to four customers
+            monkeypatch.setattr(ix, "BLOCK_SCORES", n_rows * int(rng.integers(1, 5)))
+            n = int(rng.integers(1, 16))  # at times more than the index holds
+            outcomes.append(self.check(rng, n_rows, int(rng.integers(2, 6)), 25, n)[0])
+        assert outcomes.count("short") > 5 and outcomes.count("served") > 5
+
+    def test_more_warm_customers_than_one_block_holds(self):
+        rng = np.random.default_rng(32)
+        outcome, warm = self.check(rng, 30, 4, 1500, 5, spare=5)
+        assert outcome == "served" and warm > ix.BLOCK_SCORES // 30
+
+    def test_first_short_customer_named_in_input_order(self):
+        index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
+        log = purchases_of([("warm", "0000000001"), ("warm", "0000000002")])
+        # the cold head has 3 candidates, warm keeps 1: warm is short at n = 2
+        # and both are short at n = 4, where the first in input order is named
+        for customers, n, named in (
+            (["cold", "warm"], 2, "only 1 of 2 candidates available for warm"),
+            (["warm", "cold"], 4, "only 1 of 4 candidates available for warm"),
+            (["cold", "warm"], 4, "only 3 of 4 candidates available for cold"),
+        ):
+            with pytest.raises(InsufficientCandidatesError) as caught:
+                ix.serve(customers, log, index, [], n)
+            assert str(caught.value) == named
+            with pytest.raises(InsufficientCandidatesError, match=named):
+                loop_serve(customers, log, index, [], n)

@@ -22,6 +22,7 @@ import pytest
 from titlerec import cli, corpus, evaluation, objectives
 from titlerec import index as ix
 
+from conftest import profiles_by_customer
 from synth import log_rows, to_csv
 
 HOLDOUT_DAYS = 7
@@ -190,7 +191,7 @@ def test_sessions_and_positive_order(world):
 def test_profiles_bit_identical(world):
     index = world["index"]
     train, _ = evaluation.temporal_split(world["log"], HOLDOUT_DAYS)
-    profiles = ix.customer_profiles(train, index)
+    profiles = profiles_by_customer(train, index)
     expected = profiles_of(split_records(world["records"])[0], index)
     assert profiles.keys() == expected.keys()
     assert max(len(ids) for ids, _ in expected.values()) >= 3
