@@ -36,6 +36,7 @@ import ctypes
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -52,6 +53,7 @@ from .errors import (
     InvalidConfigError,
     MissingArtifactError,
     TitlerecError,
+    UnknownArticleError,
     WorkdirLockedError,
 )
 from .ioutil import atomic_write_text
@@ -85,18 +87,6 @@ INPUT_ERRORS = (
     UnicodeDecodeError,
     csv.Error,
 )
-
-
-# Least accepted value of the integer training and window knobs; below it
-# a run would fail mid-way or silently train nothing. ``epochs`` 0 (and
-# ``max_steps`` 0) deliberately keeps the seed-initialized checkpoint.
-LEAST_VALUES = {
-    "epochs": 0,
-    "max_steps": 0,
-    "batch_size": 1,
-    "negatives_per_positive": 1,
-    "holdout_days": 1,
-}
 
 
 @dataclass(frozen=True)
@@ -141,6 +131,37 @@ class PipelineConfig:
         )
 
 
+# What each config field accepts: its type, then the (comparison, limit)
+# tests its value must pass, "in" naming the values it may take. A field
+# whose default is None also accepts None. Outside these a run would fail
+# mid-way with a traceback or silently train nothing; ``epochs`` 0 (and
+# ``max_steps`` 0) deliberately keeps the seed-initialized checkpoint.
+FIELD_RULES = {
+    **dict.fromkeys(("articles", "transactions", "workdir", "customer_list"), (str,)),
+    "text_columns": (tuple,),
+    **dict.fromkeys(
+        ("min_freq", "d_model", "n_heads", "n_layers", "d_ff", "batch_size",
+         "negatives_per_positive", "holdout_days", "top_n"),
+        (int, (">=", 1)),
+    ),
+    **dict.fromkeys(("epochs", "max_steps", "seed"), (int, (">=", 0))),
+    "max_vocab": (int, (">=", FIRST_WORD_ID + 1)),
+    "max_len": (int, (">=", 5)),
+    "dropout_rate": (float, (">=", 0.0), ("<", 1.0)),
+    **dict.fromkeys(("layer_norm_epsilon", "learning_rate"), (float, (">", 0.0))),
+    "pooling": (str, ("in", ("mean", "cls"))),
+}
+COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "in": lambda v, c: v in c}
+# each type's test and its name: an int counts as a float, a bool as neither
+TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    str: (lambda v: type(v) is str, "a string"),
+    tuple: (lambda v: type(v) is tuple and all(type(c) is str for c in v) and bool(v),
+            "a nonempty list of strings"),
+}
+
+
 def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
     """Defaults, then config-file values, then non-None flag overrides."""
     known = {f.name for f in fields(PipelineConfig)}
@@ -155,17 +176,20 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise InvalidConfigError(f"{config_path}: unknown option(s) {', '.join(unknown)}")
-        if "text_columns" in raw:
-            raw["text_columns"] = tuple(raw["text_columns"])
         config = replace(config, **raw)
     applicable = {k: v for k, v in overrides.items() if k in known and v is not None}
-    if "text_columns" in applicable:
-        applicable["text_columns"] = tuple(applicable["text_columns"])
     config = replace(config, **applicable)
-    for name, least in LEAST_VALUES.items():
-        value = getattr(config, name)
-        if value is not None and (type(value) is not int or value < least):
-            raise InvalidConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    if type(config.text_columns) is list:
+        config = replace(config, text_columns=tuple(config.text_columns))
+    for f in fields(PipelineConfig):
+        kind, *tests = FIELD_RULES[f.name]
+        value = getattr(config, f.name)
+        if value is None and f.default is None:
+            continue
+        is_kind, kind_name = TYPES[kind]
+        if not is_kind(value) or not all(COMPARISONS[op](value, limit) for op, limit in tests):
+            wanted = " and".join(f" {op} {limit!r}" for op, limit in tests)
+            raise InvalidConfigError(f"{f.name} must be {kind_name}{wanted}, got {value!r}")
     return config
 
 
@@ -409,8 +433,17 @@ def cmd_recommend(config: PipelineConfig) -> str:
         article_index = index_mod.build_index(prepared, params, vocab, config.pooling, source)
         index_mod.save_index(article_index, index_path)
 
+    # a log re-written since ingest may name articles the catalog lacks
+    counts = np.bincount(train_window.articles, minlength=len(train_window.article_ids))
+    bought = {train_window.article_ids[a] for a in np.flatnonzero(counts).tolist()}
+    strays = sorted(bought.difference(article_index.article_ids))
+    if strays:
+        raise UnknownArticleError(
+            f"{workdir / TRANSACTIONS_FILE}: article {strays[0]!r} of the train window is "
+            "not in the catalog; re-run `titlerec ingest`"
+        )
     customers = _load_customer_universe(config, joined)
-    picks, labels = index_mod.serve(
+    picks = index_mod.serve(
         customers,
         train_window,
         article_index,
@@ -418,7 +451,8 @@ def cmd_recommend(config: PipelineConfig) -> str:
         config.top_n,
     )
     evaluation.write_submission(
-        evaluation.Submission(tuple(customers), picks, labels), workdir / SUBMISSION_FILE
+        evaluation.Submission(tuple(customers), picks, article_index.article_ids),
+        workdir / SUBMISSION_FILE,
     )
     return f"customers={len(customers)} articles={len(article_index)}"
 

@@ -6,29 +6,21 @@ forward. Articles are grouped by live length and each group runs in
 passes of ``encoder.rows_per_pass(length)`` articles cut to that length,
 so no PAD position is embedded and a title of 8 tokens costs 8 positions,
 not ``max_len``. Retrieval is an exact full scan: cosine similarity is a
-dot product of unit vectors, and ``top_rows`` selects the top k by
-partition and breaks ties by ascending article id, so the ordering is
-total.
+dot product of unit vectors, and ``top_rows`` selects each query's top k
+by one partition and breaks ties by ascending article id, so the ordering
+is total.
 
 Serving selects for a block of customers at a time with whole-array
 operations. The index ranks its rows by ascending article id once
 (``id_rank``), so tie-breaks compare integers, and every customer's
 distinct purchases become index rows, and their profiles one matrix,
-through one sort of the purchase log's codes. Each profile is scored with
-its own matrix-vector product, written into its row of the block's score
-matrix, rather than with one customers x articles matrix product: the two
-round differently in the last bit, and this way a score never depends on
-which customers share the block. Purchases are set to -inf, one partition
-per block finds each customer's n-th best score, and one row-wise sort of
-the entries at or above it (boundary ties included) orders every
-customer's picks by descending similarity and then ascending id, as a full
-sort would. Identical index rows (duplicate titles) are scored once and
-share that float, so they tie exactly and order by id; BLAS rounds a
-matrix's last ``rows mod 4`` rows differently, which would otherwise split
-such a tie. Customers with no usable purchase history share one popularity
-row, and only customers left short of n go through the popularity and
-ascending-id backfills, which work on row numbers. ``serve`` returns the
-picks as integers with their label table; ids are formatted only to write
+through one sort of the purchase log's codes. ``similarities`` scores each
+profile with its own matrix-vector product, so a score never depends on
+which customers share the block, and identical rows share one float.
+Purchases are set to -inf, and ``top_rows`` orders every customer's picks
+as a full sort would. Customers with no usable purchase history share one
+row, the popularity head extended by the catalog in ascending-id order.
+``serve`` returns the picks as index rows; ids are formatted only to write
 the submission.
 
 Index file layout (version TRECIDX1, little-endian):
@@ -131,9 +123,6 @@ class EmbeddingIndex:
         norms = np.linalg.norm(self.vectors, axis=1)
         return bool(np.all(np.abs(norms - 1.0) <= 1e-6))
 
-    def __contains__(self, article_id: str) -> bool:
-        return article_id in self._row_of
-
     @cached_property
     def twins(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The distinct vectors, in first-occurrence order, and each row's
@@ -220,19 +209,32 @@ def build_index(
     )
 
 
-def top_rows(sims: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
-    """Rows of the ``k`` highest similarities, ties broken by ascending id.
+def top_rows(sims: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best columns of each row of ``sims`` (queries x rows), by
+    descending similarity and then ascending ``id_rank`` (the index's), as
+    ``(columns, similarities)``, each queries x k; ``1 <= k <= rows``.
 
-    ``id_rank`` is the index's ``id_rank``. Partition for the k best, then
-    widen to every row tied with the boundary similarity before the final
-    sort, so boundary ties resolve by id exactly as a full sort would.
+    One partition finds every row's k-th best similarity. The columns at or
+    above it, boundary ties included, are laid out as rows again, so one
+    row-wise lexsort orders them all as a full sort would (a flat lexsort
+    with the row as a third key is ~10x slower).
     """
-    if k < len(sims):
-        cut = np.argpartition(-sims, k - 1)[:k]
-        pool = np.flatnonzero(sims >= sims[cut].min())
-    else:
-        pool = np.arange(len(sims))
-    return pool[np.lexsort((id_rank[pool], -sims[pool]))][:k]
+    width = sims.shape[1]
+    kth = np.partition(sims, width - k, axis=1)[:, width - k]
+    pool = np.flatnonzero(sims >= kth[:, None])  # (2-D np.nonzero is ~8x slower)
+    member, column = np.divmod(pool, width)
+    counts = np.bincount(member, minlength=len(sims))
+    place = np.arange(len(pool)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # padding sorts after every pool entry, and each row's pool holds at least k
+    shape = (len(sims), int(counts.max(initial=0)))
+    scores = np.full(shape, -np.inf)
+    scores[member, place] = sims.ravel()[pool]
+    ranks = np.full(shape, len(id_rank))
+    ranks[member, place] = id_rank[column]
+    columns = np.zeros(shape, dtype=np.int64)
+    columns[member, place] = column
+    order = np.lexsort((ranks, -scores), axis=1)[:, :k]
+    return np.take_along_axis(columns, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
 
 def similarities(index: EmbeddingIndex, queries: np.ndarray) -> np.ndarray:
@@ -297,46 +299,33 @@ def serve(
     index: EmbeddingIndex,
     popularity: list[str],
     n: int = 12,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Exactly ``n`` distinct picks for each customer, in input order.
+) -> np.ndarray:
+    """Exactly ``n`` distinct picks for each customer, in input order: row
+    ``i`` of the returned int array holds customer ``i``'s picks as index
+    rows.
 
-    Returns ``(picks, labels)``: row ``i`` of the int array ``picks`` holds
-    customer ``i``'s picks as positions in ``labels``, the index's article
-    ids followed by the popularity ids the index lacks.
-
-    A customer with a usable profile gets their nearest unpurchased rows, in
-    descending similarity and then ascending article id, backfilled from
-    ``popularity`` and then the catalog in ascending-id order (still
-    excluding purchases) if fewer than ``n`` remain. Every other customer
-    (no indexed purchase, a degenerate profile, or never seen in ``log``)
-    gets the popularity head verbatim, extended from the catalog in
-    ascending-id order; they all share one row. Raises
-    InsufficientCandidatesError naming the first customer, in input order,
-    left short.
-
-    Warm customers are selected in blocks of ``BLOCK_SCORES // len(index)``,
-    as the module docstring describes; only customers left short go through
-    the backfill.
+    A customer with a usable profile gets their ``n`` nearest unpurchased
+    rows, by descending similarity and then ascending article id. Every
+    other customer (no indexed purchase, a degenerate profile, or never seen
+    in ``log``) gets the popularity head, skipping ids the index lacks,
+    extended from the catalog in ascending-id order; they all share one row.
+    Raises InsufficientCandidatesError naming the first customer, in input
+    order, left with fewer than ``n`` candidates.
     """
     if n < 1:
         raise KTooLargeError(f"n={n} must be at least 1")
     profiles = customer_profiles(log, index)
-    labels = index.article_ids + tuple(a for a in dict.fromkeys(popularity) if a not in index)
-    row_of = {a: i for i, a in enumerate(labels)}
-    backfill = [row_of[a] for a in popularity] + index.id_order.tolist()
+    row_of = index._row_of
+    popular = [row_of[a] for a in popularity if a in row_of]
+    head = list(dict.fromkeys(popular + index.id_order.tolist()))[:n]
     usable = np.flatnonzero(profiles.usable)
     owners = [log.customer_ids[c] for c in profiles.owners[usable].tolist()]
     profile_of = dict(zip(owners, usable.tolist()))
     chosen = np.array([profile_of.get(c, -1) for c in customers], dtype=np.int64)
 
     picks = np.zeros((len(customers), n), dtype=np.int64)
-    short: dict[int, int] = {}  # input position -> candidates found, for each customer left short
-    cold = np.flatnonzero(chosen < 0)
-    if cold.size:
-        head = _backfill([], set(), backfill, n)
-        picks[cold, : len(head)] = head
-        if len(head) < n:
-            short[int(cold[0])] = len(head)
+    found = np.full(len(customers), len(head))  # candidates each customer has
+    picks[chosen < 0, : len(head)] = head
     warm = np.flatnonzero(chosen >= 0)
     k = min(n, len(index))
     block = max(1, BLOCK_SCORES // max(len(index), 1))
@@ -347,72 +336,19 @@ def serve(
         sizes = profiles.sizes[members]
         owner = np.repeat(np.arange(len(at)), sizes)
         offsets = np.repeat(profiles.starts[members] - np.cumsum(sizes) + sizes, sizes)
-        bought = profiles.rows[offsets + np.arange(len(owner))]
-        sims[owner, bought] = -np.inf
-        columns, scores = _ranked_pools(sims, index.id_rank, k)
-        # purchases and padding (-inf) sort last, so a customer's picks are
-        # the first n entries of their row when those are finite
-        full = np.zeros(len(at), dtype=bool)
-        if scores.shape[1] >= n:
-            full = np.isfinite(scores[:, n - 1])
-            picks[at[full]] = columns[full, :n]
-        for i in np.flatnonzero(~full).tolist():
-            found = _backfill(
-                columns[i, np.isfinite(scores[i])].tolist(),
-                set(bought[owner == i].tolist()),
-                backfill,
-                n,
-            )
-            picks[at[i], : len(found)] = found
-            if len(found) < n:
-                short[int(at[i])] = len(found)
-    if short:
-        position = min(short)
+        sims[owner, profiles.rows[offsets + np.arange(len(owner))]] = -np.inf
+        columns, scores = top_rows(sims, index.id_rank, k)
+        picks[at, :k] = columns
+        # purchases (-inf) sort last, so a row with fewer than n finite
+        # scores holds every unpurchased row there is
+        found[at] = np.isfinite(scores).sum(axis=1)
+    short = np.flatnonzero(found < n)
+    if short.size:
+        position = int(short[0])
         raise InsufficientCandidatesError(
-            f"only {short[position]} of {n} candidates available for {customers[position]}"
+            f"only {found[position]} of {n} candidates available for {customers[position]}"
         )
-    return picks, labels
-
-
-def _backfill(chosen: list[int], excluded: set[int], candidates: list[int], n: int) -> list[int]:
-    """Extend ``chosen`` from ``candidates`` in order, skipping repeats and
-    exclusions, until it holds ``n`` rows or the candidates run out."""
-    taken = set(chosen)
-    for row in candidates:
-        if len(chosen) == n:
-            break
-        if row not in taken and row not in excluded:
-            chosen.append(row)
-            taken.add(row)
-    return chosen
-
-
-def _ranked_pools(
-    sims: np.ndarray, id_rank: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's columns at or above its k-th best similarity, boundary ties
-    included, by descending similarity and then ascending ``id_rank``:
-    ``(columns, similarities)``, rows padded at the end with -inf.
-
-    One partition finds every row's k-th best; the pools are laid out as
-    rows again, so one row-wise lexsort orders them all (a flat lexsort
-    with the row as a third key is ~10x slower).
-    """
-    width = sims.shape[1]
-    kth = np.partition(sims, width - k, axis=1)[:, width - k]
-    pool = np.flatnonzero(sims >= kth[:, None])  # (2-D np.nonzero is ~8x slower)
-    member, column = np.divmod(pool, width)
-    counts = np.bincount(member, minlength=len(sims))
-    place = np.arange(len(pool)) - np.repeat(np.cumsum(counts) - counts, counts)
-    shape = (len(sims), int(counts.max(initial=0)))
-    scores = np.full(shape, -np.inf)
-    scores[member, place] = sims.ravel()[pool]
-    ranks = np.full(shape, len(id_rank))
-    ranks[member, place] = id_rank[column]
-    columns = np.zeros(shape, dtype=np.int64)
-    columns[member, place] = column
-    order = np.lexsort((ranks, -scores), axis=1)
-    return np.take_along_axis(columns, order, axis=1), np.take_along_axis(scores, order, axis=1)
+    return picks
 
 
 def popularity_ranking(log: PurchaseLog) -> list[str]:

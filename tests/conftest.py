@@ -86,8 +86,8 @@ class Profile(NamedTuple):
 
 def served_ids(customers, log, index, popularity, n):
     """``index.serve``'s picks as one tuple of article ids per customer."""
-    picks, labels = ix.serve(customers, log, index, popularity, n)
-    return [tuple(labels[p] for p in row) for row in picks.tolist()]
+    picks = ix.serve(customers, log, index, popularity, n)
+    return [tuple(index.article_ids[p] for p in row) for row in picks.tolist()]
 
 
 def no_pairs(max_len):

@@ -268,18 +268,18 @@ def test_05_knn_matches_brute_force():
         else:
             rows = rng.normal(size=(n, dim))
         rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        ids = tuple(
-            f"{v:010d}" for v in sorted(rng.choice(10**7, size=n, replace=False))
-        )
+        # ids in random row order, so a tie broken by row would show
+        ids = tuple(f"{v:010d}" for v in rng.choice(10**7, size=n, replace=False))
         index = ix.EmbeddingIndex(ids, rows)
         query = rng.normal(size=dim)
         query = query / np.linalg.norm(query)
         k = int(rng.integers(1, n + 1))
 
-        sims = index.vectors @ query
+        # the selection serving runs, over a one-query score matrix
+        columns, scores = ix.top_rows((index.vectors @ query)[None], index.id_rank, k)
         got = [
-            (ids[row], float(np.clip(sims[row], -1.0, 1.0)))
-            for row in ix.top_rows(sims, index.id_rank, k)
+            (ids[row], float(np.clip(score, -1.0, 1.0)))
+            for row, score in zip(columns[0].tolist(), scores[0].tolist())
         ]
         assert got == brute_force_neighbors(ids, rows, query, k), f"instance {instance}"
     elapsed = time.perf_counter() - started

@@ -101,6 +101,9 @@ class TestLoadConfig:
             ("train", "--max-steps", "-1"),
             ("train", "--holdout-days", "0"),
             ("recommend", "--holdout-days", "0"),
+            ("train", "--min-freq", "0"),
+            ("train", "--max-vocab", "3"),
+            ("train", "--seed", "-1"),
         ],
     )
     def test_bad_training_knob_rejected(self, pipeline, tmp_path, capsys, command, flag, value):
@@ -121,6 +124,41 @@ class TestLoadConfig:
         path.write_text(json.dumps({"batch_size": value}))
         with pytest.raises(InvalidConfigError, match="batch_size"):
             cli.load_config(str(path), {})
+
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [
+            ("recommend", "pooling", "max"),
+            ("train", "seed", "1"),
+            ("train", "learning_rate", "0.1"),
+            ("train", "d_model", "64"),
+            ("recommend", "top_n", "12"),
+            ("train", "learning_rate", -1.0),
+        ],
+    )
+    def test_bad_value_in_config_file_is_one_error_line(
+        self, pipeline, tmp_path, capsys, command, name, value
+    ):
+        clone = fresh_copy(pipeline, tmp_path)
+        base = list(clone["base"])
+        flag = "--" + name.replace("_", "-")
+        if flag in base:  # the flag would override the file's value
+            del base[base.index(flag) : base.index(flag) + 2]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: value}))
+        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        capsys.readouterr()
+        assert run_cli(command, *base, "--config", config) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: InvalidConfigError: {name} must be " + {
+            "pooling": "a string in ('mean', 'cls'), got 'max'",
+            "seed": "an integer >= 0, got '1'",
+            "learning_rate": f"a finite number > 0.0, got {value!r}",
+            "d_model": "an integer >= 1, got '64'",
+            "top_n": "an integer >= 1, got '12'",
+        }[name]
+        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        assert after == before
 
     def test_text_columns_normalized(self, tmp_path):
         path = tmp_path / "config.json"
@@ -422,6 +460,31 @@ class TestRecommend:
         backfill = [p.article_id for p in sorted(prepared, key=lambda p: p.article_id)]
         expected = (popularity + [a for a in backfill if a not in popularity])[:12]
         assert list(by_customer["zzz_never_bought"]) == expected
+
+    @pytest.mark.parametrize("fault", ["foreign article", "NUL in an id"])
+    def test_train_window_article_outside_the_catalog_refused(
+        self, pipeline, tmp_path, capsys, fault
+    ):
+        clone = fresh_copy(pipeline, tmp_path)
+        (clone["workdir"] / cli.SUBMISSION_FILE).unlink()
+        path = clone["workdir"] / cli.TRANSACTIONS_FILE
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        day, customer, article = first.rstrip("\n").split("\t")  # the earliest, a train day
+        if fault == "foreign article":
+            extra = [f"{day}\tshopper{c % 15:03d}\t9999999999\n" for c in range(40)]
+            stray = "'9999999999'"
+        else:
+            extra = [f"{day}\t{customer}\t{article[:5]}\0{article[5:]}\n"]
+            stray = repr(f"{article[:5]}\0{article[5:]}")
+        path.write_text(header + first + "".join(extra) + "".join(rest), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("recommend", *clone["base"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: UnknownArticleError: {path}: article {stray} of the train window is "
+            "not in the catalog; re-run `titlerec ingest`"
+        )
+        assert not (clone["workdir"] / cli.SUBMISSION_FILE).exists()
 
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         clone = fresh_copy(pipeline, tmp_path)

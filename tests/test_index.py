@@ -46,14 +46,19 @@ def vector_of(index, article_id):
 
 
 def knn(index, query, k):
-    """The index's k nearest rows to a query, as serving selects them."""
-    return ix.top_rows(index.vectors @ query, index.id_rank, k).tolist()
+    """The index's k nearest rows to a query, through the selection serving runs."""
+    columns, scores = ix.top_rows((index.vectors @ query)[None], index.id_rank, k)
+    assert columns.shape == scores.shape == (1, k)
+    return columns[0].tolist()
+
+
+def full_sort(sims, article_ids):
+    """Reference: every row by a full sort on (similarity desc, article id asc)."""
+    return sorted(range(len(sims)), key=lambda i: (-sims[i], article_ids[i]))
 
 
 def brute_force_knn(index, query, k):
-    """Reference: rows by full sort on (similarity desc, article id asc)."""
-    sims = index.vectors @ query
-    return sorted(range(len(index)), key=lambda i: (-sims[i], index.article_ids[i]))[:k]
+    return full_sort(index.vectors @ query, index.article_ids)[:k]
 
 
 def embed_one(params, article, vocab, pooling="mean"):
@@ -211,7 +216,7 @@ class TestLengthGroupedPasses:
             sims = reference.vectors @ reference.vectors[row]
             for k in (1, 5, len(index)):
                 got = knn(index, index.vectors[row], k)
-                want = knn(reference, reference.vectors[row], k)
+                want = brute_force_knn(reference, reference.vectors[row], k)
                 for g, w in zip(got, want, strict=True):
                     assert abs(sims[g] - sims[w]) <= 1e-15
 
@@ -253,7 +258,7 @@ class TestEmbeddingTraffic:
 
 class TestQueryKnn:
     """``top_rows`` over an index's similarities to a query: the exact k
-    nearest rows, ties broken by ascending article id."""
+    nearest rows, ties broken by ascending article id, as a full sort."""
 
     def test_self_retrieval(self):
         rng = np.random.default_rng(0)
@@ -412,15 +417,21 @@ class TestRecommend:
         assert all(re.fullmatch(r"[0-9]{10}", a) for a in result)
         assert not set(result) & bought
 
-    def test_popularity_backfill_when_index_is_small(self):
-        index = unit_index(
-            ["0000000001", "0000000002"], [[1.0, 0.0], [0.0, 1.0]]
-        )
-        popularity = [f"{i:010d}" for i in range(20, 2, -1)]
-        result = serve_one(index, [("u", "0000000001")], popularity, n=5)
-        # one surviving neighbor, then popularity order, never the purchase
-        assert result == ["0000000002"] + popularity[:4]
-        assert "0000000001" not in result
+    def test_popularity_outside_the_index_is_never_served(self):
+        index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
+        popularity = ["0000000099", "0000000003", "0000000098"]
+        log = purchases_of([("warm", "0000000001")])
+        # cold takes the popularity ids the index holds, then ascending ids;
+        # warm's two unpurchased rows tie and order by id
+        assert served_ids(["cold", "warm"], log, index, popularity, 2) == [
+            ("0000000003", "0000000001"),
+            ("0000000002", "0000000003"),
+        ]
+        # no id outside the index fills a short row
+        with pytest.raises(InsufficientCandidatesError, match="only 2 of 3 .* for warm"):
+            ix.serve(["warm"], log, index, popularity, 3)
+        with pytest.raises(InsufficientCandidatesError, match="only 3 of 4 .* for cold"):
+            ix.serve(["cold"], log, index, popularity, 4)
 
     def test_catalog_extension_after_popularity_runs_out(self):
         index = spread_index(15)
@@ -443,21 +454,22 @@ class TestRecommend:
 def full_sort_serve(customers, pairs, index, popularity, n):
     """Reference serving: per customer, a full sort of every row on
     (similarity desc, article id asc), purchases dropped, then popularity
-    and the catalog in ascending-id order; customers without a profile
-    vector take popularity and the catalog with nothing dropped. None
-    marks a customer left with fewer than ``n`` candidates."""
+    ids the index holds and the catalog in ascending-id order; customers
+    without a profile vector take those with nothing dropped. None marks a
+    customer left with fewer than ``n`` candidates."""
+    catalog = set(index.article_ids)
     served = []
     for customer in customers:
-        purchased = {a for c, a in pairs if c == customer and a in index}
+        purchased = {a for c, a in pairs if c == customer and a in catalog}
         vector = per_customer_profile(index, purchased) if purchased else None
         if vector is None:
             ranked, excluded = [], set()
         else:
-            sims = index.vectors @ vector
-            order = sorted(range(len(index)), key=lambda i: (-sims[i], index.article_ids[i]))
+            order = full_sort(index.vectors @ vector, index.article_ids)
             ranked, excluded = [index.article_ids[i] for i in order], purchased
+        popular = [a for a in popularity if a in catalog]
         picks = []
-        for article_id in ranked + list(popularity) + sorted(index.article_ids):
+        for article_id in ranked + popular + sorted(catalog):
             if article_id not in excluded and article_id not in picks:
                 picks.append(article_id)
         served.append(tuple(picks[:n]) if len(picks) >= n else None)
@@ -528,15 +540,16 @@ class TestServe:
         index = spread_index(6, dim=3)
         ids = sorted(index.article_ids)
         pairs = [("u", ids[1]), ("u", ids[4])]
-        popularity = [ids[4], ids[5], "0000000000"]
-        # 6 rows < n + 2 purchases: u gets the four unpurchased rows, then
-        # popularity less the purchase and the rows already taken; v, never
-        # seen, gets popularity and then the catalog in ascending-id order
-        warm, cold = served_ids(["u", "v"], purchases_of(pairs), index, popularity, 5)
-        assert sorted(warm[:4]) == [ids[0], ids[2], ids[3], ids[5]]
-        assert warm[4] == "0000000000"
-        assert cold == (ids[4], ids[5], "0000000000", ids[0], ids[1])
-        assert [warm, cold] == full_sort_serve(["u", "v"], pairs, index, popularity, 5)
+        popularity = [ids[4], "0000000000", ids[5]]
+        # 6 rows = n + 2 purchases: u gets the four unpurchased rows; v,
+        # never seen, gets popularity less the id outside the index and then
+        # the catalog in ascending-id order
+        warm, cold = served_ids(["u", "v"], purchases_of(pairs), index, popularity, 4)
+        assert sorted(warm) == [ids[0], ids[2], ids[3], ids[5]]
+        assert cold == (ids[4], ids[5], ids[0], ids[1])
+        assert [warm, cold] == full_sort_serve(["u", "v"], pairs, index, popularity, 4)
+        with pytest.raises(InsufficientCandidatesError, match="only 4 of 5 .* for u"):
+            ix.serve(["u", "v"], purchases_of(pairs), index, popularity, 5)
 
     def test_insufficient_candidates_names_customer(self):
         index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
@@ -719,29 +732,28 @@ class TestTwins:
 
 
 def loop_serve(customers, log, index, popularity, n):
-    """Reference: the per-customer serving loop that block selection replaced.
+    """Reference: a per-customer serving loop.
 
-    A customer with a usable profile takes ``top_rows`` over ``min(n +
-    purchases, len(index))`` rows of their own similarities, drops their
-    purchases and backfills from popularity and then the catalog in
-    ascending-id order; every other customer gets the popularity head so
-    extended. Raises InsufficientCandidatesError at the first customer left
-    short, in input order.
+    A customer with a usable profile takes a full sort of their own
+    similarities, drops their purchases and backfills from the popularity
+    ids the index holds and then the catalog in ascending-id order; every
+    other customer gets the popularity head so extended. Raises
+    InsufficientCandidatesError at the first customer left short, in input
+    order.
     """
     profiles = profiles_by_customer(log, index)
-    labels = index.article_ids + tuple(a for a in dict.fromkeys(popularity) if a not in index)
-    row_of = {a: i for i, a in enumerate(labels)}
-    backfill = [row_of[a] for a in popularity] + index.id_order.tolist()
+    row_of = {a: i for i, a in enumerate(index.article_ids)}
+    by_id = sorted(range(len(index)), key=index.article_ids.__getitem__)
+    backfill = [row_of[a] for a in popularity if a in row_of] + by_id
     served = []
     for customer in customers:
         profile = profiles.get(customer)
         picks, excluded = [], set()
         if profile is not None and profile.vector is not None:
             excluded = set(profile.rows.tolist())
-            k = min(n + len(excluded), len(index))
             sims = ix.similarities(index, profile.vector[None])[0]
-            nearest = ix.top_rows(sims, index.id_rank, k).tolist()
-            picks = [row for row in nearest if row not in excluded][:n]
+            ranked = full_sort(sims, index.article_ids)
+            picks = [row for row in ranked if row not in excluded][:n]
         for row in backfill:
             if len(picks) == n:
                 break
@@ -751,7 +763,7 @@ def loop_serve(customers, log, index, popularity, n):
             raise InsufficientCandidatesError(
                 f"only {len(picks)} of {n} candidates available for {customer}"
             )
-        served.append(tuple(labels[row] for row in picks))
+        served.append(tuple(index.article_ids[row] for row in picks))
     return served
 
 
@@ -814,7 +826,9 @@ class TestBlockSelection:
             # a block holds one to four customers
             monkeypatch.setattr(ix, "BLOCK_SCORES", n_rows * int(rng.integers(1, 5)))
             n = int(rng.integers(1, 16))  # at times more than the index holds
-            outcomes.append(self.check(rng, n_rows, int(rng.integers(2, 6)), 25, n)[0])
+            # those who bought nearly everything keep n - 1 to n + 2 rows, so
+            # some are one short and some are served
+            outcomes.append(self.check(rng, n_rows, int(rng.integers(2, 6)), 25, n, n - 1)[0])
         assert outcomes.count("short") > 5 and outcomes.count("served") > 5
 
     def test_more_warm_customers_than_one_block_holds(self):

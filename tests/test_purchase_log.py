@@ -97,7 +97,7 @@ def positives_of(records, inventory):
 def profiles_of(records, index):
     bought = defaultdict(set)
     for r in records:
-        if r.article_id in index:
+        if r.article_id in index.article_ids:
             bought[r.customer_id].add(r.article_id)
     profiles = {}
     for customer, purchased in bought.items():
@@ -151,7 +151,7 @@ def test_generated_log_has_every_case(world):
     assert len(set(records)) < len(records)
     assert max(len(b) for _, b in sessions_of(records)) >= 3
     assert {r.customer_id for r in holdout} - {r.customer_id for r in train}
-    assert not all(r.article_id in world["index"] for r in records)
+    assert not all(r.article_id in world["index"].article_ids for r in records)
     assert world["ingested"].article_ids != tuple(sorted(world["catalog"]))  # dropped ids remain
 
 
