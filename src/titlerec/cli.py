@@ -9,12 +9,12 @@ The holdout convention is shared by every stage that needs it: the final
 ``holdout_days`` calendar days of the joined transaction log are reserved
 as ground truth, and training, customer profiles and the popularity
 ranking used for serving all draw from the remaining earlier window. Each
-stage reads ``transactions.tsv`` once, into a ``corpus.PurchaseLog`` of
+stage reads ``transactions.bin`` once, into a ``corpus.PurchaseLog`` of
 integer columns, and splits, groups and counts it with array operations.
 
 Artifacts (inside the workdir):
     prepared_articles.tsv  cleaned one-line text per article
-    transactions.tsv       catalog-joined purchase log, in input order
+    transactions.bin       catalog-joined purchase log (TRLOG001), in input order
     ingest_summary.json    row counts and the missing-description histogram
     stats.txt              text-length and missing-description histograms
     vocab.txt              one token per line, line number = id
@@ -60,7 +60,7 @@ from .ioutil import atomic_write_text
 from .tokenizer import FIRST_WORD_ID, Vocabulary, build_vocab, encode_single
 
 PREPARED_FILE = "prepared_articles.tsv"
-TRANSACTIONS_FILE = "transactions.tsv"
+TRANSACTIONS_FILE = "transactions.bin"
 INGEST_SUMMARY_FILE = "ingest_summary.json"
 STATS_FILE = "stats.txt"
 VOCAB_FILE = "vocab.txt"
@@ -141,9 +141,10 @@ FIELD_RULES = {
     "text_columns": (tuple,),
     **dict.fromkeys(
         ("min_freq", "d_model", "n_heads", "n_layers", "d_ff", "batch_size",
-         "negatives_per_positive", "holdout_days", "top_n"),
+         "negatives_per_positive", "holdout_days"),
         (int, (">=", 1)),
     ),
+    "top_n": (int, ("==", evaluation.PREDICTION_WIDTH)),  # the submission's row width
     **dict.fromkeys(("epochs", "max_steps", "seed"), (int, (">=", 0))),
     "max_vocab": (int, (">=", FIRST_WORD_ID + 1)),
     "max_len": (int, (">=", 5)),
@@ -151,7 +152,8 @@ FIELD_RULES = {
     **dict.fromkeys(("layer_norm_epsilon", "learning_rate"), (float, (">", 0.0))),
     "pooling": (str, ("in", ("mean", "cls"))),
 }
-COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "in": lambda v, c: v in c}
+COMPARISONS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt, "<": operator.lt,
+               "in": lambda v, c: v in c}
 # each type's test and its name: an int counts as a float, a bool as neither
 TYPES = {
     int: (lambda v: type(v) is int, "an integer"),
@@ -233,6 +235,19 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
+def _load_joined(workdir: Path, catalog: tuple[str, ...]) -> corpus.PurchaseLog:
+    """The ingested purchase log; refused if it names an article outside the catalog."""
+    path = _require(workdir / TRANSACTIONS_FILE, "titlerec ingest")
+    joined = corpus.load_saved_transactions(path)
+    # the log's article table holds only the ids its rows use
+    strays = set(joined.article_ids).difference(catalog)
+    if strays:
+        raise UnknownArticleError(
+            f"{path}: article {min(strays)!r} is not in the catalog; re-run `titlerec ingest`"
+        )
+    return joined
+
+
 def _write_json(path: Path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -305,9 +320,8 @@ def cmd_stats(config: PipelineConfig) -> str:
 def cmd_train(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
-    joined = corpus.load_saved_transactions(
-        _require(workdir / TRANSACTIONS_FILE, "titlerec ingest")
-    )
+    catalog = tuple(p.article_id for p in prepared)
+    joined = _load_joined(workdir, catalog)
     train_window, _ = evaluation.temporal_split(joined, config.holdout_days)
 
     vocab = build_vocab(prepared, config.min_freq, config.max_vocab)
@@ -326,7 +340,7 @@ def cmd_train(config: PipelineConfig) -> str:
         if any(token_id >= FIRST_WORD_ID for token_id in ids[: config.max_len - 2])
     ]
     positives = objectives.positive_table(
-        train_window, [p.article_id for p in prepared], config.negatives_per_positive
+        train_window, list(catalog), config.negatives_per_positive
     )
 
     batch = config.batch_size
@@ -371,8 +385,7 @@ def cmd_train(config: PipelineConfig) -> str:
 
 
 def _load_customer_universe(config: PipelineConfig, joined: corpus.PurchaseLog) -> list[str]:
-    seen = np.bincount(joined.customers, minlength=len(joined.customer_ids))
-    universe = {joined.customer_ids[code] for code in np.flatnonzero(seen).tolist()}
+    universe = set(joined.customer_ids)  # a saved log's table holds only used ids
     universe.discard("")
     if config.customer_list is not None:
         for line in Path(config.customer_list).read_text(encoding="utf-8").splitlines():
@@ -402,10 +415,6 @@ def cmd_recommend(config: PipelineConfig) -> str:
             f"{stored.vocab_size}; both must come from the same `titlerec train`"
         ) from None
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
-    joined = corpus.load_saved_transactions(
-        _require(workdir / TRANSACTIONS_FILE, "titlerec ingest")
-    )
-    train_window, _ = evaluation.temporal_split(joined, config.holdout_days)
 
     index_path = workdir / INDEX_FILE
     catalog = tuple(p.article_id for p in prepared)
@@ -415,9 +424,7 @@ def cmd_recommend(config: PipelineConfig) -> str:
         config.pooling,
     )
     stored = index_mod.load_index(index_path) if index_path.exists() else None
-    if stored is not None and stored.source == source:
-        article_index = stored
-    elif (
+    if (
         stored is not None
         and stored.source is not None
         and replace(stored.source, prepared_sha256=source.prepared_sha256) == source
@@ -428,20 +435,16 @@ def cmd_recommend(config: PipelineConfig) -> str:
         raise CheckpointMismatchError(
             f"{index_path} does not cover the prepared catalog; delete it to rebuild"
         )
+    # read after that check, so such a catalog is reported against the index,
+    # not the log, and before any article is embedded
+    joined = _load_joined(workdir, catalog)
+    if stored is not None and stored.source == source:
+        article_index = stored
     else:
         # absent, or built from other texts, checkpoint or pooling, or of unknown origin
         article_index = index_mod.build_index(prepared, params, vocab, config.pooling, source)
         index_mod.save_index(article_index, index_path)
-
-    # a log re-written since ingest may name articles the catalog lacks
-    counts = np.bincount(train_window.articles, minlength=len(train_window.article_ids))
-    bought = {train_window.article_ids[a] for a in np.flatnonzero(counts).tolist()}
-    strays = sorted(bought.difference(article_index.article_ids))
-    if strays:
-        raise UnknownArticleError(
-            f"{workdir / TRANSACTIONS_FILE}: article {strays[0]!r} of the train window is "
-            "not in the catalog; re-run `titlerec ingest`"
-        )
+    train_window, _ = evaluation.temporal_split(joined, config.holdout_days)
     customers = _load_customer_universe(config, joined)
     picks = index_mod.serve(
         customers,

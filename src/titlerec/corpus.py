@@ -9,12 +9,26 @@ against the catalog is a mask over article codes, and per-customer-day
 sessions come from one stable sort. Each loader checks and converts each
 distinct cell string once. All functions are pure with respect to their
 inputs; loaders perform no shared mutation and are safe to call concurrently.
+
+``ingest`` saves the joined log as its integer columns, which later stages
+read back with ``np.frombuffer``. Layout (version TRLOG001, little-endian):
+    magic        8 bytes  b"TRLOG001"
+    counts       3 x uint32 (rows, customers, articles)
+    customers    customers x uint32 byte lengths, then the utf-8 ids
+                 (stripped; the blank id is allowed)
+    articles     articles x 10 ascii digits
+    columns      rows x int64 day ordinals, then rows x int64 customer
+                 codes, then rows x int64 article codes
+
+Each table holds only ids that some row uses, in strictly ascending
+order, so codes order as their ids do.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+import struct
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -24,8 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text
+from .ioutil import ByteReader, atomic_write_bytes, atomic_write_text
 from .errors import (
+    ArtifactFormatError,
     DuplicateArticleIdError,
     InputFileError,
     MalformedRowError,
@@ -174,10 +189,6 @@ def _codes(values: Sequence[str], canonical: dict[str, str]) -> tuple[np.ndarray
     return np.fromiter(map(code.__getitem__, values), np.int64, len(values)), table
 
 
-def _day_numbers(values: Sequence[str], ordinal: dict[str, int]) -> np.ndarray:
-    return np.fromiter(map(ordinal.__getitem__, values), np.int64, len(values))
-
-
 def load_articles(path: str | Path) -> list[ArticleRecord]:
     """Load the article catalog.
 
@@ -254,7 +265,7 @@ def load_transactions(path: str | Path) -> PurchaseLog:
         customer_cells, {raw: raw.strip() for raw in set(customer_cells)}
     )
     articles, article_ids = _codes(cells["article_id"], parsed["article_id"])
-    days = _day_numbers(cells["t_dat"], parsed["t_dat"])
+    days = np.fromiter(map(parsed["t_dat"].__getitem__, cells["t_dat"]), np.int64, len(rows))
     return PurchaseLog(days, customers, articles, customer_ids, article_ids)
 
 
@@ -313,7 +324,7 @@ def text_length_histogram(articles: list[PreparedArticle]) -> dict[int, int]:
     return {length: counts[length] for length in sorted(counts)}
 
 
-# --- workdir persistence (tab-separated; cleaned text contains no tabs) ---
+# --- workdir persistence (prepared texts tab-separated: cleaned text has no tabs) ---
 
 
 def save_prepared(articles: list[PreparedArticle], path: str | Path) -> None:
@@ -339,83 +350,70 @@ def load_prepared(path: str | Path) -> list[PreparedArticle]:
     return out
 
 
-_TRANSACTIONS_HEADER = "t_dat\tcustomer_id\tarticle_id"
-# transactions.tsv as an earlier ingest wrote it, with price and channel
-_OLD_TRANSACTIONS_HEADER = _TRANSACTIONS_HEADER + "\tprice\tsales_channel_id"
-
-
-# One saved row: three tab-separated fields free of line boundaries (every
-# character ``str.splitlines`` splits at), then a newline.
-_SAVED_FIELD = r"[^\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*"
-_SAVED_ROWS_RE = re.compile(f"(?:{_SAVED_FIELD}\t{_SAVED_FIELD}\t{_SAVED_FIELD}\n)*")
-
-
-def _saved_day(raw: str) -> int:
-    return date.fromisoformat(raw).toordinal()
+LOG_MAGIC = b"TRLOG001"
 
 
 def save_transactions(log: PurchaseLog, path: str | Path) -> None:
-    """Write the log as tab-separated rows of ISO date, customer id and
-    article id, formatting each distinct day once."""
-    days, day_codes = np.unique(log.days, return_inverse=True)
-    day_text = [date.fromordinal(day).isoformat() for day in days.tolist()]
-    cells = np.empty((len(log), 3), dtype=object)
-    cells[:, 0] = _cell_texts(day_text, "\t")[day_codes]
-    cells[:, 1] = _cell_texts(log.customer_ids, "\t")[log.customers]
-    cells[:, 2] = _cell_texts(log.article_ids, "\n")[log.articles]
-    atomic_write_text(path, _TRANSACTIONS_HEADER + "\n" + "".join(cells.ravel().tolist()))
+    """Write the log in the TRLOG001 layout, over tables of only the ids
+    that some purchase uses."""
+    customers, customer_codes = np.unique(log.customers, return_inverse=True)
+    articles, article_codes = np.unique(log.articles, return_inverse=True)
+    customer_ids = [log.customer_ids[code].encode("utf-8") for code in customers.tolist()]
+    article_ids = [log.article_ids[code] for code in articles.tolist()]
+    if not all(len(a) == 10 and a.isascii() and a.isdigit() for a in article_ids):
+        raise ArtifactFormatError(f"{path}: an article id is not 10 ascii digits")
+    atomic_write_bytes(path, b"".join([
+        LOG_MAGIC,
+        struct.pack("<3I", len(log), len(customers), len(articles)),
+        np.array([len(c) for c in customer_ids], dtype="<u4").tobytes(),
+        *customer_ids,
+        "".join(article_ids).encode("ascii"),
+        *(column.astype("<i8").tobytes() for column in (log.days, customer_codes, article_codes)),
+    ]))
 
 
-def _cell_texts(table: Sequence[str], end: str) -> np.ndarray:
-    """Each entry of ``table`` followed by ``end``, as an object array to
-    gather from by code."""
-    return np.array([text + end for text in table], dtype=object)
-
-
-def _saved_fields_slowly(path: str | Path, text: str) -> list[str]:
-    """The fields of every row, row by row, for a file that is not exactly
-    header and rows each ending in a newline: a wrong header, a row of the
-    wrong shape or an unparsable date raises, naming the first bad row."""
-    lines = text.splitlines()
-    if lines and lines[0] == _OLD_TRANSACTIONS_HEADER:
-        raise MalformedRowError(
-            f"{path}: written by an older ingest with price and sales_channel_id "
-            "columns; re-run `titlerec ingest`"
-        )
-    if not lines or lines[0] != _TRANSACTIONS_HEADER:
-        raise MalformedRowError(f"{path}: not a transactions file")
-    fields = []
-    for n, line in enumerate(lines[1:], start=1):
-        row = line.split("\t")
-        if len(row) != 3:
-            raise MalformedRowError(f"{path}: row {n} has {len(row)} fields, expected 3")
-        try:
-            _saved_day(row[0])
-        except ValueError:
-            raise MalformedRowError(f"{path}: row {n}: bad t_dat {row[0]!r}") from None
-        fields += row
-    return fields
+def _checked(path, kind: str, ids: list[str], rule: str, is_id: Callable, codes: np.ndarray):
+    """The table ``ids`` and its codes as writable int64, refused unless each id passes
+    ``is_id`` (as ``rule`` says), ids ascend strictly and codes and ids match one to one."""
+    for position, ident in enumerate(ids):
+        if not is_id(ident):
+            raise ArtifactFormatError(f"{path}: {kind} id {ident!r} is not {rule}")
+        if position and ids[position - 1] >= ident:
+            raise ArtifactFormatError(f"{path}: {kind} ids do not ascend at {ident!r}")
+    codes = codes.astype(np.int64)
+    outside = np.flatnonzero((codes < 0) | (codes >= len(ids)))
+    if len(outside):
+        row = int(outside[0])
+        raise ArtifactFormatError(f"{path}: row {row + 1}: {kind} code {codes[row]} is out of range")
+    unused = np.flatnonzero(np.bincount(codes, minlength=len(ids)) == 0)
+    if len(unused):
+        raise ArtifactFormatError(f"{path}: {kind} id {ids[unused[0]]!r} is used by no row")
+    return tuple(ids), codes
 
 
 def load_saved_transactions(path: str | Path) -> PurchaseLog:
-    """Read ``transactions.tsv`` as written by ``save_transactions``.
-
-    One regular-expression match checks the shape of every row at once;
-    only a file that fails it is scanned row by row, to name its first bad
-    row. Each distinct date string is parsed once.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    start = len(_TRANSACTIONS_HEADER) + 1
-    if text.startswith(_TRANSACTIONS_HEADER + "\n") and _SAVED_ROWS_RE.fullmatch(text, start):
-        fields = text[start:].replace("\n", "\t").split("\t")[:-1]
-    else:
-        fields = _saved_fields_slowly(path, text)
-    dates, customer_cells, article_cells = fields[0::3], fields[1::3], fields[2::3]
-    ordinal, bad = _parse_each(dates, _saved_day)
-    if bad is not None:
-        raise MalformedRowError(f"{path}: row {bad + 1}: bad t_dat {dates[bad]!r}")
-    customers, customer_ids = _codes(customer_cells, {c: c for c in set(customer_cells)})
-    articles, article_ids = _codes(article_cells, {a: a for a in set(article_cells)})
-    return PurchaseLog(
-        _day_numbers(dates, ordinal), customers, articles, customer_ids, article_ids
+    """Read a TRLOG001 file as written by ``save_transactions``; a file that breaks the
+    layout's rules raises ``ArtifactFormatError`` naming it. Each id is checked once."""
+    reader = ByteReader(Path(path).read_bytes(), str(path))
+    if reader.take(len(LOG_MAGIC)) != LOG_MAGIC:
+        raise ArtifactFormatError(f"{path}: bad magic, not a purchase log")
+    rows, n_customers, n_articles = reader.unpack("<3I")
+    ends = np.cumsum(reader.array("<u4", n_customers), dtype=np.int64).tolist()
+    customer_bytes = reader.take(ends[-1] if ends else 0)
+    try:
+        customer_ids = [customer_bytes[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
+    except UnicodeDecodeError as exc:
+        raise ArtifactFormatError(f"{path}: a customer id is not utf-8 ({exc})") from None
+    article_text = reader.text(10 * n_articles, "ascii")
+    article_ids = [article_text[at : at + 10] for at in range(0, len(article_text), 10)]
+    days, customers, articles = (reader.array("<i8", rows) for _ in range(3))
+    reader.finish()
+    customer_ids, customers = _checked(
+        path, "customer", customer_ids, "stripped", lambda c: c == c.strip(), customers
     )
+    article_ids, articles = _checked(path, "article", article_ids, "10 digits", str.isdigit, articles)
+    bad_days = np.flatnonzero((days < 1) | (days > date.max.toordinal()))
+    if len(bad_days):
+        row = int(bad_days[0])
+        raise ArtifactFormatError(f"{path}: row {row + 1}: day {days[row]} is not a date ordinal")
+    return PurchaseLog(days.astype(np.int64), customers, articles, customer_ids, article_ids)

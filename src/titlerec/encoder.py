@@ -93,7 +93,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .ioutil import atomic_write_bytes
+from .ioutil import ByteReader, atomic_write_bytes
 from .errors import (
     ArtifactFormatError,
     CheckpointMismatchError,
@@ -855,43 +855,6 @@ def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
     atomic_write_bytes(path, b"".join(chunks))
 
 
-class ByteReader:
-    """Cursor over a binary blob that fails loudly on truncation, on text
-    that does not decode and on trailing bytes."""
-
-    def __init__(self, blob: bytes, source: str):
-        self.blob = blob
-        self.source = source
-        self.offset = 0
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise ArtifactFormatError(f"{self.source}: truncated at byte {self.offset}")
-        piece = self.blob[self.offset : self.offset + n]
-        self.offset += n
-        return piece
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int, encoding: str) -> str:
-        """The next ``n`` bytes decoded as ``encoding``."""
-        start = self.offset
-        try:
-            return self.take(n).decode(encoding)
-        except UnicodeDecodeError:
-            raise ArtifactFormatError(
-                f"{self.source}: bytes {start}..{self.offset} are not {encoding} text"
-            ) from None
-
-    def finish(self) -> None:
-        """Refuse bytes past the last one read."""
-        if self.offset != len(self.blob):
-            raise ArtifactFormatError(
-                f"{self.source}: {len(self.blob) - self.offset} trailing bytes"
-            )
-
-
 def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = None) -> EncoderParams:
     """Read a TRENC001 checkpoint; any structural inconsistency fails loudly.
 
@@ -920,7 +883,7 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
         (ndim,) = reader.unpack("<B")
         shape = reader.unpack(f"<{ndim}I")
         size = int(np.prod(shape)) if ndim else 1
-        tensors[name] = np.frombuffer(reader.take(size * 8), dtype="<f8").reshape(shape)
+        tensors[name] = reader.array("<f8", size).reshape(shape)
     reader.finish()
     expected_shapes = parameter_shapes(config)
     if set(tensors) != set(expected_shapes):

@@ -279,24 +279,16 @@ def manual_eval_report(
     type_of = {a.article_id: a.product_type_name for a in articles}
     text_of = {p.article_id: p.text for p in prepared}
 
-    purchased: list[str] = []
-    purchased_types: set[str] = set()
-    seen: set[str] = set()
-    for article_id in bought:
-        if article_id in seen:
-            continue
-        seen.add(article_id)
-        kind = type_of.get(article_id, "?")
-        purchased.append(f"  {article_id}  {kind}  {text_of.get(article_id, '')}")
-        purchased_types.add(kind)
+    def listed(article_ids: list[str]) -> tuple[list[str], set[str]]:
+        """One line per article, and the product types they cover."""
+        kinds = [type_of.get(article_id, "?") for article_id in article_ids]
+        return [
+            f"  {article_id}  {kind}  {text_of.get(article_id, '')}"
+            for article_id, kind in zip(article_ids, kinds)
+        ], set(kinds)
 
-    recommended: list[str] = []
-    recommended_types: set[str] = set()
-    for article_id in recommendations:
-        kind = type_of.get(article_id, "?")
-        recommended.append(f"  {article_id}  {kind}  {text_of.get(article_id, '')}")
-        recommended_types.add(kind)
-
+    purchased, purchased_types = listed(list(dict.fromkeys(bought)))
+    recommended, recommended_types = listed(recommendations)
     overlap = sorted(purchased_types & recommended_types)
     lines = [f"customer: {customer_id}", ""]
     lines.append(f"purchased items ({len(purchased)}):")

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import encoder as enc
 from .corpus import PreparedArticle, PurchaseLog
-from .ioutil import atomic_write_bytes
+from .ioutil import ByteReader, atomic_write_bytes
 from .errors import (
     ArtifactFormatError,
     DegenerateEmbeddingError,
@@ -391,7 +391,7 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> EmbeddingIndex:
     blob = Path(path).read_bytes()
-    reader = enc.ByteReader(blob, str(path))
+    reader = ByteReader(blob, str(path))
     if reader.take(len(INDEX_MAGIC)) != INDEX_MAGIC:
         raise ArtifactFormatError(f"{path}: bad magic, not an index file")
     count, dim, tag_len = reader.unpack("<2IB")
@@ -399,7 +399,7 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     if tag != METRIC_TAG:
         raise ArtifactFormatError(f"{path}: unsupported metric {tag!r}")
     article_ids = tuple(reader.text(10, "ascii") for _ in range(count))
-    vectors = np.frombuffer(reader.take(count * dim * 8), dtype="<f8").reshape(count, dim)
+    vectors = reader.array("<f8", count * dim).reshape(count, dim)
     source = None
     if reader.offset != len(blob):
         magic = reader.take(len(SOURCE_MAGIC))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import struct
 from datetime import date, timedelta
 
 import numpy as np
@@ -188,3 +189,19 @@ def log_rows(log: PurchaseLog) -> list[tuple[date, str, str]]:
             log.days.tolist(), log.customers.tolist(), log.articles.tolist()
         )
     ]
+
+
+def trlog_bytes(log: PurchaseLog, magic: bytes = b"TRLOG001") -> bytes:
+    """The TRLOG001 bytes of ``log`` exactly as given: its tables are not
+    compacted or checked, so a test can write a file that breaks the rules."""
+    customer_ids = [c.encode("utf-8") for c in log.customer_ids]
+    parts = [
+        magic,
+        struct.pack("<3I", len(log.days), len(customer_ids), len(log.article_ids)),
+        *(struct.pack("<I", len(c)) for c in customer_ids),
+        *customer_ids,
+        *(a.encode("utf-8") for a in log.article_ids),
+        *(struct.pack(f"<{len(log.days)}q", *column.tolist())
+          for column in (log.days, log.customers, log.articles)),
+    ]
+    return b"".join(parts)

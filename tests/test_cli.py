@@ -7,6 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,15 @@ from titlerec import encoder as enc
 from titlerec import index as ix
 from titlerec.errors import InvalidConfigError
 
-from synth import ARTICLE_HEADER, TRANSACTION_HEADER, purchase_log, small_inputs, to_csv
+from synth import (
+    ARTICLE_HEADER,
+    TRANSACTION_HEADER,
+    log_rows,
+    purchase_log,
+    small_inputs,
+    to_csv,
+    trlog_bytes,
+)
 
 TINY_MODEL = [
     "--d-model", "8",
@@ -31,6 +41,84 @@ TINY_MODEL = [
 
 def run_cli(*args):
     return cli.main([str(a) for a in args])
+
+
+def add_purchases(path, rows):
+    """Append (date, customer id, article id) rows to the purchase log at ``path``."""
+    log = corpus.load_saved_transactions(path)
+    corpus.save_transactions(purchase_log(log_rows(log) + rows), path)
+
+
+def _swap_first_two(ids):
+    return (ids[1], ids[0], *ids[2:])
+
+
+def _set(column, at, value):
+    column = column.copy()
+    column[at] = value
+    return column
+
+
+# Each way a purchase log can break the TRLOG001 rules: a function of the
+# file's bytes and its loaded log that returns the broken bytes, and how the
+# refusal goes on after "<path>: ".
+BROKEN_LOGS = {
+    "bad-magic": (lambda blob, log: b"TRLOG000" + blob[8:], "bad magic, not a purchase log"),
+    "truncated": (lambda blob, log: blob[:-1], "truncated at byte"),
+    "trailing-bytes": (lambda blob, log: blob + b"\0", "1 trailing bytes"),
+    "customers-not-ascending": (
+        lambda blob, log: trlog_bytes(replace(log, customer_ids=_swap_first_two(log.customer_ids))),
+        "customer ids do not ascend at",
+    ),
+    "articles-not-ascending": (
+        lambda blob, log: trlog_bytes(replace(log, article_ids=_swap_first_two(log.article_ids))),
+        "article ids do not ascend at",
+    ),
+    "article-not-digits": (
+        lambda blob, log: trlog_bytes(replace(log, article_ids=("01087x5015", *log.article_ids[1:]))),
+        "article id '01087x5015' is not 10 digits",
+    ),
+    "article-not-ascii": (
+        lambda blob, log: trlog_bytes(replace(log, article_ids=("01087755é", *log.article_ids[1:]))),
+        "bytes ",  # the range of the article table, then "are not ascii text"
+    ),
+    "customer-not-utf8": (
+        # the first byte of the customer ids, after the magic, counts and lengths
+        lambda blob, log: blob[:20 + 4 * len(log.customer_ids)] + b"\xff"
+        + blob[21 + 4 * len(log.customer_ids):],
+        "a customer id is not utf-8",
+    ),
+    "customer-not-stripped": (
+        lambda blob, log: trlog_bytes(replace(log, customer_ids=(" a", *log.customer_ids[1:]))),
+        "customer id ' a' is not stripped",
+    ),
+    "customer-code-out-of-range": (
+        lambda blob, log: trlog_bytes(
+            replace(log, customers=_set(log.customers, 3, len(log.customer_ids)))
+        ),
+        "row 4: customer code",
+    ),
+    "article-code-negative": (
+        lambda blob, log: trlog_bytes(replace(log, articles=_set(log.articles, 0, -1))),
+        "row 1: article code -1 is out of range",
+    ),
+    "unused-customer": (
+        lambda blob, log: trlog_bytes(replace(log, customer_ids=(*log.customer_ids, "zzz"))),
+        "customer id 'zzz' is used by no row",
+    ),
+    "unused-article": (
+        lambda blob, log: trlog_bytes(replace(log, article_ids=(*log.article_ids, "9999999999"))),
+        "article id '9999999999' is used by no row",
+    ),
+    "day-zero": (
+        lambda blob, log: trlog_bytes(replace(log, days=_set(log.days, 2, 0))),
+        "row 3: day 0 is not a date ordinal",
+    ),
+    "day-past-date-max": (
+        lambda blob, log: trlog_bytes(replace(log, days=_set(log.days, 1, 3652060))),
+        "row 2: day 3652060 is not a date ordinal",
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +243,21 @@ class TestLoadConfig:
             "seed": "an integer >= 0, got '1'",
             "learning_rate": f"a finite number > 0.0, got {value!r}",
             "d_model": "an integer >= 1, got '64'",
-            "top_n": "an integer >= 1, got '12'",
+            "top_n": "an integer == 12, got '12'",
         }[name]
+        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        assert after == before
+
+    def test_top_n_other_than_the_submission_width_refused(self, pipeline, tmp_path, capsys):
+        # every submission row holds 12 ids, so any other top_n would embed and
+        # serve every customer before the submission refused its rows
+        clone = fresh_copy(pipeline, tmp_path)
+        (clone["workdir"] / cli.INDEX_FILE).unlink()
+        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        capsys.readouterr()
+        assert run_cli("recommend", *clone["base"], "--top-n", "5") == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: InvalidConfigError: top_n must be an integer == 12, got 5"
         after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
         assert after == before
 
@@ -425,6 +526,26 @@ class TestTrain:
             (params[name] == seeded[name]).all() for name in params.tensors
         )
 
+    @pytest.mark.parametrize("window", ["train", "holdout"])
+    def test_article_outside_the_catalog_refused_naming_the_log(
+        self, pipeline, tmp_path, capsys, window
+    ):
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.TRANSACTIONS_FILE
+        days = corpus.load_saved_transactions(path).days
+        day = date.fromordinal(int(days.min() if window == "train" else days.max()))
+        add_purchases(path, [(day, "shopper000", "9999999999")] * 2)
+        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        capsys.readouterr()
+        assert run_cli("train", *clone["base"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: UnknownArticleError: {path}: article '9999999999' is not in the "
+            "catalog; re-run `titlerec ingest`"
+        )
+        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        assert after == before
+
     def test_requires_ingest(self, tmp_path, capsys):
         rc = run_cli("train", "--workdir", tmp_path / "w")
         assert rc == 1
@@ -468,21 +589,38 @@ class TestRecommend:
         clone = fresh_copy(pipeline, tmp_path)
         (clone["workdir"] / cli.SUBMISSION_FILE).unlink()
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        day, customer, article = first.rstrip("\n").split("\t")  # the earliest, a train day
+        log = corpus.load_saved_transactions(path)
+        day = date.fromordinal(int(log.days.min()))  # the earliest, a train day
         if fault == "foreign article":
-            extra = [f"{day}\tshopper{c % 15:03d}\t9999999999\n" for c in range(40)]
-            stray = "'9999999999'"
+            add_purchases(path, [(day, f"shopper{c % 15:03d}", "9999999999") for c in range(40)])
+            expected = (
+                f"error: UnknownArticleError: {path}: article '9999999999' is not in the "
+                "catalog; re-run `titlerec ingest`"
+            )
         else:
-            extra = [f"{day}\t{customer}\t{article[:5]}\0{article[5:]}\n"]
-            stray = repr(f"{article[:5]}\0{article[5:]}")
-        path.write_text(header + first + "".join(extra) + "".join(rest), encoding="utf-8")
+            # the log's reader refuses an id that is not 10 digits before any catalog check
+            article = log.article_ids[0]
+            nul = f"{article[:5]}\0{article[6:]}"
+            path.write_bytes(trlog_bytes(replace(log, article_ids=(nul, *log.article_ids[1:]))))
+            expected = f"error: ArtifactFormatError: {path}: article id {nul!r} is not 10 digits"
+        capsys.readouterr()
+        assert run_cli("recommend", *clone["base"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == expected
+        assert not (clone["workdir"] / cli.SUBMISSION_FILE).exists()
+
+    def test_holdout_window_article_outside_the_catalog_refused(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        (clone["workdir"] / cli.SUBMISSION_FILE).unlink()
+        path = clone["workdir"] / cli.TRANSACTIONS_FILE
+        last_day = date.fromordinal(int(corpus.load_saved_transactions(path).days.max()))
+        add_purchases(path, [(last_day, "strayshopper", "9999999999")])
         capsys.readouterr()
         assert run_cli("recommend", *clone["base"]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line == (
-            f"error: UnknownArticleError: {path}: article {stray} of the train window is "
-            "not in the catalog; re-run `titlerec ingest`"
+            f"error: UnknownArticleError: {path}: article '9999999999' is not in the "
+            "catalog; re-run `titlerec ingest`"
         )
         assert not (clone["workdir"] / cli.SUBMISSION_FILE).exists()
 
@@ -847,25 +985,43 @@ class TestErrorSurface:
 
 
     def test_older_workdir_transactions_refused(self, pipeline, tmp_path, capsys):
-        # an ingest before price and sales_channel_id were dropped wrote five columns
+        # an earlier ingest wrote the log as text, to transactions.tsv
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        lines = path.read_text(encoding="utf-8").splitlines()
-        old = [lines[0] + "\tprice\tsales_channel_id"] + [line + "\t0.05\t2" for line in lines[1:]]
-        path.write_text("\n".join(old) + "\n", encoding="utf-8")
+        rows = log_rows(corpus.load_saved_transactions(path))
+        path.unlink()
+        (clone["workdir"] / "transactions.tsv").write_text(
+            "t_dat\tcustomer_id\tarticle_id\tprice\tsales_channel_id\n"
+            + "".join(f"{day}\t{customer}\t{article}\t0.05\t2\n" for day, customer, article in rows),
+            encoding="utf-8",
+        )
         for command in ("train", "recommend", "evaluate"):
             assert run_cli(command, *clone["base"]) == 1, command
-            captured = capsys.readouterr()
-            (line,) = captured.err.splitlines()
-            assert line.startswith("error: MalformedRowError: ")
-            assert "re-run `titlerec ingest`" in line
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line == (
+                f"error: MissingArtifactError: {path} not found; run `titlerec ingest` first"
+            )
+
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    @pytest.mark.parametrize("fault", sorted(BROKEN_LOGS))
+    def test_corrupt_purchase_log_refused(self, pipeline, tmp_path, capsys, fault, command):
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.TRANSACTIONS_FILE
+        corrupt, message = BROKEN_LOGS[fault]
+        path.write_bytes(corrupt(path.read_bytes(), corpus.load_saved_transactions(path)))
+        # recommend reads the log before it embeds a missing index
+        (clone["workdir"] / cli.INDEX_FILE).unlink()
+        capsys.readouterr()
+        assert run_cli(command, *clone["base"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: ArtifactFormatError: {path}: {message}")
+        assert captured.out == ""
+        assert not (clone["workdir"] / cli.INDEX_FILE).exists()
 
     @pytest.mark.parametrize(
         "artifact, row, field, bad, command, message",
         [
-            (cli.TRANSACTIONS_FILE, 3, 0, "2020-13-45", "evaluate",
-             "row 3: bad t_dat '2020-13-45'"),
-            (cli.TRANSACTIONS_FILE, 2, 0, "2020-02-30", "train", "row 2: bad t_dat '2020-02-30'"),
             (cli.PREPARED_FILE, 4, 2, "four", "stats", "row 4: bad text_len 'four'"),
             (cli.PREPARED_FILE, 1, 2, "1.5", "train", "row 1: bad text_len '1.5'"),
         ],

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 
 from titlerec import corpus
 from titlerec.errors import (
+    ArtifactFormatError,
     DuplicateArticleIdError,
     MalformedRowError,
     MissingColumnError,
@@ -13,7 +14,7 @@ from titlerec.errors import (
     UnparsableDateError,
 )
 
-from synth import log_rows
+from synth import log_rows, purchase_log, trlog_bytes
 
 ARTICLES_CSV = """article_id,prod_name,product_type_name,index_name,detail_desc
 108775015,Strap top,Vest top,Ladieswear,Jersey top with narrow shoulder straps.
@@ -236,28 +237,62 @@ class TestPersistence:
 
     def test_transactions_round_trip(self, tmp_path):
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
-        corpus.save_transactions(transactions, tmp_path / "tx.tsv")
-        loaded = corpus.load_saved_transactions(tmp_path / "tx.tsv")
+        corpus.save_transactions(transactions, tmp_path / "tx.bin")
+        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin")
         assert log_rows(loaded) == log_rows(transactions)
+        assert loaded.customer_ids == transactions.customer_ids
+        assert loaded.article_ids == transactions.article_ids
         for column in ("days", "customers", "articles"):
             assert np.array_equal(getattr(loaded, column), getattr(transactions, column))
             assert getattr(loaded, column).dtype == np.int64
+            assert getattr(loaded, column).flags.writeable
+
+    def test_round_trip_keeps_only_the_ids_rows_use(self, tmp_path):
+        # a join that drops every purchase of one article and of customer def
+        text = TRANSACTIONS_CSV + "2020-09-02, ,0000000007,,\n2020-09-02,é z,0000000003,,\n"
+        transactions = corpus.load_transactions(write(tmp_path, "t.csv", text))
+        joined = transactions.select(transactions.customers != 2)  # "", "abc", "def", "é z"
+        joined = joined.of_articles(["0000000003", "0000095002", "0108775015"])
+        assert joined.customer_ids == ("", "abc", "def", "é z")
+        assert joined.article_ids == ("0000000003", "0000000007", "0000095002", "0108775015")
+        corpus.save_transactions(joined, tmp_path / "tx.bin")
+        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin")
+        assert log_rows(loaded) == log_rows(joined)
+        assert loaded.customer_ids == ("abc", "é z")
+        assert loaded.article_ids == ("0000000003", "0000095002", "0108775015")
+        assert loaded.customers.tolist() == [0, 0, 0, 1]
+        assert loaded.articles.tolist() == [2, 1, 2, 0]
+        assert {loaded.days.dtype, loaded.customers.dtype, loaded.articles.dtype} == {
+            np.dtype(np.int64)
+        }
 
     def test_saved_transactions_keep_three_columns(self, tmp_path):
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
-        corpus.save_transactions(transactions.select(np.arange(4) < 1), tmp_path / "tx.tsv")
-        assert (tmp_path / "tx.tsv").read_text(encoding="utf-8") == (
-            "t_dat\tcustomer_id\tarticle_id\n2020-09-01\tabc\t0108775015\n"
+        corpus.save_transactions(transactions.select(np.arange(4) < 1), tmp_path / "tx.bin")
+        assert (tmp_path / "tx.bin").read_bytes() == (
+            b"TRLOG001"
+            + b"\x01\x00\x00\x00" * 3  # one row, one customer, one article
+            + b"\x03\x00\x00\x00abc"  # the table of used customer ids
+            + b"0108775015"  # the table of used article ids
+            + b"\x85\x41\x0b\x00\x00\x00\x00\x00"  # 2020-09-01 is day 737669
+            + b"\x00" * 16  # customer code 0, article code 0
         )
 
+    @pytest.mark.parametrize("article", ["123", "01087750150", "0108775O15", "010877501٥"])
+    def test_article_id_the_reader_would_refuse_is_not_written(self, tmp_path, article):
+        log = purchase_log([(date(2020, 9, 1), "abc", article)])
+        with pytest.raises(ArtifactFormatError, match="not 10 ascii digits"):
+            corpus.save_transactions(log, tmp_path / "tx.bin")
+        assert not (tmp_path / "tx.bin").exists()
+
     def test_five_column_transactions_from_older_ingest_refused(self, tmp_path):
-        (tmp_path / "tx.tsv").write_text(
+        (tmp_path / "tx.bin").write_text(
             "t_dat\tcustomer_id\tarticle_id\tprice\tsales_channel_id\n"
             "2020-09-01\tabc\t0108775015\t0.0508\t2\n",
             encoding="utf-8",
         )
-        with pytest.raises(MalformedRowError, match="re-run `titlerec ingest`"):
-            corpus.load_saved_transactions(tmp_path / "tx.tsv")
+        with pytest.raises(ArtifactFormatError, match=r"tx\.bin: bad magic, not a purchase log"):
+            corpus.load_saved_transactions(tmp_path / "tx.bin")
 
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "prepared.tsv").write_text("nope\n", encoding="utf-8")
@@ -265,44 +300,16 @@ class TestPersistence:
             corpus.load_prepared(tmp_path / "prepared.tsv")
 
     def test_bad_saved_date_names_file_and_row(self, tmp_path):
-        path = tmp_path / "tx.tsv"
-        path.write_text(
-            "t_dat\tcustomer_id\tarticle_id\n2020-09-01\tabc\t0108775015\n"
-            "2020-13-45\tabc\t0108775015\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(MalformedRowError, match=r"tx\.tsv: row 2: bad t_dat '2020-13-45'"):
-            corpus.load_saved_transactions(path)
-
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("a\tb\n", "row 1 has 2 fields, expected 3"),
-            ("2020-09-01\ta\tb\n2020-09-01\ta\tb\tc\n", "row 2 has 4 fields, expected 3"),
-            # a bad date before a row of the wrong shape is the first bad row
-            ("nope\ta\tb\n2020-09-01\ta\n", "row 1: bad t_dat 'nope'"),
-            ("2020-09-01\ta\tb\n2020-09-01\ta\n2020-13-45\ta\tb\n", "row 2 has 2 fields"),
-            ("2020-09-01\ta\u2028b\tc\n", "row 1 has 2 fields, expected 3"),
-        ],
-    )
-    def test_first_bad_saved_row_named(self, tmp_path, body, message):
-        path = tmp_path / "tx.tsv"
-        path.write_text("t_dat\tcustomer_id\tarticle_id\n" + body, encoding="utf-8")
-        with pytest.raises(MalformedRowError, match=message):
-            corpus.load_saved_transactions(path)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "t_dat\tcustomer_id\tarticle_id\n2020-09-01\tabc\t0108775015",
-            "t_dat\tcustomer_id\tarticle_id\r\n2020-09-01\tabc\t0108775015\r\n",
-        ],
-    )
-    def test_saved_file_read_line_by_line_when_not_newline_terminated(self, tmp_path, text):
-        path = tmp_path / "tx.tsv"
-        path.write_bytes(text.encode("utf-8"))
-        log = corpus.load_saved_transactions(path)
-        assert log_rows(log) == [(date(2020, 9, 1), "abc", "0108775015")]
+        log = purchase_log([(date(2020, 9, 1), "abc", "0108775015")] * 2)
+        path = tmp_path / "tx.bin"
+        for day in (0, date.max.toordinal() + 1):
+            path.write_bytes(trlog_bytes(replace(log, days=np.array([737669, day]))))
+            with pytest.raises(ArtifactFormatError, match=rf"tx\.bin: row 2: day {day} is not"):
+                corpus.load_saved_transactions(path)
+        path.write_bytes(trlog_bytes(replace(log, days=np.array([1, date.max.toordinal()]))))
+        assert [day for day, _, _ in log_rows(corpus.load_saved_transactions(path))] == [
+            date.min, date.max
+        ]
 
     def test_non_integer_text_len_names_file_and_row(self, tmp_path):
         path = tmp_path / "prepared.tsv"

@@ -23,7 +23,7 @@ from titlerec import cli, corpus, evaluation, objectives
 from titlerec import index as ix
 
 from conftest import profiles_by_customer
-from synth import log_rows, to_csv
+from synth import log_rows, purchase_log, to_csv, trlog_bytes
 
 HOLDOUT_DAYS = 7
 START = date(2020, 5, 1)
@@ -132,8 +132,8 @@ def world(tmp_path_factory):
         reread = list(csv.reader(fh))[1:]
     joined_records = [r for r in records_of(reread) if r.article_id in set(catalog)]
     ingested = corpus.load_transactions(path).of_articles(catalog)
-    corpus.save_transactions(ingested, tmp / "transactions.tsv")
-    log = corpus.load_saved_transactions(tmp / "transactions.tsv")
+    corpus.save_transactions(ingested, tmp / "transactions.bin")
+    log = corpus.load_saved_transactions(tmp / "transactions.bin")
     # the index leaves out a quarter of the catalog
     rng = np.random.default_rng(3)
     indexed = sorted(catalog[::4] + catalog[1::4] + catalog[2::4], reverse=True)
@@ -159,10 +159,11 @@ def test_loaded_rows_and_saved_file(world):
     records = world["records"]
     assert log_rows(world["ingested"]) == records
     assert log_rows(world["log"]) == records
-    expected = "t_dat\tcustomer_id\tarticle_id\n" + "".join(
-        f"{r.t_dat.isoformat()}\t{r.customer_id}\t{r.article_id}\n" for r in records
-    )
-    assert (world["tmp"] / "transactions.tsv").read_text(encoding="utf-8") == expected
+    # the saved tables hold only the ids that joined rows use
+    expected = purchase_log(records)
+    assert world["log"].customer_ids == expected.customer_ids
+    assert world["log"].article_ids == expected.article_ids
+    assert (world["tmp"] / "transactions.bin").read_bytes() == trlog_bytes(expected)
 
 
 def test_split(world):
