@@ -71,6 +71,8 @@ Pass budget. Callers feed at most ``rows_per_pass(width)`` rows, about
 ``PASS_TOKEN_BUDGET`` tokens, to one forward/backward pass of that width,
 whatever their batch size. That bounds the activations a pass holds: 16
 rows at width 16, 5 rows at width 48, 51 rows of a 5-token title.
+Embedding may hold two passes at once, one per thread
+(``index.build_index``), so the process may hold twice that.
 
 Checkpoint layout (version TRENC001, little-endian):
     magic            8 bytes  b"TRENC001"

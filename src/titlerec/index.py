@@ -2,13 +2,19 @@
 
 Every catalog article is embedded once (mean-pooled encoder states,
 unit-normalized) into an in-memory matrix, through the encoder's batched
-forward. Articles are grouped by live length and each group runs in
-passes of ``encoder.rows_per_pass(length)`` articles cut to that length,
-so no PAD position is embedded and a title of 8 tokens costs 8 positions,
-not ``max_len``. Retrieval is an exact full scan: cosine similarity is a
-dot product of unit vectors, and ``top_rows`` selects each query's top k
-by one partition and breaks ties by ascending article id, so the ordering
-is total.
+forward. Articles whose encoded rows are equal are embedded once and
+share the vector. The distinct rows are grouped by live length and each
+group runs in passes of ``encoder.rows_per_pass(length)`` rows cut to that
+length, so no PAD position is embedded and a title of 8 tokens costs 8
+positions, not ``max_len``. On a catalog of at least ``HELPER_MIN_PASSES``
+passes, and when the process may run on more than one CPU, a helper
+thread takes passes from the same plan as the calling thread: numpy and
+BLAS release the GIL inside a pass's large operations, and a row's vector
+does not depend on its pass, so the index is the same bytes whichever
+thread ran which pass. Retrieval is an exact full scan: cosine similarity
+is a dot product of unit vectors, and ``top_rows`` selects each query's
+top k by one partition and breaks ties by ascending article id, so the
+ordering is total.
 
 Serving selects for a block of customers at a time with whole-array
 operations. The index ranks its rows by ascending article id once
@@ -41,7 +47,9 @@ b"TRECSRC1" block (no prepared-text digest), is of unknown origin.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -69,10 +77,44 @@ METRIC_TAG = "cosine"
 
 NORM_FLOOR = 1e-12
 
+# Passes a catalog's embedding plan must hold before ``build_index`` starts a
+# helper thread. On a short plan the two threads' contention for the GIL
+# costs about what the second core gives back, or more: in-process on 2
+# cores, a helper made the benchmark's `planted` embedding (7 passes, about
+# 13 ms) 3-24% slower, and at the `log` model's size (d_model 32) plans of
+# 10 to 25 passes ran from 3% slower to 11% faster, plans of 32 or more
+# 6-12% faster.
+HELPER_MIN_PASSES = 32
+
 # Similarities ``serve`` scores at once: a block of warm customers holds
 # ``BLOCK_SCORES // len(index)`` of them (at least one), so the block's
 # score matrix and its partitioned copy stay at 256 KiB each.
 BLOCK_SCORES = 1 << 15
+
+
+def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of a 2-D array, in first-occurrence
+    order, and each row's position among them.
+
+    Rows are compared by their bytes, in a dict (np.unique would load
+    numpy.ma, a cost every recommend would pay).
+    """
+    width = matrix.shape[1] * matrix.itemsize
+    blob = np.ascontiguousarray(matrix).tobytes()
+    first_row: dict[bytes, int] = {}
+    twin_of = [
+        first_row.setdefault(blob[start : start + width], row)
+        for row, start in enumerate(range(0, len(blob), width))
+    ]
+    firsts = np.fromiter(first_row.values(), dtype=np.int64, count=len(first_row))
+    return firsts, np.searchsorted(firsts, twin_of)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -128,20 +170,12 @@ class EmbeddingIndex:
         """The distinct vectors, in first-occurrence order, and each row's
         position among them; None when no two rows are equal.
 
-        Rows are compared by their bytes with -0.0 folded into 0.0, in a dict
-        (np.unique would load numpy.ma, a cost every recommend would pay).
+        Rows are compared by their bytes with -0.0 folded into 0.0.
         """
-        width = self.vectors.shape[1] * self.vectors.itemsize
-        blob = (self.vectors + 0.0).tobytes()
-        first_row: dict[bytes, int] = {}
-        twin_of = [
-            first_row.setdefault(blob[start : start + width], row)
-            for row, start in enumerate(range(0, len(blob), width))
-        ]
-        if len(first_row) == len(self):
+        firsts, twin_of = distinct_rows(self.vectors + 0.0)
+        if len(firsts) == len(self):
             return None
-        firsts = np.fromiter(first_row.values(), dtype=np.int64, count=len(first_row))
-        return self.vectors[firsts], np.searchsorted(firsts, twin_of)
+        return self.vectors[firsts], twin_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,12 +208,23 @@ def build_index(
     """Embed every article as a unit vector, preserving input order.
 
     ``pooling`` is "mean" (average over non-PAD positions) or "cls"
-    (position-0 state only). Articles are grouped by live length, in input
-    order within a length, and each group runs through the encoder in
-    passes of ``encoder.rows_per_pass(length)`` rows cut to that length, so
-    no PAD position is embedded; the pooled vectors go back to their input
-    rows. A row is computed as it would be alone at its own length, so its
-    vector does not depend on the other rows of its pass.
+    (position-0 state only). Articles whose encoded rows are equal are
+    embedded once, and the vector is copied to every one of them. The
+    distinct rows are grouped by live length, in input order within a
+    length, and each group runs through the encoder in passes of
+    ``encoder.rows_per_pass(length)`` rows cut to that length, so no PAD
+    position is embedded; the pooled vectors go back to their input rows. A
+    row is computed as it would be alone at its own length, so its vector
+    does not depend on the other rows of its pass, nor on which thread ran
+    the pass.
+
+    When the plan holds at least ``HELPER_MIN_PASSES`` passes and the
+    process may run on more than one CPU, one helper thread takes passes
+    from the plan beside the calling thread, each writing its rows of the
+    pooled matrix. The first exception in either thread stops the other at
+    its next pass; the helper is joined before the exception is raised
+    again here, so no thread outlives the call. A degenerate vector is
+    reported for the first such article in input order.
     """
     if pooling not in ("mean", "cls"):
         raise ValueError(f"unknown pooling {pooling!r}")
@@ -187,26 +232,50 @@ def build_index(
         raise ValueError("cannot build an index over zero articles")
     c = params.config
     batch = encode_single([vocab.word_ids(a.text) for a in articles], c.max_len)
-    lengths = batch.attn_mask.sum(axis=1)
-    pooled = np.empty((len(articles), c.d_model))
+    # a title's row of token ids fixes its segments (all 0) and live mask
+    firsts, twin_of = distinct_rows(batch.ids)
+    distinct = batch[firsts]
+    lengths = distinct.attn_mask.sum(axis=1)
+    plan = []
     for width in sorted(set(lengths.tolist())):
         group = np.flatnonzero(lengths == width)
         step = enc.rows_per_pass(width)
-        for start in range(0, len(group), step):
-            rows = group[start : start + step]
-            hidden = enc.forward(params, batch[rows, :width], record=False).hidden_states
-            pooled[rows] = hidden[:, 0] if pooling == "cls" else hidden.sum(axis=1) / width
+        plan += [(width, group[start : start + step]) for start in range(0, len(group), step)]
+    pooled = np.empty((len(distinct), c.d_model))
+    passes = iter(plan)  # shared: under the GIL each next() hands a pass to one thread
+    failures: list[BaseException] = []
+
+    def embed_passes() -> None:
+        try:
+            for width, rows in passes:
+                if failures:
+                    return
+                hidden = enc.forward(params, distinct[rows, :width], record=False).hidden_states
+                pooled[rows] = hidden[:, 0] if pooling == "cls" else hidden.sum(axis=1) / width
+        except BaseException as exc:  # raised again by the calling thread
+            failures.append(exc)
+
+    helper = None
+    if len(plan) >= HELPER_MIN_PASSES and usable_cpus() > 1:
+        helper = threading.Thread(target=embed_passes, name="titlerec-embed")
+        helper.start()
+    try:
+        embed_passes()
+    finally:
+        if helper is not None:
+            helper.join()
+    if failures:
+        raise failures[0]
     norms = np.linalg.norm(pooled, axis=1)
-    degenerate = np.flatnonzero(norms < NORM_FLOOR)
+    degenerate = np.flatnonzero(norms[twin_of] < NORM_FLOOR)
     if degenerate.size:
         first = int(degenerate[0])
         raise DegenerateEmbeddingError(
-            f"article {articles[first].article_id}: embedding norm {norms[first]} "
-            f"below {NORM_FLOOR}"
+            f"article {articles[first].article_id}: embedding norm "
+            f"{norms[twin_of[first]]} below {NORM_FLOOR}"
         )
-    return EmbeddingIndex(
-        tuple(a.article_id for a in articles), pooled / norms[:, None], source
-    )
+    pooled /= norms[:, None]
+    return EmbeddingIndex(tuple(a.article_id for a in articles), pooled[twin_of], source)
 
 
 def top_rows(sims: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -7,6 +8,16 @@ from titlerec import encoder as enc
 from titlerec import index as ix
 from titlerec import objectives as obj
 from titlerec.tokenizer import TokenBatch
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread running, such as an embedding
+    helper that ``index.build_index`` did not join."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture

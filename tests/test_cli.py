@@ -881,7 +881,7 @@ class TestHeapPin:
     @glibc_only
     def test_both_thresholds_accepted(self):
         # mallopt returns 1 on success and 0 for a value it refuses
-        assert cli.pin_heap_thresholds() == (1, 1)
+        assert cli.pin_heap_thresholds() == (1, 1, 1)
 
     @glibc_only
     def test_pinned_thresholds_take_effect(self):

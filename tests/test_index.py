@@ -1,5 +1,7 @@
 import re
+import threading
 from datetime import date
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,8 +183,10 @@ def full_width_vectors(articles, params, vocab, pooling):
 class TestLengthGroupedPasses:
     @pytest.fixture(autouse=True)
     def small_passes(self, monkeypatch):
-        # 8 rows of 3 tokens, 2 rows of 10: every length needs several passes
-        monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 24)
+        # titles repeat every 12 articles, so each length has 3 distinct
+        # rows; 2 rows of 3 tokens, 1 of 5, 7 or 10 per pass: every length
+        # needs several passes
+        monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 8)
 
     def test_row_equals_one_article_index(self, pooling):
         articles, vocab, params = ragged_world()
@@ -254,6 +258,210 @@ class TestEmbeddingTraffic:
         pair_batch = encode_id_pairs(pairs, titles, vocab, config.max_len)
         obj.train_step(params, obj.init_optimizer(params), masked, pair_batch)
         assert passes and all(rows.max_len == config.max_len for rows in passes)
+
+
+class Boom(Exception):
+    pass
+
+
+class PassSpy:
+    """Stands in for ``enc.forward``: records each pass's token rows and
+    whether the helper thread ran it.
+
+    With ``meet``, each of the two threads waits at its first pass until the
+    other has taken one too, so both run at least one pass. ``act(on_helper,
+    rows, trace)`` runs after a pass's forward, before the pass is recorded,
+    and may raise or return another result.
+    """
+
+    def __init__(self, monkeypatch, meet=False, act=None):
+        self.real = enc.forward
+        self.passes = []  # (on_helper, token ids of the pass)
+        self.helper = None  # the helper thread, from its first pass on
+        self.barrier = threading.Barrier(2, timeout=10) if meet else None
+        self.met = set()
+        self.act = act
+        monkeypatch.setattr(enc, "forward", self)
+
+    def __call__(self, params, rows, *args, **kwargs):
+        me = threading.current_thread()
+        on_helper = me is not threading.main_thread()
+        if on_helper:
+            self.helper = me
+        if self.barrier is not None and me not in self.met:
+            self.met.add(me)
+            self.barrier.wait()
+        trace = self.real(params, rows, *args, **kwargs)
+        if self.act is not None:
+            trace = self.act(on_helper, rows, trace)
+        self.passes.append((on_helper, rows.ids))
+        return trace
+
+    def threads(self):
+        return {on_helper for on_helper, _ in self.passes}
+
+    def rows_embedded(self, on_helper=None):
+        """Every row a recorded pass embedded, as bytes; from one thread
+        when ``on_helper`` is given."""
+        return [
+            row.tobytes()
+            for helper, ids in self.passes
+            if on_helper in (None, helper)
+            for row in ids
+        ]
+
+
+def allow_helper(monkeypatch, cpus=2, min_passes=1):
+    monkeypatch.setattr(ix, "HELPER_MIN_PASSES", min_passes)
+    monkeypatch.setattr(ix, "usable_cpus", lambda: cpus)
+
+
+def live_rows(articles, vocab, max_len):
+    """Each article's encoded row cut to its live length, as bytes."""
+    batch = encode_single([vocab.word_ids(a.text) for a in articles], max_len)
+    return [ids[:live].tobytes() for ids, live in zip(batch.ids, batch.attn_mask.sum(axis=1))]
+
+
+class TestHelperThread:
+    @pytest.fixture(autouse=True)
+    def odd_plan(self, monkeypatch):
+        # ragged_world's 12 distinct rows, 3 of each width 3, 5, 7 and 10,
+        # run in 1 + 1 + 2 + 3 = 7 passes
+        monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 15)
+
+    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    def test_two_threads_give_the_bytes_of_one(self, monkeypatch, pooling):
+        articles, vocab, params = ragged_world()
+        allow_helper(monkeypatch, cpus=1)
+        alone = PassSpy(monkeypatch)
+        one = ix.build_index(articles, params, vocab, pooling)
+        assert alone.threads() == {False}
+        assert len(alone.passes) == 7
+        assert len({ids.shape[1] for _, ids in alone.passes}) == 4
+        rows = sorted(alone.rows_embedded())
+
+        allow_helper(monkeypatch, cpus=2)
+        shared = PassSpy(monkeypatch, meet=True)
+        two = ix.build_index(articles, params, vocab, pooling)
+        assert shared.threads() == {False, True}
+        assert sorted(shared.rows_embedded()) == rows
+        assert two.article_ids == one.article_ids
+        assert two.vectors.tobytes() == one.vectors.tobytes()
+
+    def test_helper_needs_the_pass_threshold_and_a_second_cpu(self, monkeypatch):
+        articles, vocab, params = ragged_world()
+        for cpus, min_passes, threads in [(2, 7, {False, True}), (2, 8, {False}), (1, 1, {False})]:
+            allow_helper(monkeypatch, cpus, min_passes)
+            spy = PassSpy(monkeypatch, meet=len(threads) == 2)
+            ix.build_index(articles, params, vocab)
+            assert spy.threads() == threads, (cpus, min_passes)
+
+    def test_default_threshold_keeps_a_short_plan_on_one_thread(self, monkeypatch):
+        articles, vocab, params = ragged_world()
+        monkeypatch.setattr(ix, "usable_cpus", lambda: 2)
+        spy = PassSpy(monkeypatch)
+        ix.build_index(articles, params, vocab)
+        assert len(spy.passes) < ix.HELPER_MIN_PASSES
+        assert spy.threads() == {False}
+
+    @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
+    def test_helper_failure_raised_by_the_caller(self, monkeypatch, error):
+        articles, vocab, params = ragged_world()
+        allow_helper(monkeypatch)
+
+        def act(on_helper, rows, trace):
+            if on_helper:
+                raise error("in the helper")
+            spy.helper.join(timeout=10)  # the caller's pass outlasts the helper
+            return trace
+
+        spy = PassSpy(monkeypatch, meet=True, act=act)
+        before = threading.active_count()
+        with pytest.raises(error, match="in the helper"):
+            ix.build_index(articles, params, vocab)
+        assert threading.active_count() == before
+        # the caller took no pass after the one it was running
+        assert [on_helper for on_helper, _ in spy.passes] == [False]
+
+    @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
+    def test_caller_failure_stops_the_helper(self, monkeypatch, error):
+        articles, vocab, params = ragged_world()
+        allow_helper(monkeypatch)
+        raising = threading.Event()
+
+        def act(on_helper, rows, trace):
+            if not on_helper:
+                raising.set()
+                raise error("in the caller")
+            raising.wait(timeout=10)
+            return trace
+
+        spy = PassSpy(monkeypatch, meet=True, act=act)
+        before = threading.active_count()
+        with pytest.raises(error, match="in the caller"):
+            ix.build_index(articles, params, vocab)
+        assert threading.active_count() == before
+        # the helper ends the pass it was running and at most one more, if
+        # the caller lost the GIL between raising and recording the failure
+        assert spy.threads() == {True}
+        assert len(spy.passes) <= 2
+
+    def test_degenerate_row_from_the_helper_named_in_input_order(self, monkeypatch):
+        articles, vocab, params = ragged_world()
+        allow_helper(monkeypatch)
+
+        def act(on_helper, rows, trace):
+            if on_helper:
+                return SimpleNamespace(hidden_states=np.zeros_like(trace.hidden_states))
+            return trace
+
+        spy = PassSpy(monkeypatch, meet=True, act=act)
+        with pytest.raises(DegenerateEmbeddingError) as raised:
+            ix.build_index(articles, params, vocab)
+        zeroed = set(spy.rows_embedded(on_helper=True))
+        rows = live_rows(articles, vocab, params.config.max_len)
+        first = next(a for a, row in zip(articles, rows) if row in zeroed)
+        assert str(raised.value).startswith(f"article {first.article_id}: embedding norm 0.0")
+
+
+class TestDuplicateRows:
+    def test_each_distinct_row_embedded_once(self, monkeypatch, tiny_params):
+        titles, vocab = small_world()
+        articles = [
+            PreparedArticle(f"{10 * i + colour:010d}", a.text, a.text_len)
+            for colour in range(4)
+            for i, a in enumerate(titles)
+        ]
+        spy = PassSpy(monkeypatch)
+        index = ix.build_index(articles, tiny_params, vocab)
+        assert sorted(spy.rows_embedded()) == sorted(live_rows(titles, vocab, 7))
+        for article, vector in zip(articles, index.vectors):
+            assert np.array_equal(vector, embed_one(tiny_params, article, vocab))
+
+    def test_degenerate_title_named_by_its_first_article(self, monkeypatch, tiny_params):
+        titles, vocab = small_world()
+        # twins come first, so distinct row 2 is not input row 2
+        articles = [
+            PreparedArticle(f"{10 * i + colour:010d}", titles[i].text, titles[i].text_len)
+            for i, colour in [(0, 0), (0, 1), (1, 0), (2, 0), (1, 1), (2, 1)]
+        ]
+        zeroed = live_rows([titles[2]], vocab, 7)[0]
+
+        def act(on_helper, rows, trace):
+            hidden = trace.hidden_states.copy()
+            hidden[[row.tobytes() == zeroed for row in rows.ids]] = 0.0
+            return SimpleNamespace(hidden_states=hidden)
+
+        PassSpy(monkeypatch, act=act)
+        with pytest.raises(DegenerateEmbeddingError, match="^article 0000000020: "):
+            ix.build_index(articles, tiny_params, vocab)
+
+    def test_distinct_rows_of_a_matrix(self):
+        matrix = np.array([[1, 2], [3, 4], [1, 2], [5, 6], [3, 4]], dtype=np.int32)
+        firsts, twin_of = ix.distinct_rows(matrix)
+        assert firsts.tolist() == [0, 1, 3]
+        assert twin_of.tolist() == [0, 1, 0, 2, 1]
+        assert np.array_equal(matrix[firsts][twin_of], matrix)
 
 
 class TestQueryKnn:
