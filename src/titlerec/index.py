@@ -223,7 +223,8 @@ def build_index(
     from the plan beside the calling thread, each writing its rows of the
     pooled matrix. The first exception in either thread stops the other at
     its next pass; the helper is joined before the exception is raised
-    again here, so no thread outlives the call. A degenerate vector is
+    again here, so no thread outlives the call. When the helper cannot be
+    started, the calling thread runs every pass. A degenerate vector is
     reported for the first such article in input order.
     """
     if pooling not in ("mean", "cls"):
@@ -258,7 +259,10 @@ def build_index(
     helper = None
     if len(plan) >= HELPER_MIN_PASSES and usable_cpus() > 1:
         helper = threading.Thread(target=embed_passes, name="titlerec-embed")
-        helper.start()
+        try:
+            helper.start()
+        except RuntimeError:  # no thread to be had: the caller runs every pass
+            helper = None
     try:
         embed_passes()
     finally:

@@ -364,6 +364,22 @@ class TestHelperThread:
         assert len(spy.passes) < ix.HELPER_MIN_PASSES
         assert spy.threads() == {False}
 
+    def test_caller_runs_every_pass_when_no_thread_starts(self, monkeypatch):
+        articles, vocab, params = ragged_world()
+        allow_helper(monkeypatch, cpus=1)
+        one = ix.build_index(articles, params, vocab)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        allow_helper(monkeypatch, cpus=2)
+        spy = PassSpy(monkeypatch)
+        index = ix.build_index(articles, params, vocab)
+        assert spy.threads() == {False}
+        assert len(spy.passes) == 7
+        assert index.vectors.tobytes() == one.vectors.tobytes()
+
     @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
     def test_helper_failure_raised_by_the_caller(self, monkeypatch, error):
         articles, vocab, params = ragged_world()
