@@ -2,19 +2,18 @@
 
 Every catalog article is embedded once (mean-pooled encoder states,
 unit-normalized) into an in-memory matrix, through the encoder's batched
-forward. Articles whose encoded rows are equal are embedded once and
-share the vector. The distinct rows are grouped by live length and each
-group runs in passes of ``encoder.rows_per_pass(length)`` rows cut to that
-length, so no PAD position is embedded and a title of 8 tokens costs 8
-positions, not ``max_len``. On a catalog of at least ``HELPER_MIN_PASSES``
-passes, and when the process may run on more than one CPU, a helper
-thread takes passes from the same plan as the calling thread: numpy and
-BLAS release the GIL inside a pass's large operations, and a row's vector
-does not depend on its pass, so the index is the same bytes whichever
-thread ran which pass. Retrieval is an exact full scan: cosine similarity
-is a dot product of unit vectors, and ``top_rows`` selects each query's
-top k by one partition and breaks ties by ascending article id, so the
-ordering is total.
+forward. Articles are grouped by live length and each group runs in
+passes of ``encoder.rows_per_pass(length)`` articles cut to that length,
+so no PAD position is embedded and a title of 8 tokens costs 8 positions,
+not ``max_len``. On a catalog of at least ``HELPER_MIN_PASSES`` passes,
+and when the process may run on more than one CPU, a helper thread takes
+passes from the same plan as the calling thread: numpy and BLAS release
+the GIL inside a pass's large operations, and a row's vector does not
+depend on its pass, so the index is the same bytes whichever thread ran
+which pass. Retrieval is an exact full scan: cosine similarity is a dot
+product of unit vectors, and ``top_rows`` selects each query's top k by
+one partition and breaks ties by ascending article id, so the ordering is
+total.
 
 Serving selects for a block of customers at a time with whole-array
 operations. The index ranks its rows by ascending article id once
@@ -92,24 +91,6 @@ HELPER_MIN_PASSES = 32
 BLOCK_SCORES = 1 << 15
 
 
-def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct row of a 2-D array, in first-occurrence
-    order, and each row's position among them.
-
-    Rows are compared by their bytes, in a dict (np.unique would load
-    numpy.ma, a cost every recommend would pay).
-    """
-    width = matrix.shape[1] * matrix.itemsize
-    blob = np.ascontiguousarray(matrix).tobytes()
-    first_row: dict[bytes, int] = {}
-    twin_of = [
-        first_row.setdefault(blob[start : start + width], row)
-        for row, start in enumerate(range(0, len(blob), width))
-    ]
-    firsts = np.fromiter(first_row.values(), dtype=np.int64, count=len(first_row))
-    return firsts, np.searchsorted(firsts, twin_of)
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -170,12 +151,20 @@ class EmbeddingIndex:
         """The distinct vectors, in first-occurrence order, and each row's
         position among them; None when no two rows are equal.
 
-        Rows are compared by their bytes with -0.0 folded into 0.0.
+        Rows are compared by their bytes with -0.0 folded into 0.0, in a dict
+        (np.unique would load numpy.ma, a cost every recommend would pay).
         """
-        firsts, twin_of = distinct_rows(self.vectors + 0.0)
-        if len(firsts) == len(self):
+        width = self.vectors.shape[1] * self.vectors.itemsize
+        blob = (self.vectors + 0.0).tobytes()
+        first_row: dict[bytes, int] = {}
+        twin_of = [
+            first_row.setdefault(blob[start : start + width], row)
+            for row, start in enumerate(range(0, len(blob), width))
+        ]
+        if len(first_row) == len(self):
             return None
-        return self.vectors[firsts], twin_of
+        firsts = np.fromiter(first_row.values(), dtype=np.int64, count=len(first_row))
+        return self.vectors[firsts], np.searchsorted(firsts, twin_of)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,20 +197,19 @@ def build_index(
     """Embed every article as a unit vector, preserving input order.
 
     ``pooling`` is "mean" (average over non-PAD positions) or "cls"
-    (position-0 state only). Articles whose encoded rows are equal are
-    embedded once, and the vector is copied to every one of them. The
-    distinct rows are grouped by live length, in input order within a
-    length, and each group runs through the encoder in passes of
-    ``encoder.rows_per_pass(length)`` rows cut to that length, so no PAD
-    position is embedded; the pooled vectors go back to their input rows. A
-    row is computed as it would be alone at its own length, so its vector
-    does not depend on the other rows of its pass, nor on which thread ran
-    the pass.
+    (position-0 state only). Articles are grouped by live length, in input
+    order within a length, and each group runs through the encoder in
+    passes of ``encoder.rows_per_pass(length)`` rows cut to that length, so
+    no PAD position is embedded; the pooled vectors go back to their input
+    rows. A row is computed as it would be alone at its own length, so its
+    vector does not depend on the other rows of its pass, nor on which
+    thread ran the pass.
 
     When the plan holds at least ``HELPER_MIN_PASSES`` passes and the
     process may run on more than one CPU, one helper thread takes passes
     from the plan beside the calling thread, each writing its rows of the
-    pooled matrix. The first exception in either thread stops the other at
+    pooled matrix. The first exception in either thread, or one that stops
+    the calling thread while it waits for the helper, stops the other at
     its next pass; the helper is joined before the exception is raised
     again here, so no thread outlives the call. When the helper cannot be
     started, the calling thread runs every pass. A degenerate vector is
@@ -233,16 +221,13 @@ def build_index(
         raise ValueError("cannot build an index over zero articles")
     c = params.config
     batch = encode_single([vocab.word_ids(a.text) for a in articles], c.max_len)
-    # a title's row of token ids fixes its segments (all 0) and live mask
-    firsts, twin_of = distinct_rows(batch.ids)
-    distinct = batch[firsts]
-    lengths = distinct.attn_mask.sum(axis=1)
+    lengths = batch.attn_mask.sum(axis=1)
     plan = []
     for width in sorted(set(lengths.tolist())):
         group = np.flatnonzero(lengths == width)
         step = enc.rows_per_pass(width)
         plan += [(width, group[start : start + step]) for start in range(0, len(group), step)]
-    pooled = np.empty((len(distinct), c.d_model))
+    pooled = np.empty((len(articles), c.d_model))
     passes = iter(plan)  # shared: under the GIL each next() hands a pass to one thread
     failures: list[BaseException] = []
 
@@ -251,7 +236,7 @@ def build_index(
             for width, rows in passes:
                 if failures:
                     return
-                hidden = enc.forward(params, distinct[rows, :width], record=False).hidden_states
+                hidden = enc.forward(params, batch[rows, :width], record=False).hidden_states
                 pooled[rows] = hidden[:, 0] if pooling == "cls" else hidden.sum(axis=1) / width
         except BaseException as exc:  # raised again by the calling thread
             failures.append(exc)
@@ -267,19 +252,25 @@ def build_index(
         embed_passes()
     finally:
         if helper is not None:
-            helper.join()
+            try:
+                helper.join()
+            except BaseException as exc:  # e.g. Ctrl-C while waiting: stop the helper first
+                failures.append(exc)
+                helper.join()
+                raise
     if failures:
         raise failures[0]
     norms = np.linalg.norm(pooled, axis=1)
-    degenerate = np.flatnonzero(norms[twin_of] < NORM_FLOOR)
+    degenerate = np.flatnonzero(norms < NORM_FLOOR)
     if degenerate.size:
         first = int(degenerate[0])
         raise DegenerateEmbeddingError(
-            f"article {articles[first].article_id}: embedding norm "
-            f"{norms[twin_of[first]]} below {NORM_FLOOR}"
+            f"article {articles[first].article_id}: embedding norm {norms[first]} "
+            f"below {NORM_FLOOR}"
         )
-    pooled /= norms[:, None]
-    return EmbeddingIndex(tuple(a.article_id for a in articles), pooled[twin_of], source)
+    return EmbeddingIndex(
+        tuple(a.article_id for a in articles), pooled / norms[:, None], source
+    )
 
 
 def top_rows(sims: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -183,10 +183,8 @@ def full_width_vectors(articles, params, vocab, pooling):
 class TestLengthGroupedPasses:
     @pytest.fixture(autouse=True)
     def small_passes(self, monkeypatch):
-        # titles repeat every 12 articles, so each length has 3 distinct
-        # rows; 2 rows of 3 tokens, 1 of 5, 7 or 10 per pass: every length
-        # needs several passes
-        monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 8)
+        # 8 rows of 3 tokens, 2 rows of 10: every length needs several passes
+        monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 24)
 
     def test_row_equals_one_article_index(self, pooling):
         articles, vocab, params = ragged_world()
@@ -325,9 +323,9 @@ def live_rows(articles, vocab, max_len):
 class TestHelperThread:
     @pytest.fixture(autouse=True)
     def odd_plan(self, monkeypatch):
-        # ragged_world's 12 distinct rows, 3 of each width 3, 5, 7 and 10,
-        # run in 1 + 1 + 2 + 3 = 7 passes
-        monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 15)
+        # ragged_world's 7, 8, 6 and 6 rows of widths 3, 5, 7 and 10, at 10,
+        # 6, 4 and 3 rows a pass, run in 1 + 2 + 2 + 2 = 7 passes
+        monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 30)
 
     @pytest.mark.parametrize("pooling", ["mean", "cls"])
     def test_two_threads_give_the_bytes_of_one(self, monkeypatch, pooling):
@@ -424,6 +422,8 @@ class TestHelperThread:
 
     def test_degenerate_row_from_the_helper_named_in_input_order(self, monkeypatch):
         articles, vocab, params = ragged_world()
+        # one article per title, so a row's bytes name one article
+        articles = list({a.text: a for a in reversed(articles)}.values())[::-1]
         allow_helper(monkeypatch)
 
         def act(on_helper, rows, trace):
@@ -439,45 +439,36 @@ class TestHelperThread:
         first = next(a for a, row in zip(articles, rows) if row in zeroed)
         assert str(raised.value).startswith(f"article {first.article_id}: embedding norm 0.0")
 
+    def test_interrupted_join_stops_the_helper_and_joins_it(self, monkeypatch):
+        articles, vocab, params = ragged_world()
+        allow_helper(monkeypatch)
+        interrupted = threading.Event()
+        real_join = threading.Thread.join
+        joins = []
 
-class TestDuplicateRows:
-    def test_each_distinct_row_embedded_once(self, monkeypatch, tiny_params):
-        titles, vocab = small_world()
-        articles = [
-            PreparedArticle(f"{10 * i + colour:010d}", a.text, a.text_len)
-            for colour in range(4)
-            for i, a in enumerate(titles)
-        ]
-        spy = PassSpy(monkeypatch)
-        index = ix.build_index(articles, tiny_params, vocab)
-        assert sorted(spy.rows_embedded()) == sorted(live_rows(titles, vocab, 7))
-        for article, vector in zip(articles, index.vectors):
-            assert np.array_equal(vector, embed_one(tiny_params, article, vocab))
-
-    def test_degenerate_title_named_by_its_first_article(self, monkeypatch, tiny_params):
-        titles, vocab = small_world()
-        # twins come first, so distinct row 2 is not input row 2
-        articles = [
-            PreparedArticle(f"{10 * i + colour:010d}", titles[i].text, titles[i].text_len)
-            for i, colour in [(0, 0), (0, 1), (1, 0), (2, 0), (1, 1), (2, 1)]
-        ]
-        zeroed = live_rows([titles[2]], vocab, 7)[0]
+        def join(thread, timeout=None):
+            joins.append(thread)
+            if len(joins) == 1 and thread is spy.helper:
+                interrupted.set()
+                raise KeyboardInterrupt("while waiting for the helper")
+            return real_join(thread, timeout)
 
         def act(on_helper, rows, trace):
-            hidden = trace.hidden_states.copy()
-            hidden[[row.tobytes() == zeroed for row in rows.ids]] = 0.0
-            return SimpleNamespace(hidden_states=hidden)
+            if on_helper:
+                interrupted.wait(timeout=10)  # the helper is mid-pass at the interrupt
+            return trace
 
-        PassSpy(monkeypatch, act=act)
-        with pytest.raises(DegenerateEmbeddingError, match="^article 0000000020: "):
-            ix.build_index(articles, tiny_params, vocab)
+        monkeypatch.setattr(threading.Thread, "join", join)
+        spy = PassSpy(monkeypatch, meet=True, act=act)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt, match="while waiting for the helper"):
+            ix.build_index(articles, params, vocab)
+        assert interrupted.is_set()
+        assert joins == [spy.helper, spy.helper]
+        assert not spy.helper.is_alive()
+        assert threading.active_count() == before
 
-    def test_distinct_rows_of_a_matrix(self):
-        matrix = np.array([[1, 2], [3, 4], [1, 2], [5, 6], [3, 4]], dtype=np.int32)
-        firsts, twin_of = ix.distinct_rows(matrix)
-        assert firsts.tolist() == [0, 1, 3]
-        assert twin_of.tolist() == [0, 1, 0, 2, 1]
-        assert np.array_equal(matrix[firsts][twin_of], matrix)
+
 
 
 class TestQueryKnn:
