@@ -491,12 +491,13 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
         raise InvalidConfigError("--customer spot check needs --articles for product types")
     articles = corpus.load_articles(config.articles)
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
-    recommended = [
-        article_id
-        for row in submission
-        if row.customer_id == spot_check_customer
-        for article_id in row.article_ids
-    ]
+    # map_at_12 above refused a repeated customer, so one row at most is theirs
+    customers = submission.customer_ids
+    recommended = (
+        list(submission[customers.index(spot_check_customer)].article_ids)
+        if spot_check_customer in customers
+        else []
+    )
     spot = evaluation.manual_eval_report(
         spot_check_customer, train_window, recommended, articles, prepared
     )

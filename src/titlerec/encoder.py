@@ -18,6 +18,18 @@ last bit on some inputs, and that bit survives into the result. The pair
 head's ``sigmoid`` uses libm's ``exp`` for the same reason; it runs on one
 logit per pair row.
 
+Blocks. The encoder is a chain of block functions, each beside its
+backward (``_embed_backward`` and so on): the embedding sum (``_embed``),
+self-attention plus its residual (``_attention``), the GELU feed-forward
+plus its residual (``_feed_forward``), layer norm (``_norm``) and the two
+heads (``_head_terms``, ``_heads_backward``). A block's forward returns
+``(out, saved)`` (the heads return their two loss sums and ``saved``); its
+backward takes the gradient of ``out`` and ``saved``, adds the block's
+parameter gradients into the gradient arena and returns the gradient of
+its input. ``forward`` is the embedding sum and then one loop over the
+layers (attention, norm, feed-forward, norm); ``loss_and_grads`` runs the
+heads' backward and then the same blocks' backwards in reverse.
+
 Batches. ``forward`` takes B rows of T tokens at once, as a
 ``TokenBatch`` of (B, T) arrays (token ids, segment ids and a live mask).
 The width T may be anything from 1 to ``max_len``: the batch reads the
@@ -46,9 +58,12 @@ a training pass may run its last layer at those positions only:
 count m with the row's lowest unread positions, and ``forward(reads=)``
 runs the last layer's queries, attention rows, output projection, layer
 norms and feed-forward block over B x m positions, with keys and values
-over all T. The losses and every gradient stay bit-identical to the full
-pass under two rules. m is at least 2: a product over one row per batch
-row is a matrix-vector product, which BLAS rounds differently. And the
+over all T: ``forward`` hands the reads to that layer's attention and
+feed-forward blocks and scatters the layer's output back to full width,
+and ``loss_and_grads`` gathers the heads' gradient back to the reads. The
+losses and every gradient stay bit-identical to the full pass under two
+rules. m is at least 2: a product over one row per batch row is a
+matrix-vector product, which BLAS rounds differently. And the
 backward products by a transposed weight (``d @ W.T``: feed-forward
 ``w2`` and ``w1``, attention ``w_o`` and ``w_q``) run at full width with
 zeros at the unread positions, and the read rows are gathered from the
@@ -194,12 +209,15 @@ class EncoderParams:
 @dataclass
 class ForwardTrace:
     """Hidden states (B, T, d) of one forward pass, plus the cache the
-    backward pass needs when the pass was recorded. ``reads`` holds the
-    (B, m) positions the last layer computed when the pass was cut to
-    them (see ``read_positions``); its hidden states are zero elsewhere."""
+    backward pass needs when the pass was recorded: the embedding sum's
+    saved arrays, one (attention, ln1, feed-forward, ln2) tuple of saved
+    arrays per layer, and the last layer's row picks (None for a full
+    pass). ``reads`` holds the (B, m) positions the last layer computed
+    when the pass was cut to them (see ``read_positions``); its hidden
+    states are zero elsewhere."""
 
     hidden_states: np.ndarray
-    cache: dict | None = field(default=None, repr=False)
+    cache: tuple | None = field(default=None, repr=False)
     reads: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -517,13 +535,158 @@ def _times_transposed(d: np.ndarray, weight: np.ndarray, picks, width: int) -> n
     return _gather(_scatter(d, picks, width) @ weight.T, picks)
 
 
-def _dropout_mask(rng, shape, rate: float, picks) -> np.ndarray:
-    """A full-width keep mask scaled by 1/(1-rate), gathered to ``picks`` if
-    given: the draw is the same either way."""
-    keep = rng.random(shape) >= rate
+def _dropout(out: np.ndarray, drop, width: int, picks):
+    """``out`` times a keep mask scaled by 1/(1-rate), and the mask; ``out``
+    and None when ``drop``, an (rng, rate) pair, is None. The mask is drawn
+    at full ``width`` and gathered to ``picks`` if given, so the draw is the
+    same either way."""
+    if drop is None:
+        return out, None
+    rng, rate = drop
+    keep = rng.random((len(out), width, out.shape[-1])) >= rate
     if picks is not None:
         keep = _gather(keep, picks)
-    return keep / (1.0 - rate)
+    mask = keep / (1.0 - rate)
+    return out * mask, mask
+
+
+def _add_projection_grads(grads: EncoderParams, weight: str, bias: str, x, d_y) -> None:
+    """Add the gradients of ``y = x @ weight + bias`` given ``d_y``, the
+    gradient of ``y``, to the ``weight`` and ``bias`` tensors of ``grads``."""
+    w, b = grads[weight], grads[bias]
+    w += _rows(x).T @ _rows(d_y)
+    b += _rows(d_y).sum(axis=0)
+
+
+# --- the blocks and their backwards (see *Blocks*) ---
+
+
+def _embed(params: EncoderParams, batch: TokenBatch):
+    """Token + position + segment rows of a batch of width 1 to ``max_len``."""
+    c = params.config
+    width = batch.max_len
+    if not 1 <= width <= c.max_len:
+        raise ShapeMismatchError(f"sequence length {width} outside [1, max_len {c.max_len}]")
+    ids, segments = batch.ids, batch.segments
+    if ids.size and (ids.min() < 0 or ids.max() >= c.vocab_size):
+        raise ShapeMismatchError(f"token ids must lie in [0, {c.vocab_size})")
+    if segments.size and (segments.min() < 0 or segments.max() > 1):
+        raise ShapeMismatchError("segment ids must be 0 or 1")
+    x = (
+        params["token_embedding"][ids]
+        + params["position_embedding"][:width]
+        + params["segment_embedding"][segments]
+    )
+    return x, (ids, segments)
+
+
+def _embed_backward(grads: EncoderParams, d_x: np.ndarray, saved) -> None:
+    """Add the three tables' gradients; the sum has no input to pass on."""
+    ids, segments = saved
+    d_rows = _rows(d_x)
+    np.add.at(grads["token_embedding"], ids.ravel(), d_rows)
+    # Two segment rows: each sums its positions' gradients onto itself in
+    # position order, as np.add.at would, with one reduction.
+    segments = segments.ravel()
+    table = grads["segment_embedding"]
+    for s in range(len(table)):
+        table[s] = np.add.reduce(np.concatenate([table[s : s + 1], d_rows[segments == s]]), axis=0)
+    # positions past a narrower pass's width get no gradient
+    positions = grads["position_embedding"][: d_x.shape[1]]
+    positions += d_x.sum(axis=0)
+
+
+def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks, drop):
+    """Self-attention with its residual: ``x_q + dropout(attention(x))``.
+
+    The queries, and so the output, are at ``picks`` when given (``x_q`` is
+    ``x`` gathered there), else at every position; keys and values cover
+    every position of ``x``. ``pad_keys`` (B, 1, 1, T) marks each row's PAD
+    keys.
+    """
+    c = params.config
+    x_q = x if picks is None else _gather(x, picks)
+    q = _split_heads(x_q @ params[p + "attn.w_q"] + params[p + "attn.b_q"], c.n_heads)
+    k = _split_heads(x @ params[p + "attn.w_k"] + params[p + "attn.b_k"], c.n_heads)
+    v = _split_heads(x @ params[p + "attn.w_v"] + params[p + "attn.b_v"], c.n_heads)
+    # softmax over keys, in place: scores become the attention weights
+    weights = q @ k.transpose(0, 1, 3, 2)
+    weights *= 1.0 / np.sqrt(c.d_head)
+    np.copyto(weights, -np.inf, where=pad_keys)
+    # exp(-inf) underflows to exactly 0, so PAD keys get weight 0.0
+    weights -= _row_max(weights)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(weights @ v)
+    out = ctx @ params[p + "attn.w_o"] + params[p + "attn.b_o"]
+    out, mask = _dropout(out, drop, x.shape[1], picks)
+    return x_q + out, (x, x_q, q, k, v, weights, ctx, mask, picks)
+
+
+def _attention_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray, saved):
+    """Gradient of ``x`` at every position, whatever the picks."""
+    x, x_q, q, k, v, weights, ctx, mask, picks = saved
+    c = params.config
+    width = x.shape[1]
+    scale = 1.0 / np.sqrt(c.d_head)
+    d_attn = d_out if mask is None else d_out * mask
+    _add_projection_grads(grads, p + "attn.w_o", p + "attn.b_o", ctx, d_attn)
+    d_ctx = _split_heads(_times_transposed(d_attn, params[p + "attn.w_o"], picks, width), c.n_heads)
+    d_v = _merge_heads(weights.transpose(0, 1, 3, 2) @ d_ctx)
+    # softmax rows, in place: PAD-key columns have weight 0, so grad 0
+    d_scores = d_ctx @ v.transpose(0, 1, 3, 2)
+    d_scores -= np.sum(d_scores * weights, axis=-1, keepdims=True)
+    d_scores *= weights
+    d_q = _merge_heads((d_scores @ k) * scale)
+    d_k = _merge_heads((d_scores.transpose(0, 1, 3, 2) @ q) * scale)
+    del d_scores
+    for name, x_in, d_in in (("q", x_q, d_q), ("k", x, d_k), ("v", x, d_v)):
+        _add_projection_grads(grads, f"{p}attn.w_{name}", f"{p}attn.b_{name}", x_in, d_in)
+    if picks is not None:
+        # back to full width; the query product runs there anyway
+        d_out = _scatter(d_out, picks, width)
+        d_q = _scatter(d_q, picks, width)
+    d_x = d_out + d_q @ params[p + "attn.w_q"].T
+    d_x += d_k @ params[p + "attn.w_k"].T
+    d_x += d_v @ params[p + "attn.w_v"].T
+    return d_x
+
+
+def _feed_forward(params: EncoderParams, p: str, x: np.ndarray, picks, width: int, drop):
+    """The GELU feed-forward with its residual: ``x + dropout(ffn(x))``;
+    ``x`` holds a pass ``width`` wide, or its ``picks`` when given."""
+    h1 = x @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
+    cdf = gelu_cdf(h1)
+    out = (h1 * cdf) @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+    out, mask = _dropout(out, drop, width, picks)
+    return x + out, (x, h1, cdf, mask, picks, width)
+
+
+def _feed_forward_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray, saved):
+    x, h1, cdf, mask, picks, width = saved
+    d_ffn = d_out if mask is None else d_out * mask
+    # the GELU output is recomputed, not saved: kept alive through each
+    # embedding pass, it made the benchmark's later warm recommend slower
+    _add_projection_grads(grads, p + "ffn.w2", p + "ffn.b2", h1 * cdf, d_ffn)
+    d_h1 = _times_transposed(d_ffn, params[p + "ffn.w2"], picks, width)
+    d_h1 *= gelu_grad(h1, cdf)
+    _add_projection_grads(grads, p + "ffn.w1", p + "ffn.b1", x, d_h1)
+    return d_out + _times_transposed(d_h1, params[p + "ffn.w1"], picks, width)
+
+
+def _norm(params: EncoderParams, name: str, x: np.ndarray):
+    """``layer_norm`` with the ``name`` gain and bias."""
+    gain, bias = params[name + ".gain"], params[name + ".bias"]
+    out, x_hat, inv = layer_norm(x, gain, bias, params.config.layer_norm_epsilon)
+    return out, (x_hat, inv)
+
+
+def _norm_backward(params: EncoderParams, grads, name: str, d_out: np.ndarray, saved):
+    d_x, d_gain, d_bias = layer_norm_backward(d_out, *saved, params[name + ".gain"])
+    gain, bias = grads[name + ".gain"], grads[name + ".bias"]
+    gain += d_gain
+    bias += d_bias
+    return d_x
 
 
 def forward(
@@ -544,95 +707,29 @@ def forward(
     and its hidden states are zero at the others.
     """
     c = params.config
+    x, embedded = _embed(params, batch)
     width = batch.max_len
-    if not 1 <= width <= c.max_len:
-        raise ShapeMismatchError(f"sequence length {width} outside [1, max_len {c.max_len}]")
-    ids = batch.ids
-    if ids.size and (ids.min() < 0 or ids.max() >= c.vocab_size):
-        raise ShapeMismatchError(f"token ids must lie in [0, {c.vocab_size})")
     picks = None
     if reads is not None:
         reads = np.asarray(reads)
         picks = _read_picks(reads, len(batch), width)
-    segments = batch.segments
     # (B, 1, 1, T): broadcast over heads and query positions
     pad_keys = ~batch.attn_mask.astype(bool)[:, None, None, :]
-
-    drop_rate = c.dropout_rate if rng is not None else 0.0
-
-    x = (
-        params["token_embedding"][ids]
-        + params["position_embedding"][:width]
-        + params["segment_embedding"][segments]
-    )
-    cache: dict | None = None
-    if record:
-        cache = {"ids": ids, "segments": segments, "picks": picks, "layers": []}
-
-    scale = 1.0 / np.sqrt(c.d_head)
+    drop = (rng, c.dropout_rate) if rng is not None and c.dropout_rate > 0.0 else None
+    layers = []
     for i in range(c.n_layers):
-        p = f"layer{i}"
+        p = f"layer{i}."
         # the last layer of a pass with reads runs its queries at them only
-        layer_picks = picks if i == c.n_layers - 1 else None
-        x_q = x if layer_picks is None else _gather(x, layer_picks)
-        q = _split_heads(x_q @ params[f"{p}.attn.w_q"] + params[f"{p}.attn.b_q"], c.n_heads)
-        k = _split_heads(x @ params[f"{p}.attn.w_k"] + params[f"{p}.attn.b_k"], c.n_heads)
-        v = _split_heads(x @ params[f"{p}.attn.w_v"] + params[f"{p}.attn.b_v"], c.n_heads)
-        # softmax over keys, in place: scores become the attention weights
-        attn = q @ k.transpose(0, 1, 3, 2)
-        attn *= scale
-        np.copyto(attn, -np.inf, where=pad_keys)
-        # exp(-inf) underflows to exactly 0, so PAD keys get weight 0.0
-        attn -= _row_max(attn)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = _merge_heads(attn @ v)
-        attn_out = ctx @ params[f"{p}.attn.w_o"] + params[f"{p}.attn.b_o"]
-        drop1 = None
-        if drop_rate > 0.0:
-            drop1 = _dropout_mask(rng, x.shape, drop_rate, layer_picks)
-            attn_out = attn_out * drop1
-        ln1_out, ln1_hat, ln1_inv = layer_norm(
-            x_q + attn_out, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], c.layer_norm_epsilon
-        )
-        h1 = ln1_out @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]
-        cdf = gelu_cdf(h1)
-        ffn_out = (h1 * cdf) @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
-        drop2 = None
-        if drop_rate > 0.0:
-            drop2 = _dropout_mask(rng, x.shape, drop_rate, layer_picks)
-            ffn_out = ffn_out * drop2
-        ln2_out, ln2_hat, ln2_inv = layer_norm(
-            ln1_out + ffn_out,
-            params[f"{p}.ln2.gain"],
-            params[f"{p}.ln2.bias"],
-            c.layer_norm_epsilon,
-        )
-        if cache is not None:
-            # ln1_out and the GELU output are recomputed from ln1_hat and cdf
-            cache["layers"].append(
-                {
-                    "x_in": x,
-                    "x_q": x_q,
-                    "q": q,
-                    "k": k,
-                    "v": v,
-                    "attn": attn,
-                    "ctx": ctx,
-                    "drop1": drop1,
-                    "ln1_hat": ln1_hat,
-                    "ln1_inv": ln1_inv,
-                    "h1": h1,
-                    "cdf": cdf,
-                    "drop2": drop2,
-                    "ln2_hat": ln2_hat,
-                    "ln2_inv": ln2_inv,
-                }
-            )
-        x = ln2_out
-
+        cut = picks if i == c.n_layers - 1 else None
+        x, attention = _attention(params, p, x, pad_keys, cut, drop)
+        x, norm1 = _norm(params, p + "ln1", x)
+        x, ffn = _feed_forward(params, p, x, cut, width, drop)
+        x, norm2 = _norm(params, p + "ln2", x)
+        if record:
+            layers.append((attention, norm1, ffn, norm2))
     if picks is not None:
         x = _scatter(x, picks, width)
+    cache = (embedded, layers, picks) if record else None
     return ForwardTrace(hidden_states=x, cache=cache, reads=reads)
 
 
@@ -659,7 +756,8 @@ def _pair_labels(np_labels, n_rows: int) -> np.ndarray:
 
 
 def _head_terms(params: EncoderParams, trace: ForwardTrace, targets, np_labels):
-    """Both heads over a pass: summed losses plus what their gradients need.
+    """Both heads over a pass: summed losses plus what their backward needs
+    (None when the pass has no target and no pair row).
 
     The masked-token term is the NLL of each target's softmax row; the pair
     term is log(1 + e^z) - label*z, the exact binary cross-entropy of
@@ -678,6 +776,8 @@ def _head_terms(params: EncoderParams, trace: ForwardTrace, targets, np_labels):
             raise UnreadPositionError(
                 "a masked-token target or pair CLS lies outside the pass's read positions"
             )
+    if not len(targets) and not len(pair_rows):
+        return 0.0, 0.0, None
     h_mlm = h_final[targets[:, 0], targets[:, 1]]
     mlm_sum = 0.0
     probs = None
@@ -693,7 +793,23 @@ def _head_terms(params: EncoderParams, trace: ForwardTrace, targets, np_labels):
     h_cls = h_final[pair_rows, 0]
     z = h_cls @ params["np_head.weight"][:, 0] + params["np_head.bias"][0]
     np_sum = float(np.sum(np.logaddexp(0.0, z) - y * z))
-    return mlm_sum, np_sum, (targets, h_mlm, probs, pair_rows, y, h_cls, z)
+    return mlm_sum, np_sum, (h_final.shape, targets, h_mlm, probs, pair_rows, y, h_cls, z)
+
+
+def _heads_backward(params: EncoderParams, grads, saved, mlm_scale: float, np_scale: float):
+    """Gradient of mlm_scale*mlm_sum + np_scale*np_sum by the hidden states."""
+    shape, targets, h_mlm, probs, pair_rows, y, h_cls, z = saved
+    d_h = np.zeros(shape)
+    if len(targets):
+        d_logits = probs
+        d_logits[np.arange(len(targets)), targets[:, 2]] -= 1.0
+        d_logits *= mlm_scale
+        _add_projection_grads(grads, "mlm_head.weight", "mlm_head.bias", h_mlm, d_logits)
+        np.add.at(d_h, (targets[:, 0], targets[:, 1]), d_logits @ params["mlm_head.weight"].T)
+    d_z = (sigmoid(z) - y) * np_scale
+    _add_projection_grads(grads, "np_head.weight", "np_head.bias", h_cls, d_z[:, None])
+    d_h[pair_rows, 0] += d_z[:, None] * params["np_head.weight"][:, 0]
+    return d_h
 
 
 def loss_and_grads(
@@ -721,108 +837,22 @@ def loss_and_grads(
     """
     if trace.cache is None:
         raise NoRecordedForwardError("forward was run without record=True")
-    c = params.config
-    cache = trace.cache
-    h_final = trace.hidden_states
     mlm_sum, np_sum, heads = _head_terms(params, trace, mlm_targets, np_labels)
-    targets, h_mlm, probs, pair_rows, y, h_cls, z = heads
     grads = zero_grads(params) if into is None else into
-    if not len(targets) and not len(pair_rows):
-        return 0.0, 0.0, grads
-
-    def put(name: str, grad: np.ndarray) -> None:
-        target = grads[name]
-        target += grad
-
-    d_h = np.zeros_like(h_final)
-    w_mlm = params["mlm_head.weight"]
-    if len(targets):
-        d_logits = probs
-        d_logits[np.arange(len(targets)), targets[:, 2]] -= 1.0
-        d_logits *= mlm_scale
-        put("mlm_head.weight", h_mlm.T @ d_logits)
-        put("mlm_head.bias", d_logits.sum(axis=0))
-        np.add.at(d_h, (targets[:, 0], targets[:, 1]), d_logits @ w_mlm.T)
-
-    w_np = params["np_head.weight"][:, 0]
-    d_z = (sigmoid(z) - y) * np_scale
-    put("np_head.weight", (h_cls.T @ d_z)[:, None])
-    put("np_head.bias", d_z.sum())
-    d_h[pair_rows, 0] += d_z[:, None] * w_np
-
-    width = h_final.shape[1]
-    scale = 1.0 / np.sqrt(c.d_head)
-    for i in reversed(range(c.n_layers)):
-        p = f"layer{i}"
-        lc = cache["layers"][i]
-        layer_picks = cache["picks"] if i == c.n_layers - 1 else None
-        if layer_picks is not None:
-            d_h = _gather(d_h, layer_picks)
-        d_res2, d_gain, d_bias = layer_norm_backward(
-            d_h, lc["ln2_hat"], lc["ln2_inv"], params[f"{p}.ln2.gain"]
-        )
-        put(f"{p}.ln2.gain", d_gain)
-        put(f"{p}.ln2.bias", d_bias)
-
-        d_ffn_out = d_res2 if lc["drop2"] is None else d_res2 * lc["drop2"]
-        h1, cdf = lc["h1"], lc["cdf"]
-        put(f"{p}.ffn.w2", _rows(h1 * cdf).T @ _rows(d_ffn_out))
-        put(f"{p}.ffn.b2", _rows(d_ffn_out).sum(axis=0))
-        d_h1 = _times_transposed(d_ffn_out, params[f"{p}.ffn.w2"], layer_picks, width)
-        d_h1 *= gelu_grad(h1, cdf)
-        ln1_out = params[f"{p}.ln1.gain"] * lc["ln1_hat"] + params[f"{p}.ln1.bias"]
-        put(f"{p}.ffn.w1", _rows(ln1_out).T @ _rows(d_h1))
-        put(f"{p}.ffn.b1", _rows(d_h1).sum(axis=0))
-        d_ln1_out = d_res2 + _times_transposed(d_h1, params[f"{p}.ffn.w1"], layer_picks, width)
-
-        d_res1, d_gain, d_bias = layer_norm_backward(
-            d_ln1_out, lc["ln1_hat"], lc["ln1_inv"], params[f"{p}.ln1.gain"]
-        )
-        put(f"{p}.ln1.gain", d_gain)
-        put(f"{p}.ln1.bias", d_bias)
-
-        d_attn_out = d_res1 if lc["drop1"] is None else d_res1 * lc["drop1"]
-        put(f"{p}.attn.w_o", _rows(lc["ctx"]).T @ _rows(d_attn_out))
-        put(f"{p}.attn.b_o", _rows(d_attn_out).sum(axis=0))
-        d_ctx = _split_heads(
-            _times_transposed(d_attn_out, params[f"{p}.attn.w_o"], layer_picks, width),
-            c.n_heads,
-        )
-
-        attn = lc["attn"]
-        d_v = _merge_heads(attn.transpose(0, 1, 3, 2) @ d_ctx)
-        # softmax rows, in place: PAD-key columns have weight 0, so grad 0
-        d_scores = d_ctx @ lc["v"].transpose(0, 1, 3, 2)
-        d_scores -= np.sum(d_scores * attn, axis=-1, keepdims=True)
-        d_scores *= attn
-        d_q = _merge_heads((d_scores @ lc["k"]) * scale)
-        d_k = _merge_heads((d_scores.transpose(0, 1, 3, 2) @ lc["q"]) * scale)
-        del d_scores
-
-        x_in, x_q = _rows(lc["x_in"]), _rows(lc["x_q"])
-        for name, x_proj, d_proj in (("q", x_q, d_q), ("k", x_in, d_k), ("v", x_in, d_v)):
-            put(f"{p}.attn.w_{name}", x_proj.T @ _rows(d_proj))
-            put(f"{p}.attn.b_{name}", _rows(d_proj).sum(axis=0))
-        if layer_picks is not None:
-            # back to full width; the query product runs there anyway
-            d_res1 = _scatter(d_res1, layer_picks, width)
-            d_q = _scatter(d_q, layer_picks, width)
-        d_x = d_res1
-        for name, d_proj in (("q", d_q), ("k", d_k), ("v", d_v)):
-            d_x += d_proj @ params[f"{p}.attn.w_{name}"].T
-        d_h = d_x
-
-    d_rows = _rows(d_h)
-    np.add.at(grads["token_embedding"], cache["ids"].ravel(), d_rows)
-    # Two segment rows: each sums its positions' gradients onto itself in
-    # position order, as np.add.at would, with one reduction.
-    segments = cache["segments"].ravel()
-    table = grads["segment_embedding"]
-    for s in range(len(table)):
-        table[s] = np.add.reduce(np.concatenate([table[s : s + 1], d_rows[segments == s]]), axis=0)
-    # positions past a narrower pass's width get no gradient
-    positions = grads["position_embedding"][: d_h.shape[1]]
-    positions += d_h.sum(axis=0)
+    if heads is None:
+        return mlm_sum, np_sum, grads
+    d_h = _heads_backward(params, grads, heads, mlm_scale, np_scale)
+    embedded, layers, picks = trace.cache
+    if picks is not None:
+        d_h = _gather(d_h, picks)
+    for i in reversed(range(len(layers))):
+        p = f"layer{i}."
+        attention, norm1, ffn, norm2 = layers[i]
+        d_h = _norm_backward(params, grads, p + "ln2", d_h, norm2)
+        d_h = _feed_forward_backward(params, grads, p, d_h, ffn)
+        d_h = _norm_backward(params, grads, p + "ln1", d_h, norm1)
+        d_h = _attention_backward(params, grads, p, d_h, attention)
+    _embed_backward(grads, d_h, embedded)
     return mlm_sum, np_sum, grads
 
 

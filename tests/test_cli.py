@@ -847,6 +847,24 @@ class TestEvaluate:
             f"  {a}  {type_of[a]}  {text_of[a]}" for a in rows[0].article_ids
         ]
 
+    def test_spot_check_of_a_customer_the_submission_lacks(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        transactions = corpus.load_saved_transactions(clone["workdir"] / cli.TRANSACTIONS_FILE)
+        train_window, _ = evaluation.temporal_split(transactions, holdout_days=7)
+        buyers = {train_window.customer_ids[c] for c in np.unique(train_window.customers)}
+        rows = evaluation.read_submission(clone["workdir"] / cli.SUBMISSION_FILE)
+        dropped = next(row.customer_id for row in rows if row.customer_id in buyers)
+        kept = [row for row in rows if row.customer_id != dropped]
+        evaluation.write_submission(
+            evaluation.Submission.of_rows(kept), clone["workdir"] / cli.SUBMISSION_FILE
+        )
+        capsys.readouterr()
+        assert run_cli("evaluate", *clone["base"], "--customer", dropped) == 0
+        out = capsys.readouterr().out
+        assert f"customer: {dropped}" in out
+        assert "recommended items (0):\n  (none)\n" in out
+        assert "purchased items (0):" not in out
+
     def test_spot_check_needs_articles_path(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
         base = clone["base"]

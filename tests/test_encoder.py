@@ -18,6 +18,13 @@ from titlerec.tokenizer import TokenBatch
 from conftest import encode_id_pairs, token_rows, zeroed_params
 
 
+def attention_weights(trace):
+    """Each layer's (B, heads, queries, keys) attention weights from a
+    recorded trace: the sixth array its attention block saves."""
+    _, layers, _ = trace.cache
+    return [attention[5] for attention, _, _, _ in layers]
+
+
 class TestConfig:
     def test_rejects_indivisible_heads(self):
         with pytest.raises(InvalidConfigError):
@@ -170,24 +177,22 @@ class TestForward:
     def test_output_shapes(self, tiny_config, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)
         assert trace.hidden_states.shape == (1, tiny_config.max_len, tiny_config.d_model)
-        layers = trace.cache["layers"]
-        assert len(layers) == tiny_config.n_layers
-        for layer in layers:
-            assert layer["attn"].shape == (
-                1, tiny_config.n_heads, tiny_config.max_len, tiny_config.max_len
-            )
+        weights = attention_weights(trace)
+        assert len(weights) == tiny_config.n_layers
+        for attn in weights:
+            assert attn.shape == (1, tiny_config.n_heads, tiny_config.max_len, tiny_config.max_len)
         assert trace.hidden_states[:, 0].shape == (1, tiny_config.d_model)
 
     def test_attention_rows_normalized(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)
-        for layer in trace.cache["layers"]:
-            assert np.all(np.abs(layer["attn"].sum(axis=-1) - 1.0) < 1e-6)
+        for attn in attention_weights(trace):
+            assert np.all(np.abs(attn.sum(axis=-1) - 1.0) < 1e-6)
 
     def test_pad_keys_get_exactly_zero_weight(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)
         pad_cols = np.flatnonzero(~tiny_row.attn_mask[0])
-        for layer in trace.cache["layers"]:
-            assert np.all(layer["attn"][..., pad_cols] == 0.0)
+        for attn in attention_weights(trace):
+            assert np.all(attn[..., pad_cols] == 0.0)
 
     def test_pad_region_ids_cannot_leak(self, tiny_params, tiny_row):
         base = enc.forward(tiny_params, tiny_row)
@@ -225,6 +230,15 @@ class TestForward:
     def test_out_of_vocab_id_rejected(self, tiny_params, tiny_config):
         row = token_rows([2, tiny_config.vocab_size, 3, 0, 0, 0, 0], [0] * 7, [1, 1, 1, 0, 0, 0, 0])
         with pytest.raises(ShapeMismatchError):
+            enc.forward(tiny_params, row)
+
+    @pytest.mark.parametrize("segment", [-1, 2])
+    def test_out_of_range_segment_id_rejected(self, tiny_params, segment):
+        """Only rows 0 and 1 of the segment table exist: -1 would read row 1
+        forward but get no gradient backward, and 2 would read past it."""
+        segments = [0, 0, 0, segment, segment, 0, 0]
+        row = token_rows([2, 5, 6, 7, 3, 0, 0], segments, [1, 1, 1, 1, 1, 0, 0])
+        with pytest.raises(ShapeMismatchError, match="segment ids must be 0 or 1"):
             enc.forward(tiny_params, row)
 
     def test_record_false_drops_cache(self, tiny_params, tiny_row):
@@ -440,8 +454,7 @@ class TestBatchedForward:
     def test_attention_per_row_mask(self, tiny_config, tiny_params):
         batch = self.rows(tiny_config, np.random.default_rng(32), (3, 7, 5))
         trace = enc.forward(tiny_params, batch)
-        for layer in trace.cache["layers"]:
-            attn = layer["attn"]
+        for attn in attention_weights(trace):
             assert attn.shape == (3, tiny_config.n_heads, tiny_config.max_len, tiny_config.max_len)
             assert np.all(np.abs(attn.sum(axis=-1) - 1.0) < 1e-12)
             for row, live in enumerate(batch.attn_mask.sum(axis=1).tolist()):

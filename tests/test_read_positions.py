@@ -17,7 +17,8 @@ from titlerec.tokenizer import CLS_ID, SEP_ID, Vocabulary, encode_single
 from conftest import encode_id_pairs, token_rows
 
 # (vocab, d_model, d_ff, max_len, rows per pass) of the planted, catalog
-# and log workloads; each runs 4 heads over 2 layers
+# and log workloads; each runs 4 heads over 2 layers (``shaped_params``
+# may stack another number)
 SHAPES = {
     "planted": (249, 32, 64, 16, 16),
     "catalog": (1005, 64, 128, 48, 5),
@@ -25,10 +26,10 @@ SHAPES = {
 }
 
 
-def shaped_params(shape, dropout_rate=0.0, seed=0):
+def shaped_params(shape, dropout_rate=0.0, seed=0, n_layers=2):
     vocab, d_model, d_ff, max_len, _ = SHAPES[shape]
     config = enc.EncoderConfig(
-        vocab_size=vocab, d_model=d_model, n_heads=4, n_layers=2, d_ff=d_ff,
+        vocab_size=vocab, d_model=d_model, n_heads=4, n_layers=n_layers, d_ff=d_ff,
         max_len=max_len, dropout_rate=dropout_rate,
     )
     params = enc.init_params(config, seed=seed)
@@ -125,7 +126,20 @@ class TestCutPassParity:
     @pytest.mark.parametrize("kind", ["mixed", "pairs"])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_bit_identical_to_the_full_pass(self, shape, kind, dropout):
-        params = shaped_params(shape, dropout_rate=dropout, seed=1)
+        self.check(shape, kind, dropout, n_layers=2)
+
+    # one layer: the cut layer's input gradient goes straight to the
+    # embedding tables; three: a full-width middle layer precedes it
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("kind", ["mixed", "pairs"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_bit_identical_at_other_depths(self, shape, kind, dropout, n_layers):
+        self.check(shape, kind, dropout, n_layers)
+
+    @staticmethod
+    def check(shape, kind, dropout, n_layers):
+        params = shaped_params(shape, dropout_rate=dropout, seed=1, n_layers=n_layers)
         batch, targets, labels = mixed_pass(shape, kind, seed=2)
         assert not batch.attn_mask.all()
         reads, ((full, full_out), (cut, cut_out)) = both_passes(
