@@ -12,6 +12,14 @@ ranking used for serving all draw from the remaining earlier window. Each
 stage reads ``transactions.bin`` once, into a ``corpus.PurchaseLog`` of
 integer columns, and splits, groups and counts it with array operations.
 
+Every setting is a field of ``PipelineConfig``, declared there once with its
+default. ``FIELD_RULES`` gives each field's type and bounds, and
+``build_parser`` makes of each field the flag ``--<field-name>`` (dashes for
+underscores), with its type and help text taken from that table. The
+model's shape rules (bounds, d_model divisible by n_heads) live in
+``encoder.EncoderConfig`` alone; ``load_config`` runs them with the rest,
+before any artifact is read.
+
 Artifacts (inside the workdir):
     prepared_articles.tsv  cleaned one-line text per article
     transactions.bin       catalog-joined purchase log (TRLOG001), in input order
@@ -93,14 +101,15 @@ INPUT_ERRORS = (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of the pipeline; a JSON config file may set any field
-    and command-line flags override the file."""
+    """Every knob of the pipeline, each declared here once: a JSON config
+    file may set any field, ``build_parser`` makes a flag of each, and the
+    flags override the file."""
 
     articles: str | None = None
     transactions: str | None = None
     workdir: str = "workdir"
     customer_list: str | None = None
-    text_columns: tuple[str, ...] = corpus.DEFAULT_TEXT_COLUMNS
+    text_columns: tuple[str, ...] = corpus.TEXTUAL_COLUMNS
     min_freq: int = 1
     max_vocab: int = 30000
     max_len: int = 48
@@ -109,7 +118,6 @@ class PipelineConfig:
     n_layers: int = 2
     d_ff: int = 128
     dropout_rate: float = 0.0
-    layer_norm_epsilon: float = 1e-5
     epochs: int = 1
     batch_size: int = 16
     max_steps: int | None = None
@@ -117,7 +125,6 @@ class PipelineConfig:
     negatives_per_positive: int = 1
     learning_rate: float = 1e-3
     holdout_days: int = 7
-    top_n: int = 12
     pooling: str = "mean"
 
     def encoder_config(self, vocab_size: int) -> enc.EncoderConfig:
@@ -129,45 +136,51 @@ class PipelineConfig:
             d_ff=self.d_ff,
             max_len=self.max_len,
             dropout_rate=self.dropout_rate,
-            layer_norm_epsilon=self.layer_norm_epsilon,
         )
 
 
 # What each config field accepts: its type, then the (comparison, limit)
 # tests its value must pass, "in" naming the values it may take. A field
-# whose default is None also accepts None. Outside these a run would fail
-# mid-way with a traceback or silently train nothing; ``epochs`` 0 (and
-# ``max_steps`` 0) deliberately keeps the seed-initialized checkpoint.
+# whose default is None also accepts None. The model fields carry only their
+# type: EncoderConfig holds their rules, and load_config runs them. Outside
+# these a run would fail mid-way with a traceback or silently train nothing;
+# ``epochs`` 0 (and ``max_steps`` 0) deliberately keeps the seed-initialized
+# checkpoint.
 FIELD_RULES = {
     **dict.fromkeys(("articles", "transactions", "workdir", "customer_list"), (str,)),
     "text_columns": (tuple,),
     **dict.fromkeys(
-        ("min_freq", "d_model", "n_heads", "n_layers", "d_ff", "batch_size",
-         "negatives_per_positive", "holdout_days"),
-        (int, (">=", 1)),
+        ("min_freq", "batch_size", "negatives_per_positive", "holdout_days"), (int, (">=", 1))
     ),
-    "top_n": (int, ("==", evaluation.PREDICTION_WIDTH)),  # the submission's row width
+    **dict.fromkeys(("max_len", "d_model", "n_heads", "n_layers", "d_ff"), (int,)),
     **dict.fromkeys(("epochs", "max_steps", "seed"), (int, (">=", 0))),
     "max_vocab": (int, (">=", FIRST_WORD_ID + 1)),
-    "max_len": (int, (">=", 5)),
-    "dropout_rate": (float, (">=", 0.0), ("<", 1.0)),
-    **dict.fromkeys(("layer_norm_epsilon", "learning_rate"), (float, (">", 0.0))),
+    "dropout_rate": (float,),
+    "learning_rate": (float, (">", 0.0)),
     "pooling": (str, ("in", ("mean", "cls"))),
 }
-COMPARISONS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt, "<": operator.lt,
-               "in": lambda v, c: v in c}
-# each type's test and its name: an int counts as a float, a bool as neither
+COMPARISONS = {">=": operator.ge, ">": operator.gt, "in": lambda v, c: v in c}
+# each type's test, its name and how argparse reads its flag: an int counts
+# as a float, a bool as neither
 TYPES = {
-    int: (lambda v: type(v) is int, "an integer"),
-    float: (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
-    str: (lambda v: type(v) is str, "a string"),
+    int: (lambda v: type(v) is int, "an integer", {"type": int}),
+    float: (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number",
+            {"type": float}),
+    str: (lambda v: type(v) is str, "a string", {}),
     tuple: (lambda v: type(v) is tuple and all(type(c) is str for c in v) and bool(v),
-            "a nonempty list of strings"),
+            "a nonempty list of strings", {"nargs": "+"}),
 }
+
+
+def _accepts(name: str) -> str:
+    """What a config field accepts, in the words of its error and its flag's help."""
+    kind, *tests = FIELD_RULES[name]
+    return TYPES[kind][1] + " and".join(f" {op} {limit!r}" for op, limit in tests)
 
 
 def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
-    """Defaults, then config-file values, then non-None flag overrides."""
+    """Defaults, then config-file values, then non-None flag overrides,
+    checked against FIELD_RULES and then against EncoderConfig's rules."""
     known = {f.name for f in fields(PipelineConfig)}
     config = PipelineConfig()
     if config_path is not None:
@@ -190,10 +203,11 @@ def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
         value = getattr(config, f.name)
         if value is None and f.default is None:
             continue
-        is_kind, kind_name = TYPES[kind]
-        if not is_kind(value) or not all(COMPARISONS[op](value, limit) for op, limit in tests):
-            wanted = " and".join(f" {op} {limit!r}" for op, limit in tests)
-            raise InvalidConfigError(f"{f.name} must be {kind_name}{wanted}, got {value!r}")
+        if not TYPES[kind][0](value) or not all(
+            COMPARISONS[op](value, limit) for op, limit in tests
+        ):
+            raise InvalidConfigError(f"{f.name} must be {_accepts(f.name)}, got {value!r}")
+    config.encoder_config(FIRST_WORD_ID + 1)  # its rules, at the least vocabulary allowed
     return config
 
 
@@ -319,6 +333,8 @@ def cmd_stats(config: PipelineConfig) -> str:
     return report.rstrip("\n")
 
 
+# an overflowing step is reported once, by joint_loss's non-finite guard
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_train(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
@@ -327,7 +343,6 @@ def cmd_train(config: PipelineConfig) -> str:
     train_window, _ = evaluation.temporal_split(joined, config.holdout_days)
 
     vocab = build_vocab(prepared, config.min_freq, config.max_vocab)
-    vocab.save(workdir / VOCAB_FILE)
     params = enc.init_params(config.encoder_config(len(vocab)), config.seed)
     state = objectives.init_optimizer(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
@@ -370,15 +385,15 @@ def cmd_train(config: PipelineConfig) -> str:
             pair_batch = objectives.encode_training_pairs(
                 objectives.sample_pairs(positives, slots, rng), word_ids, config.max_len
             )
-            params, state, record = objectives.train_step(
-                params, state, masked_batch, pair_batch, rng
-            )
+            record = objectives.train_step(params, state, masked_batch, pair_batch, rng)
             log_lines.append(
                 f"{record.step}\t{record.mlm_mean!r}\t{record.np_mean!r}\t{record.total!r}"
             )
             steps_done += 1
             last_total = record.total
 
+    # written only now, so a failed run leaves the last vocab/checkpoint pair
+    vocab.save(workdir / VOCAB_FILE)
     enc.save_checkpoint(params, workdir / CHECKPOINT_FILE)
     atomic_write_text(workdir / LOSS_LOG_FILE, "\n".join(log_lines) + "\n")
     if last_total is None:
@@ -401,21 +416,21 @@ def cmd_recommend(config: PipelineConfig) -> str:
     vocab_path = _require(workdir / VOCAB_FILE, "titlerec train")
     vocab = Vocabulary.load(vocab_path)
     checkpoint_path = _require(workdir / CHECKPOINT_FILE, "titlerec train")
+    params = enc.load_checkpoint(checkpoint_path)
     expected = config.encoder_config(len(vocab))
-    try:
-        params = enc.load_checkpoint(checkpoint_path, expected_config=expected)
-    except CheckpointMismatchError:
-        # a vocabulary that lost or gained lines, not the checkpoint, is at fault
-        # when the stored config differs from the flags in its size alone
-        stored = enc.load_checkpoint(checkpoint_path).config
-        if stored.vocab_size == expected.vocab_size or replace(
-            stored, vocab_size=expected.vocab_size, dropout_rate=expected.dropout_rate
-        ) != expected:
-            raise
+    # dropout_rate only shapes training, so a checkpoint serves at any rate
+    stored = replace(params.config, dropout_rate=expected.dropout_rate)
+    if stored != expected:
+        if replace(stored, vocab_size=expected.vocab_size) == expected:
+            # the stored config differs from the flags in its size alone: the
+            # vocabulary lost or gained lines, not the checkpoint
+            raise CheckpointMismatchError(
+                f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} was trained with "
+                f"{stored.vocab_size}; both must come from the same `titlerec train`"
+            )
         raise CheckpointMismatchError(
-            f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} was trained with "
-            f"{stored.vocab_size}; both must come from the same `titlerec train`"
-        ) from None
+            f"{checkpoint_path}: stored config {params.config} != expected {expected}"
+        )
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
 
     index_path = workdir / INDEX_FILE
@@ -453,7 +468,7 @@ def cmd_recommend(config: PipelineConfig) -> str:
         train_window,
         article_index,
         index_mod.popularity_ranking(train_window),
-        config.top_n,
+        evaluation.PREDICTION_WIDTH,
     )
     evaluation.write_submission(
         evaluation.Submission(tuple(customers), picks, article_index.article_ids),
@@ -507,30 +522,12 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file; flags override it")
-    shared.add_argument("--workdir", help="artifact directory (default: workdir)")
-    shared.add_argument("--seed", type=int, help="seed for every random draw")
-    shared.add_argument("--articles", help="articles CSV path")
-    shared.add_argument("--transactions", help="transactions CSV path")
-    shared.add_argument("--customer-list", dest="customer_list", help="extra customer ids, one per line")
-    shared.add_argument("--text-columns", dest="text_columns", nargs="+", help="catalog text columns to merge")
-    shared.add_argument("--min-freq", dest="min_freq", type=int)
-    shared.add_argument("--max-vocab", dest="max_vocab", type=int)
-    shared.add_argument("--max-len", dest="max_len", type=int)
-    shared.add_argument("--d-model", dest="d_model", type=int)
-    shared.add_argument("--n-heads", dest="n_heads", type=int)
-    shared.add_argument("--n-layers", dest="n_layers", type=int)
-    shared.add_argument("--d-ff", dest="d_ff", type=int)
-    shared.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    shared.add_argument("--epochs", type=int)
-    shared.add_argument("--batch-size", dest="batch_size", type=int)
-    shared.add_argument("--max-steps", dest="max_steps", type=int)
-    shared.add_argument("--learning-rate", dest="learning_rate", type=float)
-    shared.add_argument(
-        "--negatives-per-positive", dest="negatives_per_positive", type=int
-    )
-    shared.add_argument("--holdout-days", dest="holdout_days", type=int)
-    shared.add_argument("--top-n", dest="top_n", type=int)
-    shared.add_argument("--pooling", choices=["mean", "cls"])
+    for f in fields(PipelineConfig):
+        shared.add_argument(
+            "--" + f.name.replace("_", "-"),
+            **TYPES[FIELD_RULES[f.name][0]][2],
+            help=f"{_accepts(f.name)} (default: {f.default})",
+        )
 
     parser = argparse.ArgumentParser(
         prog="titlerec",

@@ -52,9 +52,8 @@ from .errors import (
 ARTICLE_COLUMNS = ("article_id", "prod_name", "product_type_name", "index_name", "detail_desc")
 TRANSACTION_COLUMNS = ("t_dat", "customer_id", "article_id")
 
-# Columns that may be merged into the per-article text.
+# Columns that may be merged into the per-article text; all of them by default.
 TEXTUAL_COLUMNS = ("prod_name", "product_type_name", "index_name", "detail_desc")
-DEFAULT_TEXT_COLUMNS = ("prod_name", "product_type_name", "index_name", "detail_desc")
 
 _ARTICLE_ID_RE = re.compile(r"^[0-9]{1,10}$")
 _WS_RE = re.compile(r"\s+")
@@ -283,7 +282,7 @@ def seq_length(text: str) -> int:
 
 def prepare_articles(
     articles: list[ArticleRecord],
-    text_columns: tuple[str, ...] = DEFAULT_TEXT_COLUMNS,
+    text_columns: tuple[str, ...] = TEXTUAL_COLUMNS,
 ) -> list[PreparedArticle]:
     """Merge the named textual columns into one cleaned text per article.
 

@@ -104,7 +104,7 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
@@ -139,11 +139,11 @@ def rows_per_pass(width: int) -> int:
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int
-    d_model: int = 64
-    n_heads: int = 4
-    n_layers: int = 2
-    d_ff: int = 128
-    max_len: int = 48
+    d_model: int
+    n_heads: int
+    n_layers: int
+    d_ff: int
+    max_len: int
     dropout_rate: float = 0.0
     layer_norm_epsilon: float = 1e-5
 
@@ -887,11 +887,12 @@ def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
     atomic_write_bytes(path, b"".join(chunks))
 
 
-def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = None) -> EncoderParams:
+def load_checkpoint(path: str | Path) -> EncoderParams:
     """Read a TRENC001 checkpoint; any structural inconsistency fails loudly.
 
-    ``expected_config`` must match the stored config in every field but
-    ``dropout_rate``, which only shapes training.
+    The stored config must pass ``EncoderConfig``'s rules and every tensor
+    must have the shape it implies. Whether that config is the one a caller
+    wants is the caller's check (``cli.cmd_recommend`` makes it).
     """
     reader = ByteReader(Path(path).read_bytes(), str(path))
     if reader.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -901,12 +902,6 @@ def load_checkpoint(path: str | Path, expected_config: EncoderConfig | None = No
         config = EncoderConfig(v, d_model, n_heads, n_layers, d_ff, max_len, dropout, eps)
     except InvalidConfigError as exc:
         raise ArtifactFormatError(f"{path}: invalid stored config ({exc})") from None
-    if expected_config is not None and (
-        replace(config, dropout_rate=expected_config.dropout_rate) != expected_config
-    ):
-        raise CheckpointMismatchError(
-            f"{path}: stored config {config} != expected {expected_config}"
-        )
     (count,) = reader.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -427,8 +427,9 @@ def train_step(
     masked_batch: MaskedBatch,
     pair_batch: PairBatch,
     rng: np.random.Generator | None = None,
-) -> tuple[enc.EncoderParams, OptimizerState, LossRecord]:
-    """One optimization step over a mixed batch.
+) -> LossRecord:
+    """One optimization step over a mixed batch; ``params`` and ``state``
+    are updated in place.
 
     Each loss term is summed over its items and divided by its own count
     (masked positions and pairs respectively) so the two stay on comparable
@@ -465,7 +466,7 @@ def train_step(
     adam_update(params, state, grads)
     mlm_mean = mlm_sum * mlm_scale
     np_mean = np_sum * np_scale
-    record = LossRecord(
+    return LossRecord(
         step=state.step,
         mlm_sum=mlm_sum,
         np_sum=np_sum,
@@ -473,4 +474,3 @@ def train_step(
         np_mean=np_mean,
         total=joint_loss(mlm_mean, np_mean),
     )
-    return params, state, record

@@ -7,7 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -156,7 +157,6 @@ class TestLoadConfig:
     def test_defaults(self):
         config = cli.load_config(None, {})
         assert config.workdir == "workdir"
-        assert config.top_n == 12
         assert config.max_steps is None
 
     def test_file_values_then_flag_overrides(self, tmp_path):
@@ -192,6 +192,7 @@ class TestLoadConfig:
             ("train", "--min-freq", "0"),
             ("train", "--max-vocab", "3"),
             ("train", "--seed", "-1"),
+            ("recommend", "--pooling", "max"),
         ],
     )
     def test_bad_training_knob_rejected(self, pipeline, tmp_path, capsys, command, flag, value):
@@ -220,7 +221,6 @@ class TestLoadConfig:
             ("train", "seed", "1"),
             ("train", "learning_rate", "0.1"),
             ("train", "d_model", "64"),
-            ("recommend", "top_n", "12"),
             ("train", "learning_rate", -1.0),
         ],
     )
@@ -242,24 +242,34 @@ class TestLoadConfig:
             "pooling": "a string in ('mean', 'cls'), got 'max'",
             "seed": "an integer >= 0, got '1'",
             "learning_rate": f"a finite number > 0.0, got {value!r}",
-            "d_model": "an integer >= 1, got '64'",
-            "top_n": "an integer == 12, got '12'",
+            "d_model": "an integer, got '64'",
         }[name]
         after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
         assert after == before
 
-    def test_top_n_other_than_the_submission_width_refused(self, pipeline, tmp_path, capsys):
-        # every submission row holds 12 ids, so any other top_n would embed and
-        # serve every customer before the submission refused its rows
-        clone = fresh_copy(pipeline, tmp_path)
-        (clone["workdir"] / cli.INDEX_FILE).unlink()
-        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
-        capsys.readouterr()
-        assert run_cli("recommend", *clone["base"], "--top-n", "5") == 1
+    @pytest.mark.parametrize("command", ["train", "recommend", "evaluate"])
+    def test_indivisible_heads_refused_before_any_read(self, tmp_path, capsys, command):
+        # an empty workdir: any read would fail as MissingArtifactError
+        assert run_cli(command, "--workdir", tmp_path, "--d-model", "30", "--n-heads", "4") == 1
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == "error: InvalidConfigError: top_n must be an integer == 12, got 5"
-        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
-        assert after == before
+        assert line == "error: InvalidConfigError: d_model 30 not divisible by n_heads 4"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flags_are_the_config_fields(self):
+        shared = cli.build_parser()._subparsers._group_actions[0].choices["train"]
+        flags = {option for action in shared._actions for option in action.option_strings}
+        assert flags - {"-h", "--help"} == {"--config"} | {
+            "--" + f.name.replace("_", "-") for f in fields(cli.PipelineConfig)
+        }
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+        path = tmp_path / "run.json"
+        path.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        assert cli.load_config(str(path), {}) == cli.PipelineConfig(
+            **{**json.loads(path.read_text()), "text_columns": corpus.TEXTUAL_COLUMNS}
+        )
 
     def test_text_columns_normalized(self, tmp_path):
         path = tmp_path / "config.json"
@@ -421,6 +431,31 @@ class TestTrain:
         assert sum(encoded) == sum(trained)
         # a negative is drawn for each negative slot trained, and for no other
         assert drawn == trained_negatives and sum(drawn) >= 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--d-model", "30", "--n-heads", "4"], "InvalidConfigError: d_model 30 not divisible"),
+            (["--learning-rate", "1e300"], "NonFiniteComponentError: loss component nan"),
+        ],
+        ids=["indivisible-heads", "overflowing-step"],
+    )
+    def test_failed_run_keeps_the_vocab_checkpoint_pair(
+        self, pipeline, tmp_path, capsys, flags, message
+    ):
+        # --min-freq 8 builds a smaller vocabulary (18 tokens) than the one trained (21)
+        clone = fresh_copy(pipeline, tmp_path)
+        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("train", *clone["base"], "--min-freq", "8", *flags) == 1
+        assert [str(w.message) for w in caught] == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {message}")
+        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        assert after == before
+        assert run_cli("recommend", *clone["base"]) == 0
 
     def test_shorter_run_is_a_prefix_of_a_longer_one(self, pipeline, tmp_path):
         logs = {}

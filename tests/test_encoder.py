@@ -7,7 +7,6 @@ import pytest
 from titlerec import encoder as enc
 from titlerec.errors import (
     ArtifactFormatError,
-    CheckpointMismatchError,
     InvalidConfigError,
     NoRecordedForwardError,
     PositionOutOfRangeError,
@@ -26,33 +25,33 @@ def attention_weights(trace):
 
 
 class TestConfig:
-    def test_rejects_indivisible_heads(self):
+    # replace() builds a new config, so each runs the rules
+    def test_rejects_indivisible_heads(self, tiny_config):
         with pytest.raises(InvalidConfigError):
-            enc.EncoderConfig(vocab_size=10, d_model=16, n_heads=3)
+            replace(tiny_config, d_model=16, n_heads=3)
 
-    def test_rejects_small_dimensions(self):
+    def test_rejects_small_dimensions(self, tiny_config):
         with pytest.raises(InvalidConfigError):
-            enc.EncoderConfig(vocab_size=0)
+            replace(tiny_config, vocab_size=0)
         with pytest.raises(InvalidConfigError):
-            enc.EncoderConfig(vocab_size=10, n_layers=0)
+            replace(tiny_config, n_layers=0)
 
-    def test_rejects_short_max_len(self):
+    def test_rejects_short_max_len(self, tiny_config):
         with pytest.raises(InvalidConfigError):
-            enc.EncoderConfig(vocab_size=10, max_len=4)
+            replace(tiny_config, max_len=4)
 
-    def test_rejects_bad_dropout(self):
+    def test_rejects_bad_dropout(self, tiny_config):
         with pytest.raises(InvalidConfigError):
-            enc.EncoderConfig(vocab_size=10, dropout_rate=1.0)
+            replace(tiny_config, dropout_rate=1.0)
         with pytest.raises(InvalidConfigError):
-            enc.EncoderConfig(vocab_size=10, dropout_rate=-0.1)
+            replace(tiny_config, dropout_rate=-0.1)
 
-    def test_rejects_nonpositive_epsilon(self):
+    def test_rejects_nonpositive_epsilon(self, tiny_config):
         with pytest.raises(InvalidConfigError):
-            enc.EncoderConfig(vocab_size=10, layer_norm_epsilon=0.0)
+            replace(tiny_config, layer_norm_epsilon=0.0)
 
-    def test_d_head(self):
-        config = enc.EncoderConfig(vocab_size=10, d_model=64, n_heads=4)
-        assert config.d_head == 16
+    def test_d_head(self, tiny_config):
+        assert replace(tiny_config, d_model=64, n_heads=4).d_head == 16
 
 
 class TestInitParams:
@@ -379,28 +378,6 @@ class TestCheckpoint:
         assert list(loaded.tensors) == list(tiny_params.tensors)
         for name in tiny_params.tensors:
             assert np.array_equal(loaded[name], tiny_params[name])
-
-    def test_expected_config_accepted(self, tiny_params, tiny_config, tmp_path):
-        path = tmp_path / "model.bin"
-        enc.save_checkpoint(tiny_params, path)
-        enc.load_checkpoint(path, expected_config=tiny_config)
-
-    def test_mismatched_config_rejected(self, tiny_params, tmp_path):
-        path = tmp_path / "model.bin"
-        enc.save_checkpoint(tiny_params, path)
-        other = enc.EncoderConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=1, d_ff=12, max_len=7)
-        with pytest.raises(CheckpointMismatchError):
-            enc.load_checkpoint(path, expected_config=other)
-
-    def test_dropout_rate_ignored_by_expected_config(self, tiny_params, tiny_config, tmp_path):
-        path = tmp_path / "model.bin"
-        enc.save_checkpoint(tiny_params, path)
-        loaded = enc.load_checkpoint(path, expected_config=replace(tiny_config, dropout_rate=0.5))
-        assert loaded.config == tiny_config
-        with pytest.raises(CheckpointMismatchError):
-            enc.load_checkpoint(
-                path, expected_config=replace(tiny_config, dropout_rate=0.5, d_ff=16)
-            )
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.bin"

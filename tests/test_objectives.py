@@ -394,7 +394,7 @@ class TestAnalyticLosses:
         assert len(empty) == 0 and empty.tokens.max_len == params.config.max_len
         rows = encode_single([vocab.word_ids("w00 w01")], 8)
         masked = obj.mask_titles(rows, vocab, np.random.default_rng(0))
-        record = obj.train_step(params, obj.init_optimizer(params), masked, empty)[2]
+        record = obj.train_step(params, obj.init_optimizer(params), masked, empty)
         assert record.np_sum == 0.0 and record.np_mean == 0.0 and record.mlm_sum > 0.0
 
 
@@ -593,8 +593,7 @@ def run_training(steps, seed=6, learning_rate=5e-3):
         slots = [(start + k) % table.slot_count for k in range(10)]
         step_pairs = obj.sample_pairs(table, slots, rng)
         pair_batch = obj.encode_training_pairs(step_pairs, word_ids, config.max_len)
-        params, state, record = obj.train_step(params, state, masked_batch, pair_batch)
-        records.append(record)
+        records.append(obj.train_step(params, state, masked_batch, pair_batch))
     return params, records
 
 
@@ -610,7 +609,7 @@ class TestTrainStep:
         table = obj.positive_table(sessions_log(sessions[:2]), inventory, 1)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
         pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
-        params, state, record = obj.train_step(params, state, masked_batch, pair_batch)
+        record = obj.train_step(params, state, masked_batch, pair_batch)
         for name in params.tensors:
             assert np.array_equal(params[name], before[name])
         assert record.step == 1
@@ -627,7 +626,7 @@ class TestTrainStep:
         table = obj.positive_table(sessions_log(sessions[:6]), inventory, 1)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
         pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
-        params, _, _ = obj.train_step(params, state, masked_batch, pair_batch)
+        obj.train_step(params, state, masked_batch, pair_batch)
         for name in params.tensors:
             assert not np.array_equal(params[name], before[name]), name
 

@@ -235,7 +235,7 @@ class TestRowsFromWordIds:
         texts = [
             article.text
             for article in corpus.prepare_articles(
-                corpus.load_articles(inputs["articles_path"]), corpus.DEFAULT_TEXT_COLUMNS
+                corpus.load_articles(inputs["articles_path"]), corpus.TEXTUAL_COLUMNS
             )
         ]
         texts += ["", " ".join(texts[:3])]
