@@ -333,7 +333,7 @@ def cmd_stats(config: PipelineConfig) -> str:
     return report.rstrip("\n")
 
 
-# an overflowing step is reported once, by joint_loss's non-finite guard
+# an overflowing step is reported once, by train_step's non-finite guard
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_train(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
@@ -347,15 +347,9 @@ def cmd_train(config: PipelineConfig) -> str:
     state = objectives.init_optimizer(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
-    # each article's word ids, looked up once for its masked rows and its pairs,
-    # and the articles whose title keeps a word to mask within the max_len - 2
-    # words that encode_single keeps
+    # each article's word ids, looked up once for its masked rows and its pairs
     word_ids = [vocab.word_ids(p.text) for p in prepared]
-    titles = [
-        row
-        for row, ids in enumerate(word_ids)
-        if any(token_id >= FIRST_WORD_ID for token_id in ids[: config.max_len - 2])
-    ]
+    titles = objectives.maskable_titles(word_ids, config.max_len)
     positives = objectives.positive_table(
         train_window, list(catalog), config.negatives_per_positive
     )
@@ -416,7 +410,7 @@ def cmd_recommend(config: PipelineConfig) -> str:
     vocab_path = _require(workdir / VOCAB_FILE, "titlerec train")
     vocab = Vocabulary.load(vocab_path)
     checkpoint_path = _require(workdir / CHECKPOINT_FILE, "titlerec train")
-    params = enc.load_checkpoint(checkpoint_path)
+    params, checkpoint_sha256 = enc.load_checkpoint(checkpoint_path)
     expected = config.encoder_config(len(vocab))
     # dropout_rate only shapes training, so a checkpoint serves at any rate
     stored = replace(params.config, dropout_rate=expected.dropout_rate)
@@ -436,7 +430,7 @@ def cmd_recommend(config: PipelineConfig) -> str:
     index_path = workdir / INDEX_FILE
     catalog = tuple(p.article_id for p in prepared)
     source = index_mod.IndexSource(
-        hashlib.sha256(checkpoint_path.read_bytes()).hexdigest(),
+        checkpoint_sha256,
         hashlib.sha256((workdir / PREPARED_FILE).read_bytes()).hexdigest(),
         config.pooling,
     )

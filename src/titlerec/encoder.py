@@ -101,6 +101,7 @@ Checkpoint layout (version TRENC001, little-endian):
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from collections.abc import Mapping
@@ -887,12 +888,14 @@ def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
     atomic_write_bytes(path, b"".join(chunks))
 
 
-def load_checkpoint(path: str | Path) -> EncoderParams:
-    """Read a TRENC001 checkpoint; any structural inconsistency fails loudly.
+def load_checkpoint(path: str | Path) -> tuple[EncoderParams, str]:
+    """Read a TRENC001 checkpoint, and the sha256 hex digest of its bytes;
+    any structural inconsistency fails loudly.
 
     The stored config must pass ``EncoderConfig``'s rules and every tensor
     must have the shape it implies. Whether that config is the one a caller
-    wants is the caller's check (``cli.cmd_recommend`` makes it).
+    wants is the caller's check (``cli.cmd_recommend`` makes it, and records
+    the digest as the provenance of the index it builds).
     """
     reader = ByteReader(Path(path).read_bytes(), str(path))
     if reader.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -909,8 +912,8 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
         name = reader.text(name_len, "utf-8")
         (ndim,) = reader.unpack("<B")
         shape = reader.unpack(f"<{ndim}I")
-        size = int(np.prod(shape)) if ndim else 1
-        tensors[name] = reader.array("<f8", size).reshape(shape)
+        # math.prod: a product of uint32 dims can overflow np.prod's int64
+        tensors[name] = reader.array("<f8", math.prod(shape)).reshape(shape)
     reader.finish()
     expected_shapes = parameter_shapes(config)
     if set(tensors) != set(expected_shapes):
@@ -921,4 +924,5 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
                 f"{path}: tensor {name} has shape {tensors[name].shape}, expected {shape}"
             )
     # the arena copies each tensor in, in parameter_shapes order
-    return EncoderParams(config, {name: tensors[name] for name in expected_shapes})
+    params = EncoderParams(config, {name: tensors[name] for name in expected_shapes})
+    return params, hashlib.sha256(reader.blob).hexdigest()

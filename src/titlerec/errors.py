@@ -69,10 +69,6 @@ class InventoryTooSmallError(TitlerecError):
     pass
 
 
-class EmptyPlanError(TitlerecError):
-    pass
-
-
 class UnknownArticleError(TitlerecError):
     pass
 

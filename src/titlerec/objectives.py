@@ -5,8 +5,16 @@ the word tokens in a title (80% [MASK], 10% random word, 10% unchanged)
 and scores the model's distribution at those positions. Next-purchase
 prediction encodes two titles as a pair and asks the CLS head whether the
 second item was bought in the same session as the first; negatives are
-drawn at random from the inventory. The joint loss is the plain sum of
-the two terms.
+drawn at random from the inventory. The training loss is the plain sum of
+the two terms' means.
+
+A step's rows travel as one ``TrainingRows`` from masking to the loss: a
+``TokenBatch``, an (M, 3) array of masked-token targets (row, position,
+label) and one pair label per row, -1 for a row without a pair term.
+``mask_titles`` masks a batch of encoded titles in place and returns its
+rows with their targets and no pair term; ``encode_training_pairs``
+returns pair rows with their labels and no target; ``train_step`` joins
+the two.
 
 Pairs are drawn step by step. ``positive_table`` lists every positive
 once per run, as inventory indices, and draws nothing. Each positive owns
@@ -15,8 +23,8 @@ first, and each step takes the next ``batch_size`` of them.
 ``sample_pairs`` draws the negatives of those slots only, when the step
 runs, and ``encode_training_pairs`` encodes them from each article's word
 ids, looked up once per run. So no pair is sampled or encoded that is not
-trained. A step's titles are encoded into one ``TokenBatch`` and
-``mask_titles`` masks its rows in place.
+trained. A step's titles are drawn from ``maskable_titles``, encoded into
+one ``TokenBatch`` and masked by ``mask_titles``.
 
 A training step feeds its masked titles and then its pairs through the
 encoder's batched path in passes of at most
@@ -30,6 +38,8 @@ The optimizer state holds Adam's two moments and one gradient arena, all
 in the parameters' flat layout (see ``encoder``), plus one scratch buffer.
 Each step zeroes the gradient arena, every pass adds into it, and
 ``adam_update`` runs in place over the flat buffers, allocating no array.
+Adam's decay rates and denominator floor are the constants ``BETA1``,
+``BETA2`` and ``EPSILON``.
 """
 
 from __future__ import annotations
@@ -43,7 +53,6 @@ from . import encoder as enc
 from .corpus import PurchaseLog
 from .errors import (
     EmptyBatchError,
-    EmptyPlanError,
     InventoryTooSmallError,
     NonFiniteComponentError,
     NothingToMaskError,
@@ -57,33 +66,34 @@ from .tokenizer import (
     encode_pair,
 )
 
-MASK_REPLACE = "MASK"
-RANDOM_REPLACE = "RANDOM"
-KEEP_REPLACE = "KEEP"
+# Adam's moment decay rates and denominator floor
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
-class MaskingPlan:
-    """Which positions were hidden, their original ids, and how each was hidden."""
-
-    positions: tuple[int, ...]
-    labels: tuple[int, ...]
-    replacement_kinds: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.positions) == len(self.labels) == len(self.replacement_kinds)):
-            raise ValueError("positions, labels and replacement_kinds must have equal length")
-
-
-@dataclass(frozen=True)
-class MaskedBatch:
-    """Masked titles: one token row and one masking plan per title."""
+class TrainingRows:
+    """Rows of a training step: the token rows, an (M, 3) int64 array of
+    masked-token targets (row, position, label) and one pair label per row,
+    -1 for a row without a pair term."""
 
     tokens: TokenBatch
-    plans: tuple[MaskingPlan, ...]
+    targets: np.ndarray
+    labels: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.plans)
+        return len(self.labels)
+
+    @classmethod
+    def concat(cls, first: TrainingRows, second: TrainingRows) -> TrainingRows:
+        """The rows of ``first`` and then of ``second``, whose targets'
+        rows move down by ``len(first)``."""
+        return cls(
+            TokenBatch.concat(first.tokens, second.tokens),
+            np.concatenate([first.targets, second.targets + (len(first), 0, 0)]),
+            np.concatenate([first.labels, second.labels]),
+        )
 
 
 @dataclass(frozen=True)
@@ -132,22 +142,9 @@ class SampledPairs:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class PairBatch:
-    """Encoded training pairs: one token row and one 0/1 label per pair."""
-
-    tokens: TokenBatch
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
 @dataclass
 class LossRecord:
     step: int
-    mlm_sum: float
-    np_sum: float
     mlm_mean: float
     np_mean: float
     total: float
@@ -158,42 +155,54 @@ def masked_count(n_maskable: int) -> int:
     return max(1, (3 * n_maskable + 10) // 20)
 
 
+def maskable_titles(word_ids: list[list[int]], max_len: int) -> list[int]:
+    """The titles, by index, that ``apply_masking`` can mask once encoded:
+    those with a word id >= FIRST_WORD_ID among the max_len - 2 words that
+    ``encode_single`` keeps."""
+    return [
+        row
+        for row, ids in enumerate(word_ids)
+        if any(token_id >= FIRST_WORD_ID for token_id in ids[: max_len - 2])
+    ]
+
+
 def apply_masking(
     batch: TokenBatch, row: int, vocab: Vocabulary, rng: np.random.Generator
-) -> MaskingPlan:
+) -> np.ndarray:
     """Hide 15% of the word tokens of one batch row (at least one) in place,
-    and return the plan.
+    and return their (row, position, label) targets in position order.
 
     Only ids >= FIRST_WORD_ID are candidates, so specials and padding are
-    never touched. Draw order per plan: one choice() for the position set,
+    never touched. Draw order per row: one choice() for the position set,
     then per selected position (ascending) one uniform for the replacement
-    kind and, for RANDOM only, one integer for the substitute word.
+    (below 0.8 [MASK], below 0.9 a random word, else the word is kept) and,
+    for a random word only, one integer for the substitute.
     """
     ids = batch.ids[row]
     maskable = np.flatnonzero(ids >= FIRST_WORD_ID)
     if not len(maskable):
         raise NothingToMaskError(f"row {row} has no maskable word tokens")
     count = masked_count(len(maskable))
-    positions = maskable[np.sort(rng.choice(len(maskable), size=count, replace=False))].tolist()
-    labels = ids[positions].tolist()
-    kinds = []
-    for position in positions:
+    positions = maskable[np.sort(rng.choice(len(maskable), size=count, replace=False))]
+    targets = np.array([np.full(count, row), positions, ids[positions]]).T
+    for position in positions.tolist():
         draw = rng.random()
         if draw < 0.8:
-            kinds.append(MASK_REPLACE)
             ids[position] = MASK_ID
         elif draw < 0.9:
-            kinds.append(RANDOM_REPLACE)
             ids[position] = int(rng.integers(FIRST_WORD_ID, len(vocab)))
-        else:
-            kinds.append(KEEP_REPLACE)
-    return MaskingPlan(tuple(positions), tuple(labels), tuple(kinds))
+    return targets
 
 
-def mask_titles(tokens: TokenBatch, vocab: Vocabulary, rng: np.random.Generator) -> MaskedBatch:
-    """Mask every row of a batch of encoded titles in place, in row order."""
-    plans = tuple(apply_masking(tokens, row, vocab, rng) for row in range(len(tokens)))
-    return MaskedBatch(tokens, plans)
+def mask_titles(tokens: TokenBatch, vocab: Vocabulary, rng: np.random.Generator) -> TrainingRows:
+    """Mask every row of a batch of encoded titles in place, in row order;
+    the rows carry their targets and no pair term."""
+    targets = [apply_masking(tokens, row, vocab, rng) for row in range(len(tokens))]
+    return TrainingRows(
+        tokens,
+        np.concatenate([np.empty((0, 3), dtype=np.int64), *targets]),
+        np.full(len(tokens), -1, dtype=np.int64),
+    )
 
 
 def positive_table(
@@ -284,27 +293,18 @@ def sample_pairs(
     return SampledPairs(table.seeds[positive], candidates, (offset == 0).astype(np.int8))
 
 
-def joint_loss(mlm_component: float, np_component: float) -> float:
-    """The training objective: an unweighted sum of the two loss terms."""
-    for value in (mlm_component, np_component):
-        if not np.isfinite(value):
-            raise NonFiniteComponentError(f"loss component {value} is not finite")
-        if value < 0.0:
-            raise ValueError(f"loss component {value} is negative")
-    return mlm_component + np_component
-
-
 def encode_training_pairs(
     pairs: SampledPairs, word_ids: list[list[int]], max_len: int
-) -> PairBatch:
+) -> TrainingRows:
     """Encode each pair from its articles' word ids (one list per inventory
-    index) for the encoder; no pairs give a batch of no rows."""
+    index) as one row with its label and no masked target; no pairs give no
+    rows."""
     tokens = encode_pair(
         [word_ids[seed] for seed in pairs.seeds.tolist()],
         [word_ids[candidate] for candidate in pairs.candidates.tolist()],
         max_len,
     )
-    return PairBatch(tokens, pairs.labels)
+    return TrainingRows(tokens, np.empty((0, 3), dtype=np.int64), pairs.labels)
 
 
 @dataclass
@@ -313,9 +313,6 @@ class OptimizerState:
     scratch buffer, all in the flat layout of the parameters."""
 
     learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon: float
     step: int
     first_moment: enc.EncoderParams
     second_moment: enc.EncoderParams
@@ -323,18 +320,9 @@ class OptimizerState:
     scratch: np.ndarray
 
 
-def init_optimizer(
-    params: enc.EncoderParams,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> OptimizerState:
+def init_optimizer(params: enc.EncoderParams, learning_rate: float = 1e-3) -> OptimizerState:
     return OptimizerState(
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
         step=0,
         first_moment=enc.zero_grads(params),
         second_moment=enc.zero_grads(params),
@@ -355,31 +343,29 @@ def adam_update(
     denominator afterwards.
     """
     state.step += 1
-    correction1 = 1.0 - state.beta1**state.step
-    correction2 = 1.0 - state.beta2**state.step
+    correction1 = 1.0 - BETA1**state.step
+    correction2 = 1.0 - BETA2**state.step
     m, v = state.first_moment.flat, state.second_moment.flat
     g, tmp = grads.flat, state.scratch
-    np.multiply(m, state.beta1, out=m)
-    np.multiply(g, 1.0 - state.beta1, out=tmp)
+    np.multiply(m, BETA1, out=m)
+    np.multiply(g, 1.0 - BETA1, out=tmp)
     np.add(m, tmp, out=m)
-    np.multiply(v, state.beta2, out=v)
-    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    np.multiply(v, BETA2, out=v)
+    np.multiply(g, 1.0 - BETA2, out=tmp)
     np.multiply(tmp, g, out=tmp)
     np.add(v, tmp, out=v)
     np.divide(m, correction1, out=tmp)
     np.multiply(tmp, state.learning_rate, out=tmp)
     np.divide(v, correction2, out=g)
     np.sqrt(g, out=g)
-    np.add(g, state.epsilon, out=g)
+    np.add(g, EPSILON, out=g)
     np.divide(tmp, g, out=tmp)
     np.subtract(params.flat, tmp, out=params.flat)
 
 
 def batch_loss_and_grads(
     params: enc.EncoderParams,
-    rows: TokenBatch,
-    mlm_targets: np.ndarray,
-    np_labels: np.ndarray,
+    rows: TrainingRows,
     mlm_scale: float,
     np_scale: float,
     rng: np.random.Generator | None = None,
@@ -387,29 +373,27 @@ def batch_loss_and_grads(
 ) -> tuple[float, float, enc.EncoderParams]:
     """Summed losses and gradients of a batch, run in bounded passes.
 
-    ``mlm_targets`` is an (M, 3) array of (row, position, label) and
-    ``np_labels`` one label per row (-1 for none). Rows go through the
-    encoder ``encoder.rows_per_pass(max_len)`` at a time, at the full
-    width, with the last layer cut to the pass's reads (see
-    ``encoder.read_positions``). Each pass's gradients are added in order
-    to ``into``, a zeroed arena in the layout of ``params`` (a fresh one
-    when None), which is returned. ``rng`` drives dropout (see
+    Rows go through the encoder ``encoder.rows_per_pass(max_len)`` at a
+    time, at the full width, with the last layer cut to the pass's reads
+    (see ``encoder.read_positions``). Each pass's gradients are added in
+    order to ``into``, a zeroed arena in the layout of ``params`` (a fresh
+    one when None), which is returned. ``rng`` drives dropout (see
     ``encoder.forward``).
     """
     step = enc.rows_per_pass(params.config.max_len)
     grads = enc.zero_grads(params) if into is None else into
     mlm_sum = 0.0
     np_sum = 0.0
+    target_rows = rows.targets[:, 0]
     for start in range(0, len(rows), step):
         stop = start + step
-        in_pass = (mlm_targets[:, 0] >= start) & (mlm_targets[:, 0] < stop)
-        pass_targets = mlm_targets[in_pass] - (start, 0, 0)
-        pass_labels = np_labels[start:stop]
-        reads = enc.read_positions(pass_targets, pass_labels, rows.max_len)
+        pass_targets = rows.targets[(target_rows >= start) & (target_rows < stop)] - (start, 0, 0)
+        pass_labels = rows.labels[start:stop]
+        reads = enc.read_positions(pass_targets, pass_labels, rows.tokens.max_len)
         # the pass's trace is dropped before the next pass records its own
         pass_mlm, pass_np, _ = enc.loss_and_grads(
             params,
-            enc.forward(params, rows[start:stop], rng=rng, reads=reads),
+            enc.forward(params, rows.tokens[start:stop], rng=rng, reads=reads),
             pass_targets,
             pass_labels,
             mlm_scale=mlm_scale,
@@ -424,53 +408,38 @@ def batch_loss_and_grads(
 def train_step(
     params: enc.EncoderParams,
     state: OptimizerState,
-    masked_batch: MaskedBatch,
-    pair_batch: PairBatch,
+    masked_batch: TrainingRows,
+    pair_batch: TrainingRows,
     rng: np.random.Generator | None = None,
 ) -> LossRecord:
-    """One optimization step over a mixed batch; ``params`` and ``state``
-    are updated in place.
+    """One optimization step over masked titles and then pairs; ``params``
+    and ``state`` are updated in place.
 
     Each loss term is summed over its items and divided by its own count
-    (masked positions and pairs respectively) so the two stay on comparable
-    scales; the recorded total is the sum of the two means. The masked
-    titles and then the pairs form one batch whose gradients are
-    accumulated pass by pass in batch order, to keep the reduction
-    deterministic. Either batch may have no rows, but not both. With
-    ``rng`` and a nonzero ``dropout_rate`` the forward drops activations,
-    drawing from ``rng``; at rate 0 nothing is drawn.
+    (masked targets and pair rows respectively) so the two stay on
+    comparable scales; the recorded total is the sum of the two means. The
+    two batches form one whose gradients are accumulated pass by pass in
+    batch order, to keep the reduction deterministic. Either batch may have
+    no rows, but the step needs a target or a pair, and a mean that is not
+    finite raises before the update. With ``rng`` and a nonzero
+    ``dropout_rate`` the forward drops activations, drawing from ``rng``;
+    at rate 0 nothing is drawn.
     """
-    if not len(masked_batch) and not len(pair_batch):
-        raise EmptyBatchError("train_step needs at least one sequence")
-    total_masked = sum(len(plan.positions) for plan in masked_batch.plans)
-    if len(masked_batch) and total_masked == 0:
-        raise EmptyPlanError("masked batch carries no masked positions")
-    mlm_scale = 1.0 / total_masked if total_masked else 0.0
-    np_scale = 1.0 / len(pair_batch) if len(pair_batch) else 0.0
-
-    rows = TokenBatch.concat(masked_batch.tokens, pair_batch.tokens)
-    targets = np.array(
-        [
-            (row, position, label)
-            for row, plan in enumerate(masked_batch.plans)
-            for position, label in zip(plan.positions, plan.labels)
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    labels = np.concatenate([np.full(len(masked_batch), -1, dtype=np.int64), pair_batch.labels])
+    rows = TrainingRows.concat(masked_batch, pair_batch)
+    n_targets, n_pairs = len(rows.targets), int(np.count_nonzero(rows.labels >= 0))
+    if not n_targets and not n_pairs:
+        raise EmptyBatchError("train_step needs a masked target or a pair")
+    mlm_scale = 1.0 / n_targets if n_targets else 0.0
+    np_scale = 1.0 / n_pairs if n_pairs else 0.0
 
     state.grads.flat.fill(0.0)
     mlm_sum, np_sum, grads = batch_loss_and_grads(
-        params, rows, targets, labels, mlm_scale, np_scale, rng, into=state.grads
+        params, rows, mlm_scale, np_scale, rng, into=state.grads
     )
-    adam_update(params, state, grads)
     mlm_mean = mlm_sum * mlm_scale
     np_mean = np_sum * np_scale
-    return LossRecord(
-        step=state.step,
-        mlm_sum=mlm_sum,
-        np_sum=np_sum,
-        mlm_mean=mlm_mean,
-        np_mean=np_mean,
-        total=joint_loss(mlm_mean, np_mean),
-    )
+    for value in (mlm_mean, np_mean):
+        if not np.isfinite(value):
+            raise NonFiniteComponentError(f"loss component {value} is not finite")
+    adam_update(params, state, grads)
+    return LossRecord(state.step, mlm_mean, np_mean, mlm_mean + np_mean)

@@ -7,7 +7,7 @@ import pytest
 from titlerec import encoder as enc
 from titlerec import index as ix
 from titlerec import objectives as obj
-from titlerec.tokenizer import TokenBatch
+from titlerec.tokenizer import MASK_ID, TokenBatch
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +99,17 @@ def served_ids(customers, log, index, popularity, n):
     """``index.serve``'s picks as one tuple of article ids per customer."""
     picks = ix.serve(customers, log, index, popularity, n)
     return [tuple(index.article_ids[p] for p in row) for row in picks.tolist()]
+
+
+def replacement_kinds(masked_ids, targets):
+    """How each masked-token target's position was hidden, read off the
+    masked row: [MASK] is masked, its original id is kept, any other word is
+    random (so a random word that draws the original back reads as kept)."""
+    kinds = []
+    for position, label in targets[:, 1:].tolist():
+        hidden = masked_ids[position]
+        kinds.append("mask" if hidden == MASK_ID else "keep" if hidden == label else "random")
+    return kinds
 
 
 def no_pairs(max_len):

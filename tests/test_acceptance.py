@@ -17,7 +17,6 @@ import pytest
 from titlerec import cli, corpus, evaluation, objectives
 from titlerec import encoder as enc
 from titlerec import index as ix
-from titlerec.objectives import KEEP_REPLACE, MASK_REPLACE, RANDOM_REPLACE
 from titlerec.tokenizer import FIRST_WORD_ID, Vocabulary, encode_single
 
 from conftest import (
@@ -26,6 +25,7 @@ from conftest import (
     grads_agree,
     random_row,
     random_targets,
+    replacement_kinds,
     zeroed_params,
 )
 from synth import sessions_log, write_planted_inputs
@@ -118,12 +118,11 @@ def test_02_loss_formula_oracles():
     config = enc.EncoderConfig(vocab_size=len(vocab), d_model=8, n_heads=2,
                                n_layers=1, d_ff=8, max_len=6)
     seq = encode_single([vocab.word_ids("alpha beta")], config.max_len)
-    plan = objectives.MaskingPlan((1,), (5,), (MASK_REPLACE,))
+    target = [(0, 1, 5)]
     titles = {"0000000001": "alpha", "0000000002": "beta"}
 
-    def masked_loss(params, row, plan):
+    def masked_loss(params, row, targets):
         trace = enc.forward(params, row)
-        targets = [(0, position, label) for position, label in zip(plan.positions, plan.labels)]
         return enc.loss_and_grads(params, trace, targets, [-1])[0]
 
     def pair_loss(params, pairs):
@@ -136,14 +135,14 @@ def test_02_loss_formula_oracles():
     bias = np.zeros(len(vocab))
     bias[5] = 60.0
     confident["mlm_head.bias"][...] = bias
-    assert masked_loss(confident, seq, plan) == pytest.approx(0.0, abs=1e-9)
+    assert masked_loss(confident, seq, target) == pytest.approx(0.0, abs=1e-9)
 
     # uniform doubt over four candidates costs ln 4
     uniform4 = zeroed_params(config)
     bias = np.full(len(vocab), -40.0)
     bias[[1, 5, 6, 7]] = 0.0
     uniform4["mlm_head.bias"][...] = bias
-    assert masked_loss(uniform4, seq, plan) == pytest.approx(np.log(4.0), abs=1e-9)
+    assert masked_loss(uniform4, seq, target) == pytest.approx(np.log(4.0), abs=1e-9)
 
     # an undecided pair head costs ln 2 per pair
     pairs = [("0000000001", "0000000002", 1), ("0000000001", "0000000002", 0)]
@@ -153,52 +152,60 @@ def test_02_loss_formula_oracles():
     # the masked loss sums position by position
     real = enc.init_params(config, seed=9)
     masked = encode_single([vocab.word_ids("alpha beta gamma")], config.max_len)
-    two = objectives.MaskingPlan((1, 3), (5, 7), (MASK_REPLACE, KEEP_REPLACE))
-    first = objectives.MaskingPlan((1,), (5,), (MASK_REPLACE,))
-    second = objectives.MaskingPlan((3,), (7,), (KEEP_REPLACE,))
-    assert masked_loss(real, masked, two) == pytest.approx(
-        masked_loss(real, masked, first) + masked_loss(real, masked, second),
+    assert masked_loss(real, masked, [(0, 1, 5), (0, 3, 7)]) == pytest.approx(
+        masked_loss(real, masked, [(0, 1, 5)]) + masked_loss(real, masked, [(0, 3, 7)]),
         abs=1e-9,
     )
 
-    # saturated pair logits keep the loss finite
+    # saturated pair logits keep the loss, and a training step's total, finite
     saturated = zeroed_params(config)
+    no_titles = objectives.mask_titles(
+        encode_single([], config.max_len), vocab, np.random.default_rng(0)
+    )
     for sign in (1000.0, -1000.0):
         saturated["np_head.bias"][...] = np.array([sign])
         loss = pair_loss(saturated, pairs)
         assert np.isfinite(loss)
-        assert np.isfinite(objectives.joint_loss(loss, loss))
+        record = objectives.train_step(
+            saturated,
+            objectives.init_optimizer(saturated, learning_rate=0.0),
+            no_titles,
+            encode_id_pairs(pairs, titles, vocab, config.max_len),
+        )
+        assert np.isfinite(record.total)
 
 
 def test_03_masking_statistics():
     words = [f"word{i:02d}" for i in range(40)]
     vocab = Vocabulary(words)
     rng = np.random.default_rng(42)
-    kind_counts = {MASK_REPLACE: 0, RANDOM_REPLACE: 0, KEEP_REPLACE: 0}
+    kind_counts = {"mask": 0, "random": 0, "keep": 0}
     total = 0
     for _ in range(10_000):
         n = int(rng.integers(1, 31))
         text = " ".join(words[int(rng.integers(0, len(words)))] for _ in range(n))
         masked = encode_single([vocab.word_ids(text)], max_len=34)
         ids = masked.ids[0].copy()
-        plan = objectives.apply_masking(masked, 0, vocab, rng)
+        targets = objectives.apply_masking(masked, 0, vocab, rng)
 
         expected = max(1, int(Fraction(3 * n, 20) + Fraction(1, 2)))
-        assert len(plan.positions) == expected
+        assert len(targets) == expected
 
-        for position, label in zip(plan.positions, plan.labels):
+        kinds = replacement_kinds(masked.ids[0], targets)
+        for (row, position, label), kind in zip(targets.tolist(), kinds):
+            assert row == 0
             assert ids[position] == label
             assert label >= FIRST_WORD_ID  # specials are never hidden
-        untouched = set(range(len(ids))) - set(plan.positions)
-        assert all(masked.ids[0, i] == ids[i] for i in untouched)
-
-        for kind in plan.replacement_kinds:
+            assert masked.ids[0, position] >= FIRST_WORD_ID or kind == "mask"
             kind_counts[kind] += 1
-        total += len(plan.positions)
+        untouched = set(range(len(ids))) - set(targets[:, 1].tolist())
+        assert all(masked.ids[0, i] == ids[i] for i in untouched)
+        total += len(targets)
 
-    assert kind_counts[MASK_REPLACE] / total == pytest.approx(0.8, abs=0.02)
-    assert kind_counts[RANDOM_REPLACE] / total == pytest.approx(0.1, abs=0.02)
-    assert kind_counts[KEEP_REPLACE] / total == pytest.approx(0.1, abs=0.02)
+    w = len(words)
+    assert kind_counts["mask"] / total == pytest.approx(0.8, abs=0.02)
+    assert kind_counts["random"] / total == pytest.approx(0.1 * (1 - 1 / w), abs=0.02)
+    assert kind_counts["keep"] / total == pytest.approx(0.1 + 0.1 / w, abs=0.02)
 
 
 def test_04_pair_sampling_soundness():

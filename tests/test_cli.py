@@ -1,10 +1,12 @@
 import csv
 import ctypes
+import hashlib
 import json
 import os
 import platform
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -48,6 +50,15 @@ def add_purchases(path, rows):
     """Append (date, customer id, article id) rows to the purchase log at ``path``."""
     log = corpus.load_saved_transactions(path)
     corpus.save_transactions(purchase_log(log_rows(log) + rows), path)
+
+
+def _overflowing_dims(blob):
+    """A checkpoint whose first tensor has dims (2**32 - 1, 2**32 - 1), a
+    size whose product overflows int64."""
+    (name_length,) = struct.unpack_from("<H", blob, 52)  # after magic, config, count
+    ndim_at = 52 + 2 + name_length
+    assert blob[ndim_at] == 2
+    return blob[: ndim_at + 1] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + blob[ndim_at + 9 :]
 
 
 def _swap_first_two(ids):
@@ -375,7 +386,7 @@ class TestTrain:
             assert float(total) == pytest.approx(float(mlm) + float(np_term))
 
     def test_checkpoint_loadable(self, pipeline):
-        params = enc.load_checkpoint(pipeline["workdir"] / cli.CHECKPOINT_FILE)
+        params, _ = enc.load_checkpoint(pipeline["workdir"] / cli.CHECKPOINT_FILE)
         assert params.config.d_model == 8
         assert all(np.isfinite(t).all() for t in params.tensors.values())
 
@@ -555,7 +566,7 @@ class TestTrain:
         assert "steps=0" in capsys.readouterr().out
         log = (clone["workdir"] / cli.LOSS_LOG_FILE).read_text()
         assert log == cli.LOSS_LOG_HEADER + "\n"
-        params = enc.load_checkpoint(clone["workdir"] / cli.CHECKPOINT_FILE)
+        params, _ = enc.load_checkpoint(clone["workdir"] / cli.CHECKPOINT_FILE)
         seeded = enc.init_params(params.config, seed=0)
         assert all(
             (params[name] == seeded[name]).all() for name in params.tensors
@@ -741,6 +752,24 @@ class TestRecommend:
         assert (clone["workdir"] / cli.SUBMISSION_FILE).read_bytes() == (
             pipeline["workdir"] / cli.SUBMISSION_FILE
         ).read_bytes()
+
+    def test_checkpoint_read_once(self, pipeline, tmp_path, monkeypatch):
+        # the index records the sha256 of the bytes the checkpoint was loaded from
+        clone = fresh_copy(pipeline, tmp_path)
+        checkpoint = clone["workdir"] / cli.CHECKPOINT_FILE
+        (clone["workdir"] / cli.INDEX_FILE).unlink()
+        reads = []
+        real = Path.read_bytes
+
+        def spy(path):
+            reads.append(path.name)
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        assert run_cli("recommend", *clone["base"]) == 0
+        assert reads.count(cli.CHECKPOINT_FILE) == 1
+        source = ix.load_index(clone["workdir"] / cli.INDEX_FILE).source
+        assert source.checkpoint_sha256 == hashlib.sha256(real(checkpoint)).hexdigest()
 
     def test_checkpoint_config_mismatch_detected(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
@@ -1126,9 +1155,10 @@ class TestErrorSurface:
             (cli.CHECKPOINT_FILE, lambda blob: blob + b"0123456789", "recommend"),
             # inside the first tensor name
             (cli.CHECKPOINT_FILE, lambda blob: blob[:60] + b"\xff\xfe" + blob[60:], "recommend"),
+            (cli.CHECKPOINT_FILE, _overflowing_dims, "recommend"),
         ],
         ids=["summary-halved", "summary-empty-object", "vocab-repeated-line",
-             "checkpoint-trailing-bytes", "checkpoint-bad-utf8"],
+             "checkpoint-trailing-bytes", "checkpoint-bad-utf8", "checkpoint-overflowing-dims"],
     )
     def test_corrupt_artifact_named(self, pipeline, tmp_path, capsys, artifact, corrupt, command):
         clone = fresh_copy(pipeline, tmp_path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -165,7 +166,7 @@ class TestParameterArena:
     def test_loaded_checkpoint_is_an_arena(self, tiny_params, tmp_path):
         path = tmp_path / "model.bin"
         enc.save_checkpoint(tiny_params, path)
-        loaded = enc.load_checkpoint(path)
+        loaded, _ = enc.load_checkpoint(path)
         assert_arena_layout(loaded)
         assert np.array_equal(loaded.flat, tiny_params.flat)
         loaded["token_embedding"][...] = 0.0  # writable, not a view of the file bytes
@@ -373,7 +374,8 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_params, tmp_path):
         path = tmp_path / "model.bin"
         enc.save_checkpoint(tiny_params, path)
-        loaded = enc.load_checkpoint(path)
+        loaded, digest = enc.load_checkpoint(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         assert loaded.config == tiny_params.config
         assert list(loaded.tensors) == list(tiny_params.tensors)
         for name in tiny_params.tensors:
@@ -396,7 +398,7 @@ class TestCheckpoint:
     def test_checkpoint_loads_same_forward(self, tiny_params, tiny_row, tmp_path):
         path = tmp_path / "model.bin"
         enc.save_checkpoint(tiny_params, path)
-        loaded = enc.load_checkpoint(path)
+        loaded, _ = enc.load_checkpoint(path)
         a = enc.forward(tiny_params, tiny_row)
         b = enc.forward(loaded, tiny_row)
         assert np.array_equal(a.hidden_states, b.hidden_states)

@@ -299,12 +299,12 @@ class TestBatchedPath:
 
     def test_splitting_into_passes_keeps_grads(self, batch_params, monkeypatch):
         batch, targets, labels = mixed_batch(batch_params.config, np.random.default_rng(23))
-        targets = np.array(targets)
+        rows = obj.TrainingRows(batch, np.array(targets), np.array(labels))
         max_len = batch_params.config.max_len
 
         def run(rows_per_pass):
             monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", rows_per_pass * max_len)
-            return obj.batch_loss_and_grads(batch_params, batch, targets, labels, 0.25, 0.5)
+            return obj.batch_loss_and_grads(batch_params, rows, 0.25, 0.5)
 
         whole = run(len(batch))
         for rows_per_pass in (1, 2, 3):

@@ -11,15 +11,14 @@ from titlerec import objectives as obj
 from titlerec.corpus import PreparedArticle
 from titlerec.errors import (
     EmptyBatchError,
-    EmptyPlanError,
     InventoryTooSmallError,
     NonFiniteComponentError,
     NothingToMaskError,
     UnknownArticleError,
 )
-from titlerec.tokenizer import FIRST_WORD_ID, MASK_ID, build_vocab, encode_single
+from titlerec.tokenizer import FIRST_WORD_ID, TokenBatch, build_vocab, encode_single
 
-from conftest import encode_id_pairs, no_pairs, token_rows, zeroed_params
+from conftest import encode_id_pairs, no_pairs, replacement_kinds, token_rows, zeroed_params
 from synth import sessions_log
 
 
@@ -59,23 +58,33 @@ def masked_copy(batch, row, vocab, rng):
     return copy, obj.apply_masking(copy, 0, vocab, rng)
 
 
+def masked_rows(batch, targets):
+    """``TrainingRows`` of a batch with the given (row, position, label)
+    targets and no pair term."""
+    return obj.TrainingRows(
+        batch, np.array(targets, dtype=np.int64).reshape(-1, 3), np.full(len(batch), -1)
+    )
+
+
 class TestApplyMasking:
     def test_plan_respects_count_law(self, vocab):
         rng = np.random.default_rng(0)
         for live_words in (1, 2, 7, 13):
             text = " ".join(f"w{i % 12:02d}" for i in range(live_words))
-            plan = obj.apply_masking(titles(vocab, [text], live_words + 4), 0, vocab, rng)
-            assert len(plan.positions) == obj.masked_count(live_words)
+            targets = obj.apply_masking(titles(vocab, [text], live_words + 4), 0, vocab, rng)
+            assert targets.shape == (obj.masked_count(live_words), 3)
+            assert targets.dtype == np.int64
 
     def test_only_word_positions_touched(self, vocab):
         rng = np.random.default_rng(1)
         batch = titles(vocab, ["w00 w01 w02 w03 w04"], 10)
         for _ in range(100):
-            masked, plan = masked_copy(batch, 0, vocab, rng)
+            masked, targets = masked_copy(batch, 0, vocab, rng)
+            positions = targets[:, 1].tolist()
             maskable = set(np.flatnonzero(batch.ids[0] >= FIRST_WORD_ID).tolist())
-            assert set(plan.positions) <= maskable
+            assert positions == sorted(set(positions)) and set(positions) <= maskable
             for position in range(batch.max_len):
-                if position not in plan.positions:
+                if position not in positions:
                     assert masked.ids[0, position] == batch.ids[0, position]
             assert np.array_equal(masked.segments, batch.segments)
             assert np.array_equal(masked.attn_mask, batch.attn_mask)
@@ -84,26 +93,22 @@ class TestApplyMasking:
         rng = np.random.default_rng(2)
         batch = titles(vocab, ["w00 w01 w02 w03 w04 w05 w06 w07"], 12)
         for _ in range(300):
-            masked, plan = masked_copy(batch, 0, vocab, rng)
-            for position, label, kind in zip(
-                plan.positions, plan.labels, plan.replacement_kinds
-            ):
+            masked, targets = masked_copy(batch, 0, vocab, rng)
+            assert np.all(targets[:, 0] == 0)
+            kinds = replacement_kinds(masked.ids[0], targets)
+            for (_, position, label), kind in zip(targets.tolist(), kinds):
                 assert label == batch.ids[0, position]
-                if kind == obj.MASK_REPLACE:
-                    assert masked.ids[0, position] == MASK_ID
-                elif kind == obj.RANDOM_REPLACE:
+                if kind == "random":
                     assert masked.ids[0, position] >= FIRST_WORD_ID
-                else:
-                    assert kind == obj.KEEP_REPLACE
-                    assert masked.ids[0, position] == label
 
     def test_masks_only_its_row(self, vocab):
         texts = ["w00 w01 w02", "w03 w04 w05 w06", "w07 w08"]
         batch = titles(vocab, texts, 8)
         before = batch.ids.copy()
-        plan = obj.apply_masking(batch, 1, vocab, np.random.default_rng(5))
+        targets = obj.apply_masking(batch, 1, vocab, np.random.default_rng(5))
+        assert np.all(targets[:, 0] == 1)
         changed = np.flatnonzero(batch.ids[1] != before[1]).tolist()
-        assert set(changed) <= set(plan.positions)
+        assert set(changed) <= set(targets[:, 1].tolist())
         assert np.array_equal(batch.ids[[0, 2]], before[[0, 2]])
 
     def test_nothing_to_mask(self, vocab):
@@ -112,24 +117,68 @@ class TestApplyMasking:
             obj.apply_masking(titles(vocab, [""], 6), 0, vocab, rng)
 
     def test_replacement_mix_statistics(self, vocab):
+        # a random word may draw the original back, which reads as kept
         rng = np.random.default_rng(4)
         text = " ".join(f"w{i % 12:02d}" for i in range(20))
         batch = titles(vocab, [text], 24)
         kinds = []
         for _ in range(2000):
-            _, plan = masked_copy(batch, 0, vocab, rng)
-            kinds.extend(plan.replacement_kinds)
+            masked, targets = masked_copy(batch, 0, vocab, rng)
+            kinds.extend(replacement_kinds(masked.ids[0], targets))
         shares = {k: kinds.count(k) / len(kinds) for k in set(kinds)}
-        assert abs(shares[obj.MASK_REPLACE] - 0.80) < 0.03
-        assert abs(shares[obj.RANDOM_REPLACE] - 0.10) < 0.03
-        assert abs(shares[obj.KEEP_REPLACE] - 0.10) < 0.03
+        words = len(vocab) - FIRST_WORD_ID
+        assert abs(shares["mask"] - 0.80) < 0.03
+        assert abs(shares["random"] - 0.10 * (1 - 1 / words)) < 0.03
+        assert abs(shares["keep"] - (0.10 + 0.10 / words)) < 0.03
 
     def test_deterministic_given_seed(self, vocab):
         batch = titles(vocab, ["w00 w01 w02 w03 w04 w05"] * 2, 10)
         a = obj.apply_masking(batch, 0, vocab, np.random.default_rng(77))
         b = obj.apply_masking(batch, 1, vocab, np.random.default_rng(77))
-        assert a == b
+        assert np.array_equal(a[:, 1:], b[:, 1:])
+        assert a[:, 0].tolist() == [0] * len(a) and b[:, 0].tolist() == [1] * len(b)
         assert np.array_equal(batch.ids[0], batch.ids[1])
+
+    def test_maskable_titles_are_those_apply_masking_takes(self, vocab):
+        # word ids below FIRST_WORD_ID stand for specials and unknown words
+        rng = np.random.default_rng(6)
+        max_len = 6
+        word_ids = [
+            rng.integers(0, len(vocab), size=int(rng.integers(0, 8))).tolist() for _ in range(300)
+        ]
+        batch = encode_single(word_ids, max_len)
+        takes = []
+        for row in range(len(batch)):
+            try:
+                obj.apply_masking(batch, row, vocab, rng)
+                takes.append(row)
+            except NothingToMaskError:
+                pass
+        assert obj.maskable_titles(word_ids, max_len) == takes
+        assert 0 < len(takes) < len(word_ids)
+
+
+class TestTrainingRows:
+    def test_concat_shifts_second_targets(self, tiny_row):
+        pair_row = token_rows([2, 6, 3, 7, 3, 0, 0], [0, 0, 0, 1, 1, 0, 0], [1] * 5 + [0] * 2)
+        first = masked_rows(TokenBatch.concat(tiny_row, tiny_row), [(0, 1, 5), (1, 3, 7)])
+        second = obj.TrainingRows(
+            TokenBatch.concat(tiny_row, pair_row), np.array([[0, 2, 6]]), np.array([-1, 1])
+        )
+        rows = obj.TrainingRows.concat(first, second)
+        assert len(rows) == 4
+        assert np.array_equal(rows.tokens.ids[3], pair_row.ids[0])
+        assert rows.targets.tolist() == [[0, 1, 5], [1, 3, 7], [2, 2, 6]]
+        assert rows.labels.tolist() == [-1, -1, -1, 1]
+        assert second.targets.tolist() == [[0, 2, 6]]  # its inputs stay as they were
+
+    def test_pairs_carry_no_target(self):
+        vocab, _ = make_vocab()
+        titles = {"0000000001": "w00 w01", "0000000002": "w02"}
+        pairs = [("0000000001", "0000000002", 1), ("0000000002", "0000000001", 0)]
+        rows = encode_id_pairs(pairs, titles, vocab, 8)
+        assert len(rows) == 2 and rows.targets.shape == (0, 3)
+        assert rows.labels.tolist() == [1, 0]
 
 
 def session(customer, day, *article_ids):
@@ -291,10 +340,9 @@ class TestAnalyticLosses:
         return token_rows([2, 5, 6, 3, 0, 0], [0] * 6, [1, 1, 1, 1, 0, 0])
 
     @staticmethod
-    def masked_loss(params, row, plan):
-        """Summed NLL of the plan's labels at its positions of a 1-row batch."""
+    def masked_loss(params, row, targets):
+        """Summed NLL of (0, position, label) targets of a 1-row batch."""
         trace = enc.forward(params, row)
-        targets = [(0, position, label) for position, label in zip(plan.positions, plan.labels)]
         return enc.loss_and_grads(params, trace, targets, [-1])[0]
 
     @staticmethod
@@ -310,16 +358,14 @@ class TestAnalyticLosses:
         bias = np.zeros(8)
         bias[label] = 60.0
         params["mlm_head.bias"][...] = bias
-        plan = obj.MaskingPlan((1,), (label,), (obj.MASK_REPLACE,))
-        assert self.masked_loss(params, self.seq(), plan) <= 1e-9
+        assert self.masked_loss(params, self.seq(), [(0, 1, label)]) <= 1e-9
 
     def test_mlm_loss_uniform_four_way(self):
         params = self.rig()
         bias = np.full(8, -40.0)
         bias[:4] = 0.0
         params["mlm_head.bias"][...] = bias
-        plan = obj.MaskingPlan((1,), (2,), (obj.MASK_REPLACE,))
-        assert abs(self.masked_loss(params, self.seq(), plan) - math.log(4.0)) < 1e-9
+        assert abs(self.masked_loss(params, self.seq(), [(0, 1, 2)]) - math.log(4.0)) < 1e-9
 
     def test_mlm_loss_two_positions_prob_inv_e(self):
         params = self.rig()
@@ -327,8 +373,8 @@ class TestAnalyticLosses:
         bias[5] = 0.0
         bias[6] = math.log(math.e - 1.0)
         params["mlm_head.bias"][...] = bias
-        plan = obj.MaskingPlan((1, 2), (5, 5), (obj.MASK_REPLACE, obj.MASK_REPLACE))
-        assert abs(self.masked_loss(params, self.seq(), plan) - 2.0) < 1e-9
+        targets = [(0, 1, 5), (0, 2, 5)]
+        assert abs(self.masked_loss(params, self.seq(), targets) - 2.0) < 1e-9
 
     def test_mlm_loss_additive_over_positions(self):
         params = enc.init_params(
@@ -336,23 +382,18 @@ class TestAnalyticLosses:
             seed=1,
         )
         seq = self.seq()
-        lone = [
-            self.masked_loss(params, seq, obj.MaskingPlan((p,), (l,), (obj.MASK_REPLACE,)))
-            for p, l in ((1, 5), (2, 7))
-        ]
-        both = self.masked_loss(
-            params, seq, obj.MaskingPlan((1, 2), (5, 7), (obj.MASK_REPLACE,) * 2)
-        )
+        lone = [self.masked_loss(params, seq, [target]) for target in ((0, 1, 5), (0, 2, 7))]
+        both = self.masked_loss(params, seq, [(0, 1, 5), (0, 2, 7)])
         assert abs(both - sum(lone)) < 1e-9
 
     def test_mlm_loss_empty_plan(self):
-        # a plan without positions adds nothing to the sum, and training refuses it
+        # no targets add nothing to the sum, and a step of no term is refused
         params = self.rig()
-        empty = obj.MaskingPlan((), (), ())
-        assert self.masked_loss(params, self.seq(), empty) == 0.0
-        masked = obj.MaskedBatch(self.seq(), (empty,))
-        with pytest.raises(EmptyPlanError):
-            obj.train_step(params, obj.init_optimizer(params), masked, no_pairs(6))
+        assert self.masked_loss(params, self.seq(), []) == 0.0
+        with pytest.raises(EmptyBatchError):
+            obj.train_step(
+                params, obj.init_optimizer(params), masked_rows(self.seq(), []), no_pairs(6)
+            )
 
     def np_fixture(self, bias):
         vocab, words = make_vocab()
@@ -395,26 +436,50 @@ class TestAnalyticLosses:
         rows = encode_single([vocab.word_ids("w00 w01")], 8)
         masked = obj.mask_titles(rows, vocab, np.random.default_rng(0))
         record = obj.train_step(params, obj.init_optimizer(params), masked, empty)
-        assert record.np_sum == 0.0 and record.np_mean == 0.0 and record.mlm_sum > 0.0
+        assert record.np_mean == 0.0 and record.mlm_mean > 0.0
 
 
 class TestJointLoss:
+    """A step's total is the plain sum of its two means, and a mean that is
+    not finite stops the step before the update. The rig pins the
+    distributions as in ``TestAnalyticLosses``: uniform over four words at
+    a masked position and even odds for a pair."""
+
+    def rig(self):
+        vocab, _ = make_vocab()
+        config = enc.EncoderConfig(
+            vocab_size=len(vocab), d_model=8, n_heads=2, n_layers=1, d_ff=8, max_len=8
+        )
+        params = zeroed_params(config)
+        bias = np.full(len(vocab), -40.0)
+        bias[[5, 6, 7, 8]] = 0.0
+        params["mlm_head.bias"][...] = bias
+        masked = masked_rows(titles(vocab, ["w00 w01 w02"], 8), [(0, 1, 5), (0, 3, 7)])
+        titles_by_id = {"0000000001": "w00 w01", "0000000002": "w02"}
+        pairs = [("0000000001", "0000000002", 1), ("0000000002", "0000000001", 0)]
+        return params, masked, encode_id_pairs(pairs, titles_by_id, vocab, 8)
+
     def test_identity(self):
-        assert obj.joint_loss(0.0, 0.0) == 0.0
+        # a step without pairs adds a zero pair term
+        params, masked, _ = self.rig()
+        record = obj.train_step(params, obj.init_optimizer(params), masked, no_pairs(8))
+        assert record.np_mean == 0.0 and record.total == record.mlm_mean
 
     def test_plain_sum(self):
-        assert obj.joint_loss(1.25, 0.75) == 2.0
-        assert abs(obj.joint_loss(math.log(4), 2 * math.log(2)) - 4 * math.log(2)) < 1e-12
+        params, masked, pairs = self.rig()
+        record = obj.train_step(params, obj.init_optimizer(params), masked, pairs)
+        assert record.total == record.mlm_mean + record.np_mean
+        assert abs(record.total - 3 * math.log(2)) < 1e-12
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NonFiniteComponentError):
-            obj.joint_loss(float("inf"), 0.0)
-        with pytest.raises(NonFiniteComponentError):
-            obj.joint_loss(0.0, float("nan"))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            obj.joint_loss(-0.1, 0.0)
+        for head in ("mlm_head.bias", "np_head.bias"):
+            params, masked, pairs = self.rig()
+            params[head][...] = np.nan
+            before = params.flat.copy()
+            state = obj.init_optimizer(params)
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteComponentError):
+                obj.train_step(params, state, masked, pairs)
+            assert np.array_equal(params.flat, before, equal_nan=True) and state.step == 0
 
 
 class TestOptimizer:
@@ -489,7 +554,7 @@ class TestArenaAdam:
             with np.errstate(over="ignore", invalid="ignore"):
                 obj.adam_update(params, state, grads)
                 reference_adam(tensors, first, second, reference, step,
-                               3e-3, state.beta1, state.beta2, state.epsilon)
+                               3e-3, obj.BETA1, obj.BETA2, obj.EPSILON)
             assert state.step == step
             for name in params.tensors:
                 assert_same_doubles(params[name], tensors[name])
@@ -526,7 +591,7 @@ class TestArenaAdam:
             real(params, state, grads)
 
         monkeypatch.setattr(obj, "adam_update", spy)
-        masked = obj.MaskedBatch(tiny_row, (obj.MaskingPlan((1,), (5,), (obj.MASK_REPLACE,)),))
+        masked = masked_rows(tiny_row, [(0, 1, 5)])
         for _ in range(3):
             obj.train_step(tiny_params, state, masked, no_pairs(tiny_row.max_len))
         assert all(grads is state.grads for grads in seen) and len(seen) == 3
@@ -535,8 +600,7 @@ class TestArenaAdam:
     def test_each_step_starts_from_zero_gradients(self, tiny_params, tiny_row):
         # whatever the arena holds before a step (adam_update leaves its
         # denominator there) must not reach that step's update
-        plan = obj.MaskingPlan((1, 3), (5, 7), (obj.MASK_REPLACE,) * 2)
-        masked = obj.MaskedBatch(tiny_row, (plan,))
+        masked = masked_rows(tiny_row, [(0, 1, 5), (0, 3, 7)])
         runs = []
         for junk in (None, np.nan):
             params = enc.EncoderParams(tiny_params.config, tiny_params.tensors)
@@ -639,19 +703,28 @@ class TestTrainStep:
         _, first = run_training(steps=12)
         _, second = run_training(steps=12)
         assert [r.total for r in first] == [r.total for r in second]
-        assert [r.mlm_sum for r in first] == [r.mlm_sum for r in second]
+        assert [r.mlm_mean for r in first] == [r.mlm_mean for r in second]
 
-    def test_empty_batches_rejected(self, tiny_params):
+    def test_empty_batches_rejected(self, tiny_params, vocab):
         state = obj.init_optimizer(tiny_params)
-        no_titles = obj.MaskedBatch(encode_single([], 7), ())
+        no_titles = obj.mask_titles(encode_single([], 7), vocab, np.random.default_rng(0))
+        assert len(no_titles) == 0 and no_titles.targets.shape == (0, 3)
         with pytest.raises(EmptyBatchError):
             obj.train_step(tiny_params, state, no_titles, no_pairs(7))
 
     def test_masked_batch_with_empty_plan_rejected(self, tiny_params, tiny_row):
         state = obj.init_optimizer(tiny_params)
-        masked = obj.MaskedBatch(tiny_row, (obj.MaskingPlan((), (), ()),))
-        with pytest.raises(EmptyPlanError):
-            obj.train_step(tiny_params, state, masked, no_pairs(7))
+        with pytest.raises(EmptyBatchError):
+            obj.train_step(tiny_params, state, masked_rows(tiny_row, []), no_pairs(7))
+
+    def test_rows_without_a_term_rejected(self, tiny_params, tiny_row):
+        # rows on both sides, but no masked target and no pair label
+        state = obj.init_optimizer(tiny_params)
+        before = tiny_params.flat.copy()
+        unlabelled = obj.TrainingRows(tiny_row, np.empty((0, 3), np.int64), np.array([-1]))
+        with pytest.raises(EmptyBatchError):
+            obj.train_step(tiny_params, state, masked_rows(tiny_row, []), unlabelled)
+        assert np.array_equal(tiny_params.flat, before) and state.step == 0
 
     def test_params_stay_finite(self):
         params, _ = run_training(steps=25, learning_rate=5e-3)
