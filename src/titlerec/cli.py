@@ -8,9 +8,17 @@ byte-identical artifacts.
 The holdout convention is shared by every stage that needs it: the final
 ``holdout_days`` calendar days of the joined transaction log are reserved
 as ground truth, and training, customer profiles and the popularity
-ranking used for serving all draw from the remaining earlier window. Each
+ranking used for serving all draw from the remaining earlier window.
+``ingest`` records its ``holdout_days`` in ``transactions.bin``, and
+``train``, ``recommend`` and ``evaluate`` refuse to run with another value,
+which would train on the scored days or score against other ones. Each
 stage reads ``transactions.bin`` once, into a ``corpus.PurchaseLog`` of
 integer columns, and splits, groups and counts it with array operations.
+
+An article's one code in every stage is its row in the catalog, which
+``ingest`` sorts by ascending article id: the row of
+``prepared_articles.tsv``, of the log's article table, of the training
+inventory and of ``index.bin``.
 
 Every setting is a field of ``PipelineConfig``, declared there once with its
 default. ``FIELD_RULES`` gives each field's type and bounds, and
@@ -21,8 +29,10 @@ model's shape rules (bounds, d_model divisible by n_heads) live in
 before any artifact is read.
 
 Artifacts (inside the workdir):
-    prepared_articles.tsv  cleaned one-line text per article
-    transactions.bin       catalog-joined purchase log (TRLOG001), in input order
+    prepared_articles.tsv  cleaned one-line text per article, by ascending id
+    transactions.bin       catalog-joined purchase log (TRLOG002), in input
+                           order, over the catalog's article table, with the
+                           holdout days it was ingested with
     ingest_summary.json    row counts and the missing-description histogram
     stats.txt              text-length and missing-description histograms
     vocab.txt              one token per line, line number = id
@@ -89,7 +99,8 @@ TRIM_THRESHOLD_BYTES = 64 << 20
 MMAP_THRESHOLD_BYTES = 32 << 20
 ARENA_MAX = 1
 
-# Failures to read an input, reported as InputFileError like a missing file.
+# Failures to read an input, reported as InputFileError like a missing file;
+# any other OSError is reported under its own name.
 INPUT_ERRORS = (
     FileNotFoundError,
     PermissionError,
@@ -251,15 +262,16 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _load_joined(workdir: Path, catalog: tuple[str, ...]) -> corpus.PurchaseLog:
-    """The ingested purchase log; refused if it names an article outside the catalog."""
+def _load_joined(config: PipelineConfig, catalog: tuple[str, ...]) -> corpus.PurchaseLog:
+    """The ingested purchase log, read with the run's holdout days; refused
+    unless its article table is the catalog."""
+    workdir = Path(config.workdir)
     path = _require(workdir / TRANSACTIONS_FILE, "titlerec ingest")
-    joined = corpus.load_saved_transactions(path)
-    # the log's article table holds only the ids its rows use
-    strays = set(joined.article_ids).difference(catalog)
-    if strays:
+    joined = corpus.load_saved_transactions(path, config.holdout_days)
+    if joined.article_ids != catalog:
         raise UnknownArticleError(
-            f"{path}: article {min(strays)!r} is not in the catalog; re-run `titlerec ingest`"
+            f"{path}: its article table is not the catalog of {workdir / PREPARED_FILE}; "
+            "re-run `titlerec ingest`"
         )
     return joined
 
@@ -275,12 +287,12 @@ def cmd_ingest(config: PipelineConfig) -> str:
     articles = corpus.load_articles(config.articles)
     prepared = corpus.prepare_articles(articles, config.text_columns)
     transactions = corpus.load_transactions(config.transactions)
-    joined = transactions.of_articles(p.article_id for p in prepared)
+    joined = transactions.of_articles(tuple(p.article_id for p in prepared))
     dropped = len(transactions) - len(joined)
     sessions = int(joined.sessions()[1].max(initial=-1)) + 1
 
     corpus.save_prepared(prepared, workdir / PREPARED_FILE)
-    corpus.save_transactions(joined, workdir / TRANSACTIONS_FILE)
+    corpus.save_transactions(joined, workdir / TRANSACTIONS_FILE, config.holdout_days)
     histogram = corpus.missing_description_histogram(articles)
     _write_json(
         workdir / INGEST_SUMMARY_FILE,
@@ -338,8 +350,7 @@ def cmd_stats(config: PipelineConfig) -> str:
 def cmd_train(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
-    catalog = tuple(p.article_id for p in prepared)
-    joined = _load_joined(workdir, catalog)
+    joined = _load_joined(config, tuple(p.article_id for p in prepared))
     train_window, _ = evaluation.temporal_split(joined, config.holdout_days)
 
     vocab = build_vocab(prepared, config.min_freq, config.max_vocab)
@@ -350,9 +361,7 @@ def cmd_train(config: PipelineConfig) -> str:
     # each article's word ids, looked up once for its masked rows and its pairs
     word_ids = [vocab.word_ids(p.text) for p in prepared]
     titles = objectives.maskable_titles(word_ids, config.max_len)
-    positives = objectives.positive_table(
-        train_window, list(catalog), config.negatives_per_positive
-    )
+    positives = objectives.positive_table(train_window, config.negatives_per_positive)
 
     batch = config.batch_size
     step_budget = math.inf if config.max_steps is None else config.max_steps
@@ -448,7 +457,7 @@ def cmd_recommend(config: PipelineConfig) -> str:
         )
     # read after that check, so such a catalog is reported against the index,
     # not the log, and before any article is embedded
-    joined = _load_joined(workdir, catalog)
+    joined = _load_joined(config, catalog)
     if stored is not None and stored.source == source:
         article_index = stored
     else:
@@ -474,7 +483,7 @@ def cmd_recommend(config: PipelineConfig) -> str:
 def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None) -> str:
     workdir = Path(config.workdir)
     joined = corpus.load_saved_transactions(
-        _require(workdir / TRANSACTIONS_FILE, "titlerec ingest")
+        _require(workdir / TRANSACTIONS_FILE, "titlerec ingest"), config.holdout_days
     )
     train_window, holdout = evaluation.temporal_split(joined, config.holdout_days)
     truth = evaluation.build_ground_truth(holdout)
@@ -593,11 +602,9 @@ def main(argv: list[str] | None = None) -> int:
                 output = cmd_recommend(config)
             else:
                 output = cmd_evaluate(config, spot_check)
-    except TitlerecError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except INPUT_ERRORS as exc:
-        print(f"error: InputFileError: {exc}", file=sys.stderr)
+    except (TitlerecError, OSError, *INPUT_ERRORS) as exc:
+        kind = "InputFileError" if isinstance(exc, INPUT_ERRORS) else type(exc).__name__
+        print(f"error: {kind}: {exc}", file=sys.stderr)
         return 1
     print(output)
     return 0

@@ -10,18 +10,28 @@ sessions come from one stable sort. Each loader checks and converts each
 distinct cell string once. All functions are pure with respect to their
 inputs; loaders perform no shared mutation and are safe to call concurrently.
 
+The catalog is held in ascending article-id order (``load_articles``
+sorts it, ``load_prepared`` refuses any other order), and its row number is
+the one code an article has in every stage: ``PurchaseLog.of_articles``
+re-codes a log's purchases to catalog rows, the index's rows are the
+catalog's and training draws articles by catalog row. So no stage depends
+on the row order of the articles file.
+
 ``ingest`` saves the joined log as its integer columns, which later stages
-read back with ``np.frombuffer``. Layout (version TRLOG001, little-endian):
-    magic        8 bytes  b"TRLOG001"
-    counts       3 x uint32 (rows, customers, articles)
+read back with ``np.frombuffer``. Layout (version TRLOG002, little-endian):
+    magic        8 bytes  b"TRLOG002"
+    counts       4 x uint32 (rows, customers, articles, holdout days)
     customers    customers x uint32 byte lengths, then the utf-8 ids
                  (stripped; the blank id is allowed)
     articles     articles x 10 ascii digits
     columns      rows x int64 day ordinals, then rows x int64 customer
                  codes, then rows x int64 article codes
 
-Each table holds only ids that some row uses, in strictly ascending
-order, so codes order as their ids do.
+Both tables ascend strictly, so codes order as their ids do. The customer
+table holds only ids that some row uses; the article table is the whole
+catalog, bought or not, so an article code is a catalog row. The holdout
+days are those ``ingest`` ran with; a stage run with another value is
+refused, since it would train on, or score against, other days.
 """
 
 from __future__ import annotations
@@ -30,10 +40,10 @@ import csv
 import re
 import struct
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from datetime import date
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +53,7 @@ from .errors import (
     ArtifactFormatError,
     DuplicateArticleIdError,
     InputFileError,
+    InvalidConfigError,
     MalformedRowError,
     MissingColumnError,
     UnknownColumnError,
@@ -77,10 +88,11 @@ class PurchaseLog:
 
     ``days`` holds each purchase's date as a ``date.toordinal`` day number;
     ``customers`` and ``articles`` hold codes into ``customer_ids`` and
-    ``article_ids``, the sorted distinct (stripped, zero-padded) ids of the
-    file the log was read from, so codes order as their ids do. A sub-log
-    from ``select`` shares those tables, so a table may name ids that no
-    purchase of the sub-log uses.
+    ``article_ids``, tables of ascending (stripped, zero-padded) ids, so
+    codes order as their ids do. Read from a CSV file, the tables hold the
+    file's distinct ids; after ``of_articles`` the article table is the
+    catalog. A sub-log from ``select`` shares those tables, so a table may
+    name ids that no purchase of the sub-log uses.
     """
 
     days: np.ndarray
@@ -99,11 +111,17 @@ class PurchaseLog:
             self.customer_ids, self.article_ids,
         )
 
-    def of_articles(self, article_ids: Iterable[str]) -> PurchaseLog:
-        """The purchases of the given articles (the join against a catalog)."""
-        wanted = set(article_ids)
-        known = np.array([a in wanted for a in self.article_ids], dtype=bool)
-        return self.select(known[self.articles])
+    def of_articles(self, catalog: tuple[str, ...]) -> PurchaseLog:
+        """The purchases of the catalog's articles (ascending ids), in order,
+        with the catalog as article table: each article code becomes its
+        catalog row."""
+        row_of = {article_id: row for row, article_id in enumerate(catalog)}
+        rows = np.array([row_of.get(a, -1) for a in self.article_ids], dtype=np.int64)
+        rows = rows[self.articles]
+        known = rows >= 0
+        return PurchaseLog(
+            self.days[known], self.customers[known], rows[known], self.customer_ids, catalog
+        )
 
     def sessions(self) -> tuple[np.ndarray, np.ndarray]:
         """Group the purchases into (customer, day) sessions.
@@ -189,7 +207,8 @@ def _codes(values: Sequence[str], canonical: dict[str, str]) -> tuple[np.ndarray
 
 
 def load_articles(path: str | Path) -> list[ArticleRecord]:
-    """Load the article catalog.
+    """Load the article catalog, in ascending article-id order whatever
+    the file's row order.
 
     Article ids are zero-padded to the canonical 10-digit string form; an
     empty detail_desc cell becomes ``None`` (filled later by preparation).
@@ -217,7 +236,7 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
                 detail_desc=desc if desc != "" else None,
             )
         )
-    return records
+    return sorted(records, key=attrgetter("article_id"))
 
 
 def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
@@ -333,6 +352,7 @@ def save_prepared(articles: list[PreparedArticle], path: str | Path) -> None:
 
 
 def load_prepared(path: str | Path) -> list[PreparedArticle]:
+    """The prepared articles, refused unless their ids ascend strictly."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "article_id\ttext\ttext_len":
         raise MalformedRowError(f"{path}: not a prepared-articles file")
@@ -345,35 +365,36 @@ def load_prepared(path: str | Path) -> list[PreparedArticle]:
             text_len = int(fields[2])
         except ValueError:
             raise MalformedRowError(f"{path}: row {n}: bad text_len {fields[2]!r}") from None
+        if out and fields[0] <= out[-1].article_id:
+            raise MalformedRowError(f"{path}: row {n}: article_id {fields[0]!r} does not ascend")
         out.append(PreparedArticle(fields[0], fields[1], text_len))
     return out
 
 
-LOG_MAGIC = b"TRLOG001"
+LOG_MAGIC = b"TRLOG002"
 
 
-def save_transactions(log: PurchaseLog, path: str | Path) -> None:
-    """Write the log in the TRLOG001 layout, over tables of only the ids
-    that some purchase uses."""
+def save_transactions(log: PurchaseLog, path: str | Path, holdout_days: int) -> None:
+    """Write the log in the TRLOG002 layout, over a table of only the
+    customer ids that some purchase uses and the log's whole article table,
+    recording ``holdout_days``."""
     customers, customer_codes = np.unique(log.customers, return_inverse=True)
-    articles, article_codes = np.unique(log.articles, return_inverse=True)
     customer_ids = [log.customer_ids[code].encode("utf-8") for code in customers.tolist()]
-    article_ids = [log.article_ids[code] for code in articles.tolist()]
-    if not all(len(a) == 10 and a.isascii() and a.isdigit() for a in article_ids):
+    if not all(len(a) == 10 and a.isascii() and a.isdigit() for a in log.article_ids):
         raise ArtifactFormatError(f"{path}: an article id is not 10 ascii digits")
     atomic_write_bytes(path, b"".join([
         LOG_MAGIC,
-        struct.pack("<3I", len(log), len(customers), len(articles)),
+        struct.pack("<4I", len(log), len(customers), len(log.article_ids), holdout_days),
         np.array([len(c) for c in customer_ids], dtype="<u4").tobytes(),
         *customer_ids,
-        "".join(article_ids).encode("ascii"),
-        *(column.astype("<i8").tobytes() for column in (log.days, customer_codes, article_codes)),
+        "".join(log.article_ids).encode("ascii"),
+        *(column.astype("<i8").tobytes() for column in (log.days, customer_codes, log.articles)),
     ]))
 
 
 def _checked(path, kind: str, ids: list[str], rule: str, is_id: Callable, codes: np.ndarray):
     """The table ``ids`` and its codes as writable int64, refused unless each id passes
-    ``is_id`` (as ``rule`` says), ids ascend strictly and codes and ids match one to one."""
+    ``is_id`` (as ``rule`` says), ids ascend strictly and every code names an id."""
     for position, ident in enumerate(ids):
         if not is_id(ident):
             raise ArtifactFormatError(f"{path}: {kind} id {ident!r} is not {rule}")
@@ -384,19 +405,23 @@ def _checked(path, kind: str, ids: list[str], rule: str, is_id: Callable, codes:
     if len(outside):
         row = int(outside[0])
         raise ArtifactFormatError(f"{path}: row {row + 1}: {kind} code {codes[row]} is out of range")
-    unused = np.flatnonzero(np.bincount(codes, minlength=len(ids)) == 0)
-    if len(unused):
-        raise ArtifactFormatError(f"{path}: {kind} id {ids[unused[0]]!r} is used by no row")
     return tuple(ids), codes
 
 
-def load_saved_transactions(path: str | Path) -> PurchaseLog:
-    """Read a TRLOG001 file as written by ``save_transactions``; a file that breaks the
-    layout's rules raises ``ArtifactFormatError`` naming it. Each id is checked once."""
+def load_saved_transactions(path: str | Path, holdout_days: int) -> PurchaseLog:
+    """Read a TRLOG002 file as written by ``save_transactions``; a file that breaks the
+    layout's rules raises ``ArtifactFormatError`` naming it, and one ingested with
+    other holdout days than ``holdout_days`` raises ``InvalidConfigError``. Each id is
+    checked once."""
     reader = ByteReader(Path(path).read_bytes(), str(path))
     if reader.take(len(LOG_MAGIC)) != LOG_MAGIC:
-        raise ArtifactFormatError(f"{path}: bad magic, not a purchase log")
-    rows, n_customers, n_articles = reader.unpack("<3I")
+        raise ArtifactFormatError(f"{path}: bad magic, not a purchase log; re-run `titlerec ingest`")
+    rows, n_customers, n_articles, recorded = reader.unpack("<4I")
+    if recorded != holdout_days:
+        raise InvalidConfigError(
+            f"{path} was ingested with holdout_days={recorded}, but this run has "
+            f"holdout_days={holdout_days}; pass the same --holdout-days to every command"
+        )
     ends = np.cumsum(reader.array("<u4", n_customers), dtype=np.int64).tolist()
     customer_bytes = reader.take(ends[-1] if ends else 0)
     try:
@@ -410,6 +435,11 @@ def load_saved_transactions(path: str | Path) -> PurchaseLog:
     customer_ids, customers = _checked(
         path, "customer", customer_ids, "stripped", lambda c: c == c.strip(), customers
     )
+    # the customer table is recommend's customer universe: every id bought something
+    unused = np.flatnonzero(np.bincount(customers, minlength=len(customer_ids)) == 0)
+    if len(unused):
+        unused_id = customer_ids[unused[0]]
+        raise ArtifactFormatError(f"{path}: customer id {unused_id!r} is used by no row")
     article_ids, articles = _checked(path, "article", article_ids, "10 digits", str.isdigit, articles)
     bad_days = np.flatnonzero((days < 1) | (days > date.max.toordinal()))
     if len(bad_days):

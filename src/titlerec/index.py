@@ -12,21 +12,21 @@ the GIL inside a pass's large operations, and a row's vector does not
 depend on its pass, so the index is the same bytes whichever thread ran
 which pass. Retrieval is an exact full scan: cosine similarity is a dot
 product of unit vectors, and ``top_rows`` selects each query's top k by
-one partition and breaks ties by ascending article id, so the ordering is
-total.
+one partition and breaks ties by ascending row. The index's ids ascend
+strictly, so row order is id order and the ordering is total.
 
-Serving selects for a block of customers at a time with whole-array
-operations. The index ranks its rows by ascending article id once
-(``id_rank``), so tie-breaks compare integers, and every customer's
-distinct purchases become index rows, and their profiles one matrix,
-through one sort of the purchase log's codes. ``similarities`` scores each
-profile with its own matrix-vector product, so a score never depends on
-which customers share the block, and identical rows share one float.
+The index's rows are the catalog's, and so are the article codes of an
+ingested purchase log (``corpus.PurchaseLog.of_articles``): a code is a
+row. Serving selects for a block of customers at a time with whole-array
+operations. Every customer's distinct purchases, and their profiles as one
+matrix, come from one sort of the log's codes. ``similarities`` scores
+each profile with its own matrix-vector product, so a score never depends
+on which customers share the block, and identical rows share one float.
 Purchases are set to -inf, and ``top_rows`` orders every customer's picks
 as a full sort would. Customers with no usable purchase history share one
-row, the popularity head extended by the catalog in ascending-id order.
-``serve`` returns the picks as index rows; ids are formatted only to write
-the submission.
+row, the popularity head extended by the catalog in row order. ``serve``
+returns the picks as index rows; ids are formatted only to write the
+submission.
 
 Index file layout (version TRECIDX1, little-endian):
     magic      8 bytes  b"TRECIDX1"
@@ -49,7 +49,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -61,7 +61,6 @@ from .ioutil import ByteReader, atomic_write_bytes
 from .errors import (
     ArtifactFormatError,
     DegenerateEmbeddingError,
-    DuplicateArticleIdError,
     InsufficientCandidatesError,
     KTooLargeError,
 )
@@ -110,32 +109,24 @@ class IndexSource:
 
 @dataclass
 class EmbeddingIndex:
-    """Unit-row embedding matrix aligned with an ordered article id list.
+    """Unit-row embedding matrix aligned with strictly ascending article
+    ids, so row order is id order.
 
     ``source`` names what the vectors were computed from; it is None for an
-    index of unknown origin. ``id_order`` lists the rows by ascending
-    article id and ``id_rank`` is its inverse (a row's position in that
-    order), so id tie-breaks compare integers.
+    index of unknown origin. A broken rule raises ValueError.
     """
 
     article_ids: tuple[str, ...]
     vectors: np.ndarray
     source: IndexSource | None = None
-    _row_of: dict[str, int] = field(init=False, repr=False)
-    id_order: np.ndarray = field(init=False, repr=False)
-    id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.article_ids) != self.vectors.shape[0]:
             raise ValueError("one vector row per article id required")
-        if len(set(self.article_ids)) != len(self.article_ids):
-            raise DuplicateArticleIdError("index article ids must be unique")
+        if any(a >= b for a, b in zip(self.article_ids, self.article_ids[1:])):
+            raise ValueError("index article ids must ascend strictly")
         if self.vectors.size and not self.norm_flag:
             raise ValueError("index rows must be unit length")
-        self._row_of = {a: i for i, a in enumerate(self.article_ids)}
-        self.id_order = np.argsort(np.asarray(self.article_ids, dtype=str), kind="stable")
-        self.id_rank = np.empty_like(self.id_order)
-        self.id_rank[self.id_order] = np.arange(len(self.id_order))
 
     def __len__(self) -> int:
         return len(self.article_ids)
@@ -169,14 +160,14 @@ class EmbeddingIndex:
 
 @dataclass(frozen=True, eq=False)
 class CustomerProfiles:
-    """Every customer with an indexed purchase, as arrays in customer-code order.
+    """Every customer with a purchase, as arrays in customer-code order.
 
     Profile ``p`` belongs to the log's customer code ``owners[p]``. Its
     distinct purchases are the index rows ``rows[starts[p] : starts[p] +
-    sizes[p]]``, in ascending article-id order, and ``vectors[p]`` is their
-    normalized mean. ``usable[p]`` is False in the degenerate case where the
-    purchase vectors cancel to (near) zero; such a customer is served like
-    one without purchases, and its vector row is zero.
+    sizes[p]]``, ascending, and ``vectors[p]`` is their normalized mean.
+    ``usable[p]`` is False in the degenerate case where the purchase vectors
+    cancel to (near) zero; such a customer is served like one without
+    purchases, and its vector row is zero.
     """
 
     owners: np.ndarray
@@ -273,10 +264,10 @@ def build_index(
     )
 
 
-def top_rows(sims: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def top_rows(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` best columns of each row of ``sims`` (queries x rows), by
-    descending similarity and then ascending ``id_rank`` (the index's), as
-    ``(columns, similarities)``, each queries x k; ``1 <= k <= rows``.
+    descending similarity and then ascending column, as ``(columns,
+    similarities)``, each queries x k; ``1 <= k <= rows``.
 
     One partition finds every row's k-th best similarity. The columns at or
     above it, boundary ties included, are laid out as rows again, so one
@@ -293,11 +284,9 @@ def top_rows(sims: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray,
     shape = (len(sims), int(counts.max(initial=0)))
     scores = np.full(shape, -np.inf)
     scores[member, place] = sims.ravel()[pool]
-    ranks = np.full(shape, len(id_rank))
-    ranks[member, place] = id_rank[column]
-    columns = np.zeros(shape, dtype=np.int64)
+    columns = np.full(shape, width)
     columns[member, place] = column
-    order = np.lexsort((ranks, -scores), axis=1)[:, :k]
+    order = np.lexsort((columns, -scores), axis=1)[:, :k]
     return np.take_along_axis(columns, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
 
@@ -319,29 +308,23 @@ def similarities(index: EmbeddingIndex, queries: np.ndarray) -> np.ndarray:
 
 
 def customer_profiles(log: PurchaseLog, index: EmbeddingIndex) -> CustomerProfiles:
-    """Profiles of every customer with a purchase in the index.
+    """Profiles of every customer with a purchase in ``log``, whose article
+    codes are index rows: its article table must be the index's ids.
 
-    Purchases of articles outside the index are ignored. The distinct
-    (customer, article) purchases come from one sort of the log's codes, by
-    customer and then ascending article id. A profile vector is the mean of
+    The distinct (customer, row) purchases come from one sort of the log's
+    codes, by customer and then row. A profile vector is the mean of
     the customer's rows in that order divided by its norm: the rows are
     summed one after another, as ``np.mean`` over the customer's rows sums
     them, and each norm is the ``sqrt(mean.dot(mean))`` that
     ``np.linalg.norm`` takes, so the vector equals that per-customer
     arithmetic bit for bit.
     """
+    if log.article_ids != index.article_ids:
+        raise ValueError("the log's article table is not the index's ids")
     n = len(index)
-    row_of = index._row_of
-    rank_of_code = np.array(
-        [index.id_rank[row_of[a]] if a in row_of else -1 for a in log.article_ids],
-        dtype=np.int64,
-    )
-    ranks = rank_of_code[log.articles]
-    indexed = ranks >= 0
-    keys = np.sort(log.customers[indexed] * n + ranks[indexed])
+    keys = np.sort(log.customers * n + log.articles)
     # (np.unique would load numpy.ma, a cost every recommend would pay)
-    owners, ranks = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    rows = index.id_order[ranks]
+    owners, rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
     sizes = np.diff(starts, append=len(rows))
     # the j-th rows of every customer with more than j, added in turn
@@ -361,27 +344,25 @@ def serve(
     customers: list[str],
     log: PurchaseLog,
     index: EmbeddingIndex,
-    popularity: list[str],
+    popularity: list[int],
     n: int = 12,
 ) -> np.ndarray:
     """Exactly ``n`` distinct picks for each customer, in input order: row
     ``i`` of the returned int array holds customer ``i``'s picks as index
-    rows.
+    rows. ``log``'s article codes and ``popularity`` are index rows.
 
     A customer with a usable profile gets their ``n`` nearest unpurchased
-    rows, by descending similarity and then ascending article id. Every
-    other customer (no indexed purchase, a degenerate profile, or never seen
-    in ``log``) gets the popularity head, skipping ids the index lacks,
-    extended from the catalog in ascending-id order; they all share one row.
+    rows, by descending similarity and then ascending row (article id).
+    Every other customer (no purchase, a degenerate profile, or never seen
+    in ``log``) gets the popularity head, extended from the catalog in row
+    order; they all share one row.
     Raises InsufficientCandidatesError naming the first customer, in input
     order, left with fewer than ``n`` candidates.
     """
     if n < 1:
         raise KTooLargeError(f"n={n} must be at least 1")
     profiles = customer_profiles(log, index)
-    row_of = index._row_of
-    popular = [row_of[a] for a in popularity if a in row_of]
-    head = list(dict.fromkeys(popular + index.id_order.tolist()))[:n]
+    head = list(dict.fromkeys([*popularity, *range(len(index))]))[:n]
     usable = np.flatnonzero(profiles.usable)
     owners = [log.customer_ids[c] for c in profiles.owners[usable].tolist()]
     profile_of = dict(zip(owners, usable.tolist()))
@@ -401,7 +382,7 @@ def serve(
         owner = np.repeat(np.arange(len(at)), sizes)
         offsets = np.repeat(profiles.starts[members] - np.cumsum(sizes) + sizes, sizes)
         sims[owner, profiles.rows[offsets + np.arange(len(owner))]] = -np.inf
-        columns, scores = top_rows(sims, index.id_rank, k)
+        columns, scores = top_rows(sims, k)
         picks[at, :k] = columns
         # purchases (-inf) sort last, so a row with fewer than n finite
         # scores holds every unpurchased row there is
@@ -415,12 +396,12 @@ def serve(
     return picks
 
 
-def popularity_ranking(log: PurchaseLog) -> list[str]:
-    """Article ids by purchase count descending, ties by id ascending."""
+def popularity_ranking(log: PurchaseLog) -> list[int]:
+    """The article codes bought, by purchase count descending, ties by code
+    (so by id) ascending."""
     counts = np.bincount(log.articles, minlength=len(log.article_ids))
-    # codes order as ids do, so a stable sort breaks ties by ascending id
     order = np.argsort(-counts, kind="stable")
-    return [log.article_ids[code] for code in order[: np.count_nonzero(counts)].tolist()]
+    return order[: np.count_nonzero(counts)].tolist()
 
 
 # --- index persistence ---
@@ -476,4 +457,7 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         if prepared is not None:
             source = IndexSource(checkpoint, prepared, pooling)
     reader.finish()
-    return EmbeddingIndex(article_ids, vectors.astype(np.float64), source)
+    try:
+        return EmbeddingIndex(article_ids, vectors.astype(np.float64), source)
+    except ValueError as exc:
+        raise ArtifactFormatError(f"{path}: {exc}") from None

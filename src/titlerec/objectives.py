@@ -17,7 +17,8 @@ returns pair rows with their labels and no target; ``train_step`` joins
 the two.
 
 Pairs are drawn step by step. ``positive_table`` lists every positive
-once per run, as inventory indices, and draws nothing. Each positive owns
+once per run, as inventory indices (the log's article codes, which for an
+ingested log are catalog rows), and draws nothing. Each positive owns
 1 + ``negatives_per_positive`` slots; an epoch permutes all the slots
 first, and each step takes the next ``batch_size`` of them.
 ``sample_pairs`` draws the negatives of those slots only, when the step
@@ -56,7 +57,6 @@ from .errors import (
     InventoryTooSmallError,
     NonFiniteComponentError,
     NothingToMaskError,
-    UnknownArticleError,
 )
 from .tokenizer import (
     FIRST_WORD_ID,
@@ -205,13 +205,10 @@ def mask_titles(tokens: TokenBatch, vocab: Vocabulary, rng: np.random.Generator)
     )
 
 
-def positive_table(
-    log: PurchaseLog,
-    inventory: list[str],
-    negatives_per_positive: int,
-) -> PositiveTable:
+def positive_table(log: PurchaseLog, negatives_per_positive: int) -> PositiveTable:
     """The positives of a purchase log's sessions, in generation order; no
-    randomness.
+    randomness. The inventory is the log's article table, so an inventory
+    index is an article code (a catalog row, for an ingested log).
 
     A session is one customer's purchases on one day (``PurchaseLog.sessions``),
     and sessions run by customer id, then date. Every ordered pair of
@@ -221,27 +218,20 @@ def positive_table(
     candidate. A session whose articles cover the whole inventory leaves no
     legal negative and raises, but only if it actually produced a positive.
     """
-    if not inventory:
+    inventory_size = len(log.article_ids)
+    if not inventory_size:
         raise InventoryTooSmallError("inventory is empty")
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
-    row_of = {article_id: row for row, article_id in enumerate(inventory)}
-    if len(row_of) != len(inventory):
-        raise ValueError("inventory repeats an article id")
     order, owner = log.sessions()
-    row_of_code = np.array([row_of.get(a, -1) for a in log.article_ids], dtype=np.int64)
-    rows = row_of_code[log.articles[order]]
-    unknown = np.flatnonzero(rows < 0)
-    if len(unknown):
-        article = log.article_ids[log.articles[order[unknown[0]]]]
-        raise UnknownArticleError(f"article {article} is not in the inventory")
+    rows = log.articles[order]
     # each session's distinct articles, in first-purchase order
-    _, first = np.unique(owner * len(inventory) + rows, return_index=True)
+    _, first = np.unique(owner * inventory_size + rows, return_index=True)
     first.sort()
     rows, owner = rows[first], owner[first]
     sizes = np.bincount(owner)  # every session keeps at least one member
     yields = sizes >= 2
-    covering = np.flatnonzero(yields & (sizes == len(inventory)))
+    covering = np.flatnonzero(yields & (sizes == inventory_size))
     if len(covering):
         member = order[first[np.searchsorted(owner, covering[0])]]
         customer = log.customer_ids[log.customers[member]]
@@ -263,7 +253,7 @@ def positive_table(
         sessions=np.repeat(np.arange(len(sizes)), sizes * (sizes - 1)),
         members=members,
         bounds=bounds,
-        inventory_size=len(inventory),
+        inventory_size=inventory_size,
         negatives_per_positive=negatives_per_positive,
     )
 

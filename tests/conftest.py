@@ -95,9 +95,15 @@ class Profile(NamedTuple):
     vector: np.ndarray | None
 
 
+def popular_rows(index, popularity):
+    """Popularity article ids as the index rows ``index.serve`` takes."""
+    return [index.article_ids.index(article_id) for article_id in popularity]
+
+
 def served_ids(customers, log, index, popularity, n):
-    """``index.serve``'s picks as one tuple of article ids per customer."""
-    picks = ix.serve(customers, log, index, popularity, n)
+    """``index.serve``'s picks, for popularity given as article ids, as one
+    tuple of article ids per customer."""
+    picks = ix.serve(customers, log, index, popular_rows(index, popularity), n)
     return [tuple(index.article_ids[p] for p in row) for row in picks.tolist()]
 
 

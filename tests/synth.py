@@ -157,12 +157,14 @@ def small_inputs(directory, n_articles: int = 30, n_customers: int = 15, seed: i
     }
 
 
-def purchase_log(rows) -> PurchaseLog:
+def purchase_log(rows, article_ids: tuple[str, ...] | None = None) -> PurchaseLog:
     """A purchase log of (date, customer id, article id) rows, in order,
-    coded into the sorted distinct ids as the loaders code them."""
+    coded into the sorted distinct ids as the loaders code them, or into
+    ``article_ids`` (ascending, say a catalog) when given."""
     rows = list(rows)
     customer_ids = tuple(sorted({customer for _, customer, _ in rows}))
-    article_ids = tuple(sorted({article for _, _, article in rows}))
+    if article_ids is None:
+        article_ids = tuple(sorted({article for _, _, article in rows}))
     customer_code = {c: i for i, c in enumerate(customer_ids)}
     article_code = {a: i for i, a in enumerate(article_ids)}
     return PurchaseLog(
@@ -174,10 +176,12 @@ def purchase_log(rows) -> PurchaseLog:
     )
 
 
-def sessions_log(sessions) -> PurchaseLog:
-    """The purchase log of (customer id, date, article ids) sessions."""
+def sessions_log(sessions, article_ids: tuple[str, ...] | None = None) -> PurchaseLog:
+    """The purchase log of (customer id, date, article ids) sessions, over
+    ``article_ids`` when given (see ``purchase_log``)."""
     return purchase_log(
-        (day, customer, article) for customer, day, articles in sessions for article in articles
+        ((day, customer, article) for customer, day, articles in sessions for article in articles),
+        article_ids,
     )
 
 
@@ -191,13 +195,14 @@ def log_rows(log: PurchaseLog) -> list[tuple[date, str, str]]:
     ]
 
 
-def trlog_bytes(log: PurchaseLog, magic: bytes = b"TRLOG001") -> bytes:
-    """The TRLOG001 bytes of ``log`` exactly as given: its tables are not
-    compacted or checked, so a test can write a file that breaks the rules."""
+def trlog_bytes(log: PurchaseLog, holdout_days: int = 7, magic: bytes = b"TRLOG002") -> bytes:
+    """The TRLOG002 bytes of ``log`` exactly as given, recording
+    ``holdout_days``: its tables are not compacted or checked, so a test can
+    write a file that breaks the rules."""
     customer_ids = [c.encode("utf-8") for c in log.customer_ids]
     parts = [
         magic,
-        struct.pack("<3I", len(log.days), len(customer_ids), len(log.article_ids)),
+        struct.pack("<4I", len(log.days), len(customer_ids), len(log.article_ids), holdout_days),
         *(struct.pack("<I", len(c)) for c in customer_ids),
         *customer_ids,
         *(a.encode("utf-8") for a in log.article_ids),

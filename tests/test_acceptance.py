@@ -5,6 +5,7 @@ pass/fail checklist. Numeric tolerances and runtime ceilings are asserted
 inside the tests themselves.
 """
 
+import random
 import re
 import shutil
 import time
@@ -28,7 +29,7 @@ from conftest import (
     replacement_kinds,
     zeroed_params,
 )
-from synth import sessions_log, write_planted_inputs
+from synth import ARTICLE_HEADER, sessions_log, to_csv, write_planted_inputs
 
 PLANTED_FLAGS = [
     "--d-model", "32",
@@ -212,7 +213,8 @@ def test_04_pair_sampling_soundness():
     rng = np.random.default_rng(7)
     for fixture in range(1_000):
         n = int(rng.integers(3, 31))
-        inventory = [f"{int(rng.integers(0, 10**6)) * 100 + i:010d}" for i in range(n)]
+        # the inventory is a log's article table, which ascends
+        inventory = sorted(f"{int(rng.integers(0, 10**6)) * 100 + i:010d}" for i in range(n))
         sessions = []
         for j in range(int(rng.integers(1, 6))):
             size = int(rng.integers(1, n))  # never covers the inventory
@@ -221,7 +223,7 @@ def test_04_pair_sampling_soundness():
             )
             sessions.append((f"c{j}", date(2020, 1, 1) + timedelta(days=j), members))
         ratio = int(rng.integers(1, 4))
-        table = objectives.positive_table(sessions_log(sessions), inventory, ratio)
+        table = objectives.positive_table(sessions_log(sessions, tuple(inventory)), ratio)
         # every slot, in a random order, as the epochs of training draw them
         order = rng.permutation(table.slot_count)
         drawn = objectives.sample_pairs(table, order, rng)
@@ -275,15 +277,15 @@ def test_05_knn_matches_brute_force():
         else:
             rows = rng.normal(size=(n, dim))
         rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        # ids in random row order, so a tie broken by row would show
-        ids = tuple(f"{v:010d}" for v in rng.choice(10**7, size=n, replace=False))
+        # random ids, ascending as an index's rows must, so ties break by id
+        ids = tuple(f"{v:010d}" for v in np.sort(rng.choice(10**7, size=n, replace=False)))
         index = ix.EmbeddingIndex(ids, rows)
         query = rng.normal(size=dim)
         query = query / np.linalg.norm(query)
         k = int(rng.integers(1, n + 1))
 
         # the selection serving runs, over a one-query score matrix
-        columns, scores = ix.top_rows((index.vectors @ query)[None], index.id_rank, k)
+        columns, scores = ix.top_rows((index.vectors @ query)[None], k)
         got = [
             (ids[row], float(np.clip(score, -1.0, 1.0)))
             for row, score in zip(columns[0].tolist(), scores[0].tolist())
@@ -356,13 +358,15 @@ def test_07_planted_structure_end_to_end(planted_world):
     log_lines = (workdir / cli.LOSS_LOG_FILE).read_text().splitlines()
     assert len(log_lines) - 1 <= 500  # training stayed inside the step budget
 
-    joined = corpus.load_saved_transactions(workdir / cli.TRANSACTIONS_FILE)
+    joined = corpus.load_saved_transactions(
+        workdir / cli.TRANSACTIONS_FILE, inputs["holdout_days"]
+    )
     train_window, holdout = evaluation.temporal_split(joined, inputs["holdout_days"])
     truth = evaluation.build_ground_truth(holdout)
     rows = evaluation.read_submission(workdir / cli.SUBMISSION_FILE)
     model = evaluation.map_at_12(rows, truth)
 
-    head = tuple(ix.popularity_ranking(train_window)[:12])
+    head = tuple(train_window.article_ids[c] for c in ix.popularity_ranking(train_window)[:12])
     baseline = evaluation.map_at_12(
         [evaluation.SubmissionRow(row.customer_id, head) for row in rows], truth
     )
@@ -416,9 +420,9 @@ def test_08_submission_format_fidelity(planted_world, tmp_path):
         row.customer_id: row.article_ids
         for row in evaluation.read_submission(clone / "workdir" / cli.SUBMISSION_FILE)
     }
-    joined = corpus.load_saved_transactions(clone / "workdir" / cli.TRANSACTIONS_FILE)
+    joined = corpus.load_saved_transactions(clone / "workdir" / cli.TRANSACTIONS_FILE, 7)
     train_window, _ = evaluation.temporal_split(joined, 7)
-    head = tuple(ix.popularity_ranking(train_window)[:12])
+    head = tuple(train_window.article_ids[c] for c in ix.popularity_ranking(train_window)[:12])
     assert by_customer["ghost_customer"] == head
 
 
@@ -431,3 +435,21 @@ def test_09_pipeline_determinism(planted_world, tmp_path):
         assert (repeat_workdir / name).read_bytes() == (
             planted_world["workdir"] / name
         ).read_bytes(), f"{name} differs between identical runs"
+
+
+def test_10_catalog_row_order_does_not_matter(planted_world, tmp_path):
+    # the catalog is numbered by ascending article id, not by file row
+    shuffled_root = tmp_path / "shuffled"
+    shuffled_root.mkdir()
+    inputs = write_planted_inputs(shuffled_root)
+    rows = list(inputs["article_rows"])
+    random.Random(3).shuffle(rows)
+    assert rows != inputs["article_rows"]
+    inputs["articles_path"].write_text(to_csv(ARTICLE_HEADER, rows), encoding="utf-8")
+    shuffled_workdir = run_pipeline(shuffled_root, inputs)
+    names = sorted(path.name for path in planted_world["workdir"].iterdir())
+    assert sorted(path.name for path in shuffled_workdir.iterdir()) == names
+    for name in names:
+        assert (shuffled_workdir / name).read_bytes() == (
+            planted_world["workdir"] / name
+        ).read_bytes(), f"{name} depends on the row order of articles.csv"

@@ -2,6 +2,7 @@ import csv
 import ctypes
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -47,9 +48,11 @@ def run_cli(*args):
 
 
 def add_purchases(path, rows):
-    """Append (date, customer id, article id) rows to the purchase log at ``path``."""
-    log = corpus.load_saved_transactions(path)
-    corpus.save_transactions(purchase_log(log_rows(log) + rows), path)
+    """Append (date, customer id, article id) rows to the purchase log at
+    ``path``, adding their articles to its article table."""
+    log = corpus.load_saved_transactions(path, 7)
+    articles = tuple(sorted({*log.article_ids, *(article for _, _, article in rows)}))
+    corpus.save_transactions(purchase_log(log_rows(log) + rows, articles), path, 7)
 
 
 def _overflowing_dims(blob):
@@ -59,6 +62,19 @@ def _overflowing_dims(blob):
     ndim_at = 52 + 2 + name_length
     assert blob[ndim_at] == 2
     return blob[: ndim_at + 1] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + blob[ndim_at + 9 :]
+
+
+def _index_payload_at(blob, value):
+    """An index whose first payload float is ``value``: the payload follows
+    the magic, the counts, the metric tag and 10 bytes per article id."""
+    (count,) = struct.unpack_from("<I", blob, 8)
+    at = 8 + 9 + len(ix.METRIC_TAG) + 10 * count
+    return blob[:at] + struct.pack("<d", value) + blob[at + 8 :]
+
+
+def _index_first_id_repeated(blob):
+    at = 8 + 9 + len(ix.METRIC_TAG)  # the first article id
+    return blob[: at + 10] + blob[at : at + 10] + blob[at + 20 :]
 
 
 def _swap_first_two(ids):
@@ -71,11 +87,15 @@ def _set(column, at, value):
     return column
 
 
-# Each way a purchase log can break the TRLOG001 rules: a function of the
+# Each way a purchase log can break the TRLOG002 rules: a function of the
 # file's bytes and its loaded log that returns the broken bytes, and how the
 # refusal goes on after "<path>: ".
 BROKEN_LOGS = {
-    "bad-magic": (lambda blob, log: b"TRLOG000" + blob[8:], "bad magic, not a purchase log"),
+    # the magic of the layout before the article table held the whole catalog
+    "bad-magic": (
+        lambda blob, log: b"TRLOG001" + blob[8:],
+        "bad magic, not a purchase log; re-run `titlerec ingest`",
+    ),
     "truncated": (lambda blob, log: blob[:-1], "truncated at byte"),
     "trailing-bytes": (lambda blob, log: blob + b"\0", "1 trailing bytes"),
     "customers-not-ascending": (
@@ -96,8 +116,8 @@ BROKEN_LOGS = {
     ),
     "customer-not-utf8": (
         # the first byte of the customer ids, after the magic, counts and lengths
-        lambda blob, log: blob[:20 + 4 * len(log.customer_ids)] + b"\xff"
-        + blob[21 + 4 * len(log.customer_ids):],
+        lambda blob, log: blob[:24 + 4 * len(log.customer_ids)] + b"\xff"
+        + blob[25 + 4 * len(log.customer_ids):],
         "a customer id is not utf-8",
     ),
     "customer-not-stripped": (
@@ -117,10 +137,6 @@ BROKEN_LOGS = {
     "unused-customer": (
         lambda blob, log: trlog_bytes(replace(log, customer_ids=(*log.customer_ids, "zzz"))),
         "customer id 'zzz' is used by no row",
-    ),
-    "unused-article": (
-        lambda blob, log: trlog_bytes(replace(log, article_ids=(*log.article_ids, "9999999999"))),
-        "article id '9999999999' is used by no row",
     ),
     "day-zero": (
         lambda blob, log: trlog_bytes(replace(log, days=_set(log.days, 2, 0))),
@@ -305,7 +321,7 @@ class TestIngest:
         assert summary["articles"] == 30
         assert summary["transactions"] == 60
         assert summary["joined"] + summary["dropped"] == summary["transactions"]
-        joined = corpus.load_saved_transactions(workdir / cli.TRANSACTIONS_FILE)
+        joined = corpus.load_saved_transactions(workdir / cli.TRANSACTIONS_FILE, 7)
         rows = zip(joined.days.tolist(), joined.customers.tolist())
         assert summary["joined"] == len(joined)
         assert summary["sessions"] == len(set(rows))
@@ -578,7 +594,7 @@ class TestTrain:
     ):
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        days = corpus.load_saved_transactions(path).days
+        days = corpus.load_saved_transactions(path, 7).days
         day = date.fromordinal(int(days.min() if window == "train" else days.max()))
         add_purchases(path, [(day, "shopper000", "9999999999")] * 2)
         before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
@@ -586,8 +602,8 @@ class TestTrain:
         assert run_cli("train", *clone["base"]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line == (
-            f"error: UnknownArticleError: {path}: article '9999999999' is not in the "
-            "catalog; re-run `titlerec ingest`"
+            f"error: UnknownArticleError: {path}: its article table is not the catalog of "
+            f"{clone['workdir'] / cli.PREPARED_FILE}; re-run `titlerec ingest`"
         )
         after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
         assert after == before
@@ -602,7 +618,7 @@ class TestRecommend:
     def test_one_row_per_customer_in_universe(self, pipeline):
         rows = evaluation.read_submission(pipeline["workdir"] / cli.SUBMISSION_FILE)
         transactions = corpus.load_saved_transactions(
-            pipeline["workdir"] / cli.TRANSACTIONS_FILE
+            pipeline["workdir"] / cli.TRANSACTIONS_FILE, 7
         )
         universe = sorted({transactions.customer_ids[c] for c in transactions.customers.tolist()})
         assert [r.customer_id for r in rows] == universe
@@ -619,10 +635,10 @@ class TestRecommend:
         by_customer = {r.customer_id: r.article_ids for r in rows}
         assert "zzz_never_bought" in by_customer
         transactions = corpus.load_saved_transactions(
-            clone["workdir"] / cli.TRANSACTIONS_FILE
+            clone["workdir"] / cli.TRANSACTIONS_FILE, 7
         )
         train_window, _ = evaluation.temporal_split(transactions, holdout_days=7)
-        popularity = ix.popularity_ranking(train_window)
+        popularity = [train_window.article_ids[c] for c in ix.popularity_ranking(train_window)]
         prepared = corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
         backfill = [p.article_id for p in sorted(prepared, key=lambda p: p.article_id)]
         expected = (popularity + [a for a in backfill if a not in popularity])[:12]
@@ -635,13 +651,13 @@ class TestRecommend:
         clone = fresh_copy(pipeline, tmp_path)
         (clone["workdir"] / cli.SUBMISSION_FILE).unlink()
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        log = corpus.load_saved_transactions(path)
+        log = corpus.load_saved_transactions(path, 7)
         day = date.fromordinal(int(log.days.min()))  # the earliest, a train day
         if fault == "foreign article":
             add_purchases(path, [(day, f"shopper{c % 15:03d}", "9999999999") for c in range(40)])
             expected = (
-                f"error: UnknownArticleError: {path}: article '9999999999' is not in the "
-                "catalog; re-run `titlerec ingest`"
+                f"error: UnknownArticleError: {path}: its article table is not the catalog of "
+                f"{clone['workdir'] / cli.PREPARED_FILE}; re-run `titlerec ingest`"
             )
         else:
             # the log's reader refuses an id that is not 10 digits before any catalog check
@@ -659,14 +675,14 @@ class TestRecommend:
         clone = fresh_copy(pipeline, tmp_path)
         (clone["workdir"] / cli.SUBMISSION_FILE).unlink()
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        last_day = date.fromordinal(int(corpus.load_saved_transactions(path).days.max()))
+        last_day = date.fromordinal(int(corpus.load_saved_transactions(path, 7).days.max()))
         add_purchases(path, [(last_day, "strayshopper", "9999999999")])
         capsys.readouterr()
         assert run_cli("recommend", *clone["base"]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line == (
-            f"error: UnknownArticleError: {path}: article '9999999999' is not in the "
-            "catalog; re-run `titlerec ingest`"
+            f"error: UnknownArticleError: {path}: its article table is not the catalog of "
+            f"{clone['workdir'] / cli.PREPARED_FILE}; re-run `titlerec ingest`"
         )
         assert not (clone["workdir"] / cli.SUBMISSION_FILE).exists()
 
@@ -793,6 +809,35 @@ class TestRecommend:
         assert "error: MissingArtifactError" in capsys.readouterr().err
 
 
+class TestHoldoutDays:
+    """Every stage uses the holdout window ``ingest`` recorded."""
+
+    @pytest.mark.parametrize("command", ["train", "recommend", "evaluate"])
+    def test_other_holdout_than_ingest_refused(self, pipeline, tmp_path, capsys, command):
+        # trained on the scored days, MAP@12 would read several times too high
+        clone = fresh_copy(pipeline, tmp_path)
+        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        capsys.readouterr()
+        assert run_cli(command, *clone["base"], "--holdout-days", "1") == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"error: InvalidConfigError: {clone['workdir'] / cli.TRANSACTIONS_FILE} was "
+            "ingested with holdout_days=7, but this run has holdout_days=1; pass the same "
+            "--holdout-days to every command"
+        )
+        assert captured.out == ""
+        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        assert after == before
+
+    def test_one_value_for_every_command_runs(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        for command in ("ingest", "train", "recommend", "evaluate"):
+            assert run_cli(command, *clone["base"], "--holdout-days", "1") == 0, command
+        path = clone["workdir"] / cli.TRANSACTIONS_FILE
+        assert len(corpus.load_saved_transactions(path, 1)) > 0
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_sparse_unloaded(self, pipeline, tmp_path):
         # every command pays the package's import time first: neither the
@@ -845,7 +890,7 @@ class TestEvaluate:
     def test_perfect_submission_scores_one(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
         transactions = corpus.load_saved_transactions(
-            clone["workdir"] / cli.TRANSACTIONS_FILE
+            clone["workdir"] / cli.TRANSACTIONS_FILE, 7
         )
         _, holdout = evaluation.temporal_split(transactions, holdout_days=7)
         truth = evaluation.build_ground_truth(holdout)
@@ -913,7 +958,7 @@ class TestEvaluate:
 
     def test_spot_check_of_a_customer_the_submission_lacks(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
-        transactions = corpus.load_saved_transactions(clone["workdir"] / cli.TRANSACTIONS_FILE)
+        transactions = corpus.load_saved_transactions(clone["workdir"] / cli.TRANSACTIONS_FILE, 7)
         train_window, _ = evaluation.temporal_split(transactions, holdout_days=7)
         buyers = {train_window.customer_ids[c] for c in np.unique(train_window.customers)}
         rows = evaluation.read_submission(clone["workdir"] / cli.SUBMISSION_FILE)
@@ -940,7 +985,7 @@ class TestEvaluate:
     def test_requires_submission(self, tmp_path, capsys):
         workdir = tmp_path / "w"
         workdir.mkdir()
-        corpus.save_transactions(purchase_log([]), workdir / cli.TRANSACTIONS_FILE)
+        corpus.save_transactions(purchase_log([]), workdir / cli.TRANSACTIONS_FILE, 7)
         rc = run_cli("evaluate", "--workdir", workdir)
         assert rc == 1
         assert "error: MissingArtifactError" in capsys.readouterr().err
@@ -1066,11 +1111,44 @@ class TestErrorSurface:
         assert name.endswith("Error")
 
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_unusable_workdir_is_one_line(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        workdir = blocker / "sub" if under else blocker
+        assert run_cli("stats", "--workdir", workdir) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        kind = "NotADirectoryError" if under else "FileExistsError"
+        assert line.startswith(f"error: {kind}: ") and str(workdir) in line
+        assert captured.out == ""
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", ["train", "recommend"])
+    def test_log_over_another_catalog_refused(self, pipeline, tmp_path, capsys, command):
+        # the log lacks the catalog's last article, as if the catalog gained it after ingest
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.TRANSACTIONS_FILE
+        log = corpus.load_saved_transactions(path, 7)
+        last = log.article_ids[-1]
+        rows = [row for row in log_rows(log) if row[2] != last]
+        corpus.save_transactions(purchase_log(rows, log.article_ids[:-1]), path, 7)
+        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        capsys.readouterr()
+        assert run_cli(command, *clone["base"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: UnknownArticleError: {path}: its article table is not the catalog of "
+            f"{clone['workdir'] / cli.PREPARED_FILE}; re-run `titlerec ingest`"
+        )
+        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        assert after == before
+
     def test_older_workdir_transactions_refused(self, pipeline, tmp_path, capsys):
         # an earlier ingest wrote the log as text, to transactions.tsv
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        rows = log_rows(corpus.load_saved_transactions(path))
+        rows = log_rows(corpus.load_saved_transactions(path, 7))
         path.unlink()
         (clone["workdir"] / "transactions.tsv").write_text(
             "t_dat\tcustomer_id\tarticle_id\tprice\tsales_channel_id\n"
@@ -1090,7 +1168,7 @@ class TestErrorSurface:
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
         corrupt, message = BROKEN_LOGS[fault]
-        path.write_bytes(corrupt(path.read_bytes(), corpus.load_saved_transactions(path)))
+        path.write_bytes(corrupt(path.read_bytes(), corpus.load_saved_transactions(path, 7)))
         # recommend reads the log before it embeds a missing index
         (clone["workdir"] / cli.INDEX_FILE).unlink()
         capsys.readouterr()
@@ -1106,6 +1184,8 @@ class TestErrorSurface:
         [
             (cli.PREPARED_FILE, 4, 2, "four", "stats", "row 4: bad text_len 'four'"),
             (cli.PREPARED_FILE, 1, 2, "1.5", "train", "row 1: bad text_len '1.5'"),
+            (cli.PREPARED_FILE, 3, 0, "0000000001", "recommend",
+             "row 3: article_id '0000000001' does not ascend"),
         ],
     )
     def test_corrupt_workdir_row_named(
@@ -1156,9 +1236,13 @@ class TestErrorSurface:
             # inside the first tensor name
             (cli.CHECKPOINT_FILE, lambda blob: blob[:60] + b"\xff\xfe" + blob[60:], "recommend"),
             (cli.CHECKPOINT_FILE, _overflowing_dims, "recommend"),
+            (cli.INDEX_FILE, lambda blob: _index_payload_at(blob, 5.0), "recommend"),
+            (cli.INDEX_FILE, lambda blob: _index_payload_at(blob, math.nan), "recommend"),
+            (cli.INDEX_FILE, _index_first_id_repeated, "recommend"),
         ],
         ids=["summary-halved", "summary-empty-object", "vocab-repeated-line",
-             "checkpoint-trailing-bytes", "checkpoint-bad-utf8", "checkpoint-overflowing-dims"],
+             "checkpoint-trailing-bytes", "checkpoint-bad-utf8", "checkpoint-overflowing-dims",
+             "index-row-not-unit", "index-row-nan", "index-id-repeated"],
     )
     def test_corrupt_artifact_named(self, pipeline, tmp_path, capsys, artifact, corrupt, command):
         clone = fresh_copy(pipeline, tmp_path)

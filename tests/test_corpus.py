@@ -8,6 +8,7 @@ from titlerec import corpus
 from titlerec.errors import (
     ArtifactFormatError,
     DuplicateArticleIdError,
+    InvalidConfigError,
     MalformedRowError,
     MissingColumnError,
     UnknownColumnError,
@@ -39,14 +40,15 @@ def write(tmp_path, name, text):
 class TestLoadArticles:
     def test_parses_and_zero_pads_ids(self, tmp_path):
         records = corpus.load_articles(write(tmp_path, "a.csv", ARTICLES_CSV))
-        assert [r.article_id for r in records] == ["0108775015", "0000095002", "0000020001"]
-        assert records[0].prod_name == "Strap top"
-        assert records[0].detail_desc == "Jersey top with narrow shoulder straps."
+        # in ascending id order, whatever the file's row order
+        assert [r.article_id for r in records] == ["0000020001", "0000095002", "0108775015"]
+        assert records[2].prod_name == "Strap top"
+        assert records[2].detail_desc == "Jersey top with narrow shoulder straps."
 
     def test_empty_description_becomes_none(self, tmp_path):
         records = corpus.load_articles(write(tmp_path, "a.csv", ARTICLES_CSV))
         assert records[1].detail_desc is None
-        assert records[2].detail_desc == "Short sleeves"
+        assert records[0].detail_desc == "Short sleeves"
 
     def test_missing_column_rejected(self, tmp_path):
         bad = "article_id,prod_name,index_name,detail_desc\n1,x,y,z\n"
@@ -155,10 +157,10 @@ class TestPrepareArticles:
     def test_merges_columns_in_order(self, tmp_path):
         records = corpus.load_articles(write(tmp_path, "a.csv", ARTICLES_CSV))
         prepared = corpus.prepare_articles(records)
-        assert prepared[0].text == (
+        assert prepared[2].text == (
             "strap top vest top ladieswear jersey top with narrow shoulder straps."
         )
-        assert prepared[0].text_len == 11
+        assert prepared[2].text_len == 11
         assert [p.article_id for p in prepared] == [r.article_id for r in records]
 
     def test_missing_description_contributes_nothing(self, tmp_path):
@@ -174,7 +176,7 @@ class TestPrepareArticles:
     def test_column_subset(self, tmp_path):
         records = corpus.load_articles(write(tmp_path, "a.csv", ARTICLES_CSV))
         prepared = corpus.prepare_articles(records, text_columns=("index_name",))
-        assert [p.text for p in prepared] == ["ladieswear", "menswear", "sport"]
+        assert [p.text for p in prepared] == ["sport", "menswear", "ladieswear"]
 
 
 class TestJoinAndSessions:
@@ -184,12 +186,14 @@ class TestJoinAndSessions:
         )
         extra = TRANSACTIONS_CSV + "2020-09-04,ghi,9999999999,0.1,1\n"
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", extra))
-        joined = transactions.of_articles(p.article_id for p in prepared)
+        joined = transactions.of_articles(tuple(p.article_id for p in prepared))
         assert len(transactions) - len(joined) == 1
         assert log_rows(joined) == log_rows(transactions)[:4]
-        # the sub-log keeps the id tables, unused ids included
-        assert joined.article_ids == transactions.article_ids
-        assert "9999999999" in joined.article_ids
+        # the joined log keeps the customer table, unused ids included, and
+        # takes the catalog as its article table, unbought articles included
+        assert joined.customer_ids == transactions.customer_ids
+        assert joined.article_ids == ("0000020001", "0000095002", "0108775015")
+        assert joined.articles.tolist() == [2, 1, 1, 2]
 
     def test_group_sessions_by_customer_and_day(self, tmp_path):
         text = TRANSACTIONS_CSV + "2020-08-30,def,0000095002,,\n2020-09-01,abc,20001,,\n"
@@ -237,8 +241,8 @@ class TestPersistence:
 
     def test_transactions_round_trip(self, tmp_path):
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
-        corpus.save_transactions(transactions, tmp_path / "tx.bin")
-        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin")
+        corpus.save_transactions(transactions, tmp_path / "tx.bin", 7)
+        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin", 7)
         assert log_rows(loaded) == log_rows(transactions)
         assert loaded.customer_ids == transactions.customer_ids
         assert loaded.article_ids == transactions.article_ids
@@ -248,15 +252,16 @@ class TestPersistence:
             assert getattr(loaded, column).flags.writeable
 
     def test_round_trip_keeps_only_the_ids_rows_use(self, tmp_path):
-        # a join that drops every purchase of one article and of customer def
+        # a join that drops every purchase of one article and of customer def;
+        # only the customer table is compacted, the article table is the catalog
         text = TRANSACTIONS_CSV + "2020-09-02, ,0000000007,,\n2020-09-02,é z,0000000003,,\n"
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", text))
         joined = transactions.select(transactions.customers != 2)  # "", "abc", "def", "é z"
-        joined = joined.of_articles(["0000000003", "0000095002", "0108775015"])
+        joined = joined.of_articles(("0000000003", "0000095002", "0108775015"))
         assert joined.customer_ids == ("", "abc", "def", "é z")
-        assert joined.article_ids == ("0000000003", "0000000007", "0000095002", "0108775015")
-        corpus.save_transactions(joined, tmp_path / "tx.bin")
-        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin")
+        assert joined.article_ids == ("0000000003", "0000095002", "0108775015")
+        corpus.save_transactions(joined, tmp_path / "tx.bin", 7)
+        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin", 7)
         assert log_rows(loaded) == log_rows(joined)
         assert loaded.customer_ids == ("abc", "é z")
         assert loaded.article_ids == ("0000000003", "0000095002", "0108775015")
@@ -268,21 +273,34 @@ class TestPersistence:
 
     def test_saved_transactions_keep_three_columns(self, tmp_path):
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
-        corpus.save_transactions(transactions.select(np.arange(4) < 1), tmp_path / "tx.bin")
+        corpus.save_transactions(transactions.select(np.arange(4) < 1), tmp_path / "tx.bin", 7)
         assert (tmp_path / "tx.bin").read_bytes() == (
-            b"TRLOG001"
-            + b"\x01\x00\x00\x00" * 3  # one row, one customer, one article
+            b"TRLOG002"
+            + b"\x01\x00\x00\x00" * 2  # one row, one customer
+            + b"\x02\x00\x00\x00"  # two articles
+            + b"\x07\x00\x00\x00"  # seven holdout days
             + b"\x03\x00\x00\x00abc"  # the table of used customer ids
-            + b"0108775015"  # the table of used article ids
+            + b"00000950020108775015"  # the whole article table
             + b"\x85\x41\x0b\x00\x00\x00\x00\x00"  # 2020-09-01 is day 737669
-            + b"\x00" * 16  # customer code 0, article code 0
+            + b"\x00" * 8  # customer code 0
+            + b"\x01" + b"\x00" * 7  # article code 1
+        )
+
+    def test_other_holdout_days_refused(self, tmp_path):
+        transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
+        corpus.save_transactions(transactions, tmp_path / "tx.bin", 7)
+        with pytest.raises(InvalidConfigError) as caught:
+            corpus.load_saved_transactions(tmp_path / "tx.bin", 1)
+        assert str(caught.value) == (
+            f"{tmp_path / 'tx.bin'} was ingested with holdout_days=7, but this run has "
+            "holdout_days=1; pass the same --holdout-days to every command"
         )
 
     @pytest.mark.parametrize("article", ["123", "01087750150", "0108775O15", "010877501٥"])
     def test_article_id_the_reader_would_refuse_is_not_written(self, tmp_path, article):
         log = purchase_log([(date(2020, 9, 1), "abc", article)])
         with pytest.raises(ArtifactFormatError, match="not 10 ascii digits"):
-            corpus.save_transactions(log, tmp_path / "tx.bin")
+            corpus.save_transactions(log, tmp_path / "tx.bin", 7)
         assert not (tmp_path / "tx.bin").exists()
 
     def test_five_column_transactions_from_older_ingest_refused(self, tmp_path):
@@ -292,7 +310,7 @@ class TestPersistence:
             encoding="utf-8",
         )
         with pytest.raises(ArtifactFormatError, match=r"tx\.bin: bad magic, not a purchase log"):
-            corpus.load_saved_transactions(tmp_path / "tx.bin")
+            corpus.load_saved_transactions(tmp_path / "tx.bin", 7)
 
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "prepared.tsv").write_text("nope\n", encoding="utf-8")
@@ -305,9 +323,9 @@ class TestPersistence:
         for day in (0, date.max.toordinal() + 1):
             path.write_bytes(trlog_bytes(replace(log, days=np.array([737669, day]))))
             with pytest.raises(ArtifactFormatError, match=rf"tx\.bin: row 2: day {day} is not"):
-                corpus.load_saved_transactions(path)
+                corpus.load_saved_transactions(path, 7)
         path.write_bytes(trlog_bytes(replace(log, days=np.array([1, date.max.toordinal()]))))
-        assert [day for day, _, _ in log_rows(corpus.load_saved_transactions(path))] == [
+        assert [day for day, _, _ in log_rows(corpus.load_saved_transactions(path, 7))] == [
             date.min, date.max
         ]
 
@@ -319,3 +337,14 @@ class TestPersistence:
         )
         with pytest.raises(MalformedRowError, match=r"prepared\.tsv: row 2: bad text_len 'two'"):
             corpus.load_prepared(path)
+
+    @pytest.mark.parametrize("second", ["0000000001", "0000000000"], ids=["repeated", "descending"])
+    def test_prepared_ids_must_ascend(self, tmp_path, second):
+        path = tmp_path / "prepared.tsv"
+        path.write_text(
+            f"article_id\ttext\ttext_len\n0000000001\tcap\t1\n{second}\tred cap\t2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRowError) as caught:
+            corpus.load_prepared(path)
+        assert str(caught.value) == f"{path}: row 2: article_id {second!r} does not ascend"

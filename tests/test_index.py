@@ -14,13 +14,12 @@ from titlerec.corpus import PreparedArticle
 from titlerec.errors import (
     ArtifactFormatError,
     DegenerateEmbeddingError,
-    DuplicateArticleIdError,
     InsufficientCandidatesError,
     KTooLargeError,
 )
 from titlerec.tokenizer import build_vocab, encode_single
 
-from conftest import encode_id_pairs, profiles_by_customer, served_ids, zeroed_params
+from conftest import encode_id_pairs, popular_rows, profiles_by_customer, served_ids, zeroed_params
 from synth import purchase_log, write_planted_inputs
 
 
@@ -34,8 +33,12 @@ def small_world():
 
 
 def unit_index(ids, vectors):
-    v = np.asarray(vectors, dtype=np.float64)
-    return ix.EmbeddingIndex(tuple(ids), v / np.linalg.norm(v, axis=1, keepdims=True))
+    """The index of ``ids``, each with its normalized vector, in ascending id order."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    v = np.asarray(vectors, dtype=np.float64)[order]
+    return ix.EmbeddingIndex(
+        tuple(ids[i] for i in order), v / np.linalg.norm(v, axis=1, keepdims=True)
+    )
 
 
 def random_index(n, dim, rng):
@@ -49,7 +52,7 @@ def vector_of(index, article_id):
 
 def knn(index, query, k):
     """The index's k nearest rows to a query, through the selection serving runs."""
-    columns, scores = ix.top_rows((index.vectors @ query)[None], index.id_rank, k)
+    columns, scores = ix.top_rows((index.vectors @ query)[None], k)
     assert columns.shape == scores.shape == (1, k)
     return columns[0].tolist()
 
@@ -126,8 +129,12 @@ class TestBuildIndex:
         assert np.array_equal(first.vectors, second.vectors)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(DuplicateArticleIdError):
+        with pytest.raises(ValueError, match="ascend strictly"):
             unit_index(["0000000001", "0000000001"], np.eye(2))
+
+    def test_descending_ids_rejected(self):
+        with pytest.raises(ValueError, match="ascend strictly"):
+            ix.EmbeddingIndex(("0000000002", "0000000001"), np.eye(2))
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -487,7 +494,9 @@ class TestQueryKnn:
         ids = ["0000000004", "0000000002", "0000000009", "0000000001"]
         index = unit_index(ids, np.eye(5)[:4])
         rows = knn(index, np.eye(5)[4], 3)
-        assert [ids[row] for row in rows] == ["0000000001", "0000000002", "0000000004"]
+        assert [index.article_ids[row] for row in rows] == [
+            "0000000001", "0000000002", "0000000004"
+        ]
         assert np.all(index.vectors[rows] @ np.eye(5)[4] == 0.0)
 
     def test_matches_brute_force(self):
@@ -508,23 +517,27 @@ class TestQueryKnn:
         vectors = [base, base, base, [0.0, 1.0]]
         index = unit_index(ids, vectors)
         rows = knn(index, base, 2)
-        assert [ids[row] for row in rows] == ["0000000003", "0000000005"]
+        assert [index.article_ids[row] for row in rows] == ["0000000003", "0000000005"]
         assert rows == brute_force_knn(index, base, 2)
 
 
-def purchases_of(pairs):
-    """The purchase log of (customer, article) pairs, all on one day."""
-    return purchase_log((date(2020, 9, 1), customer, article) for customer, article in pairs)
+def purchases_of(pairs, index=None):
+    """The purchase log of (customer, article) pairs, all on one day, coded
+    into the index's ids when one is given, as an ingested log is."""
+    return purchase_log(
+        ((date(2020, 9, 1), customer, article) for customer, article in pairs),
+        None if index is None else index.article_ids,
+    )
 
 
 def profile_of(index, pairs, customer="u"):
     """The customer's profile from the serving pass's grouping, or None."""
-    return profiles_by_customer(purchases_of(pairs), index).get(customer)
+    return profiles_by_customer(purchases_of(pairs, index), index).get(customer)
 
 
 def serve_one(index, pairs, popularity, n=12, customer="u"):
     """One customer's picks through the serving pass."""
-    (picks,) = served_ids([customer], purchases_of(pairs), index, popularity, n)
+    (picks,) = served_ids([customer], purchases_of(pairs, index), index, popularity, n)
     return list(picks)
 
 
@@ -554,8 +567,16 @@ class TestCustomerProfile:
         assert serve_one(index, [], ["0000000001"], n=1) == ["0000000001"]
 
     def test_unindexed_purchases_ignored(self):
+        # joining the log to the catalog (the index's ids) drops such a purchase
         index = unit_index(["0000000001"], [[1.0, 0.0]])
-        assert profile_of(index, [("u", "0000000099")]) is None
+        log = purchases_of([("u", "0000000099")]).of_articles(index.article_ids)
+        assert len(log) == 0 and log.article_ids == index.article_ids
+        assert ix.customer_profiles(log, index).owners.tolist() == []
+
+    def test_log_over_other_articles_refused(self):
+        index = unit_index(["0000000001"], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="article table"):
+            ix.customer_profiles(purchases_of([("u", "0000000099")]), index)
 
     def test_other_customers_ignored(self):
         index = unit_index(["0000000001", "0000000002"], np.eye(2))
@@ -584,7 +605,7 @@ class TestCustomerProfile:
             for c in range(40)
             for i in rng.integers(0, 60, size=int(rng.integers(1, 9)))
         ]
-        profiles = profiles_by_customer(purchases_of(pairs), index)
+        profiles = profiles_by_customer(purchases_of(pairs, index), index)
         assert len(profiles) == 40
         for customer, profile in profiles.items():
             purchased = {a for c, a in pairs if c == customer}
@@ -634,19 +655,20 @@ class TestRecommend:
 
     def test_popularity_outside_the_index_is_never_served(self):
         index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
-        popularity = ["0000000099", "0000000003", "0000000098"]
-        log = purchases_of([("warm", "0000000001")])
-        # cold takes the popularity ids the index holds, then ascending ids;
-        # warm's two unpurchased rows tie and order by id
+        # popularity is index rows, so it cannot name an article outside the index
+        popularity = ["0000000003"]
+        log = purchases_of([("warm", "0000000001")], index)
+        # cold takes the popularity head, then ascending ids; warm's two
+        # unpurchased rows tie and order by id
         assert served_ids(["cold", "warm"], log, index, popularity, 2) == [
             ("0000000003", "0000000001"),
             ("0000000002", "0000000003"),
         ]
         # no id outside the index fills a short row
         with pytest.raises(InsufficientCandidatesError, match="only 2 of 3 .* for warm"):
-            ix.serve(["warm"], log, index, popularity, 3)
+            ix.serve(["warm"], log, index, popular_rows(index, popularity), 3)
         with pytest.raises(InsufficientCandidatesError, match="only 3 of 4 .* for cold"):
-            ix.serve(["cold"], log, index, popularity, 4)
+            ix.serve(["cold"], log, index, popular_rows(index, popularity), 4)
 
     def test_catalog_extension_after_popularity_runs_out(self):
         index = spread_index(15)
@@ -712,24 +734,23 @@ class TestServe:
         for _ in range(60):
             index = tied_index(rng, int(rng.integers(2, 40)), int(rng.integers(2, 6)))
             ids = list(index.article_ids)
-            unindexed = [f"{int(i):010d}" for i in rng.choice(10**6, 4) + 10**6]
             n = int(rng.integers(1, 13))
             pairs = []
             for c in range(12):
-                pool = ids + unindexed[:2]
-                for i in rng.integers(0, len(pool), size=int(rng.integers(0, 6))):
-                    pairs.append((f"c{c:02d}", pool[int(i)]))
+                for i in rng.integers(0, len(ids), size=int(rng.integers(0, 6))):
+                    pairs.append((f"c{c:02d}", ids[int(i)]))
             # c12-c14 are never seen in the log
             customers = [f"c{c:02d}" for c in range(15)]
-            popularity = list(rng.permutation(ids + unindexed[2:]))[: int(rng.integers(0, 12))]
+            popularity = list(rng.permutation(ids))[: int(rng.integers(0, 12))]
             expected = full_sort_serve(customers, pairs, index, popularity, n)
-            degenerate += int((~ix.customer_profiles(purchases_of(pairs), index).usable).sum())
+            log = purchases_of(pairs, index)
+            degenerate += int((~ix.customer_profiles(log, index).usable).sum())
             if None in expected:
                 short += 1
                 with pytest.raises(InsufficientCandidatesError):
-                    ix.serve(customers, purchases_of(pairs), index, popularity, n)
+                    ix.serve(customers, log, index, popular_rows(index, popularity), n)
             else:
-                assert served_ids(customers, purchases_of(pairs), index, popularity, n) == expected
+                assert served_ids(customers, log, index, popularity, n) == expected
         # the draws reach cancelling profiles and short candidate lists too
         assert degenerate > 0 and short > 0
 
@@ -755,16 +776,16 @@ class TestServe:
         index = spread_index(6, dim=3)
         ids = sorted(index.article_ids)
         pairs = [("u", ids[1]), ("u", ids[4])]
-        popularity = [ids[4], "0000000000", ids[5]]
+        popularity = [ids[4], ids[5]]
         # 6 rows = n + 2 purchases: u gets the four unpurchased rows; v,
-        # never seen, gets popularity less the id outside the index and then
-        # the catalog in ascending-id order
-        warm, cold = served_ids(["u", "v"], purchases_of(pairs), index, popularity, 4)
+        # never seen, gets popularity and then the catalog in ascending-id order
+        log = purchases_of(pairs, index)
+        warm, cold = served_ids(["u", "v"], log, index, popularity, 4)
         assert sorted(warm) == [ids[0], ids[2], ids[3], ids[5]]
         assert cold == (ids[4], ids[5], ids[0], ids[1])
         assert [warm, cold] == full_sort_serve(["u", "v"], pairs, index, popularity, 4)
         with pytest.raises(InsufficientCandidatesError, match="only 4 of 5 .* for u"):
-            ix.serve(["u", "v"], purchases_of(pairs), index, popularity, 5)
+            ix.serve(["u", "v"], log, index, popular_rows(index, popularity), 5)
 
     def test_insufficient_candidates_names_customer(self):
         index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
@@ -772,23 +793,24 @@ class TestServe:
         # a still has two unpurchased rows; b has one, one short of n = 2
         assert serve_one(index, pairs, [], n=2, customer="a") == ["0000000002", "0000000003"]
         with pytest.raises(InsufficientCandidatesError, match="for b"):
-            ix.serve(["a", "b"], purchases_of(pairs), index, [], 2)
+            ix.serve(["a", "b"], purchases_of(pairs, index), index, [], 2)
 
     def test_n_below_one_rejected(self):
         index = unit_index(["0000000001"], [[1.0]])
         for n in (0, -1):
             with pytest.raises(KTooLargeError):
-                ix.serve(["u"], purchases_of([]), index, [], n)
+                ix.serve(["u"], purchases_of([], index), index, [], n)
 
 
 class TestPopularityRanking:
     def test_count_then_id(self):
         log = purchases_of([("a", "0000000002"), ("b", "0000000002"), ("c", "0000000001")])
-        assert ix.popularity_ranking(log) == ["0000000002", "0000000001"]
+        ranking = [log.article_ids[code] for code in ix.popularity_ranking(log)]
+        assert ranking == ["0000000002", "0000000001"]
 
     def test_all_tied_is_ascending(self):
         log = purchases_of([("a", "0000000009"), ("b", "0000000001"), ("c", "0000000005")])
-        assert ix.popularity_ranking(log) == [
+        assert [log.article_ids[code] for code in ix.popularity_ranking(log)] == [
             "0000000001",
             "0000000005",
             "0000000009",
@@ -887,12 +909,11 @@ class TestTwins:
 
     def tail_twin_index(self):
         # 2001 rows: the copy of row 0 lands in the last ``rows mod 4`` rows,
-        # which OpenBLAS's dgemv rounds differently; its id sorts first
+        # which OpenBLAS's dgemv rounds differently
         rng = np.random.default_rng(21)
         vectors = rng.normal(size=(2001, 32))
         vectors[2000] = vectors[0]
         ids = [f"{i + 10:010d}" for i in range(2001)]
-        ids[2000] = "0000000001"
         return unit_index(ids, vectors)
 
     def test_tail_twin_scores_once(self):
@@ -909,9 +930,9 @@ class TestTwins:
         index = self.tail_twin_index()
         customers = [f"c{i:03d}" for i in range(60)]
         pairs = [(c, index.article_ids[100 + i]) for i, c in enumerate(customers)]
-        served = served_ids(customers, purchases_of(pairs), index, [], len(index) - 1)
+        served = served_ids(customers, purchases_of(pairs, index), index, [], len(index) - 1)
         # each customer gets every other row, so both twins, adjacent and by id
-        assert all(twins_ordered(p, {"0000000010", "0000000001"}) for p in served)
+        assert all(twins_ordered(p, {"0000000010", "0000002010"}) for p in served)
 
     def test_ragged_reference_rows_5_and_26(self):
         articles, vocab, params = ragged_world()
@@ -924,7 +945,7 @@ class TestTwins:
         assert np.array_equal(sims[:, 5], sims[:, 26])
         customers = [a.article_id for a in articles]
         pairs = [(a.article_id, a.article_id) for a in articles]
-        served = served_ids(customers, purchases_of(pairs), index, [], 26)
+        served = served_ids(customers, purchases_of(pairs, index), index, [], 26)
         for group in set(position.tolist()):
             twins = {customers[row] for row in np.flatnonzero(position == group).tolist()}
             assert all(twins_ordered(picks, twins) for picks in served), twins
@@ -938,7 +959,7 @@ class TestTwins:
 
     def test_signed_zeros_are_twins(self):
         index = ix.EmbeddingIndex(
-            ("0000000002", "0000000001", "0000000003"),
+            ("0000000001", "0000000002", "0000000003"),
             np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]]),
         )
         distinct, position = index.twins
@@ -1018,16 +1039,14 @@ class TestBlockSelection:
     def check(self, rng, n_rows, dim, customers, n, spare=0):
         index = tied_index(rng, n_rows, dim)
         customers, pairs = interleaved_customers(rng, index, customers, spare)
-        log = purchases_of(pairs)
-        popularity = list(rng.permutation(list(index.article_ids) + ["0000000000"]))[
-            : int(rng.integers(0, 8))
-        ]
+        log = purchases_of(pairs, index)
+        popularity = list(rng.permutation(list(index.article_ids)))[: int(rng.integers(0, 8))]
         warm = int(ix.customer_profiles(log, index).usable.sum())
         try:
             expected = loop_serve(customers, log, index, popularity, n)
         except InsufficientCandidatesError as exc:
             with pytest.raises(InsufficientCandidatesError) as caught:
-                ix.serve(customers, log, index, popularity, n)
+                ix.serve(customers, log, index, popular_rows(index, popularity), n)
             assert str(caught.value) == str(exc)
             return "short", warm
         assert served_ids(customers, log, index, popularity, n) == expected
@@ -1053,7 +1072,7 @@ class TestBlockSelection:
 
     def test_first_short_customer_named_in_input_order(self):
         index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
-        log = purchases_of([("warm", "0000000001"), ("warm", "0000000002")])
+        log = purchases_of([("warm", "0000000001"), ("warm", "0000000002")], index)
         # the cold head has 3 candidates, warm keeps 1: warm is short at n = 2
         # and both are short at n = 4, where the first in input order is named
         for customers, n, named in (

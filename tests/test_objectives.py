@@ -8,18 +8,18 @@ import pytest
 
 from titlerec import encoder as enc
 from titlerec import objectives as obj
-from titlerec.corpus import PreparedArticle
+from titlerec.corpus import PreparedArticle, load_saved_transactions
 from titlerec.errors import (
+    ArtifactFormatError,
     EmptyBatchError,
     InventoryTooSmallError,
     NonFiniteComponentError,
     NothingToMaskError,
-    UnknownArticleError,
 )
 from titlerec.tokenizer import FIRST_WORD_ID, TokenBatch, build_vocab, encode_single
 
 from conftest import encode_id_pairs, no_pairs, replacement_kinds, token_rows, zeroed_params
-from synth import sessions_log
+from synth import sessions_log, trlog_bytes
 
 
 def make_vocab(n_words=12):
@@ -188,7 +188,7 @@ def session(customer, day, *article_ids):
 def every_slot(sessions, inventory, ratio, rng):
     """Every slot of the sessions' pairs, drawn in slot order, as (seed id,
     candidate id, label) triples."""
-    table = obj.positive_table(sessions_log(sessions), inventory, ratio)
+    table = obj.positive_table(sessions_log(sessions, tuple(inventory)), ratio)
     pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
     return [
         (inventory[seed], inventory[candidate], label)
@@ -209,16 +209,16 @@ class TestSamplePairs:
             assert negative[1] in {"C", "D"}
 
     def test_singleton_session_yields_nothing(self):
-        table = obj.positive_table(sessions_log([session("u", 1, "A")]), ["A", "B"], 1)
+        table = obj.positive_table(sessions_log([session("u", 1, "A")], ("A", "B")), 1)
         assert len(table) == 0 and table.slot_count == 0
 
     def test_session_covering_inventory_raises(self):
         with pytest.raises(InventoryTooSmallError):
-            obj.positive_table(sessions_log([session("u", 1, "A", "B")]), ["A", "B"], 1)
+            obj.positive_table(sessions_log([session("u", 1, "A", "B")], ("A", "B")), 1)
 
     def test_covering_singleton_session_is_harmless(self):
         # a size-1 session produces no positive, so it needs no negative
-        table = obj.positive_table(sessions_log([session("u", 1, "A")]), ["A"], 1)
+        table = obj.positive_table(sessions_log([session("u", 1, "A")], ("A",)), 1)
         assert table.slot_count == 0
 
     def test_duplicate_purchases_collapse(self):
@@ -229,7 +229,7 @@ class TestSamplePairs:
 
     def test_negative_ratio(self):
         table = obj.positive_table(
-            sessions_log([session("u", 1, "A", "B")]), ["A", "B", "C", "D", "E"], 3
+            sessions_log([session("u", 1, "A", "B")], ("A", "B", "C", "D", "E")), 3
         )
         assert table.slot_count == 2 * (1 + 3)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), np.random.default_rng(0))
@@ -264,7 +264,7 @@ class TestSamplePairs:
 
     def test_empty_inventory_rejected(self):
         with pytest.raises(InventoryTooSmallError):
-            obj.positive_table(sessions_log([]), [], 1)
+            obj.positive_table(sessions_log([], ()), 1)
 
     def test_deterministic_given_seed(self):
         sessions = [session("u", 1, "A", "B"), session("v", 2, "B", "C")]
@@ -276,7 +276,7 @@ class TestSamplePairs:
     def test_slots_map_to_their_positive(self):
         sessions = [session("u", 1, "A", "B", "C"), session("v", 2, "D", "E")]
         inventory = ["A", "B", "C", "D", "E", "F", "G"]
-        table = obj.positive_table(sessions_log(sessions), inventory, 2)
+        table = obj.positive_table(sessions_log(sessions, tuple(inventory)), 2)
         order = np.random.default_rng(3).permutation(table.slot_count)
         pairs = obj.sample_pairs(table, order, np.random.default_rng(4))
         for slot, seed, candidate, label in zip(
@@ -292,7 +292,7 @@ class TestSamplePairs:
 
     def test_only_negative_slots_draw(self):
         # positives take no randomness; each negative slot takes at least one draw
-        table = obj.positive_table(sessions_log([session("u", 1, "A", "B")]), list("ABCDEFGH"), 1)
+        table = obj.positive_table(sessions_log([session("u", 1, "A", "B")], tuple("ABCDEFGH")), 1)
         rng = np.random.default_rng(8)
         before = rng.bit_generator.state
         obj.sample_pairs(table, np.array([2, 0]), rng)
@@ -304,7 +304,9 @@ class TestSamplePairs:
         # 10,000 draws for one seed: uniform over the 7 articles outside its
         # session, none inside it
         inventory = [f"{i:010d}" for i in range(10)]
-        table = obj.positive_table(sessions_log([session("u", 1, *inventory[:3])]), inventory, 1)
+        table = obj.positive_table(
+            sessions_log([session("u", 1, *inventory[:3])], tuple(inventory)), 1
+        )
         draws = 10_000
         pairs = obj.sample_pairs(table, np.ones(draws, dtype=np.int64), np.random.default_rng(21))
         assert not pairs.labels.any()
@@ -315,14 +317,22 @@ class TestSamplePairs:
         assert np.all(np.abs(counts[3:] - draws * p) < bound), counts
 
     def test_article_outside_inventory_rejected(self):
-        with pytest.raises(UnknownArticleError):
-            obj.positive_table(sessions_log([session("u", 1, "A", "Z")]), ["A", "B", "C"], 1)
+        # the inventory is the log's article table; joining the log to the
+        # catalog drops the purchase of an article outside it
+        log = sessions_log([session("u", 1, "A", "Z")]).of_articles(("A", "B", "C"))
+        table = obj.positive_table(log, 1)
+        assert log.article_ids == ("A", "B", "C") and log.articles.tolist() == [0]
+        assert table.inventory_size == 3 and len(table) == 0
 
-    def test_bad_ratio_and_repeated_inventory_rejected(self):
+    def test_bad_ratio_and_repeated_inventory_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            obj.positive_table(sessions_log([]), ["A", "B"], 0)
-        with pytest.raises(ValueError):
-            obj.positive_table(sessions_log([]), ["A", "B", "A"], 1)
+            obj.positive_table(sessions_log([], ("A", "B")), 0)
+        # the inventory is the saved log's article table, whose reader refuses a repeat
+        path = tmp_path / "transactions.bin"
+        repeated = ("0000000001", "0000000002", "0000000001")
+        path.write_bytes(trlog_bytes(sessions_log([session("u", 1, "0000000001")], repeated)))
+        with pytest.raises(ArtifactFormatError, match="article ids do not ascend"):
+            load_saved_transactions(path, 7)
 
 
 class TestAnalyticLosses:
@@ -423,10 +433,8 @@ class TestAnalyticLosses:
     def test_np_loss_unknown_article(self):
         # an article without a prepared title never becomes a pair
         params, titles, vocab = self.np_fixture(0.0)
-        with pytest.raises(UnknownArticleError):
-            obj.positive_table(
-                sessions_log([session("u", 1, "0000000001", "0000000099")]), list(titles), 1
-            )
+        log = sessions_log([session("u", 1, "0000000001", "0000000099")]).of_articles(tuple(titles))
+        assert obj.positive_table(log, 1).slot_count == 0
 
     def test_np_loss_empty_batch(self):
         # no pairs encode to a batch of no rows, which adds no pair term to a step
@@ -646,7 +654,7 @@ def run_training(steps, seed=6, learning_rate=5e-3):
     params = enc.init_params(config, seed=seed)
     state = obj.init_optimizer(params, learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
-    table = obj.positive_table(sessions_log(sessions), inventory, 1)
+    table = obj.positive_table(sessions_log(sessions, tuple(inventory)), 1)
     records = []
     for step in range(steps):
         texts = [articles[(step * 10 + offset) % len(articles)].text for offset in range(10)]
@@ -670,7 +678,7 @@ class TestTrainStep:
         rng = np.random.default_rng(1)
         rows = encode_single([vocab.word_ids(articles[0].text)], config.max_len)
         masked_batch = obj.mask_titles(rows, vocab, rng)
-        table = obj.positive_table(sessions_log(sessions[:2]), inventory, 1)
+        table = obj.positive_table(sessions_log(sessions[:2], tuple(inventory)), 1)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
         pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
         record = obj.train_step(params, state, masked_batch, pair_batch)
@@ -687,7 +695,7 @@ class TestTrainStep:
         rng = np.random.default_rng(2)
         rows = encode_single([vocab.word_ids(a.text) for a in articles[:8]], config.max_len)
         masked_batch = obj.mask_titles(rows, vocab, rng)
-        table = obj.positive_table(sessions_log(sessions[:6]), inventory, 1)
+        table = obj.positive_table(sessions_log(sessions[:6], tuple(inventory)), 1)
         pairs = obj.sample_pairs(table, np.arange(table.slot_count), rng)
         pair_batch = obj.encode_training_pairs(pairs, word_ids, config.max_len)
         obj.train_step(params, state, masked_batch, pair_batch)

@@ -6,7 +6,7 @@ record per CSV row, sessions from a dict of lists, profiles from one
 from sets. Each consumer of the log must give exactly their result on one
 generated log that has duplicate rows, blank customer ids, multi-purchase
 sessions, a customer seen only in the holdout, ids that need zero-padding
-and purchases outside the catalog and outside the index.
+and purchases outside the catalog.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ def generated_rows(seed: int = 17):
     and the catalog's article ids."""
     rng = np.random.default_rng(seed)
     catalog = [f"{int(i):010d}" for i in rng.choice(10**6, size=40, replace=False)]
+    catalog[-1] = "0000000000"  # never bought: the catalog's first id
     outside = [f"{10**9 + i}" for i in range(3)]  # never in the catalog
     rows = []
     for _ in range(600):
@@ -51,7 +52,7 @@ def generated_rows(seed: int = 17):
         day = START + timedelta(days=int(rng.integers(0, 30)))
         # a session of one to four purchases
         for _ in range(int(rng.integers(1, 5))):
-            article = catalog[int(rng.integers(0, 12 if rng.random() < 0.5 else 40))]
+            article = catalog[int(rng.integers(0, 12 if rng.random() < 0.5 else 39))]
             if rng.random() < 0.03:
                 article = outside[int(rng.integers(0, len(outside)))]
             elif rng.random() < 0.3:
@@ -131,15 +132,14 @@ def world(tmp_path_factory):
     with open(path, newline="", encoding="utf-8") as fh:
         reread = list(csv.reader(fh))[1:]
     joined_records = [r for r in records_of(reread) if r.article_id in set(catalog)]
-    ingested = corpus.load_transactions(path).of_articles(catalog)
-    corpus.save_transactions(ingested, tmp / "transactions.bin")
-    log = corpus.load_saved_transactions(tmp / "transactions.bin")
-    # the index leaves out a quarter of the catalog
+    ingested = corpus.load_transactions(path).of_articles(tuple(sorted(catalog)))
+    corpus.save_transactions(ingested, tmp / "transactions.bin", HOLDOUT_DAYS)
+    log = corpus.load_saved_transactions(tmp / "transactions.bin", HOLDOUT_DAYS)
+    # the index covers the catalog, as the ingested log's article table does
     rng = np.random.default_rng(3)
-    indexed = sorted(catalog[::4] + catalog[1::4] + catalog[2::4], reverse=True)
-    vectors = rng.normal(size=(len(indexed), 6))
+    vectors = rng.normal(size=(len(catalog), 6))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    index = ix.EmbeddingIndex(tuple(indexed), vectors)
+    index = ix.EmbeddingIndex(tuple(sorted(catalog)), vectors)
     return {"tmp": tmp, "catalog": catalog, "records": joined_records, "log": log,
             "ingested": ingested, "index": index}
 
@@ -151,19 +151,21 @@ def test_generated_log_has_every_case(world):
     assert len(set(records)) < len(records)
     assert max(len(b) for _, b in sessions_of(records)) >= 3
     assert {r.customer_id for r in holdout} - {r.customer_id for r in train}
-    assert not all(r.article_id in world["index"].article_ids for r in records)
-    assert world["ingested"].article_ids != tuple(sorted(world["catalog"]))  # dropped ids remain
+    # the article table is the catalog, with an article nobody bought
+    assert world["ingested"].article_ids == tuple(sorted(world["catalog"]))
+    assert "0000000000" not in {r.article_id for r in records}
 
 
 def test_loaded_rows_and_saved_file(world):
     records = world["records"]
     assert log_rows(world["ingested"]) == records
     assert log_rows(world["log"]) == records
-    # the saved tables hold only the ids that joined rows use
-    expected = purchase_log(records)
+    # the saved customer table holds only the ids that joined rows use; the
+    # article table is the catalog
+    expected = purchase_log(records, tuple(sorted(world["catalog"])))
     assert world["log"].customer_ids == expected.customer_ids
     assert world["log"].article_ids == expected.article_ids
-    assert (world["tmp"] / "transactions.bin").read_bytes() == trlog_bytes(expected)
+    assert (world["tmp"] / "transactions.bin").read_bytes() == trlog_bytes(expected, HOLDOUT_DAYS)
 
 
 def test_split(world):
@@ -182,9 +184,9 @@ def test_sessions_and_positive_order(world):
         grouped[s].append(rows[i])
     assert [((g[0].customer_id, g[0].t_dat), [r.article_id for r in g])
             for _, g in sorted(grouped.items())] == sessions_of(world["records"])
-    inventory = sorted(world["catalog"], reverse=True)
+    inventory = sorted(world["catalog"])
     train, _ = evaluation.temporal_split(log, HOLDOUT_DAYS)
-    table = objectives.positive_table(train, inventory, 2)
+    table = objectives.positive_table(train, 2)
     expected = positives_of(split_records(world["records"])[0], inventory)
     assert list(zip(table.seeds.tolist(), table.candidates.tolist())) == expected
 
@@ -204,7 +206,8 @@ def test_profiles_bit_identical(world):
 
 def test_popularity_ranking(world):
     train, _ = evaluation.temporal_split(world["log"], HOLDOUT_DAYS)
-    assert ix.popularity_ranking(train) == popularity_of(split_records(world["records"])[0])
+    ranking = [train.article_ids[code] for code in ix.popularity_ranking(train)]
+    assert ranking == popularity_of(split_records(world["records"])[0])
 
 
 def test_ground_truth(world):

@@ -36,6 +36,30 @@ def test_every_target_exists(tracing, layer):
     assert not missing, f"{layer}: {missing}"
 
 
+# the corpus and index names the tracer is to wrap next, as "module.attribute"
+# paths from the package; several of their signatures changed with the
+# one-article-numbering layout, so their presence is pinned here
+NEXT_TARGETS = (
+    "corpus.PurchaseLog.sessions",
+    "corpus.PurchaseLog.of_articles",
+    "index.build_index",
+    "index.serve",
+    "index.customer_profiles",
+    "index.similarities",
+    "index.top_rows",
+    "index.popularity_ranking",
+)
+
+
+@pytest.mark.parametrize("target", NEXT_TARGETS)
+def test_next_wrap_targets_exist(target):
+    layer, *path = target.split(".")
+    found = importlib.import_module(f"titlerec.{layer}")
+    for name in path:
+        found = getattr(found, name, None)
+    assert callable(found), target
+
+
 def test_pair_batch_is_the_fourth_train_step_parameter():
     # the pairs-trained hook reads it by position, then by name
     assert list(inspect.signature(obj.train_step).parameters)[3] == "pair_batch"
