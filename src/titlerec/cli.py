@@ -26,7 +26,9 @@ default. ``FIELD_RULES`` gives each field's type and bounds, and
 underscores), with its type and help text taken from that table. The
 model's shape rules (bounds, d_model divisible by n_heads) live in
 ``encoder.EncoderConfig`` alone; ``load_config`` runs them with the rest,
-before any artifact is read.
+before any artifact is read. ``dropout_rate`` is a training setting, not
+part of the model's shape: ``train`` hands it to each step, and
+``recommend`` serves a checkpoint whatever rate trained it.
 
 Artifacts (inside the workdir):
     prepared_articles.tsv  cleaned one-line text per article, by ascending id
@@ -36,7 +38,7 @@ Artifacts (inside the workdir):
     ingest_summary.json    row counts and the missing-description histogram
     stats.txt              text-length and missing-description histograms
     vocab.txt              one token per line, line number = id
-    checkpoint.bin         encoder weights (TRENC001)
+    checkpoint.bin         encoder shape and weights (TRENC002)
     loss_log.tsv           step, mlm, np, total per training step
     index.bin              article embedding matrix (TRECIDX1) plus the
                            sha256 of the checkpoint and of
@@ -146,7 +148,6 @@ class PipelineConfig:
             n_layers=self.n_layers,
             d_ff=self.d_ff,
             max_len=self.max_len,
-            dropout_rate=self.dropout_rate,
         )
 
 
@@ -166,11 +167,11 @@ FIELD_RULES = {
     **dict.fromkeys(("max_len", "d_model", "n_heads", "n_layers", "d_ff"), (int,)),
     **dict.fromkeys(("epochs", "max_steps", "seed"), (int, (">=", 0))),
     "max_vocab": (int, (">=", FIRST_WORD_ID + 1)),
-    "dropout_rate": (float,),
+    "dropout_rate": (float, (">=", 0.0), ("<", 1.0)),
     "learning_rate": (float, (">", 0.0)),
     "pooling": (str, ("in", ("mean", "cls"))),
 }
-COMPARISONS = {">=": operator.ge, ">": operator.gt, "in": lambda v, c: v in c}
+COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "in": lambda v, c: v in c}
 # each type's test, its name and how argparse reads its flag: an int counts
 # as a float, a bool as neither
 TYPES = {
@@ -357,6 +358,8 @@ def cmd_train(config: PipelineConfig) -> str:
     params = enc.init_params(config.encoder_config(len(vocab)), config.seed)
     state = objectives.init_optimizer(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
+    # at rate 0 no step draws a dropout mask
+    dropout = (rng, config.dropout_rate) if config.dropout_rate > 0.0 else None
 
     # each article's word ids, looked up once for its masked rows and its pairs
     word_ids = [vocab.word_ids(p.text) for p in prepared]
@@ -388,7 +391,7 @@ def cmd_train(config: PipelineConfig) -> str:
             pair_batch = objectives.encode_training_pairs(
                 objectives.sample_pairs(positives, slots, rng), word_ids, config.max_len
             )
-            record = objectives.train_step(params, state, masked_batch, pair_batch, rng)
+            record = objectives.train_step(params, state, masked_batch, pair_batch, dropout)
             log_lines.append(
                 f"{record.step}\t{record.mlm_mean!r}\t{record.np_mean!r}\t{record.total!r}"
             )
@@ -421,44 +424,29 @@ def cmd_recommend(config: PipelineConfig) -> str:
     checkpoint_path = _require(workdir / CHECKPOINT_FILE, "titlerec train")
     params, checkpoint_sha256 = enc.load_checkpoint(checkpoint_path)
     expected = config.encoder_config(len(vocab))
-    # dropout_rate only shapes training, so a checkpoint serves at any rate
-    stored = replace(params.config, dropout_rate=expected.dropout_rate)
-    if stored != expected:
-        if replace(stored, vocab_size=expected.vocab_size) == expected:
-            # the stored config differs from the flags in its size alone: the
+    if params.config != expected:
+        if replace(params.config, vocab_size=expected.vocab_size) == expected:
+            # the stored shape differs from the flags in its size alone: the
             # vocabulary lost or gained lines, not the checkpoint
             raise CheckpointMismatchError(
                 f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} was trained with "
-                f"{stored.vocab_size}; both must come from the same `titlerec train`"
+                f"{params.config.vocab_size}; both must come from the same `titlerec train`"
             )
         raise CheckpointMismatchError(
             f"{checkpoint_path}: stored config {params.config} != expected {expected}"
         )
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
+    joined = _load_joined(config, tuple(p.article_id for p in prepared))
 
     index_path = workdir / INDEX_FILE
-    catalog = tuple(p.article_id for p in prepared)
     source = index_mod.IndexSource(
         checkpoint_sha256,
         hashlib.sha256((workdir / PREPARED_FILE).read_bytes()).hexdigest(),
         config.pooling,
     )
     stored = index_mod.load_index(index_path) if index_path.exists() else None
-    if (
-        stored is not None
-        and stored.source is not None
-        and replace(stored.source, prepared_sha256=source.prepared_sha256) == source
-        and stored.article_ids != catalog
-    ):
-        # this checkpoint and pooling over another article set: the catalog
-        # was re-ingested with other articles after training
-        raise CheckpointMismatchError(
-            f"{index_path} does not cover the prepared catalog; delete it to rebuild"
-        )
-    # read after that check, so such a catalog is reported against the index,
-    # not the log, and before any article is embedded
-    joined = _load_joined(config, catalog)
-    if stored is not None and stored.source == source:
+    # the ids are checked too: the source block does not cover them
+    if stored is not None and stored.source == source and stored.article_ids == joined.article_ids:
         article_index = stored
     else:
         # absent, or built from other texts, checkpoint or pooling, or of unknown origin

@@ -72,15 +72,18 @@ shapes differently from the full-width product. Dropout masks are drawn
 at full width and gathered, so the random stream does not move. The loss
 functions refuse a target or pair CLS outside a trace's reads.
 
-Parameters. ``EncoderParams`` holds every tensor as a reshaped view of
+Parameters. ``EncoderConfig`` is the model's shape and nothing else.
+``EncoderParams(config, flat)`` holds every tensor as a reshaped view of
 one contiguous float64 buffer, ``flat``, laid out back to back in
-``parameter_shapes`` order (the checkpoint's order too). Gradients and the
-optimizer's moments are arenas of the same layout (``zero_grads``), so an
-optimizer step is a few whole-buffer operations instead of a loop over
-~40 tensors. ``tensors`` is a read-only mapping: a tensor is changed in
-place (``params[name][...] = x``) and cannot be rebound to an array
-outside the arena. ``init_params``, ``load_checkpoint`` and construction
-from a plain mapping each fill a fresh arena.
+``parameter_shapes`` order (the checkpoint's order too); without ``flat``
+it lays them out over a fresh arena. Gradients and the optimizer's moments
+are arenas of the same layout (``zero_grads``), so an optimizer step is a
+few whole-buffer operations instead of a loop over ~40 tensors.
+``tensors`` is a read-only mapping: a tensor is changed in place
+(``params[name][...] = x``) and cannot be rebound to an array outside the
+arena. Layer norm's epsilon is the constant ``LAYER_NORM_EPSILON``, and
+dropout is a training setting: ``forward`` takes it as an (rng, rate)
+pair.
 
 Pass budget. Callers feed at most ``rows_per_pass(width)`` rows, about
 ``PASS_TOKEN_BUDGET`` tokens, to one forward/backward pass of that width,
@@ -89,14 +92,12 @@ rows at width 16, 5 rows at width 48, 51 rows of a 5-token title.
 Embedding may hold two passes at once, one per thread
 (``index.build_index``), so the process may hold twice that.
 
-Checkpoint layout (version TRENC001, little-endian):
-    magic            8 bytes  b"TRENC001"
-    config           6 x uint32 (vocab_size, d_model, n_heads, n_layers,
-                     d_ff, max_len) + 2 x float64 (dropout_rate,
-                     layer_norm_epsilon)
-    tensor count     uint32
-    per tensor       uint16 name length, utf-8 name, uint8 ndim,
-                     ndim x uint32 dims, float64 data in C order
+Checkpoint layout (version TRENC002, little-endian): the shape, then the
+arena. The shape fixes every tensor's name, shape and place in the arena.
+    magic            8 bytes  b"TRENC002"
+    shape            6 x uint32 (vocab_size, d_model, n_heads, n_layers,
+                     d_ff, max_len)
+    arena            ``flat`` as float64, ``parameter_count`` values
 """
 
 from __future__ import annotations
@@ -104,8 +105,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -114,7 +114,6 @@ import numpy as np
 from .ioutil import ByteReader, atomic_write_bytes
 from .errors import (
     ArtifactFormatError,
-    CheckpointMismatchError,
     InvalidConfigError,
     NoRecordedForwardError,
     PositionOutOfRangeError,
@@ -123,9 +122,10 @@ from .errors import (
 )
 from .tokenizer import TokenBatch
 
-CHECKPOINT_MAGIC = b"TRENC001"
+CHECKPOINT_MAGIC = b"TRENC002"
 
 INIT_SCALE = 0.02
+LAYER_NORM_EPSILON = 1e-5
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 # Tokens one forward/backward pass may hold; see rows_per_pass.
@@ -139,14 +139,14 @@ def rows_per_pass(width: int) -> int:
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """The model's shape: it fixes every tensor's shape (``parameter_shapes``)."""
+
     vocab_size: int
     d_model: int
     n_heads: int
     n_layers: int
     d_ff: int
     max_len: int
-    dropout_rate: float = 0.0
-    layer_norm_epsilon: float = 1e-5
 
     def __post_init__(self) -> None:
         for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff"):
@@ -158,10 +158,6 @@ class EncoderConfig:
             raise InvalidConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise InvalidConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.layer_norm_epsilon <= 0.0:
-            raise InvalidConfigError("layer_norm_epsilon must be positive")
 
     @property
     def d_head(self) -> int:
@@ -171,40 +167,27 @@ class EncoderConfig:
 class EncoderParams:
     """Named parameter tensors, all views of one flat float64 arena.
 
-    ``flat`` holds the tensors back to back in ``tensors`` order. ``tensors``
-    is a read-only mapping: a tensor is written in place (``t[...] = x``),
-    never rebound, so it cannot leave the arena. Built from a mapping of
-    arrays, the arena gets a copy of each.
+    The tensors of ``parameter_shapes(config)`` are laid out back to back,
+    in that order, over ``flat``: the given 1-d float64 array of
+    ``parameter_count(config)`` values (not copied), or a fresh
+    uninitialized one when it is None. ``tensors`` is a read-only mapping:
+    a tensor is written in place (``t[...] = x``), never rebound, so it
+    cannot leave the arena.
     """
 
-    def __init__(self, config: EncoderConfig, tensors: Mapping[str, np.ndarray]):
-        self._lay_out(config, {name: np.shape(t) for name, t in tensors.items()}, None)
-        for name, tensor in tensors.items():
-            self.tensors[name][...] = tensor
-
-    @classmethod
-    def _on(cls, config: EncoderConfig, shapes: Mapping[str, tuple[int, ...]], flat):
-        """Params over ``flat`` (a fresh uninitialized arena when None)."""
-        params = cls.__new__(cls)
-        params._lay_out(config, shapes, flat)
-        return params
-
-    def _lay_out(self, config, shapes, flat) -> None:
-        sizes = [math.prod(shape) for shape in shapes.values()]
+    def __init__(self, config: EncoderConfig, flat: np.ndarray | None = None):
         self.config = config
-        self.flat = np.empty(sum(sizes)) if flat is None else flat
+        self.flat = np.empty(parameter_count(config)) if flat is None else flat
         views = {}
         offset = 0
-        for (name, shape), size in zip(shapes.items(), sizes):
+        for name, shape in parameter_shapes(config).items():
+            size = math.prod(shape)
             views[name] = self.flat[offset : offset + size].reshape(shape)
             offset += size
         self.tensors = MappingProxyType(views)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
-
-    def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: t.shape for name, t in self.tensors.items()}
 
 
 @dataclass
@@ -255,10 +238,24 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def parameter_count(config: EncoderConfig) -> int:
+    """Floats in the arena of ``config``: its tensors' sizes summed.
+
+    Every layer holds as many floats, so the count comes from a one- and a
+    two-layer model; a stored ``n_layers`` of 2**32 - 1 costs nothing to
+    count (listing its tensors would exhaust memory).
+    """
+    one, two = (
+        sum(math.prod(shape) for shape in parameter_shapes(replace(config, n_layers=n)).values())
+        for n in (1, 2)
+    )
+    return one + (config.n_layers - 1) * (two - one)
+
+
 def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     """Gaussian(0, 0.02) weight matrices, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng(seed)
-    params = EncoderParams._on(config, parameter_shapes(config), None)
+    params = EncoderParams(config)
     for name, tensor in params.tensors.items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("gain",):
@@ -272,7 +269,7 @@ def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
 
 def zero_grads(params: EncoderParams) -> EncoderParams:
     """A zeroed arena in the layout of ``params``, for gradients or moments."""
-    return EncoderParams._on(params.config, params.shapes(), np.zeros_like(params.flat))
+    return EncoderParams(params.config, np.zeros_like(params.flat))
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and 1 - erfc(x)
@@ -536,14 +533,14 @@ def _times_transposed(d: np.ndarray, weight: np.ndarray, picks, width: int) -> n
     return _gather(_scatter(d, picks, width) @ weight.T, picks)
 
 
-def _dropout(out: np.ndarray, drop, width: int, picks):
+def _dropout(out: np.ndarray, dropout, width: int, picks):
     """``out`` times a keep mask scaled by 1/(1-rate), and the mask; ``out``
-    and None when ``drop``, an (rng, rate) pair, is None. The mask is drawn
-    at full ``width`` and gathered to ``picks`` if given, so the draw is the
-    same either way."""
-    if drop is None:
+    and None when ``dropout``, an (rng, rate) pair, is None. The mask is
+    drawn at full ``width`` and gathered to ``picks`` if given, so the draw
+    is the same either way."""
+    if dropout is None:
         return out, None
-    rng, rate = drop
+    rng, rate = dropout
     keep = rng.random((len(out), width, out.shape[-1])) >= rate
     if picks is not None:
         keep = _gather(keep, picks)
@@ -597,7 +594,7 @@ def _embed_backward(grads: EncoderParams, d_x: np.ndarray, saved) -> None:
     positions += d_x.sum(axis=0)
 
 
-def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks, drop):
+def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks, dropout):
     """Self-attention with its residual: ``x_q + dropout(attention(x))``.
 
     The queries, and so the output, are at ``picks`` when given (``x_q`` is
@@ -620,7 +617,7 @@ def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks, dr
     weights /= weights.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(weights @ v)
     out = ctx @ params[p + "attn.w_o"] + params[p + "attn.b_o"]
-    out, mask = _dropout(out, drop, x.shape[1], picks)
+    out, mask = _dropout(out, dropout, x.shape[1], picks)
     return x_q + out, (x, x_q, q, k, v, weights, ctx, mask, picks)
 
 
@@ -653,13 +650,13 @@ def _attention_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray,
     return d_x
 
 
-def _feed_forward(params: EncoderParams, p: str, x: np.ndarray, picks, width: int, drop):
+def _feed_forward(params: EncoderParams, p: str, x: np.ndarray, picks, width: int, dropout):
     """The GELU feed-forward with its residual: ``x + dropout(ffn(x))``;
     ``x`` holds a pass ``width`` wide, or its ``picks`` when given."""
     h1 = x @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
     cdf = gelu_cdf(h1)
     out = (h1 * cdf) @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-    out, mask = _dropout(out, drop, width, picks)
+    out, mask = _dropout(out, dropout, width, picks)
     return x + out, (x, h1, cdf, mask, picks, width)
 
 
@@ -678,7 +675,7 @@ def _feed_forward_backward(params: EncoderParams, grads, p: str, d_out: np.ndarr
 def _norm(params: EncoderParams, name: str, x: np.ndarray):
     """``layer_norm`` with the ``name`` gain and bias."""
     gain, bias = params[name + ".gain"], params[name + ".bias"]
-    out, x_hat, inv = layer_norm(x, gain, bias, params.config.layer_norm_epsilon)
+    out, x_hat, inv = layer_norm(x, gain, bias, LAYER_NORM_EPSILON)
     return out, (x_hat, inv)
 
 
@@ -694,15 +691,16 @@ def forward(
     params: EncoderParams,
     batch: TokenBatch,
     record: bool = True,
-    rng: np.random.Generator | None = None,
+    dropout: tuple[np.random.Generator, float] | None = None,
     reads: np.ndarray | None = None,
 ) -> ForwardTrace:
     """Run the encoder over a batch of rows of one width, 1 to ``max_len``.
 
     With ``record`` the trace keeps every intermediate needed by
-    ``loss_and_grads``; embedding-only callers switch it off. Dropout is
-    applied only when both ``rng`` is given and the config rate is nonzero,
-    so inference is deterministic by default. ``reads`` (from
+    ``loss_and_grads``; embedding-only callers switch it off. ``dropout``,
+    an (rng, rate) pair with the rate in [0, 1), drops the attention and
+    feed-forward outputs, drawing the masks from rng; without it (the
+    default) the pass draws nothing and is deterministic. ``reads`` (from
     ``read_positions``) cuts the last layer's per-position work to each
     row's read positions; its keys and values still cover every position,
     and its hidden states are zero at the others.
@@ -716,15 +714,14 @@ def forward(
         picks = _read_picks(reads, len(batch), width)
     # (B, 1, 1, T): broadcast over heads and query positions
     pad_keys = ~batch.attn_mask.astype(bool)[:, None, None, :]
-    drop = (rng, c.dropout_rate) if rng is not None and c.dropout_rate > 0.0 else None
     layers = []
     for i in range(c.n_layers):
         p = f"layer{i}."
         # the last layer of a pass with reads runs its queries at them only
         cut = picks if i == c.n_layers - 1 else None
-        x, attention = _attention(params, p, x, pad_keys, cut, drop)
+        x, attention = _attention(params, p, x, pad_keys, cut, dropout)
         x, norm1 = _norm(params, p + "ln1", x)
-        x, ffn = _feed_forward(params, p, x, cut, width, drop)
+        x, ffn = _feed_forward(params, p, x, cut, width, dropout)
         x, norm2 = _norm(params, p + "ln2", x)
         if record:
             layers.append((attention, norm1, ffn, norm2))
@@ -861,68 +858,35 @@ def loss_and_grads(
 
 
 def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
-    """Write params to ``path`` atomically in the TRENC001 layout."""
-    c = params.config
-    chunks = [
-        CHECKPOINT_MAGIC,
-        struct.pack(
-            "<6I2d",
-            c.vocab_size,
-            c.d_model,
-            c.n_heads,
-            c.n_layers,
-            c.d_ff,
-            c.max_len,
-            c.dropout_rate,
-            c.layer_norm_epsilon,
-        ),
-        struct.pack("<I", len(params.tensors)),
-    ]
-    for name, tensor in params.tensors.items():
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", tensor.ndim))
-        chunks.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        chunks.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
-    atomic_write_bytes(path, b"".join(chunks))
+    """Write params to ``path`` atomically in the TRENC002 layout."""
+    shape = struct.pack("<6I", *astuple(params.config))
+    arena = params.flat.astype("<f8", copy=False).tobytes()
+    atomic_write_bytes(path, CHECKPOINT_MAGIC + shape + arena)
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, str]:
-    """Read a TRENC001 checkpoint, and the sha256 hex digest of its bytes;
+    """Read a TRENC002 checkpoint, and the sha256 hex digest of its bytes;
     any structural inconsistency fails loudly.
 
-    The stored config must pass ``EncoderConfig``'s rules and every tensor
-    must have the shape it implies. Whether that config is the one a caller
-    wants is the caller's check (``cli.cmd_recommend`` makes it, and records
-    the digest as the provenance of the index it builds).
+    The stored shape must pass ``EncoderConfig``'s rules, and the file must
+    hold exactly its arena. The arena is allocated only once the file is
+    known to hold it, so a stored shape too large for the file reads as
+    truncated. Whether that shape is the one a caller wants is the caller's
+    check (``cli.cmd_recommend`` makes it, and records the digest as the
+    provenance of the index it builds).
     """
     reader = ByteReader(Path(path).read_bytes(), str(path))
     if reader.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise ArtifactFormatError(f"{path}: bad magic, not a checkpoint file")
-    v, d_model, n_heads, n_layers, d_ff, max_len, dropout, eps = reader.unpack("<6I2d")
+        raise ArtifactFormatError(
+            f"{path}: bad magic, not a {CHECKPOINT_MAGIC.decode()} checkpoint; "
+            "re-run `titlerec train`"
+        )
     try:
-        config = EncoderConfig(v, d_model, n_heads, n_layers, d_ff, max_len, dropout, eps)
+        config = EncoderConfig(*reader.unpack("<6I"))
     except InvalidConfigError as exc:
         raise ArtifactFormatError(f"{path}: invalid stored config ({exc})") from None
-    (count,) = reader.unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = reader.unpack("<H")
-        name = reader.text(name_len, "utf-8")
-        (ndim,) = reader.unpack("<B")
-        shape = reader.unpack(f"<{ndim}I")
-        # math.prod: a product of uint32 dims can overflow np.prod's int64
-        tensors[name] = reader.array("<f8", math.prod(shape)).reshape(shape)
+    arena = reader.array("<f8", parameter_count(config))
     reader.finish()
-    expected_shapes = parameter_shapes(config)
-    if set(tensors) != set(expected_shapes):
-        raise CheckpointMismatchError(f"{path}: tensor names do not match the stored config")
-    for name, shape in expected_shapes.items():
-        if tensors[name].shape != shape:
-            raise CheckpointMismatchError(
-                f"{path}: tensor {name} has shape {tensors[name].shape}, expected {shape}"
-            )
-    # the arena copies each tensor in, in parameter_shapes order
-    params = EncoderParams(config, {name: tensors[name] for name in expected_shapes})
+    params = EncoderParams(config)
+    params.flat[...] = arena  # a writable copy, not a view of the file's bytes
     return params, hashlib.sha256(reader.blob).hexdigest()

@@ -46,6 +46,7 @@ b"TRECSRC1" block (no prepared-text digest), is of unknown origin.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -61,6 +62,7 @@ from .ioutil import ByteReader, atomic_write_bytes
 from .errors import (
     ArtifactFormatError,
     DegenerateEmbeddingError,
+    EmptyCorpusError,
     InsufficientCandidatesError,
     KTooLargeError,
 )
@@ -75,6 +77,13 @@ METRIC_TAG = "cosine"
 
 NORM_FLOOR = 1e-12
 
+# Byte boundary every scored matrix starts on. malloc aligns to 16 bytes
+# only, and OpenBLAS's matrix-vector product runs slower over a matrix whose
+# address is 16 mod 32, with bit-identical scores: 1,800 queries over a
+# 2,000 x 64 matrix took 24.5-24.9 ms against 18.9-19.5 ms (OpenBLAS
+# 0.3.31, Haswell kernels, one thread, on a 2-core x86-64 machine).
+MATRIX_ALIGNMENT = 64
+
 # Passes a catalog's embedding plan must hold before ``build_index`` starts a
 # helper thread. On a short plan the two threads' contention for the GIL
 # costs about what the second core gives back, or more: in-process on 2
@@ -88,6 +97,15 @@ HELPER_MIN_PASSES = 32
 # ``BLOCK_SCORES // len(index)`` of them (at least one), so the block's
 # score matrix and its partitioned copy stay at 256 KiB each.
 BLOCK_SCORES = 1 << 15
+
+
+def aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-order float64 array of ``shape`` whose data starts
+    on a ``MATRIX_ALIGNMENT``-byte boundary."""
+    count = math.prod(shape)
+    raw = np.empty(count + MATRIX_ALIGNMENT // 8)
+    start = -raw.__array_interface__["data"][0] % MATRIX_ALIGNMENT // 8
+    return raw[start : start + count].reshape(shape)
 
 
 def usable_cpus() -> int:
@@ -155,7 +173,9 @@ class EmbeddingIndex:
         if len(first_row) == len(self):
             return None
         firsts = np.fromiter(first_row.values(), dtype=np.int64, count=len(first_row))
-        return self.vectors[firsts], np.searchsorted(firsts, twin_of)
+        distinct = aligned_empty((len(firsts), self.vectors.shape[1]))
+        np.take(self.vectors, firsts, axis=0, out=distinct)
+        return distinct, np.searchsorted(firsts, twin_of)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +229,7 @@ def build_index(
     if pooling not in ("mean", "cls"):
         raise ValueError(f"unknown pooling {pooling!r}")
     if not articles:
-        raise ValueError("cannot build an index over zero articles")
+        raise EmptyCorpusError("cannot build an index over zero articles")
     c = params.config
     batch = encode_single([vocab.word_ids(a.text) for a in articles], c.max_len)
     lengths = batch.attn_mask.sum(axis=1)
@@ -252,16 +272,15 @@ def build_index(
     if failures:
         raise failures[0]
     norms = np.linalg.norm(pooled, axis=1)
-    degenerate = np.flatnonzero(norms < NORM_FLOOR)
+    degenerate = np.flatnonzero(~(norms >= NORM_FLOOR))  # a nan norm fails too
     if degenerate.size:
         first = int(degenerate[0])
         raise DegenerateEmbeddingError(
             f"article {articles[first].article_id}: embedding norm {norms[first]} "
             f"below {NORM_FLOOR}"
         )
-    return EmbeddingIndex(
-        tuple(a.article_id for a in articles), pooled / norms[:, None], source
-    )
+    vectors = np.divide(pooled, norms[:, None], out=aligned_empty(pooled.shape))
+    return EmbeddingIndex(tuple(a.article_id for a in articles), vectors, source)
 
 
 def top_rows(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,7 +463,7 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     if tag != METRIC_TAG:
         raise ArtifactFormatError(f"{path}: unsupported metric {tag!r}")
     article_ids = tuple(reader.text(10, "ascii") for _ in range(count))
-    vectors = reader.array("<f8", count * dim).reshape(count, dim)
+    payload = reader.array("<f8", count * dim)
     source = None
     if reader.offset != len(blob):
         magic = reader.take(len(SOURCE_MAGIC))
@@ -457,7 +476,9 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         if prepared is not None:
             source = IndexSource(checkpoint, prepared, pooling)
     reader.finish()
+    vectors = aligned_empty((count, dim))
+    vectors[...] = payload.reshape(count, dim)
     try:
-        return EmbeddingIndex(article_ids, vectors.astype(np.float64), source)
+        return EmbeddingIndex(article_ids, vectors, source)
     except ValueError as exc:
         raise ArtifactFormatError(f"{path}: {exc}") from None

@@ -358,7 +358,7 @@ def batch_loss_and_grads(
     rows: TrainingRows,
     mlm_scale: float,
     np_scale: float,
-    rng: np.random.Generator | None = None,
+    dropout: tuple[np.random.Generator, float] | None = None,
     into: enc.EncoderParams | None = None,
 ) -> tuple[float, float, enc.EncoderParams]:
     """Summed losses and gradients of a batch, run in bounded passes.
@@ -367,8 +367,8 @@ def batch_loss_and_grads(
     time, at the full width, with the last layer cut to the pass's reads
     (see ``encoder.read_positions``). Each pass's gradients are added in
     order to ``into``, a zeroed arena in the layout of ``params`` (a fresh
-    one when None), which is returned. ``rng`` drives dropout (see
-    ``encoder.forward``).
+    one when None), which is returned. ``dropout`` is the (rng, rate) pair
+    of ``encoder.forward``, or None for none.
     """
     step = enc.rows_per_pass(params.config.max_len)
     grads = enc.zero_grads(params) if into is None else into
@@ -383,7 +383,7 @@ def batch_loss_and_grads(
         # the pass's trace is dropped before the next pass records its own
         pass_mlm, pass_np, _ = enc.loss_and_grads(
             params,
-            enc.forward(params, rows.tokens[start:stop], rng=rng, reads=reads),
+            enc.forward(params, rows.tokens[start:stop], dropout=dropout, reads=reads),
             pass_targets,
             pass_labels,
             mlm_scale=mlm_scale,
@@ -400,7 +400,7 @@ def train_step(
     state: OptimizerState,
     masked_batch: TrainingRows,
     pair_batch: TrainingRows,
-    rng: np.random.Generator | None = None,
+    dropout: tuple[np.random.Generator, float] | None = None,
 ) -> LossRecord:
     """One optimization step over masked titles and then pairs; ``params``
     and ``state`` are updated in place.
@@ -411,9 +411,9 @@ def train_step(
     two batches form one whose gradients are accumulated pass by pass in
     batch order, to keep the reduction deterministic. Either batch may have
     no rows, but the step needs a target or a pair, and a mean that is not
-    finite raises before the update. With ``rng`` and a nonzero
-    ``dropout_rate`` the forward drops activations, drawing from ``rng``;
-    at rate 0 nothing is drawn.
+    finite raises before the update. ``dropout``, an (rng, rate) pair,
+    makes the forward drop activations, drawing from rng; without it
+    nothing is drawn.
     """
     rows = TrainingRows.concat(masked_batch, pair_batch)
     n_targets, n_pairs = len(rows.targets), int(np.count_nonzero(rows.labels >= 0))
@@ -424,7 +424,7 @@ def train_step(
 
     state.grads.flat.fill(0.0)
     mlm_sum, np_sum, grads = batch_loss_and_grads(
-        params, rows, mlm_scale, np_scale, rng, into=state.grads
+        params, rows, mlm_scale, np_scale, dropout, into=state.grads
     )
     mlm_mean = mlm_sum * mlm_scale
     np_mean = np_sum * np_scale

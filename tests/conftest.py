@@ -137,7 +137,7 @@ def scalar_loss(params, batch, targets, np_labels, mlm_scale=1.0, np_scale=1.0):
 
 def central_difference(params, batch, targets, np_labels, name, index, step=1e-4, **scales):
     """Two-sided difference quotient of the scalar loss in one coordinate."""
-    probe = enc.EncoderParams(params.config, params.tensors)
+    probe = enc.EncoderParams(params.config, params.flat.copy())
     flat = probe[name].reshape(-1)
     original = flat[index]
     flat[index] = original + step

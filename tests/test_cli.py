@@ -22,6 +22,7 @@ from titlerec import cli, corpus, evaluation
 from titlerec import encoder as enc
 from titlerec import index as ix
 from titlerec.errors import InvalidConfigError
+from titlerec.tokenizer import Vocabulary
 
 from synth import (
     ARTICLE_HEADER,
@@ -56,12 +57,11 @@ def add_purchases(path, rows):
 
 
 def _overflowing_dims(blob):
-    """A checkpoint whose first tensor has dims (2**32 - 1, 2**32 - 1), a
-    size whose product overflows int64."""
-    (name_length,) = struct.unpack_from("<H", blob, 52)  # after magic, config, count
-    ndim_at = 52 + 2 + name_length
-    assert blob[ndim_at] == 2
-    return blob[: ndim_at + 1] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + blob[ndim_at + 9 :]
+    """A checkpoint whose stored shape is (2**32 - 1) wide in every field
+    but n_heads: an arena whose size overflows int64, far larger than the
+    file."""
+    widest = 2**32 - 1
+    return blob[:8] + struct.pack("<6I", widest, widest, 1, widest, widest, widest) + blob[32:]
 
 
 def _index_payload_at(blob, value):
@@ -249,6 +249,7 @@ class TestLoadConfig:
             ("train", "learning_rate", "0.1"),
             ("train", "d_model", "64"),
             ("train", "learning_rate", -1.0),
+            ("train", "dropout_rate", 1.0),
         ],
     )
     def test_bad_value_in_config_file_is_one_error_line(
@@ -270,6 +271,7 @@ class TestLoadConfig:
             "seed": "an integer >= 0, got '1'",
             "learning_rate": f"a finite number > 0.0, got {value!r}",
             "d_model": "an integer, got '64'",
+            "dropout_rate": "a finite number >= 0.0 and < 1.0, got 1.0",
         }[name]
         after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
         assert after == before
@@ -695,14 +697,46 @@ class TestRecommend:
         assert (clone["workdir"] / cli.INDEX_FILE).read_bytes() == index_before
 
     def test_stale_index_detected(self, pipeline, tmp_path, capsys):
+        # a hand-edited catalog no longer matches the log ingest wrote with it
         clone = fresh_copy(pipeline, tmp_path)
         prepared = corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
         corpus.save_prepared(prepared[:-1], clone["workdir"] / cli.PREPARED_FILE)
         rc = run_cli("recommend", *clone["base"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "error: CheckpointMismatchError" in err
-        assert "delete it to rebuild" in err
+        assert "error: UnknownArticleError" in err
+        assert "re-run `titlerec ingest`" in err
+
+    def test_reingest_with_fewer_articles_rebuilds_whether_index_cached(self, pipeline, tmp_path):
+        outcomes = []
+        for cached in (True, False):
+            clone = fresh_copy(pipeline, tmp_path / str(cached))
+            articles = clone["root"] / "articles.csv"
+            lines = articles.read_text(encoding="utf-8").splitlines(True)
+            articles.write_text("".join(lines[:-1]), encoding="utf-8")
+            assert run_cli("ingest", *clone["base"]) == 0
+            if not cached:
+                (clone["workdir"] / cli.INDEX_FILE).unlink()
+            assert run_cli("recommend", *clone["base"]) == 0
+            outcomes.append(
+                [(clone["workdir"] / name).read_bytes()
+                 for name in (cli.SUBMISSION_FILE, cli.INDEX_FILE)]
+            )
+        assert outcomes[0] == outcomes[1]
+
+    def test_index_over_other_ids_is_rebuilt(self, pipeline, tmp_path):
+        # an id edited in place, still ascending, under an intact source block
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.INDEX_FILE
+        blob = path.read_bytes()
+        at = 8 + 9 + len(ix.METRIC_TAG)  # the first article id
+        assert blob[at : at + 10] > b"0000000000"
+        path.write_bytes(blob[:at] + b"0000000000" + blob[at + 10 :])
+        assert run_cli("recommend", *clone["base"]) == 0
+        for name in (cli.INDEX_FILE, cli.SUBMISSION_FILE):
+            assert (clone["workdir"] / name).read_bytes() == (
+                pipeline["workdir"] / name
+            ).read_bytes(), name
 
     def test_retrained_checkpoint_rebuilds_index(self, pipeline, tmp_path):
         stale = fresh_copy(pipeline, tmp_path / "stale")
@@ -1226,6 +1260,36 @@ class TestErrorSurface:
         checkpoint = clone["workdir"] / cli.CHECKPOINT_FILE
         assert line.startswith(f"error: CheckpointMismatchError: {checkpoint}: stored config")
 
+    def test_catalog_without_articles_is_one_error_line(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        articles = clone["root"] / "articles.csv"
+        header = articles.read_text(encoding="utf-8").splitlines(True)[0]
+        articles.write_text(header, encoding="utf-8")
+        assert run_cli("ingest", *clone["base"]) == 0
+        (clone["workdir"] / cli.INDEX_FILE).unlink()
+        capsys.readouterr()
+        assert run_cli("recommend", *clone["base"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: EmptyCorpusError: cannot build an index over zero articles"
+
+    def test_nan_weight_names_the_first_article_it_reaches(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        checkpoint = clone["workdir"] / cli.CHECKPOINT_FILE
+        params, _ = enc.load_checkpoint(checkpoint)
+        params["token_embedding"][7] = math.nan
+        enc.save_checkpoint(params, checkpoint)
+        (clone["workdir"] / cli.INDEX_FILE).unlink()
+        vocab = Vocabulary.load(clone["workdir"] / cli.VOCAB_FILE)
+        first = next(
+            article.article_id
+            for article in corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
+            if 7 in vocab.word_ids(article.text)[: params.config.max_len - 2]
+        )
+        capsys.readouterr()
+        assert run_cli("recommend", *clone["base"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: DegenerateEmbeddingError: article {first}: ")
+
     @pytest.mark.parametrize(
         "artifact, corrupt, command",
         [
@@ -1233,16 +1297,16 @@ class TestErrorSurface:
             (cli.INGEST_SUMMARY_FILE, lambda blob: b"{}", "stats"),
             (cli.VOCAB_FILE, lambda blob: blob + blob.splitlines(True)[-1], "recommend"),
             (cli.CHECKPOINT_FILE, lambda blob: blob + b"0123456789", "recommend"),
-            # inside the first tensor name
-            (cli.CHECKPOINT_FILE, lambda blob: blob[:60] + b"\xff\xfe" + blob[60:], "recommend"),
             (cli.CHECKPOINT_FILE, _overflowing_dims, "recommend"),
+            (cli.CHECKPOINT_FILE, lambda blob: b"TRENC001" + blob[8:], "recommend"),
+            (cli.CHECKPOINT_FILE, lambda blob: blob[:-8], "recommend"),
             (cli.INDEX_FILE, lambda blob: _index_payload_at(blob, 5.0), "recommend"),
             (cli.INDEX_FILE, lambda blob: _index_payload_at(blob, math.nan), "recommend"),
             (cli.INDEX_FILE, _index_first_id_repeated, "recommend"),
         ],
         ids=["summary-halved", "summary-empty-object", "vocab-repeated-line",
-             "checkpoint-trailing-bytes", "checkpoint-bad-utf8", "checkpoint-overflowing-dims",
-             "index-row-not-unit", "index-row-nan", "index-id-repeated"],
+             "checkpoint-trailing-bytes", "checkpoint-overflowing-dims", "checkpoint-trenc001",
+             "checkpoint-one-float-short", "index-row-not-unit", "index-row-nan", "index-id-repeated"],
     )
     def test_corrupt_artifact_named(self, pipeline, tmp_path, capsys, artifact, corrupt, command):
         clone = fresh_copy(pipeline, tmp_path)

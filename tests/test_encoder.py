@@ -1,10 +1,12 @@
 import hashlib
 import math
-from dataclasses import replace
+import struct
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from titlerec import cli
 from titlerec import encoder as enc
 from titlerec.errors import (
     ArtifactFormatError,
@@ -42,14 +44,11 @@ class TestConfig:
             replace(tiny_config, max_len=4)
 
     def test_rejects_bad_dropout(self, tiny_config):
+        # dropout is a training setting, bounded with the pipeline's others
         with pytest.raises(InvalidConfigError):
-            replace(tiny_config, dropout_rate=1.0)
+            cli.load_config(None, {"dropout_rate": 1.0})
         with pytest.raises(InvalidConfigError):
-            replace(tiny_config, dropout_rate=-0.1)
-
-    def test_rejects_nonpositive_epsilon(self, tiny_config):
-        with pytest.raises(InvalidConfigError):
-            replace(tiny_config, layer_norm_epsilon=0.0)
+            cli.load_config(None, {"dropout_rate": -0.1})
 
     def test_d_head(self, tiny_config):
         assert replace(tiny_config, d_model=64, n_heads=4).d_head == 16
@@ -111,7 +110,7 @@ class TestParameterArena:
         assert list(tiny_params.tensors) == list(enc.parameter_shapes(tiny_config))
         assert_arena_layout(tiny_params)
         assert_arena_layout(enc.zero_grads(tiny_params))
-        assert_arena_layout(enc.EncoderParams(tiny_params.config, tiny_params.tensors))
+        assert_arena_layout(enc.EncoderParams(tiny_params.config, tiny_params.flat.copy()))
 
     def test_init_draws_as_one_tensor_at_a_time(self, tiny_config, tiny_params):
         # the arena is filled in the order and with the values of a per-tensor init
@@ -138,10 +137,11 @@ class TestParameterArena:
     def test_in_place_write_reaches_the_arena(self, tiny_params):
         tiny_params["np_head.bias"][...] = 7.0
         assert tiny_params.flat[-1] == 7.0
-        assert enc.EncoderParams(tiny_params.config, tiny_params.tensors)["np_head.bias"][0] == 7.0
+        clone = enc.EncoderParams(tiny_params.config, tiny_params.flat.copy())
+        assert clone["np_head.bias"][0] == 7.0
 
     def test_copy_is_independent(self, tiny_params):
-        clone = enc.EncoderParams(tiny_params.config, tiny_params.tensors)
+        clone = enc.EncoderParams(tiny_params.config, tiny_params.flat.copy())
         assert list(clone.tensors) == list(tiny_params.tensors)
         assert np.array_equal(clone.flat, tiny_params.flat)
         assert not np.shares_memory(clone.flat, tiny_params.flat)
@@ -150,18 +150,6 @@ class TestParameterArena:
         assert np.array_equal(tiny_params.flat, before)
         tiny_params["token_embedding"][...] = 0.0
         assert np.all(clone["token_embedding"] != 0.0)
-
-    def test_dict_built_params_copy_their_source(self, tiny_config):
-        source = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([5.0]), "s": 2.5}
-        params = enc.EncoderParams(tiny_config, source)
-        assert list(params.tensors) == ["w", "b", "s"]
-        assert params["s"].shape == ()
-        assert np.array_equal(params.flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 2.5])
-        assert_arena_layout(params)
-        source["w"][0, 0] = 99.0
-        params["b"][...] = -1.0
-        assert params["w"][0, 0] == 0.0
-        assert source["b"][0] == 5.0
 
     def test_loaded_checkpoint_is_an_arena(self, tiny_params, tmp_path):
         path = tmp_path / "model.bin"
@@ -246,19 +234,10 @@ class TestForward:
         assert trace.cache is None
 
     def test_dropout_reproducible_and_active(self, tiny_config, tiny_row):
-        config = enc.EncoderConfig(
-            vocab_size=tiny_config.vocab_size,
-            d_model=tiny_config.d_model,
-            n_heads=tiny_config.n_heads,
-            n_layers=tiny_config.n_layers,
-            d_ff=tiny_config.d_ff,
-            max_len=tiny_config.max_len,
-            dropout_rate=0.5,
-        )
-        params = enc.init_params(config, seed=3)
-        a = enc.forward(params, tiny_row, rng=np.random.default_rng(11))
-        b = enc.forward(params, tiny_row, rng=np.random.default_rng(11))
-        c = enc.forward(params, tiny_row, rng=np.random.default_rng(12))
+        params = enc.init_params(tiny_config, seed=3)
+        a = enc.forward(params, tiny_row, dropout=(np.random.default_rng(11), 0.5))
+        b = enc.forward(params, tiny_row, dropout=(np.random.default_rng(11), 0.5))
+        c = enc.forward(params, tiny_row, dropout=(np.random.default_rng(12), 0.5))
         clean = enc.forward(params, tiny_row)
         assert np.array_equal(a.hidden_states, b.hidden_states)
         assert not np.array_equal(a.hidden_states, c.hidden_states)
@@ -402,6 +381,31 @@ class TestCheckpoint:
         a = enc.forward(tiny_params, tiny_row)
         b = enc.forward(loaded, tiny_row)
         assert np.array_equal(a.hidden_states, b.hidden_states)
+
+    def test_file_is_the_shape_and_the_arena(self, tiny_params, tmp_path):
+        path = tmp_path / "model.bin"
+        enc.save_checkpoint(tiny_params, path)
+        blob = path.read_bytes()
+        assert len(blob) == 32 + 8 * tiny_params.flat.size
+        assert blob[8:32] == struct.pack("<6I", *astuple(tiny_params.config))
+        assert blob[32:] == tiny_params.flat.astype("<f8").tobytes()
+
+    def test_older_layout_refused_with_a_retrain_hint(self, tiny_params, tmp_path):
+        path = tmp_path / "model.bin"
+        enc.save_checkpoint(tiny_params, path)
+        path.write_bytes(b"TRENC001" + path.read_bytes()[8:])
+        with pytest.raises(ArtifactFormatError, match="bad magic.*re-run `titlerec train`"):
+            enc.load_checkpoint(path)
+
+    def test_shape_too_large_for_the_file_reads_as_truncated(self, tiny_params, tmp_path):
+        path = tmp_path / "model.bin"
+        enc.save_checkpoint(tiny_params, path)
+        widest = 2**32 - 1
+        blob = path.read_bytes()
+        shape = struct.pack("<6I", widest, widest, 1, widest, widest, widest)
+        path.write_bytes(blob[:8] + shape + blob[32:])
+        with pytest.raises(ArtifactFormatError, match="truncated at byte 32"):
+            enc.load_checkpoint(path)
 
 
 class TestBatchedForward:

@@ -5,8 +5,6 @@ component nonlinearities (GELU, layer norm) also get standalone
 difference-quotient oracles so a failure localizes.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -370,21 +368,21 @@ class TestDropoutFiniteDifference:
 
     @pytest.mark.parametrize("cut", [False, True], ids=["full-width", "reads"])
     def test_every_tensor(self, batch_params, cut):
-        config = replace(batch_params.config, dropout_rate=0.3)
-        params = enc.EncoderParams(config, batch_params.tensors)
+        config = batch_params.config
+        params = enc.EncoderParams(config, batch_params.flat.copy())
         rng = np.random.default_rng(27)
         batch, targets, labels = mixed_batch(config, rng)
         reads = enc.read_positions(targets, labels, config.max_len) if cut else None
         assert reads is not None or not cut
 
         def run(probe):
-            trace = enc.forward(probe, batch, rng=np.random.default_rng(9), reads=reads)
+            trace = enc.forward(probe, batch, dropout=(np.random.default_rng(9), 0.3), reads=reads)
             return trace, enc.loss_and_grads(probe, trace, targets, labels, 0.25, 0.5)
 
         dropped, (_, _, grads) = run(params)
         plain = enc.forward(params, batch, reads=reads)
         assert not np.array_equal(dropped.hidden_states, plain.hidden_states)
-        probe = enc.EncoderParams(config, params.tensors)
+        probe = enc.EncoderParams(config, params.flat.copy())
         step = 1e-4
         for name in params.tensors:
             flat = probe[name].reshape(-1)

@@ -14,6 +14,7 @@ from titlerec.corpus import PreparedArticle
 from titlerec.errors import (
     ArtifactFormatError,
     DegenerateEmbeddingError,
+    EmptyCorpusError,
     InsufficientCandidatesError,
     KTooLargeError,
 )
@@ -142,7 +143,7 @@ class TestBuildIndex:
 
     def test_empty_input_rejected(self, tiny_params):
         _, vocab = small_world()
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyCorpusError):
             ix.build_index([], tiny_params, vocab)
 
 
@@ -901,6 +902,22 @@ def twins_ordered(picks, twins):
     places = [i for i, article_id in enumerate(picks) if article_id in twins]
     found = [picks[i] for i in places]
     return not places or (places[-1] - places[0] == len(places) - 1 and found == sorted(found))
+
+
+class TestMatrixAlignment:
+    """The matrices serving multiplies start on a 64-byte boundary, whatever
+    address malloc gave (see ``index.MATRIX_ALIGNMENT``)."""
+
+    def test_built_loaded_and_twin_matrices_start_on_64_bytes(self, tiny_params, tmp_path):
+        articles, vocab = small_world()
+        built = ix.build_index(articles, tiny_params, vocab)
+        ix.save_index(built, tmp_path / "index.bin")
+        loaded = ix.load_index(tmp_path / "index.bin")
+        twins, _ = TestTwins().tail_twin_index().twins
+        for matrix in (built.vectors, loaded.vectors, twins):
+            assert matrix.__array_interface__["data"][0] % 64 == 0
+            assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        assert np.array_equal(loaded.vectors, built.vectors)
 
 
 class TestTwins:

@@ -501,28 +501,29 @@ class TestOptimizer:
 
     def test_single_step_hand_computed(self):
         config = enc.EncoderConfig(vocab_size=5, d_model=2, n_heads=1, n_layers=1, d_ff=2, max_len=5)
-        params = enc.EncoderParams(config, {"w": np.array([1.0])})
+        params = enc.EncoderParams(config, np.full(enc.parameter_count(config), 1.0))
         state = obj.init_optimizer(params, learning_rate=0.1)
-        obj.adam_update(params, state, enc.EncoderParams(config, {"w": np.array([0.5])}))
+        obj.adam_update(params, state, enc.EncoderParams(config, np.full_like(params.flat, 0.5)))
         # bias-corrected moments after one step are exactly the raw gradient
         m_hat, v_hat = 0.5, 0.25
         expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
-        assert params["w"][0] == pytest.approx(expected, rel=1e-12)
+        assert params.flat[0] == pytest.approx(expected, rel=1e-12)
         assert state.step == 1
 
     def test_two_steps_track_reference(self):
         config = enc.EncoderConfig(vocab_size=5, d_model=2, n_heads=1, n_layers=1, d_ff=2, max_len=5)
-        params = enc.EncoderParams(config, {"w": np.array([0.3])})
+        params = enc.EncoderParams(config, np.full(enc.parameter_count(config), 0.3))
         state = obj.init_optimizer(params, learning_rate=0.05)
         w, m, v = 0.3, 0.0, 0.0
         for step, grad in enumerate((0.5, -0.2), start=1):
-            obj.adam_update(params, state, enc.EncoderParams(config, {"w": np.array([grad])}))
+            grads = enc.EncoderParams(config, np.full_like(params.flat, grad))
+            obj.adam_update(params, state, grads)
             m = 0.9 * m + 0.1 * grad
             v = 0.999 * v + 0.001 * grad * grad
             m_hat = m / (1.0 - 0.9**step)
             v_hat = v / (1.0 - 0.999**step)
             w -= 0.05 * m_hat / (math.sqrt(v_hat) + 1e-8)
-        assert params["w"][0] == pytest.approx(w, rel=1e-12)
+        assert params.flat[0] == pytest.approx(w, rel=1e-12)
         assert state.step == 2
 
 
@@ -546,7 +547,7 @@ def assert_same_doubles(actual, expected):
 
 class TestArenaAdam:
     def test_matches_per_tensor_reference_bit_for_bit(self, tiny_params):
-        params = enc.EncoderParams(tiny_params.config, tiny_params.tensors)
+        params = enc.EncoderParams(tiny_params.config, tiny_params.flat.copy())
         state = obj.init_optimizer(params, learning_rate=3e-3)
         tensors = {name: t.copy() for name, t in tiny_params.tensors.items()}
         first = {name: np.zeros_like(t) for name, t in tensors.items()}
@@ -611,7 +612,7 @@ class TestArenaAdam:
         masked = masked_rows(tiny_row, [(0, 1, 5), (0, 3, 7)])
         runs = []
         for junk in (None, np.nan):
-            params = enc.EncoderParams(tiny_params.config, tiny_params.tensors)
+            params = enc.EncoderParams(tiny_params.config, tiny_params.flat.copy())
             state = obj.init_optimizer(params)
             for _ in range(2):
                 if junk is not None:
@@ -673,7 +674,7 @@ class TestTrainStep:
     def test_zero_learning_rate_keeps_params(self, vocab):
         config, vocab, word_ids, inventory, sessions, articles = tiny_training_world()
         params = enc.init_params(config, seed=0)
-        before = enc.EncoderParams(params.config, params.tensors)
+        before = enc.EncoderParams(params.config, params.flat.copy())
         state = obj.init_optimizer(params, learning_rate=0.0)
         rng = np.random.default_rng(1)
         rows = encode_single([vocab.word_ids(articles[0].text)], config.max_len)
@@ -690,7 +691,7 @@ class TestTrainStep:
     def test_every_tensor_group_receives_gradient(self):
         config, vocab, word_ids, inventory, sessions, articles = tiny_training_world()
         params = enc.init_params(config, seed=0)
-        before = enc.EncoderParams(params.config, params.tensors)
+        before = enc.EncoderParams(params.config, params.flat.copy())
         state = obj.init_optimizer(params)
         rng = np.random.default_rng(2)
         rows = encode_single([vocab.word_ids(a.text) for a in articles[:8]], config.max_len)

@@ -26,11 +26,11 @@ SHAPES = {
 }
 
 
-def shaped_params(shape, dropout_rate=0.0, seed=0, n_layers=2):
+def shaped_params(shape, seed=0, n_layers=2):
     vocab, d_model, d_ff, max_len, _ = SHAPES[shape]
     config = enc.EncoderConfig(
         vocab_size=vocab, d_model=d_model, n_heads=4, n_layers=n_layers, d_ff=d_ff,
-        max_len=max_len, dropout_rate=dropout_rate,
+        max_len=max_len,
     )
     params = enc.init_params(config, seed=seed)
     rng = np.random.default_rng(seed + 100)
@@ -69,13 +69,15 @@ def mixed_pass(shape, kind="mixed", seed=0):
     )
 
 
-def both_passes(params, batch, targets, labels, dropout_seed=None):
+def both_passes(params, batch, targets, labels, dropout_seed=None, dropout_rate=0.0):
     reads = enc.read_positions(targets, labels, batch.max_len)
     assert reads is not None
     results = []
     for cut in (None, reads):
-        rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
-        trace = enc.forward(params, batch, rng=rng, reads=cut)
+        dropout = None if dropout_seed is None else (
+            np.random.default_rng(dropout_seed), dropout_rate
+        )
+        trace = enc.forward(params, batch, dropout=dropout, reads=cut)
         results.append((trace, enc.loss_and_grads(params, trace, targets, labels, 0.3, 0.7)))
     return reads, results
 
@@ -139,11 +141,12 @@ class TestCutPassParity:
 
     @staticmethod
     def check(shape, kind, dropout, n_layers):
-        params = shaped_params(shape, dropout_rate=dropout, seed=1, n_layers=n_layers)
+        params = shaped_params(shape, seed=1, n_layers=n_layers)
         batch, targets, labels = mixed_pass(shape, kind, seed=2)
         assert not batch.attn_mask.all()
         reads, ((full, full_out), (cut, cut_out)) = both_passes(
-            params, batch, targets, labels, dropout_seed=3 if dropout else None
+            params, batch, targets, labels, dropout_seed=3 if dropout else None,
+            dropout_rate=dropout,
         )
         assert reads.shape[1] < batch.max_len
         rows = np.arange(len(batch))[:, None]
