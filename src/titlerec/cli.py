@@ -10,8 +10,9 @@ The holdout convention is shared by every stage that needs it: the final
 as ground truth, and training, customer profiles and the popularity
 ranking used for serving all draw from the remaining earlier window.
 ``ingest`` records its ``holdout_days`` in ``transactions.bin``, and
-``train``, ``recommend`` and ``evaluate`` refuse to run with another value,
-which would train on the scored days or score against other ones. Each
+``train``, ``recommend`` and ``evaluate`` use that value and refuse to run
+with another given one, which would train on the scored days or score
+against other ones. Each
 stage reads ``transactions.bin`` once, into a ``corpus.PurchaseLog`` of
 integer columns, and splits, groups and counts it with array operations.
 
@@ -26,9 +27,13 @@ default. ``FIELD_RULES`` gives each field's type and bounds, and
 underscores), with its type and help text taken from that table. The
 model's shape rules (bounds, d_model divisible by n_heads) live in
 ``encoder.EncoderConfig`` alone; ``load_config`` runs them with the rest,
-before any artifact is read. ``dropout_rate`` is a training setting, not
-part of the model's shape: ``train`` hands it to each step, and
-``recommend`` serves a checkpoint whatever rate trained it.
+before any artifact is read. The settings an artifact records (``RECORDED``:
+the model's shape in checkpoint.bin, ``holdout_days`` in transactions.bin)
+are None unless given: the stage that writes the artifact then takes the
+default of ``RECORDED``, and a later stage the recorded value, refusing a
+given one that disagrees. ``dropout_rate`` is a training setting, not part
+of the model's shape: ``train`` hands it to each step, and ``recommend``
+serves a checkpoint whatever rate trained it.
 
 Artifacts (inside the workdir):
     prepared_articles.tsv  cleaned one-line text per article, by ascending id
@@ -60,7 +65,7 @@ import operator
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,11 +130,12 @@ class PipelineConfig:
     text_columns: tuple[str, ...] = corpus.TEXTUAL_COLUMNS
     min_freq: int = 1
     max_vocab: int = 30000
-    max_len: int = 48
-    d_model: int = 64
-    n_heads: int = 4
-    n_layers: int = 2
-    d_ff: int = 128
+    # None where not given: see RECORDED
+    max_len: int | None = None
+    d_model: int | None = None
+    n_heads: int | None = None
+    n_layers: int | None = None
+    d_ff: int | None = None
     dropout_rate: float = 0.0
     epochs: int = 1
     batch_size: int = 16
@@ -137,18 +143,33 @@ class PipelineConfig:
     seed: int = 0
     negatives_per_positive: int = 1
     learning_rate: float = 1e-3
-    holdout_days: int = 7
+    holdout_days: int | None = None
     pooling: str = "mean"
 
     def encoder_config(self, vocab_size: int) -> enc.EncoderConfig:
+        """The shape ``train`` builds: each field as given, or its default."""
         return enc.EncoderConfig(
-            vocab_size=vocab_size,
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            n_layers=self.n_layers,
-            d_ff=self.d_ff,
-            max_len=self.max_len,
+            vocab_size, **{name: self.written(name) for name in MODEL_SHAPE_FIELDS}
         )
+
+    def written(self, name: str) -> int:
+        """A setting of RECORDED as the stage that records it takes it."""
+        value = getattr(self, name)
+        return RECORDED[name][1] if value is None else value
+
+
+MODEL_SHAPE_FIELDS = ("d_model", "n_heads", "n_layers", "d_ff", "max_len")
+
+# Settings that an artifact records, each with that artifact and the value
+# its writer takes when the setting is not given: ``train`` records the
+# model's shape in checkpoint.bin, ``ingest`` the holdout days in
+# transactions.bin. A stage that reads the artifact takes the recorded value
+# when the setting is not given, and refuses a given one that disagrees.
+RECORDED = {
+    **{name: (CHECKPOINT_FILE, default)
+       for name, default in zip(MODEL_SHAPE_FIELDS, (64, 4, 2, 128, 48))},
+    "holdout_days": (TRANSACTIONS_FILE, 7),
+}
 
 
 # What each config field accepts: its type, then the (comparison, limit)
@@ -188,6 +209,14 @@ def _accepts(name: str) -> str:
     """What a config field accepts, in the words of its error and its flag's help."""
     kind, *tests = FIELD_RULES[name]
     return TYPES[kind][1] + " and".join(f" {op} {limit!r}" for op, limit in tests)
+
+
+def _default(setting: Field) -> str:
+    """A setting's default, in the words of its flag's help."""
+    if setting.name not in RECORDED:
+        return str(setting.default)
+    artifact, value = RECORDED[setting.name]
+    return f"as {artifact} records it; {value} for the run that writes it"
 
 
 def load_config(config_path: str | None, overrides: dict) -> PipelineConfig:
@@ -263,18 +292,25 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _load_joined(config: PipelineConfig, catalog: tuple[str, ...]) -> corpus.PurchaseLog:
-    """The ingested purchase log, read with the run's holdout days; refused
-    unless its article table is the catalog."""
-    workdir = Path(config.workdir)
-    path = _require(workdir / TRANSACTIONS_FILE, "titlerec ingest")
-    joined = corpus.load_saved_transactions(path, config.holdout_days)
+def _load_ingested(config: PipelineConfig) -> tuple[corpus.PurchaseLog, int]:
+    """The ingested purchase log and the holdout days it was ingested with,
+    which a given ``holdout_days`` must equal."""
+    path = _require(Path(config.workdir) / TRANSACTIONS_FILE, "titlerec ingest")
+    return corpus.load_saved_transactions(path, config.holdout_days)
+
+
+def _load_joined(
+    config: PipelineConfig, catalog: tuple[str, ...]
+) -> tuple[corpus.PurchaseLog, int]:
+    """``_load_ingested``, refused unless the log's article table is the catalog."""
+    joined, holdout_days = _load_ingested(config)
     if joined.article_ids != catalog:
+        workdir = Path(config.workdir)
         raise UnknownArticleError(
-            f"{path}: its article table is not the catalog of {workdir / PREPARED_FILE}; "
-            "re-run `titlerec ingest`"
+            f"{workdir / TRANSACTIONS_FILE}: its article table is not the catalog of "
+            f"{workdir / PREPARED_FILE}; re-run `titlerec ingest`"
         )
-    return joined
+    return joined, holdout_days
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -293,7 +329,7 @@ def cmd_ingest(config: PipelineConfig) -> str:
     sessions = int(joined.sessions()[1].max(initial=-1)) + 1
 
     corpus.save_prepared(prepared, workdir / PREPARED_FILE)
-    corpus.save_transactions(joined, workdir / TRANSACTIONS_FILE, config.holdout_days)
+    corpus.save_transactions(joined, workdir / TRANSACTIONS_FILE, config.written("holdout_days"))
     histogram = corpus.missing_description_histogram(articles)
     _write_json(
         workdir / INGEST_SUMMARY_FILE,
@@ -351,8 +387,8 @@ def cmd_stats(config: PipelineConfig) -> str:
 def cmd_train(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
-    joined = _load_joined(config, tuple(p.article_id for p in prepared))
-    train_window, _ = evaluation.temporal_split(joined, config.holdout_days)
+    joined, holdout_days = _load_joined(config, tuple(p.article_id for p in prepared))
+    train_window, _ = evaluation.temporal_split(joined, holdout_days)
 
     vocab = build_vocab(prepared, config.min_freq, config.max_vocab)
     params = enc.init_params(config.encoder_config(len(vocab)), config.seed)
@@ -363,7 +399,8 @@ def cmd_train(config: PipelineConfig) -> str:
 
     # each article's word ids, looked up once for its masked rows and its pairs
     word_ids = [vocab.word_ids(p.text) for p in prepared]
-    titles = objectives.maskable_titles(word_ids, config.max_len)
+    max_len = params.config.max_len
+    titles = objectives.maskable_titles(word_ids, max_len)
     positives = objectives.positive_table(train_window, config.negatives_per_positive)
 
     batch = config.batch_size
@@ -382,14 +419,14 @@ def cmd_train(config: PipelineConfig) -> str:
                 break
             step_titles = title_order[s * batch : (s + 1) * batch]
             masked_batch = objectives.mask_titles(
-                encode_single([word_ids[titles[i]] for i in step_titles], config.max_len),
+                encode_single([word_ids[titles[i]] for i in step_titles], max_len),
                 vocab,
                 rng,
             )
             # a step's pairs are sampled and encoded when it trains them
             slots = pair_order[s * batch : (s + 1) * batch]
             pair_batch = objectives.encode_training_pairs(
-                objectives.sample_pairs(positives, slots, rng), word_ids, config.max_len
+                objectives.sample_pairs(positives, slots, rng), word_ids, max_len
             )
             record = objectives.train_step(params, state, masked_batch, pair_batch, dropout)
             log_lines.append(
@@ -423,20 +460,25 @@ def cmd_recommend(config: PipelineConfig) -> str:
     vocab = Vocabulary.load(vocab_path)
     checkpoint_path = _require(workdir / CHECKPOINT_FILE, "titlerec train")
     params, checkpoint_sha256 = enc.load_checkpoint(checkpoint_path)
-    expected = config.encoder_config(len(vocab))
-    if params.config != expected:
-        if replace(params.config, vocab_size=expected.vocab_size) == expected:
-            # the stored shape differs from the flags in its size alone: the
-            # vocabulary lost or gained lines, not the checkpoint
-            raise CheckpointMismatchError(
-                f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} was trained with "
-                f"{params.config.vocab_size}; both must come from the same `titlerec train`"
-            )
+    # the model's shape is the checkpoint's; a setting given must agree
+    disagreeing = [
+        f"{name}={getattr(config, name)}"
+        for name in MODEL_SHAPE_FIELDS
+        if getattr(config, name) not in (None, getattr(params.config, name))
+    ]
+    if disagreeing:
         raise CheckpointMismatchError(
-            f"{checkpoint_path}: stored config {params.config} != expected {expected}"
+            f"{checkpoint_path}: stored config {params.config} != expected "
+            f"{', '.join(disagreeing)}"
+        )
+    if params.config.vocab_size != len(vocab):
+        # the vocabulary lost or gained lines, not the checkpoint
+        raise CheckpointMismatchError(
+            f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} was trained with "
+            f"{params.config.vocab_size}; both must come from the same `titlerec train`"
         )
     prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
-    joined = _load_joined(config, tuple(p.article_id for p in prepared))
+    joined, holdout_days = _load_joined(config, tuple(p.article_id for p in prepared))
 
     index_path = workdir / INDEX_FILE
     source = index_mod.IndexSource(
@@ -452,7 +494,7 @@ def cmd_recommend(config: PipelineConfig) -> str:
         # absent, or built from other texts, checkpoint or pooling, or of unknown origin
         article_index = index_mod.build_index(prepared, params, vocab, config.pooling, source)
         index_mod.save_index(article_index, index_path)
-    train_window, _ = evaluation.temporal_split(joined, config.holdout_days)
+    train_window, _ = evaluation.temporal_split(joined, holdout_days)
     customers = _load_customer_universe(config, joined)
     picks = index_mod.serve(
         customers,
@@ -470,10 +512,8 @@ def cmd_recommend(config: PipelineConfig) -> str:
 
 def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None) -> str:
     workdir = Path(config.workdir)
-    joined = corpus.load_saved_transactions(
-        _require(workdir / TRANSACTIONS_FILE, "titlerec ingest"), config.holdout_days
-    )
-    train_window, holdout = evaluation.temporal_split(joined, config.holdout_days)
+    joined, holdout_days = _load_ingested(config)
+    train_window, holdout = evaluation.temporal_split(joined, holdout_days)
     truth = evaluation.build_ground_truth(holdout)
     submission = evaluation.read_submission(
         _require(workdir / SUBMISSION_FILE, "titlerec recommend")
@@ -517,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         shared.add_argument(
             "--" + f.name.replace("_", "-"),
             **TYPES[FIELD_RULES[f.name][0]][2],
-            help=f"{_accepts(f.name)} (default: {f.default})",
+            help=f"{_accepts(f.name)} (default: {_default(f)})",
         )
 
     parser = argparse.ArgumentParser(
@@ -548,12 +588,14 @@ def pin_heap_thresholds() -> tuple[int, ...]:
     is the state its dynamic rule tends to, reached at once.
 
     glibc also gives a new thread that allocates its own malloc arena, a
-    heap beside the main one that keeps its own freed pages.
-    ``index.build_index``'s helper thread would get one, and the peak
-    resident set would grow by the activations of the passes it ran (by
-    4.1 MB on the benchmark's `catalog` workload). With one arena both
-    threads allocate from the main heap, under the thresholds above, and
-    the peak stays where one thread leaves it.
+    heap beside the main one that keeps its own freed pages. The helper
+    threads of ``index.build_index`` and of a training step
+    (``passes.run_passes``) would each get one, and the peak resident set
+    would grow by the activations of the passes they ran (by 4.1 MB for
+    embedding on the benchmark's `catalog` workload). With one arena every
+    thread allocates from the main heap, under the thresholds above, and
+    the peak grows only by what the second pass in flight holds at once
+    (about 4 MB for `catalog`'s training).
 
     Where libc has no ``mallopt`` (another C library or platform) nothing
     is done and the result is empty.

@@ -408,16 +408,18 @@ def _checked(path, kind: str, ids: list[str], rule: str, is_id: Callable, codes:
     return tuple(ids), codes
 
 
-def load_saved_transactions(path: str | Path, holdout_days: int) -> PurchaseLog:
-    """Read a TRLOG002 file as written by ``save_transactions``; a file that breaks the
-    layout's rules raises ``ArtifactFormatError`` naming it, and one ingested with
-    other holdout days than ``holdout_days`` raises ``InvalidConfigError``. Each id is
-    checked once."""
+def load_saved_transactions(
+    path: str | Path, holdout_days: int | None = None
+) -> tuple[PurchaseLog, int]:
+    """Read a TRLOG002 file as written by ``save_transactions``: the log and the
+    holdout days it was ingested with. A file that breaks the layout's rules raises
+    ``ArtifactFormatError`` naming it, and one ingested with other holdout days than
+    a given ``holdout_days`` raises ``InvalidConfigError``. Each id is checked once."""
     reader = ByteReader(Path(path).read_bytes(), str(path))
     if reader.take(len(LOG_MAGIC)) != LOG_MAGIC:
         raise ArtifactFormatError(f"{path}: bad magic, not a purchase log; re-run `titlerec ingest`")
     rows, n_customers, n_articles, recorded = reader.unpack("<4I")
-    if recorded != holdout_days:
+    if holdout_days is not None and recorded != holdout_days:
         raise InvalidConfigError(
             f"{path} was ingested with holdout_days={recorded}, but this run has "
             f"holdout_days={holdout_days}; pass the same --holdout-days to every command"
@@ -445,4 +447,5 @@ def load_saved_transactions(path: str | Path, holdout_days: int) -> PurchaseLog:
     if len(bad_days):
         row = int(bad_days[0])
         raise ArtifactFormatError(f"{path}: row {row + 1}: day {days[row]} is not a date ordinal")
-    return PurchaseLog(days.astype(np.int64), customers, articles, customer_ids, article_ids)
+    log = PurchaseLog(days.astype(np.int64), customers, articles, customer_ids, article_ids)
+    return log, recorded

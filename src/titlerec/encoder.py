@@ -25,10 +25,11 @@ plus its residual (``_feed_forward``), layer norm (``_norm``) and the two
 heads (``_head_terms``, ``_heads_backward``). A block's forward returns
 ``(out, saved)`` (the heads return their two loss sums and ``saved``); its
 backward takes the gradient of ``out`` and ``saved``, adds the block's
-parameter gradients into the gradient arena and returns the gradient of
-its input. ``forward`` is the embedding sum and then one loop over the
-layers (attention, norm, feed-forward, norm); ``loss_and_grads`` runs the
-heads' backward and then the same blocks' backwards in reverse.
+parameter gradients into the gradient sink (see *Gradient sinks*) and
+returns the gradient of its input. ``forward`` is the embedding sum and
+then one loop over the layers (attention, norm, feed-forward, norm);
+``loss_and_grads`` runs the heads' backward and then the same blocks'
+backwards in reverse.
 
 Batches. ``forward`` takes B rows of T tokens at once, as a
 ``TokenBatch`` of (B, T) arrays (token ids, segment ids and a live mask).
@@ -85,12 +86,23 @@ arena. Layer norm's epsilon is the constant ``LAYER_NORM_EPSILON``, and
 dropout is a training setting: ``forward`` takes it as an (rng, rate)
 pair.
 
+Gradient sinks. Every gradient a backward adds goes through a sink:
+``grads.add(name, value)`` adds a computed product into the tensor
+``name`` in place, and ``grads.turn(name)``, a context manager that yields
+the tensor, holds the embedding tables' scatter-add and row sums. Only the
+add runs in the sink; the product is computed before it. An arena
+(``EncoderParams``) is its own sink and never waits. A training step on
+two threads gives each pass its sink from ``objectives.PassTurns``, which
+waits until the pass before has added into that tensor, so every tensor
+takes the passes' adds in pass order and the sums are the same bytes as
+on one thread.
+
 Pass budget. Callers feed at most ``rows_per_pass(width)`` rows, about
 ``PASS_TOKEN_BUDGET`` tokens, to one forward/backward pass of that width,
 whatever their batch size. That bounds the activations a pass holds: 16
 rows at width 16, 5 rows at width 48, 51 rows of a 5-token title.
-Embedding may hold two passes at once, one per thread
-(``index.build_index``), so the process may hold twice that.
+Embedding and training may each hold two passes at once, one per thread
+(``passes.run_passes``), so the process may hold twice that.
 
 Checkpoint layout (version TRENC002, little-endian): the shape, then the
 arena. The shape fixes every tensor's name, shape and place in the arena.
@@ -105,6 +117,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -188,6 +201,17 @@ class EncoderParams:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
+
+    # an arena is its own gradient sink (see *Gradient sinks*), and never waits
+
+    def add(self, name: str, value: np.ndarray) -> None:
+        """Add ``value`` into the tensor ``name`` in place."""
+        tensor = self.tensors[name]
+        tensor += value
+
+    def turn(self, name: str) -> nullcontext:
+        """The tensor ``name``, to add into inside a ``with`` block."""
+        return nullcontext(self.tensors[name])
 
 
 @dataclass
@@ -548,12 +572,12 @@ def _dropout(out: np.ndarray, dropout, width: int, picks):
     return out * mask, mask
 
 
-def _add_projection_grads(grads: EncoderParams, weight: str, bias: str, x, d_y) -> None:
+def _add_projection_grads(grads, weight: str, bias: str, x, d_y) -> None:
     """Add the gradients of ``y = x @ weight + bias`` given ``d_y``, the
-    gradient of ``y``, to the ``weight`` and ``bias`` tensors of ``grads``."""
-    w, b = grads[weight], grads[bias]
-    w += _rows(x).T @ _rows(d_y)
-    b += _rows(d_y).sum(axis=0)
+    gradient of ``y``, to the ``weight`` and ``bias`` tensors of the
+    gradient sink ``grads``."""
+    grads.add(weight, _rows(x).T @ _rows(d_y))
+    grads.add(bias, _rows(d_y).sum(axis=0))
 
 
 # --- the blocks and their backwards (see *Blocks*) ---
@@ -578,20 +602,24 @@ def _embed(params: EncoderParams, batch: TokenBatch):
     return x, (ids, segments)
 
 
-def _embed_backward(grads: EncoderParams, d_x: np.ndarray, saved) -> None:
+def _embed_backward(grads, d_x: np.ndarray, saved) -> None:
     """Add the three tables' gradients; the sum has no input to pass on."""
     ids, segments = saved
     d_rows = _rows(d_x)
-    np.add.at(grads["token_embedding"], ids.ravel(), d_rows)
+    with grads.turn("token_embedding") as table:
+        np.add.at(table, ids.ravel(), d_rows)
     # Two segment rows: each sums its positions' gradients onto itself in
     # position order, as np.add.at would, with one reduction.
     segments = segments.ravel()
-    table = grads["segment_embedding"]
-    for s in range(len(table)):
-        table[s] = np.add.reduce(np.concatenate([table[s : s + 1], d_rows[segments == s]]), axis=0)
-    # positions past a narrower pass's width get no gradient
-    positions = grads["position_embedding"][: d_x.shape[1]]
-    positions += d_x.sum(axis=0)
+    with grads.turn("segment_embedding") as table:
+        for s in range(len(table)):
+            rows = np.concatenate([table[s : s + 1], d_rows[segments == s]])
+            table[s] = np.add.reduce(rows, axis=0)
+    d_positions = d_x.sum(axis=0)
+    with grads.turn("position_embedding") as table:
+        # positions past a narrower pass's width get no gradient
+        positions = table[: d_x.shape[1]]
+        positions += d_positions
 
 
 def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks, dropout):
@@ -681,9 +709,8 @@ def _norm(params: EncoderParams, name: str, x: np.ndarray):
 
 def _norm_backward(params: EncoderParams, grads, name: str, d_out: np.ndarray, saved):
     d_x, d_gain, d_bias = layer_norm_backward(d_out, *saved, params[name + ".gain"])
-    gain, bias = grads[name + ".gain"], grads[name + ".bias"]
-    gain += d_gain
-    bias += d_bias
+    grads.add(name + ".gain", d_gain)
+    grads.add(name + ".bias", d_bias)
     return d_x
 
 
@@ -829,9 +856,10 @@ def loss_and_grads(
     over every row of the recorded pass; the scales let a training step
     weight the pass (for example 1/total masked positions of the step).
     They are added in place to ``into``, an arena in the layout of
-    ``params`` (see ``zero_grads``) holding earlier passes' gradients, which
-    is returned; without it they go to a fresh zeroed arena. So a
-    multi-pass step holds one gradient arena for all its passes.
+    ``params`` (see ``zero_grads``) holding earlier passes' gradients, or a
+    gradient sink over one (see *Gradient sinks*), which is returned;
+    without it they go to a fresh zeroed arena. So a multi-pass step holds
+    one gradient arena for all its passes.
     """
     if trace.cache is None:
         raise NoRecordedForwardError("forward was run without record=True")

@@ -47,9 +47,7 @@ b"TRECSRC1" block (no prepared-text digest), is of unknown origin.
 from __future__ import annotations
 
 import math
-import os
 import struct
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -59,6 +57,7 @@ import numpy as np
 from . import encoder as enc
 from .corpus import PreparedArticle, PurchaseLog
 from .ioutil import ByteReader, atomic_write_bytes
+from .passes import run_passes, usable_cpus
 from .errors import (
     ArtifactFormatError,
     DegenerateEmbeddingError,
@@ -106,13 +105,6 @@ def aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     raw = np.empty(count + MATRIX_ALIGNMENT // 8)
     start = -raw.__array_interface__["data"][0] % MATRIX_ALIGNMENT // 8
     return raw[start : start + count].reshape(shape)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -219,12 +211,10 @@ def build_index(
     When the plan holds at least ``HELPER_MIN_PASSES`` passes and the
     process may run on more than one CPU, one helper thread takes passes
     from the plan beside the calling thread, each writing its rows of the
-    pooled matrix. The first exception in either thread, or one that stops
-    the calling thread while it waits for the helper, stops the other at
-    its next pass; the helper is joined before the exception is raised
-    again here, so no thread outlives the call. When the helper cannot be
-    started, the calling thread runs every pass. A degenerate vector is
-    reported for the first such article in input order.
+    pooled matrix; ``passes.run_passes`` stops both threads at the first
+    failure and joins the helper before raising it, and runs every pass on
+    the calling thread when no helper can be started. A degenerate vector
+    is reported for the first such article in input order.
     """
     if pooling not in ("mean", "cls"):
         raise ValueError(f"unknown pooling {pooling!r}")
@@ -239,38 +229,14 @@ def build_index(
         step = enc.rows_per_pass(width)
         plan += [(width, group[start : start + step]) for start in range(0, len(group), step)]
     pooled = np.empty((len(articles), c.d_model))
-    passes = iter(plan)  # shared: under the GIL each next() hands a pass to one thread
-    failures: list[BaseException] = []
 
-    def embed_passes() -> None:
-        try:
-            for width, rows in passes:
-                if failures:
-                    return
-                hidden = enc.forward(params, batch[rows, :width], record=False).hidden_states
-                pooled[rows] = hidden[:, 0] if pooling == "cls" else hidden.sum(axis=1) / width
-        except BaseException as exc:  # raised again by the calling thread
-            failures.append(exc)
+    def embed(item: tuple[int, np.ndarray]) -> None:
+        width, rows = item
+        hidden = enc.forward(params, batch[rows, :width], record=False).hidden_states
+        pooled[rows] = hidden[:, 0] if pooling == "cls" else hidden.sum(axis=1) / width
 
-    helper = None
-    if len(plan) >= HELPER_MIN_PASSES and usable_cpus() > 1:
-        helper = threading.Thread(target=embed_passes, name="titlerec-embed")
-        try:
-            helper.start()
-        except RuntimeError:  # no thread to be had: the caller runs every pass
-            helper = None
-    try:
-        embed_passes()
-    finally:
-        if helper is not None:
-            try:
-                helper.join()
-            except BaseException as exc:  # e.g. Ctrl-C while waiting: stop the helper first
-                failures.append(exc)
-                helper.join()
-                raise
-    if failures:
-        raise failures[0]
+    helper = len(plan) >= HELPER_MIN_PASSES and usable_cpus() > 1
+    run_passes(plan, embed, helper, "titlerec-embed")
     norms = np.linalg.norm(pooled, axis=1)
     degenerate = np.flatnonzero(~(norms >= NORM_FLOOR))  # a nan norm fails too
     if degenerate.size:

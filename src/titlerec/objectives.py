@@ -35,6 +35,16 @@ pass runs its last encoder layer only at the positions its heads read
 (``encoder.read_positions``): the masked targets and the CLS state of
 pair rows. The gradients equal the full pass's bit for bit.
 
+A step's passes may run on two threads (``passes.run_passes``): without
+dropout, on a model at least ``HELPER_MIN_WIDTH`` wide and a step of two
+passes or more, when the process may use a second CPU. Sums of floats
+depend on their order, so every gradient add goes through ``PassTurns``:
+per tensor, pass i adds after pass i - 1 has added or finished. Each add
+is the one-thread add of the same product, in the same order per tensor,
+and the loss sums are added in pass order, so the checkpoint and the loss
+log keep every byte. Dropout keeps a step on one thread: its masks are
+drawn pass by pass from one random stream.
+
 The optimizer state holds Adam's two moments and one gradient arena, all
 in the parameters' flat layout (see ``encoder``), plus one scratch buffer.
 Each step zeroes the gradient arena, every pass adds into it, and
@@ -45,6 +55,9 @@ Adam's decay rates and denominator floor are the constants ``BETA1``,
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 
@@ -58,6 +71,7 @@ from .errors import (
     NonFiniteComponentError,
     NothingToMaskError,
 )
+from .passes import run_passes, usable_cpus
 from .tokenizer import (
     FIRST_WORD_ID,
     MASK_ID,
@@ -70,6 +84,15 @@ from .tokenizer import (
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+
+# Width from which a training step's passes run on two threads. Below it the
+# numpy calls of a pass are too small to leave the GIL often, and the two
+# threads' contention for it costs more than the second core gives back:
+# in-process on 2 cores, with the benchmark's inputs, a helper made `train`
+# 17% slower on `log` and 5% slower on `planted` (d_model 32), and at
+# d_model 64 13% faster on `catalog` (16% at batch size 32, 5% at 8) and
+# 15% faster on `log` with --d-model 64 --d-ff 128.
+HELPER_MIN_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -353,6 +376,83 @@ def adam_update(
     np.subtract(params.flat, tmp, out=params.flat)
 
 
+class StoppedPass(Exception):
+    """Raised in a pass that waits for its turn once another pass has failed."""
+
+
+class PassTurns:
+    """Per-tensor turns of a step's passes over one gradient arena.
+
+    Pass i adds into a tensor only after pass i - 1 has added into it or
+    finished, so every tensor takes its passes' adds in pass order,
+    whichever thread runs which pass. ``sink(i)`` is pass i's gradient sink
+    for ``encoder.loss_and_grads``: its ``add`` and ``turn`` wait for pass
+    i's turn at the tensor. ``finish(i)`` waits for pass i - 1 to finish and
+    hands pass i + 1 the tensors pass i did not add into. After ``stop()``
+    every wait raises ``StoppedPass`` at once.
+    """
+
+    def __init__(self, arena: enc.EncoderParams) -> None:
+        self.arena = arena
+        self.turns = dict.fromkeys(arena.tensors, 0)  # per tensor: the pass whose turn it is
+        self.finished = 0
+        self.stopped = False
+        self.changed = threading.Condition()
+
+    def _wait(self, ready: Callable[[], bool]) -> None:
+        """Wait, holding ``changed``, until ``ready()`` or a stop."""
+        self.changed.wait_for(lambda: self.stopped or ready())
+        if self.stopped:
+            raise StoppedPass("another pass of the step failed")
+
+    def take(self, number: int, name: str) -> np.ndarray:
+        """Wait for pass ``number``'s turn at the tensor ``name``; return it."""
+        with self.changed:
+            self._wait(lambda: self.turns[name] == number)
+        return self.arena[name]
+
+    def hand_on(self, number: int, name: str) -> None:
+        """End pass ``number``'s turn at the tensor ``name``."""
+        with self.changed:
+            self.turns[name] = number + 1
+            self.changed.notify_all()
+
+    def sink(self, number: int) -> PassSink:
+        return PassSink(self, number)
+
+    def finish(self, number: int) -> None:
+        with self.changed:
+            self._wait(lambda: self.finished == number)
+            for name, turn in self.turns.items():
+                if turn == number:
+                    self.turns[name] = number + 1
+            self.finished = number + 1
+            self.changed.notify_all()
+
+    def stop(self) -> None:
+        with self.changed:
+            self.stopped = True
+            self.changed.notify_all()
+
+
+@dataclass(frozen=True)
+class PassSink:
+    """The gradient sink of pass ``number`` of a ``PassTurns``."""
+
+    turns: PassTurns
+    number: int
+
+    def add(self, name: str, value: np.ndarray) -> None:
+        tensor = self.turns.take(self.number, name)
+        tensor += value
+        self.turns.hand_on(self.number, name)
+
+    @contextmanager
+    def turn(self, name: str) -> Iterator[np.ndarray]:
+        yield self.turns.take(self.number, name)
+        self.turns.hand_on(self.number, name)
+
+
 def batch_loss_and_grads(
     params: enc.EncoderParams,
     rows: TrainingRows,
@@ -365,22 +465,39 @@ def batch_loss_and_grads(
 
     Rows go through the encoder ``encoder.rows_per_pass(max_len)`` at a
     time, at the full width, with the last layer cut to the pass's reads
-    (see ``encoder.read_positions``). Each pass's gradients are added in
-    order to ``into``, a zeroed arena in the layout of ``params`` (a fresh
-    one when None), which is returned. ``dropout`` is the (rng, rate) pair
-    of ``encoder.forward``, or None for none.
+    (see ``encoder.read_positions``). Each pass's gradients are added to
+    ``into``, a zeroed arena in the layout of ``params`` (a fresh one when
+    None), which is returned; every tensor takes its passes' adds in pass
+    order, and the loss sums add up the passes' sums in pass order.
+    ``dropout`` is the (rng, rate) pair of ``encoder.forward``, or None for
+    none.
+
+    Without dropout, on a model at least ``HELPER_MIN_WIDTH`` wide and a
+    batch of two passes or more, a helper thread runs passes beside the
+    calling thread when the process may run on more than one CPU
+    (``passes.run_passes``); ``PassTurns`` keeps each tensor's adds in pass
+    order, so the gradients are the same bytes.
     """
     step = enc.rows_per_pass(params.config.max_len)
     grads = enc.zero_grads(params) if into is None else into
-    mlm_sum = 0.0
-    np_sum = 0.0
+    starts = range(0, len(rows), step)
+    sums = [(0.0, 0.0)] * len(starts)
     target_rows = rows.targets[:, 0]
-    for start in range(0, len(rows), step):
+    helper = (
+        len(starts) >= 2
+        and dropout is None
+        and params.config.d_model >= HELPER_MIN_WIDTH
+        and usable_cpus() > 1
+    )
+    turns = PassTurns(grads) if helper else None
+
+    def run_pass(start: int) -> None:
+        number = start // step
         stop = start + step
         pass_targets = rows.targets[(target_rows >= start) & (target_rows < stop)] - (start, 0, 0)
         pass_labels = rows.labels[start:stop]
         reads = enc.read_positions(pass_targets, pass_labels, rows.tokens.max_len)
-        # the pass's trace is dropped before the next pass records its own
+        # the pass's trace is dropped before the thread runs its next pass
         pass_mlm, pass_np, _ = enc.loss_and_grads(
             params,
             enc.forward(params, rows.tokens[start:stop], dropout=dropout, reads=reads),
@@ -388,8 +505,17 @@ def batch_loss_and_grads(
             pass_labels,
             mlm_scale=mlm_scale,
             np_scale=np_scale,
-            into=grads,
+            into=grads if turns is None else turns.sink(number),
         )
+        sums[number] = pass_mlm, pass_np
+        if turns is not None:
+            turns.finish(number)
+
+    on_failure = None if turns is None else turns.stop
+    run_passes(starts, run_pass, helper, "titlerec-train", on_failure)
+    mlm_sum = 0.0
+    np_sum = 0.0
+    for pass_mlm, pass_np in sums:
         mlm_sum += pass_mlm
         np_sum += pass_np
     return mlm_sum, np_sum, grads

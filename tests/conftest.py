@@ -20,6 +20,58 @@ def no_thread_outlives_its_test():
     assert not left, f"threads still running after the test: {left}"
 
 
+class Boom(Exception):
+    pass
+
+
+class PassSpy:
+    """Stands in for ``enc.forward``: records each pass's token rows and
+    whether a helper thread (``index.build_index``'s or a training step's)
+    ran it.
+
+    With ``meet``, each of the two threads waits at its first pass until the
+    other has taken one too, so both run at least one pass. ``act(on_helper,
+    rows, trace)`` runs after a pass's forward, before the pass is recorded,
+    and may raise or return another result.
+    """
+
+    def __init__(self, monkeypatch, meet=False, act=None):
+        self.real = getattr(enc.forward, "real", enc.forward)  # an earlier spy's forward
+        self.passes = []  # (on_helper, token ids of the pass)
+        self.helper = None  # the helper thread, from its first pass on
+        self.barrier = threading.Barrier(2, timeout=10) if meet else None
+        self.met = set()
+        self.act = act
+        monkeypatch.setattr(enc, "forward", self)
+
+    def __call__(self, params, rows, *args, **kwargs):
+        me = threading.current_thread()
+        on_helper = me is not threading.main_thread()
+        if on_helper:
+            self.helper = me
+        if self.barrier is not None and me not in self.met:
+            self.met.add(me)
+            self.barrier.wait()
+        trace = self.real(params, rows, *args, **kwargs)
+        if self.act is not None:
+            trace = self.act(on_helper, rows, trace)
+        self.passes.append((on_helper, rows.ids))
+        return trace
+
+    def threads(self):
+        return {on_helper for on_helper, _ in self.passes}
+
+    def rows_embedded(self, on_helper=None):
+        """Every row a recorded pass embedded, as bytes; from one thread
+        when ``on_helper`` is given."""
+        return [
+            row.tobytes()
+            for helper, ids in self.passes
+            if on_helper in (None, helper)
+            for row in ids
+        ]
+
+
 @pytest.fixture
 def tiny_config():
     return enc.EncoderConfig(

@@ -360,7 +360,7 @@ def test_07_planted_structure_end_to_end(planted_world):
 
     joined = corpus.load_saved_transactions(
         workdir / cli.TRANSACTIONS_FILE, inputs["holdout_days"]
-    )
+    )[0]
     train_window, holdout = evaluation.temporal_split(joined, inputs["holdout_days"])
     truth = evaluation.build_ground_truth(holdout)
     rows = evaluation.read_submission(workdir / cli.SUBMISSION_FILE)
@@ -420,7 +420,7 @@ def test_08_submission_format_fidelity(planted_world, tmp_path):
         row.customer_id: row.article_ids
         for row in evaluation.read_submission(clone / "workdir" / cli.SUBMISSION_FILE)
     }
-    joined = corpus.load_saved_transactions(clone / "workdir" / cli.TRANSACTIONS_FILE, 7)
+    joined = corpus.load_saved_transactions(clone / "workdir" / cli.TRANSACTIONS_FILE, 7)[0]
     train_window, _ = evaluation.temporal_split(joined, 7)
     head = tuple(train_window.article_ids[c] for c in ix.popularity_ranking(train_window)[:12])
     assert by_customer["ghost_customer"] == head

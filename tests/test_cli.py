@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields, replace
 from datetime import date
@@ -51,7 +52,7 @@ def run_cli(*args):
 def add_purchases(path, rows):
     """Append (date, customer id, article id) rows to the purchase log at
     ``path``, adding their articles to its article table."""
-    log = corpus.load_saved_transactions(path, 7)
+    log = corpus.load_saved_transactions(path, 7)[0]
     articles = tuple(sorted({*log.article_ids, *(article for _, _, article in rows)}))
     corpus.save_transactions(purchase_log(log_rows(log) + rows, articles), path, 7)
 
@@ -166,6 +167,34 @@ def pipeline(tmp_path_factory):
     for command in ("ingest", "stats", "train", "recommend", "evaluate"):
         assert run_cli(command, *base) == 0, command
     return {"root": root, "workdir": workdir, "inputs": inputs, "base": base}
+
+
+def force_training_helper(monkeypatch, cpus):
+    """Train 2 rows a pass, on two threads when ``cpus`` > 1: then the
+    calling thread and the helper each take a pass of every step before
+    either runs one. Returns the names of the threads that ran passes."""
+    monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 2 * 12)  # TINY_MODEL's max_len
+    monkeypatch.setattr(cli.objectives, "HELPER_MIN_WIDTH", 1)
+    monkeypatch.setattr(cli.objectives, "usable_cpus", lambda: cpus)
+    real_run_passes = cli.objectives.run_passes
+    names = set()
+
+    def run_passes(plan, run_pass, helper, *args):
+        meeting = threading.Barrier(2, timeout=10) if helper else None
+        met = set()
+
+        def meet_and_run(number):
+            me = threading.current_thread()
+            if meeting is not None and me not in met:
+                met.add(me)
+                meeting.wait()
+            names.add(me.name)
+            run_pass(number)
+
+        real_run_passes(plan, meet_and_run, helper, *args)
+
+    monkeypatch.setattr(cli.objectives, "run_passes", run_passes)
+    return names
 
 
 def fresh_copy(pipeline, tmp_path):
@@ -323,7 +352,7 @@ class TestIngest:
         assert summary["articles"] == 30
         assert summary["transactions"] == 60
         assert summary["joined"] + summary["dropped"] == summary["transactions"]
-        joined = corpus.load_saved_transactions(workdir / cli.TRANSACTIONS_FILE, 7)
+        joined = corpus.load_saved_transactions(workdir / cli.TRANSACTIONS_FILE, 7)[0]
         rows = zip(joined.days.tolist(), joined.customers.tolist())
         assert summary["joined"] == len(joined)
         assert summary["sessions"] == len(set(rows))
@@ -418,6 +447,22 @@ class TestTrain:
                 pipeline["workdir"] / name
             ).read_bytes(), name
 
+    def test_two_training_threads_write_the_same_bytes(self, pipeline, tmp_path, monkeypatch):
+        written = {}
+        for dropout in ("0.0", "0.5"):
+            for cpus in (1, 2):
+                clone = fresh_copy(pipeline, tmp_path / f"{dropout}-{cpus}")
+                with monkeypatch.context() as patch:
+                    threads = force_training_helper(patch, cpus)
+                    assert run_cli("train", *clone["base"], "--dropout-rate", dropout) == 0
+                # dropout draws its masks pass by pass: its steps keep one thread
+                assert len(threads) == (2 if cpus == 2 and dropout == "0.0" else 1)
+                written[dropout, cpus] = [
+                    (clone["workdir"] / name).read_bytes()
+                    for name in (cli.CHECKPOINT_FILE, cli.LOSS_LOG_FILE)
+                ]
+            assert written[dropout, 1] == written[dropout, 2]
+
     def test_dropout_rate_reaches_training(self, pipeline, tmp_path):
         logs = []
         for name in ("first", "second"):
@@ -462,24 +507,32 @@ class TestTrain:
         assert drawn == trained_negatives and sum(drawn) >= 2
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "flags, message, cpus",
         [
-            (["--d-model", "30", "--n-heads", "4"], "InvalidConfigError: d_model 30 not divisible"),
-            (["--learning-rate", "1e300"], "NonFiniteComponentError: loss component nan"),
+            (
+                ["--d-model", "30", "--n-heads", "4"],
+                "InvalidConfigError: d_model 30 not divisible",
+                0,
+            ),
+            (["--learning-rate", "1e300"], "NonFiniteComponentError: loss component nan", 0),
+            (["--learning-rate", "1e300"], "NonFiniteComponentError: loss component nan", 2),
         ],
-        ids=["indivisible-heads", "overflowing-step"],
+        ids=["indivisible-heads", "overflowing-step", "overflowing-step-two-threads"],
     )
     def test_failed_run_keeps_the_vocab_checkpoint_pair(
-        self, pipeline, tmp_path, capsys, flags, message
+        self, pipeline, tmp_path, capsys, monkeypatch, flags, message, cpus
     ):
         # --min-freq 8 builds a smaller vocabulary (18 tokens) than the one trained (21)
         clone = fresh_copy(pipeline, tmp_path)
         before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        # the helper runs under train's numpy error state, which ignores overflow
+        threads = force_training_helper(monkeypatch, cpus) if cpus else set()
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_cli("train", *clone["base"], "--min-freq", "8", *flags) == 1
         assert [str(w.message) for w in caught] == []
+        assert len(threads) == (2 if cpus else 0)
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {message}")
         after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
@@ -596,7 +649,7 @@ class TestTrain:
     ):
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        days = corpus.load_saved_transactions(path, 7).days
+        days = corpus.load_saved_transactions(path, 7)[0].days
         day = date.fromordinal(int(days.min() if window == "train" else days.max()))
         add_purchases(path, [(day, "shopper000", "9999999999")] * 2)
         before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
@@ -621,7 +674,7 @@ class TestRecommend:
         rows = evaluation.read_submission(pipeline["workdir"] / cli.SUBMISSION_FILE)
         transactions = corpus.load_saved_transactions(
             pipeline["workdir"] / cli.TRANSACTIONS_FILE, 7
-        )
+        )[0]
         universe = sorted({transactions.customer_ids[c] for c in transactions.customers.tolist()})
         assert [r.customer_id for r in rows] == universe
         assert all(len(r.article_ids) == 12 for r in rows)
@@ -638,7 +691,7 @@ class TestRecommend:
         assert "zzz_never_bought" in by_customer
         transactions = corpus.load_saved_transactions(
             clone["workdir"] / cli.TRANSACTIONS_FILE, 7
-        )
+        )[0]
         train_window, _ = evaluation.temporal_split(transactions, holdout_days=7)
         popularity = [train_window.article_ids[c] for c in ix.popularity_ranking(train_window)]
         prepared = corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
@@ -653,7 +706,7 @@ class TestRecommend:
         clone = fresh_copy(pipeline, tmp_path)
         (clone["workdir"] / cli.SUBMISSION_FILE).unlink()
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        log = corpus.load_saved_transactions(path, 7)
+        log = corpus.load_saved_transactions(path, 7)[0]
         day = date.fromordinal(int(log.days.min()))  # the earliest, a train day
         if fault == "foreign article":
             add_purchases(path, [(day, f"shopper{c % 15:03d}", "9999999999") for c in range(40)])
@@ -677,7 +730,7 @@ class TestRecommend:
         clone = fresh_copy(pipeline, tmp_path)
         (clone["workdir"] / cli.SUBMISSION_FILE).unlink()
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        last_day = date.fromordinal(int(corpus.load_saved_transactions(path, 7).days.max()))
+        last_day = date.fromordinal(int(corpus.load_saved_transactions(path, 7)[0].days.max()))
         add_purchases(path, [(last_day, "strayshopper", "9999999999")])
         capsys.readouterr()
         assert run_cli("recommend", *clone["base"]) == 1
@@ -869,7 +922,57 @@ class TestHoldoutDays:
         for command in ("ingest", "train", "recommend", "evaluate"):
             assert run_cli(command, *clone["base"], "--holdout-days", "1") == 0, command
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        assert len(corpus.load_saved_transactions(path, 1)) > 0
+        assert len(corpus.load_saved_transactions(path, 1)[0]) > 0
+
+
+class TestSettingsFromArtifacts:
+    """A setting an artifact records comes from that artifact when it is not
+    given, and a given one must agree with it."""
+
+    @staticmethod
+    def without(args, *flags):
+        """``args`` without each flag of ``flags`` and its value."""
+        kept = list(args)
+        for flag in flags:
+            at = kept.index(flag)
+            del kept[at : at + 2]
+        return kept
+
+    def test_recommend_takes_the_model_shape_from_the_checkpoint(self, pipeline, tmp_path):
+        clone = fresh_copy(pipeline, tmp_path)
+        (clone["workdir"] / cli.INDEX_FILE).unlink()
+        shape_flags = ("--d-model", "--n-heads", "--n-layers", "--d-ff", "--max-len")
+        assert run_cli("recommend", *self.without(clone["base"], *shape_flags)) == 0
+        for name in (cli.SUBMISSION_FILE, cli.INDEX_FILE):
+            served = (clone["workdir"] / name).read_bytes()
+            assert served == (pipeline["workdir"] / name).read_bytes(), name
+
+    def test_a_given_shape_setting_must_agree(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        args = self.without(clone["base"], "--n-layers", "--d-ff")
+        capsys.readouterr()
+        assert run_cli("recommend", *args, "--n-layers", "2", "--d-ff", "16") == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        stored, _ = enc.load_checkpoint(clone["workdir"] / cli.CHECKPOINT_FILE)
+        assert line == (
+            f"error: CheckpointMismatchError: {clone['workdir'] / cli.CHECKPOINT_FILE}: "
+            f"stored config {stored.config} != expected n_layers=2"
+        )
+
+    def test_holdout_days_come_from_ingest(self, pipeline, tmp_path):
+        written = {}
+        for flags in (["--holdout-days", "1"], []):
+            clone = fresh_copy(pipeline, tmp_path / str(len(flags)))
+            assert run_cli("ingest", *clone["base"], "--holdout-days", "1") == 0
+            for command in ("train", "recommend", "evaluate"):
+                assert run_cli(command, *clone["base"], *flags) == 0, command
+            written[len(flags)] = [
+                (clone["workdir"] / name).read_bytes()
+                for name in (cli.CHECKPOINT_FILE, cli.SUBMISSION_FILE, cli.EVAL_REPORT_FILE)
+            ]
+        assert written[0] == written[2]
+        report = json.loads(written[0][2])
+        assert report != json.loads((pipeline["workdir"] / cli.EVAL_REPORT_FILE).read_text())
 
 
 class TestImportCost:
@@ -925,7 +1028,7 @@ class TestEvaluate:
         clone = fresh_copy(pipeline, tmp_path)
         transactions = corpus.load_saved_transactions(
             clone["workdir"] / cli.TRANSACTIONS_FILE, 7
-        )
+        )[0]
         _, holdout = evaluation.temporal_split(transactions, holdout_days=7)
         truth = evaluation.build_ground_truth(holdout)
         filler = [f"{800000000 + i:010d}" for i in range(12)]
@@ -992,7 +1095,8 @@ class TestEvaluate:
 
     def test_spot_check_of_a_customer_the_submission_lacks(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
-        transactions = corpus.load_saved_transactions(clone["workdir"] / cli.TRANSACTIONS_FILE, 7)
+        path = clone["workdir"] / cli.TRANSACTIONS_FILE
+        transactions = corpus.load_saved_transactions(path, 7)[0]
         train_window, _ = evaluation.temporal_split(transactions, holdout_days=7)
         buyers = {train_window.customer_ids[c] for c in np.unique(train_window.customers)}
         rows = evaluation.read_submission(clone["workdir"] / cli.SUBMISSION_FILE)
@@ -1163,7 +1267,7 @@ class TestErrorSurface:
         # the log lacks the catalog's last article, as if the catalog gained it after ingest
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        log = corpus.load_saved_transactions(path, 7)
+        log = corpus.load_saved_transactions(path, 7)[0]
         last = log.article_ids[-1]
         rows = [row for row in log_rows(log) if row[2] != last]
         corpus.save_transactions(purchase_log(rows, log.article_ids[:-1]), path, 7)
@@ -1182,7 +1286,7 @@ class TestErrorSurface:
         # an earlier ingest wrote the log as text, to transactions.tsv
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
-        rows = log_rows(corpus.load_saved_transactions(path, 7))
+        rows = log_rows(corpus.load_saved_transactions(path, 7)[0])
         path.unlink()
         (clone["workdir"] / "transactions.tsv").write_text(
             "t_dat\tcustomer_id\tarticle_id\tprice\tsales_channel_id\n"
@@ -1202,7 +1306,7 @@ class TestErrorSurface:
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.TRANSACTIONS_FILE
         corrupt, message = BROKEN_LOGS[fault]
-        path.write_bytes(corrupt(path.read_bytes(), corpus.load_saved_transactions(path, 7)))
+        path.write_bytes(corrupt(path.read_bytes(), corpus.load_saved_transactions(path, 7)[0]))
         # recommend reads the log before it embeds a missing index
         (clone["workdir"] / cli.INDEX_FILE).unlink()
         capsys.readouterr()

@@ -242,7 +242,7 @@ class TestPersistence:
     def test_transactions_round_trip(self, tmp_path):
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))
         corpus.save_transactions(transactions, tmp_path / "tx.bin", 7)
-        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin", 7)
+        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin", 7)[0]
         assert log_rows(loaded) == log_rows(transactions)
         assert loaded.customer_ids == transactions.customer_ids
         assert loaded.article_ids == transactions.article_ids
@@ -261,7 +261,7 @@ class TestPersistence:
         assert joined.customer_ids == ("", "abc", "def", "é z")
         assert joined.article_ids == ("0000000003", "0000095002", "0108775015")
         corpus.save_transactions(joined, tmp_path / "tx.bin", 7)
-        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin", 7)
+        loaded = corpus.load_saved_transactions(tmp_path / "tx.bin", 7)[0]
         assert log_rows(loaded) == log_rows(joined)
         assert loaded.customer_ids == ("abc", "é z")
         assert loaded.article_ids == ("0000000003", "0000095002", "0108775015")
@@ -325,7 +325,7 @@ class TestPersistence:
             with pytest.raises(ArtifactFormatError, match=rf"tx\.bin: row 2: day {day} is not"):
                 corpus.load_saved_transactions(path, 7)
         path.write_bytes(trlog_bytes(replace(log, days=np.array([1, date.max.toordinal()]))))
-        assert [day for day, _, _ in log_rows(corpus.load_saved_transactions(path, 7))] == [
+        assert [day for day, _, _ in log_rows(corpus.load_saved_transactions(path, 7)[0])] == [
             date.min, date.max
         ]
 

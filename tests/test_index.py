@@ -20,7 +20,15 @@ from titlerec.errors import (
 )
 from titlerec.tokenizer import build_vocab, encode_single
 
-from conftest import encode_id_pairs, popular_rows, profiles_by_customer, served_ids, zeroed_params
+from conftest import (
+    Boom,
+    PassSpy,
+    encode_id_pairs,
+    popular_rows,
+    profiles_by_customer,
+    served_ids,
+    zeroed_params,
+)
 from synth import purchase_log, write_planted_inputs
 
 
@@ -264,57 +272,6 @@ class TestEmbeddingTraffic:
         pair_batch = encode_id_pairs(pairs, titles, vocab, config.max_len)
         obj.train_step(params, obj.init_optimizer(params), masked, pair_batch)
         assert passes and all(rows.max_len == config.max_len for rows in passes)
-
-
-class Boom(Exception):
-    pass
-
-
-class PassSpy:
-    """Stands in for ``enc.forward``: records each pass's token rows and
-    whether the helper thread ran it.
-
-    With ``meet``, each of the two threads waits at its first pass until the
-    other has taken one too, so both run at least one pass. ``act(on_helper,
-    rows, trace)`` runs after a pass's forward, before the pass is recorded,
-    and may raise or return another result.
-    """
-
-    def __init__(self, monkeypatch, meet=False, act=None):
-        self.real = enc.forward
-        self.passes = []  # (on_helper, token ids of the pass)
-        self.helper = None  # the helper thread, from its first pass on
-        self.barrier = threading.Barrier(2, timeout=10) if meet else None
-        self.met = set()
-        self.act = act
-        monkeypatch.setattr(enc, "forward", self)
-
-    def __call__(self, params, rows, *args, **kwargs):
-        me = threading.current_thread()
-        on_helper = me is not threading.main_thread()
-        if on_helper:
-            self.helper = me
-        if self.barrier is not None and me not in self.met:
-            self.met.add(me)
-            self.barrier.wait()
-        trace = self.real(params, rows, *args, **kwargs)
-        if self.act is not None:
-            trace = self.act(on_helper, rows, trace)
-        self.passes.append((on_helper, rows.ids))
-        return trace
-
-    def threads(self):
-        return {on_helper for on_helper, _ in self.passes}
-
-    def rows_embedded(self, on_helper=None):
-        """Every row a recorded pass embedded, as bytes; from one thread
-        when ``on_helper`` is given."""
-        return [
-            row.tobytes()
-            for helper, ids in self.passes
-            if on_helper in (None, helper)
-            for row in ids
-        ]
 
 
 def allow_helper(monkeypatch, cpus=2, min_passes=1):

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ import pytest
 
 from titlerec import encoder as enc
 from titlerec import objectives as obj
+from titlerec.passes import run_passes
 from titlerec.corpus import PreparedArticle, load_saved_transactions
 from titlerec.errors import (
     ArtifactFormatError,
@@ -18,7 +22,15 @@ from titlerec.errors import (
 )
 from titlerec.tokenizer import FIRST_WORD_ID, TokenBatch, build_vocab, encode_single
 
-from conftest import encode_id_pairs, no_pairs, replacement_kinds, token_rows, zeroed_params
+from conftest import (
+    Boom,
+    PassSpy,
+    encode_id_pairs,
+    no_pairs,
+    replacement_kinds,
+    token_rows,
+    zeroed_params,
+)
 from synth import sessions_log, trlog_bytes
 
 
@@ -738,3 +750,249 @@ class TestTrainStep:
     def test_params_stay_finite(self):
         params, _ = run_training(steps=25, learning_rate=5e-3)
         assert all(np.isfinite(t).all() for t in params.tensors.values())
+
+
+def helper_step(d_model):
+    """A step of 7 masked titles and then 6 pairs, for 2 rows a pass: 7
+    passes, the second with neither a target nor a pair (rows 2 and 3 keep
+    no target) and the fourth mixing a title and a pair. Returns fresh
+    params, their optimizer and the two batches."""
+    config, vocab, word_ids, inventory, sessions, _ = tiny_training_world()
+    config = replace(config, d_model=d_model, d_ff=2 * d_model, n_layers=2)
+    rng = np.random.default_rng(5)
+    titles = encode_single([word_ids[i] for i in range(0, 35, 5)], config.max_len)
+    masked = obj.mask_titles(titles, vocab, rng)
+    kept = ~np.isin(masked.targets[:, 0], (2, 3))
+    masked = obj.TrainingRows(masked.tokens, masked.targets[kept], masked.labels)
+    table = obj.positive_table(sessions_log(sessions, tuple(inventory)), 1)
+    pairs = obj.encode_training_pairs(
+        obj.sample_pairs(table, np.arange(6), rng), word_ids, config.max_len
+    )
+    params = enc.init_params(config, seed=1)
+    return params, obj.init_optimizer(params, learning_rate=1e-2), masked, pairs
+
+
+def allow_training_helper(monkeypatch, cpus=2, min_width=1, rows_per_pass=2, max_len=10):
+    monkeypatch.setattr(obj, "HELPER_MIN_WIDTH", min_width)
+    monkeypatch.setattr(obj, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", rows_per_pass * max_len)
+
+
+class TestTrainingHelper:
+    """A training step's passes on two threads: the same bytes as on one,
+    and ``passes.run_passes``'s failure rules, as ``TestHelperThread`` checks
+    them for ``index.build_index``."""
+
+    def run_step(self, monkeypatch, d_model, helper, dropout_rate=None):
+        """Two steps on fresh params: the gradient arena each step handed to
+        Adam, every Adam buffer after them, the loss records and which
+        threads ran passes."""
+        params, state, masked, pairs = helper_step(d_model)
+        dropout = None if dropout_rate is None else (np.random.default_rng(9), dropout_rate)
+        arenas, records, threads = [], [], set()
+        real_adam = obj.adam_update
+
+        def adam_spy(params, state, grads):
+            arenas.append(grads.flat.tobytes())
+            real_adam(params, state, grads)
+
+        with monkeypatch.context() as patch:
+            allow_training_helper(patch, cpus=2 if helper else 1)
+            patch.setattr(obj, "adam_update", adam_spy)
+            for _ in range(2):
+                spy = PassSpy(patch, meet=helper and dropout_rate is None)
+                records.append(obj.train_step(params, state, masked, pairs, dropout))
+                assert len(spy.passes) == 7
+                threads |= spy.threads()
+        buffers = [params.flat, state.first_moment.flat, state.second_moment.flat, state.grads.flat]
+        return arenas, [b.tobytes() for b in buffers], records, threads
+
+    @pytest.mark.parametrize("d_model", [8, 64])
+    def test_two_threads_give_the_bytes_of_one(self, monkeypatch, d_model):
+        *one, threads = self.run_step(monkeypatch, d_model, helper=False)
+        assert threads == {False}
+        *two, threads = self.run_step(monkeypatch, d_model, helper=True)
+        assert threads == {False, True}
+        assert two == one
+
+    def test_dropout_keeps_one_thread_and_its_bytes(self, monkeypatch):
+        *one, threads = self.run_step(monkeypatch, 8, helper=False, dropout_rate=0.1)
+        *allowed, threads = self.run_step(monkeypatch, 8, helper=True, dropout_rate=0.1)
+        assert threads == {False}
+        assert allowed == one
+
+    def test_batch_sums_and_grads_match_one_thread(self, monkeypatch):
+        _, _, masked, pairs = helper_step(8)
+        rows = obj.TrainingRows.concat(masked, pairs)
+        runs = []
+        for cpus in (1, 2):
+            allow_training_helper(monkeypatch, cpus)
+            params = helper_step(8)[0]
+            PassSpy(monkeypatch, meet=cpus == 2)
+            mlm, np_sum, grads = obj.batch_loss_and_grads(params, rows, 0.25, 0.5)
+            runs.append((mlm, np_sum, grads.flat.tobytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "cpus, min_width, rows_per_pass, dropout_rate, threads",
+        [
+            (2, 8, 2, None, {False, True}),
+            (1, 8, 2, None, {False}),
+            (2, 9, 2, None, {False}),
+            (2, 8, 2, 0.1, {False}),
+            (2, 8, 13, None, {False}),
+        ],
+        ids=["allowed", "one-cpu", "too-narrow", "dropout", "one-pass"],
+    )
+    def test_helper_needs_two_passes_two_cpus_no_dropout_and_the_width(
+        self, monkeypatch, cpus, min_width, rows_per_pass, dropout_rate, threads
+    ):
+        allow_training_helper(monkeypatch, cpus, min_width, rows_per_pass)
+        params, state, masked, pairs = helper_step(8)
+        spy = PassSpy(monkeypatch, meet=len(threads) == 2)
+        dropout = None if dropout_rate is None else (np.random.default_rng(9), dropout_rate)
+        obj.train_step(params, state, masked, pairs, dropout)
+        assert spy.threads() == threads
+
+    def test_default_threshold_keeps_a_narrow_model_on_one_thread(self, monkeypatch):
+        monkeypatch.setattr(obj, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 20)
+        params, state, masked, pairs = helper_step(obj.HELPER_MIN_WIDTH // 2)
+        spy = PassSpy(monkeypatch)
+        obj.train_step(params, state, masked, pairs)
+        assert len(spy.passes) == 7
+        assert spy.threads() == {False}
+
+    def test_caller_runs_every_pass_when_no_thread_starts(self, monkeypatch):
+        *one, _ = self.run_step(monkeypatch, 8, helper=False)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        allow_training_helper(monkeypatch)
+        params, state, masked, pairs = helper_step(8)
+        spy = PassSpy(monkeypatch)
+        obj.train_step(params, state, masked, pairs)
+        assert spy.threads() == {False}
+        assert len(spy.passes) == 7
+        *refused, threads = self.run_step(monkeypatch, 8, helper=False)
+        assert refused == one
+
+    def blocked_waits(self, monkeypatch):
+        """Per thread (helper or not), an event set when it starts waiting
+        for a turn that is not yet its own."""
+        blocked = {False: threading.Event(), True: threading.Event()}
+        real_wait = obj.PassTurns._wait
+
+        def wait(turns, ready):
+            if not ready():
+                blocked[threading.current_thread() is not threading.main_thread()].set()
+            return real_wait(turns, ready)
+
+        monkeypatch.setattr(obj.PassTurns, "_wait", wait)
+        return blocked
+
+    @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
+    def test_helper_failure_wakes_the_waiting_caller(self, monkeypatch, error):
+        allow_training_helper(monkeypatch)
+        params, state, masked, pairs = helper_step(8)
+        before = params.flat.copy()
+        blocked = self.blocked_waits(monkeypatch)
+
+        def act(on_helper, rows, trace):
+            # the caller waits for a turn of the helper's pass, which fails
+            # before adding anything
+            if on_helper:
+                assert blocked[False].wait(timeout=10)
+                raise error("in the helper")
+            return trace
+
+        spy = PassSpy(monkeypatch, meet=True, act=act)
+        count = threading.active_count()
+        with pytest.raises(error, match="in the helper"):
+            obj.train_step(params, state, masked, pairs)
+        assert threading.active_count() == count
+        assert spy.threads() == {False}
+        assert np.array_equal(params.flat, before) and state.step == 0
+
+    @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
+    def test_caller_failure_wakes_the_waiting_helper(self, monkeypatch, error):
+        allow_training_helper(monkeypatch)
+        params, state, masked, pairs = helper_step(8)
+        blocked = self.blocked_waits(monkeypatch)
+
+        def act(on_helper, rows, trace):
+            # the helper waits in its first pass for the caller's, which fails
+            if not on_helper:
+                assert blocked[True].wait(timeout=10)
+                raise error("in the caller")
+            return trace
+
+        spy = PassSpy(monkeypatch, meet=True, act=act)
+        count = threading.active_count()
+        with pytest.raises(error, match="in the caller"):
+            obj.train_step(params, state, masked, pairs)
+        assert threading.active_count() == count
+        assert spy.threads() == {True}
+        assert state.step == 0
+
+    @pytest.mark.parametrize("on_helper", [False, True])
+    def test_failure_of_a_running_pass_stops_both_threads(self, monkeypatch, on_helper):
+        allow_training_helper(monkeypatch)
+        params, state, masked, pairs = helper_step(8)
+
+        def act(helper, rows, trace):
+            if helper == on_helper and len(spy.passes) >= 2:
+                raise Boom("mid-step")
+            return trace
+
+        spy = PassSpy(monkeypatch, meet=True, act=act)
+        count = threading.active_count()
+        with pytest.raises(Boom, match="mid-step"):
+            obj.train_step(params, state, masked, pairs)
+        assert threading.active_count() == count
+        assert len(spy.passes) < 7 and state.step == 0
+
+    def test_turns_keep_pass_order_under_frequent_switches(self):
+        # Each pass folds its number into most tensors, each pass in another
+        # tensor order; the rest it leaves to finish(). A reordered or lost
+        # add changes the result.
+        config = enc.EncoderConfig(
+            vocab_size=6, d_model=2, n_heads=1, n_layers=1, d_ff=2, max_len=5
+        )
+        names = list(enc.parameter_shapes(config))
+        arena = enc.EncoderParams(config, np.zeros(enc.parameter_count(config)))
+        turns = obj.PassTurns(arena)
+
+        def adds(number):
+            return [
+                name
+                for name in names[number % len(names) :] + names[: number % len(names)]
+                if (number + len(name)) % 5
+            ]
+
+        helpers = set()
+
+        def run_pass(number):
+            helpers.add(threading.current_thread() is not threading.main_thread())
+            sink = turns.sink(number)
+            for name in adds(number):
+                with sink.turn(name) as tensor:
+                    tensor *= 3.0
+                    tensor += number
+            turns.finish(number)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_passes(range(60), run_pass, True, "titlerec-train")
+        finally:
+            sys.setswitchinterval(interval)
+        assert helpers == {False, True}
+        for name in names:
+            expected = 0.0
+            for number in range(60):
+                if name in adds(number):
+                    expected = expected * 3.0 + number
+            assert (arena[name] == expected).all(), name

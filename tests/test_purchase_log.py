@@ -134,7 +134,7 @@ def world(tmp_path_factory):
     joined_records = [r for r in records_of(reread) if r.article_id in set(catalog)]
     ingested = corpus.load_transactions(path).of_articles(tuple(sorted(catalog)))
     corpus.save_transactions(ingested, tmp / "transactions.bin", HOLDOUT_DAYS)
-    log = corpus.load_saved_transactions(tmp / "transactions.bin", HOLDOUT_DAYS)
+    log = corpus.load_saved_transactions(tmp / "transactions.bin", HOLDOUT_DAYS)[0]
     # the index covers the catalog, as the ingested log's article table does
     rng = np.random.default_rng(3)
     vectors = rng.normal(size=(len(catalog), 6))
