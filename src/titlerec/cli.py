@@ -31,9 +31,7 @@ before any artifact is read. The settings an artifact records (``RECORDED``:
 the model's shape in checkpoint.bin, ``holdout_days`` in transactions.bin)
 are None unless given: the stage that writes the artifact then takes the
 default of ``RECORDED``, and a later stage the recorded value, refusing a
-given one that disagrees. ``dropout_rate`` is a training setting, not part
-of the model's shape: ``train`` hands it to each step, and ``recommend``
-serves a checkpoint whatever rate trained it.
+given one that disagrees.
 
 Artifacts (inside the workdir):
     prepared_articles.tsv  cleaned one-line text per article, by ascending id
@@ -67,6 +65,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, fields, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -136,7 +135,6 @@ class PipelineConfig:
     n_heads: int | None = None
     n_layers: int | None = None
     d_ff: int | None = None
-    dropout_rate: float = 0.0
     epochs: int = 1
     batch_size: int = 16
     max_steps: int | None = None
@@ -188,7 +186,6 @@ FIELD_RULES = {
     **dict.fromkeys(("max_len", "d_model", "n_heads", "n_layers", "d_ff"), (int,)),
     **dict.fromkeys(("epochs", "max_steps", "seed"), (int, (">=", 0))),
     "max_vocab": (int, (">=", FIRST_WORD_ID + 1)),
-    "dropout_rate": (float, (">=", 0.0), ("<", 1.0)),
     "learning_rate": (float, (">", 0.0)),
     "pooling": (str, ("in", ("mean", "cls"))),
 }
@@ -394,8 +391,6 @@ def cmd_train(config: PipelineConfig) -> str:
     params = enc.init_params(config.encoder_config(len(vocab)), config.seed)
     state = objectives.init_optimizer(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    # at rate 0 no step draws a dropout mask
-    dropout = (rng, config.dropout_rate) if config.dropout_rate > 0.0 else None
 
     # each article's word ids, looked up once for its masked rows and its pairs
     word_ids = [vocab.word_ids(p.text) for p in prepared]
@@ -428,7 +423,7 @@ def cmd_train(config: PipelineConfig) -> str:
             pair_batch = objectives.encode_training_pairs(
                 objectives.sample_pairs(positives, slots, rng), word_ids, max_len
             )
-            record = objectives.train_step(params, state, masked_batch, pair_batch, dropout)
+            record = objectives.train_step(params, state, masked_batch, pair_batch)
             log_lines.append(
                 f"{record.step}\t{record.mlm_mean!r}\t{record.np_mean!r}\t{record.total!r}"
             )
@@ -550,8 +545,18 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
     return summary + "\n\n" + spot.rstrip("\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+class OneLineErrorParser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors (a flag's value it cannot
+    read, an unknown flag, a missing command) raise ``InvalidConfigError``
+    instead of printing the usage and exiting 2, so they keep the one-line
+    error contract. ``--help`` still prints and exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidConfigError(message)
+
+
+def build_parser() -> OneLineErrorParser:
+    shared = OneLineErrorParser(add_help=False)
     shared.add_argument("--config", help="JSON config file; flags override it")
     for f in fields(PipelineConfig):
         shared.add_argument(
@@ -560,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"{_accepts(f.name)} (default: {_default(f)})",
         )
 
-    parser = argparse.ArgumentParser(
+    # the subcommands' parsers take this parser's class
+    parser = OneLineErrorParser(
         prog="titlerec",
         description="Train a title encoder and serve top-12 article recommendations.",
     )
@@ -615,11 +621,11 @@ def pin_heap_thresholds() -> tuple[int, ...]:
 
 def main(argv: list[str] | None = None) -> int:
     pin_heap_thresholds()
-    args = vars(build_parser().parse_args(argv))
-    command = args.pop("command")
-    config_path = args.pop("config", None)
-    spot_check = args.pop("customer", None)
     try:
+        args = vars(build_parser().parse_args(argv))
+        command = args.pop("command")
+        config_path = args.pop("config", None)
+        spot_check = args.pop("customer", None)
         config = load_config(config_path, args)
         with workdir_lock(Path(config.workdir)):
             if command == "ingest":

@@ -69,9 +69,8 @@ backward products by a transposed weight (``d @ W.T``: feed-forward
 ``w2`` and ``w1``, attention ``w_o`` and ``w_q``) run at full width with
 zeros at the unread positions, and the read rows are gathered from the
 result: BLAS picks its kernel by size, and over 2 to 8 rows it rounds some
-shapes differently from the full-width product. Dropout masks are drawn
-at full width and gathered, so the random stream does not move. The loss
-functions refuse a target or pair CLS outside a trace's reads.
+shapes differently from the full-width product. The loss functions
+refuse a target or pair CLS outside a trace's reads.
 
 Parameters. ``EncoderConfig`` is the model's shape and nothing else.
 ``EncoderParams(config, flat)`` holds every tensor as a reshaped view of
@@ -82,9 +81,7 @@ are arenas of the same layout (``zero_grads``), so an optimizer step is a
 few whole-buffer operations instead of a loop over ~40 tensors.
 ``tensors`` is a read-only mapping: a tensor is changed in place
 (``params[name][...] = x``) and cannot be rebound to an array outside the
-arena. Layer norm's epsilon is the constant ``LAYER_NORM_EPSILON``, and
-dropout is a training setting: ``forward`` takes it as an (rng, rate)
-pair.
+arena. Layer norm's epsilon is the constant ``LAYER_NORM_EPSILON``.
 
 Gradient sinks. Every gradient a backward adds goes through a sink:
 ``grads.add(name, value)`` adds a computed product into the tensor
@@ -557,21 +554,6 @@ def _times_transposed(d: np.ndarray, weight: np.ndarray, picks, width: int) -> n
     return _gather(_scatter(d, picks, width) @ weight.T, picks)
 
 
-def _dropout(out: np.ndarray, dropout, width: int, picks):
-    """``out`` times a keep mask scaled by 1/(1-rate), and the mask; ``out``
-    and None when ``dropout``, an (rng, rate) pair, is None. The mask is
-    drawn at full ``width`` and gathered to ``picks`` if given, so the draw
-    is the same either way."""
-    if dropout is None:
-        return out, None
-    rng, rate = dropout
-    keep = rng.random((len(out), width, out.shape[-1])) >= rate
-    if picks is not None:
-        keep = _gather(keep, picks)
-    mask = keep / (1.0 - rate)
-    return out * mask, mask
-
-
 def _add_projection_grads(grads, weight: str, bias: str, x, d_y) -> None:
     """Add the gradients of ``y = x @ weight + bias`` given ``d_y``, the
     gradient of ``y``, to the ``weight`` and ``bias`` tensors of the
@@ -622,8 +604,8 @@ def _embed_backward(grads, d_x: np.ndarray, saved) -> None:
         positions += d_positions
 
 
-def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks, dropout):
-    """Self-attention with its residual: ``x_q + dropout(attention(x))``.
+def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks):
+    """Self-attention with its residual: ``x_q + attention(x)``.
 
     The queries, and so the output, are at ``picks`` when given (``x_q`` is
     ``x`` gathered there), else at every position; keys and values cover
@@ -645,19 +627,17 @@ def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks, dr
     weights /= weights.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(weights @ v)
     out = ctx @ params[p + "attn.w_o"] + params[p + "attn.b_o"]
-    out, mask = _dropout(out, dropout, x.shape[1], picks)
-    return x_q + out, (x, x_q, q, k, v, weights, ctx, mask, picks)
+    return x_q + out, (x, x_q, q, k, v, weights, ctx, picks)
 
 
 def _attention_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray, saved):
     """Gradient of ``x`` at every position, whatever the picks."""
-    x, x_q, q, k, v, weights, ctx, mask, picks = saved
+    x, x_q, q, k, v, weights, ctx, picks = saved
     c = params.config
     width = x.shape[1]
     scale = 1.0 / np.sqrt(c.d_head)
-    d_attn = d_out if mask is None else d_out * mask
-    _add_projection_grads(grads, p + "attn.w_o", p + "attn.b_o", ctx, d_attn)
-    d_ctx = _split_heads(_times_transposed(d_attn, params[p + "attn.w_o"], picks, width), c.n_heads)
+    _add_projection_grads(grads, p + "attn.w_o", p + "attn.b_o", ctx, d_out)
+    d_ctx = _split_heads(_times_transposed(d_out, params[p + "attn.w_o"], picks, width), c.n_heads)
     d_v = _merge_heads(weights.transpose(0, 1, 3, 2) @ d_ctx)
     # softmax rows, in place: PAD-key columns have weight 0, so grad 0
     d_scores = d_ctx @ v.transpose(0, 1, 3, 2)
@@ -678,23 +658,21 @@ def _attention_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray,
     return d_x
 
 
-def _feed_forward(params: EncoderParams, p: str, x: np.ndarray, picks, width: int, dropout):
-    """The GELU feed-forward with its residual: ``x + dropout(ffn(x))``;
-    ``x`` holds a pass ``width`` wide, or its ``picks`` when given."""
+def _feed_forward(params: EncoderParams, p: str, x: np.ndarray, picks, width: int):
+    """The GELU feed-forward with its residual: ``x + ffn(x)``; ``x`` holds
+    a pass ``width`` wide, or its ``picks`` when given."""
     h1 = x @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
     cdf = gelu_cdf(h1)
     out = (h1 * cdf) @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-    out, mask = _dropout(out, dropout, width, picks)
-    return x + out, (x, h1, cdf, mask, picks, width)
+    return x + out, (x, h1, cdf, picks, width)
 
 
 def _feed_forward_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray, saved):
-    x, h1, cdf, mask, picks, width = saved
-    d_ffn = d_out if mask is None else d_out * mask
+    x, h1, cdf, picks, width = saved
     # the GELU output is recomputed, not saved: kept alive through each
     # embedding pass, it made the benchmark's later warm recommend slower
-    _add_projection_grads(grads, p + "ffn.w2", p + "ffn.b2", h1 * cdf, d_ffn)
-    d_h1 = _times_transposed(d_ffn, params[p + "ffn.w2"], picks, width)
+    _add_projection_grads(grads, p + "ffn.w2", p + "ffn.b2", h1 * cdf, d_out)
+    d_h1 = _times_transposed(d_out, params[p + "ffn.w2"], picks, width)
     d_h1 *= gelu_grad(h1, cdf)
     _add_projection_grads(grads, p + "ffn.w1", p + "ffn.b1", x, d_h1)
     return d_out + _times_transposed(d_h1, params[p + "ffn.w1"], picks, width)
@@ -718,19 +696,15 @@ def forward(
     params: EncoderParams,
     batch: TokenBatch,
     record: bool = True,
-    dropout: tuple[np.random.Generator, float] | None = None,
     reads: np.ndarray | None = None,
 ) -> ForwardTrace:
     """Run the encoder over a batch of rows of one width, 1 to ``max_len``.
 
     With ``record`` the trace keeps every intermediate needed by
-    ``loss_and_grads``; embedding-only callers switch it off. ``dropout``,
-    an (rng, rate) pair with the rate in [0, 1), drops the attention and
-    feed-forward outputs, drawing the masks from rng; without it (the
-    default) the pass draws nothing and is deterministic. ``reads`` (from
-    ``read_positions``) cuts the last layer's per-position work to each
-    row's read positions; its keys and values still cover every position,
-    and its hidden states are zero at the others.
+    ``loss_and_grads``; embedding-only callers switch it off. ``reads``
+    (from ``read_positions``) cuts the last layer's per-position work to
+    each row's read positions; its keys and values still cover every
+    position, and its hidden states are zero at the others.
     """
     c = params.config
     x, embedded = _embed(params, batch)
@@ -746,9 +720,9 @@ def forward(
         p = f"layer{i}."
         # the last layer of a pass with reads runs its queries at them only
         cut = picks if i == c.n_layers - 1 else None
-        x, attention = _attention(params, p, x, pad_keys, cut, dropout)
+        x, attention = _attention(params, p, x, pad_keys, cut)
         x, norm1 = _norm(params, p + "ln1", x)
-        x, ffn = _feed_forward(params, p, x, cut, width, dropout)
+        x, ffn = _feed_forward(params, p, x, cut, width)
         x, norm2 = _norm(params, p + "ln2", x)
         if record:
             layers.append((attention, norm1, ffn, norm2))

@@ -35,15 +35,14 @@ pass runs its last encoder layer only at the positions its heads read
 (``encoder.read_positions``): the masked targets and the CLS state of
 pair rows. The gradients equal the full pass's bit for bit.
 
-A step's passes may run on two threads (``passes.run_passes``): without
-dropout, on a model at least ``HELPER_MIN_WIDTH`` wide and a step of two
-passes or more, when the process may use a second CPU. Sums of floats
-depend on their order, so every gradient add goes through ``PassTurns``:
-per tensor, pass i adds after pass i - 1 has added or finished. Each add
-is the one-thread add of the same product, in the same order per tensor,
-and the loss sums are added in pass order, so the checkpoint and the loss
-log keep every byte. Dropout keeps a step on one thread: its masks are
-drawn pass by pass from one random stream.
+A step's passes may run on two threads (``passes.run_passes``): on a
+model at least ``HELPER_MIN_WIDTH`` wide and a step of two passes or more,
+when the process may use a second CPU. Sums of floats depend on their
+order, so every gradient add goes through ``PassTurns``: per tensor, pass
+i adds after pass i - 1 has added or finished. Each add is the one-thread
+add of the same product, in the same order per tensor, and the loss sums
+are added in pass order, so the checkpoint and the loss log keep every
+byte.
 
 The optimizer state holds Adam's two moments and one gradient arena, all
 in the parameters' flat layout (see ``encoder``), plus one scratch buffer.
@@ -385,11 +384,11 @@ class PassTurns:
 
     Pass i adds into a tensor only after pass i - 1 has added into it or
     finished, so every tensor takes its passes' adds in pass order,
-    whichever thread runs which pass. ``sink(i)`` is pass i's gradient sink
-    for ``encoder.loss_and_grads``: its ``add`` and ``turn`` wait for pass
-    i's turn at the tensor. ``finish(i)`` waits for pass i - 1 to finish and
-    hands pass i + 1 the tensors pass i did not add into. After ``stop()``
-    every wait raises ``StoppedPass`` at once.
+    whichever thread runs which pass. ``PassSink(turns, i)`` is pass i's
+    gradient sink for ``encoder.loss_and_grads``: its ``add`` and ``turn``
+    wait for pass i's turn at the tensor. ``finish(i)`` waits for pass
+    i - 1 to finish and hands pass i + 1 the tensors pass i did not add
+    into. After ``stop()`` every wait raises ``StoppedPass`` at once.
     """
 
     def __init__(self, arena: enc.EncoderParams) -> None:
@@ -416,9 +415,6 @@ class PassTurns:
         with self.changed:
             self.turns[name] = number + 1
             self.changed.notify_all()
-
-    def sink(self, number: int) -> PassSink:
-        return PassSink(self, number)
 
     def finish(self, number: int) -> None:
         with self.changed:
@@ -458,7 +454,6 @@ def batch_loss_and_grads(
     rows: TrainingRows,
     mlm_scale: float,
     np_scale: float,
-    dropout: tuple[np.random.Generator, float] | None = None,
     into: enc.EncoderParams | None = None,
 ) -> tuple[float, float, enc.EncoderParams]:
     """Summed losses and gradients of a batch, run in bounded passes.
@@ -469,26 +464,19 @@ def batch_loss_and_grads(
     ``into``, a zeroed arena in the layout of ``params`` (a fresh one when
     None), which is returned; every tensor takes its passes' adds in pass
     order, and the loss sums add up the passes' sums in pass order.
-    ``dropout`` is the (rng, rate) pair of ``encoder.forward``, or None for
-    none.
 
-    Without dropout, on a model at least ``HELPER_MIN_WIDTH`` wide and a
-    batch of two passes or more, a helper thread runs passes beside the
-    calling thread when the process may run on more than one CPU
-    (``passes.run_passes``); ``PassTurns`` keeps each tensor's adds in pass
-    order, so the gradients are the same bytes.
+    On a model at least ``HELPER_MIN_WIDTH`` wide and a batch of two passes
+    or more, a helper thread runs passes beside the calling thread when the
+    process may run on more than one CPU (``passes.run_passes``);
+    ``PassTurns`` keeps each tensor's adds in pass order, so the gradients
+    are the same bytes.
     """
     step = enc.rows_per_pass(params.config.max_len)
     grads = enc.zero_grads(params) if into is None else into
     starts = range(0, len(rows), step)
     sums = [(0.0, 0.0)] * len(starts)
     target_rows = rows.targets[:, 0]
-    helper = (
-        len(starts) >= 2
-        and dropout is None
-        and params.config.d_model >= HELPER_MIN_WIDTH
-        and usable_cpus() > 1
-    )
+    helper = len(starts) >= 2 and params.config.d_model >= HELPER_MIN_WIDTH and usable_cpus() > 1
     turns = PassTurns(grads) if helper else None
 
     def run_pass(start: int) -> None:
@@ -500,12 +488,12 @@ def batch_loss_and_grads(
         # the pass's trace is dropped before the thread runs its next pass
         pass_mlm, pass_np, _ = enc.loss_and_grads(
             params,
-            enc.forward(params, rows.tokens[start:stop], dropout=dropout, reads=reads),
+            enc.forward(params, rows.tokens[start:stop], reads=reads),
             pass_targets,
             pass_labels,
             mlm_scale=mlm_scale,
             np_scale=np_scale,
-            into=grads if turns is None else turns.sink(number),
+            into=grads if turns is None else PassSink(turns, number),
         )
         sums[number] = pass_mlm, pass_np
         if turns is not None:
@@ -526,7 +514,6 @@ def train_step(
     state: OptimizerState,
     masked_batch: TrainingRows,
     pair_batch: TrainingRows,
-    dropout: tuple[np.random.Generator, float] | None = None,
 ) -> LossRecord:
     """One optimization step over masked titles and then pairs; ``params``
     and ``state`` are updated in place.
@@ -537,9 +524,7 @@ def train_step(
     two batches form one whose gradients are accumulated pass by pass in
     batch order, to keep the reduction deterministic. Either batch may have
     no rows, but the step needs a target or a pair, and a mean that is not
-    finite raises before the update. ``dropout``, an (rng, rate) pair,
-    makes the forward drop activations, drawing from rng; without it
-    nothing is drawn.
+    finite raises before the update.
     """
     rows = TrainingRows.concat(masked_batch, pair_batch)
     n_targets, n_pairs = len(rows.targets), int(np.count_nonzero(rows.labels >= 0))
@@ -550,7 +535,7 @@ def train_step(
 
     state.grads.flat.fill(0.0)
     mlm_sum, np_sum, grads = batch_loss_and_grads(
-        params, rows, mlm_scale, np_scale, dropout, into=state.grads
+        params, rows, mlm_scale, np_scale, into=state.grads
     )
     mlm_mean = mlm_sum * mlm_scale
     np_mean = np_sum * np_scale

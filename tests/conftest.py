@@ -24,6 +24,42 @@ class Boom(Exception):
     pass
 
 
+# the helper threads ``passes.run_passes`` starts, by the names its callers give
+HELPER_THREADS = ("titlerec-embed", "titlerec-train")
+# taken before any test can patch it to refuse threads to the code under test
+START_THREAD = threading.Thread.start
+
+
+def on_helper_thread() -> bool:
+    """Whether the running thread is a pass runner's helper, not the thread
+    that called the runner."""
+    return threading.current_thread().name in HELPER_THREADS
+
+
+def call_bounded(function, *args, timeout=20.0):
+    """``function(*args)``, run on a daemon thread: its result, or its
+    exception raised again here. A call still running after ``timeout``
+    seconds fails the test, where a thread whose wake-up was lost would
+    hang the whole run; the daemon thread, and a helper it started, then
+    end with the process."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = function(*args)
+        except BaseException as exc:  # raised again on the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, name="bounded-call", daemon=True)
+    START_THREAD(thread)
+    thread.join(timeout)
+    if thread.is_alive():
+        pytest.fail(f"{function.__name__} still running after {timeout} s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
 class PassSpy:
     """Stands in for ``enc.forward``: records each pass's token rows and
     whether a helper thread (``index.build_index``'s or a training step's)
@@ -46,7 +82,7 @@ class PassSpy:
 
     def __call__(self, params, rows, *args, **kwargs):
         me = threading.current_thread()
-        on_helper = me is not threading.main_thread()
+        on_helper = on_helper_thread()
         if on_helper:
             self.helper = me
         if self.barrier is not None and me not in self.met:

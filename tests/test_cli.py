@@ -229,6 +229,13 @@ class TestLoadConfig:
         with pytest.raises(InvalidConfigError, match="d_modle"):
             cli.load_config(str(path), {})
 
+    @pytest.mark.parametrize("name", ["dropout_rate", "top_n", "layer_norm_epsilon"])
+    def test_removed_setting_is_an_unknown_option(self, tmp_path, name):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({name: 0}))
+        with pytest.raises(InvalidConfigError, match=f"unknown option\\(s\\) {name}$"):
+            cli.load_config(str(path), {})
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{nope")
@@ -278,7 +285,6 @@ class TestLoadConfig:
             ("train", "learning_rate", "0.1"),
             ("train", "d_model", "64"),
             ("train", "learning_rate", -1.0),
-            ("train", "dropout_rate", 1.0),
         ],
     )
     def test_bad_value_in_config_file_is_one_error_line(
@@ -300,7 +306,6 @@ class TestLoadConfig:
             "seed": "an integer >= 0, got '1'",
             "learning_rate": f"a finite number > 0.0, got {value!r}",
             "d_model": "an integer, got '64'",
-            "dropout_rate": "a finite number >= 0.0 and < 1.0, got 1.0",
         }[name]
         after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
         assert after == before
@@ -449,28 +454,17 @@ class TestTrain:
 
     def test_two_training_threads_write_the_same_bytes(self, pipeline, tmp_path, monkeypatch):
         written = {}
-        for dropout in ("0.0", "0.5"):
-            for cpus in (1, 2):
-                clone = fresh_copy(pipeline, tmp_path / f"{dropout}-{cpus}")
-                with monkeypatch.context() as patch:
-                    threads = force_training_helper(patch, cpus)
-                    assert run_cli("train", *clone["base"], "--dropout-rate", dropout) == 0
-                # dropout draws its masks pass by pass: its steps keep one thread
-                assert len(threads) == (2 if cpus == 2 and dropout == "0.0" else 1)
-                written[dropout, cpus] = [
-                    (clone["workdir"] / name).read_bytes()
-                    for name in (cli.CHECKPOINT_FILE, cli.LOSS_LOG_FILE)
-                ]
-            assert written[dropout, 1] == written[dropout, 2]
-
-    def test_dropout_rate_reaches_training(self, pipeline, tmp_path):
-        logs = []
-        for name in ("first", "second"):
-            clone = fresh_copy(pipeline, tmp_path / name)
-            assert run_cli("train", *clone["base"], "--dropout-rate", "0.5") == 0
-            logs.append((clone["workdir"] / cli.LOSS_LOG_FILE).read_bytes())
-        assert logs[0] == logs[1]
-        assert logs[0] != (pipeline["workdir"] / cli.LOSS_LOG_FILE).read_bytes()
+        for cpus in (1, 2):
+            clone = fresh_copy(pipeline, tmp_path / str(cpus))
+            with monkeypatch.context() as patch:
+                threads = force_training_helper(patch, cpus)
+                assert run_cli("train", *clone["base"]) == 0
+            assert len(threads) == cpus
+            written[cpus] = [
+                (clone["workdir"] / name).read_bytes()
+                for name in (cli.CHECKPOINT_FILE, cli.LOSS_LOG_FILE)
+            ]
+        assert written[1] == written[2]
 
     def test_pairs_encoded_equal_pairs_trained(self, pipeline, tmp_path, monkeypatch):
         clone = fresh_copy(pipeline, tmp_path)
@@ -881,15 +875,6 @@ class TestRecommend:
         assert rc == 1
         assert "error: CheckpointMismatchError" in capsys.readouterr().err
 
-    def test_dropout_trained_checkpoint_served_without_flag(self, pipeline, tmp_path):
-        submissions = []
-        for flags in ([], ["--dropout-rate", "0.5"]):
-            clone = fresh_copy(pipeline, tmp_path / str(len(flags)))
-            assert run_cli("train", *clone["base"], "--dropout-rate", "0.5") == 0
-            assert run_cli("recommend", *clone["base"], *flags) == 0
-            submissions.append((clone["workdir"] / cli.SUBMISSION_FILE).read_bytes())
-        assert submissions[0] == submissions[1]
-
     def test_requires_train(self, tmp_path, capsys):
         rc = run_cli("recommend", "--workdir", tmp_path / "w")
         assert rc == 1
@@ -1248,6 +1233,32 @@ class TestErrorSurface:
         name = lines[0].split(":")[1].strip()
         assert name.endswith("Error")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["train", "--epochs", "abc"], "argument --epochs: invalid int value: 'abc'"),
+            (["train", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["train", "--dropout-rate", "0.1"], "unrecognized arguments: --dropout-rate 0.1"),
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ],
+        ids=["bad-value", "unknown-flag", "dropout-rate", "no-command", "unknown-command"],
+    )
+    def test_usage_error_is_one_line(self, tmp_path, capsys, args, message):
+        rc = run_cli(*args, *(["--workdir", tmp_path / "w"] if args else []))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: InvalidConfigError: {message}")
+        assert not (tmp_path / "w").exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("train", "--help")
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: titlerec train")
+
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
     def test_unusable_workdir_is_one_line(self, tmp_path, capsys, under):
@@ -1421,6 +1432,99 @@ class TestErrorSurface:
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line.startswith(f"error: ArtifactFormatError: {path}: ")
+
+
+def _at_middle(blob, drop, insert):
+    """``blob`` with ``drop`` bytes at its middle replaced by ``insert``."""
+    middle = len(blob) // 2
+    return blob[:middle] + insert + blob[middle + drop :]
+
+
+# The corruptions the sweep applies to each artifact, as functions of its bytes.
+CORRUPTIONS = {
+    "emptied": lambda blob: b"",
+    "halved": lambda blob: blob[: len(blob) // 2],
+    "last-byte-dropped": lambda blob: blob[:-1],
+    "middle-byte-flipped": lambda blob: _at_middle(blob, 1, bytes([blob[len(blob) // 2] ^ 1])),
+    "bom-inserted": lambda blob: b"\xff\xfe" + blob,
+    "nul-inserted": lambda blob: _at_middle(blob, 0, b"\0"),
+    "junk-appended": lambda blob: blob + b"junk \xff\n",
+    "crlf-line-ends": lambda blob: blob.replace(b"\n", b"\r\n"),
+    "trailing-newline-stripped": lambda blob: blob.removesuffix(b"\n"),
+}
+# each artifact the sweep corrupts, and the commands that read it
+READERS = {
+    cli.PREPARED_FILE: ("stats", "train", "recommend"),
+    cli.TRANSACTIONS_FILE: ("train", "recommend", "evaluate"),
+    cli.VOCAB_FILE: ("recommend",),
+    cli.CHECKPOINT_FILE: ("recommend",),
+    cli.INDEX_FILE: ("recommend",),
+    cli.SUBMISSION_FILE: ("evaluate",),
+    cli.INGEST_SUMMARY_FILE: ("stats",),
+}
+# what each command writes; not recommend's index.bin, a cache that records
+# the digests of the checkpoint and catalog file it was built from, which
+# change with a byte that leaves their content as it was
+OUTPUTS = {
+    "stats": (cli.STATS_FILE,),
+    "train": (cli.VOCAB_FILE, cli.CHECKPOINT_FILE, cli.LOSS_LOG_FILE),
+    "recommend": (cli.SUBMISSION_FILE,),
+    "evaluate": (cli.EVAL_REPORT_FILE,),
+}
+# Corruptions that keep a file readable and change what a command writes:
+# a title's text changes in place. Only a digest of each input, recorded by
+# its writer and checked by its reader (ROADMAP item 3 Part B), can catch them.
+SERVED_CORRUPT = dict.fromkeys(
+    [
+        (cli.PREPARED_FILE, corruption, command)
+        for corruption in ("middle-byte-flipped", "nul-inserted")
+        for command in ("train", "recommend")
+    ],
+    "an edited title is trained on or served with exit 0 until ROADMAP item 3 Part B",
+)
+
+
+def _sweep_cases():
+    for artifact, commands in READERS.items():
+        for corruption in CORRUPTIONS:
+            for command in commands:
+                case = (artifact, corruption, command)
+                marks = ()
+                if case in SERVED_CORRUPT:
+                    # a traceback is still a failure: only the compared output may differ
+                    marks = pytest.mark.xfail(
+                        raises=AssertionError, strict=True, reason=SERVED_CORRUPT[case]
+                    )
+                yield pytest.param(*case, marks=marks, id="-".join(case))
+
+
+class TestCorruptionSweep:
+    """Every artifact a command reads, under each corruption: the command
+    either writes what it writes from the clean workdir and exits 0, or
+    exits 1 with one ``error:`` line; an exception escaping ``cli.main``
+    fails the case."""
+
+    @pytest.mark.parametrize("artifact, corruption, command", _sweep_cases())
+    def test_fails_closed(self, pipeline, tmp_path, capsys, artifact, corruption, command):
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / artifact
+        blob = path.read_bytes()
+        corrupt = CORRUPTIONS[corruption](blob)
+        if corrupt == blob:
+            pytest.skip(f"{corruption} leaves {artifact} as it is")
+        path.write_bytes(corrupt)
+        capsys.readouterr()
+        rc = run_cli(command, *clone["base"])
+        captured = capsys.readouterr()
+        if rc == 0:
+            for name in OUTPUTS[command]:
+                written = (clone["workdir"] / name).read_bytes()
+                assert written == (pipeline["workdir"] / name).read_bytes(), name
+        else:
+            assert rc == 1
+            (line,) = captured.err.splitlines()
+            assert re.fullmatch(r"error: \w+: .+", line)
+            assert captured.out == ""
 
 
 class TestInputFileErrors:

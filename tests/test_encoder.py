@@ -6,7 +6,6 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from titlerec import cli
 from titlerec import encoder as enc
 from titlerec.errors import (
     ArtifactFormatError,
@@ -42,13 +41,6 @@ class TestConfig:
     def test_rejects_short_max_len(self, tiny_config):
         with pytest.raises(InvalidConfigError):
             replace(tiny_config, max_len=4)
-
-    def test_rejects_bad_dropout(self, tiny_config):
-        # dropout is a training setting, bounded with the pipeline's others
-        with pytest.raises(InvalidConfigError):
-            cli.load_config(None, {"dropout_rate": 1.0})
-        with pytest.raises(InvalidConfigError):
-            cli.load_config(None, {"dropout_rate": -0.1})
 
     def test_d_head(self, tiny_config):
         assert replace(tiny_config, d_model=64, n_heads=4).d_head == 16
@@ -190,7 +182,7 @@ class TestForward:
         live = int(tiny_row.attn_mask.sum())
         assert np.array_equal(base.hidden_states[0, :live], other.hidden_states[0, :live])
 
-    def test_deterministic_without_dropout(self, tiny_params, tiny_row):
+    def test_deterministic(self, tiny_params, tiny_row):
         a = enc.forward(tiny_params, tiny_row)
         b = enc.forward(tiny_params, tiny_row)
         assert np.array_equal(a.hidden_states, b.hidden_states)
@@ -232,16 +224,6 @@ class TestForward:
     def test_record_false_drops_cache(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row, record=False)
         assert trace.cache is None
-
-    def test_dropout_reproducible_and_active(self, tiny_config, tiny_row):
-        params = enc.init_params(tiny_config, seed=3)
-        a = enc.forward(params, tiny_row, dropout=(np.random.default_rng(11), 0.5))
-        b = enc.forward(params, tiny_row, dropout=(np.random.default_rng(11), 0.5))
-        c = enc.forward(params, tiny_row, dropout=(np.random.default_rng(12), 0.5))
-        clean = enc.forward(params, tiny_row)
-        assert np.array_equal(a.hidden_states, b.hidden_states)
-        assert not np.array_equal(a.hidden_states, c.hidden_states)
-        assert not np.array_equal(a.hidden_states, clean.hidden_states)
 
 
 class TestHeads:

@@ -360,41 +360,3 @@ class TestBatchedPath:
         assert np.all(grads["position_embedding"][6:] == 0.0)
         assert np.all(grads["token_embedding"][12] == 0.0)
 
-
-class TestDropoutFiniteDifference:
-    """Dropout on. Each loss evaluation reseeds the rng, so every one draws
-    the same masks: the loss is then a smooth function of the parameters,
-    and the analytic gradients, mask multiplies included, must match it."""
-
-    @pytest.mark.parametrize("cut", [False, True], ids=["full-width", "reads"])
-    def test_every_tensor(self, batch_params, cut):
-        config = batch_params.config
-        params = enc.EncoderParams(config, batch_params.flat.copy())
-        rng = np.random.default_rng(27)
-        batch, targets, labels = mixed_batch(config, rng)
-        reads = enc.read_positions(targets, labels, config.max_len) if cut else None
-        assert reads is not None or not cut
-
-        def run(probe):
-            trace = enc.forward(probe, batch, dropout=(np.random.default_rng(9), 0.3), reads=reads)
-            return trace, enc.loss_and_grads(probe, trace, targets, labels, 0.25, 0.5)
-
-        dropped, (_, _, grads) = run(params)
-        plain = enc.forward(params, batch, reads=reads)
-        assert not np.array_equal(dropped.hidden_states, plain.hidden_states)
-        probe = enc.EncoderParams(config, params.flat.copy())
-        step = 1e-4
-        for name in params.tensors:
-            flat = probe[name].reshape(-1)
-            # the largest entry and two drawn at random
-            largest = int(np.abs(grads[name]).argmax())
-            for index in {largest, *rng.integers(0, flat.size, 2).tolist()}:
-                original = flat[index]
-                flat[index] = original + step
-                _, (mlm_up, np_up, _) = run(probe)
-                flat[index] = original - step
-                _, (mlm_down, np_down, _) = run(probe)
-                flat[index] = original
-                numeric = (0.25 * (mlm_up - mlm_down) + 0.5 * (np_up - np_down)) / (2 * step)
-                analytic = grads[name].reshape(-1)[index]
-                assert grads_agree(analytic, numeric), (name, index, analytic, numeric)

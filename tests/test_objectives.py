@@ -25,8 +25,10 @@ from titlerec.tokenizer import FIRST_WORD_ID, TokenBatch, build_vocab, encode_si
 from conftest import (
     Boom,
     PassSpy,
+    call_bounded,
     encode_id_pairs,
     no_pairs,
+    on_helper_thread,
     replacement_kinds,
     token_rows,
     zeroed_params,
@@ -781,14 +783,15 @@ def allow_training_helper(monkeypatch, cpus=2, min_width=1, rows_per_pass=2, max
 class TestTrainingHelper:
     """A training step's passes on two threads: the same bytes as on one,
     and ``passes.run_passes``'s failure rules, as ``TestHelperThread`` checks
-    them for ``index.build_index``."""
+    them for ``index.build_index``. A step that may start a helper runs
+    through ``call_bounded``, so a lost wake-up fails the test instead of
+    hanging the run."""
 
-    def run_step(self, monkeypatch, d_model, helper, dropout_rate=None):
+    def run_step(self, monkeypatch, d_model, helper):
         """Two steps on fresh params: the gradient arena each step handed to
         Adam, every Adam buffer after them, the loss records and which
         threads ran passes."""
         params, state, masked, pairs = helper_step(d_model)
-        dropout = None if dropout_rate is None else (np.random.default_rng(9), dropout_rate)
         arenas, records, threads = [], [], set()
         real_adam = obj.adam_update
 
@@ -800,8 +803,8 @@ class TestTrainingHelper:
             allow_training_helper(patch, cpus=2 if helper else 1)
             patch.setattr(obj, "adam_update", adam_spy)
             for _ in range(2):
-                spy = PassSpy(patch, meet=helper and dropout_rate is None)
-                records.append(obj.train_step(params, state, masked, pairs, dropout))
+                spy = PassSpy(patch, meet=helper)
+                records.append(call_bounded(obj.train_step, params, state, masked, pairs))
                 assert len(spy.passes) == 7
                 threads |= spy.threads()
         buffers = [params.flat, state.first_moment.flat, state.second_moment.flat, state.grads.flat]
@@ -815,12 +818,6 @@ class TestTrainingHelper:
         assert threads == {False, True}
         assert two == one
 
-    def test_dropout_keeps_one_thread_and_its_bytes(self, monkeypatch):
-        *one, threads = self.run_step(monkeypatch, 8, helper=False, dropout_rate=0.1)
-        *allowed, threads = self.run_step(monkeypatch, 8, helper=True, dropout_rate=0.1)
-        assert threads == {False}
-        assert allowed == one
-
     def test_batch_sums_and_grads_match_one_thread(self, monkeypatch):
         _, _, masked, pairs = helper_step(8)
         rows = obj.TrainingRows.concat(masked, pairs)
@@ -829,29 +826,27 @@ class TestTrainingHelper:
             allow_training_helper(monkeypatch, cpus)
             params = helper_step(8)[0]
             PassSpy(monkeypatch, meet=cpus == 2)
-            mlm, np_sum, grads = obj.batch_loss_and_grads(params, rows, 0.25, 0.5)
+            mlm, np_sum, grads = call_bounded(obj.batch_loss_and_grads, params, rows, 0.25, 0.5)
             runs.append((mlm, np_sum, grads.flat.tobytes()))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
-        "cpus, min_width, rows_per_pass, dropout_rate, threads",
+        "cpus, min_width, rows_per_pass, threads",
         [
-            (2, 8, 2, None, {False, True}),
-            (1, 8, 2, None, {False}),
-            (2, 9, 2, None, {False}),
-            (2, 8, 2, 0.1, {False}),
-            (2, 8, 13, None, {False}),
+            (2, 8, 2, {False, True}),
+            (1, 8, 2, {False}),
+            (2, 9, 2, {False}),
+            (2, 8, 13, {False}),
         ],
-        ids=["allowed", "one-cpu", "too-narrow", "dropout", "one-pass"],
+        ids=["allowed", "one-cpu", "too-narrow", "one-pass"],
     )
-    def test_helper_needs_two_passes_two_cpus_no_dropout_and_the_width(
-        self, monkeypatch, cpus, min_width, rows_per_pass, dropout_rate, threads
+    def test_helper_needs_two_passes_two_cpus_and_the_width(
+        self, monkeypatch, cpus, min_width, rows_per_pass, threads
     ):
         allow_training_helper(monkeypatch, cpus, min_width, rows_per_pass)
         params, state, masked, pairs = helper_step(8)
         spy = PassSpy(monkeypatch, meet=len(threads) == 2)
-        dropout = None if dropout_rate is None else (np.random.default_rng(9), dropout_rate)
-        obj.train_step(params, state, masked, pairs, dropout)
+        call_bounded(obj.train_step, params, state, masked, pairs)
         assert spy.threads() == threads
 
     def test_default_threshold_keeps_a_narrow_model_on_one_thread(self, monkeypatch):
@@ -887,7 +882,7 @@ class TestTrainingHelper:
 
         def wait(turns, ready):
             if not ready():
-                blocked[threading.current_thread() is not threading.main_thread()].set()
+                blocked[on_helper_thread()].set()
             return real_wait(turns, ready)
 
         monkeypatch.setattr(obj.PassTurns, "_wait", wait)
@@ -911,7 +906,7 @@ class TestTrainingHelper:
         spy = PassSpy(monkeypatch, meet=True, act=act)
         count = threading.active_count()
         with pytest.raises(error, match="in the helper"):
-            obj.train_step(params, state, masked, pairs)
+            call_bounded(obj.train_step, params, state, masked, pairs)
         assert threading.active_count() == count
         assert spy.threads() == {False}
         assert np.array_equal(params.flat, before) and state.step == 0
@@ -932,7 +927,7 @@ class TestTrainingHelper:
         spy = PassSpy(monkeypatch, meet=True, act=act)
         count = threading.active_count()
         with pytest.raises(error, match="in the caller"):
-            obj.train_step(params, state, masked, pairs)
+            call_bounded(obj.train_step, params, state, masked, pairs)
         assert threading.active_count() == count
         assert spy.threads() == {True}
         assert state.step == 0
@@ -950,7 +945,7 @@ class TestTrainingHelper:
         spy = PassSpy(monkeypatch, meet=True, act=act)
         count = threading.active_count()
         with pytest.raises(Boom, match="mid-step"):
-            obj.train_step(params, state, masked, pairs)
+            call_bounded(obj.train_step, params, state, masked, pairs)
         assert threading.active_count() == count
         assert len(spy.passes) < 7 and state.step == 0
 
@@ -975,8 +970,8 @@ class TestTrainingHelper:
         helpers = set()
 
         def run_pass(number):
-            helpers.add(threading.current_thread() is not threading.main_thread())
-            sink = turns.sink(number)
+            helpers.add(on_helper_thread())
+            sink = obj.PassSink(turns, number)
             for name in adds(number):
                 with sink.turn(name) as tensor:
                     tensor *= 3.0
@@ -986,7 +981,7 @@ class TestTrainingHelper:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            run_passes(range(60), run_pass, True, "titlerec-train")
+            call_bounded(run_passes, range(60), run_pass, True, "titlerec-train")
         finally:
             sys.setswitchinterval(interval)
         assert helpers == {False, True}

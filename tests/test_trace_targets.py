@@ -83,7 +83,7 @@ def test_pair_counts_are_the_pairs(tracing):
     masked = obj.mask_titles(encode_single(word_ids[:1], config.max_len), vocab, rng)
     pair_batch = encode(pairs, word_ids, config.max_len)
     # positionally, as training calls it
-    step(params, obj.init_optimizer(params), masked, pair_batch, None)
+    step(params, obj.init_optimizer(params), masked, pair_batch)
     assert len(pair_batch) == len(pairs) == 3
     assert dict(recorder.counts) == {
         "objectives.pairs_encoded": 3,
