@@ -43,10 +43,10 @@ Artifacts (inside the workdir):
     vocab.txt              one token per line, line number = id
     checkpoint.bin         encoder shape and weights (TRENC002)
     loss_log.tsv           step, mlm, np, total per training step
-    index.bin              article embedding matrix (TRECIDX1) plus the
-                           sha256 of the checkpoint and of
-                           prepared_articles.tsv, and the pooling, it was
-                           built from
+    index.bin              cache of the catalog's embeddings (TRECIDX1): the
+                           catalog's ids, the vectors and the sha256 of the
+                           checkpoint and of prepared_articles.tsv they were
+                           built from; rebuilt unless all of these match
     submission.csv         customer_id,prediction rows
     eval_report.json       map_at_12 / scored / excluded
 """
@@ -142,7 +142,6 @@ class PipelineConfig:
     negatives_per_positive: int = 1
     learning_rate: float = 1e-3
     holdout_days: int | None = None
-    pooling: str = "mean"
 
     def encoder_config(self, vocab_size: int) -> enc.EncoderConfig:
         """The shape ``train`` builds: each field as given, or its default."""
@@ -171,9 +170,9 @@ RECORDED = {
 
 
 # What each config field accepts: its type, then the (comparison, limit)
-# tests its value must pass, "in" naming the values it may take. A field
-# whose default is None also accepts None. The model fields carry only their
-# type: EncoderConfig holds their rules, and load_config runs them. Outside
+# tests its value must pass. A field whose default is None also accepts None.
+# The model fields carry only their type: EncoderConfig holds their rules,
+# and load_config runs them. Outside
 # these a run would fail mid-way with a traceback or silently train nothing;
 # ``epochs`` 0 (and ``max_steps`` 0) deliberately keeps the seed-initialized
 # checkpoint.
@@ -187,9 +186,8 @@ FIELD_RULES = {
     **dict.fromkeys(("epochs", "max_steps", "seed"), (int, (">=", 0))),
     "max_vocab": (int, (">=", FIRST_WORD_ID + 1)),
     "learning_rate": (float, (">", 0.0)),
-    "pooling": (str, ("in", ("mean", "cls"))),
 }
-COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "in": lambda v, c: v in c}
+COMPARISONS = {">=": operator.ge, ">": operator.gt}
 # each type's test, its name and how argparse reads its flag: an int counts
 # as a float, a bool as neither
 TYPES = {
@@ -476,19 +474,17 @@ def cmd_recommend(config: PipelineConfig) -> str:
     joined, holdout_days = _load_joined(config, tuple(p.article_id for p in prepared))
 
     index_path = workdir / INDEX_FILE
+    catalog = joined.article_ids
     source = index_mod.IndexSource(
-        checkpoint_sha256,
-        hashlib.sha256((workdir / PREPARED_FILE).read_bytes()).hexdigest(),
-        config.pooling,
+        checkpoint_sha256, hashlib.sha256((workdir / PREPARED_FILE).read_bytes()).hexdigest()
     )
-    stored = index_mod.load_index(index_path) if index_path.exists() else None
-    # the ids are checked too: the source block does not cover them
-    if stored is not None and stored.source == source and stored.article_ids == joined.article_ids:
-        article_index = stored
-    else:
-        # absent, or built from other texts, checkpoint or pooling, or of unknown origin
-        article_index = index_mod.build_index(prepared, params, vocab, config.pooling, source)
-        index_mod.save_index(article_index, index_path)
+    article_index = (
+        index_mod.load_index(index_path, catalog, source) if index_path.exists() else None
+    )
+    if article_index is None:
+        # absent, or not what this run would write: other ids, texts or checkpoint
+        article_index = index_mod.build_index(prepared, params, vocab, source)
+        index_mod.save_index(article_index, catalog, index_path)
     train_window, _ = evaluation.temporal_split(joined, holdout_days)
     customers = _load_customer_universe(config, joined)
     picks = index_mod.serve(
@@ -499,7 +495,7 @@ def cmd_recommend(config: PipelineConfig) -> str:
         evaluation.PREDICTION_WIDTH,
     )
     evaluation.write_submission(
-        evaluation.Submission(tuple(customers), picks, article_index.article_ids),
+        evaluation.Submission(tuple(customers), picks, catalog),
         workdir / SUBMISSION_FILE,
     )
     return f"customers={len(customers)} articles={len(article_index)}"

@@ -1,19 +1,19 @@
 """Item embeddings, exact nearest-neighbor retrieval and recommendation.
 
-Every catalog article is embedded once (mean-pooled encoder states,
-unit-normalized) into an in-memory matrix, through the encoder's batched
-forward. Articles are grouped by live length and each group runs in
-passes of ``encoder.rows_per_pass(length)`` articles cut to that length,
-so no PAD position is embedded and a title of 8 tokens costs 8 positions,
-not ``max_len``. On a catalog of at least ``HELPER_MIN_PASSES`` passes,
+Every catalog article is embedded once (the mean of the encoder states
+over the title's positions, unit-normalized) into an in-memory matrix,
+through the encoder's batched forward. Articles are grouped by live length
+and each group runs in passes of ``encoder.rows_per_pass(length)``
+articles cut to that length, so no PAD position is embedded and a title of
+8 tokens costs 8 positions, not ``max_len``. On a catalog of at least ``HELPER_MIN_PASSES`` passes,
 and when the process may run on more than one CPU, a helper thread takes
 passes from the same plan as the calling thread: numpy and BLAS release
 the GIL inside a pass's large operations, and a row's vector does not
 depend on its pass, so the index is the same bytes whichever thread ran
 which pass. Retrieval is an exact full scan: cosine similarity is a dot
 product of unit vectors, and ``top_rows`` selects each query's top k by
-one partition and breaks ties by ascending row. The index's ids ascend
-strictly, so row order is id order and the ordering is total.
+one partition and breaks ties by ascending row, which is ascending
+article id, since the catalog's ids ascend.
 
 The index's rows are the catalog's, and so are the article codes of an
 ingested purchase log (``corpus.PurchaseLog.of_articles``): a code is a
@@ -25,29 +25,33 @@ on which customers share the block, and identical rows share one float.
 Purchases are set to -inf, and ``top_rows`` orders every customer's picks
 as a full sort would. Customers with no usable purchase history share one
 row, the popularity head extended by the catalog in row order. ``serve``
-returns the picks as index rows; ids are formatted only to write the
+returns the picks as index rows; the catalog's ids label them only in the
 submission.
 
 Index file layout (version TRECIDX1, little-endian):
     magic      8 bytes  b"TRECIDX1"
     header     uint32 row count, uint32 dimension, uint8 metric-tag
                length, metric tag utf-8 (always "cosine")
-    id table   rows x 10 ascii bytes (zero-padded article ids)
+    id table   rows x 10 ascii bytes: the catalog's article ids, by row
     payload    rows x dimension float64, row-major
-    source     optional: b"TRECSRC2", 32-byte sha256 of the checkpoint the
-               vectors came from, 32-byte sha256 of the prepared-articles
-               file whose texts were embedded, uint8 pooling length,
-               pooling ascii
+    source     b"TRECSRC2", 32-byte sha256 of the checkpoint the vectors
+               came from, 32-byte sha256 of the prepared-articles file whose
+               texts were embedded, then b"\x04mean": the pooling, always
+               mean, as a uint8 length and ascii
 
-The source block trails the payload, so readers of the plain TRECIDX1
-layout still read the file. A file without it, or with the earlier
-b"TRECSRC1" block (no prepared-text digest), is of unknown origin.
+``index.bin`` is a cache of the catalog's vectors. ``load_index`` returns it
+only when its id table and every byte after its payload are what
+``save_index`` would write for this run's catalog and source; any other
+file (another catalog, checkpoint or text, a file without the source block
+or with an earlier one, trailing bytes) is rebuilt. Readers of the plain
+TRECIDX1 layout read the ids and vectors and skip the block.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -69,10 +73,10 @@ from .tokenizer import Vocabulary, encode_single
 
 INDEX_MAGIC = b"TRECIDX1"
 SOURCE_MAGIC = b"TRECSRC2"
-# An earlier source block without the prepared-text digest: such an index is
-# read as one of unknown origin.
-UNTRACKED_TEXT_MAGIC = b"TRECSRC1"
 METRIC_TAG = "cosine"
+# the source block's last field, the pooling as a uint8 length and ascii:
+# an article's vector is always the mean of its title's states
+POOLING = b"\x04mean"
 
 NORM_FLOOR = 1e-12
 
@@ -110,42 +114,29 @@ def aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
 @dataclass(frozen=True)
 class IndexSource:
     """What an index's vectors were computed from: the sha256 of the
-    checkpoint and of the prepared-articles file, and the pooling."""
+    checkpoint and of the prepared-articles file."""
 
     checkpoint_sha256: str
     prepared_sha256: str
-    pooling: str
 
 
 @dataclass
 class EmbeddingIndex:
-    """Unit-row embedding matrix aligned with strictly ascending article
-    ids, so row order is id order.
+    """The catalog's embeddings, one unit row per catalog row, and what they
+    were computed from. A row that is not unit length within 1e-6 (a NaN
+    row included) raises ValueError."""
 
-    ``source`` names what the vectors were computed from; it is None for an
-    index of unknown origin. A broken rule raises ValueError.
-    """
-
-    article_ids: tuple[str, ...]
     vectors: np.ndarray
-    source: IndexSource | None = None
+    source: IndexSource
 
     def __post_init__(self) -> None:
-        if len(self.article_ids) != self.vectors.shape[0]:
-            raise ValueError("one vector row per article id required")
-        if any(a >= b for a, b in zip(self.article_ids, self.article_ids[1:])):
-            raise ValueError("index article ids must ascend strictly")
-        if self.vectors.size and not self.norm_flag:
+        with np.errstate(over="ignore"):  # a huge row's norm is inf, and fails
+            norms = np.linalg.norm(self.vectors, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise ValueError("index rows must be unit length")
 
     def __len__(self) -> int:
-        return len(self.article_ids)
-
-    @property
-    def norm_flag(self) -> bool:
-        """True when every row is unit length within 1e-6."""
-        norms = np.linalg.norm(self.vectors, axis=1)
-        return bool(np.all(np.abs(norms - 1.0) <= 1e-6))
+        return len(self.vectors)
 
     @cached_property
     def twins(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -194,13 +185,12 @@ def build_index(
     articles: list[PreparedArticle],
     params: enc.EncoderParams,
     vocab: Vocabulary,
-    pooling: str = "mean",
-    source: IndexSource | None = None,
+    source: IndexSource,
 ) -> EmbeddingIndex:
-    """Embed every article as a unit vector, preserving input order.
+    """Embed every article as a unit vector, the mean of its encoder states
+    over its non-PAD positions, preserving input order.
 
-    ``pooling`` is "mean" (average over non-PAD positions) or "cls"
-    (position-0 state only). Articles are grouped by live length, in input
+    Articles are grouped by live length, in input
     order within a length, and each group runs through the encoder in
     passes of ``encoder.rows_per_pass(length)`` rows cut to that length, so
     no PAD position is embedded; the pooled vectors go back to their input
@@ -216,8 +206,6 @@ def build_index(
     the calling thread when no helper can be started. A degenerate vector
     is reported for the first such article in input order.
     """
-    if pooling not in ("mean", "cls"):
-        raise ValueError(f"unknown pooling {pooling!r}")
     if not articles:
         raise EmptyCorpusError("cannot build an index over zero articles")
     c = params.config
@@ -233,7 +221,7 @@ def build_index(
     def embed(item: tuple[int, np.ndarray]) -> None:
         width, rows = item
         hidden = enc.forward(params, batch[rows, :width], record=False).hidden_states
-        pooled[rows] = hidden[:, 0] if pooling == "cls" else hidden.sum(axis=1) / width
+        pooled[rows] = hidden.sum(axis=1) / width
 
     helper = len(plan) >= HELPER_MIN_PASSES and usable_cpus() > 1
     run_passes(plan, embed, helper, "titlerec-embed")
@@ -246,7 +234,7 @@ def build_index(
             f"below {NORM_FLOOR}"
         )
     vectors = np.divide(pooled, norms[:, None], out=aligned_empty(pooled.shape))
-    return EmbeddingIndex(tuple(a.article_id for a in articles), vectors, source)
+    return EmbeddingIndex(vectors, source)
 
 
 def top_rows(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +282,7 @@ def similarities(index: EmbeddingIndex, queries: np.ndarray) -> np.ndarray:
 
 def customer_profiles(log: PurchaseLog, index: EmbeddingIndex) -> CustomerProfiles:
     """Profiles of every customer with a purchase in ``log``, whose article
-    codes are index rows: its article table must be the index's ids.
+    codes are index rows: its article table must have a row per index row.
 
     The distinct (customer, row) purchases come from one sort of the log's
     codes, by customer and then row. A profile vector is the mean of
@@ -304,8 +292,10 @@ def customer_profiles(log: PurchaseLog, index: EmbeddingIndex) -> CustomerProfil
     ``np.linalg.norm`` takes, so the vector equals that per-customer
     arithmetic bit for bit.
     """
-    if log.article_ids != index.article_ids:
-        raise ValueError("the log's article table is not the index's ids")
+    if len(log.article_ids) != len(index):
+        raise ValueError(
+            f"the log's article table has {len(log.article_ids)} ids, the index {len(index)} rows"
+        )
     n = len(index)
     keys = np.sort(log.customers * n + log.articles)
     # (np.unique would load numpy.ma, a cost every recommend would pay)
@@ -392,34 +382,39 @@ def popularity_ranking(log: PurchaseLog) -> list[int]:
 # --- index persistence ---
 
 
-def save_index(index: EmbeddingIndex, path: str | Path) -> None:
-    """Write the index to ``path`` atomically in the TRECIDX1 layout, with
-    the source block when the index has a source."""
+def _frame(article_ids: Sequence[str], dim: int, source: IndexSource) -> tuple[bytes, bytes]:
+    """The bytes the TRECIDX1 layout puts before and after the payload of
+    ``dim``-wide rows labelled ``article_ids`` and computed from ``source``."""
     tag = METRIC_TAG.encode("utf-8")
-    chunks = [
-        INDEX_MAGIC,
-        struct.pack("<2IB", len(index), index.vectors.shape[1], len(tag)),
-        tag,
-    ]
-    for article_id in index.article_ids:
-        raw = article_id.encode("ascii")
-        if len(raw) != 10:
-            raise ArtifactFormatError(f"article id {article_id!r} is not 10 ascii digits")
-        chunks.append(raw)
-    chunks.append(np.ascontiguousarray(index.vectors, dtype="<f8").tobytes())
-    if index.source is not None:
-        pooling = index.source.pooling.encode("ascii")
-        chunks += [
-            SOURCE_MAGIC,
-            bytes.fromhex(index.source.checkpoint_sha256),
-            bytes.fromhex(index.source.prepared_sha256),
-            struct.pack("<B", len(pooling)),
-            pooling,
-        ]
-    atomic_write_bytes(path, b"".join(chunks))
+    header = struct.pack("<2IB", len(article_ids), dim, len(tag))
+    head = INDEX_MAGIC + header + tag + "".join(article_ids).encode("ascii")
+    digests = bytes.fromhex(source.checkpoint_sha256) + bytes.fromhex(source.prepared_sha256)
+    return head, SOURCE_MAGIC + digests + POOLING
 
 
-def load_index(path: str | Path) -> EmbeddingIndex:
+def save_index(index: EmbeddingIndex, article_ids: Sequence[str], path: str | Path) -> None:
+    """Write ``index`` to ``path`` atomically in the TRECIDX1 layout, its
+    rows labelled with the catalog's ``article_ids``, one per row."""
+    if len(article_ids) != len(index) or not all(
+        len(a) == 10 and a.isascii() for a in article_ids
+    ):
+        raise ArtifactFormatError(
+            f"an index of {len(index)} rows needs as many article ids of 10 ascii characters"
+        )
+    head, tail = _frame(article_ids, index.vectors.shape[1], index.source)
+    payload = np.ascontiguousarray(index.vectors, dtype="<f8").tobytes()
+    atomic_write_bytes(path, b"".join([head, payload, tail]))
+
+
+def load_index(
+    path: str | Path, article_ids: Sequence[str], source: IndexSource
+) -> EmbeddingIndex | None:
+    """The index stored at ``path`` when its id table and every byte after
+    its payload are what ``save_index`` would write for the catalog's
+    ``article_ids`` and ``source``; None otherwise, for the caller to
+    rebuild. A file the reader cannot take as an index (bad magic, a header
+    or payload cut short, a metric other than cosine, a row not of unit
+    length) raises ArtifactFormatError."""
     blob = Path(path).read_bytes()
     reader = ByteReader(blob, str(path))
     if reader.take(len(INDEX_MAGIC)) != INDEX_MAGIC:
@@ -428,23 +423,14 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     tag = reader.text(tag_len, "utf-8")
     if tag != METRIC_TAG:
         raise ArtifactFormatError(f"{path}: unsupported metric {tag!r}")
-    article_ids = tuple(reader.text(10, "ascii") for _ in range(count))
+    reader.take(10 * count)  # the id table, compared below
+    start = reader.offset
     payload = reader.array("<f8", count * dim)
-    source = None
-    if reader.offset != len(blob):
-        magic = reader.take(len(SOURCE_MAGIC))
-        if magic not in (SOURCE_MAGIC, UNTRACKED_TEXT_MAGIC):
-            raise ArtifactFormatError(f"{path}: unknown block after the payload")
-        checkpoint = reader.take(32).hex()
-        prepared = reader.take(32).hex() if magic == SOURCE_MAGIC else None
-        (pooling_len,) = reader.unpack("<B")
-        pooling = reader.text(pooling_len, "ascii")
-        if prepared is not None:
-            source = IndexSource(checkpoint, prepared, pooling)
-    reader.finish()
     vectors = aligned_empty((count, dim))
     vectors[...] = payload.reshape(count, dim)
     try:
-        return EmbeddingIndex(article_ids, vectors, source)
+        index = EmbeddingIndex(vectors, source)
     except ValueError as exc:
         raise ArtifactFormatError(f"{path}: {exc}") from None
+    head, tail = _frame(article_ids, dim, source)
+    return index if blob[:start] == head and blob[reader.offset :] == tail else None

@@ -24,6 +24,10 @@ class Boom(Exception):
     pass
 
 
+# what a test's index says it was built from; only a saved index records it
+SOURCE = ix.IndexSource("ab" * 32, "cd" * 32)
+
+
 # the helper threads ``passes.run_passes`` starts, by the names its callers give
 HELPER_THREADS = ("titlerec-embed", "titlerec-train")
 # taken before any test can patch it to refuse threads to the code under test
@@ -183,16 +187,19 @@ class Profile(NamedTuple):
     vector: np.ndarray | None
 
 
-def popular_rows(index, popularity):
-    """Popularity article ids as the index rows ``index.serve`` takes."""
-    return [index.article_ids.index(article_id) for article_id in popularity]
+def popular_rows(catalog, popularity):
+    """Popularity article ids as the index rows ``index.serve`` takes: their
+    rows in ``catalog``, the ids of the index's rows."""
+    return [catalog.index(article_id) for article_id in popularity]
 
 
 def served_ids(customers, log, index, popularity, n):
     """``index.serve``'s picks, for popularity given as article ids, as one
-    tuple of article ids per customer."""
-    picks = ix.serve(customers, log, index, popular_rows(index, popularity), n)
-    return [tuple(index.article_ids[p] for p in row) for row in picks.tolist()]
+    tuple of article ids per customer, labelled through the log's article
+    table, the catalog, as ``recommend`` labels them."""
+    catalog = log.article_ids
+    picks = ix.serve(customers, log, index, popular_rows(catalog, popularity), n)
+    return [tuple(catalog[p] for p in row) for row in picks.tolist()]
 
 
 def replacement_kinds(masked_ids, targets):

@@ -21,6 +21,7 @@ from titlerec import index as ix
 from titlerec.tokenizer import FIRST_WORD_ID, Vocabulary, encode_single
 
 from conftest import (
+    SOURCE,
     central_difference,
     encode_id_pairs,
     grads_agree,
@@ -277,9 +278,9 @@ def test_05_knn_matches_brute_force():
         else:
             rows = rng.normal(size=(n, dim))
         rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        # random ids, ascending as an index's rows must, so ties break by id
+        # random ids, ascending as the catalog's do, so ties break by id
         ids = tuple(f"{v:010d}" for v in np.sort(rng.choice(10**7, size=n, replace=False)))
-        index = ix.EmbeddingIndex(ids, rows)
+        index = ix.EmbeddingIndex(rows, SOURCE)
         query = rng.normal(size=dim)
         query = query / np.linalg.norm(query)
         k = int(rng.integers(1, n + 1))

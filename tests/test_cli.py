@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -76,6 +77,31 @@ def _index_payload_at(blob, value):
 def _index_first_id_repeated(blob):
     at = 8 + 9 + len(ix.METRIC_TAG)  # the first article id
     return blob[: at + 10] + blob[at : at + 10] + blob[at + 20 :]
+
+
+# index.bin's source block: its magic, two sha256 digests and the pooling
+SOURCE_BLOCK_SIZE = 8 + 32 + 32 + 5
+# Blocks after index.bin's payload that this run would not write, each as a
+# function of the source block it writes.
+FOREIGN_TRAILERS = {
+    "no-source-block": lambda block: b"",
+    # the earlier block: the checkpoint's sha256 and the pooling only
+    "trecsrc1": lambda block: b"TRECSRC1" + block[8:40] + b"\x04mean",
+    # what `recommend --pooling cls` wrote before the pooling was fixed
+    "cls-pooling": lambda block: block[:-5] + b"\x03cls",
+    "other-checkpoint": lambda block: block[:8] + bytes(32) + block[40:],
+    "unknown-block": lambda block: b"NOTASRC1" + block[8:],
+    "trailing-garbage": lambda block: block + b"x",
+}
+
+
+def assert_as_fresh(pipeline, clone):
+    """The clone's index.bin and submission.csv are the shared world's, which
+    its recommend wrote from a fresh build."""
+    for name in (cli.INDEX_FILE, cli.SUBMISSION_FILE):
+        assert (clone["workdir"] / name).read_bytes() == (
+            pipeline["workdir"] / name
+        ).read_bytes(), name
 
 
 def _swap_first_two(ids):
@@ -229,7 +255,7 @@ class TestLoadConfig:
         with pytest.raises(InvalidConfigError, match="d_modle"):
             cli.load_config(str(path), {})
 
-    @pytest.mark.parametrize("name", ["dropout_rate", "top_n", "layer_norm_epsilon"])
+    @pytest.mark.parametrize("name", ["dropout_rate", "top_n", "layer_norm_epsilon", "pooling"])
     def test_removed_setting_is_an_unknown_option(self, tmp_path, name):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({name: 0}))
@@ -280,7 +306,6 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "command, name, value",
         [
-            ("recommend", "pooling", "max"),
             ("train", "seed", "1"),
             ("train", "learning_rate", "0.1"),
             ("train", "d_model", "64"),
@@ -302,7 +327,6 @@ class TestLoadConfig:
         assert run_cli(command, *base, "--config", config) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"error: InvalidConfigError: {name} must be " + {
-            "pooling": "a string in ('mean', 'cls'), got 'max'",
             "seed": "an integer >= 0, got '1'",
             "learning_rate": f"a finite number > 0.0, got {value!r}",
             "d_model": "an integer, got '64'",
@@ -780,10 +804,15 @@ class TestRecommend:
         assert blob[at : at + 10] > b"0000000000"
         path.write_bytes(blob[:at] + b"0000000000" + blob[at + 10 :])
         assert run_cli("recommend", *clone["base"]) == 0
-        for name in (cli.INDEX_FILE, cli.SUBMISSION_FILE):
-            assert (clone["workdir"] / name).read_bytes() == (
-                pipeline["workdir"] / name
-            ).read_bytes(), name
+        assert_as_fresh(pipeline, clone)
+
+    def test_index_with_a_repeated_id_is_rebuilt(self, pipeline, tmp_path):
+        # one more id table this run would not write, under an intact source block
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.INDEX_FILE
+        path.write_bytes(_index_first_id_repeated(path.read_bytes()))
+        assert run_cli("recommend", *clone["base"]) == 0
+        assert_as_fresh(pipeline, clone)
 
     def test_retrained_checkpoint_rebuilds_index(self, pipeline, tmp_path):
         stale = fresh_copy(pipeline, tmp_path / "stale")
@@ -800,28 +829,16 @@ class TestRecommend:
             fresh["workdir"] / cli.SUBMISSION_FILE
         ).read_bytes()
 
-    def test_pooling_change_rebuilds_index(self, pipeline, tmp_path):
-        stale = fresh_copy(pipeline, tmp_path / "stale")
-        fresh = fresh_copy(pipeline, tmp_path / "fresh")
-        (fresh["workdir"] / cli.INDEX_FILE).unlink()
-        for world in (stale, fresh):
-            assert run_cli("recommend", *world["base"], "--pooling", "cls") == 0
-        index = ix.load_index(stale["workdir"] / cli.INDEX_FILE)
-        assert index.source.pooling == "cls"
-        for name in (cli.INDEX_FILE, cli.SUBMISSION_FILE):
-            assert (stale["workdir"] / name).read_bytes() == (
-                fresh["workdir"] / name
-            ).read_bytes(), name
-
-    def test_index_without_source_is_rebuilt(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("trailer", FOREIGN_TRAILERS)
+    def test_foreign_trailer_is_rebuilt(self, pipeline, tmp_path, trailer):
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.INDEX_FILE
-        current = path.read_bytes()
-        loaded = ix.load_index(path)
-        ix.save_index(ix.EmbeddingIndex(loaded.article_ids, loaded.vectors), path)
-        assert path.read_bytes() != current
+        blob = path.read_bytes()
+        block = blob[-SOURCE_BLOCK_SIZE:]
+        assert block.startswith(ix.SOURCE_MAGIC) and block.endswith(b"\x04mean")
+        path.write_bytes(blob[:-SOURCE_BLOCK_SIZE] + FOREIGN_TRAILERS[trailer](block))
         assert run_cli("recommend", *clone["base"]) == 0
-        assert path.read_bytes() == current
+        assert_as_fresh(pipeline, clone)
 
     def test_reingest_with_other_text_columns_rebuilds_index(self, pipeline, tmp_path):
         stale = fresh_copy(pipeline, tmp_path / "stale")
@@ -865,8 +882,8 @@ class TestRecommend:
         monkeypatch.setattr(Path, "read_bytes", spy)
         assert run_cli("recommend", *clone["base"]) == 0
         assert reads.count(cli.CHECKPOINT_FILE) == 1
-        source = ix.load_index(clone["workdir"] / cli.INDEX_FILE).source
-        assert source.checkpoint_sha256 == hashlib.sha256(real(checkpoint)).hexdigest()
+        block = real(clone["workdir"] / cli.INDEX_FILE)[-SOURCE_BLOCK_SIZE:]
+        assert block[8:40] == hashlib.sha256(real(checkpoint)).digest()
 
     def test_checkpoint_config_mismatch_detected(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
@@ -1239,10 +1256,12 @@ class TestErrorSurface:
             (["train", "--epochs", "abc"], "argument --epochs: invalid int value: 'abc'"),
             (["train", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
             (["train", "--dropout-rate", "0.1"], "unrecognized arguments: --dropout-rate 0.1"),
+            (["recommend", "--pooling", "cls"], "unrecognized arguments: --pooling cls"),
             ([], "the following arguments are required: command"),
             (["bogus"], "argument command: invalid choice: 'bogus'"),
         ],
-        ids=["bad-value", "unknown-flag", "dropout-rate", "no-command", "unknown-command"],
+        ids=["bad-value", "unknown-flag", "dropout-rate", "pooling", "no-command",
+             "unknown-command"],
     )
     def test_usage_error_is_one_line(self, tmp_path, capsys, args, message):
         rc = run_cli(*args, *(["--workdir", tmp_path / "w"] if args else []))
@@ -1417,11 +1436,10 @@ class TestErrorSurface:
             (cli.CHECKPOINT_FILE, lambda blob: blob[:-8], "recommend"),
             (cli.INDEX_FILE, lambda blob: _index_payload_at(blob, 5.0), "recommend"),
             (cli.INDEX_FILE, lambda blob: _index_payload_at(blob, math.nan), "recommend"),
-            (cli.INDEX_FILE, _index_first_id_repeated, "recommend"),
         ],
         ids=["summary-halved", "summary-empty-object", "vocab-repeated-line",
              "checkpoint-trailing-bytes", "checkpoint-overflowing-dims", "checkpoint-trenc001",
-             "checkpoint-one-float-short", "index-row-not-unit", "index-row-nan", "index-id-repeated"],
+             "checkpoint-one-float-short", "index-row-not-unit", "index-row-nan"],
     )
     def test_corrupt_artifact_named(self, pipeline, tmp_path, capsys, artifact, corrupt, command):
         clone = fresh_copy(pipeline, tmp_path)
@@ -1595,7 +1613,34 @@ class TestLibraryExample:
         capsys.readouterr()
         exec(compile(example, "README.md", "exec"), {})
         hits = [line.split() for line in capsys.readouterr().out.splitlines()]
-        catalog = ix.load_index(tmp_path / "run1" / cli.INDEX_FILE).article_ids
+        prepared = corpus.load_prepared(tmp_path / "run1" / cli.PREPARED_FILE)
+        catalog = {article.article_id for article in prepared}
         assert len(hits) == 5 and all(article_id in catalog for article_id, _ in hits)
         sims = [float(sim) for _, sim in hits]
         assert sims == sorted(sims, reverse=True)
+
+
+class TestBenchmarkReader:
+    def test_benchmark_reads_the_catalog_and_the_vectors(self, pipeline, tmp_path, monkeypatch):
+        """The benchmark's own TRECIDX1 reader (``perfbench/checks.py``),
+        which its k-NN oracle ranks with, reads recommend's index.bin as the
+        catalog's ids and the vectors the program loads."""
+        clone = fresh_copy(pipeline, tmp_path)
+        workdir = clone["workdir"]
+        (workdir / cli.INDEX_FILE).unlink()
+        assert run_cli("recommend", *clone["base"]) == 0
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))  # checks.py imports its neighbours
+        spec = importlib.util.spec_from_file_location("perfbench_checks", perfbench / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, checks)  # its dataclasses look it up
+        spec.loader.exec_module(checks)
+        ids, vectors = checks.read_index(workdir / cli.INDEX_FILE)
+        catalog = tuple(a.article_id for a in corpus.load_prepared(workdir / cli.PREPARED_FILE))
+        assert tuple(ids) == catalog
+        source = ix.IndexSource(
+            *(hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+              for name in (cli.CHECKPOINT_FILE, cli.PREPARED_FILE))
+        )
+        loaded = ix.load_index(workdir / cli.INDEX_FILE, catalog, source)
+        assert vectors.tobytes() == loaded.vectors.tobytes()

@@ -21,6 +21,7 @@ from titlerec.errors import (
 from titlerec.tokenizer import build_vocab, encode_single
 
 from conftest import (
+    SOURCE,
     Boom,
     PassSpy,
     encode_id_pairs,
@@ -42,12 +43,12 @@ def small_world():
 
 
 def unit_index(ids, vectors):
-    """The index of ``ids``, each with its normalized vector, in ascending id order."""
+    """The catalog of ``ids``, in ascending order as ingest sorts it, and the
+    index of their normalized vectors, one row per catalog row."""
     order = sorted(range(len(ids)), key=ids.__getitem__)
     v = np.asarray(vectors, dtype=np.float64)[order]
-    return ix.EmbeddingIndex(
-        tuple(ids[i] for i in order), v / np.linalg.norm(v, axis=1, keepdims=True)
-    )
+    index = ix.EmbeddingIndex(v / np.linalg.norm(v, axis=1, keepdims=True), SOURCE)
+    return tuple(ids[i] for i in order), index
 
 
 def random_index(n, dim, rng):
@@ -55,8 +56,8 @@ def random_index(n, dim, rng):
     return unit_index(ids, rng.normal(size=(n, dim)))
 
 
-def vector_of(index, article_id):
-    return index.vectors[index.article_ids.index(article_id)]
+def vector_of(catalog, index, article_id):
+    return index.vectors[catalog.index(article_id)]
 
 
 def knn(index, query, k):
@@ -71,13 +72,13 @@ def full_sort(sims, article_ids):
     return sorted(range(len(sims)), key=lambda i: (-sims[i], article_ids[i]))
 
 
-def brute_force_knn(index, query, k):
-    return full_sort(index.vectors @ query, index.article_ids)[:k]
+def brute_force_knn(catalog, index, query, k):
+    return full_sort(index.vectors @ query, catalog)[:k]
 
 
-def embed_one(params, article, vocab, pooling="mean"):
+def embed_one(params, article, vocab):
     """An article's vector from a one-article index."""
-    return ix.build_index([article], params, vocab, pooling).vectors[0]
+    return ix.build_index([article], params, vocab, SOURCE).vectors[0]
 
 
 class TestEmbedArticle:
@@ -92,19 +93,13 @@ class TestEmbedArticle:
         _, vocab = small_world()
         a = PreparedArticle("0000000101", "w00 w01", 2)
         b = PreparedArticle("0000000202", "w00 w01", 2)
-        index = ix.build_index([a, b], tiny_params, vocab)
-        assert np.array_equal(vector_of(index, a.article_id), vector_of(index, b.article_id))
+        index = ix.build_index([a, b], tiny_params, vocab, SOURCE)
+        assert np.array_equal(index.vectors[0], index.vectors[1])
 
     def test_self_cosine_is_one(self, tiny_params):
         articles, vocab = small_world()
         vec = embed_one(tiny_params, articles[2], vocab)
         assert abs(float(vec @ vec) - 1.0) < 1e-12
-
-    def test_cls_pooling_differs_from_mean(self, tiny_params):
-        articles, vocab = small_world()
-        mean = embed_one(tiny_params, articles[0], vocab, pooling="mean")
-        cls = embed_one(tiny_params, articles[0], vocab, pooling="cls")
-        assert not np.allclose(mean, cls)
 
     def test_degenerate_embedding_rejected(self, tiny_config):
         articles, vocab = small_world()
@@ -112,47 +107,31 @@ class TestEmbedArticle:
         with pytest.raises(DegenerateEmbeddingError):
             embed_one(params, articles[0], vocab)
 
-    def test_unknown_pooling_rejected(self, tiny_params):
-        articles, vocab = small_world()
-        with pytest.raises(ValueError):
-            embed_one(tiny_params, articles[0], vocab, pooling="max")
-
 
 class TestBuildIndex:
     def test_rows_track_input_order(self, tiny_params):
         articles, vocab = small_world()
-        index = ix.build_index(articles, tiny_params, vocab)
-        assert len(index) == len(articles)
-        assert index.article_ids == tuple(a.article_id for a in articles)
-        assert index.norm_flag
-        for article in articles:
+        index = ix.build_index(articles, tiny_params, vocab, SOURCE)
+        assert len(index) == len(articles) and index.source == SOURCE
+        for row, article in enumerate(articles):
             # a row's vector does not depend on the other articles of its pass
-            assert np.array_equal(
-                vector_of(index, article.article_id), embed_one(tiny_params, article, vocab)
-            )
+            assert np.array_equal(index.vectors[row], embed_one(tiny_params, article, vocab))
 
     def test_rebuild_bit_identical(self, tiny_params):
         articles, vocab = small_world()
-        first = ix.build_index(articles, tiny_params, vocab)
-        second = ix.build_index(articles, tiny_params, vocab)
+        first = ix.build_index(articles, tiny_params, vocab, SOURCE)
+        second = ix.build_index(articles, tiny_params, vocab, SOURCE)
         assert np.array_equal(first.vectors, second.vectors)
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="ascend strictly"):
-            unit_index(["0000000001", "0000000001"], np.eye(2))
-
-    def test_descending_ids_rejected(self):
-        with pytest.raises(ValueError, match="ascend strictly"):
-            ix.EmbeddingIndex(("0000000002", "0000000001"), np.eye(2))
-
     def test_non_unit_rows_rejected(self):
-        with pytest.raises(ValueError):
-            ix.EmbeddingIndex(("0000000001",), np.array([[2.0, 0.0]]))
+        for row in ([2.0, 0.0], [np.nan, 0.0], [1e300, 0.0]):
+            with pytest.raises(ValueError, match="unit length"):
+                ix.EmbeddingIndex(np.array([[0.0, 1.0], row]), SOURCE)
 
     def test_empty_input_rejected(self, tiny_params):
         _, vocab = small_world()
         with pytest.raises(EmptyCorpusError):
-            ix.build_index([], tiny_params, vocab)
+            ix.build_index([], tiny_params, vocab, SOURCE)
 
 
 def ragged_world():
@@ -181,60 +160,55 @@ def ragged_world():
     return articles, vocab, params
 
 
-def full_width_vectors(articles, params, vocab, pooling):
+def full_width_vectors(articles, params, vocab):
     """Reference: every title through one forward at max_len, PAD keys
     masked, mean over the live positions (the arithmetic before length
     grouping)."""
     batch = encode_single([vocab.word_ids(a.text) for a in articles], params.config.max_len)
     hidden = enc.forward(params, batch, record=False).hidden_states
-    if pooling == "cls":
-        pooled = hidden[:, 0]
-    else:
-        mask = batch.attn_mask.astype(np.float64)
-        pooled = (hidden * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
+    mask = batch.attn_mask.astype(np.float64)
+    pooled = (hidden * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
     return pooled / np.linalg.norm(pooled, axis=1, keepdims=True)
 
 
-@pytest.mark.parametrize("pooling", ["mean", "cls"])
 class TestLengthGroupedPasses:
     @pytest.fixture(autouse=True)
     def small_passes(self, monkeypatch):
         # 8 rows of 3 tokens, 2 rows of 10: every length needs several passes
         monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 24)
 
-    def test_row_equals_one_article_index(self, pooling):
+    def test_row_equals_one_article_index(self):
         articles, vocab, params = ragged_world()
         rows = encode_single([vocab.word_ids(a.text) for a in articles], 10)
         lengths = rows.attn_mask.sum(axis=1)
         assert set(lengths.tolist()) == {3, 5, 7, 10}
-        index = ix.build_index(articles, params, vocab, pooling)
-        assert index.article_ids == tuple(a.article_id for a in articles)
+        index = ix.build_index(articles, params, vocab, SOURCE)
+        assert len(index) == len(articles)
         for row, article in enumerate(articles):
-            alone = ix.build_index([article], params, vocab, pooling).vectors[0]
+            alone = embed_one(params, article, vocab)
             assert np.array_equal(index.vectors[row], alone), article.article_id
         # the last article repeats the title of row 5
         assert np.array_equal(index.vectors[-1], index.vectors[5])
 
-    def test_rows_within_tolerance_of_full_width(self, pooling):
+    def test_rows_within_tolerance_of_full_width(self):
         articles, vocab, params = ragged_world()
-        index = ix.build_index(articles, params, vocab, pooling)
-        reference = full_width_vectors(articles, params, vocab, pooling)
+        index = ix.build_index(articles, params, vocab, SOURCE)
+        reference = full_width_vectors(articles, params, vocab)
         assert np.abs(index.vectors - reference).max() <= 1e-15
 
-    def test_knn_matches_full_width(self, pooling):
+    def test_knn_matches_full_width(self):
         """Every rank holds the reference's article, or one whose reference
         similarity ties it within 1e-15: vectors 1 ulp apart may order such
         near-ties (and BLAS may split exact ones) either way."""
         articles, vocab, params = ragged_world()
-        index = ix.build_index(articles, params, vocab, pooling)
-        reference = ix.EmbeddingIndex(
-            index.article_ids, full_width_vectors(articles, params, vocab, pooling)
-        )
+        index = ix.build_index(articles, params, vocab, SOURCE)
+        catalog = tuple(a.article_id for a in articles)
+        reference = ix.EmbeddingIndex(full_width_vectors(articles, params, vocab), SOURCE)
         for row in range(len(index)):
             sims = reference.vectors @ reference.vectors[row]
             for k in (1, 5, len(index)):
                 got = knn(index, index.vectors[row], k)
-                want = brute_force_knn(reference, reference.vectors[row], k)
+                want = brute_force_knn(catalog, reference, reference.vectors[row], k)
                 for g, w in zip(got, want, strict=True):
                     assert abs(sims[g] - sims[w]) <= 1e-15
 
@@ -256,7 +230,7 @@ class TestEmbeddingTraffic:
             return real_forward(params, rows, *args, **kwargs)
 
         monkeypatch.setattr(enc, "forward", spy)
-        ix.build_index(articles, params, vocab)
+        ix.build_index(articles, params, vocab, SOURCE)
         assert len({p.max_len for p in passes}) > 1
         for rows in passes:
             assert np.all(rows.attn_mask.sum(axis=1) == rows.max_len)
@@ -292,12 +266,11 @@ class TestHelperThread:
         # 6, 4 and 3 rows a pass, run in 1 + 2 + 2 + 2 = 7 passes
         monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", 30)
 
-    @pytest.mark.parametrize("pooling", ["mean", "cls"])
-    def test_two_threads_give_the_bytes_of_one(self, monkeypatch, pooling):
+    def test_two_threads_give_the_bytes_of_one(self, monkeypatch):
         articles, vocab, params = ragged_world()
         allow_helper(monkeypatch, cpus=1)
         alone = PassSpy(monkeypatch)
-        one = ix.build_index(articles, params, vocab, pooling)
+        one = ix.build_index(articles, params, vocab, SOURCE)
         assert alone.threads() == {False}
         assert len(alone.passes) == 7
         assert len({ids.shape[1] for _, ids in alone.passes}) == 4
@@ -305,10 +278,9 @@ class TestHelperThread:
 
         allow_helper(monkeypatch, cpus=2)
         shared = PassSpy(monkeypatch, meet=True)
-        two = ix.build_index(articles, params, vocab, pooling)
+        two = ix.build_index(articles, params, vocab, SOURCE)
         assert shared.threads() == {False, True}
         assert sorted(shared.rows_embedded()) == rows
-        assert two.article_ids == one.article_ids
         assert two.vectors.tobytes() == one.vectors.tobytes()
 
     def test_helper_needs_the_pass_threshold_and_a_second_cpu(self, monkeypatch):
@@ -316,21 +288,21 @@ class TestHelperThread:
         for cpus, min_passes, threads in [(2, 7, {False, True}), (2, 8, {False}), (1, 1, {False})]:
             allow_helper(monkeypatch, cpus, min_passes)
             spy = PassSpy(monkeypatch, meet=len(threads) == 2)
-            ix.build_index(articles, params, vocab)
+            ix.build_index(articles, params, vocab, SOURCE)
             assert spy.threads() == threads, (cpus, min_passes)
 
     def test_default_threshold_keeps_a_short_plan_on_one_thread(self, monkeypatch):
         articles, vocab, params = ragged_world()
         monkeypatch.setattr(ix, "usable_cpus", lambda: 2)
         spy = PassSpy(monkeypatch)
-        ix.build_index(articles, params, vocab)
+        ix.build_index(articles, params, vocab, SOURCE)
         assert len(spy.passes) < ix.HELPER_MIN_PASSES
         assert spy.threads() == {False}
 
     def test_caller_runs_every_pass_when_no_thread_starts(self, monkeypatch):
         articles, vocab, params = ragged_world()
         allow_helper(monkeypatch, cpus=1)
-        one = ix.build_index(articles, params, vocab)
+        one = ix.build_index(articles, params, vocab, SOURCE)
 
         def refuse(thread):
             raise RuntimeError("can't start new thread")
@@ -338,7 +310,7 @@ class TestHelperThread:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         allow_helper(monkeypatch, cpus=2)
         spy = PassSpy(monkeypatch)
-        index = ix.build_index(articles, params, vocab)
+        index = ix.build_index(articles, params, vocab, SOURCE)
         assert spy.threads() == {False}
         assert len(spy.passes) == 7
         assert index.vectors.tobytes() == one.vectors.tobytes()
@@ -357,7 +329,7 @@ class TestHelperThread:
         spy = PassSpy(monkeypatch, meet=True, act=act)
         before = threading.active_count()
         with pytest.raises(error, match="in the helper"):
-            ix.build_index(articles, params, vocab)
+            ix.build_index(articles, params, vocab, SOURCE)
         assert threading.active_count() == before
         # the caller took no pass after the one it was running
         assert [on_helper for on_helper, _ in spy.passes] == [False]
@@ -378,7 +350,7 @@ class TestHelperThread:
         spy = PassSpy(monkeypatch, meet=True, act=act)
         before = threading.active_count()
         with pytest.raises(error, match="in the caller"):
-            ix.build_index(articles, params, vocab)
+            ix.build_index(articles, params, vocab, SOURCE)
         assert threading.active_count() == before
         # the helper ends the pass it was running and at most one more, if
         # the caller lost the GIL between raising and recording the failure
@@ -398,7 +370,7 @@ class TestHelperThread:
 
         spy = PassSpy(monkeypatch, meet=True, act=act)
         with pytest.raises(DegenerateEmbeddingError) as raised:
-            ix.build_index(articles, params, vocab)
+            ix.build_index(articles, params, vocab, SOURCE)
         zeroed = set(spy.rows_embedded(on_helper=True))
         rows = live_rows(articles, vocab, params.config.max_len)
         first = next(a for a, row in zip(articles, rows) if row in zeroed)
@@ -427,7 +399,7 @@ class TestHelperThread:
         spy = PassSpy(monkeypatch, meet=True, act=act)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt, match="while waiting for the helper"):
-            ix.build_index(articles, params, vocab)
+            ix.build_index(articles, params, vocab, SOURCE)
         assert interrupted.is_set()
         assert joins == [spy.helper, spy.helper]
         assert not spy.helper.is_alive()
@@ -442,7 +414,7 @@ class TestQueryKnn:
 
     def test_self_retrieval(self):
         rng = np.random.default_rng(0)
-        index = random_index(40, 8, rng)
+        _, index = random_index(40, 8, rng)
         for row in range(0, len(index), 7):
             (top,) = knn(index, index.vectors[row], 1)
             assert top == row
@@ -450,9 +422,9 @@ class TestQueryKnn:
 
     def test_orthogonal_query_orders_by_id(self):
         ids = ["0000000004", "0000000002", "0000000009", "0000000001"]
-        index = unit_index(ids, np.eye(5)[:4])
+        catalog, index = unit_index(ids, np.eye(5)[:4])
         rows = knn(index, np.eye(5)[4], 3)
-        assert [index.article_ids[row] for row in rows] == [
+        assert [catalog[row] for row in rows] == [
             "0000000001", "0000000002", "0000000004"
         ]
         assert np.all(index.vectors[rows] @ np.eye(5)[4] == 0.0)
@@ -462,114 +434,116 @@ class TestQueryKnn:
         for _ in range(30):
             n = int(rng.integers(2, 80))
             dim = int(rng.integers(2, 17))
-            index = random_index(n, dim, rng)
+            catalog, index = random_index(n, dim, rng)
             query = rng.normal(size=dim)
             query /= np.linalg.norm(query)
             k = int(rng.integers(1, n + 1))
-            assert knn(index, query, k) == brute_force_knn(index, query, k)
+            assert knn(index, query, k) == brute_force_knn(catalog, index, query, k)
 
     def test_boundary_ties_resolve_by_id(self):
         # three identical vectors tie at the k=2 boundary
         base = np.array([1.0, 0.0])
         ids = ["0000000007", "0000000003", "0000000005", "0000000001"]
         vectors = [base, base, base, [0.0, 1.0]]
-        index = unit_index(ids, vectors)
+        catalog, index = unit_index(ids, vectors)
         rows = knn(index, base, 2)
-        assert [index.article_ids[row] for row in rows] == ["0000000003", "0000000005"]
-        assert rows == brute_force_knn(index, base, 2)
+        assert [catalog[row] for row in rows] == ["0000000003", "0000000005"]
+        assert rows == brute_force_knn(catalog, index, base, 2)
 
 
-def purchases_of(pairs, index=None):
+def purchases_of(pairs, catalog=None):
     """The purchase log of (customer, article) pairs, all on one day, coded
-    into the index's ids when one is given, as an ingested log is."""
+    into the catalog's ids when it is given, as an ingested log is."""
     return purchase_log(
-        ((date(2020, 9, 1), customer, article) for customer, article in pairs),
-        None if index is None else index.article_ids,
+        ((date(2020, 9, 1), customer, article) for customer, article in pairs), catalog
     )
 
 
-def profile_of(index, pairs, customer="u"):
+def profile_of(catalog, index, pairs, customer="u"):
     """The customer's profile from the serving pass's grouping, or None."""
-    return profiles_by_customer(purchases_of(pairs, index), index).get(customer)
+    return profiles_by_customer(purchases_of(pairs, catalog), index).get(customer)
 
 
-def serve_one(index, pairs, popularity, n=12, customer="u"):
+def serve_one(catalog, index, pairs, popularity, n=12, customer="u"):
     """One customer's picks through the serving pass."""
-    (picks,) = served_ids([customer], purchases_of(pairs, index), index, popularity, n)
+    (picks,) = served_ids([customer], purchases_of(pairs, catalog), index, popularity, n)
     return list(picks)
 
 
-def bought_ids(index, profile):
-    return {index.article_ids[row] for row in profile.rows}
+def bought_ids(catalog, profile):
+    return {catalog[row] for row in profile.rows}
 
 
-def per_customer_profile(index, purchased):
+def per_customer_profile(catalog, index, purchased):
     """Reference: the per-customer arithmetic, by article id."""
-    mean = np.mean([vector_of(index, a) for a in sorted(purchased)], axis=0)
+    mean = np.mean([vector_of(catalog, index, a) for a in sorted(purchased)], axis=0)
     norm = float(np.linalg.norm(mean))
     return None if norm < ix.NORM_FLOOR else mean / norm
 
 
 class TestCustomerProfile:
     def test_single_purchase_copies_row(self):
-        index = unit_index(["0000000001", "0000000002"], [[3.0, 4.0], [0.0, 1.0]])
-        profile = profile_of(index, [("u", "0000000001")])
-        assert bought_ids(index, profile) == {"0000000001"}
-        assert np.allclose(profile.vector, vector_of(index, "0000000001"))
+        catalog, index = unit_index(["0000000001", "0000000002"], [[3.0, 4.0], [0.0, 1.0]])
+        profile = profile_of(catalog, index, [("u", "0000000001")])
+        assert bought_ids(catalog, profile) == {"0000000001"}
+        assert np.allclose(profile.vector, vector_of(catalog, index, "0000000001"))
         assert abs(np.linalg.norm(profile.vector) - 1.0) < 1e-9
 
     def test_no_purchases_gives_absent_vector(self):
-        index = unit_index(["0000000001"], [[1.0, 0.0]])
-        assert profile_of(index, []) is None
+        catalog, index = unit_index(["0000000001"], [[1.0, 0.0]])
+        assert profile_of(catalog, index, []) is None
         # served like any customer without a profile
-        assert serve_one(index, [], ["0000000001"], n=1) == ["0000000001"]
+        assert serve_one(catalog, index, [], ["0000000001"], n=1) == ["0000000001"]
 
     def test_unindexed_purchases_ignored(self):
-        # joining the log to the catalog (the index's ids) drops such a purchase
-        index = unit_index(["0000000001"], [[1.0, 0.0]])
-        log = purchases_of([("u", "0000000099")]).of_articles(index.article_ids)
-        assert len(log) == 0 and log.article_ids == index.article_ids
+        # joining the log to the catalog (the ids of the index's rows) drops such a purchase
+        catalog, index = unit_index(["0000000001"], [[1.0, 0.0]])
+        log = purchases_of([("u", "0000000099")]).of_articles(catalog)
+        assert len(log) == 0 and log.article_ids == catalog
         assert ix.customer_profiles(log, index).owners.tolist() == []
 
     def test_log_over_other_articles_refused(self):
-        index = unit_index(["0000000001"], [[1.0, 0.0]])
-        with pytest.raises(ValueError, match="article table"):
-            ix.customer_profiles(purchases_of([("u", "0000000099")]), index)
+        _, index = unit_index(["0000000001"], [[1.0, 0.0]])
+        log = purchases_of([("u", "0000000099"), ("u", "0000000098")])
+        with pytest.raises(ValueError, match="article table has 2 ids, the index 1 rows"):
+            ix.customer_profiles(log, index)
 
     def test_other_customers_ignored(self):
-        index = unit_index(["0000000001", "0000000002"], np.eye(2))
-        profile = profile_of(index, [("u", "0000000001"), ("v", "0000000002")])
-        assert bought_ids(index, profile) == {"0000000001"}
+        catalog, index = unit_index(["0000000001", "0000000002"], np.eye(2))
+        profile = profile_of(catalog, index, [("u", "0000000001"), ("v", "0000000002")])
+        assert bought_ids(catalog, profile) == {"0000000001"}
 
     def test_duplicate_purchases_counted_once(self):
-        index = unit_index(["0000000001", "0000000002"], np.eye(2))
+        catalog, index = unit_index(["0000000001", "0000000002"], np.eye(2))
         profile = profile_of(
-            index, [("u", "0000000001"), ("u", "0000000001"), ("u", "0000000002")]
+            catalog, index, [("u", "0000000001"), ("u", "0000000001"), ("u", "0000000002")]
         )
-        expected = (vector_of(index, "0000000001") + vector_of(index, "0000000002")) / 2.0
+        expected = (index.vectors[0] + index.vectors[1]) / 2.0
         assert np.allclose(profile.vector, expected / np.linalg.norm(expected))
 
     def test_cancelling_purchases_degenerate(self):
-        index = unit_index(["0000000001", "0000000002"], [[1.0, 0.0], [-1.0, 0.0]])
-        profile = profile_of(index, [("u", "0000000001"), ("u", "0000000002")])
+        catalog, index = unit_index(["0000000001", "0000000002"], [[1.0, 0.0], [-1.0, 0.0]])
+        profile = profile_of(catalog, index, [("u", "0000000001"), ("u", "0000000002")])
         assert profile.vector is None
-        assert bought_ids(index, profile) == {"0000000001", "0000000002"}
+        assert bought_ids(catalog, profile) == {"0000000001", "0000000002"}
 
     def test_rows_in_ascending_id_order_and_bit_identical(self):
         rng = np.random.default_rng(4)
-        index = random_index(60, 7, rng)
+        catalog, index = random_index(60, 7, rng)
         pairs = [
-            (f"c{c}", index.article_ids[int(i)])
+            (f"c{c}", catalog[int(i)])
             for c in range(40)
             for i in rng.integers(0, 60, size=int(rng.integers(1, 9)))
         ]
-        profiles = profiles_by_customer(purchases_of(pairs, index), index)
+        profiles = profiles_by_customer(purchases_of(pairs, catalog), index)
         assert len(profiles) == 40
         for customer, profile in profiles.items():
             purchased = {a for c, a in pairs if c == customer}
-            ids = [index.article_ids[row] for row in profile.rows]
+            ids = [catalog[row] for row in profile.rows]
             assert ids == sorted(purchased)
-            assert np.array_equal(profile.vector, per_customer_profile(index, purchased))
+            assert np.array_equal(
+                profile.vector, per_customer_profile(catalog, index, purchased)
+            )
 
 
 def spread_index(n, dim=6, seed=3):
@@ -582,40 +556,40 @@ class TestRecommend:
         shared = np.array([0.6, 0.8, 0.0])
         ids = ["0000000001", "0000000002", "0000000003", "0000000004"]
         vectors = [shared, shared, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-        index = unit_index(ids, vectors)
-        result = serve_one(index, [("u", "0000000001")], popularity=[], n=3)
+        catalog, index = unit_index(ids, vectors)
+        result = serve_one(catalog, index, [("u", "0000000001")], popularity=[], n=3)
         assert result[0] == "0000000002"
         assert "0000000001" not in result
         assert len(result) == 3
 
     def test_cold_start_takes_popularity_head(self):
-        index = spread_index(30)
-        popularity = sorted(index.article_ids, reverse=True)
-        assert serve_one(index, [], popularity) == popularity[:12]
+        catalog, index = spread_index(30)
+        popularity = sorted(catalog, reverse=True)
+        assert serve_one(catalog, index, [], popularity) == popularity[:12]
 
     def test_degenerate_profile_takes_popularity_head(self):
-        index = unit_index(
+        catalog, index = unit_index(
             ["0000000001", "0000000002", "0000000003"],
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
         )
         pairs = [("u", "0000000001"), ("u", "0000000002")]
         popularity = ["0000000002", "0000000003", "0000000001"]
-        assert serve_one(index, pairs, popularity, n=3) == popularity
+        assert serve_one(catalog, index, pairs, popularity, n=3) == popularity
 
     def test_contract_twelve_distinct_valid_ids(self):
-        index = spread_index(40)
-        bought = {index.article_ids[0], index.article_ids[5]}
-        result = serve_one(index, [("u", a) for a in bought], list(index.article_ids))
+        catalog, index = spread_index(40)
+        bought = {catalog[0], catalog[5]}
+        result = serve_one(catalog, index, [("u", a) for a in bought], list(catalog))
         assert len(result) == 12
         assert len(set(result)) == 12
         assert all(re.fullmatch(r"[0-9]{10}", a) for a in result)
         assert not set(result) & bought
 
     def test_popularity_outside_the_index_is_never_served(self):
-        index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
+        catalog, index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
         # popularity is index rows, so it cannot name an article outside the index
         popularity = ["0000000003"]
-        log = purchases_of([("warm", "0000000001")], index)
+        log = purchases_of([("warm", "0000000001")], catalog)
         # cold takes the popularity head, then ascending ids; warm's two
         # unpurchased rows tie and order by id
         assert served_ids(["cold", "warm"], log, index, popularity, 2) == [
@@ -624,44 +598,43 @@ class TestRecommend:
         ]
         # no id outside the index fills a short row
         with pytest.raises(InsufficientCandidatesError, match="only 2 of 3 .* for warm"):
-            ix.serve(["warm"], log, index, popular_rows(index, popularity), 3)
+            ix.serve(["warm"], log, index, popular_rows(catalog, popularity), 3)
         with pytest.raises(InsufficientCandidatesError, match="only 3 of 4 .* for cold"):
-            ix.serve(["cold"], log, index, popular_rows(index, popularity), 4)
+            ix.serve(["cold"], log, index, popular_rows(catalog, popularity), 4)
 
     def test_catalog_extension_after_popularity_runs_out(self):
-        index = spread_index(15)
-        result = serve_one(index, [], popularity=[], n=12)
-        assert result == sorted(index.article_ids)[:12]
+        catalog, index = spread_index(15)
+        result = serve_one(catalog, index, [], popularity=[], n=12)
+        assert result == sorted(catalog)[:12]
 
     def test_insufficient_candidates(self):
-        index = unit_index(["0000000001", "0000000002"], np.eye(2))
+        catalog, index = unit_index(["0000000001", "0000000002"], np.eye(2))
         with pytest.raises(InsufficientCandidatesError):
-            serve_one(index, [], popularity=["0000000001"], n=12)
+            serve_one(catalog, index, [], popularity=["0000000001"], n=12)
 
     def test_deterministic(self):
-        index = spread_index(50)
-        pairs = [("u", index.article_ids[3])]
-        first = serve_one(index, pairs, list(index.article_ids))
-        second = serve_one(index, pairs, list(index.article_ids))
+        catalog, index = spread_index(50)
+        pairs = [("u", catalog[3])]
+        first = serve_one(catalog, index, pairs, list(catalog))
+        second = serve_one(catalog, index, pairs, list(catalog))
         assert first == second
 
 
-def full_sort_serve(customers, pairs, index, popularity, n):
+def full_sort_serve(customers, pairs, catalog, index, popularity, n):
     """Reference serving: per customer, a full sort of every row on
     (similarity desc, article id asc), purchases dropped, then popularity
     ids the index holds and the catalog in ascending-id order; customers
     without a profile vector take those with nothing dropped. None marks a
     customer left with fewer than ``n`` candidates."""
-    catalog = set(index.article_ids)
     served = []
     for customer in customers:
         purchased = {a for c, a in pairs if c == customer and a in catalog}
-        vector = per_customer_profile(index, purchased) if purchased else None
+        vector = per_customer_profile(catalog, index, purchased) if purchased else None
         if vector is None:
             ranked, excluded = [], set()
         else:
-            order = full_sort(index.vectors @ vector, index.article_ids)
-            ranked, excluded = [index.article_ids[i] for i in order], purchased
+            order = full_sort(index.vectors @ vector, catalog)
+            ranked, excluded = [catalog[i] for i in order], purchased
         popular = [a for a in popularity if a in catalog]
         picks = []
         for article_id in ranked + popular + sorted(catalog):
@@ -690,8 +663,7 @@ class TestServe:
         rng = np.random.default_rng(11)
         degenerate = short = 0
         for _ in range(60):
-            index = tied_index(rng, int(rng.integers(2, 40)), int(rng.integers(2, 6)))
-            ids = list(index.article_ids)
+            ids, index = tied_index(rng, int(rng.integers(2, 40)), int(rng.integers(2, 6)))
             n = int(rng.integers(1, 13))
             pairs = []
             for c in range(12):
@@ -700,13 +672,13 @@ class TestServe:
             # c12-c14 are never seen in the log
             customers = [f"c{c:02d}" for c in range(15)]
             popularity = list(rng.permutation(ids))[: int(rng.integers(0, 12))]
-            expected = full_sort_serve(customers, pairs, index, popularity, n)
-            log = purchases_of(pairs, index)
+            expected = full_sort_serve(customers, pairs, ids, index, popularity, n)
+            log = purchases_of(pairs, ids)
             degenerate += int((~ix.customer_profiles(log, index).usable).sum())
             if None in expected:
                 short += 1
                 with pytest.raises(InsufficientCandidatesError):
-                    ix.serve(customers, log, index, popular_rows(index, popularity), n)
+                    ix.serve(customers, log, index, popular_rows(ids, popularity), n)
             else:
                 assert served_ids(customers, log, index, popularity, n) == expected
         # the draws reach cancelling profiles and short candidate lists too
@@ -717,47 +689,47 @@ class TestServe:
         ids = ["0000000007", "0000000003", "0000000005", "0000000001", "0000000009",
                "0000000002", "0000000004"]
         vectors = [base, base, base, base, [1.0, 0.2, 0.0], [1.0, -0.2, 0.0], [0.0, 0.0, 1.0]]
-        index = unit_index(ids, vectors)
+        catalog, index = unit_index(ids, vectors)
         # the profile points along base, so four rows tie at the top; the
         # purchase 0000000003 sits inside that tie, 0000000009 and 0000000002
         # tie just below it, at the k = n + 3 boundary for n = 2
         pairs = [("u", "0000000003"), ("u", "0000000009"), ("u", "0000000002")]
         popularity = ["0000000004"]
         for n in range(1, 5):
-            expected = full_sort_serve(["u"], pairs, index, popularity, n)[0]
-            assert tuple(serve_one(index, pairs, popularity, n)) == expected
-        assert serve_one(index, pairs, popularity, n=3) == [
+            expected = full_sort_serve(["u"], pairs, catalog, index, popularity, n)[0]
+            assert tuple(serve_one(catalog, index, pairs, popularity, n)) == expected
+        assert serve_one(catalog, index, pairs, popularity, n=3) == [
             "0000000001", "0000000005", "0000000007"
         ]
 
     def test_small_index_backfills_popularity_then_ascending_ids(self):
-        index = spread_index(6, dim=3)
-        ids = sorted(index.article_ids)
+        ids, index = spread_index(6, dim=3)
         pairs = [("u", ids[1]), ("u", ids[4])]
         popularity = [ids[4], ids[5]]
         # 6 rows = n + 2 purchases: u gets the four unpurchased rows; v,
         # never seen, gets popularity and then the catalog in ascending-id order
-        log = purchases_of(pairs, index)
+        log = purchases_of(pairs, ids)
         warm, cold = served_ids(["u", "v"], log, index, popularity, 4)
         assert sorted(warm) == [ids[0], ids[2], ids[3], ids[5]]
         assert cold == (ids[4], ids[5], ids[0], ids[1])
-        assert [warm, cold] == full_sort_serve(["u", "v"], pairs, index, popularity, 4)
+        assert [warm, cold] == full_sort_serve(["u", "v"], pairs, ids, index, popularity, 4)
         with pytest.raises(InsufficientCandidatesError, match="only 4 of 5 .* for u"):
-            ix.serve(["u", "v"], log, index, popular_rows(index, popularity), 5)
+            ix.serve(["u", "v"], log, index, popular_rows(ids, popularity), 5)
 
     def test_insufficient_candidates_names_customer(self):
-        index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
+        catalog, index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
         pairs = [("a", "0000000001"), ("b", "0000000002"), ("b", "0000000003")]
         # a still has two unpurchased rows; b has one, one short of n = 2
-        assert serve_one(index, pairs, [], n=2, customer="a") == ["0000000002", "0000000003"]
+        picks = serve_one(catalog, index, pairs, [], n=2, customer="a")
+        assert picks == ["0000000002", "0000000003"]
         with pytest.raises(InsufficientCandidatesError, match="for b"):
-            ix.serve(["a", "b"], purchases_of(pairs, index), index, [], 2)
+            ix.serve(["a", "b"], purchases_of(pairs, catalog), index, [], 2)
 
     def test_n_below_one_rejected(self):
-        index = unit_index(["0000000001"], [[1.0]])
+        catalog, index = unit_index(["0000000001"], [[1.0]])
         for n in (0, -1):
             with pytest.raises(KTooLargeError):
-                ix.serve(["u"], purchases_of([], index), index, [], n)
+                ix.serve(["u"], purchases_of([], catalog), index, [], n)
 
 
 class TestPopularityRanking:
@@ -779,78 +751,67 @@ class TestPopularityRanking:
 
 
 class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        index = spread_index(17, dim=5)
+    def saved(self, tmp_path, n, dim):
+        """A spread index saved over its catalog: the catalog, the index and
+        the file's path."""
+        catalog, index = spread_index(n, dim)
         path = tmp_path / "index.bin"
-        ix.save_index(index, path)
-        loaded = ix.load_index(path)
-        assert loaded.article_ids == index.article_ids
+        ix.save_index(index, catalog, path)
+        return catalog, index, path
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        catalog, index, path = self.saved(tmp_path, 17, 5)
+        loaded = ix.load_index(path, catalog, SOURCE)
+        assert loaded.source == SOURCE
         assert np.array_equal(loaded.vectors, index.vectors)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "index.bin"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 32)
-        with pytest.raises(ArtifactFormatError):
-            ix.load_index(path)
+        with pytest.raises(ArtifactFormatError, match="bad magic"):
+            ix.load_index(path, (), SOURCE)
 
     def test_truncation(self, tmp_path):
-        index = spread_index(9, dim=4)
-        path = tmp_path / "index.bin"
-        ix.save_index(index, path)
+        catalog, _, path = self.saved(tmp_path, 9, 4)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-11])
-        with pytest.raises(ArtifactFormatError):
-            ix.load_index(path)
-
-    def test_trailing_garbage(self, tmp_path):
-        index = spread_index(4, dim=3)
-        path = tmp_path / "index.bin"
-        ix.save_index(index, path)
-        path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(ArtifactFormatError):
-            ix.load_index(path)
+        # in the header, then in the payload (the source block is 77 bytes)
+        for end in (12, len(blob) - 77 - 11):
+            path.write_bytes(blob[:end])
+            with pytest.raises(ArtifactFormatError, match="truncated"):
+                ix.load_index(path, catalog, SOURCE)
 
     def test_wrong_metric_tag(self, tmp_path):
-        index = spread_index(4, dim=3)
-        path = tmp_path / "index.bin"
-        ix.save_index(index, path)
+        catalog, _, path = self.saved(tmp_path, 4, 3)
         blob = bytearray(path.read_bytes())
         offset = len(ix.INDEX_MAGIC) + 9  # first byte of the metric tag
         blob[offset : offset + 6] = b"volume"
         path.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactFormatError):
-            ix.load_index(path)
+        with pytest.raises(ArtifactFormatError, match="unsupported metric 'volume'"):
+            ix.load_index(path, catalog, SOURCE)
 
     def test_source_block_round_trip(self, tmp_path):
-        index = spread_index(6, dim=4)
-        plain_path, sourced_path = tmp_path / "plain.bin", tmp_path / "sourced.bin"
-        ix.save_index(index, plain_path)
-        source = ix.IndexSource("ab" * 32, "cd" * 32, "cls")
-        ix.save_index(ix.EmbeddingIndex(index.article_ids, index.vectors, source), sourced_path)
-        assert ix.load_index(plain_path).source is None
-        loaded = ix.load_index(sourced_path)
-        assert loaded.source == source
-        assert np.array_equal(loaded.vectors, index.vectors)
-        # the block only trails the TRECIDX1 layout, which stays readable as before
-        plain = plain_path.read_bytes()
-        assert sourced_path.read_bytes().startswith(plain)
+        catalog, index, path = self.saved(tmp_path, 6, 4)
+        blob = path.read_bytes()
+        # the block trails the TRECIDX1 layout, and its pooling is always mean
+        block = ix.SOURCE_MAGIC + b"\xab" * 32 + b"\xcd" * 32 + b"\x04mean"
+        assert blob.endswith(block)
+        assert len(blob) == 8 + 9 + 6 + 10 * 6 + 8 * 6 * 4 + len(block)
+        assert ix.load_index(path, catalog, SOURCE).source == SOURCE
+        # another checkpoint or text, or another catalog, is not this index
+        for source in (ix.IndexSource("ef" * 32, "cd" * 32), ix.IndexSource("ab" * 32, "ef" * 32)):
+            assert ix.load_index(path, catalog, source) is None
+        assert ix.load_index(path, catalog[:-1], SOURCE) is None
+        assert ix.load_index(path, (*catalog[:-1], "9999999999"), SOURCE) is None
 
-    def test_untracked_text_block_reads_as_unknown_origin(self, tmp_path):
-        path = tmp_path / "index.bin"
-        index = spread_index(3, dim=2)
-        ix.save_index(index, path)
-        # the earlier source block: checkpoint sha256 and pooling only
-        path.write_bytes(path.read_bytes() + b"TRECSRC1" + b"\xab" * 32 + b"\x04mean")
-        loaded = ix.load_index(path)
-        assert loaded.source is None
-        assert np.array_equal(loaded.vectors, index.vectors)
-
-    def test_unknown_trailing_block_rejected(self, tmp_path):
-        path = tmp_path / "index.bin"
-        ix.save_index(spread_index(3, dim=2), path)
-        path.write_bytes(path.read_bytes() + b"NOTASRC1" + b"\x00" * 40)
-        with pytest.raises(ArtifactFormatError):
-            ix.load_index(path)
+    @pytest.mark.parametrize(
+        "catalog", [("0000000001",), ("0000000001", "000000002"), ("0000000001", "000000000é")],
+        ids=["fewer", "short", "non-ascii"],
+    )
+    def test_ids_must_label_every_row(self, tmp_path, catalog):
+        _, index = unit_index(["0000000001", "0000000002"], np.eye(2))
+        with pytest.raises(ArtifactFormatError, match="10 ascii characters"):
+            ix.save_index(index, catalog, tmp_path / "index.bin")
+        assert not (tmp_path / "index.bin").exists()
 
 
 def twins_ordered(picks, twins):
@@ -867,10 +828,11 @@ class TestMatrixAlignment:
 
     def test_built_loaded_and_twin_matrices_start_on_64_bytes(self, tiny_params, tmp_path):
         articles, vocab = small_world()
-        built = ix.build_index(articles, tiny_params, vocab)
-        ix.save_index(built, tmp_path / "index.bin")
-        loaded = ix.load_index(tmp_path / "index.bin")
-        twins, _ = TestTwins().tail_twin_index().twins
+        built = ix.build_index(articles, tiny_params, vocab, SOURCE)
+        catalog = tuple(a.article_id for a in articles)
+        ix.save_index(built, catalog, tmp_path / "index.bin")
+        loaded = ix.load_index(tmp_path / "index.bin", catalog, SOURCE)
+        twins, _ = TestTwins().tail_twin_index()[1].twins
         for matrix in (built.vectors, loaded.vectors, twins):
             assert matrix.__array_interface__["data"][0] % 64 == 0
             assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
@@ -891,7 +853,7 @@ class TestTwins:
         return unit_index(ids, vectors)
 
     def test_tail_twin_scores_once(self):
-        index = self.tail_twin_index()
+        _, index = self.tail_twin_index()
         queries = np.random.default_rng(22).normal(size=(200, 32))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         sims = ix.similarities(index, queries)
@@ -901,16 +863,16 @@ class TestTwins:
         assert np.array_equal(np.delete(sims, 2000, axis=1)[7], distinct @ queries[7])
 
     def test_tail_twins_served_by_id(self):
-        index = self.tail_twin_index()
+        catalog, index = self.tail_twin_index()
         customers = [f"c{i:03d}" for i in range(60)]
-        pairs = [(c, index.article_ids[100 + i]) for i, c in enumerate(customers)]
-        served = served_ids(customers, purchases_of(pairs, index), index, [], len(index) - 1)
+        pairs = [(c, catalog[100 + i]) for i, c in enumerate(customers)]
+        served = served_ids(customers, purchases_of(pairs, catalog), index, [], len(index) - 1)
         # each customer gets every other row, so both twins, adjacent and by id
         assert all(twins_ordered(p, {"0000000010", "0000002010"}) for p in served)
 
     def test_ragged_reference_rows_5_and_26(self):
         articles, vocab, params = ragged_world()
-        index = ix.build_index(articles, params, vocab)
+        index = ix.build_index(articles, params, vocab, SOURCE)
         # titles repeat every 12 articles, and row 26 repeats row 5's title:
         # rows 5, 17 and 26 are one vector, and 24 to 26 are BLAS's tail rows
         position = index.twins[1]
@@ -919,23 +881,20 @@ class TestTwins:
         assert np.array_equal(sims[:, 5], sims[:, 26])
         customers = [a.article_id for a in articles]
         pairs = [(a.article_id, a.article_id) for a in articles]
-        served = served_ids(customers, purchases_of(pairs, index), index, [], 26)
+        served = served_ids(customers, purchases_of(pairs, tuple(customers)), index, [], 26)
         for group in set(position.tolist()):
             twins = {customers[row] for row in np.flatnonzero(position == group).tolist()}
             assert all(twins_ordered(picks, twins) for picks in served), twins
 
     def test_distinct_rows_score_with_the_plain_product(self):
-        index = spread_index(50, dim=7)
+        _, index = spread_index(50, dim=7)
         assert index.twins is None
         queries = index.vectors[:9]
         expected = np.stack([index.vectors @ query for query in queries])
         assert np.array_equal(ix.similarities(index, queries), expected)
 
     def test_signed_zeros_are_twins(self):
-        index = ix.EmbeddingIndex(
-            ("0000000001", "0000000002", "0000000003"),
-            np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]]),
-        )
+        index = ix.EmbeddingIndex(np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]]), SOURCE)
         distinct, position = index.twins
         assert position.tolist() == [0, 0, 1]
         assert np.array_equal(distinct, [[0.0, 1.0], [1.0, 0.0]])
@@ -952,8 +911,9 @@ def loop_serve(customers, log, index, popularity, n):
     order.
     """
     profiles = profiles_by_customer(log, index)
-    row_of = {a: i for i, a in enumerate(index.article_ids)}
-    by_id = sorted(range(len(index)), key=index.article_ids.__getitem__)
+    catalog = log.article_ids
+    row_of = {a: i for i, a in enumerate(catalog)}
+    by_id = sorted(range(len(index)), key=catalog.__getitem__)
     backfill = [row_of[a] for a in popularity if a in row_of] + by_id
     served = []
     for customer in customers:
@@ -962,7 +922,7 @@ def loop_serve(customers, log, index, popularity, n):
         if profile is not None and profile.vector is not None:
             excluded = set(profile.rows.tolist())
             sims = ix.similarities(index, profile.vector[None])[0]
-            ranked = full_sort(sims, index.article_ids)
+            ranked = full_sort(sims, catalog)
             picks = [row for row in ranked if row not in excluded][:n]
         for row in backfill:
             if len(picks) == n:
@@ -973,15 +933,15 @@ def loop_serve(customers, log, index, popularity, n):
             raise InsufficientCandidatesError(
                 f"only {len(picks)} of {n} candidates available for {customer}"
             )
-        served.append(tuple(index.article_ids[row] for row in picks))
+        served.append(tuple(catalog[row] for row in picks))
     return served
 
 
-def interleaved_customers(rng, index, count, spare=0):
+def interleaved_customers(rng, catalog, index, count, spare=0):
     """``count`` customers in a shuffled order, with their purchases: some
     never seen, some with cancelling (degenerate) purchases, some who bought
     all but ``spare`` to ``spare + 3`` rows of the index, the rest a few rows."""
-    ids = list(index.article_ids)
+    ids = list(catalog)
     opposite = {}
     for i, vector in enumerate(index.vectors):
         for j in range(i):
@@ -1011,16 +971,16 @@ class TestBlockSelection:
     """Block selection equals the per-customer loop it replaced."""
 
     def check(self, rng, n_rows, dim, customers, n, spare=0):
-        index = tied_index(rng, n_rows, dim)
-        customers, pairs = interleaved_customers(rng, index, customers, spare)
-        log = purchases_of(pairs, index)
-        popularity = list(rng.permutation(list(index.article_ids)))[: int(rng.integers(0, 8))]
+        catalog, index = tied_index(rng, n_rows, dim)
+        customers, pairs = interleaved_customers(rng, catalog, index, customers, spare)
+        log = purchases_of(pairs, catalog)
+        popularity = list(rng.permutation(list(catalog)))[: int(rng.integers(0, 8))]
         warm = int(ix.customer_profiles(log, index).usable.sum())
         try:
             expected = loop_serve(customers, log, index, popularity, n)
         except InsufficientCandidatesError as exc:
             with pytest.raises(InsufficientCandidatesError) as caught:
-                ix.serve(customers, log, index, popular_rows(index, popularity), n)
+                ix.serve(customers, log, index, popular_rows(catalog, popularity), n)
             assert str(caught.value) == str(exc)
             return "short", warm
         assert served_ids(customers, log, index, popularity, n) == expected
@@ -1045,8 +1005,8 @@ class TestBlockSelection:
         assert outcome == "served" and warm > ix.BLOCK_SCORES // 30
 
     def test_first_short_customer_named_in_input_order(self):
-        index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
-        log = purchases_of([("warm", "0000000001"), ("warm", "0000000002")], index)
+        catalog, index = unit_index(["0000000001", "0000000002", "0000000003"], np.eye(3))
+        log = purchases_of([("warm", "0000000001"), ("warm", "0000000002")], catalog)
         # the cold head has 3 candidates, warm keeps 1: warm is short at n = 2
         # and both are short at n = 4, where the first in input order is named
         for customers, n, named in (

@@ -22,7 +22,7 @@ import pytest
 from titlerec import cli, corpus, evaluation, objectives
 from titlerec import index as ix
 
-from conftest import profiles_by_customer
+from conftest import SOURCE, profiles_by_customer
 from synth import log_rows, purchase_log, to_csv, trlog_bytes
 
 HOLDOUT_DAYS = 7
@@ -95,15 +95,15 @@ def positives_of(records, inventory):
     return pairs
 
 
-def profiles_of(records, index):
+def profiles_of(records, catalog, index):
     bought = defaultdict(set)
     for r in records:
-        if r.article_id in index.article_ids:
+        if r.article_id in catalog:
             bought[r.customer_id].add(r.article_id)
     profiles = {}
     for customer, purchased in bought.items():
         ids = sorted(purchased)
-        mean = np.mean(index.vectors[[index.article_ids.index(a) for a in ids]], axis=0)
+        mean = np.mean(index.vectors[[catalog.index(a) for a in ids]], axis=0)
         norm = float(np.linalg.norm(mean))
         profiles[customer] = (ids, mean / norm if norm >= ix.NORM_FLOOR else None)
     return profiles
@@ -135,11 +135,11 @@ def world(tmp_path_factory):
     ingested = corpus.load_transactions(path).of_articles(tuple(sorted(catalog)))
     corpus.save_transactions(ingested, tmp / "transactions.bin", HOLDOUT_DAYS)
     log = corpus.load_saved_transactions(tmp / "transactions.bin", HOLDOUT_DAYS)[0]
-    # the index covers the catalog, as the ingested log's article table does
+    # the index has a row per catalog row, as the ingested log's article table does
     rng = np.random.default_rng(3)
     vectors = rng.normal(size=(len(catalog), 6))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    index = ix.EmbeddingIndex(tuple(sorted(catalog)), vectors)
+    index = ix.EmbeddingIndex(vectors, SOURCE)
     return {"tmp": tmp, "catalog": catalog, "records": joined_records, "log": log,
             "ingested": ingested, "index": index}
 
@@ -193,14 +193,15 @@ def test_sessions_and_positive_order(world):
 
 def test_profiles_bit_identical(world):
     index = world["index"]
+    catalog = tuple(sorted(world["catalog"]))
     train, _ = evaluation.temporal_split(world["log"], HOLDOUT_DAYS)
     profiles = profiles_by_customer(train, index)
-    expected = profiles_of(split_records(world["records"])[0], index)
+    expected = profiles_of(split_records(world["records"])[0], catalog, index)
     assert profiles.keys() == expected.keys()
     assert max(len(ids) for ids, _ in expected.values()) >= 3
     for customer, (ids, vector) in expected.items():
         profile = profiles[customer]
-        assert [index.article_ids[row] for row in profile.rows] == ids
+        assert [catalog[row] for row in profile.rows] == ids
         assert profile.vector.tobytes() == vector.tobytes()
 
 
