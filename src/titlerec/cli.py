@@ -56,7 +56,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import hashlib
 import json
 import math
 import operator
@@ -360,7 +359,7 @@ def _missing_description(summary_path: Path) -> dict[str, tuple[int, int]]:
 
 def cmd_stats(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
-    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
+    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))[0]
     if not prepared:
         raise MissingArtifactError("prepared corpus is empty; rerun ingest on real data")
     missing = _missing_description(_require(workdir / INGEST_SUMMARY_FILE, "titlerec ingest"))
@@ -381,7 +380,7 @@ def cmd_stats(config: PipelineConfig) -> str:
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_train(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
-    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
+    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))[0]
     joined, holdout_days = _load_joined(config, tuple(p.article_id for p in prepared))
     train_window, _ = evaluation.temporal_split(joined, holdout_days)
 
@@ -470,14 +469,14 @@ def cmd_recommend(config: PipelineConfig) -> str:
             f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} was trained with "
             f"{params.config.vocab_size}; both must come from the same `titlerec train`"
         )
-    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
+    prepared, prepared_sha256 = corpus.load_prepared(
+        _require(workdir / PREPARED_FILE, "titlerec ingest")
+    )
     joined, holdout_days = _load_joined(config, tuple(p.article_id for p in prepared))
 
     index_path = workdir / INDEX_FILE
     catalog = joined.article_ids
-    source = index_mod.IndexSource(
-        checkpoint_sha256, hashlib.sha256((workdir / PREPARED_FILE).read_bytes()).hexdigest()
-    )
+    source = index_mod.IndexSource(checkpoint_sha256, prepared_sha256)
     article_index = (
         index_mod.load_index(index_path, catalog, source) if index_path.exists() else None
     )
@@ -527,7 +526,7 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
     if config.articles is None:
         raise InvalidConfigError("--customer spot check needs --articles for product types")
     articles = corpus.load_articles(config.articles)
-    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
+    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))[0]
     # map_at_12 above refused a repeated customer, so one row at most is theirs
     customers = submission.customer_ids
     recommended = (

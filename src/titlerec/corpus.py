@@ -37,6 +37,7 @@ refused, since it would train on, or score against, other days.
 from __future__ import annotations
 
 import csv
+import hashlib
 import re
 import struct
 from collections import Counter
@@ -351,9 +352,11 @@ def save_prepared(articles: list[PreparedArticle], path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_prepared(path: str | Path) -> list[PreparedArticle]:
-    """The prepared articles, refused unless their ids ascend strictly."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def load_prepared(path: str | Path) -> tuple[list[PreparedArticle], str]:
+    """The prepared articles, refused unless their ids ascend strictly, and
+    the sha256 hex digest of the bytes they were parsed from."""
+    blob = Path(path).read_bytes()
+    lines = blob.decode("utf-8").splitlines()
     if not lines or lines[0] != "article_id\ttext\ttext_len":
         raise MalformedRowError(f"{path}: not a prepared-articles file")
     out = []
@@ -368,7 +371,7 @@ def load_prepared(path: str | Path) -> list[PreparedArticle]:
         if out and fields[0] <= out[-1].article_id:
             raise MalformedRowError(f"{path}: row {n}: article_id {fields[0]!r} does not ascend")
         out.append(PreparedArticle(fields[0], fields[1], text_len))
-    return out
+    return out, hashlib.sha256(blob).hexdigest()
 
 
 LOG_MAGIC = b"TRLOG002"

@@ -712,7 +712,7 @@ class TestRecommend:
         )[0]
         train_window, _ = evaluation.temporal_split(transactions, holdout_days=7)
         popularity = [train_window.article_ids[c] for c in ix.popularity_ranking(train_window)]
-        prepared = corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
+        prepared = corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)[0]
         backfill = [p.article_id for p in sorted(prepared, key=lambda p: p.article_id)]
         expected = (popularity + [a for a in backfill if a not in popularity])[:12]
         assert list(by_customer["zzz_never_bought"]) == expected
@@ -770,7 +770,7 @@ class TestRecommend:
     def test_stale_index_detected(self, pipeline, tmp_path, capsys):
         # a hand-edited catalog no longer matches the log ingest wrote with it
         clone = fresh_copy(pipeline, tmp_path)
-        prepared = corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
+        prepared = corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)[0]
         corpus.save_prepared(prepared[:-1], clone["workdir"] / cli.PREPARED_FILE)
         rc = run_cli("recommend", *clone["base"])
         assert rc == 1
@@ -1067,7 +1067,7 @@ class TestEvaluate:
         out = capsys.readouterr().out
         text_of = {
             p.article_id: p.text
-            for p in corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
+            for p in corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)[0]
         }
         items = [line for line in out.splitlines() if line.startswith("  0")]
         assert len(items) > 12  # the recommended items and at least one purchase
@@ -1089,7 +1089,7 @@ class TestEvaluate:
         type_of = {a.article_id: a.product_type_name for a in articles}
         text_of = {
             p.article_id: p.text
-            for p in corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
+            for p in corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)[0]
         }
         assert lines[start : start + 12] == [
             f"  {a}  {type_of[a]}  {text_of[a]}" for a in rows[0].article_ids
@@ -1416,7 +1416,7 @@ class TestErrorSurface:
         vocab = Vocabulary.load(clone["workdir"] / cli.VOCAB_FILE)
         first = next(
             article.article_id
-            for article in corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)
+            for article in corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)[0]
             if 7 in vocab.word_ids(article.text)[: params.config.max_len - 2]
         )
         capsys.readouterr()
@@ -1613,7 +1613,7 @@ class TestLibraryExample:
         capsys.readouterr()
         exec(compile(example, "README.md", "exec"), {})
         hits = [line.split() for line in capsys.readouterr().out.splitlines()]
-        prepared = corpus.load_prepared(tmp_path / "run1" / cli.PREPARED_FILE)
+        prepared = corpus.load_prepared(tmp_path / "run1" / cli.PREPARED_FILE)[0]
         catalog = {article.article_id for article in prepared}
         assert len(hits) == 5 and all(article_id in catalog for article_id, _ in hits)
         sims = [float(sim) for _, sim in hits]
@@ -1636,7 +1636,7 @@ class TestBenchmarkReader:
         monkeypatch.setitem(sys.modules, spec.name, checks)  # its dataclasses look it up
         spec.loader.exec_module(checks)
         ids, vectors = checks.read_index(workdir / cli.INDEX_FILE)
-        catalog = tuple(a.article_id for a in corpus.load_prepared(workdir / cli.PREPARED_FILE))
+        catalog = tuple(a.article_id for a in corpus.load_prepared(workdir / cli.PREPARED_FILE)[0])
         assert tuple(ids) == catalog
         source = ix.IndexSource(
             *(hashlib.sha256((workdir / name).read_bytes()).hexdigest()

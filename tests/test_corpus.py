@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields, replace
 from datetime import date
 
@@ -237,7 +238,13 @@ class TestPersistence:
         records = corpus.load_articles(write(tmp_path, "a.csv", ARTICLES_CSV))
         prepared = corpus.prepare_articles(records)
         corpus.save_prepared(prepared, tmp_path / "prepared.tsv")
-        assert corpus.load_prepared(tmp_path / "prepared.tsv") == prepared
+        assert corpus.load_prepared(tmp_path / "prepared.tsv")[0] == prepared
+
+    def test_prepared_digest_is_the_file_sha256(self, tmp_path):
+        records = corpus.load_articles(write(tmp_path, "a.csv", ARTICLES_CSV))
+        path = tmp_path / "prepared.tsv"
+        corpus.save_prepared(corpus.prepare_articles(records), path)
+        assert corpus.load_prepared(path)[1] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_transactions_round_trip(self, tmp_path):
         transactions = corpus.load_transactions(write(tmp_path, "t.csv", TRANSACTIONS_CSV))

@@ -416,6 +416,19 @@ class TestBatchedForward:
         shuffled.ids[1, live:] = [9, 10]  # any ids may sit in the PAD tail
         assert np.array_equal(enc.forward(tiny_params, shuffled).hidden_states[1, :live], alone)
 
+        # an all-live pass skips the pad mask; its rows match the masked
+        # path's (weights large enough that attention moves the last bits)
+        full = tiny_config.max_len
+        all_live = self.rows(tiny_config, rng, (full, full, full))
+        padded = TokenBatch.concat(all_live, self.rows(tiny_config, rng, (4,)))
+        assert padded.attn_mask.sum() < padded.attn_mask.size
+        count = enc.parameter_count(tiny_config)
+        params = enc.EncoderParams(tiny_config, rng.normal(0.0, 0.5, count))
+        assert np.array_equal(
+            enc.forward(params, all_live).hidden_states,
+            enc.forward(params, padded).hidden_states[:3],
+        )
+
     def test_attention_per_row_mask(self, tiny_config, tiny_params):
         batch = self.rows(tiny_config, np.random.default_rng(32), (3, 7, 5))
         trace = enc.forward(tiny_params, batch)
@@ -485,10 +498,18 @@ class TestGelu:
 
 
 class TestInPlaceKernels:
-    """Layer norm, the GELU derivative and the softmax row max equal their
-    plain formulas, kept here as references, bit for bit."""
+    """Layer norm, the GELU derivative, the softmax row max and the blocks
+    that add into their products' buffers equal their plain formulas, kept
+    here as references, bit for bit."""
 
     SHAPES = [(16, 16, 32), (5, 48, 64), (8, 3, 32), (8, 16, 48), (2, 1, 7)]
+    # each shape whole, and each shape of width >= 3 cut to about half its positions
+    CUTS = [
+        pytest.param(shape, cut, id="x".join(map(str, shape)) + ("-cut" if cut else ""))
+        for shape in SHAPES
+        for cut in (False, True)
+        if shape[1] >= 3 or not cut
+    ]
 
     @staticmethod
     def reference_layer_norm(x, gain, bias, eps):
@@ -539,6 +560,134 @@ class TestInPlaceKernels:
         scores.reshape(-1, shape[-1])[0] = -0.0
         scores.reshape(-1, shape[-1])[-1, 0] = np.nan
         assert_bitwise_equal(enc._row_max(scores), scores.max(axis=-1, keepdims=True))
+
+    @staticmethod
+    def block_world(shape, cut):
+        """Random parameters (biases and gains too) of a one-layer model of
+        width d, random (B, T, d) inputs, the cut's picks (or None) and a
+        gradient arena of random values with a copy for the references."""
+        b, t, d = shape
+        rng = np.random.default_rng(sum(shape) + cut)
+        config = enc.EncoderConfig(50, d, 4 if d % 4 == 0 else 1, 1, 2 * d, max(t, 5))
+        params = enc.EncoderParams(config, rng.normal(0.0, 0.5, enc.parameter_count(config)))
+        grads = enc.EncoderParams(config, rng.normal(0.0, 1.0, enc.parameter_count(config)))
+        expected = enc.EncoderParams(config, grads.flat.copy())
+        picks = None
+        if cut:
+            m = max(2, t // 2)
+            reads = np.array([np.sort(rng.permutation(t)[:m]) for _ in range(b)])
+            picks = enc._read_picks(reads, b, t)
+        return params, rng.normal(0.0, 1.0, shape), picks, rng, grads, expected
+
+    @staticmethod
+    def reference_projection_grads(grads, weight, bias, x, d_y):
+        rows = enc._rows
+        grads.add(weight, rows(x).T @ rows(d_y))
+        grads.add(bias, rows(d_y).sum(axis=0))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_embed_and_backward(self, shape):
+        params, _, _, rng, grads, expected = self.block_world(shape, False)
+        b, t, _ = shape
+        ids = rng.integers(0, params.config.vocab_size, (b, t))
+        segments = rng.integers(0, 2, (b, t))
+        batch = TokenBatch(ids, segments, np.ones((b, t), dtype=bool))
+        x, saved = enc._embed(params, batch)
+        assert_bitwise_equal(
+            x,
+            params["token_embedding"][ids]
+            + params["position_embedding"][:t]
+            + params["segment_embedding"][segments],
+        )
+        d_x = rng.normal(0.0, 1.0, x.shape)
+        enc._embed_backward(grads, d_x, saved)
+        with expected.turn("token_embedding") as table:
+            np.add.at(table, ids.ravel(), enc._rows(d_x))
+        with expected.turn("segment_embedding") as table:
+            for s in range(2):
+                rows = np.concatenate([table[s : s + 1], enc._rows(d_x)[segments.ravel() == s]])
+                table[s] = np.add.reduce(rows, axis=0)
+        expected["position_embedding"][:t] += d_x.sum(axis=0)
+        assert_bitwise_equal(grads.flat, expected.flat)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_add_rows_at(self, shape):
+        b, t, d = shape
+        rng = np.random.default_rng(sum(shape))
+        values = rng.normal(0.0, 1.0, (b * t, 3 * d))  # rows wider than an int8 id can span
+        for n_rows, dtype in ((2, np.int8), (b * t // 3 + 1, np.int32), (9, np.int64)):
+            table = rng.normal(0.0, 1.0, (n_rows, 3 * d))
+            rows = rng.integers(0, n_rows, (b, t)).astype(dtype)  # repeats in every case
+            expected = table.copy()
+            np.add.at(expected, rows.ravel(), values)
+            enc._add_rows_at(table, rows, values)
+            assert_bitwise_equal(table, expected)
+
+    @pytest.mark.parametrize(("shape", "cut"), CUTS)
+    @pytest.mark.parametrize("padded", [False, True], ids=["all-live", "padded"])
+    def test_attention_and_backward(self, shape, cut, padded):
+        params, x, picks, rng, grads, expected = self.block_world(shape, cut)
+        b, t, _ = shape
+        n_heads, split, merge = params.config.n_heads, enc._split_heads, enc._merge_heads
+        pad_keys = np.zeros((b, 1, 1, t), dtype=bool)
+        if padded:
+            pad_keys[:, 0, 0, max(1, t - 1) :] = True  # the last key, unless it is the only one
+        w = {n: params[f"layer0.attn.{n}"] for n in ("w_q", "w_k", "w_v", "w_o")}
+        bias = {n: params[f"layer0.attn.{n}"] for n in ("b_q", "b_k", "b_v", "b_o")}
+        x_q = x if picks is None else enc._gather(x, picks)
+        q = split(x_q @ w["w_q"] + bias["b_q"], n_heads)
+        k = split(x @ w["w_k"] + bias["b_k"], n_heads)
+        v = split(x @ w["w_v"] + bias["b_v"], n_heads)
+        scale = 1.0 / np.sqrt(params.config.d_head)
+        scores = np.where(pad_keys, -np.inf, (q @ k.transpose(0, 1, 3, 2)) * scale)
+        exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = exps / exps.sum(axis=-1, keepdims=True)
+        ctx = merge(weights @ v)
+        want = x_q + (ctx @ w["w_o"] + bias["b_o"])
+
+        out, saved = enc._attention(params, "layer0.", x, pad_keys if padded else None, picks)
+        assert_bitwise_equal(out, want)
+        d_out = rng.normal(0.0, 1.0, out.shape)
+        d_x = enc._attention_backward(params, grads, "layer0.", d_out, saved)
+
+        self.reference_projection_grads(expected, "layer0.attn.w_o", "layer0.attn.b_o", ctx, d_out)
+        d_ctx = split(enc._times_transposed(d_out, w["w_o"], picks, t), n_heads)
+        d_v = merge(weights.transpose(0, 1, 3, 2) @ d_ctx)
+        d_scores = d_ctx @ v.transpose(0, 1, 3, 2)
+        d_scores = (d_scores - np.sum(d_scores * weights, axis=-1, keepdims=True)) * weights
+        d_q = merge((d_scores @ k) * scale)
+        d_k = merge((d_scores.transpose(0, 1, 3, 2) @ q) * scale)
+        for name, x_in, d_in in (("q", x_q, d_q), ("k", x, d_k), ("v", x, d_v)):
+            self.reference_projection_grads(
+                expected, f"layer0.attn.w_{name}", f"layer0.attn.b_{name}", x_in, d_in
+            )
+        if picks is not None:
+            d_out, d_q = enc._scatter(d_out, picks, t), enc._scatter(d_q, picks, t)
+        want_d_x = d_out + d_q @ w["w_q"].T + d_k @ w["w_k"].T + d_v @ w["w_v"].T
+        assert_bitwise_equal(d_x, want_d_x)
+        assert_bitwise_equal(grads.flat, expected.flat)
+
+    @pytest.mark.parametrize(("shape", "cut"), CUTS)
+    def test_feed_forward_and_backward(self, shape, cut):
+        params, x, picks, rng, grads, expected = self.block_world(shape, cut)
+        t = shape[1]
+        if picks is not None:
+            x = enc._gather(x, picks)
+        w1, b1 = params["layer0.ffn.w1"], params["layer0.ffn.b1"]
+        w2, b2 = params["layer0.ffn.w2"], params["layer0.ffn.b2"]
+        h1 = x @ w1 + b1
+        cdf = enc.gelu_cdf(h1)
+
+        out, saved = enc._feed_forward(params, "layer0.", x, picks, t)
+        assert_bitwise_equal(out, x + ((h1 * cdf) @ w2 + b2))
+        d_out = rng.normal(0.0, 1.0, out.shape)
+        d_x = enc._feed_forward_backward(params, grads, "layer0.", d_out, saved)
+
+        self.reference_projection_grads(expected, "layer0.ffn.w2", "layer0.ffn.b2", h1 * cdf, d_out)
+        d_h1 = enc._times_transposed(d_out, w2, picks, t) * enc.gelu_grad(h1, cdf)
+        self.reference_projection_grads(expected, "layer0.ffn.w1", "layer0.ffn.b1", x, d_h1)
+        assert_bitwise_equal(d_x, d_out + enc._times_transposed(d_h1, w1, picks, t))
+        assert_bitwise_equal(grads.flat, expected.flat)
 
 
 class TestScipyOracle:
