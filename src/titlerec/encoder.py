@@ -29,11 +29,7 @@ parameter gradients into the gradient sink (see *Gradient sinks*) and
 returns the gradient of its input. ``forward`` is the embedding sum and
 then one loop over the layers (attention, norm, feed-forward, norm);
 ``loss_and_grads`` runs the heads' backward and then the same blocks'
-backwards in reverse. A block allocates only its matrix products: the
-bias, residual and scale that follow a product are added into the
-product's buffer in place, on the plain formula's operands in its order,
-so every byte is the plain formula's. A pass with no PAD position (every
-embedding pass) skips the pad mask.
+backwards in reverse.
 
 Batches. ``forward`` takes B rows of T tokens at once, as a
 ``TokenBatch`` of (B, T) arrays (token ids, segment ids and a live mask).
@@ -462,7 +458,7 @@ def layer_norm_backward(d_out, x_hat, inv, gain):
     d_x -= m1
     d_x -= x_hat * m2
     d_x *= inv
-    return d_x, np.add.reduce(_rows(d_out * x_hat), axis=0), np.add.reduce(_rows(d_out), axis=0)
+    return d_x, _rows(d_out * x_hat).sum(axis=0), _rows(d_out).sum(axis=0)
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -558,24 +554,16 @@ def _times_transposed(d: np.ndarray, weight: np.ndarray, picks, width: int) -> n
     return _gather(_scatter(d, picks, width) @ weight.T, picks)
 
 
-def _add_rows_at(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``np.add.at(table, rows, values)`` for a C-contiguous 2-d ``table``:
-    each value row is added onto table row ``rows[i]``, in order.
+def _element_indices(rows: np.ndarray, width: int) -> np.ndarray:
+    """The flat indices of every element of rows ``rows`` of a C-contiguous
+    table ``width`` wide, row by row.
 
-    It runs over the flattened table, one index per element: every element
-    takes the same adds in the same order, and numpy's ``add.at`` is several
-    times faster over a 1-d array than over rows.
+    ``np.add.at(table.reshape(-1), _element_indices(rows, width),
+    values.reshape(-1))`` is ``np.add.at(table, rows, values)``: every
+    element takes the same adds in the same order, and numpy's ``add.at`` is
+    several times faster over a 1-d array than over rows.
     """
-    width = table.shape[1]
-    flat = rows.reshape(-1, 1).astype(np.intp) * width + np.arange(width)
-    np.add.at(table.reshape(-1), flat.reshape(-1), values.reshape(-1))
-
-
-def _project(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``x @ weight + bias``, the bias added into the product's buffer."""
-    y = x @ weight
-    y += bias
-    return y
+    return (rows.reshape(-1, 1).astype(np.intp) * width + np.arange(width)).reshape(-1)
 
 
 def _add_projection_grads(grads, weight: str, bias: str, x, d_y) -> None:
@@ -583,7 +571,7 @@ def _add_projection_grads(grads, weight: str, bias: str, x, d_y) -> None:
     gradient of ``y``, to the ``weight`` and ``bias`` tensors of the
     gradient sink ``grads``."""
     grads.add(weight, _rows(x).T @ _rows(d_y))
-    grads.add(bias, np.add.reduce(_rows(d_y), axis=0))
+    grads.add(bias, _rows(d_y).sum(axis=0))
 
 
 # --- the blocks and their backwards (see *Blocks*) ---
@@ -600,20 +588,23 @@ def _embed(params: EncoderParams, batch: TokenBatch):
         raise ShapeMismatchError(f"token ids must lie in [0, {c.vocab_size})")
     if segments.size and (segments.min() < 0 or segments.max() > 1):
         raise ShapeMismatchError("segment ids must be 0 or 1")
-    x = params["token_embedding"][ids]
-    x += params["position_embedding"][:width]
-    x += params["segment_embedding"][segments]
+    x = (
+        params["token_embedding"][ids]
+        + params["position_embedding"][:width]
+        + params["segment_embedding"][segments]
+    )
     return x, (ids, segments)
 
 
 def _embed_backward(grads, d_x: np.ndarray, saved) -> None:
     """Add the three tables' gradients; the sum has no input to pass on."""
     ids, segments = saved
-    d_rows = _rows(d_x)
+    d_flat = d_x.reshape(-1)
     for name, rows in (("token_embedding", ids), ("segment_embedding", segments)):
+        flat = _element_indices(rows, d_x.shape[-1])
         with grads.turn(name) as table:
-            _add_rows_at(table, rows, d_rows)
-    d_positions = np.add.reduce(d_x, axis=0)
+            np.add.at(table.reshape(-1), flat, d_flat)
+    d_positions = d_x.sum(axis=0)
     with grads.turn("position_embedding") as table:
         # positions past a narrower pass's width get no gradient
         positions = table[: d_x.shape[1]]
@@ -626,26 +617,24 @@ def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks):
     The queries, and so the output, are at ``picks`` when given (``x_q`` is
     ``x`` gathered there), else at every position; keys and values cover
     every position of ``x``. ``pad_keys`` (B, 1, 1, T) marks each row's PAD
-    keys, or is None when every key is live.
+    keys.
     """
     c = params.config
     x_q = x if picks is None else _gather(x, picks)
-    q = _split_heads(_project(x_q, params[p + "attn.w_q"], params[p + "attn.b_q"]), c.n_heads)
-    k = _split_heads(_project(x, params[p + "attn.w_k"], params[p + "attn.b_k"]), c.n_heads)
-    v = _split_heads(_project(x, params[p + "attn.w_v"], params[p + "attn.b_v"]), c.n_heads)
+    q = _split_heads(x_q @ params[p + "attn.w_q"] + params[p + "attn.b_q"], c.n_heads)
+    k = _split_heads(x @ params[p + "attn.w_k"] + params[p + "attn.b_k"], c.n_heads)
+    v = _split_heads(x @ params[p + "attn.w_v"] + params[p + "attn.b_v"], c.n_heads)
     # softmax over keys, in place: scores become the attention weights
     weights = q @ k.transpose(0, 1, 3, 2)
     weights *= 1.0 / math.sqrt(c.d_head)
-    if pad_keys is not None:
-        np.copyto(weights, -np.inf, where=pad_keys)
+    np.copyto(weights, -np.inf, where=pad_keys)
     # exp(-inf) underflows to exactly 0, so PAD keys get weight 0.0
     weights -= _row_max(weights)
     np.exp(weights, out=weights)
-    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    weights /= weights.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(weights @ v)
-    out = _project(ctx, params[p + "attn.w_o"], params[p + "attn.b_o"])
-    out += x_q
-    return out, (x, x_q, q, k, v, weights, ctx, picks)
+    out = ctx @ params[p + "attn.w_o"] + params[p + "attn.b_o"]
+    return x_q + out, (x, x_q, q, k, v, weights, ctx, picks)
 
 
 def _attention_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray, saved):
@@ -659,14 +648,10 @@ def _attention_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray,
     d_v = _merge_heads(weights.transpose(0, 1, 3, 2) @ d_ctx)
     # softmax rows, in place: PAD-key columns have weight 0, so grad 0
     d_scores = d_ctx @ v.transpose(0, 1, 3, 2)
-    d_scores -= np.add.reduce(d_scores * weights, axis=-1, keepdims=True)
+    d_scores -= np.sum(d_scores * weights, axis=-1, keepdims=True)
     d_scores *= weights
-    d_q = d_scores @ k
-    d_q *= scale
-    d_q = _merge_heads(d_q)
-    d_k = d_scores.transpose(0, 1, 3, 2) @ q
-    d_k *= scale
-    d_k = _merge_heads(d_k)
+    d_q = _merge_heads((d_scores @ k) * scale)
+    d_k = _merge_heads((d_scores.transpose(0, 1, 3, 2) @ q) * scale)
     del d_scores
     for name, x_in, d_in in (("q", x_q, d_q), ("k", x, d_k), ("v", x, d_v)):
         _add_projection_grads(grads, f"{p}attn.w_{name}", f"{p}attn.b_{name}", x_in, d_in)
@@ -674,8 +659,7 @@ def _attention_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray,
         # back to full width; the query product runs there anyway
         d_out = _scatter(d_out, picks, width)
         d_q = _scatter(d_q, picks, width)
-    d_x = d_q @ params[p + "attn.w_q"].T
-    d_x += d_out
+    d_x = d_out + d_q @ params[p + "attn.w_q"].T
     d_x += d_k @ params[p + "attn.w_k"].T
     d_x += d_v @ params[p + "attn.w_v"].T
     return d_x
@@ -684,11 +668,10 @@ def _attention_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray,
 def _feed_forward(params: EncoderParams, p: str, x: np.ndarray, picks, width: int):
     """The GELU feed-forward with its residual: ``x + ffn(x)``; ``x`` holds
     a pass ``width`` wide, or its ``picks`` when given."""
-    h1 = _project(x, params[p + "ffn.w1"], params[p + "ffn.b1"])
+    h1 = x @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
     cdf = gelu_cdf(h1)
-    out = _project(h1 * cdf, params[p + "ffn.w2"], params[p + "ffn.b2"])
-    out += x
-    return out, (x, h1, cdf, picks, width)
+    out = (h1 * cdf) @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+    return x + out, (x, h1, cdf, picks, width)
 
 
 def _feed_forward_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray, saved):
@@ -699,9 +682,7 @@ def _feed_forward_backward(params: EncoderParams, grads, p: str, d_out: np.ndarr
     d_h1 = _times_transposed(d_out, params[p + "ffn.w2"], picks, width)
     d_h1 *= gelu_grad(h1, cdf)
     _add_projection_grads(grads, p + "ffn.w1", p + "ffn.b1", x, d_h1)
-    d_x = _times_transposed(d_h1, params[p + "ffn.w1"], picks, width)
-    d_x += d_out
-    return d_x
+    return d_out + _times_transposed(d_h1, params[p + "ffn.w1"], picks, width)
 
 
 def _norm(params: EncoderParams, name: str, x: np.ndarray):
@@ -739,10 +720,8 @@ def forward(
     if reads is not None:
         reads = np.asarray(reads)
         picks = _read_picks(reads, len(batch), width)
-    # (B, 1, 1, T): broadcast over heads and query positions; None when
-    # every position is live (every embedding pass), so no key is masked
-    live = batch.attn_mask.astype(bool)
-    pad_keys = None if live.all() else ~live[:, None, None, :]
+    # (B, 1, 1, T): broadcast over heads and query positions
+    pad_keys = ~batch.attn_mask.astype(bool)[:, None, None, :]
     layers = []
     for i in range(c.n_layers):
         p = f"layer{i}."
@@ -832,8 +811,8 @@ def _heads_backward(params: EncoderParams, grads, saved, mlm_scale: float, np_sc
         d_logits[np.arange(len(targets)), targets[:, 2]] -= 1.0
         d_logits *= mlm_scale
         _add_projection_grads(grads, "mlm_head.weight", "mlm_head.bias", h_mlm, d_logits)
-        positions = targets[:, 0] * shape[1] + targets[:, 1]
-        _add_rows_at(_rows(d_h), positions, d_logits @ params["mlm_head.weight"].T)
+        flat = _element_indices(targets[:, 0] * shape[1] + targets[:, 1], shape[-1])
+        np.add.at(d_h.reshape(-1), flat, (d_logits @ params["mlm_head.weight"].T).reshape(-1))
     d_z = (sigmoid(z) - y) * np_scale
     _add_projection_grads(grads, "np_head.weight", "np_head.bias", h_cls, d_z[:, None])
     d_h[pair_rows, 0] += d_z[:, None] * params["np_head.weight"][:, 0]

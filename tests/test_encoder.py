@@ -416,19 +416,6 @@ class TestBatchedForward:
         shuffled.ids[1, live:] = [9, 10]  # any ids may sit in the PAD tail
         assert np.array_equal(enc.forward(tiny_params, shuffled).hidden_states[1, :live], alone)
 
-        # an all-live pass skips the pad mask; its rows match the masked
-        # path's (weights large enough that attention moves the last bits)
-        full = tiny_config.max_len
-        all_live = self.rows(tiny_config, rng, (full, full, full))
-        padded = TokenBatch.concat(all_live, self.rows(tiny_config, rng, (4,)))
-        assert padded.attn_mask.sum() < padded.attn_mask.size
-        count = enc.parameter_count(tiny_config)
-        params = enc.EncoderParams(tiny_config, rng.normal(0.0, 0.5, count))
-        assert np.array_equal(
-            enc.forward(params, all_live).hidden_states,
-            enc.forward(params, padded).hidden_states[:3],
-        )
-
     def test_attention_per_row_mask(self, tiny_config, tiny_params):
         batch = self.rows(tiny_config, np.random.default_rng(32), (3, 7, 5))
         trace = enc.forward(tiny_params, batch)
@@ -498,9 +485,9 @@ class TestGelu:
 
 
 class TestInPlaceKernels:
-    """Layer norm, the GELU derivative, the softmax row max and the blocks
-    that add into their products' buffers equal their plain formulas, kept
-    here as references, bit for bit."""
+    """Layer norm, the GELU derivative, the softmax row max, the blocks and
+    their backwards, and the flattened scatter-add equal their plain
+    formulas, kept here as references, bit for bit."""
 
     SHAPES = [(16, 16, 32), (5, 48, 64), (8, 3, 32), (8, 16, 48), (2, 1, 7)]
     # each shape whole, and each shape of width >= 3 cut to about half its positions
@@ -611,7 +598,7 @@ class TestInPlaceKernels:
         assert_bitwise_equal(grads.flat, expected.flat)
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_add_rows_at(self, shape):
+    def test_element_indices_add_rows(self, shape):
         b, t, d = shape
         rng = np.random.default_rng(sum(shape))
         values = rng.normal(0.0, 1.0, (b * t, 3 * d))  # rows wider than an int8 id can span
@@ -620,7 +607,8 @@ class TestInPlaceKernels:
             rows = rng.integers(0, n_rows, (b, t)).astype(dtype)  # repeats in every case
             expected = table.copy()
             np.add.at(expected, rows.ravel(), values)
-            enc._add_rows_at(table, rows, values)
+            flat = enc._element_indices(rows, table.shape[1])
+            np.add.at(table.reshape(-1), flat, values.reshape(-1))
             assert_bitwise_equal(table, expected)
 
     @pytest.mark.parametrize(("shape", "cut"), CUTS)
@@ -645,7 +633,7 @@ class TestInPlaceKernels:
         ctx = merge(weights @ v)
         want = x_q + (ctx @ w["w_o"] + bias["b_o"])
 
-        out, saved = enc._attention(params, "layer0.", x, pad_keys if padded else None, picks)
+        out, saved = enc._attention(params, "layer0.", x, pad_keys, picks)
         assert_bitwise_equal(out, want)
         d_out = rng.normal(0.0, 1.0, out.shape)
         d_x = enc._attention_backward(params, grads, "layer0.", d_out, saved)
