@@ -178,15 +178,15 @@ RECORDED = {
 FIELD_RULES = {
     **dict.fromkeys(("articles", "transactions", "workdir", "customer_list"), (str,)),
     "text_columns": (tuple,),
-    **dict.fromkeys(
-        ("min_freq", "batch_size", "negatives_per_positive", "holdout_days"), (int, (">=", 1))
-    ),
+    **dict.fromkeys(("min_freq", "batch_size", "negatives_per_positive"), (int, (">=", 1))),
+    # transactions.bin (TRLOG002) records it as a uint32
+    "holdout_days": (int, (">=", 1), ("<=", 2**32 - 1)),
     **dict.fromkeys(("max_len", "d_model", "n_heads", "n_layers", "d_ff"), (int,)),
     **dict.fromkeys(("epochs", "max_steps", "seed"), (int, (">=", 0))),
     "max_vocab": (int, (">=", FIRST_WORD_ID + 1)),
     "learning_rate": (float, (">", 0.0)),
 }
-COMPARISONS = {">=": operator.ge, ">": operator.gt}
+COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 # each type's test, its name and how argparse reads its flag: an int counts
 # as a float, a bool as neither
 TYPES = {

@@ -24,8 +24,8 @@ self-attention plus its residual (``_attention``), the GELU feed-forward
 plus its residual (``_feed_forward``), layer norm (``_norm``) and the two
 heads (``_head_terms``, ``_heads_backward``). A block's forward returns
 ``(out, saved)`` (the heads return their two loss sums and ``saved``); its
-backward takes the gradient of ``out`` and ``saved``, adds the block's
-parameter gradients into the gradient sink (see *Gradient sinks*) and
+backward takes the gradient of ``out`` and ``saved``, appends the block's
+parameter gradients to the pass's list of adds (see *Gradient adds*) and
 returns the gradient of its input. ``forward`` is the embedding sum and
 then one loop over the layers (attention, norm, feed-forward, norm);
 ``loss_and_grads`` runs the heads' backward and then the same blocks'
@@ -83,23 +83,26 @@ few whole-buffer operations instead of a loop over ~40 tensors.
 (``params[name][...] = x``) and cannot be rebound to an array outside the
 arena. Layer norm's epsilon is the constant ``LAYER_NORM_EPSILON``.
 
-Gradient sinks. Every gradient a backward adds goes through a sink:
-``grads.add(name, value)`` adds a computed product into the tensor
-``name`` in place, and ``grads.turn(name)``, a context manager that yields
-the tensor, holds the embedding tables' scatter-add and row sums. Only the
-add runs in the sink; the product is computed before it. An arena
-(``EncoderParams``) is its own sink and never waits. A training step on
-two threads gives each pass its sink from ``objectives.PassTurns``, which
-waits until the pass before has added into that tensor, so every tensor
-takes the passes' adds in pass order and the sums are the same bytes as
-on one thread.
+Gradient adds. ``loss_and_grads`` returns a pass's parameter gradients
+as a list of adds ``(name, value, indices)``, one per tensor, in the order
+the backward computed them. ``EncoderParams.add`` adds such a list into an
+arena in place: ``value`` into the tensor's leading rows when ``indices``
+is None (the position table's rows past a narrower pass's width get
+nothing), else ``np.add.at`` of ``value`` at the tensor's flat
+``indices``, the token and segment tables' scatter (see
+``_element_indices``). Sums of floats depend on their order, so a caller
+adds its passes' lists in pass order (``objectives.batch_loss_and_grads``
+through ``passes.run_passes``): every tensor then takes the same adds in
+the same order whichever thread ran which pass.
 
 Pass budget. Callers feed at most ``rows_per_pass(width)`` rows, about
 ``PASS_TOKEN_BUDGET`` tokens, to one forward/backward pass of that width,
 whatever their batch size. That bounds the activations a pass holds: 16
 rows at width 16, 5 rows at width 48, 51 rows of a 5-token title.
-Embedding and training may each hold two passes at once, one per thread
-(``passes.run_passes``), so the process may hold twice that.
+Embedding and training may each run two passes at once, one per thread
+(``passes.run_passes``), so the process may hold twice that. A training
+pass's list of adds, about one gradient arena of products, lives from its
+backward until it is added, which waits for the passes before it.
 
 Checkpoint layout (version TRENC002, little-endian): the shape, then the
 arena. The shape fixes every tensor's name, shape and place in the arena.
@@ -114,7 +117,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -140,6 +142,10 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 # Tokens one forward/backward pass may hold; see rows_per_pass.
 PASS_TOKEN_BUDGET = 256
+
+# One gradient add of a pass: tensor name, value and the flat indices of a
+# scatter-add, or None (see *Gradient adds*).
+GradAdd = tuple[str, np.ndarray, np.ndarray | None]
 
 
 def rows_per_pass(width: int) -> int:
@@ -199,16 +205,15 @@ class EncoderParams:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    # an arena is its own gradient sink (see *Gradient sinks*), and never waits
-
-    def add(self, name: str, value: np.ndarray) -> None:
-        """Add ``value`` into the tensor ``name`` in place."""
-        tensor = self.tensors[name]
-        tensor += value
-
-    def turn(self, name: str) -> nullcontext:
-        """The tensor ``name``, to add into inside a ``with`` block."""
-        return nullcontext(self.tensors[name])
+    def add(self, adds: list[GradAdd]) -> None:
+        """Add a pass's gradient adds into this arena in place, in list
+        order (see *Gradient adds*)."""
+        for name, value, indices in adds:
+            tensor = self.tensors[name]
+            if indices is None:
+                tensor[: len(value)] += value
+            else:
+                np.add.at(tensor.reshape(-1), indices, value)
 
 
 @dataclass
@@ -432,8 +437,9 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return grad
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
-    """Per-position normalization. Returns (out, x_hat, inv_std) for backward.
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Per-position normalization with ``LAYER_NORM_EPSILON``. Returns
+    (out, x_hat, inv_std) for backward.
 
     A mean is ``np.add.reduce`` over the width divided by the width, the
     sum and division ``ndarray.mean`` makes, without its Python wrapper.
@@ -441,7 +447,7 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     width = x.shape[-1]
     x_hat = x - np.add.reduce(x, axis=-1, keepdims=True) / width
     var = np.add.reduce(x_hat * x_hat, axis=-1, keepdims=True) / width
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
     x_hat *= inv
     out = x_hat * gain
     out += bias
@@ -566,12 +572,12 @@ def _element_indices(rows: np.ndarray, width: int) -> np.ndarray:
     return (rows.reshape(-1, 1).astype(np.intp) * width + np.arange(width)).reshape(-1)
 
 
-def _add_projection_grads(grads, weight: str, bias: str, x, d_y) -> None:
-    """Add the gradients of ``y = x @ weight + bias`` given ``d_y``, the
-    gradient of ``y``, to the ``weight`` and ``bias`` tensors of the
-    gradient sink ``grads``."""
-    grads.add(weight, _rows(x).T @ _rows(d_y))
-    grads.add(bias, _rows(d_y).sum(axis=0))
+def _add_projection_grads(grads: list[GradAdd], weight: str, bias: str, x, d_y) -> None:
+    """Append the gradients of ``y = x @ weight + bias`` given ``d_y``,
+    the gradient of ``y``, to ``grads`` as adds to the ``weight`` and
+    ``bias`` tensors."""
+    grads.append((weight, _rows(x).T @ _rows(d_y), None))
+    grads.append((bias, _rows(d_y).sum(axis=0), None))
 
 
 # --- the blocks and their backwards (see *Blocks*) ---
@@ -596,19 +602,14 @@ def _embed(params: EncoderParams, batch: TokenBatch):
     return x, (ids, segments)
 
 
-def _embed_backward(grads, d_x: np.ndarray, saved) -> None:
-    """Add the three tables' gradients; the sum has no input to pass on."""
+def _embed_backward(grads: list[GradAdd], d_x: np.ndarray, saved) -> None:
+    """Append the three tables' gradients; the sum has no input to pass on."""
     ids, segments = saved
     d_flat = d_x.reshape(-1)
     for name, rows in (("token_embedding", ids), ("segment_embedding", segments)):
-        flat = _element_indices(rows, d_x.shape[-1])
-        with grads.turn(name) as table:
-            np.add.at(table.reshape(-1), flat, d_flat)
-    d_positions = d_x.sum(axis=0)
-    with grads.turn("position_embedding") as table:
-        # positions past a narrower pass's width get no gradient
-        positions = table[: d_x.shape[1]]
-        positions += d_positions
+        grads.append((name, d_flat, _element_indices(rows, d_x.shape[-1])))
+    # (T, d): positions past a narrower pass's width get no gradient
+    grads.append(("position_embedding", d_x.sum(axis=0), None))
 
 
 def _attention(params: EncoderParams, p: str, x: np.ndarray, pad_keys, picks):
@@ -688,14 +689,14 @@ def _feed_forward_backward(params: EncoderParams, grads, p: str, d_out: np.ndarr
 def _norm(params: EncoderParams, name: str, x: np.ndarray):
     """``layer_norm`` with the ``name`` gain and bias."""
     gain, bias = params[name + ".gain"], params[name + ".bias"]
-    out, x_hat, inv = layer_norm(x, gain, bias, LAYER_NORM_EPSILON)
+    out, x_hat, inv = layer_norm(x, gain, bias)
     return out, (x_hat, inv)
 
 
 def _norm_backward(params: EncoderParams, grads, name: str, d_out: np.ndarray, saved):
     d_x, d_gain, d_bias = layer_norm_backward(d_out, *saved, params[name + ".gain"])
-    grads.add(name + ".gain", d_gain)
-    grads.add(name + ".bias", d_bias)
+    grads.append((name + ".gain", d_gain, None))
+    grads.append((name + ".bias", d_bias, None))
     return d_x
 
 
@@ -826,8 +827,7 @@ def loss_and_grads(
     np_labels,
     mlm_scale: float = 1.0,
     np_scale: float = 1.0,
-    into: EncoderParams | None = None,
-) -> tuple[float, float, EncoderParams]:
+) -> tuple[float, float, list[GradAdd]]:
     """Losses (sum of masked-token NLLs, sum of pair BCEs) plus gradients
     of mlm_scale*mlm_sum + np_scale*np_sum.
 
@@ -837,16 +837,16 @@ def loss_and_grads(
     outside them. Gradients are summed
     over every row of the recorded pass; the scales let a training step
     weight the pass (for example 1/total masked positions of the step).
-    They are added in place to ``into``, an arena in the layout of
-    ``params`` (see ``zero_grads``) holding earlier passes' gradients, or a
-    gradient sink over one (see *Gradient sinks*), which is returned;
-    without it they go to a fresh zeroed arena. So a multi-pass step holds
-    one gradient arena for all its passes.
+    They are returned as the pass's list of adds (see *Gradient adds*),
+    empty for a pass with no target and no pair row; ``EncoderParams.add``
+    adds them into an arena in the layout of ``params`` (see
+    ``zero_grads``), so a multi-pass step holds one gradient arena for all
+    its passes.
     """
     if trace.cache is None:
         raise NoRecordedForwardError("forward was run without record=True")
     mlm_sum, np_sum, heads = _head_terms(params, trace, mlm_targets, np_labels)
-    grads = zero_grads(params) if into is None else into
+    grads: list[GradAdd] = []
     if heads is None:
         return mlm_sum, np_sum, grads
     d_h = _heads_backward(params, grads, heads, mlm_scale, np_scale)

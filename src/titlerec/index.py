@@ -224,7 +224,7 @@ def build_index(
         pooled[rows] = hidden.sum(axis=1) / width
 
     helper = len(plan) >= HELPER_MIN_PASSES and usable_cpus() > 1
-    run_passes(plan, embed, helper, "titlerec-embed")
+    run_passes(plan, embed, None, helper, "titlerec-embed")
     norms = np.linalg.norm(pooled, axis=1)
     degenerate = np.flatnonzero(~(norms >= NORM_FLOOR))  # a nan norm fails too
     if degenerate.size:

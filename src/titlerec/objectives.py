@@ -37,16 +37,16 @@ pair rows. The gradients equal the full pass's bit for bit.
 
 A step's passes may run on two threads (``passes.run_passes``): on a
 model at least ``HELPER_MIN_WIDTH`` wide and a step of two passes or more,
-when the process may use a second CPU. Sums of floats depend on their
-order, so every gradient add goes through ``PassTurns``: per tensor, pass
-i adds after pass i - 1 has added or finished. Each add is the one-thread
-add of the same product, in the same order per tensor, and the loss sums
-are added in pass order, so the checkpoint and the loss log keep every
-byte.
+when the process may use a second CPU. Each pass returns its loss sums and
+its list of gradient adds (see ``encoder``), and the runner folds the
+passes' results in pass order: the loss sums are added up and the adds go
+into the step's gradient arena. Sums of floats depend on their order, but
+every tensor takes the same adds in the same order whichever thread ran
+which pass, so the checkpoint and the loss log keep every byte.
 
 The optimizer state holds Adam's two moments and one gradient arena, all
 in the parameters' flat layout (see ``encoder``), plus one scratch buffer.
-Each step zeroes the gradient arena, every pass adds into it, and
+Each step zeroes the gradient arena, every pass is added into it, and
 ``adam_update`` runs in place over the flat buffers, allocating no array.
 Adam's decay rates and denominator floor are the constants ``BETA1``,
 ``BETA2`` and ``EPSILON``.
@@ -54,9 +54,6 @@ Adam's decay rates and denominator floor are the constants ``BETA1``,
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 
@@ -375,138 +372,59 @@ def adam_update(
     np.subtract(params.flat, tmp, out=params.flat)
 
 
-class StoppedPass(Exception):
-    """Raised in a pass that waits for its turn once another pass has failed."""
-
-
-class PassTurns:
-    """Per-tensor turns of a step's passes over one gradient arena.
-
-    Pass i adds into a tensor only after pass i - 1 has added into it or
-    finished, so every tensor takes its passes' adds in pass order,
-    whichever thread runs which pass. ``PassSink(turns, i)`` is pass i's
-    gradient sink for ``encoder.loss_and_grads``: its ``add`` and ``turn``
-    wait for pass i's turn at the tensor. ``finish(i)`` waits for pass
-    i - 1 to finish and hands pass i + 1 the tensors pass i did not add
-    into. After ``stop()`` every wait raises ``StoppedPass`` at once.
-    """
-
-    def __init__(self, arena: enc.EncoderParams) -> None:
-        self.arena = arena
-        self.turns = dict.fromkeys(arena.tensors, 0)  # per tensor: the pass whose turn it is
-        self.finished = 0
-        self.stopped = False
-        self.changed = threading.Condition()
-
-    def _wait(self, ready: Callable[[], bool]) -> None:
-        """Wait, holding ``changed``, until ``ready()`` or a stop."""
-        self.changed.wait_for(lambda: self.stopped or ready())
-        if self.stopped:
-            raise StoppedPass("another pass of the step failed")
-
-    def take(self, number: int, name: str) -> np.ndarray:
-        """Wait for pass ``number``'s turn at the tensor ``name``; return it."""
-        with self.changed:
-            self._wait(lambda: self.turns[name] == number)
-        return self.arena[name]
-
-    def hand_on(self, number: int, name: str) -> None:
-        """End pass ``number``'s turn at the tensor ``name``."""
-        with self.changed:
-            self.turns[name] = number + 1
-            self.changed.notify_all()
-
-    def finish(self, number: int) -> None:
-        with self.changed:
-            self._wait(lambda: self.finished == number)
-            for name, turn in self.turns.items():
-                if turn == number:
-                    self.turns[name] = number + 1
-            self.finished = number + 1
-            self.changed.notify_all()
-
-    def stop(self) -> None:
-        with self.changed:
-            self.stopped = True
-            self.changed.notify_all()
-
-
-@dataclass(frozen=True)
-class PassSink:
-    """The gradient sink of pass ``number`` of a ``PassTurns``."""
-
-    turns: PassTurns
-    number: int
-
-    def add(self, name: str, value: np.ndarray) -> None:
-        tensor = self.turns.take(self.number, name)
-        tensor += value
-        self.turns.hand_on(self.number, name)
-
-    @contextmanager
-    def turn(self, name: str) -> Iterator[np.ndarray]:
-        yield self.turns.take(self.number, name)
-        self.turns.hand_on(self.number, name)
-
-
 def batch_loss_and_grads(
     params: enc.EncoderParams,
     rows: TrainingRows,
     mlm_scale: float,
     np_scale: float,
-    into: enc.EncoderParams | None = None,
-) -> tuple[float, float, enc.EncoderParams]:
-    """Summed losses and gradients of a batch, run in bounded passes.
+    grads: enc.EncoderParams,
+) -> tuple[float, float]:
+    """Summed losses of a batch, run in bounded passes, whose gradients are
+    added into ``grads``.
 
     Rows go through the encoder ``encoder.rows_per_pass(max_len)`` at a
     time, at the full width, with the last layer cut to the pass's reads
-    (see ``encoder.read_positions``). Each pass's gradients are added to
-    ``into``, a zeroed arena in the layout of ``params`` (a fresh one when
-    None), which is returned; every tensor takes its passes' adds in pass
-    order, and the loss sums add up the passes' sums in pass order.
+    (see ``encoder.read_positions``). ``grads`` is a zeroed arena in the
+    layout of ``params``; each pass's gradient adds go into it, and its loss
+    sums into the returned sums, in pass order.
 
     On a model at least ``HELPER_MIN_WIDTH`` wide and a batch of two passes
     or more, a helper thread runs passes beside the calling thread when the
-    process may run on more than one CPU (``passes.run_passes``);
-    ``PassTurns`` keeps each tensor's adds in pass order, so the gradients
-    are the same bytes.
+    process may run on more than one CPU (``passes.run_passes``); the runner
+    folds the passes' results in pass order either way, so the sums and the
+    gradients are the same bytes.
     """
     step = enc.rows_per_pass(params.config.max_len)
-    grads = enc.zero_grads(params) if into is None else into
     starts = range(0, len(rows), step)
-    sums = [(0.0, 0.0)] * len(starts)
     target_rows = rows.targets[:, 0]
     helper = len(starts) >= 2 and params.config.d_model >= HELPER_MIN_WIDTH and usable_cpus() > 1
-    turns = PassTurns(grads) if helper else None
+    mlm_sum = 0.0
+    np_sum = 0.0
 
-    def run_pass(start: int) -> None:
-        number = start // step
+    def run_pass(start: int) -> tuple[float, float, list[enc.GradAdd]]:
         stop = start + step
         pass_targets = rows.targets[(target_rows >= start) & (target_rows < stop)] - (start, 0, 0)
         pass_labels = rows.labels[start:stop]
         reads = enc.read_positions(pass_targets, pass_labels, rows.tokens.max_len)
-        # the pass's trace is dropped before the thread runs its next pass
-        pass_mlm, pass_np, _ = enc.loss_and_grads(
+        # the pass's trace is dropped once its gradients are computed
+        return enc.loss_and_grads(
             params,
             enc.forward(params, rows.tokens[start:stop], reads=reads),
             pass_targets,
             pass_labels,
             mlm_scale=mlm_scale,
             np_scale=np_scale,
-            into=grads if turns is None else PassSink(turns, number),
         )
-        sums[number] = pass_mlm, pass_np
-        if turns is not None:
-            turns.finish(number)
 
-    on_failure = None if turns is None else turns.stop
-    run_passes(starts, run_pass, helper, "titlerec-train", on_failure)
-    mlm_sum = 0.0
-    np_sum = 0.0
-    for pass_mlm, pass_np in sums:
+    def fold(result: tuple[float, float, list[enc.GradAdd]]) -> None:
+        nonlocal mlm_sum, np_sum
+        pass_mlm, pass_np, adds = result
         mlm_sum += pass_mlm
         np_sum += pass_np
-    return mlm_sum, np_sum, grads
+        grads.add(adds)
+
+    run_passes(starts, run_pass, fold, helper, "titlerec-train")
+    return mlm_sum, np_sum
 
 
 def train_step(
@@ -534,13 +452,11 @@ def train_step(
     np_scale = 1.0 / n_pairs if n_pairs else 0.0
 
     state.grads.flat.fill(0.0)
-    mlm_sum, np_sum, grads = batch_loss_and_grads(
-        params, rows, mlm_scale, np_scale, into=state.grads
-    )
+    mlm_sum, np_sum = batch_loss_and_grads(params, rows, mlm_scale, np_scale, state.grads)
     mlm_mean = mlm_sum * mlm_scale
     np_mean = np_sum * np_scale
     for value in (mlm_mean, np_mean):
         if not np.isfinite(value):
             raise NonFiniteComponentError(f"loss component {value} is not finite")
-    adam_update(params, state, grads)
+    adam_update(params, state, state.grads)
     return LossRecord(state.step, mlm_mean, np_mean, mlm_mean + np_mean)

@@ -224,6 +224,15 @@ def no_pairs(max_len):
 # --- finite-difference gradient oracle, shared by unit and acceptance tests ---
 
 
+def loss_and_grad_arena(params, trace, *args, **kwargs):
+    """``enc.loss_and_grads``, with the pass's gradient adds added into a
+    fresh zeroed arena: (mlm sum, pair sum, arena)."""
+    mlm_sum, np_sum, adds = enc.loss_and_grads(params, trace, *args, **kwargs)
+    grads = enc.zero_grads(params)
+    grads.add(adds)
+    return mlm_sum, np_sum, grads
+
+
 def scalar_loss(params, batch, targets, np_labels, mlm_scale=1.0, np_scale=1.0):
     trace = enc.forward(params, batch)
     mlm_sum, np_sum, _ = enc.loss_and_grads(params, trace, targets, np_labels)

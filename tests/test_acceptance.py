@@ -25,6 +25,7 @@ from conftest import (
     central_difference,
     encode_id_pairs,
     grads_agree,
+    loss_and_grad_arena,
     random_row,
     random_targets,
     replacement_kinds,
@@ -99,7 +100,7 @@ def test_01_gradients_match_finite_differences():
         targets = random_targets(config, batch, rng)
         np_labels = [int(rng.integers(0, 2))]
         trace = enc.forward(params, batch)
-        _, _, grads = enc.loss_and_grads(params, trace, targets, np_labels)
+        _, _, grads = loss_and_grad_arena(params, trace, targets, np_labels)
 
         names = list(params.tensors)
         name = names[int(rng.integers(0, len(names)))]

@@ -205,7 +205,7 @@ def force_training_helper(monkeypatch, cpus):
     real_run_passes = cli.objectives.run_passes
     names = set()
 
-    def run_passes(plan, run_pass, helper, *args):
+    def run_passes(plan, run_pass, fold, helper, name):
         meeting = threading.Barrier(2, timeout=10) if helper else None
         met = set()
 
@@ -215,9 +215,9 @@ def force_training_helper(monkeypatch, cpus):
                 met.add(me)
                 meeting.wait()
             names.add(me.name)
-            run_pass(number)
+            return run_pass(number)
 
-        real_run_passes(plan, meet_and_run, helper, *args)
+        real_run_passes(plan, meet_and_run, fold, helper, name)
 
     monkeypatch.setattr(cli.objectives, "run_passes", run_passes)
     return names
@@ -1257,11 +1257,15 @@ class TestErrorSurface:
             (["train", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
             (["train", "--dropout-rate", "0.1"], "unrecognized arguments: --dropout-rate 0.1"),
             (["recommend", "--pooling", "cls"], "unrecognized arguments: --pooling cls"),
+            (
+                ["ingest", "--holdout-days", "4294967296"],
+                "holdout_days must be an integer >= 1 and <= 4294967295, got 4294967296",
+            ),
             ([], "the following arguments are required: command"),
             (["bogus"], "argument command: invalid choice: 'bogus'"),
         ],
-        ids=["bad-value", "unknown-flag", "dropout-rate", "pooling", "no-command",
-             "unknown-command"],
+        ids=["bad-value", "unknown-flag", "dropout-rate", "pooling", "holdout-beyond-uint32",
+             "no-command", "unknown-command"],
     )
     def test_usage_error_is_one_line(self, tmp_path, capsys, args, message):
         rc = run_cli(*args, *(["--workdir", tmp_path / "w"] if args else []))
@@ -1271,6 +1275,23 @@ class TestErrorSurface:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"error: InvalidConfigError: {message}")
         assert not (tmp_path / "w").exists()
+
+    def test_holdout_beyond_uint32_writes_nothing(self, pipeline, tmp_path, capsys):
+        # transactions.bin records the holdout as a uint32: a larger one is
+        # refused before ingest reads an input or writes an artifact
+        base = list(pipeline["base"])
+        base[1] = workdir = tmp_path / "w"
+        assert run_cli("ingest", *base, "--holdout-days", str(2**32)) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == (
+            "error: InvalidConfigError: holdout_days must be an integer >= 1 and"
+            f" <= {2**32 - 1}, got {2**32}"
+        )
+        assert not workdir.exists()
+        assert run_cli("ingest", *base, "--holdout-days", str(2**32 - 1)) == 0
+        assert (workdir / cli.TRANSACTIONS_FILE).exists()
+        capsys.readouterr()
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

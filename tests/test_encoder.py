@@ -16,7 +16,7 @@ from titlerec.errors import (
 )
 from titlerec.tokenizer import TokenBatch
 
-from conftest import encode_id_pairs, token_rows, zeroed_params
+from conftest import encode_id_pairs, loss_and_grad_arena, token_rows, zeroed_params
 
 
 def attention_weights(trace):
@@ -241,7 +241,7 @@ class TestHeads:
     @staticmethod
     def pair_probability(params, trace):
         """sigmoid(z) of a 1-row pass: the pair-bias gradient at label 0."""
-        _, _, grads = enc.loss_and_grads(params, trace, [], [0])
+        _, _, grads = loss_and_grad_arena(params, trace, [], [0])
         return float(grads["np_head.bias"][0])
 
     def test_mlm_distribution_normalized(self, tiny_params, tiny_row):
@@ -293,7 +293,7 @@ class TestHeads:
             params["np_head.bias"][...] = np.array([logit])
             trace = enc.forward(params, tiny_row)
             for label in (0, 1):
-                mlm, pair, grads = enc.loss_and_grads(params, trace, [], [label])
+                mlm, pair, grads = loss_and_grad_arena(params, trace, [], [label])
                 assert mlm == 0.0 and np.isfinite(pair)
                 assert all(np.isfinite(g).all() for g in grads.tensors.values())
                 assert -1.0 <= grads["np_head.bias"][0] <= 1.0
@@ -309,22 +309,22 @@ class TestBackwardContract:
 
     def test_no_targets_gives_zero_grads(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)
-        _, _, grads = enc.loss_and_grads(tiny_params, trace, [], [-1])
+        _, _, grads = loss_and_grad_arena(tiny_params, trace, [], [-1])
         assert list(grads.tensors) == list(tiny_params.tensors)
         for g in grads.tensors.values():
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_grad_shapes_mirror_params(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)
-        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(0, 1, 5), (0, 2, 6)], [1])
+        _, _, grads = loss_and_grad_arena(tiny_params, trace, [(0, 1, 5), (0, 2, 6)], [1])
         for name in tiny_params.tensors:
             assert grads[name].shape == tiny_params[name].shape
             assert np.all(np.isfinite(grads[name]))
 
     def test_determinism(self, tiny_params, tiny_row):
         targets = [(0, 1, 5), (0, 2, 9)]
-        first = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, tiny_row), targets, [1])
-        second = enc.loss_and_grads(tiny_params, enc.forward(tiny_params, tiny_row), targets, [1])
+        first = loss_and_grad_arena(tiny_params, enc.forward(tiny_params, tiny_row), targets, [1])
+        second = loss_and_grad_arena(tiny_params, enc.forward(tiny_params, tiny_row), targets, [1])
         assert first[:2] == second[:2]
         first, second = first[2], second[2]
         for name in first.tensors:
@@ -521,8 +521,8 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(3.0, 5.0, shape)
         gain, bias = rng.normal(1.0, 0.3, shape[-1]), rng.normal(0.0, 0.3, shape[-1])
-        forward = enc.layer_norm(x, gain, bias, 1e-5)
-        expected = self.reference_layer_norm(x, gain, bias, 1e-5)
+        forward = enc.layer_norm(x, gain, bias)
+        expected = self.reference_layer_norm(x, gain, bias, enc.LAYER_NORM_EPSILON)
         for actual, want in zip(forward, expected):
             assert_bitwise_equal(actual, want)
         d_out = rng.normal(0.0, 1.0, shape)
@@ -569,8 +569,8 @@ class TestInPlaceKernels:
     @staticmethod
     def reference_projection_grads(grads, weight, bias, x, d_y):
         rows = enc._rows
-        grads.add(weight, rows(x).T @ rows(d_y))
-        grads.add(bias, rows(d_y).sum(axis=0))
+        grads[weight][...] += rows(x).T @ rows(d_y)
+        grads[bias][...] += rows(d_y).sum(axis=0)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_embed_and_backward(self, shape):
@@ -587,13 +587,14 @@ class TestInPlaceKernels:
             + params["segment_embedding"][segments],
         )
         d_x = rng.normal(0.0, 1.0, x.shape)
-        enc._embed_backward(grads, d_x, saved)
-        with expected.turn("token_embedding") as table:
-            np.add.at(table, ids.ravel(), enc._rows(d_x))
-        with expected.turn("segment_embedding") as table:
-            for s in range(2):
-                rows = np.concatenate([table[s : s + 1], enc._rows(d_x)[segments.ravel() == s]])
-                table[s] = np.add.reduce(rows, axis=0)
+        adds = []
+        enc._embed_backward(adds, d_x, saved)
+        grads.add(adds)
+        np.add.at(expected["token_embedding"], ids.ravel(), enc._rows(d_x))
+        table = expected["segment_embedding"]
+        for s in range(2):
+            rows = np.concatenate([table[s : s + 1], enc._rows(d_x)[segments.ravel() == s]])
+            table[s] = np.add.reduce(rows, axis=0)
         expected["position_embedding"][:t] += d_x.sum(axis=0)
         assert_bitwise_equal(grads.flat, expected.flat)
 
@@ -636,7 +637,9 @@ class TestInPlaceKernels:
         out, saved = enc._attention(params, "layer0.", x, pad_keys, picks)
         assert_bitwise_equal(out, want)
         d_out = rng.normal(0.0, 1.0, out.shape)
-        d_x = enc._attention_backward(params, grads, "layer0.", d_out, saved)
+        adds = []
+        d_x = enc._attention_backward(params, adds, "layer0.", d_out, saved)
+        grads.add(adds)
 
         self.reference_projection_grads(expected, "layer0.attn.w_o", "layer0.attn.b_o", ctx, d_out)
         d_ctx = split(enc._times_transposed(d_out, w["w_o"], picks, t), n_heads)
@@ -669,7 +672,9 @@ class TestInPlaceKernels:
         out, saved = enc._feed_forward(params, "layer0.", x, picks, t)
         assert_bitwise_equal(out, x + ((h1 * cdf) @ w2 + b2))
         d_out = rng.normal(0.0, 1.0, out.shape)
-        d_x = enc._feed_forward_backward(params, grads, "layer0.", d_out, saved)
+        adds = []
+        d_x = enc._feed_forward_backward(params, adds, "layer0.", d_out, saved)
+        grads.add(adds)
 
         self.reference_projection_grads(expected, "layer0.ffn.w2", "layer0.ffn.b2", h1 * cdf, d_out)
         d_h1 = enc._times_transposed(d_out, w2, picks, t) * enc.gelu_grad(h1, cdf)

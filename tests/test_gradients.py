@@ -14,6 +14,7 @@ from titlerec import objectives as obj
 from conftest import (
     central_difference,
     grads_agree,
+    loss_and_grad_arena,
     random_row,
     random_targets,
     scalar_loss,
@@ -52,13 +53,12 @@ class TestLayerNormOracle:
         gain = rng.normal(1.0, 0.2, size=6)
         bias = rng.normal(0.0, 0.2, size=6)
         weight = rng.normal(size=(4, 6))
-        eps = 1e-5
 
         def scalar(x_val, gain_val, bias_val):
-            out, _, _ = enc.layer_norm(x_val, gain_val, bias_val, eps)
+            out, _, _ = enc.layer_norm(x_val, gain_val, bias_val)
             return float(np.sum(weight * out))
 
-        _, x_hat, inv = enc.layer_norm(x, gain, bias, eps)
+        _, x_hat, inv = enc.layer_norm(x, gain, bias)
         d_x, d_gain, d_bias = enc.layer_norm_backward(weight, x_hat, inv, gain)
 
         h = 1e-6
@@ -78,7 +78,7 @@ class TestLayerNormOracle:
     def test_normalized_rows(self):
         rng = np.random.default_rng(5)
         x = rng.normal(3.0, 2.0, size=(5, 8))
-        out, x_hat, _ = enc.layer_norm(x, np.ones(8), np.zeros(8), 1e-5)
+        out, x_hat, _ = enc.layer_norm(x, np.ones(8), np.zeros(8))
         assert np.allclose(out, x_hat)
         assert np.allclose(x_hat.mean(axis=-1), 0.0, atol=1e-12)
         assert np.allclose(x_hat.std(axis=-1), 1.0, atol=1e-3)
@@ -87,7 +87,7 @@ class TestLayerNormOracle:
 def check_coordinates(params, batch, targets, np_labels, coords, **scales):
     """Assert analytic grads match FD for a list of (tensor, flat index)."""
     trace = enc.forward(params, batch)
-    mlm_sum, np_sum, grads = enc.loss_and_grads(params, trace, targets, np_labels, **scales)
+    mlm_sum, np_sum, grads = loss_and_grad_arena(params, trace, targets, np_labels, **scales)
     for name, index in coords:
         analytic = grads[name].reshape(-1)[index]
         numeric = central_difference(params, batch, targets, np_labels, name, index, **scales)
@@ -153,9 +153,9 @@ class TestFullGraphFiniteDifference:
     def test_scale_linearity(self, tiny_params, tiny_row):
         targets = [(0, 1, 5)]
         trace = enc.forward(tiny_params, tiny_row)
-        _, _, full = enc.loss_and_grads(tiny_params, trace, targets, [1])
+        _, _, full = loss_and_grad_arena(tiny_params, trace, targets, [1])
         trace = enc.forward(tiny_params, tiny_row)
-        _, _, half = enc.loss_and_grads(
+        _, _, half = loss_and_grad_arena(
             tiny_params, trace, targets, [1], mlm_scale=0.5, np_scale=0.5
         )
         for name in full.tensors:
@@ -165,7 +165,7 @@ class TestFullGraphFiniteDifference:
 class TestPadGradientIsolation:
     def test_pad_rows_receive_zero_grad(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)
-        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(0, 1, 5), (0, 4, 3)], [1])
+        _, _, grads = loss_and_grad_arena(tiny_params, trace, [(0, 1, 5), (0, 4, 3)], [1])
         live = int(tiny_row.attn_mask.sum())
         # PAD positions cannot influence the loss, exactly
         assert np.all(grads["position_embedding"][live:] == 0.0)
@@ -174,7 +174,7 @@ class TestPadGradientIsolation:
 
     def test_unused_vocab_rows_receive_zero_grad(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)
-        _, _, grads = enc.loss_and_grads(tiny_params, trace, [(0, 1, 5)], [-1])
+        _, _, grads = loss_and_grad_arena(tiny_params, trace, [(0, 1, 5)], [-1])
         used = set(tiny_row.ids[tiny_row.attn_mask].tolist())
         for token_id in range(tiny_params.config.vocab_size):
             if token_id not in used:
@@ -188,17 +188,17 @@ class TestLossValues:
 
     def test_mlm_sum_adds_per_position_nll(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)
-        lone_a = enc.loss_and_grads(tiny_params, trace, [(0, 1, 5)], [-1])[0]
-        lone_b = enc.loss_and_grads(tiny_params, trace, [(0, 2, 6)], [-1])[0]
-        both = enc.loss_and_grads(tiny_params, trace, [(0, 1, 5), (0, 2, 6)], [-1])[0]
+        lone_a = loss_and_grad_arena(tiny_params, trace, [(0, 1, 5)], [-1])[0]
+        lone_b = loss_and_grad_arena(tiny_params, trace, [(0, 2, 6)], [-1])[0]
+        both = loss_and_grad_arena(tiny_params, trace, [(0, 1, 5), (0, 2, 6)], [-1])[0]
         assert abs(both - (lone_a + lone_b)) < 1e-12
 
     def test_np_loss_is_exact_bce(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)
         # at label 0 the pair-bias gradient is sigmoid(z) itself
-        _, np_neg, grads = enc.loss_and_grads(tiny_params, trace, [], [0])
+        _, np_neg, grads = loss_and_grad_arena(tiny_params, trace, [], [0])
         p = grads["np_head.bias"][0]
-        np_pos = enc.loss_and_grads(tiny_params, trace, [], [1])[1]
+        np_pos = loss_and_grad_arena(tiny_params, trace, [], [1])[1]
         assert abs(np_pos - (-np.log(p))) < 1e-12
         assert abs(np_neg - (-np.log1p(-p))) < 1e-12
 
@@ -256,7 +256,7 @@ class TestBatchedPath:
         rng = np.random.default_rng(21)
         batch, targets, labels = mixed_batch(batch_params.config, rng)
         trace = enc.forward(batch_params, batch)
-        _, _, grads = enc.loss_and_grads(
+        _, _, grads = loss_and_grad_arena(
             batch_params, trace, targets, labels, mlm_scale=0.25, np_scale=0.5
         )
         coords = [
@@ -274,14 +274,14 @@ class TestBatchedPath:
 
     def test_batch_equals_sum_of_one_row_batches(self, batch_params):
         batch, targets, labels = mixed_batch(batch_params.config, np.random.default_rng(22))
-        mlm, np_sum, grads = enc.loss_and_grads(
+        mlm, np_sum, grads = loss_and_grad_arena(
             batch_params, enc.forward(batch_params, batch), targets, labels
         )
         mlm_rows = np_rows = 0.0
         summed = {name: np.zeros_like(t) for name, t in batch_params.tensors.items()}
         for row in range(len(batch)):
             row_targets = [(0, p, l) for r, p, l in targets if r == row]
-            row_mlm, row_np, row_grads = enc.loss_and_grads(
+            row_mlm, row_np, row_grads = loss_and_grad_arena(
                 batch_params,
                 enc.forward(batch_params, batch[row : row + 1]),
                 row_targets,
@@ -302,7 +302,8 @@ class TestBatchedPath:
 
         def run(rows_per_pass):
             monkeypatch.setattr(enc, "PASS_TOKEN_BUDGET", rows_per_pass * max_len)
-            return obj.batch_loss_and_grads(batch_params, rows, 0.25, 0.5)
+            grads = enc.zero_grads(batch_params)
+            return *obj.batch_loss_and_grads(batch_params, rows, 0.25, 0.5, grads), grads
 
         whole = run(len(batch))
         for rows_per_pass in (1, 2, 3):
@@ -314,25 +315,24 @@ class TestBatchedPath:
     def test_into_adds_a_pass_to_earlier_grads(self, batch_params):
         batch, targets, labels = mixed_batch(batch_params.config, np.random.default_rng(24))
         head, tail = batch[:2], batch[2:]
-        first = enc.loss_and_grads(
+        first = loss_and_grad_arena(
             batch_params, enc.forward(batch_params, head), targets, labels[:2]
         )[2]
-        second = enc.loss_and_grads(
+        second = loss_and_grad_arena(
             batch_params, enc.forward(batch_params, tail), [], labels[2:]
         )[2]
         expected = {name: first[name] + second[name] for name in first.tensors}
-        _, _, total = enc.loss_and_grads(
-            batch_params, enc.forward(batch_params, tail), [], labels[2:], into=first
+        first.add(
+            enc.loss_and_grads(batch_params, enc.forward(batch_params, tail), [], labels[2:])[2]
         )
-        assert total is first
-        assert_close_rel(total, expected)
+        assert_close_rel(first, expected)
 
     def test_narrow_pass_matches_full_width(self, batch_params):
         """A pass cut to its widest live row gives the full-width losses and
         gradients; positions past its width get exactly zero."""
         batch, targets, labels = mixed_batch(batch_params.config, np.random.default_rng(26))
-        full = enc.loss_and_grads(batch_params, enc.forward(batch_params, batch), targets, labels)
-        narrow = enc.loss_and_grads(
+        full = loss_and_grad_arena(batch_params, enc.forward(batch_params, batch), targets, labels)
+        narrow = loss_and_grad_arena(
             batch_params, enc.forward(batch_params, batch[:, :9]), targets, labels
         )
         assert narrow[0] == pytest.approx(full[0], rel=1e-12)
@@ -340,12 +340,14 @@ class TestBatchedPath:
         assert_close_rel(narrow[2], full[2])
         assert np.all(narrow[2]["position_embedding"][9:] == 0.0)
         # a narrow pass adds into the gradients of a full-width one
-        first = enc.loss_and_grads(batch_params, enc.forward(batch_params, batch), [], labels)[2]
+        first = loss_and_grad_arena(batch_params, enc.forward(batch_params, batch), [], labels)[2]
         expected = {name: first[name] + narrow[2][name] for name in first.tensors}
-        _, _, total = enc.loss_and_grads(
-            batch_params, enc.forward(batch_params, batch[:, :9]), targets, labels, into=first
+        first.add(
+            enc.loss_and_grads(
+                batch_params, enc.forward(batch_params, batch[:, :9]), targets, labels
+            )[2]
         )
-        assert_close_rel(total, expected)
+        assert_close_rel(first, expected)
 
     def test_pad_positions_of_every_row_get_zero_grad(self, batch_params):
         config = batch_params.config
@@ -354,7 +356,7 @@ class TestBatchedPath:
         batch = rows_of_lengths(config, rng, (4, 6))
         batch.ids[batch.ids >= 11] = 5
         batch.ids[~batch.attn_mask] = 12
-        _, _, grads = enc.loss_and_grads(
+        _, _, grads = loss_and_grad_arena(
             batch_params, enc.forward(batch_params, batch), [(0, 1, 3), (1, 2, 4)], [1, 0]
         )
         assert np.all(grads["position_embedding"][6:] == 0.0)

@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -11,7 +10,6 @@ import pytest
 
 from titlerec import encoder as enc
 from titlerec import objectives as obj
-from titlerec.passes import run_passes
 from titlerec.corpus import PreparedArticle, load_saved_transactions
 from titlerec.errors import (
     ArtifactFormatError,
@@ -784,8 +782,8 @@ class TestTrainingHelper:
     """A training step's passes on two threads: the same bytes as on one,
     and ``passes.run_passes``'s failure rules, as ``TestHelperThread`` checks
     them for ``index.build_index``. A step that may start a helper runs
-    through ``call_bounded``, so a lost wake-up fails the test instead of
-    hanging the run."""
+    through ``call_bounded``, so a thread that never returns fails the test
+    instead of hanging the run."""
 
     def run_step(self, monkeypatch, d_model, helper):
         """Two steps on fresh params: the gradient arena each step handed to
@@ -826,8 +824,9 @@ class TestTrainingHelper:
             allow_training_helper(monkeypatch, cpus)
             params = helper_step(8)[0]
             PassSpy(monkeypatch, meet=cpus == 2)
-            mlm, np_sum, grads = call_bounded(obj.batch_loss_and_grads, params, rows, 0.25, 0.5)
-            runs.append((mlm, np_sum, grads.flat.tobytes()))
+            grads = enc.zero_grads(params)
+            sums = call_bounded(obj.batch_loss_and_grads, params, rows, 0.25, 0.5, grads)
+            runs.append((sums, grads.flat.tobytes()))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
@@ -874,120 +873,40 @@ class TestTrainingHelper:
         *refused, threads = self.run_step(monkeypatch, 8, helper=False)
         assert refused == one
 
-    def blocked_waits(self, monkeypatch):
-        """Per thread (helper or not), an event set when it starts waiting
-        for a turn that is not yet its own."""
-        blocked = {False: threading.Event(), True: threading.Event()}
-        real_wait = obj.PassTurns._wait
-
-        def wait(turns, ready):
-            if not ready():
-                blocked[on_helper_thread()].set()
-            return real_wait(turns, ready)
-
-        monkeypatch.setattr(obj.PassTurns, "_wait", wait)
-        return blocked
-
-    @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
-    def test_helper_failure_wakes_the_waiting_caller(self, monkeypatch, error):
-        allow_training_helper(monkeypatch)
-        params, state, masked, pairs = helper_step(8)
-        before = params.flat.copy()
-        blocked = self.blocked_waits(monkeypatch)
-
-        def act(on_helper, rows, trace):
-            # the caller waits for a turn of the helper's pass, which fails
-            # before adding anything
-            if on_helper:
-                assert blocked[False].wait(timeout=10)
-                raise error("in the helper")
-            return trace
-
-        spy = PassSpy(monkeypatch, meet=True, act=act)
-        count = threading.active_count()
-        with pytest.raises(error, match="in the helper"):
-            call_bounded(obj.train_step, params, state, masked, pairs)
-        assert threading.active_count() == count
-        assert spy.threads() == {False}
-        assert np.array_equal(params.flat, before) and state.step == 0
-
-    @pytest.mark.parametrize("error", [Boom, KeyboardInterrupt])
-    def test_caller_failure_wakes_the_waiting_helper(self, monkeypatch, error):
-        allow_training_helper(monkeypatch)
-        params, state, masked, pairs = helper_step(8)
-        blocked = self.blocked_waits(monkeypatch)
-
-        def act(on_helper, rows, trace):
-            # the helper waits in its first pass for the caller's, which fails
-            if not on_helper:
-                assert blocked[True].wait(timeout=10)
-                raise error("in the caller")
-            return trace
-
-        spy = PassSpy(monkeypatch, meet=True, act=act)
-        count = threading.active_count()
-        with pytest.raises(error, match="in the caller"):
-            call_bounded(obj.train_step, params, state, masked, pairs)
-        assert threading.active_count() == count
-        assert spy.threads() == {True}
-        assert state.step == 0
-
     @pytest.mark.parametrize("on_helper", [False, True])
     def test_failure_of_a_running_pass_stops_both_threads(self, monkeypatch, on_helper):
         allow_training_helper(monkeypatch)
+        for error in (Boom, KeyboardInterrupt):
+            params, state, masked, pairs = helper_step(8)
+            before = params.flat.copy()
+
+            def act(helper, rows, trace):
+                if helper == on_helper and len(spy.passes) >= 2:
+                    raise error("mid-step")
+                return trace
+
+            spy = PassSpy(monkeypatch, meet=True, act=act)
+            count = threading.active_count()
+            with pytest.raises(error, match="mid-step"):
+                call_bounded(obj.train_step, params, state, masked, pairs)
+            assert threading.active_count() == count
+            assert len(spy.passes) < 7 and state.step == 0
+            assert np.array_equal(params.flat, before)
+
+    def test_train_step_calls_loss_and_grads_once_per_pass(self, monkeypatch):
+        # through the module attribute, on both threads, so a wrapper of
+        # ``encoder.loss_and_grads`` (as a tracer installs) sees every pass
+        allow_training_helper(monkeypatch)
         params, state, masked, pairs = helper_step(8)
+        real = enc.loss_and_grads
+        calls = []
 
-        def act(helper, rows, trace):
-            if helper == on_helper and len(spy.passes) >= 2:
-                raise Boom("mid-step")
-            return trace
+        def spy(*args, **kwargs):
+            calls.append(on_helper_thread())
+            return real(*args, **kwargs)
 
-        spy = PassSpy(monkeypatch, meet=True, act=act)
-        count = threading.active_count()
-        with pytest.raises(Boom, match="mid-step"):
-            call_bounded(obj.train_step, params, state, masked, pairs)
-        assert threading.active_count() == count
-        assert len(spy.passes) < 7 and state.step == 0
-
-    def test_turns_keep_pass_order_under_frequent_switches(self):
-        # Each pass folds its number into most tensors, each pass in another
-        # tensor order; the rest it leaves to finish(). A reordered or lost
-        # add changes the result.
-        config = enc.EncoderConfig(
-            vocab_size=6, d_model=2, n_heads=1, n_layers=1, d_ff=2, max_len=5
-        )
-        names = list(enc.parameter_shapes(config))
-        arena = enc.EncoderParams(config, np.zeros(enc.parameter_count(config)))
-        turns = obj.PassTurns(arena)
-
-        def adds(number):
-            return [
-                name
-                for name in names[number % len(names) :] + names[: number % len(names)]
-                if (number + len(name)) % 5
-            ]
-
-        helpers = set()
-
-        def run_pass(number):
-            helpers.add(on_helper_thread())
-            sink = obj.PassSink(turns, number)
-            for name in adds(number):
-                with sink.turn(name) as tensor:
-                    tensor *= 3.0
-                    tensor += number
-            turns.finish(number)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            call_bounded(run_passes, range(60), run_pass, True, "titlerec-train")
-        finally:
-            sys.setswitchinterval(interval)
-        assert helpers == {False, True}
-        for name in names:
-            expected = 0.0
-            for number in range(60):
-                if name in adds(number):
-                    expected = expected * 3.0 + number
-            assert (arena[name] == expected).all(), name
+        monkeypatch.setattr(enc, "loss_and_grads", spy)
+        passes = PassSpy(monkeypatch, meet=True)
+        call_bounded(obj.train_step, params, state, masked, pairs)
+        assert len(calls) == len(passes.passes) == 7
+        assert set(calls) == {False, True}

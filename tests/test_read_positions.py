@@ -14,7 +14,7 @@ from titlerec import objectives as obj
 from titlerec.errors import PositionOutOfRangeError, ShapeMismatchError, UnreadPositionError
 from titlerec.tokenizer import CLS_ID, SEP_ID, Vocabulary, encode_single
 
-from conftest import encode_id_pairs, token_rows
+from conftest import encode_id_pairs, loss_and_grad_arena, token_rows
 
 # (vocab, d_model, d_ff, max_len, rows per pass) of the planted, catalog
 # and log workloads; each runs 4 heads over 2 layers (``shaped_params``
@@ -75,7 +75,7 @@ def both_passes(params, batch, targets, labels):
     results = []
     for cut in (None, reads):
         trace = enc.forward(params, batch, reads=cut)
-        results.append((trace, enc.loss_and_grads(params, trace, targets, labels, 0.3, 0.7)))
+        results.append((trace, loss_and_grad_arena(params, trace, targets, labels, 0.3, 0.7)))
     return reads, results
 
 
