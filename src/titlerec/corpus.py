@@ -148,9 +148,12 @@ class PreparedArticle:
 
 
 def _read_table(path: str | Path, required: tuple[str, ...]) -> tuple[dict[str, int], list[list[str]]]:
-    """Read a CSV file and check the header names ``required`` columns."""
+    """Read a UTF-8 CSV file and check the header names ``required`` columns.
+
+    A byte-order mark at the start, as Excel's "CSV UTF-8" writes, is
+    dropped, so it cannot hide the first column's name."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputFileError(f"{path}: {exc}") from None
@@ -223,9 +226,9 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
         try:
             article_id = _canonical_article_id(raw_id)
         except ValueError:
-            raise MalformedRowError(f"row {row_index}: bad article_id {raw_id!r}") from None
+            raise MalformedRowError(f"{path}: row {row_index}: bad article_id {raw_id!r}") from None
         if article_id in seen:
-            raise DuplicateArticleIdError(f"article_id {article_id} appears more than once")
+            raise DuplicateArticleIdError(f"{path}: article_id {article_id} appears more than once")
         seen.add(article_id)
         desc = row[columns["detail_desc"]]
         records.append(
@@ -277,8 +280,8 @@ def load_transactions(path: str | Path) -> PurchaseLog:
         row, _, name = min(failures)
         raw = cells[name][row]
         if name == "t_dat":
-            raise UnparsableDateError(f"row {row + 1}: unparsable t_dat {raw.strip()!r}")
-        raise MalformedRowError(f"row {row + 1}: bad {name} {raw!r}")
+            raise UnparsableDateError(f"{path}: row {row + 1}: unparsable t_dat {raw.strip()!r}")
+        raise MalformedRowError(f"{path}: row {row + 1}: bad {name} {raw!r}")
     customer_cells = cells["customer_id"]
     customers, customer_ids = _codes(
         customer_cells, {raw: raw.strip() for raw in set(customer_cells)}

@@ -100,9 +100,13 @@ Pass budget. Callers feed at most ``rows_per_pass(width)`` rows, about
 whatever their batch size. That bounds the activations a pass holds: 16
 rows at width 16, 5 rows at width 48, 51 rows of a 5-token title.
 Embedding and training may each run two passes at once, one per thread
-(``passes.run_passes``), so the process may hold twice that. A training
-pass's list of adds, about one gradient arena of products, lives from its
-backward until it is added, which waits for the passes before it.
+(``passes.run_passes``), so the process may hold twice that. A backward
+spends its trace: ``loss_and_grads`` takes the cache off the trace and
+drops each block's saved arrays as soon as that block's backward returns,
+so a pass's activations shrink while its list of adds grows; the
+masked-token head's weight gradient, the largest add, is made last. That
+list, about one gradient arena of products, lives from its backward until
+it is added, which waits for the passes before it.
 
 Checkpoint layout (version TRENC002, little-endian): the shape, then the
 arena. The shape fixes every tensor's name, shape and place in the arena.
@@ -222,13 +226,15 @@ class ForwardTrace:
     backward pass needs when the pass was recorded: the embedding sum's
     saved arrays, one (attention, ln1, feed-forward, ln2) tuple of saved
     arrays per layer, and the last layer's row picks (None for a full
-    pass). ``reads`` holds the (B, m) positions the last layer computed
-    when the pass was cut to them (see ``read_positions``); its hidden
-    states are zero elsewhere."""
+    pass). ``loss_and_grads`` spends the cache: it takes it off the trace
+    and sets ``spent``. ``reads`` holds the (B, m) positions the last layer
+    computed when the pass was cut to them (see ``read_positions``); its
+    hidden states are zero elsewhere."""
 
     hidden_states: np.ndarray
     cache: tuple | None = field(default=None, repr=False)
     reads: np.ndarray | None = field(default=None, repr=False)
+    spent: bool = field(default=False, repr=False)
 
 
 def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -654,8 +660,11 @@ def _attention_backward(params: EncoderParams, grads, p: str, d_out: np.ndarray,
     d_q = _merge_heads((d_scores @ k) * scale)
     d_k = _merge_heads((d_scores.transpose(0, 1, 3, 2) @ q) * scale)
     del d_scores
-    for name, x_in, d_in in (("q", x_q, d_q), ("k", x, d_k), ("v", x, d_v)):
-        _add_projection_grads(grads, f"{p}attn.w_{name}", f"{p}attn.b_{name}", x_in, d_in)
+    _add_projection_grads(grads, p + "attn.w_q", p + "attn.b_q", x_q, d_q)
+    _add_projection_grads(grads, p + "attn.w_k", p + "attn.b_k", x, d_k)
+    _add_projection_grads(grads, p + "attn.w_v", p + "attn.b_v", x, d_v)
+    # the block's saved arrays go before the full-width products below
+    del saved, x, x_q, q, k, v, weights, ctx, d_ctx
     if picks is not None:
         # back to full width; the query product runs there anyway
         d_out = _scatter(d_out, picks, width)
@@ -804,20 +813,24 @@ def _head_terms(params: EncoderParams, trace: ForwardTrace, targets, np_labels):
 
 
 def _heads_backward(params: EncoderParams, grads, saved, mlm_scale: float, np_scale: float):
-    """Gradient of mlm_scale*mlm_sum + np_scale*np_sum by the hidden states."""
+    """Gradient of mlm_scale*mlm_sum + np_scale*np_sum by the hidden states,
+    and the masked-token head's input and output gradient ``(h_mlm,
+    d_logits)`` (None without a target), from which the caller takes that
+    head's gradients."""
     shape, targets, h_mlm, probs, pair_rows, y, h_cls, z = saved
     d_h = np.zeros(shape)
+    mlm_head = None
     if len(targets):
         d_logits = probs
         d_logits[np.arange(len(targets)), targets[:, 2]] -= 1.0
         d_logits *= mlm_scale
-        _add_projection_grads(grads, "mlm_head.weight", "mlm_head.bias", h_mlm, d_logits)
+        mlm_head = (h_mlm, d_logits)
         flat = _element_indices(targets[:, 0] * shape[1] + targets[:, 1], shape[-1])
         np.add.at(d_h.reshape(-1), flat, (d_logits @ params["mlm_head.weight"].T).reshape(-1))
     d_z = (sigmoid(z) - y) * np_scale
     _add_projection_grads(grads, "np_head.weight", "np_head.bias", h_cls, d_z[:, None])
     d_h[pair_rows, 0] += d_z[:, None] * params["np_head.weight"][:, 0]
-    return d_h
+    return d_h, mlm_head
 
 
 def loss_and_grads(
@@ -842,25 +855,45 @@ def loss_and_grads(
     adds them into an arena in the layout of ``params`` (see
     ``zero_grads``), so a multi-pass step holds one gradient arena for all
     its passes.
+
+    The trace is spent, as ``objectives.adam_update`` spends its gradients
+    (see *Pass budget*): once the heads' checks pass, its cache is taken off
+    it and ``spent`` is set, and each block's saved arrays are released as
+    soon as that block's backward returns. A call that fails those checks
+    leaves the trace whole; a second call on a spent trace raises
+    ``NoRecordedForwardError``. To read several losses off one batch, run
+    ``forward`` once per loss.
     """
     if trace.cache is None:
-        raise NoRecordedForwardError("forward was run without record=True")
+        raise NoRecordedForwardError(
+            "the backward already ran on this trace; run forward again"
+            if trace.spent
+            else "forward was run without record=True"
+        )
     mlm_sum, np_sum, heads = _head_terms(params, trace, mlm_targets, np_labels)
+    embedded, layers, picks = trace.cache
+    trace.cache, trace.spent = None, True
     grads: list[GradAdd] = []
     if heads is None:
         return mlm_sum, np_sum, grads
-    d_h = _heads_backward(params, grads, heads, mlm_scale, np_scale)
-    embedded, layers, picks = trace.cache
+    d_h, mlm_head = _heads_backward(params, grads, heads, mlm_scale, np_scale)
     if picks is not None:
         d_h = _gather(d_h, picks)
     for i in reversed(range(len(layers))):
         p = f"layer{i}."
-        attention, norm1, ffn, norm2 = layers[i]
-        d_h = _norm_backward(params, grads, p + "ln2", d_h, norm2)
-        d_h = _feed_forward_backward(params, grads, p, d_h, ffn)
-        d_h = _norm_backward(params, grads, p + "ln1", d_h, norm1)
-        d_h = _attention_backward(params, grads, p, d_h, attention)
+        # each block's saved arrays are popped into its backward, so they
+        # go when it returns
+        saved = list(layers.pop())  # attention, ln1, feed-forward, ln2
+        d_h = _norm_backward(params, grads, p + "ln2", d_h, saved.pop())
+        d_h = _feed_forward_backward(params, grads, p, d_h, saved.pop())
+        d_h = _norm_backward(params, grads, p + "ln1", d_h, saved.pop())
+        d_h = _attention_backward(params, grads, p, d_h, saved.pop())
     _embed_backward(grads, d_h, embedded)
+    if mlm_head is not None:
+        # last, once the blocks' saved arrays are gone: the (d, V) weight
+        # gradient outweighs the (M, V) logit gradient it is made from when,
+        # as in a pass of titles, fewer than d_model targets are masked
+        _add_projection_grads(grads, "mlm_head.weight", "mlm_head.bias", *mlm_head)
     return mlm_sum, np_sum, grads
 
 

@@ -52,7 +52,8 @@ class PositionOutOfRangeError(TitlerecError):
 
 
 class NoRecordedForwardError(TitlerecError):
-    pass
+    """A backward asked for a trace's cache: its forward ran without
+    ``record``, or an earlier backward spent it."""
 
 
 class UnreadPositionError(TitlerecError):

@@ -45,11 +45,13 @@ every tensor takes the same adds in the same order whichever thread ran
 which pass, so the checkpoint and the loss log keep every byte.
 
 The optimizer state holds Adam's two moments and one gradient arena, all
-in the parameters' flat layout (see ``encoder``), plus one scratch buffer.
-Each step zeroes the gradient arena, every pass is added into it, and
-``adam_update`` runs in place over the flat buffers, allocating no array.
-Adam's decay rates and denominator floor are the constants ``BETA1``,
-``BETA2`` and ``EPSILON``.
+in the parameters' flat layout (see ``encoder``), plus one scratch block
+of at most ``ADAM_BLOCK`` floats. Each step zeroes the gradient arena,
+every pass is added into it, and ``adam_update`` runs in place over the
+flat buffers, one block of ``ADAM_BLOCK`` floats at a time, allocating no
+array: every element takes the same operations in the same order as over
+the whole arena, so the block size moves no bit. Adam's decay rates and
+denominator floor are the constants ``BETA1``, ``BETA2`` and ``EPSILON``.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ from .tokenizer import (
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+
+# Floats of the arenas ``adam_update`` runs over at a time; the size of the
+# optimizer's scratch. A block's four slices stay in the caches between the
+# update's operations, and the scratch is a block, not a fourth arena.
+ADAM_BLOCK = 1 << 16
 
 # Width from which a training step's passes run on two threads. Below it the
 # numpy calls of a pass are too small to leave the GIL often, and the two
@@ -318,8 +325,9 @@ def encode_training_pairs(
 
 @dataclass
 class OptimizerState:
-    """Adam's two moments plus the gradient arena every step reuses and one
-    scratch buffer, all in the flat layout of the parameters."""
+    """Adam's two moments plus the gradient arena every step reuses, all in
+    the flat layout of the parameters, and a scratch block of at most
+    ``ADAM_BLOCK`` floats."""
 
     learning_rate: float
     step: int
@@ -336,7 +344,7 @@ def init_optimizer(params: enc.EncoderParams, learning_rate: float = 1e-3) -> Op
         first_moment=enc.zero_grads(params),
         second_moment=enc.zero_grads(params),
         grads=enc.zero_grads(params),
-        scratch=np.empty_like(params.flat),
+        scratch=np.empty(min(ADAM_BLOCK, len(params.flat))),
     )
 
 
@@ -345,31 +353,33 @@ def adam_update(
 ) -> None:
     """One bias-corrected adaptive-moment step, applied to params in place.
 
-    Every operation runs in place over the flat arenas, in the order of
-    m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
-    p -= lr (m / c1) / (sqrt(v / c2) + eps), so no temporary is allocated.
-    ``grads`` (in the layout of ``params``) is spent: it holds the
-    denominator afterwards.
+    Every operation runs in place over the flat arenas, one block of
+    ``ADAM_BLOCK`` floats at a time, in the order of m = b1 m + (1-b1) g,
+    v = b2 v + ((1-b2) g) g and p -= lr (m / c1) / (sqrt(v / c2) + eps),
+    with the state's scratch block as the one temporary. ``grads`` (in the
+    layout of ``params``) is spent: it holds the denominator afterwards.
     """
     state.step += 1
     correction1 = 1.0 - BETA1**state.step
     correction2 = 1.0 - BETA2**state.step
-    m, v = state.first_moment.flat, state.second_moment.flat
-    g, tmp = grads.flat, state.scratch
-    np.multiply(m, BETA1, out=m)
-    np.multiply(g, 1.0 - BETA1, out=tmp)
-    np.add(m, tmp, out=m)
-    np.multiply(v, BETA2, out=v)
-    np.multiply(g, 1.0 - BETA2, out=tmp)
-    np.multiply(tmp, g, out=tmp)
-    np.add(v, tmp, out=v)
-    np.divide(m, correction1, out=tmp)
-    np.multiply(tmp, state.learning_rate, out=tmp)
-    np.divide(v, correction2, out=g)
-    np.sqrt(g, out=g)
-    np.add(g, EPSILON, out=g)
-    np.divide(tmp, g, out=tmp)
-    np.subtract(params.flat, tmp, out=params.flat)
+    arenas = (params.flat, state.first_moment.flat, state.second_moment.flat, grads.flat)
+    for start in range(0, len(params.flat), ADAM_BLOCK):
+        p, m, v, g = (arena[start : start + ADAM_BLOCK] for arena in arenas)
+        tmp = state.scratch[: len(g)]
+        np.multiply(m, BETA1, out=m)
+        np.multiply(g, 1.0 - BETA1, out=tmp)
+        np.add(m, tmp, out=m)
+        np.multiply(v, BETA2, out=v)
+        np.multiply(g, 1.0 - BETA2, out=tmp)
+        np.multiply(tmp, g, out=tmp)
+        np.add(v, tmp, out=v)
+        np.divide(m, correction1, out=tmp)
+        np.multiply(tmp, state.learning_rate, out=tmp)
+        np.divide(v, correction2, out=g)
+        np.sqrt(g, out=g)
+        np.add(g, EPSILON, out=g)
+        np.divide(tmp, g, out=tmp)
+        np.subtract(p, tmp, out=p)
 
 
 def batch_loss_and_grads(
@@ -406,7 +416,7 @@ def batch_loss_and_grads(
         pass_targets = rows.targets[(target_rows >= start) & (target_rows < stop)] - (start, 0, 0)
         pass_labels = rows.labels[start:stop]
         reads = enc.read_positions(pass_targets, pass_labels, rows.tokens.max_len)
-        # the pass's trace is dropped once its gradients are computed
+        # the backward spends the pass's trace (see encoder.loss_and_grads)
         return enc.loss_and_grads(
             params,
             enc.forward(params, rows.tokens[start:stop], reads=reads),

@@ -34,6 +34,7 @@ from synth import (
     small_inputs,
     to_csv,
     trlog_bytes,
+    write_planted_inputs,
 )
 
 TINY_MODEL = [
@@ -418,6 +419,54 @@ class TestIngest:
         rc = run_cli("ingest", "--workdir", tmp_path / "w")
         assert rc == 1
         assert "error: InvalidConfigError" in capsys.readouterr().err
+
+    def test_byte_order_marks_are_dropped(self, tmp_path):
+        # as Excel's "CSV UTF-8" writes them: the bytes of a run are unchanged
+        workdirs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            root = tmp_path / f"bom{len(bom)}"
+            root.mkdir()
+            inputs = write_planted_inputs(root)
+            for name in ("articles_path", "transactions_path"):
+                inputs[name].write_bytes(bom + inputs[name].read_bytes())
+            workdir = root / "w"
+            flags = ["--articles", inputs["articles_path"],
+                     "--transactions", inputs["transactions_path"]]
+            assert run_cli("ingest", "--workdir", workdir, *flags) == 0
+            workdirs.append(workdir)
+        for name in (cli.PREPARED_FILE, cli.TRANSACTIONS_FILE):
+            assert (workdirs[1] / name).read_bytes() == (workdirs[0] / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "file, row, column, bad, message",
+        [
+            ("articles", 2, 0, "12x", "MalformedRowError: {path}: row 2: bad article_id '12x'"),
+            ("articles", 3, 0, "1", "DuplicateArticleIdError: {path}: article_id 0000000001 "
+             "appears more than once"),
+            ("transactions", 4, 0, "2020-13-01", "UnparsableDateError: {path}: row 4: "
+             "unparsable t_dat '2020-13-01'"),
+            ("transactions", 5, 2, "x7", "MalformedRowError: {path}: row 5: bad article_id 'x7'"),
+            ("transactions", 6, 3, '0.0100"', "MalformedRowError: {path}: row 6: bad price "
+             "'0.0100\"'"),
+            ("transactions", 7, 4, "2.5", "MalformedRowError: {path}: row 7: bad "
+             "sales_channel_id '2.5'"),
+        ],
+    )
+    def test_row_error_names_its_file(self, tmp_path, capsys, file, row, column, bad, message):
+        inputs = small_inputs(tmp_path)
+        path = inputs[f"{file}_path"]
+        header, *rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        rows[row - 1][column] = bad
+        path.write_text(to_csv(tuple(header), [tuple(r) for r in rows]), encoding="utf-8")
+        rc = run_cli(
+            "ingest",
+            "--workdir", tmp_path / "w",
+            "--articles", inputs["articles_path"],
+            "--transactions", inputs["transactions_path"],
+        )
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: " + message.format(path=path)
 
 
 class TestStats:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import weakref
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -228,12 +229,17 @@ class TestForward:
 
 class TestHeads:
     @staticmethod
-    def mlm_probabilities(params, trace, position):
+    def mlm_probabilities(params, row, position):
         """Predicted vocabulary distribution at one position of a 1-row pass,
-        read back from the per-label NLLs of ``loss_and_grads``."""
+        read back from the per-label NLLs of ``loss_and_grads``, one forward
+        per label (a backward spends its trace)."""
         return np.array(
             [
-                math.exp(-enc.loss_and_grads(params, trace, [(0, position, label)], [-1])[0])
+                math.exp(
+                    -enc.loss_and_grads(
+                        params, enc.forward(params, row), [(0, position, label)], [-1]
+                    )[0]
+                )
                 for label in range(params.config.vocab_size)
             ]
         )
@@ -245,9 +251,8 @@ class TestHeads:
         return float(grads["np_head.bias"][0])
 
     def test_mlm_distribution_normalized(self, tiny_params, tiny_row):
-        trace = enc.forward(tiny_params, tiny_row)
         for position in range(tiny_row.max_len):
-            dist = self.mlm_probabilities(tiny_params, trace, position)
+            dist = self.mlm_probabilities(tiny_params, tiny_row, position)
             assert np.all(dist > 0)
             assert abs(dist.sum() - 1.0) < 1e-9
 
@@ -257,7 +262,7 @@ class TestHeads:
         row = token_rows([2, 1, 3, 0, 0], [0] * 5, [1, 1, 1, 0, 0])
         trace = enc.forward(params, row)
         assert np.array_equal(trace.hidden_states, np.zeros_like(trace.hidden_states))
-        assert np.allclose(self.mlm_probabilities(params, trace, 1), 0.25, atol=1e-12)
+        assert np.allclose(self.mlm_probabilities(params, row, 1), 0.25, atol=1e-12)
 
     def test_mlm_hand_evaluated_softmax(self):
         # logits [0,0,0,ln 3] -> [1/6, 1/6, 1/6, 1/2]
@@ -265,7 +270,7 @@ class TestHeads:
         params = zeroed_params(config)
         params["mlm_head.bias"][...] = np.array([0.0, 0.0, 0.0, math.log(3.0)])
         row = token_rows([2, 1, 3, 0, 0], [0] * 5, [1, 1, 1, 0, 0])
-        dist = self.mlm_probabilities(params, enc.forward(params, row), 0)
+        dist = self.mlm_probabilities(params, row, 0)
         assert np.allclose(dist, [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-12)
 
     def test_mlm_position_bounds(self, tiny_params, tiny_row):
@@ -291,8 +296,8 @@ class TestHeads:
         params = zeroed_params(tiny_config)
         for logit in (-1e300, -1000.0, -745.0, -710.0, -30.0, 0.0, 30.0, 710.0, 1000.0, 1e300):
             params["np_head.bias"][...] = np.array([logit])
-            trace = enc.forward(params, tiny_row)
             for label in (0, 1):
+                trace = enc.forward(params, tiny_row)
                 mlm, pair, grads = loss_and_grad_arena(params, trace, [], [label])
                 assert mlm == 0.0 and np.isfinite(pair)
                 assert all(np.isfinite(g).all() for g in grads.tensors.values())
@@ -306,6 +311,31 @@ class TestBackwardContract:
         trace = enc.forward(tiny_params, tiny_row, record=False)
         with pytest.raises(NoRecordedForwardError):
             enc.loss_and_grads(tiny_params, trace, [(0, 1, 5)], [-1])
+
+    def test_backward_spends_the_trace(self, tiny_params, tiny_row):
+        trace = enc.forward(tiny_params, tiny_row)
+        _, layers, _ = trace.cache
+        weights = weakref.ref(layers[0][0][5])  # layer 0's attention weights
+        del layers
+        enc.loss_and_grads(tiny_params, trace, [(0, 1, 5)], [1])
+        assert weights() is None
+        assert trace.cache is None and trace.spent
+        with pytest.raises(NoRecordedForwardError, match="backward already ran"):
+            enc.loss_and_grads(tiny_params, trace, [(0, 1, 5)], [1])
+
+    def test_refused_targets_leave_the_trace_whole(self, tiny_params, tiny_row):
+        trace = enc.forward(tiny_params, tiny_row)
+        expected = loss_and_grad_arena(
+            tiny_params, enc.forward(tiny_params, tiny_row), [(0, 1, 5)], [1]
+        )
+        with pytest.raises(PositionOutOfRangeError):
+            enc.loss_and_grads(tiny_params, trace, [(0, tiny_row.max_len, 5)], [1])
+        with pytest.raises(ShapeMismatchError):
+            enc.loss_and_grads(tiny_params, trace, [(0, 1, 5)], [1, 0])
+        assert trace.cache is not None and not trace.spent
+        actual = loss_and_grad_arena(tiny_params, trace, [(0, 1, 5)], [1])
+        assert actual[:2] == expected[:2]
+        assert np.array_equal(actual[2].flat, expected[2].flat)
 
     def test_no_targets_gives_zero_grads(self, tiny_params, tiny_row):
         trace = enc.forward(tiny_params, tiny_row)

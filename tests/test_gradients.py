@@ -187,18 +187,21 @@ class TestLossValues:
         assert np.isfinite(value) and value > 0.0
 
     def test_mlm_sum_adds_per_position_nll(self, tiny_params, tiny_row):
-        trace = enc.forward(tiny_params, tiny_row)
-        lone_a = loss_and_grad_arena(tiny_params, trace, [(0, 1, 5)], [-1])[0]
-        lone_b = loss_and_grad_arena(tiny_params, trace, [(0, 2, 6)], [-1])[0]
-        both = loss_and_grad_arena(tiny_params, trace, [(0, 1, 5), (0, 2, 6)], [-1])[0]
+        def trace():
+            return enc.forward(tiny_params, tiny_row)
+
+        lone_a = loss_and_grad_arena(tiny_params, trace(), [(0, 1, 5)], [-1])[0]
+        lone_b = loss_and_grad_arena(tiny_params, trace(), [(0, 2, 6)], [-1])[0]
+        both = loss_and_grad_arena(tiny_params, trace(), [(0, 1, 5), (0, 2, 6)], [-1])[0]
         assert abs(both - (lone_a + lone_b)) < 1e-12
 
     def test_np_loss_is_exact_bce(self, tiny_params, tiny_row):
-        trace = enc.forward(tiny_params, tiny_row)
         # at label 0 the pair-bias gradient is sigmoid(z) itself
-        _, np_neg, grads = loss_and_grad_arena(tiny_params, trace, [], [0])
+        _, np_neg, grads = loss_and_grad_arena(
+            tiny_params, enc.forward(tiny_params, tiny_row), [], [0]
+        )
         p = grads["np_head.bias"][0]
-        np_pos = loss_and_grad_arena(tiny_params, trace, [], [1])[1]
+        np_pos = loss_and_grad_arena(tiny_params, enc.forward(tiny_params, tiny_row), [], [1])[1]
         assert abs(np_pos - (-np.log(p))) < 1e-12
         assert abs(np_neg - (-np.log1p(-p))) < 1e-12
 

@@ -1,9 +1,10 @@
 import math
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from datetime import date
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -601,6 +602,42 @@ class TestArenaAdam:
             tracemalloc.stop()
         assert peak < 0.01 * params.flat.nbytes, (peak, params.flat.nbytes)
 
+    @pytest.mark.parametrize(
+        "size", [1, obj.ADAM_BLOCK - 1, obj.ADAM_BLOCK, obj.ADAM_BLOCK + 1, 4 * obj.ADAM_BLOCK + 3]
+    )
+    def test_blocked_update_equals_whole_arena_update(self, size, monkeypatch):
+        # arenas of any length: adam_update reads only their flat buffers
+        rng = np.random.default_rng(size)
+        start = rng.normal(0.0, 0.1, size)
+        steps = [rng.normal(0.0, 0.1, size) for _ in range(3)]
+        runs = []
+        for block in (obj.ADAM_BLOCK, size):
+            monkeypatch.setattr(obj, "ADAM_BLOCK", block)
+            params = SimpleNamespace(flat=start.copy())
+            state = obj.OptimizerState(
+                learning_rate=3e-3,
+                step=0,
+                first_moment=SimpleNamespace(flat=np.zeros(size)),
+                second_moment=SimpleNamespace(flat=np.zeros(size)),
+                grads=SimpleNamespace(flat=np.zeros(size)),
+                scratch=np.empty(min(block, size)),
+            )
+            for grads in steps:
+                state.grads.flat[...] = grads
+                obj.adam_update(params, state, state.grads)
+            runs.append((params.flat, state.first_moment.flat, state.second_moment.flat))
+        for blocked, whole in zip(*runs):
+            assert_same_doubles(blocked, whole)
+
+    def test_scratch_is_one_block(self, tiny_params):
+        # the planted model fits one block; the catalog model takes five
+        assert len(obj.init_optimizer(tiny_params).scratch) == tiny_params.flat.size
+        config = enc.EncoderConfig(
+            vocab_size=1550, d_model=64, n_heads=4, n_layers=2, d_ff=128, max_len=48
+        )
+        params = enc.EncoderParams(config)
+        assert len(obj.init_optimizer(params).scratch) == obj.ADAM_BLOCK < params.flat.size
+
     def test_train_step_reuses_one_gradient_arena(self, tiny_params, tiny_row, monkeypatch):
         state = obj.init_optimizer(tiny_params)
         arena = state.grads.flat
@@ -632,6 +669,74 @@ class TestArenaAdam:
                 obj.train_step(params, state, masked, no_pairs(tiny_row.max_len))
             runs.append(params.flat)
         assert np.array_equal(runs[0], runs[1])
+
+
+class TestStepMemory:
+    """A single-thread step holds the optimizer's three arenas and one Adam
+    block, and one pass's activations at a time."""
+
+    @staticmethod
+    def catalog_step():
+        """A step of the benchmark's ``catalog`` shape: 16 masked titles and
+        16 pairs of 10 to 23 words, d_model 64, max_len 48 (7 passes)."""
+        vocab, _ = make_vocab(1545)
+        rng = np.random.default_rng(4)
+        word_ids = [
+            rng.integers(FIRST_WORD_ID, len(vocab), int(rng.integers(10, 24))).tolist()
+            for _ in range(48)
+        ]
+        config = enc.EncoderConfig(
+            vocab_size=len(vocab), d_model=64, n_heads=4, n_layers=2, d_ff=128, max_len=48
+        )
+        masked = obj.mask_titles(encode_single(word_ids[:16], config.max_len), vocab, rng)
+        pairs = obj.encode_training_pairs(
+            obj.SampledPairs(np.arange(16, 32), np.arange(32, 48), rng.integers(0, 2, 16)),
+            word_ids,
+            config.max_len,
+        )
+        return enc.init_params(config, seed=0), masked, pairs
+
+    @staticmethod
+    def traced_peak(function, *args):
+        tracemalloc.start()
+        try:
+            function(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_step_peak_is_three_arenas_a_block_and_one_pass(self, monkeypatch):
+        monkeypatch.setattr(obj, "usable_cpus", lambda: 1)
+        params, masked, pairs = self.catalog_step()
+        rows = obj.TrainingRows.concat(masked, pairs)
+        n_targets, n_pairs = len(rows.targets), len(pairs)
+        step = enc.rows_per_pass(params.config.max_len)
+        pass_peaks = []
+        for start in range(0, len(rows), step):
+            in_pass = (rows.targets[:, 0] >= start) & (rows.targets[:, 0] < start + step)
+            targets = rows.targets[in_pass] - (start, 0, 0)
+            labels = rows.labels[start : start + step]
+            batch = rows.tokens[start : start + step]
+            reads = enc.read_positions(targets, labels, params.config.max_len)
+
+            def run_pass():
+                trace = enc.forward(params, batch, reads=reads)
+                enc.loss_and_grads(params, trace, targets, labels, 1 / n_targets, 1 / n_pairs)
+
+            pass_peaks.append(self.traced_peak(run_pass))
+        obj.train_step(params, obj.init_optimizer(params), masked, pairs)  # warm-up
+
+        def optimizer_and_step():
+            obj.train_step(params, obj.init_optimizer(params), masked, pairs)
+
+        peak = self.traced_peak(optimizer_and_step)
+        arena = params.flat.nbytes
+        # the step's own rows, and the Python objects of the arenas' tensor
+        # views and of the step beside the arrays (about 30 KB here)
+        overhead = sum(a.nbytes for a in (*astuple(rows.tokens), rows.targets, rows.labels))
+        overhead += 128 * 1024
+        bound = 3 * arena + obj.ADAM_BLOCK * 8 + max(pass_peaks) + overhead
+        assert peak <= bound, (peak, bound, arena)
 
 
 def tiny_training_world(seed=6):
