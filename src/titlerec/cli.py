@@ -38,15 +38,19 @@ Artifacts (inside the workdir):
     transactions.bin       catalog-joined purchase log (TRLOG002), in input
                            order, over the catalog's article table, with the
                            holdout days it was ingested with
-    ingest_summary.json    row counts and the missing-description histogram
+    ingest_summary.json    row counts, the missing-description histogram and
+                           the sha256 of prepared_articles.tsv, against
+                           which stats, train and recommend check that file
     stats.txt              text-length and missing-description histograms
     vocab.txt              one token per line, line number = id
     checkpoint.bin         encoder shape and weights (TRENC002)
     loss_log.tsv           step, mlm, np, total per training step
     index.bin              cache of the catalog's embeddings (TRECIDX1): the
-                           catalog's ids, the vectors and the sha256 of the
+                           catalog's ids, the vectors, and the sha256 of the
                            checkpoint and of prepared_articles.tsv they were
-                           built from; rebuilt unless all of these match
+                           built from and of the vectors; reused only when
+                           every byte is what this run would write, and
+                           rebuilt otherwise
     submission.csv         customer_id,prediction rows
     eval_report.json       map_at_12 / scored / excluded
 """
@@ -73,6 +77,7 @@ from . import encoder as enc
 from .errors import (
     ArtifactFormatError,
     CheckpointMismatchError,
+    InputFileError,
     InvalidConfigError,
     MissingArtifactError,
     TitlerecError,
@@ -293,18 +298,49 @@ def _load_ingested(config: PipelineConfig) -> tuple[corpus.PurchaseLog, int]:
     return corpus.load_saved_transactions(path, config.holdout_days)
 
 
-def _load_joined(
-    config: PipelineConfig, catalog: tuple[str, ...]
-) -> tuple[corpus.PurchaseLog, int]:
-    """``_load_ingested``, refused unless the log's article table is the catalog."""
+def _load_prepared(workdir: Path) -> tuple[list[corpus.PreparedArticle], str]:
+    return corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
+
+
+def _ingest_summary(workdir: Path, prepared_sha256: str) -> dict[str, tuple[int, int]]:
+    """The missing-description histogram of the ingest summary, index_name ->
+    (with description, without), refused unless the summary records
+    ``prepared_sha256``, the digest of the prepared-articles file read."""
+    path = _require(workdir / INGEST_SUMMARY_FILE, "titlerec ingest")
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        missing = {
+            str(name): (int(with_desc), int(without_desc))
+            for name, (with_desc, without_desc) in summary["missing_description"].items()
+        }
+        if summary["prepared_sha256"] != prepared_sha256:  # (not one of the errors caught)
+            raise ArtifactFormatError(
+                f"{workdir / PREPARED_FILE}: not the file {path} records (its sha256 differs); "
+                "re-run `titlerec ingest`"
+            )
+        return missing
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ArtifactFormatError(
+            f"{path}: not an ingest summary ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _load_catalog(
+    config: PipelineConfig,
+) -> tuple[list[corpus.PreparedArticle], str, corpus.PurchaseLog, int]:
+    """The prepared catalog and its sha256, then ``_load_ingested``'s log and
+    holdout days; refused unless the log's article table is the catalog, and
+    then unless the catalog file is the one the ingest summary records."""
+    workdir = Path(config.workdir)
+    prepared, prepared_sha256 = _load_prepared(workdir)
     joined, holdout_days = _load_ingested(config)
-    if joined.article_ids != catalog:
-        workdir = Path(config.workdir)
+    if joined.article_ids != tuple(p.article_id for p in prepared):
         raise UnknownArticleError(
             f"{workdir / TRANSACTIONS_FILE}: its article table is not the catalog of "
             f"{workdir / PREPARED_FILE}; re-run `titlerec ingest`"
         )
-    return joined, holdout_days
+    _ingest_summary(workdir, prepared_sha256)
+    return prepared, prepared_sha256, joined, holdout_days
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -322,7 +358,7 @@ def cmd_ingest(config: PipelineConfig) -> str:
     dropped = len(transactions) - len(joined)
     sessions = int(joined.sessions()[1].max(initial=-1)) + 1
 
-    corpus.save_prepared(prepared, workdir / PREPARED_FILE)
+    prepared_sha256 = corpus.save_prepared(prepared, workdir / PREPARED_FILE)
     corpus.save_transactions(joined, workdir / TRANSACTIONS_FILE, config.written("holdout_days"))
     histogram = corpus.missing_description_histogram(articles)
     _write_json(
@@ -334,6 +370,7 @@ def cmd_ingest(config: PipelineConfig) -> str:
             "dropped": dropped,
             "sessions": sessions,
             "missing_description": {k: list(v) for k, v in histogram.items()},
+            "prepared_sha256": prepared_sha256,
         },
     )
     return (
@@ -342,27 +379,12 @@ def cmd_ingest(config: PipelineConfig) -> str:
     )
 
 
-def _missing_description(summary_path: Path) -> dict[str, tuple[int, int]]:
-    """The missing-description histogram of an ingest summary: index_name ->
-    (with description, without)."""
-    text = summary_path.read_text(encoding="utf-8")
-    try:
-        return {
-            str(name): (int(with_desc), int(without_desc))
-            for name, (with_desc, without_desc) in json.loads(text)["missing_description"].items()
-        }
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ArtifactFormatError(
-            f"{summary_path}: not an ingest summary ({type(exc).__name__}: {exc})"
-        ) from None
-
-
 def cmd_stats(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
-    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))[0]
+    prepared, prepared_sha256 = _load_prepared(workdir)
     if not prepared:
         raise MissingArtifactError("prepared corpus is empty; rerun ingest on real data")
-    missing = _missing_description(_require(workdir / INGEST_SUMMARY_FILE, "titlerec ingest"))
+    missing = _ingest_summary(workdir, prepared_sha256)
     lines = ["# text length histogram", "length\tcount"]
     for length, count in corpus.text_length_histogram(prepared).items():
         lines.append(f"{length}\t{count}")
@@ -380,8 +402,7 @@ def cmd_stats(config: PipelineConfig) -> str:
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_train(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
-    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))[0]
-    joined, holdout_days = _load_joined(config, tuple(p.article_id for p in prepared))
+    prepared, _, joined, holdout_days = _load_catalog(config)
     train_window, _ = evaluation.temporal_split(joined, holdout_days)
 
     vocab = build_vocab(prepared, config.min_freq, config.max_vocab)
@@ -438,11 +459,14 @@ def cmd_train(config: PipelineConfig) -> str:
 
 def _load_customer_universe(config: PipelineConfig, joined: corpus.PurchaseLog) -> list[str]:
     universe = set(joined.customer_ids)  # a saved log's table holds only used ids
-    universe.discard("")
     if config.customer_list is not None:
-        for line in Path(config.customer_list).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                universe.add(line.strip())
+        # a byte-order mark, as Windows editors write, is not part of the first id
+        try:
+            text = Path(config.customer_list).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise InputFileError(f"{config.customer_list}: {exc}") from None
+        universe.update(line.strip() for line in text.splitlines())
+    universe.discard("")
     return sorted(universe)
 
 
@@ -469,21 +493,16 @@ def cmd_recommend(config: PipelineConfig) -> str:
             f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} was trained with "
             f"{params.config.vocab_size}; both must come from the same `titlerec train`"
         )
-    prepared, prepared_sha256 = corpus.load_prepared(
-        _require(workdir / PREPARED_FILE, "titlerec ingest")
-    )
-    joined, holdout_days = _load_joined(config, tuple(p.article_id for p in prepared))
+    prepared, prepared_sha256, joined, holdout_days = _load_catalog(config)
 
     index_path = workdir / INDEX_FILE
     catalog = joined.article_ids
-    source = index_mod.IndexSource(checkpoint_sha256, prepared_sha256)
-    article_index = (
-        index_mod.load_index(index_path, catalog, source) if index_path.exists() else None
-    )
+    digests = (checkpoint_sha256, prepared_sha256)
+    article_index = index_mod.load_index(index_path, catalog, params.config.d_model, digests)
     if article_index is None:
-        # absent, or not what this run would write: other ids, texts or checkpoint
-        article_index = index_mod.build_index(prepared, params, vocab, source)
-        index_mod.save_index(article_index, catalog, index_path)
+        # absent, or not every byte what this run would write
+        article_index = index_mod.build_index(prepared, params, vocab)
+        index_mod.save_index(article_index, catalog, index_path, digests)
     train_window, _ = evaluation.temporal_split(joined, holdout_days)
     customers = _load_customer_universe(config, joined)
     picks = index_mod.serve(
@@ -526,7 +545,7 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
     if config.articles is None:
         raise InvalidConfigError("--customer spot check needs --articles for product types")
     articles = corpus.load_articles(config.articles)
-    prepared = corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))[0]
+    prepared = _load_prepared(workdir)[0]
     # map_at_12 above refused a repeated customer, so one row at most is theirs
     customers = submission.customer_ids
     recommended = (

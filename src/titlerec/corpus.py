@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import ByteReader, atomic_write_bytes, atomic_write_text
+from .ioutil import ByteReader, atomic_write_bytes
 from .errors import (
     ArtifactFormatError,
     DuplicateArticleIdError,
@@ -349,10 +349,14 @@ def text_length_histogram(articles: list[PreparedArticle]) -> dict[int, int]:
 # --- workdir persistence (prepared texts tab-separated: cleaned text has no tabs) ---
 
 
-def save_prepared(articles: list[PreparedArticle], path: str | Path) -> None:
+def save_prepared(articles: list[PreparedArticle], path: str | Path) -> str:
+    """Write the prepared articles; return the sha256 hex digest of the
+    bytes written, which ``load_prepared`` returns for the same file."""
     lines = ["article_id\ttext\ttext_len"]
     lines += [f"{a.article_id}\t{a.text}\t{a.text_len}" for a in articles]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    blob = ("\n".join(lines) + "\n").encode("utf-8")
+    atomic_write_bytes(path, blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def load_prepared(path: str | Path) -> tuple[list[PreparedArticle], str]:

@@ -129,7 +129,8 @@ class UnknownCustomerError(TitlerecError):
 # --- persisted artifacts / CLI ---
 
 class ArtifactFormatError(TitlerecError):
-    """A persisted artifact (vocab, checkpoint, index, TSV) failed to parse."""
+    """A persisted artifact (vocab, checkpoint, purchase log, index, summary)
+    failed to parse, or is not the file its writer recorded."""
 
 
 class CheckpointMismatchError(ArtifactFormatError):

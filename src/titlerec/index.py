@@ -28,27 +28,29 @@ row, the popularity head extended by the catalog in row order. ``serve``
 returns the picks as index rows; the catalog's ids label them only in the
 submission.
 
-Index file layout (version TRECIDX1, little-endian):
+Index file layout (TRECIDX1, little-endian):
     magic      8 bytes  b"TRECIDX1"
     header     uint32 row count, uint32 dimension, uint8 metric-tag
                length, metric tag utf-8 (always "cosine")
     id table   rows x 10 ascii bytes: the catalog's article ids, by row
     payload    rows x dimension float64, row-major
-    source     b"TRECSRC2", 32-byte sha256 of the checkpoint the vectors
-               came from, 32-byte sha256 of the prepared-articles file whose
-               texts were embedded, then b"\x04mean": the pooling, always
-               mean, as a uint8 length and ascii
+    source     b"TRECSRC3", then three 32-byte sha256 digests: of the
+               checkpoint the vectors came from, of the prepared-articles
+               file whose texts were embedded, and of the payload
 
-``index.bin`` is a cache of the catalog's vectors. ``load_index`` returns it
-only when its id table and every byte after its payload are what
-``save_index`` would write for this run's catalog and source; any other
-file (another catalog, checkpoint or text, a file without the source block
-or with an earlier one, trailing bytes) is rebuilt. Readers of the plain
-TRECIDX1 layout read the ids and vectors and skip the block.
+``index.bin`` is a cache of the catalog's vectors with one rule:
+``load_index`` returns them only when the whole file is, byte for byte,
+what ``save_index`` would write for this run's catalog, width, checkpoint
+and texts. Any other file (another catalog, checkpoint or text, a damaged
+payload, a cut or lengthened file, an earlier layout) and no file at all
+give None, and the caller rebuilds, so a result never depends on the cache.
+The payload's digest carries the rule into the middle of the file. Readers
+of the plain TRECIDX1 layout read the ids and vectors and skip the block.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from collections.abc import Sequence
@@ -60,7 +62,7 @@ import numpy as np
 
 from . import encoder as enc
 from .corpus import PreparedArticle, PurchaseLog
-from .ioutil import ByteReader, atomic_write_bytes
+from .ioutil import atomic_write_bytes
 from .passes import run_passes, usable_cpus
 from .errors import (
     ArtifactFormatError,
@@ -72,11 +74,8 @@ from .errors import (
 from .tokenizer import Vocabulary, encode_single
 
 INDEX_MAGIC = b"TRECIDX1"
-SOURCE_MAGIC = b"TRECSRC2"
-METRIC_TAG = "cosine"
-# the source block's last field, the pooling as a uint8 length and ascii:
-# an article's vector is always the mean of its title's states
-POOLING = b"\x04mean"
+SOURCE_MAGIC = b"TRECSRC3"
+METRIC_TAG = b"cosine"
 
 NORM_FLOOR = 1e-12
 
@@ -111,23 +110,12 @@ def aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     return raw[start : start + count].reshape(shape)
 
 
-@dataclass(frozen=True)
-class IndexSource:
-    """What an index's vectors were computed from: the sha256 of the
-    checkpoint and of the prepared-articles file."""
-
-    checkpoint_sha256: str
-    prepared_sha256: str
-
-
 @dataclass
 class EmbeddingIndex:
-    """The catalog's embeddings, one unit row per catalog row, and what they
-    were computed from. A row that is not unit length within 1e-6 (a NaN
-    row included) raises ValueError."""
+    """The catalog's embeddings, one unit row per catalog row. A row that is
+    not unit length within 1e-6 (a NaN row included) raises ValueError."""
 
     vectors: np.ndarray
-    source: IndexSource
 
     def __post_init__(self) -> None:
         with np.errstate(over="ignore"):  # a huge row's norm is inf, and fails
@@ -185,7 +173,6 @@ def build_index(
     articles: list[PreparedArticle],
     params: enc.EncoderParams,
     vocab: Vocabulary,
-    source: IndexSource,
 ) -> EmbeddingIndex:
     """Embed every article as a unit vector, the mean of its encoder states
     over its non-PAD positions, preserving input order.
@@ -234,7 +221,7 @@ def build_index(
             f"below {NORM_FLOOR}"
         )
     vectors = np.divide(pooled, norms[:, None], out=aligned_empty(pooled.shape))
-    return EmbeddingIndex(vectors, source)
+    return EmbeddingIndex(vectors)
 
 
 def top_rows(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,55 +369,53 @@ def popularity_ranking(log: PurchaseLog) -> list[int]:
 # --- index persistence ---
 
 
-def _frame(article_ids: Sequence[str], dim: int, source: IndexSource) -> tuple[bytes, bytes]:
-    """The bytes the TRECIDX1 layout puts before and after the payload of
-    ``dim``-wide rows labelled ``article_ids`` and computed from ``source``."""
-    tag = METRIC_TAG.encode("utf-8")
-    header = struct.pack("<2IB", len(article_ids), dim, len(tag))
-    head = INDEX_MAGIC + header + tag + "".join(article_ids).encode("ascii")
-    digests = bytes.fromhex(source.checkpoint_sha256) + bytes.fromhex(source.prepared_sha256)
-    return head, SOURCE_MAGIC + digests + POOLING
+def _head(article_ids: Sequence[str], dim: int) -> bytes:
+    """The bytes the TRECIDX1 layout puts before the payload of ``dim``-wide
+    rows labelled ``article_ids``."""
+    header = struct.pack("<2IB", len(article_ids), dim, len(METRIC_TAG))
+    return INDEX_MAGIC + header + METRIC_TAG + "".join(article_ids).encode("ascii")
 
 
-def save_index(index: EmbeddingIndex, article_ids: Sequence[str], path: str | Path) -> None:
+def _tail(digests: tuple[str, str], payload: bytes | memoryview) -> bytes:
+    """The source block after ``payload``, computed from the checkpoint and
+    prepared-articles files whose sha256 hex ``digests`` are given."""
+    return SOURCE_MAGIC + b"".join(map(bytes.fromhex, digests)) + hashlib.sha256(payload).digest()
+
+
+def save_index(
+    index: EmbeddingIndex, article_ids: Sequence[str], path: str | Path, digests: tuple[str, str]
+) -> None:
     """Write ``index`` to ``path`` atomically in the TRECIDX1 layout, its
-    rows labelled with the catalog's ``article_ids``, one per row."""
+    rows labelled with the catalog's ``article_ids``, one per row, and its
+    source block naming the sha256 hex ``digests`` of the checkpoint and of
+    the prepared-articles file it was built from."""
     if len(article_ids) != len(index) or not all(
         len(a) == 10 and a.isascii() for a in article_ids
     ):
         raise ArtifactFormatError(
             f"an index of {len(index)} rows needs as many article ids of 10 ascii characters"
         )
-    head, tail = _frame(article_ids, index.vectors.shape[1], index.source)
     payload = np.ascontiguousarray(index.vectors, dtype="<f8").tobytes()
-    atomic_write_bytes(path, b"".join([head, payload, tail]))
+    head = _head(article_ids, index.vectors.shape[1])
+    atomic_write_bytes(path, b"".join([head, payload, _tail(digests, payload)]))
 
 
 def load_index(
-    path: str | Path, article_ids: Sequence[str], source: IndexSource
+    path: str | Path, article_ids: Sequence[str], dim: int, digests: tuple[str, str]
 ) -> EmbeddingIndex | None:
-    """The index stored at ``path`` when its id table and every byte after
-    its payload are what ``save_index`` would write for the catalog's
-    ``article_ids`` and ``source``; None otherwise, for the caller to
-    rebuild. A file the reader cannot take as an index (bad magic, a header
-    or payload cut short, a metric other than cosine, a row not of unit
-    length) raises ArtifactFormatError."""
-    blob = Path(path).read_bytes()
-    reader = ByteReader(blob, str(path))
-    if reader.take(len(INDEX_MAGIC)) != INDEX_MAGIC:
-        raise ArtifactFormatError(f"{path}: bad magic, not an index file")
-    count, dim, tag_len = reader.unpack("<2IB")
-    tag = reader.text(tag_len, "utf-8")
-    if tag != METRIC_TAG:
-        raise ArtifactFormatError(f"{path}: unsupported metric {tag!r}")
-    reader.take(10 * count)  # the id table, compared below
-    start = reader.offset
-    payload = reader.array("<f8", count * dim)
-    vectors = aligned_empty((count, dim))
-    vectors[...] = payload.reshape(count, dim)
+    """The index stored at ``path`` when the file is, byte for byte, what
+    ``save_index`` would write for ``dim``-wide vectors over the catalog's
+    ``article_ids`` built from the files of these sha256 hex ``digests``;
+    None for any other file, and when there is none."""
+    head = _head(article_ids, dim)
+    end = len(head) + 8 * len(article_ids) * dim
+    blob = Path(path).read_bytes() if Path(path).is_file() else b""  # no file, no bytes
+    payload = memoryview(blob)[len(head) : end]
+    if not blob.startswith(head) or blob[end:] != _tail(digests, payload):
+        return None
+    vectors = aligned_empty((len(article_ids), dim))
+    vectors[...] = np.frombuffer(payload, dtype="<f8").reshape(vectors.shape)
     try:
-        index = EmbeddingIndex(vectors, source)
-    except ValueError as exc:
-        raise ArtifactFormatError(f"{path}: {exc}") from None
-    head, tail = _frame(article_ids, dim, source)
-    return index if blob[:start] == head and blob[reader.offset :] == tail else None
+        return EmbeddingIndex(vectors)
+    except ValueError:  # save_index writes unit rows only
+        return None

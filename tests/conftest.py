@@ -24,10 +24,6 @@ class Boom(Exception):
     pass
 
 
-# what a test's index says it was built from; only a saved index records it
-SOURCE = ix.IndexSource("ab" * 32, "cd" * 32)
-
-
 # the helper threads ``passes.run_passes`` starts, by the names its callers give
 HELPER_THREADS = ("titlerec-embed", "titlerec-train")
 # taken before any test can patch it to refuse threads to the code under test

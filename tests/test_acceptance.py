@@ -21,7 +21,6 @@ from titlerec import index as ix
 from titlerec.tokenizer import FIRST_WORD_ID, Vocabulary, encode_single
 
 from conftest import (
-    SOURCE,
     central_difference,
     encode_id_pairs,
     grads_agree,
@@ -281,7 +280,7 @@ def test_05_knn_matches_brute_force():
         rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         # random ids, ascending as the catalog's do, so ties break by id
         ids = tuple(f"{v:010d}" for v in np.sort(rng.choice(10**7, size=n, replace=False)))
-        index = ix.EmbeddingIndex(rows, SOURCE)
+        index = ix.EmbeddingIndex(rows)
         query = rng.normal(size=dim)
         query = query / np.linalg.norm(query)
         k = int(rng.integers(1, n + 1))

@@ -67,12 +67,24 @@ def _overflowing_dims(blob):
     return blob[:8] + struct.pack("<6I", widest, widest, 1, widest, widest, widest) + blob[32:]
 
 
-def _index_payload_at(blob, value):
-    """An index whose first payload float is ``value``: the payload follows
-    the magic, the counts, the metric tag and 10 bytes per article id."""
+def _payload_start(blob):
+    """Where an index's payload starts: after the magic, the counts, the
+    metric tag and 10 bytes per article id."""
     (count,) = struct.unpack_from("<I", blob, 8)
-    at = 8 + 9 + len(ix.METRIC_TAG) + 10 * count
+    return 8 + 9 + len(ix.METRIC_TAG) + 10 * count
+
+
+def _index_payload_at(blob, value):
+    """An index whose first payload float is ``value``."""
+    at = _payload_start(blob)
     return blob[:at] + struct.pack("<d", value) + blob[at + 8 :]
+
+
+def _index_low_bit_flipped(blob):
+    """An index whose first payload float has its lowest mantissa bit
+    flipped: every row stays unit length within 1e-6."""
+    at = _payload_start(blob)
+    return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :]
 
 
 def _index_first_id_repeated(blob):
@@ -80,17 +92,21 @@ def _index_first_id_repeated(blob):
     return blob[: at + 10] + blob[at : at + 10] + blob[at + 20 :]
 
 
-# index.bin's source block: its magic, two sha256 digests and the pooling
-SOURCE_BLOCK_SIZE = 8 + 32 + 32 + 5
+# index.bin's source block: its magic and the sha256 digests of the
+# checkpoint, the prepared articles and the payload
+SOURCE_BLOCK_SIZE = 8 + 3 * 32
 # Blocks after index.bin's payload that this run would not write, each as a
 # function of the source block it writes.
 FOREIGN_TRAILERS = {
     "no-source-block": lambda block: b"",
-    # the earlier block: the checkpoint's sha256 and the pooling only
+    # the earlier blocks: the checkpoint's sha256 and the pooling, then both
+    # input digests and the pooling
     "trecsrc1": lambda block: b"TRECSRC1" + block[8:40] + b"\x04mean",
+    "trecsrc2": lambda block: b"TRECSRC2" + block[8:72] + b"\x04mean",
     # what `recommend --pooling cls` wrote before the pooling was fixed
-    "cls-pooling": lambda block: block[:-5] + b"\x03cls",
+    "cls-pooling": lambda block: b"TRECSRC2" + block[8:72] + b"\x03cls",
     "other-checkpoint": lambda block: block[:8] + bytes(32) + block[40:],
+    "other-payload": lambda block: block[:72] + bytes(32),
     "unknown-block": lambda block: b"NOTASRC1" + block[8:],
     "trailing-garbage": lambda block: block + b"x",
 }
@@ -386,6 +402,8 @@ class TestIngest:
         rows = zip(joined.days.tolist(), joined.customers.tolist())
         assert summary["joined"] == len(joined)
         assert summary["sessions"] == len(set(rows))
+        prepared = (workdir / cli.PREPARED_FILE).read_bytes()
+        assert summary["prepared_sha256"] == hashlib.sha256(prepared).hexdigest()
 
     def test_unmatched_transactions_counted_as_dropped(self, tmp_path, capsys):
         inputs = small_inputs(tmp_path)
@@ -746,6 +764,31 @@ class TestRecommend:
         assert [r.customer_id for r in rows] == universe
         assert all(len(r.article_ids) == 12 for r in rows)
 
+    def test_customer_list_byte_order_mark_dropped(self, pipeline, tmp_path):
+        # as Windows editors write it: one log customer and one newcomer
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            clone = fresh_copy(pipeline, tmp_path / f"bom{len(bom)}")
+            extra = clone["root"] / "extra_customers.txt"
+            extra.write_bytes(bom + b"shopper000\nnewcomer\n")
+            assert run_cli("recommend", *clone["base"], "--customer-list", extra) == 0
+            outputs.append((clone["workdir"] / cli.SUBMISSION_FILE).read_bytes())
+        assert outputs[1] == outputs[0]
+        customers = [row.customer_id for row in evaluation.read_submission(
+            clone["workdir"] / cli.SUBMISSION_FILE
+        )]
+        log = corpus.load_saved_transactions(clone["workdir"] / cli.TRANSACTIONS_FILE, 7)[0]
+        assert customers == sorted({*log.customer_ids, "newcomer"})
+
+    def test_undecodable_customer_list_named(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        extra = clone["root"] / "extra_customers.txt"
+        extra.write_bytes(b"\xffshopper000\n")
+        capsys.readouterr()
+        assert run_cli("recommend", *clone["base"], "--customer-list", extra) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: InputFileError: {extra}: 'utf-8' codec can't decode")
+
     def test_cold_start_rows_equal_popularity_head(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
         extra = clone["root"] / "extra_customers.txt"
@@ -884,8 +927,26 @@ class TestRecommend:
         path = clone["workdir"] / cli.INDEX_FILE
         blob = path.read_bytes()
         block = blob[-SOURCE_BLOCK_SIZE:]
-        assert block.startswith(ix.SOURCE_MAGIC) and block.endswith(b"\x04mean")
+        payload = blob[_payload_start(blob) : -SOURCE_BLOCK_SIZE]
+        assert block == ix.SOURCE_MAGIC + block[8:72] + hashlib.sha256(payload).digest()
         path.write_bytes(blob[:-SOURCE_BLOCK_SIZE] + FOREIGN_TRAILERS[trailer](block))
+        assert run_cli("recommend", *clone["base"]) == 0
+        assert_as_fresh(pipeline, clone)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda blob: _index_payload_at(blob, 5.0),
+            lambda blob: _index_payload_at(blob, math.nan),
+            _index_low_bit_flipped,
+        ],
+        ids=["index-row-not-unit", "index-row-nan", "index-low-bit-flipped"],
+    )
+    def test_damaged_payload_is_rebuilt(self, pipeline, tmp_path, corrupt):
+        # the source block is intact: only the payload's digest tells
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.INDEX_FILE
+        path.write_bytes(corrupt(path.read_bytes()))
         assert run_cli("recommend", *clone["base"]) == 0
         assert_as_fresh(pipeline, clone)
 
@@ -1282,6 +1343,58 @@ class TestWorkdirLock:
         assert not (pipeline["workdir"] / cli.LOCK_FILE).exists()
 
 
+class TestPreparedDigest:
+    """stats, train and recommend read only the prepared_articles.tsv that
+    ingest wrote: the sha256 ingest_summary.json records."""
+
+    @pytest.mark.parametrize("command", ["stats", "train", "recommend"])
+    def test_edited_title_refused(self, pipeline, tmp_path, capsys, command):
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.PREPARED_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        article_id, text, text_len = lines[1].split("\t")
+        lines[1] = "\t".join([article_id, text + " edited", text_len])
+        path.write_text("".join(lines), encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        capsys.readouterr()
+        assert run_cli(command, *clone["base"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"error: ArtifactFormatError: {path}: not the file "
+            f"{clone['workdir'] / cli.INGEST_SUMMARY_FILE} records (its sha256 differs); "
+            "re-run `titlerec ingest`"
+        )
+        assert captured.out == ""
+        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        assert after == before
+
+    @pytest.mark.parametrize("command", ["stats", "train", "recommend"])
+    def test_summary_without_a_digest_refused(self, pipeline, tmp_path, capsys, command):
+        # as an ingest that recorded no digest wrote it
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.INGEST_SUMMARY_FILE
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        del summary["prepared_sha256"]
+        path.write_text(json.dumps(summary), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(command, *clone["base"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: ArtifactFormatError: {path}: not an ingest summary "
+            "(KeyError: 'prepared_sha256')"
+        )
+
+    def test_summary_required(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.INGEST_SUMMARY_FILE
+        path.unlink()
+        capsys.readouterr()
+        assert run_cli("train", *clone["base"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: MissingArtifactError: {path} not found; run `titlerec ingest` first"
+
+
 class TestErrorSurface:
     def test_single_line_parsable_stderr(self, tmp_path, capsys):
         rc = run_cli(
@@ -1504,12 +1617,10 @@ class TestErrorSurface:
             (cli.CHECKPOINT_FILE, _overflowing_dims, "recommend"),
             (cli.CHECKPOINT_FILE, lambda blob: b"TRENC001" + blob[8:], "recommend"),
             (cli.CHECKPOINT_FILE, lambda blob: blob[:-8], "recommend"),
-            (cli.INDEX_FILE, lambda blob: _index_payload_at(blob, 5.0), "recommend"),
-            (cli.INDEX_FILE, lambda blob: _index_payload_at(blob, math.nan), "recommend"),
         ],
         ids=["summary-halved", "summary-empty-object", "vocab-repeated-line",
              "checkpoint-trailing-bytes", "checkpoint-overflowing-dims", "checkpoint-trenc001",
-             "checkpoint-one-float-short", "index-row-not-unit", "index-row-nan"],
+             "checkpoint-one-float-short"],
     )
     def test_corrupt_artifact_named(self, pipeline, tmp_path, capsys, artifact, corrupt, command):
         clone = fresh_copy(pipeline, tmp_path)
@@ -1548,7 +1659,7 @@ READERS = {
     cli.CHECKPOINT_FILE: ("recommend",),
     cli.INDEX_FILE: ("recommend",),
     cli.SUBMISSION_FILE: ("evaluate",),
-    cli.INGEST_SUMMARY_FILE: ("stats",),
+    cli.INGEST_SUMMARY_FILE: ("stats", "train", "recommend"),
 }
 # what each command writes; not recommend's index.bin, a cache that records
 # the digests of the checkpoint and catalog file it was built from, which
@@ -1559,38 +1670,20 @@ OUTPUTS = {
     "recommend": (cli.SUBMISSION_FILE,),
     "evaluate": (cli.EVAL_REPORT_FILE,),
 }
-# Corruptions that keep a file readable and change what a command writes:
-# a title's text changes in place. Only a digest of each input, recorded by
-# its writer and checked by its reader (ROADMAP item 3 Part B), can catch them.
-SERVED_CORRUPT = dict.fromkeys(
-    [
-        (cli.PREPARED_FILE, corruption, command)
-        for corruption in ("middle-byte-flipped", "nul-inserted")
-        for command in ("train", "recommend")
-    ],
-    "an edited title is trained on or served with exit 0 until ROADMAP item 3 Part B",
-)
-
-
 def _sweep_cases():
     for artifact, commands in READERS.items():
         for corruption in CORRUPTIONS:
             for command in commands:
                 case = (artifact, corruption, command)
-                marks = ()
-                if case in SERVED_CORRUPT:
-                    # a traceback is still a failure: only the compared output may differ
-                    marks = pytest.mark.xfail(
-                        raises=AssertionError, strict=True, reason=SERVED_CORRUPT[case]
-                    )
-                yield pytest.param(*case, marks=marks, id="-".join(case))
+                yield pytest.param(*case, id="-".join(case))
 
 
 class TestCorruptionSweep:
     """Every artifact a command reads, under each corruption: the command
     either writes what it writes from the clean workdir and exits 0, or
     exits 1 with one ``error:`` line; an exception escaping ``cli.main``
-    fails the case."""
+    fails the case. index.bin is a cache: every corruption of it is
+    rebuilt to a fresh build's bytes, and recommend exits 0."""
 
     @pytest.mark.parametrize("artifact, corruption, command", _sweep_cases())
     def test_fails_closed(self, pipeline, tmp_path, capsys, artifact, corruption, command):
@@ -1604,6 +1697,9 @@ class TestCorruptionSweep:
         capsys.readouterr()
         rc = run_cli(command, *clone["base"])
         captured = capsys.readouterr()
+        if artifact == cli.INDEX_FILE:
+            assert rc == 0
+            assert path.read_bytes() == (pipeline["workdir"] / artifact).read_bytes()
         if rc == 0:
             for name in OUTPUTS[command]:
                 written = (clone["workdir"] / name).read_bytes()
@@ -1708,9 +1804,9 @@ class TestBenchmarkReader:
         ids, vectors = checks.read_index(workdir / cli.INDEX_FILE)
         catalog = tuple(a.article_id for a in corpus.load_prepared(workdir / cli.PREPARED_FILE)[0])
         assert tuple(ids) == catalog
-        source = ix.IndexSource(
-            *(hashlib.sha256((workdir / name).read_bytes()).hexdigest()
-              for name in (cli.CHECKPOINT_FILE, cli.PREPARED_FILE))
+        digests = tuple(
+            hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+            for name in (cli.CHECKPOINT_FILE, cli.PREPARED_FILE)
         )
-        loaded = ix.load_index(workdir / cli.INDEX_FILE, catalog, source)
+        loaded = ix.load_index(workdir / cli.INDEX_FILE, catalog, vectors.shape[1], digests)
         assert vectors.tobytes() == loaded.vectors.tobytes()

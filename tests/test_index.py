@@ -1,3 +1,4 @@
+import hashlib
 import re
 import threading
 from datetime import date
@@ -21,7 +22,6 @@ from titlerec.errors import (
 from titlerec.tokenizer import build_vocab, encode_single
 
 from conftest import (
-    SOURCE,
     Boom,
     PassSpy,
     encode_id_pairs,
@@ -47,7 +47,7 @@ def unit_index(ids, vectors):
     index of their normalized vectors, one row per catalog row."""
     order = sorted(range(len(ids)), key=ids.__getitem__)
     v = np.asarray(vectors, dtype=np.float64)[order]
-    index = ix.EmbeddingIndex(v / np.linalg.norm(v, axis=1, keepdims=True), SOURCE)
+    index = ix.EmbeddingIndex(v / np.linalg.norm(v, axis=1, keepdims=True))
     return tuple(ids[i] for i in order), index
 
 
@@ -78,7 +78,7 @@ def brute_force_knn(catalog, index, query, k):
 
 def embed_one(params, article, vocab):
     """An article's vector from a one-article index."""
-    return ix.build_index([article], params, vocab, SOURCE).vectors[0]
+    return ix.build_index([article], params, vocab).vectors[0]
 
 
 class TestEmbedArticle:
@@ -93,7 +93,7 @@ class TestEmbedArticle:
         _, vocab = small_world()
         a = PreparedArticle("0000000101", "w00 w01", 2)
         b = PreparedArticle("0000000202", "w00 w01", 2)
-        index = ix.build_index([a, b], tiny_params, vocab, SOURCE)
+        index = ix.build_index([a, b], tiny_params, vocab)
         assert np.array_equal(index.vectors[0], index.vectors[1])
 
     def test_self_cosine_is_one(self, tiny_params):
@@ -111,27 +111,27 @@ class TestEmbedArticle:
 class TestBuildIndex:
     def test_rows_track_input_order(self, tiny_params):
         articles, vocab = small_world()
-        index = ix.build_index(articles, tiny_params, vocab, SOURCE)
-        assert len(index) == len(articles) and index.source == SOURCE
+        index = ix.build_index(articles, tiny_params, vocab)
+        assert len(index) == len(articles)
         for row, article in enumerate(articles):
             # a row's vector does not depend on the other articles of its pass
             assert np.array_equal(index.vectors[row], embed_one(tiny_params, article, vocab))
 
     def test_rebuild_bit_identical(self, tiny_params):
         articles, vocab = small_world()
-        first = ix.build_index(articles, tiny_params, vocab, SOURCE)
-        second = ix.build_index(articles, tiny_params, vocab, SOURCE)
+        first = ix.build_index(articles, tiny_params, vocab)
+        second = ix.build_index(articles, tiny_params, vocab)
         assert np.array_equal(first.vectors, second.vectors)
 
     def test_non_unit_rows_rejected(self):
         for row in ([2.0, 0.0], [np.nan, 0.0], [1e300, 0.0]):
             with pytest.raises(ValueError, match="unit length"):
-                ix.EmbeddingIndex(np.array([[0.0, 1.0], row]), SOURCE)
+                ix.EmbeddingIndex(np.array([[0.0, 1.0], row]))
 
     def test_empty_input_rejected(self, tiny_params):
         _, vocab = small_world()
         with pytest.raises(EmptyCorpusError):
-            ix.build_index([], tiny_params, vocab, SOURCE)
+            ix.build_index([], tiny_params, vocab)
 
 
 def ragged_world():
@@ -182,7 +182,7 @@ class TestLengthGroupedPasses:
         rows = encode_single([vocab.word_ids(a.text) for a in articles], 10)
         lengths = rows.attn_mask.sum(axis=1)
         assert set(lengths.tolist()) == {3, 5, 7, 10}
-        index = ix.build_index(articles, params, vocab, SOURCE)
+        index = ix.build_index(articles, params, vocab)
         assert len(index) == len(articles)
         for row, article in enumerate(articles):
             alone = embed_one(params, article, vocab)
@@ -192,7 +192,7 @@ class TestLengthGroupedPasses:
 
     def test_rows_within_tolerance_of_full_width(self):
         articles, vocab, params = ragged_world()
-        index = ix.build_index(articles, params, vocab, SOURCE)
+        index = ix.build_index(articles, params, vocab)
         reference = full_width_vectors(articles, params, vocab)
         assert np.abs(index.vectors - reference).max() <= 1e-15
 
@@ -201,9 +201,9 @@ class TestLengthGroupedPasses:
         similarity ties it within 1e-15: vectors 1 ulp apart may order such
         near-ties (and BLAS may split exact ones) either way."""
         articles, vocab, params = ragged_world()
-        index = ix.build_index(articles, params, vocab, SOURCE)
+        index = ix.build_index(articles, params, vocab)
         catalog = tuple(a.article_id for a in articles)
-        reference = ix.EmbeddingIndex(full_width_vectors(articles, params, vocab), SOURCE)
+        reference = ix.EmbeddingIndex(full_width_vectors(articles, params, vocab))
         for row in range(len(index)):
             sims = reference.vectors @ reference.vectors[row]
             for k in (1, 5, len(index)):
@@ -230,7 +230,7 @@ class TestEmbeddingTraffic:
             return real_forward(params, rows, *args, **kwargs)
 
         monkeypatch.setattr(enc, "forward", spy)
-        ix.build_index(articles, params, vocab, SOURCE)
+        ix.build_index(articles, params, vocab)
         assert len({p.max_len for p in passes}) > 1
         for rows in passes:
             assert np.all(rows.attn_mask.sum(axis=1) == rows.max_len)
@@ -270,7 +270,7 @@ class TestHelperThread:
         articles, vocab, params = ragged_world()
         allow_helper(monkeypatch, cpus=1)
         alone = PassSpy(monkeypatch)
-        one = ix.build_index(articles, params, vocab, SOURCE)
+        one = ix.build_index(articles, params, vocab)
         assert alone.threads() == {False}
         assert len(alone.passes) == 7
         assert len({ids.shape[1] for _, ids in alone.passes}) == 4
@@ -278,7 +278,7 @@ class TestHelperThread:
 
         allow_helper(monkeypatch, cpus=2)
         shared = PassSpy(monkeypatch, meet=True)
-        two = ix.build_index(articles, params, vocab, SOURCE)
+        two = ix.build_index(articles, params, vocab)
         assert shared.threads() == {False, True}
         assert sorted(shared.rows_embedded()) == rows
         assert two.vectors.tobytes() == one.vectors.tobytes()
@@ -288,21 +288,21 @@ class TestHelperThread:
         for cpus, min_passes, threads in [(2, 7, {False, True}), (2, 8, {False}), (1, 1, {False})]:
             allow_helper(monkeypatch, cpus, min_passes)
             spy = PassSpy(monkeypatch, meet=len(threads) == 2)
-            ix.build_index(articles, params, vocab, SOURCE)
+            ix.build_index(articles, params, vocab)
             assert spy.threads() == threads, (cpus, min_passes)
 
     def test_default_threshold_keeps_a_short_plan_on_one_thread(self, monkeypatch):
         articles, vocab, params = ragged_world()
         monkeypatch.setattr(ix, "usable_cpus", lambda: 2)
         spy = PassSpy(monkeypatch)
-        ix.build_index(articles, params, vocab, SOURCE)
+        ix.build_index(articles, params, vocab)
         assert len(spy.passes) < ix.HELPER_MIN_PASSES
         assert spy.threads() == {False}
 
     def test_caller_runs_every_pass_when_no_thread_starts(self, monkeypatch):
         articles, vocab, params = ragged_world()
         allow_helper(monkeypatch, cpus=1)
-        one = ix.build_index(articles, params, vocab, SOURCE)
+        one = ix.build_index(articles, params, vocab)
 
         def refuse(thread):
             raise RuntimeError("can't start new thread")
@@ -310,7 +310,7 @@ class TestHelperThread:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         allow_helper(monkeypatch, cpus=2)
         spy = PassSpy(monkeypatch)
-        index = ix.build_index(articles, params, vocab, SOURCE)
+        index = ix.build_index(articles, params, vocab)
         assert spy.threads() == {False}
         assert len(spy.passes) == 7
         assert index.vectors.tobytes() == one.vectors.tobytes()
@@ -329,7 +329,7 @@ class TestHelperThread:
         spy = PassSpy(monkeypatch, meet=True, act=act)
         before = threading.active_count()
         with pytest.raises(error, match="in the helper"):
-            ix.build_index(articles, params, vocab, SOURCE)
+            ix.build_index(articles, params, vocab)
         assert threading.active_count() == before
         # the caller took no pass after the one it was running
         assert [on_helper for on_helper, _ in spy.passes] == [False]
@@ -350,7 +350,7 @@ class TestHelperThread:
         spy = PassSpy(monkeypatch, meet=True, act=act)
         before = threading.active_count()
         with pytest.raises(error, match="in the caller"):
-            ix.build_index(articles, params, vocab, SOURCE)
+            ix.build_index(articles, params, vocab)
         assert threading.active_count() == before
         # the helper ends the pass it was running and at most one more, if
         # the caller lost the GIL between raising and recording the failure
@@ -370,7 +370,7 @@ class TestHelperThread:
 
         spy = PassSpy(monkeypatch, meet=True, act=act)
         with pytest.raises(DegenerateEmbeddingError) as raised:
-            ix.build_index(articles, params, vocab, SOURCE)
+            ix.build_index(articles, params, vocab)
         zeroed = set(spy.rows_embedded(on_helper=True))
         rows = live_rows(articles, vocab, params.config.max_len)
         first = next(a for a, row in zip(articles, rows) if row in zeroed)
@@ -399,7 +399,7 @@ class TestHelperThread:
         spy = PassSpy(monkeypatch, meet=True, act=act)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt, match="while waiting for the helper"):
-            ix.build_index(articles, params, vocab, SOURCE)
+            ix.build_index(articles, params, vocab)
         assert interrupted.is_set()
         assert joins == [spy.helper, spy.helper]
         assert not spy.helper.is_alive()
@@ -750,35 +750,44 @@ class TestPopularityRanking:
         assert ix.popularity_ranking(purchases_of([])) == []
 
 
+# the sha256 hex digests of the checkpoint and prepared-articles file a
+# test's saved index names
+DIGESTS = ("ab" * 32, "cd" * 32)
+
+
 class TestPersistence:
     def saved(self, tmp_path, n, dim):
         """A spread index saved over its catalog: the catalog, the index and
         the file's path."""
         catalog, index = spread_index(n, dim)
         path = tmp_path / "index.bin"
-        ix.save_index(index, catalog, path)
+        ix.save_index(index, catalog, path, DIGESTS)
         return catalog, index, path
+
+    @staticmethod
+    def payload_start(catalog):
+        return len(ix.INDEX_MAGIC) + 9 + len(ix.METRIC_TAG) + 10 * len(catalog)
 
     def test_round_trip_bit_exact(self, tmp_path):
         catalog, index, path = self.saved(tmp_path, 17, 5)
-        loaded = ix.load_index(path, catalog, SOURCE)
-        assert loaded.source == SOURCE
+        loaded = ix.load_index(path, catalog, 5, DIGESTS)
         assert np.array_equal(loaded.vectors, index.vectors)
 
+    def test_missing_file(self, tmp_path):
+        assert ix.load_index(tmp_path / "index.bin", ("0000000001",), 3, DIGESTS) is None
+
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "index.bin"
-        path.write_bytes(b"WRONGMAG" + b"\x00" * 32)
-        with pytest.raises(ArtifactFormatError, match="bad magic"):
-            ix.load_index(path, (), SOURCE)
+        catalog, _, path = self.saved(tmp_path, 4, 3)
+        path.write_bytes(b"WRONGMAG" + path.read_bytes()[8:])
+        assert ix.load_index(path, catalog, 3, DIGESTS) is None
 
     def test_truncation(self, tmp_path):
         catalog, _, path = self.saved(tmp_path, 9, 4)
         blob = path.read_bytes()
-        # in the header, then in the payload (the source block is 77 bytes)
-        for end in (12, len(blob) - 77 - 11):
+        # in the header, in the payload (the source block is 104 bytes), in the block
+        for end in (12, len(blob) - 104 - 11, len(blob) - 1):
             path.write_bytes(blob[:end])
-            with pytest.raises(ArtifactFormatError, match="truncated"):
-                ix.load_index(path, catalog, SOURCE)
+            assert ix.load_index(path, catalog, 4, DIGESTS) is None
 
     def test_wrong_metric_tag(self, tmp_path):
         catalog, _, path = self.saved(tmp_path, 4, 3)
@@ -786,22 +795,42 @@ class TestPersistence:
         offset = len(ix.INDEX_MAGIC) + 9  # first byte of the metric tag
         blob[offset : offset + 6] = b"volume"
         path.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactFormatError, match="unsupported metric 'volume'"):
-            ix.load_index(path, catalog, SOURCE)
+        assert ix.load_index(path, catalog, 3, DIGESTS) is None
 
     def test_source_block_round_trip(self, tmp_path):
         catalog, index, path = self.saved(tmp_path, 6, 4)
         blob = path.read_bytes()
-        # the block trails the TRECIDX1 layout, and its pooling is always mean
-        block = ix.SOURCE_MAGIC + b"\xab" * 32 + b"\xcd" * 32 + b"\x04mean"
+        # the block trails the TRECIDX1 layout and ends with the payload's digest
+        payload = blob[self.payload_start(catalog) : -104]
+        assert payload == index.vectors.astype("<f8").tobytes()
+        block = ix.SOURCE_MAGIC + b"\xab" * 32 + b"\xcd" * 32 + hashlib.sha256(payload).digest()
         assert blob.endswith(block)
         assert len(blob) == 8 + 9 + 6 + 10 * 6 + 8 * 6 * 4 + len(block)
-        assert ix.load_index(path, catalog, SOURCE).source == SOURCE
-        # another checkpoint or text, or another catalog, is not this index
-        for source in (ix.IndexSource("ef" * 32, "cd" * 32), ix.IndexSource("ab" * 32, "ef" * 32)):
-            assert ix.load_index(path, catalog, source) is None
-        assert ix.load_index(path, catalog[:-1], SOURCE) is None
-        assert ix.load_index(path, (*catalog[:-1], "9999999999"), SOURCE) is None
+        assert ix.load_index(path, catalog, 4, DIGESTS) is not None
+        # another checkpoint or text, another catalog or width is not this index
+        for digests in (("ef" * 32, "cd" * 32), ("ab" * 32, "ef" * 32)):
+            assert ix.load_index(path, catalog, 4, digests) is None
+        assert ix.load_index(path, catalog[:-1], 4, DIGESTS) is None
+        assert ix.load_index(path, (*catalog[:-1], "9999999999"), 4, DIGESTS) is None
+        assert ix.load_index(path, catalog, 3, DIGESTS) is None
+
+    def test_flipped_payload_bit_that_keeps_rows_unit(self, tmp_path):
+        catalog, index, path = self.saved(tmp_path, 6, 4)
+        blob = bytearray(path.read_bytes())
+        blob[self.payload_start(catalog) + 8 * 5] ^= 1  # row 1's lowest mantissa bit
+        flipped = np.frombuffer(bytes(blob), "<f8", 24, self.payload_start(catalog))
+        assert np.all(np.abs(np.linalg.norm(flipped.reshape(6, 4), axis=1) - 1) <= 1e-6)
+        path.write_bytes(bytes(blob))
+        assert ix.load_index(path, catalog, 4, DIGESTS) is None
+
+    def test_non_unit_row_under_its_own_digest(self, tmp_path):
+        # not a file save_index writes, though its block matches its payload
+        catalog, index, path = self.saved(tmp_path, 3, 2)
+        payload = (2 * index.vectors).astype("<f8").tobytes()
+        head = path.read_bytes()[: self.payload_start(catalog)]
+        block = ix.SOURCE_MAGIC + b"\xab" * 32 + b"\xcd" * 32 + hashlib.sha256(payload).digest()
+        path.write_bytes(head + payload + block)
+        assert ix.load_index(path, catalog, 2, DIGESTS) is None
 
     @pytest.mark.parametrize(
         "catalog", [("0000000001",), ("0000000001", "000000002"), ("0000000001", "000000000é")],
@@ -810,7 +839,7 @@ class TestPersistence:
     def test_ids_must_label_every_row(self, tmp_path, catalog):
         _, index = unit_index(["0000000001", "0000000002"], np.eye(2))
         with pytest.raises(ArtifactFormatError, match="10 ascii characters"):
-            ix.save_index(index, catalog, tmp_path / "index.bin")
+            ix.save_index(index, catalog, tmp_path / "index.bin", DIGESTS)
         assert not (tmp_path / "index.bin").exists()
 
 
@@ -828,10 +857,10 @@ class TestMatrixAlignment:
 
     def test_built_loaded_and_twin_matrices_start_on_64_bytes(self, tiny_params, tmp_path):
         articles, vocab = small_world()
-        built = ix.build_index(articles, tiny_params, vocab, SOURCE)
+        built = ix.build_index(articles, tiny_params, vocab)
         catalog = tuple(a.article_id for a in articles)
-        ix.save_index(built, catalog, tmp_path / "index.bin")
-        loaded = ix.load_index(tmp_path / "index.bin", catalog, SOURCE)
+        ix.save_index(built, catalog, tmp_path / "index.bin", DIGESTS)
+        loaded = ix.load_index(tmp_path / "index.bin", catalog, tiny_params.config.d_model, DIGESTS)
         twins, _ = TestTwins().tail_twin_index()[1].twins
         for matrix in (built.vectors, loaded.vectors, twins):
             assert matrix.__array_interface__["data"][0] % 64 == 0
@@ -872,7 +901,7 @@ class TestTwins:
 
     def test_ragged_reference_rows_5_and_26(self):
         articles, vocab, params = ragged_world()
-        index = ix.build_index(articles, params, vocab, SOURCE)
+        index = ix.build_index(articles, params, vocab)
         # titles repeat every 12 articles, and row 26 repeats row 5's title:
         # rows 5, 17 and 26 are one vector, and 24 to 26 are BLAS's tail rows
         position = index.twins[1]
@@ -894,7 +923,7 @@ class TestTwins:
         assert np.array_equal(ix.similarities(index, queries), expected)
 
     def test_signed_zeros_are_twins(self):
-        index = ix.EmbeddingIndex(np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]]), SOURCE)
+        index = ix.EmbeddingIndex(np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]]))
         distinct, position = index.twins
         assert position.tolist() == [0, 0, 1]
         assert np.array_equal(distinct, [[0.0, 1.0], [1.0, 0.0]])

@@ -22,7 +22,7 @@ import pytest
 from titlerec import cli, corpus, evaluation, objectives
 from titlerec import index as ix
 
-from conftest import SOURCE, profiles_by_customer
+from conftest import profiles_by_customer
 from synth import log_rows, purchase_log, to_csv, trlog_bytes
 
 HOLDOUT_DAYS = 7
@@ -139,7 +139,7 @@ def world(tmp_path_factory):
     rng = np.random.default_rng(3)
     vectors = rng.normal(size=(len(catalog), 6))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    index = ix.EmbeddingIndex(vectors, SOURCE)
+    index = ix.EmbeddingIndex(vectors)
     return {"tmp": tmp, "catalog": catalog, "records": joined_records, "log": log,
             "ingested": ingested, "index": index}
 
