@@ -40,7 +40,8 @@ Artifacts (inside the workdir):
                            holdout days it was ingested with
     ingest_summary.json    row counts, the missing-description histogram and
                            the sha256 of prepared_articles.tsv, against
-                           which stats, train and recommend check that file
+                           which stats, train, recommend and evaluate
+                           --customer check that file
     stats.txt              text-length and missing-description histograms
     vocab.txt              one token per line, line number = id
     checkpoint.bin         encoder shape and weights (TRENC002)
@@ -528,6 +529,27 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
         _require(workdir / SUBMISSION_FILE, "titlerec recommend")
     )
     report = evaluation.map_at_12(submission, truth)
+    summary = (
+        f"map_at_12={report.map_at_12:.6f} scored={report.scored_customer_count} "
+        f"excluded={report.excluded_customer_count}"
+    )
+    if spot_check_customer is not None:  # built, and so refused, before the report is written
+        if config.articles is None:
+            raise InvalidConfigError("--customer spot check needs --articles for product types")
+        articles = corpus.load_articles(config.articles)
+        prepared, prepared_sha256 = _load_prepared(workdir)
+        _ingest_summary(workdir, prepared_sha256)
+        # map_at_12 above refused a repeated customer, so one row at most is theirs
+        customers = submission.customer_ids
+        recommended = (
+            list(submission[customers.index(spot_check_customer)].article_ids)
+            if spot_check_customer in customers
+            else []
+        )
+        spot = evaluation.manual_eval_report(
+            spot_check_customer, train_window, recommended, articles, prepared
+        )
+        summary += "\n\n" + spot.rstrip("\n")
     _write_json(
         workdir / EVAL_REPORT_FILE,
         {
@@ -536,27 +558,7 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
             "excluded": report.excluded_customer_count,
         },
     )
-    summary = (
-        f"map_at_12={report.map_at_12:.6f} scored={report.scored_customer_count} "
-        f"excluded={report.excluded_customer_count}"
-    )
-    if spot_check_customer is None:
-        return summary
-    if config.articles is None:
-        raise InvalidConfigError("--customer spot check needs --articles for product types")
-    articles = corpus.load_articles(config.articles)
-    prepared = _load_prepared(workdir)[0]
-    # map_at_12 above refused a repeated customer, so one row at most is theirs
-    customers = submission.customer_ids
-    recommended = (
-        list(submission[customers.index(spot_check_customer)].article_ids)
-        if spot_check_customer in customers
-        else []
-    )
-    spot = evaluation.manual_eval_report(
-        spot_check_customer, train_window, recommended, articles, prepared
-    )
-    return summary + "\n\n" + spot.rstrip("\n")
+    return summary
 
 
 class OneLineErrorParser(argparse.ArgumentParser):

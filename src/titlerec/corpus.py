@@ -1,14 +1,16 @@
 """Catalog and transaction ingestion plus text preparation.
 
-Loads the raw article / transaction CSVs and normalizes item text
-(lowercase, single-spaced). The purchase log is held as integer columns
-(``PurchaseLog``): day ordinals, and customer and article codes into the
-sorted tables of distinct ids, so a stage filters, groups and counts
-purchases with array operations and builds no object per row. Joining
-against the catalog is a mask over article codes, and per-customer-day
-sessions come from one stable sort. Each loader checks and converts each
-distinct cell string once. All functions are pure with respect to their
-inputs; loaders perform no shared mutation and are safe to call concurrently.
+Loads the raw article / transaction CSVs and normalizes item text. The
+cleaning rule (``clean_text``): lowercase, each run of ``str.isspace()``
+characters becomes one space, both ends are stripped. The purchase log is
+held as integer columns (``PurchaseLog``): day ordinals, and customer and
+article codes into the sorted tables of distinct ids, so a stage filters,
+groups and counts purchases with array operations and builds no object per
+row. Joining against the catalog is a mask over article codes, and
+per-customer-day sessions come from one stable sort. Each loader checks and
+converts each distinct cell string once. All functions are pure with respect
+to their inputs; loaders perform no shared mutation and are safe to call
+concurrently.
 
 The catalog is held in ascending article-id order (``load_articles``
 sorts it, ``load_prepared`` refuses any other order), and its row number is
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import re
 import struct
 from collections import Counter
 from collections.abc import Callable, Sequence
@@ -66,9 +67,6 @@ TRANSACTION_COLUMNS = ("t_dat", "customer_id", "article_id")
 
 # Columns that may be merged into the per-article text; all of them by default.
 TEXTUAL_COLUMNS = ("prod_name", "product_type_name", "index_name", "detail_desc")
-
-_ARTICLE_ID_RE = re.compile(r"^[0-9]{1,10}$")
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ def _canonical_article_id(raw: str) -> str:
     """The 10-digit form of an article id cell; ValueError unless it holds
     1 to 10 digits."""
     value = raw.strip()
-    if not _ARTICLE_ID_RE.match(value):
+    if not (0 < len(value) <= 10 and value.isascii() and value.isdigit()):
         raise ValueError(f"bad article_id {raw!r}")
     return value.zfill(10)
 
@@ -292,15 +290,11 @@ def load_transactions(path: str | Path) -> PurchaseLog:
 
 
 def clean_text(raw: str | None) -> str:
-    """Lowercase and collapse all whitespace runs to single spaces."""
+    """The cleaning rule: lowercase, each run of ``str.isspace()`` characters
+    becomes one space, both ends are stripped. None gives ""."""
     if raw is None:
         return ""
-    return _WS_RE.sub(" ", raw).strip().lower()
-
-
-def seq_length(text: str) -> int:
-    """Number of whitespace-separated tokens; 0 for the empty string."""
-    return len(text.split())
+    return " ".join(raw.split()).lower()
 
 
 def prepare_articles(
@@ -310,7 +304,8 @@ def prepare_articles(
     """Merge the named textual columns into one cleaned text per article.
 
     Absent descriptions contribute an empty string, so prepared text is
-    never missing. Output order matches input order.
+    never missing. The text is ``clean_text`` of the columns joined by a
+    space, and ``text_len`` its word count. Output order matches input order.
     """
     if not text_columns:
         raise ValueError("text_columns must be nonempty")
@@ -321,7 +316,8 @@ def prepare_articles(
     for article in articles:
         parts = [(getattr(article, name) or "") for name in text_columns]
         text = clean_text(" ".join(parts))
-        prepared.append(PreparedArticle(article.article_id, text, seq_length(text)))
+        # the rule leaves single spaces between words: one more word than spaces
+        prepared.append(PreparedArticle(article.article_id, text, text.count(" ") + bool(text)))
     return prepared
 
 

@@ -1343,11 +1343,30 @@ class TestWorkdirLock:
         assert not (pipeline["workdir"] / cli.LOCK_FILE).exists()
 
 
-class TestPreparedDigest:
-    """stats, train and recommend read only the prepared_articles.tsv that
-    ingest wrote: the sha256 ingest_summary.json records."""
+# the commands that read prepared_articles.tsv, by test id
+PREPARED_READERS = {
+    "stats": ["stats"],
+    "train": ["train"],
+    "recommend": ["recommend"],
+    "evaluate-customer": ["evaluate", "--customer", "shopper000"],
+}
 
-    @pytest.mark.parametrize("command", ["stats", "train", "recommend"])
+
+def workdir_files(workdir):
+    """Each file of ``workdir`` as its inode, mtime and bytes: a file written
+    again, even with the same bytes, reads differently."""
+    return {
+        path.name: (path.stat().st_ino, path.stat().st_mtime_ns, path.read_bytes())
+        for path in workdir.iterdir()
+    }
+
+
+class TestPreparedDigest:
+    """stats, train, recommend and evaluate --customer read only the
+    prepared_articles.tsv that ingest wrote: the sha256 ingest_summary.json
+    records. They refuse another file before they write anything."""
+
+    @pytest.mark.parametrize("command", PREPARED_READERS.values(), ids=PREPARED_READERS)
     def test_edited_title_refused(self, pipeline, tmp_path, capsys, command):
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.PREPARED_FILE
@@ -1355,9 +1374,9 @@ class TestPreparedDigest:
         article_id, text, text_len = lines[1].split("\t")
         lines[1] = "\t".join([article_id, text + " edited", text_len])
         path.write_text("".join(lines), encoding="utf-8")
-        before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
+        before = workdir_files(clone["workdir"])
         capsys.readouterr()
-        assert run_cli(command, *clone["base"]) == 1
+        assert run_cli(*command, *clone["base"]) == 1
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line == (
@@ -1366,10 +1385,9 @@ class TestPreparedDigest:
             "re-run `titlerec ingest`"
         )
         assert captured.out == ""
-        after = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
-        assert after == before
+        assert workdir_files(clone["workdir"]) == before
 
-    @pytest.mark.parametrize("command", ["stats", "train", "recommend"])
+    @pytest.mark.parametrize("command", PREPARED_READERS.values(), ids=PREPARED_READERS)
     def test_summary_without_a_digest_refused(self, pipeline, tmp_path, capsys, command):
         # as an ingest that recorded no digest wrote it
         clone = fresh_copy(pipeline, tmp_path)
@@ -1377,13 +1395,24 @@ class TestPreparedDigest:
         summary = json.loads(path.read_text(encoding="utf-8"))
         del summary["prepared_sha256"]
         path.write_text(json.dumps(summary), encoding="utf-8")
+        before = workdir_files(clone["workdir"])
         capsys.readouterr()
-        assert run_cli(command, *clone["base"]) == 1
-        (line,) = capsys.readouterr().err.splitlines()
+        assert run_cli(*command, *clone["base"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
         assert line == (
             f"error: ArtifactFormatError: {path}: not an ingest summary "
             "(KeyError: 'prepared_sha256')"
         )
+        assert captured.out == ""
+        assert workdir_files(clone["workdir"]) == before
+
+    def test_evaluate_alone_does_not_read_the_prepared_file(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        (clone["workdir"] / cli.PREPARED_FILE).unlink()
+        capsys.readouterr()
+        assert run_cli("evaluate", *clone["base"]) == 0
+        assert capsys.readouterr().out.startswith("map_at_12=")
 
     def test_summary_required(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)

@@ -1,11 +1,13 @@
 import hashlib
+import re
+import sys
 from dataclasses import fields, replace
 from datetime import date
 
 import numpy as np
 import pytest
 
-from titlerec import corpus
+from titlerec import cli, corpus
 from titlerec.errors import (
     ArtifactFormatError,
     DuplicateArticleIdError,
@@ -70,6 +72,28 @@ class TestLoadArticles:
         bad = "article_id,prod_name,product_type_name,index_name,detail_desc\nx9,a,b,c,d\n"
         with pytest.raises(MalformedRowError):
             corpus.load_articles(write(tmp_path, "a.csv", bad))
+
+    @pytest.mark.parametrize(
+        "raw, canonical",
+        [
+            ("", None),
+            ("1234567890", "1234567890"),
+            ("12345678901", None),
+            ("\u0663", None),  # ARABIC-INDIC DIGIT THREE: a digit, not ascii
+            ("\u00b2", None),  # SUPERSCRIPT TWO: isdigit, not a decimal digit
+            ("\uff11\uff12", None),  # FULLWIDTH DIGITS ONE TWO
+            ("+12", None),
+            (" 0012 ", "0000000012"),
+        ],
+    )
+    def test_article_id_is_1_to_10_ascii_digits(self, raw, canonical):
+        # the rule the regular expression ^[0-9]{1,10}$ stated before
+        assert bool(re.match(r"^[0-9]{1,10}$", raw.strip())) == (canonical is not None)
+        if canonical is None:
+            with pytest.raises(ValueError, match="bad article_id"):
+                corpus._canonical_article_id(raw)
+        else:
+            assert corpus._canonical_article_id(raw) == canonical
 
 
 class TestLoadTransactions:
@@ -139,6 +163,30 @@ class TestLoadTransactions:
             corpus.load_transactions(write(tmp_path, "t.csv", text))
 
 
+def reference_clean(raw):
+    """The cleaning rule as a regular expression, as ``clean_text`` once
+    applied it: the reference the one ``str.split`` must match."""
+    return "" if raw is None else re.sub(r"\s+", " ", raw).strip().lower()
+
+
+EVERY_CHARACTER = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = [c for c in EVERY_CHARACTER if c.isspace()]
+MIXED_RUN = "\t\u00a0\r\n\u2028\u3000\x1c\x1f\x85 "
+# texts on which clean_text must give the reference's result
+CLEANING_CASES = [
+    None,
+    "",
+    "".join(WHITESPACE),
+    " ".join(WHITESPACE),
+    MIXED_RUN + "Strap" + MIXED_RUN + "TOP" + MIXED_RUN,
+    "  Strap\t top \n NEW ",
+    "İstanbul STRAẞE straße İ\u00a0ß",
+    *(f"{c}Cap{c}{c}moon{c}" for c in WHITESPACE),
+    *(f"A{c}B" for c in WHITESPACE),
+    *(c * 3 for c in WHITESPACE),
+]
+
+
 class TestCleanText:
     def test_lowercases_and_collapses_whitespace(self):
         assert corpus.clean_text("  Strap\t top \n NEW ") == "strap top new"
@@ -149,12 +197,69 @@ class TestCleanText:
     def test_already_clean_is_unchanged(self):
         assert corpus.clean_text("strap top") == "strap top"
 
-    def test_seq_length_counts_words(self):
-        assert corpus.seq_length("") == 0
-        assert corpus.seq_length("strap top new") == 3
+    def test_regex_whitespace_is_isspace(self):
+        assert re.findall(r"\s", EVERY_CHARACTER) == WHITESPACE
+
+    def test_matches_the_regex_reference(self):
+        assert list(map(corpus.clean_text, CLEANING_CASES)) == list(
+            map(reference_clean, CLEANING_CASES)
+        )
+
+
+def record(article_id, *texts):
+    """An article whose four textual columns are ``texts``, the last (its
+    description) None when not given."""
+    name, type_name, index_name, *desc = texts
+    return corpus.ArticleRecord(article_id, name, type_name, index_name, *desc)
 
 
 class TestPrepareArticles:
+    def test_text_len_counts_words(self):
+        prepared = corpus.prepare_articles(
+            [record("0000000001", "", "", ""), record("0000000002", "Strap", " top ", "NEW")]
+        )
+        assert [(p.text, p.text_len) for p in prepared] == [("", 0), ("strap top new", 3)]
+
+    def test_matches_the_regex_reference(self):
+        texts = [raw for raw in CLEANING_CASES if raw is not None]
+        articles = [
+            record(f"{n:010d}", texts[n], texts[n - 1], texts[n - 2], texts[n - 3] or None)
+            for n in range(len(texts))
+        ]
+        prepared = corpus.prepare_articles(articles)
+        for article, prep in zip(articles, prepared):
+            merged = " ".join(getattr(article, name) or "" for name in corpus.TEXTUAL_COLUMNS)
+            assert prep.text == reference_clean(merged)
+            assert prep.text_len == len(prep.text.split())
+
+    def test_ingest_writes_the_reference_bytes(self, tmp_path):
+        # NBSP, U+2028, U+3000, the separators \x1c-\x1f, tabs and a CRLF
+        # inside a quoted description
+        articles = tmp_path / "articles.csv"
+        articles.write_bytes(
+            "article_id,prod_name,product_type_name,index_name,detail_desc\r\n"
+            "2,Strap\u00a0Top,Vest\u2028top,Ladies\u3000wear,\"Jersey\r\ntop\twith  straps\"\r\n"
+            "1,\x1cCap\x1dmoon\x1e,\tCap\t,Menswear\x1f,\r\n"
+            "3,İ ß,\u00a0\u2028\u3000,\x1c\x1f,\"\r\n\"\r\n".encode("utf-8")
+        )
+        transactions = tmp_path / "transactions.csv"
+        transactions.write_text("t_dat,customer_id,article_id\n2020-01-05,u,1\n", encoding="utf-8")
+        workdir = tmp_path / "w"
+        assert cli.main([
+            "ingest", "--workdir", str(workdir),
+            "--articles", str(articles), "--transactions", str(transactions),
+        ]) == 0
+        rows = corpus.load_articles(articles)
+        expected = "article_id\ttext\ttext_len\n" + "".join(
+            f"{a.article_id}\t{text}\t{len(text.split())}\n"
+            for a in rows
+            for text in [reference_clean(
+                " ".join(getattr(a, name) or "" for name in corpus.TEXTUAL_COLUMNS)
+            )]
+        )
+        assert rows[1].detail_desc == "Jersey\r\ntop\twith  straps"
+        assert (workdir / cli.PREPARED_FILE).read_bytes() == expected.encode("utf-8")
+
     def test_merges_columns_in_order(self, tmp_path):
         records = corpus.load_articles(write(tmp_path, "a.csv", ARTICLES_CSV))
         prepared = corpus.prepare_articles(records)
@@ -230,7 +335,7 @@ class TestHistograms:
         prepared = corpus.prepare_articles(records)
         histogram = corpus.text_length_histogram(prepared)
         assert sum(histogram.values()) == len(prepared)
-        assert all(corpus.seq_length(p.text) in histogram for p in prepared)
+        assert all(len(p.text.split()) in histogram for p in prepared)
 
 
 class TestPersistence:

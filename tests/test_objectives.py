@@ -980,13 +980,20 @@ class TestTrainingHelper:
 
     @pytest.mark.parametrize("on_helper", [False, True])
     def test_failure_of_a_running_pass_stops_both_threads(self, monkeypatch, on_helper):
+        # the other thread is held in its first pass until the failing one
+        # raises, so the failing thread takes the plan's next passes and
+        # raises in its third, whichever thread the scheduler favours
         allow_training_helper(monkeypatch)
         for error in (Boom, KeyboardInterrupt):
             params, state, masked, pairs = helper_step(8)
             before = params.flat.copy()
+            failed = threading.Event()
 
             def act(helper, rows, trace):
-                if helper == on_helper and len(spy.passes) >= 2:
+                if helper != on_helper:
+                    failed.wait(timeout=10)
+                elif len(spy.passes) >= 2:
+                    failed.set()
                     raise error("mid-step")
                 return trace
 
