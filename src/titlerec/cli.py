@@ -5,6 +5,18 @@ so every stage can be rerun and inspected on its own. All randomness is
 seeded through the config; identical inputs, config and seed produce
 byte-identical artifacts.
 
+The workdir rules. ``ingest`` alone reads the raw inputs (``--articles``
+and ``--transactions``); every later stage reads only the workdir, so it
+accepts those flags and ignores them. A stage reads each workdir file
+through ``_read``, which refuses an absent file naming the command that
+writes it (``WRITERS``). ``ingest_summary.json`` records the sha256 of the
+two other files ``ingest`` writes (``INGEST_DIGESTS``), and ``_read``
+refuses either file when the bytes it parsed have another digest.
+``index.bin`` is the one file read otherwise: a cache that
+``index.load_index`` reads, rebuilt when absent or stale. ``evaluate``
+reads no train record: it scores whatever submission.csv holds, so a
+model setting given to it, such as ``--d-model 8``, is accepted and unused.
+
 The holdout convention is shared by every stage that needs it: the final
 ``holdout_days`` calendar days of the joined transaction log are reserved
 as ground truth, and training, customer profiles and the popularity
@@ -33,26 +45,36 @@ are None unless given: the stage that writes the artifact then takes the
 default of ``RECORDED``, and a later stage the recorded value, refusing a
 given one that disagrees.
 
-Artifacts (inside the workdir):
-    prepared_articles.tsv  cleaned one-line text per article, by ascending id
+Artifacts (inside the workdir), by the command that writes them:
+  ingest
+    prepared_articles.tsv  per article, by ascending id: the cleaned one-line
+                           text, its word count and the product type (read
+                           by stats, train, recommend, evaluate --customer)
     transactions.bin       catalog-joined purchase log (TRLOG002), in input
                            order, over the catalog's article table, with the
-                           holdout days it was ingested with
+                           holdout days it was ingested with (read by train,
+                           recommend, evaluate)
     ingest_summary.json    row counts, the missing-description histogram and
-                           the sha256 of prepared_articles.tsv, against
-                           which stats, train, recommend and evaluate
-                           --customer check that file
+                           the sha256 of prepared_articles.tsv and of
+                           transactions.bin (read with either file, and by
+                           stats)
+  stats
     stats.txt              text-length and missing-description histograms
-    vocab.txt              one token per line, line number = id
-    checkpoint.bin         encoder shape and weights (TRENC002)
+  train
+    vocab.txt              one token per line, line number = id (read by
+                           recommend)
+    checkpoint.bin         encoder shape and weights (TRENC002; read by
+                           recommend)
     loss_log.tsv           step, mlm, np, total per training step
+  recommend
     index.bin              cache of the catalog's embeddings (TRECIDX1): the
                            catalog's ids, the vectors, and the sha256 of the
                            checkpoint and of prepared_articles.tsv they were
                            built from and of the vectors; reused only when
                            every byte is what this run would write, and
                            rebuilt otherwise
-    submission.csv         customer_id,prediction rows
+    submission.csv         customer_id,prediction rows (read by evaluate)
+  evaluate
     eval_report.json       map_at_12 / scored / excluded
 """
 
@@ -101,6 +123,16 @@ EVAL_REPORT_FILE = "eval_report.json"
 LOCK_FILE = ".lock"
 
 LOSS_LOG_HEADER = "step\tmlm\tnp\ttotal"
+
+# The command that writes each workdir file a later stage reads
+WRITERS = {
+    **dict.fromkeys((PREPARED_FILE, TRANSACTIONS_FILE, INGEST_SUMMARY_FILE), "ingest"),
+    **dict.fromkeys((VOCAB_FILE, CHECKPOINT_FILE), "train"),
+    SUBMISSION_FILE: "recommend",
+}
+# The key under which the ingest summary records the sha256 of each other
+# file that ingest writes
+INGEST_DIGESTS = {PREPARED_FILE: "prepared_sha256", TRANSACTIONS_FILE: "transactions_sha256"}
 
 # glibc's mallopt parameters (malloc.h) and the values pinned at startup
 M_TRIM_THRESHOLD = -1
@@ -286,40 +318,38 @@ def workdir_lock(workdir: Path):
         lock_path.unlink(missing_ok=True)
 
 
-def _require(path: Path, produced_by: str) -> Path:
+def _read(workdir: Path, name: str, load, *args):
+    """``load(path, *args)`` of the workdir file ``name``, refused when the file
+    is absent, naming its writer, and for a file of ``INGEST_DIGESTS`` unless
+    the sha256 that ``load`` returns last is the one the ingest summary records.
+
+    Each caller names its loader at the call (``corpus.load_prepared``) and
+    no table holds one, so a module attribute replaced after import, as
+    ``perfbench/tracing.install`` replaces them, is the function called."""
+    path = workdir / name
     if not path.exists():
-        raise MissingArtifactError(f"{path} not found; run `{produced_by}` first")
-    return path
+        raise MissingArtifactError(f"{path} not found; run `titlerec {WRITERS[name]}` first")
+    loaded = load(path, *args)
+    if name in INGEST_DIGESTS:
+        _, digests = _read(workdir, INGEST_SUMMARY_FILE, _load_summary)
+        if digests[name] != loaded[-1]:
+            raise ArtifactFormatError(
+                f"{path}: not the file {workdir / INGEST_SUMMARY_FILE} records (its sha256 "
+                "differs); re-run `titlerec ingest`"
+            )
+    return loaded
 
 
-def _load_ingested(config: PipelineConfig) -> tuple[corpus.PurchaseLog, int]:
-    """The ingested purchase log and the holdout days it was ingested with,
-    which a given ``holdout_days`` must equal."""
-    path = _require(Path(config.workdir) / TRANSACTIONS_FILE, "titlerec ingest")
-    return corpus.load_saved_transactions(path, config.holdout_days)
-
-
-def _load_prepared(workdir: Path) -> tuple[list[corpus.PreparedArticle], str]:
-    return corpus.load_prepared(_require(workdir / PREPARED_FILE, "titlerec ingest"))
-
-
-def _ingest_summary(workdir: Path, prepared_sha256: str) -> dict[str, tuple[int, int]]:
-    """The missing-description histogram of the ingest summary, index_name ->
-    (with description, without), refused unless the summary records
-    ``prepared_sha256``, the digest of the prepared-articles file read."""
-    path = _require(workdir / INGEST_SUMMARY_FILE, "titlerec ingest")
+def _load_summary(path: Path) -> tuple[dict[str, tuple[int, int]], dict[str, str]]:
+    """The ingest summary's missing-description histogram, index_name ->
+    (with description, without), and the sha256 it records of each file of
+    ``INGEST_DIGESTS``, by file name; refused unless it holds them all."""
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
-        missing = {
+        return {
             str(name): (int(with_desc), int(without_desc))
             for name, (with_desc, without_desc) in summary["missing_description"].items()
-        }
-        if summary["prepared_sha256"] != prepared_sha256:  # (not one of the errors caught)
-            raise ArtifactFormatError(
-                f"{workdir / PREPARED_FILE}: not the file {path} records (its sha256 differs); "
-                "re-run `titlerec ingest`"
-            )
-        return missing
+        }, {name: summary[key] for name, key in INGEST_DIGESTS.items()}
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ArtifactFormatError(
             f"{path}: not an ingest summary ({type(exc).__name__}: {exc})"
@@ -329,18 +359,19 @@ def _ingest_summary(workdir: Path, prepared_sha256: str) -> dict[str, tuple[int,
 def _load_catalog(
     config: PipelineConfig,
 ) -> tuple[list[corpus.PreparedArticle], str, corpus.PurchaseLog, int]:
-    """The prepared catalog and its sha256, then ``_load_ingested``'s log and
-    holdout days; refused unless the log's article table is the catalog, and
-    then unless the catalog file is the one the ingest summary records."""
+    """The prepared catalog and its sha256, then the ingested log and the
+    holdout days it was ingested with, which a given ``holdout_days`` must
+    equal; refused unless the log's article table is the catalog."""
     workdir = Path(config.workdir)
-    prepared, prepared_sha256 = _load_prepared(workdir)
-    joined, holdout_days = _load_ingested(config)
+    prepared, prepared_sha256 = _read(workdir, PREPARED_FILE, corpus.load_prepared)
+    joined, holdout_days, _ = _read(
+        workdir, TRANSACTIONS_FILE, corpus.load_saved_transactions, config.holdout_days
+    )
     if joined.article_ids != tuple(p.article_id for p in prepared):
         raise UnknownArticleError(
             f"{workdir / TRANSACTIONS_FILE}: its article table is not the catalog of "
             f"{workdir / PREPARED_FILE}; re-run `titlerec ingest`"
         )
-    _ingest_summary(workdir, prepared_sha256)
     return prepared, prepared_sha256, joined, holdout_days
 
 
@@ -360,8 +391,8 @@ def cmd_ingest(config: PipelineConfig) -> str:
     sessions = int(joined.sessions()[1].max(initial=-1)) + 1
 
     prepared_sha256 = corpus.save_prepared(prepared, workdir / PREPARED_FILE)
-    corpus.save_transactions(joined, workdir / TRANSACTIONS_FILE, config.written("holdout_days"))
-    histogram = corpus.missing_description_histogram(articles)
+    holdout_days = config.written("holdout_days")
+    transactions_sha256 = corpus.save_transactions(joined, workdir / TRANSACTIONS_FILE, holdout_days)
     _write_json(
         workdir / INGEST_SUMMARY_FILE,
         {
@@ -370,8 +401,9 @@ def cmd_ingest(config: PipelineConfig) -> str:
             "joined": len(joined),
             "dropped": dropped,
             "sessions": sessions,
-            "missing_description": {k: list(v) for k, v in histogram.items()},
+            "missing_description": corpus.missing_description_histogram(articles),
             "prepared_sha256": prepared_sha256,
+            "transactions_sha256": transactions_sha256,
         },
     )
     return (
@@ -382,16 +414,13 @@ def cmd_ingest(config: PipelineConfig) -> str:
 
 def cmd_stats(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
-    prepared, prepared_sha256 = _load_prepared(workdir)
+    prepared, _ = _read(workdir, PREPARED_FILE, corpus.load_prepared)
     if not prepared:
         raise MissingArtifactError("prepared corpus is empty; rerun ingest on real data")
-    missing = _ingest_summary(workdir, prepared_sha256)
+    missing, _ = _read(workdir, INGEST_SUMMARY_FILE, _load_summary)
     lines = ["# text length histogram", "length\tcount"]
-    for length, count in corpus.text_length_histogram(prepared).items():
-        lines.append(f"{length}\t{count}")
-    lines.append("")
-    lines.append("# missing descriptions by index_name")
-    lines.append("index_name\twith_desc\twithout_desc")
+    lines += [f"{length}\t{count}" for length, count in corpus.text_length_histogram(prepared).items()]
+    lines += ["", "# missing descriptions by index_name", "index_name\twith_desc\twithout_desc"]
     for name, (with_desc, without_desc) in sorted(missing.items()):
         lines.append(f"{name}\t{with_desc}\t{without_desc}")
     report = "\n".join(lines) + "\n"
@@ -473,10 +502,8 @@ def _load_customer_universe(config: PipelineConfig, joined: corpus.PurchaseLog) 
 
 def cmd_recommend(config: PipelineConfig) -> str:
     workdir = Path(config.workdir)
-    vocab_path = _require(workdir / VOCAB_FILE, "titlerec train")
-    vocab = Vocabulary.load(vocab_path)
-    checkpoint_path = _require(workdir / CHECKPOINT_FILE, "titlerec train")
-    params, checkpoint_sha256 = enc.load_checkpoint(checkpoint_path)
+    vocab = _read(workdir, VOCAB_FILE, Vocabulary.load)
+    params, checkpoint_sha256 = _read(workdir, CHECKPOINT_FILE, enc.load_checkpoint)
     # the model's shape is the checkpoint's; a setting given must agree
     disagreeing = [
         f"{name}={getattr(config, name)}"
@@ -485,14 +512,14 @@ def cmd_recommend(config: PipelineConfig) -> str:
     ]
     if disagreeing:
         raise CheckpointMismatchError(
-            f"{checkpoint_path}: stored config {params.config} != expected "
+            f"{workdir / CHECKPOINT_FILE}: stored config {params.config} != expected "
             f"{', '.join(disagreeing)}"
         )
     if params.config.vocab_size != len(vocab):
         # the vocabulary lost or gained lines, not the checkpoint
         raise CheckpointMismatchError(
-            f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} was trained with "
-            f"{params.config.vocab_size}; both must come from the same `titlerec train`"
+            f"{workdir / VOCAB_FILE}: {len(vocab)} tokens, but {workdir / CHECKPOINT_FILE} was "
+            f"trained with {params.config.vocab_size}; both must come from the same `titlerec train`"
         )
     prepared, prepared_sha256, joined, holdout_days = _load_catalog(config)
 
@@ -522,23 +549,19 @@ def cmd_recommend(config: PipelineConfig) -> str:
 
 def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None) -> str:
     workdir = Path(config.workdir)
-    joined, holdout_days = _load_ingested(config)
+    joined, holdout_days, _ = _read(
+        workdir, TRANSACTIONS_FILE, corpus.load_saved_transactions, config.holdout_days
+    )
     train_window, holdout = evaluation.temporal_split(joined, holdout_days)
     truth = evaluation.build_ground_truth(holdout)
-    submission = evaluation.read_submission(
-        _require(workdir / SUBMISSION_FILE, "titlerec recommend")
-    )
+    submission = _read(workdir, SUBMISSION_FILE, evaluation.read_submission)
     report = evaluation.map_at_12(submission, truth)
     summary = (
         f"map_at_12={report.map_at_12:.6f} scored={report.scored_customer_count} "
         f"excluded={report.excluded_customer_count}"
     )
     if spot_check_customer is not None:  # built, and so refused, before the report is written
-        if config.articles is None:
-            raise InvalidConfigError("--customer spot check needs --articles for product types")
-        articles = corpus.load_articles(config.articles)
-        prepared, prepared_sha256 = _load_prepared(workdir)
-        _ingest_summary(workdir, prepared_sha256)
+        prepared, _ = _read(workdir, PREPARED_FILE, corpus.load_prepared)
         # map_at_12 above refused a repeated customer, so one row at most is theirs
         customers = submission.customer_ids
         recommended = (
@@ -546,9 +569,7 @@ def cmd_evaluate(config: PipelineConfig, spot_check_customer: str | None = None)
             if spot_check_customer in customers
             else []
         )
-        spot = evaluation.manual_eval_report(
-            spot_check_customer, train_window, recommended, articles, prepared
-        )
+        spot = evaluation.manual_eval_report(spot_check_customer, train_window, recommended, prepared)
         summary += "\n\n" + spot.rstrip("\n")
     _write_json(
         workdir / EVAL_REPORT_FILE,

@@ -138,11 +138,13 @@ class PurchaseLog:
 
 @dataclass(frozen=True)
 class PreparedArticle:
-    """Cleaned, merged article text ready for tokenization."""
+    """Cleaned, merged article text ready for tokenization, and the
+    article's product type with each whitespace run made one space."""
 
     article_id: str
     text: str
     text_len: int
+    product_type: str = ""
 
 
 def _read_table(path: str | Path, required: tuple[str, ...]) -> tuple[dict[str, int], list[list[str]]]:
@@ -305,7 +307,9 @@ def prepare_articles(
 
     Absent descriptions contribute an empty string, so prepared text is
     never missing. The text is ``clean_text`` of the columns joined by a
-    space, and ``text_len`` its word count. Output order matches input order.
+    space, and ``text_len`` its word count. The product type keeps its case;
+    each run of whitespace in it becomes one space, so it holds no tab or
+    line break. Output order matches input order.
     """
     if not text_columns:
         raise ValueError("text_columns must be nonempty")
@@ -317,7 +321,8 @@ def prepare_articles(
         parts = [(getattr(article, name) or "") for name in text_columns]
         text = clean_text(" ".join(parts))
         # the rule leaves single spaces between words: one more word than spaces
-        prepared.append(PreparedArticle(article.article_id, text, text.count(" ") + bool(text)))
+        kind = " ".join(article.product_type_name.split())
+        prepared.append(PreparedArticle(article.article_id, text, text.count(" ") + bool(text), kind))
     return prepared
 
 
@@ -342,14 +347,16 @@ def text_length_histogram(articles: list[PreparedArticle]) -> dict[int, int]:
     return {length: counts[length] for length in sorted(counts)}
 
 
-# --- workdir persistence (prepared texts tab-separated: cleaned text has no tabs) ---
+# --- workdir persistence (tab-separated: neither text nor product type holds a tab) ---
+
+PREPARED_HEADER = "article_id\ttext\ttext_len\tproduct_type"
 
 
 def save_prepared(articles: list[PreparedArticle], path: str | Path) -> str:
     """Write the prepared articles; return the sha256 hex digest of the
     bytes written, which ``load_prepared`` returns for the same file."""
-    lines = ["article_id\ttext\ttext_len"]
-    lines += [f"{a.article_id}\t{a.text}\t{a.text_len}" for a in articles]
+    lines = [PREPARED_HEADER]
+    lines += [f"{a.article_id}\t{a.text}\t{a.text_len}\t{a.product_type}" for a in articles]
     blob = ("\n".join(lines) + "\n").encode("utf-8")
     atomic_write_bytes(path, blob)
     return hashlib.sha256(blob).hexdigest()
@@ -360,42 +367,45 @@ def load_prepared(path: str | Path) -> tuple[list[PreparedArticle], str]:
     the sha256 hex digest of the bytes they were parsed from."""
     blob = Path(path).read_bytes()
     lines = blob.decode("utf-8").splitlines()
-    if not lines or lines[0] != "article_id\ttext\ttext_len":
-        raise MalformedRowError(f"{path}: not a prepared-articles file")
+    if not lines or lines[0] != PREPARED_HEADER:
+        raise MalformedRowError(f"{path}: header is not {PREPARED_HEADER!r}; re-run `titlerec ingest`")
     out = []
     for n, line in enumerate(lines[1:], start=1):
         fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedRowError(f"{path}: row {n} has {len(fields)} fields, expected 3")
+        if len(fields) != 4:
+            raise MalformedRowError(f"{path}: row {n} has {len(fields)} fields, expected 4")
         try:
             text_len = int(fields[2])
         except ValueError:
             raise MalformedRowError(f"{path}: row {n}: bad text_len {fields[2]!r}") from None
         if out and fields[0] <= out[-1].article_id:
             raise MalformedRowError(f"{path}: row {n}: article_id {fields[0]!r} does not ascend")
-        out.append(PreparedArticle(fields[0], fields[1], text_len))
+        out.append(PreparedArticle(fields[0], fields[1], text_len, fields[3]))
     return out, hashlib.sha256(blob).hexdigest()
 
 
 LOG_MAGIC = b"TRLOG002"
 
 
-def save_transactions(log: PurchaseLog, path: str | Path, holdout_days: int) -> None:
+def save_transactions(log: PurchaseLog, path: str | Path, holdout_days: int) -> str:
     """Write the log in the TRLOG002 layout, over a table of only the
     customer ids that some purchase uses and the log's whole article table,
-    recording ``holdout_days``."""
+    recording ``holdout_days``; return the sha256 hex digest of the bytes
+    written, which ``load_saved_transactions`` returns for the same file."""
     customers, customer_codes = np.unique(log.customers, return_inverse=True)
     customer_ids = [log.customer_ids[code].encode("utf-8") for code in customers.tolist()]
     if not all(len(a) == 10 and a.isascii() and a.isdigit() for a in log.article_ids):
         raise ArtifactFormatError(f"{path}: an article id is not 10 ascii digits")
-    atomic_write_bytes(path, b"".join([
+    blob = b"".join([
         LOG_MAGIC,
         struct.pack("<4I", len(log), len(customers), len(log.article_ids), holdout_days),
         np.array([len(c) for c in customer_ids], dtype="<u4").tobytes(),
         *customer_ids,
         "".join(log.article_ids).encode("ascii"),
         *(column.astype("<i8").tobytes() for column in (log.days, customer_codes, log.articles)),
-    ]))
+    ])
+    atomic_write_bytes(path, blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _checked(path, kind: str, ids: list[str], rule: str, is_id: Callable, codes: np.ndarray):
@@ -416,9 +426,10 @@ def _checked(path, kind: str, ids: list[str], rule: str, is_id: Callable, codes:
 
 def load_saved_transactions(
     path: str | Path, holdout_days: int | None = None
-) -> tuple[PurchaseLog, int]:
-    """Read a TRLOG002 file as written by ``save_transactions``: the log and the
-    holdout days it was ingested with. A file that breaks the layout's rules raises
+) -> tuple[PurchaseLog, int, str]:
+    """Read a TRLOG002 file as written by ``save_transactions``: the log, the
+    holdout days it was ingested with and the sha256 hex digest of the bytes it
+    was parsed from. A file that breaks the layout's rules raises
     ``ArtifactFormatError`` naming it, and one ingested with other holdout days than
     a given ``holdout_days`` raises ``InvalidConfigError``. Each id is checked once."""
     reader = ByteReader(Path(path).read_bytes(), str(path))
@@ -454,4 +465,4 @@ def load_saved_transactions(
         row = int(bad_days[0])
         raise ArtifactFormatError(f"{path}: row {row + 1}: day {days[row]} is not a date ordinal")
     log = PurchaseLog(days.astype(np.int64), customers, articles, customer_ids, article_ids)
-    return log, recorded
+    return log, recorded, hashlib.sha256(reader.blob).hexdigest()

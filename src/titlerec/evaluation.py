@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ArticleRecord, PreparedArticle, PurchaseLog
+from .corpus import PreparedArticle, PurchaseLog
 from .ioutil import atomic_write_text
 from .errors import (
     DuplicateCustomerError,
@@ -262,21 +262,21 @@ def manual_eval_report(
     customer_id: str,
     log: PurchaseLog,
     recommendations: list[str],
-    articles: list[ArticleRecord],
     prepared: list[PreparedArticle],
 ) -> str:
     """Plain-text spot check: purchases vs recommended article ids for one
     customer.
 
     Each side lists article id, product type and the prepared text the
-    model embedded (from ``prepared``); the closing line names the product
-    types the two lists share, the signal a human reviewer scans for.
+    model embedded, both from ``prepared`` (``?`` and nothing for an id
+    outside it); the closing line names the product types the two lists
+    share, the signal a human reviewer scans for.
     """
     code = log.customer_ids.index(customer_id) if customer_id in log.customer_ids else -1
     bought = [log.article_ids[a] for a in log.articles[log.customers == code].tolist()]
     if not recommendations and not bought:
         raise UnknownCustomerError(f"customer {customer_id} has no purchases or recommendations")
-    type_of = {a.article_id: a.product_type_name for a in articles}
+    type_of = {p.article_id: p.product_type for p in prepared}
     text_of = {p.article_id: p.text for p in prepared}
 
     def listed(article_ids: list[str]) -> tuple[list[str], set[str]]:

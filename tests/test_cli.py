@@ -24,7 +24,7 @@ from titlerec import cli, corpus, evaluation
 from titlerec import encoder as enc
 from titlerec import index as ix
 from titlerec.errors import InvalidConfigError
-from titlerec.tokenizer import Vocabulary
+from titlerec.tokenizer import FIRST_WORD_ID, Vocabulary
 
 from synth import (
     ARTICLE_HEADER,
@@ -51,12 +51,27 @@ def run_cli(*args):
     return cli.main([str(a) for a in args])
 
 
+def record_digest(path, sha256):
+    """Record ``sha256`` as the digest of the workdir file at ``path`` in the
+    ingest summary beside it, as an ingest that wrote the file would."""
+    summary_path = path.parent / cli.INGEST_SUMMARY_FILE
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    summary[cli.INGEST_DIGESTS[path.name]] = sha256
+    summary_path.write_text(json.dumps(summary), encoding="utf-8")
+
+
+def save_log(log, path):
+    """Write ``log`` to the workdir's purchase log, and its digest to the summary."""
+    record_digest(path, corpus.save_transactions(log, path, 7))
+
+
 def add_purchases(path, rows):
     """Append (date, customer id, article id) rows to the purchase log at
-    ``path``, adding their articles to its article table."""
+    ``path``, adding their articles to its article table, and record the new
+    log's digest in the ingest summary."""
     log = corpus.load_saved_transactions(path, 7)[0]
     articles = tuple(sorted({*log.article_ids, *(article for _, _, article in rows)}))
-    corpus.save_transactions(purchase_log(log_rows(log) + rows, articles), path, 7)
+    save_log(purchase_log(log_rows(log) + rows, articles), path)
 
 
 def _overflowing_dims(blob):
@@ -509,8 +524,11 @@ class TestStats:
     def test_empty_corpus_rejected(self, tmp_path, capsys):
         workdir = tmp_path / "w"
         workdir.mkdir()
-        corpus.save_prepared([], workdir / cli.PREPARED_FILE)
-        (workdir / cli.INGEST_SUMMARY_FILE).write_text("{}")
+        path = workdir / cli.PREPARED_FILE
+        (workdir / cli.INGEST_SUMMARY_FILE).write_text(
+            '{"missing_description": {}, "transactions_sha256": ""}'
+        )
+        record_digest(path, corpus.save_prepared([], path))
         rc = run_cli("stats", "--workdir", workdir)
         assert rc == 1
         assert "error: MissingArtifactError" in capsys.readouterr().err
@@ -860,15 +878,19 @@ class TestRecommend:
         assert (clone["workdir"] / cli.INDEX_FILE).read_bytes() == index_before
 
     def test_stale_index_detected(self, pipeline, tmp_path, capsys):
-        # a hand-edited catalog no longer matches the log ingest wrote with it
+        # a hand-edited catalog is not the file ingest wrote with the log
         clone = fresh_copy(pipeline, tmp_path)
-        prepared = corpus.load_prepared(clone["workdir"] / cli.PREPARED_FILE)[0]
-        corpus.save_prepared(prepared[:-1], clone["workdir"] / cli.PREPARED_FILE)
+        path = clone["workdir"] / cli.PREPARED_FILE
+        corpus.save_prepared(corpus.load_prepared(path)[0][:-1], path)
+        capsys.readouterr()
         rc = run_cli("recommend", *clone["base"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "error: UnknownArticleError" in err
-        assert "re-run `titlerec ingest`" in err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: ArtifactFormatError: {path}: not the file "
+            f"{clone['workdir'] / cli.INGEST_SUMMARY_FILE} records (its sha256 differs); "
+            "re-run `titlerec ingest`"
+        )
 
     def test_reingest_with_fewer_articles_rebuilds_whether_index_cached(self, pipeline, tmp_path):
         outcomes = []
@@ -994,6 +1016,27 @@ class TestRecommend:
         assert reads.count(cli.CHECKPOINT_FILE) == 1
         block = real(clone["workdir"] / cli.INDEX_FILE)[-SOURCE_BLOCK_SIZE:]
         assert block[8:40] == hashlib.sha256(real(checkpoint)).digest()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="index.bin's key holds the digests of checkpoint.bin and prepared_articles.tsv "
+        "but not of vocab.txt, so a cached index outlives an edited vocabulary",
+    )
+    def test_edited_vocabulary_serves_as_a_fresh_build(self, pipeline, tmp_path):
+        # the first two word lines swapped: a fresh build embeds other vectors
+        submissions = []
+        for cached in (True, False):
+            clone = fresh_copy(pipeline, tmp_path / str(cached))
+            path = clone["workdir"] / cli.VOCAB_FILE
+            lines = path.read_text(encoding="utf-8").splitlines(True)
+            first = FIRST_WORD_ID
+            lines[first], lines[first + 1] = lines[first + 1], lines[first]
+            path.write_text("".join(lines), encoding="utf-8")
+            if not cached:
+                (clone["workdir"] / cli.INDEX_FILE).unlink()
+            assert run_cli("recommend", *clone["base"]) == 0
+            submissions.append((clone["workdir"] / cli.SUBMISSION_FILE).read_bytes())
+        assert submissions[0] == submissions[1]
 
     def test_checkpoint_config_mismatch_detected(self, pipeline, tmp_path, capsys):
         clone = fresh_copy(pipeline, tmp_path)
@@ -1224,21 +1267,35 @@ class TestEvaluate:
         assert "recommended items (0):\n  (none)\n" in out
         assert "purchased items (0):" not in out
 
-    def test_spot_check_needs_articles_path(self, pipeline, tmp_path, capsys):
+    def test_spot_check_reads_no_articles_file(self, pipeline, tmp_path, capsys):
+        # the product types are the ingested catalog's, whatever --articles names
         clone = fresh_copy(pipeline, tmp_path)
         base = clone["base"]
-        articles_free = [base[0], base[1], *base[4:]]  # drop --articles pair
-        rc = run_cli("evaluate", *articles_free, "--customer", "shopper000")
-        assert rc == 1
-        assert "error: InvalidConfigError" in capsys.readouterr().err
+        (tmp_path / "other").mkdir()
+        other = write_planted_inputs(tmp_path / "other")["articles_path"]
+        reports = []
+        for flags in (base, [*base[:2], *base[4:]], [*base[:3], other, *base[4:]]):
+            capsys.readouterr()
+            assert run_cli("evaluate", *flags, "--customer", "shopper000") == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert "  ?  " not in reports[0]
+        assert reports[0].count("  0") > 12  # the recommended items and at least one purchase
 
     def test_requires_submission(self, tmp_path, capsys):
         workdir = tmp_path / "w"
         workdir.mkdir()
-        corpus.save_transactions(purchase_log([]), workdir / cli.TRANSACTIONS_FILE, 7)
+        (workdir / cli.INGEST_SUMMARY_FILE).write_text(
+            '{"missing_description": {}, "prepared_sha256": ""}'
+        )
+        save_log(purchase_log([]), workdir / cli.TRANSACTIONS_FILE)
         rc = run_cli("evaluate", "--workdir", workdir)
         assert rc == 1
-        assert "error: MissingArtifactError" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: MissingArtifactError: {workdir / cli.SUBMISSION_FILE} not found; "
+            "run `titlerec recommend` first"
+        )
 
 
 class MallInfo2(ctypes.Structure):
@@ -1371,8 +1428,8 @@ class TestPreparedDigest:
         clone = fresh_copy(pipeline, tmp_path)
         path = clone["workdir"] / cli.PREPARED_FILE
         lines = path.read_text(encoding="utf-8").splitlines(True)
-        article_id, text, text_len = lines[1].split("\t")
-        lines[1] = "\t".join([article_id, text + " edited", text_len])
+        article_id, text, *rest = lines[1].split("\t")
+        lines[1] = "\t".join([article_id, text + " edited", *rest])
         path.write_text("".join(lines), encoding="utf-8")
         before = workdir_files(clone["workdir"])
         capsys.readouterr()
@@ -1422,6 +1479,145 @@ class TestPreparedDigest:
         assert run_cli("train", *clone["base"]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"error: MissingArtifactError: {path} not found; run `titlerec ingest` first"
+
+
+# each file the workdir reader serves, and the commands that read it, by test id
+READ_FILES = {
+    cli.PREPARED_FILE: PREPARED_READERS,
+    cli.TRANSACTIONS_FILE: {
+        "train": ["train"], "recommend": ["recommend"], "evaluate": ["evaluate"],
+    },
+    cli.INGEST_SUMMARY_FILE: {**PREPARED_READERS, "evaluate": ["evaluate"]},
+    cli.VOCAB_FILE: {"recommend": ["recommend"]},
+    cli.CHECKPOINT_FILE: {"recommend": ["recommend"]},
+    cli.SUBMISSION_FILE: {"evaluate": ["evaluate"]},
+}
+# the commands that read transactions.bin, by test id
+LOG_READERS = READ_FILES[cli.TRANSACTIONS_FILE]
+
+
+def _first_day_low_bit_flipped(blob, log):
+    """The purchase log with the lowest bit of its first row's day flipped:
+    after the magic, the counts, the customer table and the article table."""
+    at = 24 + 4 * len(log.customer_ids) + sum(len(c.encode()) for c in log.customer_ids)
+    at += 10 * len(log.article_ids)
+    return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :]
+
+
+class TestWorkdirReader:
+    """After ingest every stage reads only the workdir, each file through
+    ``cli._read``: an absent file is refused naming its writer, and a file
+    ingest wrote is refused unless ingest_summary.json records its sha256."""
+
+    def test_stages_after_ingest_read_no_input_file(self, pipeline, tmp_path, capsys):
+        clone = fresh_copy(pipeline, tmp_path)
+        workdir = clone["workdir"]
+        for name in ("articles.csv", "transactions.csv"):
+            (clone["root"] / name).unlink()
+        for name in (cli.INDEX_FILE, cli.STATS_FILE, cli.VOCAB_FILE, cli.CHECKPOINT_FILE,
+                     cli.LOSS_LOG_FILE, cli.SUBMISSION_FILE, cli.EVAL_REPORT_FILE):
+            (workdir / name).unlink()
+        for command in ("stats", "train", "recommend", "evaluate"):
+            assert run_cli(command, *clone["base"]) == 0, command
+        for path in pipeline["workdir"].iterdir():
+            assert (workdir / path.name).read_bytes() == path.read_bytes(), path.name
+        reports = []
+        for world in (pipeline, clone):
+            capsys.readouterr()
+            assert run_cli("evaluate", *world["base"], "--customer", "shopper000") == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            pytest.param(name, command, id=f"{name}-{test_id}")
+            for name, readers in READ_FILES.items()
+            for test_id, command in readers.items()
+        ],
+    )
+    def test_absent_file_names_its_writer(self, pipeline, tmp_path, capsys, name, command):
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / name
+        path.unlink()
+        before = workdir_files(clone["workdir"])
+        capsys.readouterr()
+        assert run_cli(*command, *clone["base"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"error: MissingArtifactError: {path} not found; run `titlerec {cli.WRITERS[name]}` first"
+        )
+        assert captured.out == ""
+        assert workdir_files(clone["workdir"]) == before
+
+    @pytest.mark.parametrize("command", PREPARED_READERS.values(), ids=PREPARED_READERS)
+    def test_three_column_prepared_file_refused(self, pipeline, tmp_path, capsys, command):
+        # as an ingest that wrote no product type left it, with its digest recorded
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.PREPARED_FILE
+        lines = path.read_text(encoding="utf-8").splitlines()
+        blob = "".join(line.rsplit("\t", 1)[0] + "\n" for line in lines).encode("utf-8")
+        path.write_bytes(blob)
+        record_digest(path, hashlib.sha256(blob).hexdigest())
+        before = workdir_files(clone["workdir"])
+        capsys.readouterr()
+        assert run_cli(*command, *clone["base"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"error: MalformedRowError: {path}: header is not "
+            "'article_id\\ttext\\ttext_len\\tproduct_type'; re-run `titlerec ingest`"
+        )
+        assert captured.out == ""
+        assert workdir_files(clone["workdir"]) == before
+
+    @pytest.mark.parametrize("command", LOG_READERS.values(), ids=LOG_READERS)
+    def test_flipped_day_refused(self, pipeline, tmp_path, capsys, command):
+        # a log that still parses, one day off in its first row
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.TRANSACTIONS_FILE
+        log = corpus.load_saved_transactions(path, 7)[0]
+        path.write_bytes(_first_day_low_bit_flipped(path.read_bytes(), log))
+        flipped = corpus.load_saved_transactions(path, 7)[0]
+        assert abs(int(flipped.days[0]) - int(log.days[0])) == 1
+        before = workdir_files(clone["workdir"])
+        capsys.readouterr()
+        assert run_cli(*command, *clone["base"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"error: ArtifactFormatError: {path}: not the file "
+            f"{clone['workdir'] / cli.INGEST_SUMMARY_FILE} records (its sha256 differs); "
+            "re-run `titlerec ingest`"
+        )
+        assert captured.out == ""
+        assert workdir_files(clone["workdir"]) == before
+
+    @pytest.mark.parametrize("command", LOG_READERS.values(), ids=LOG_READERS)
+    def test_summary_without_a_log_digest_refused(self, pipeline, tmp_path, capsys, command):
+        # as an ingest that recorded no digest of the log wrote it
+        clone = fresh_copy(pipeline, tmp_path)
+        path = clone["workdir"] / cli.INGEST_SUMMARY_FILE
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        del summary["transactions_sha256"]
+        path.write_text(json.dumps(summary), encoding="utf-8")
+        before = workdir_files(clone["workdir"])
+        capsys.readouterr()
+        assert run_cli(*command, *clone["base"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"error: ArtifactFormatError: {path}: not an ingest summary "
+            "(KeyError: 'transactions_sha256')"
+        )
+        assert captured.out == ""
+        assert workdir_files(clone["workdir"]) == before
+
+    def test_ingest_records_the_log_digest(self, pipeline):
+        summary = json.loads((pipeline["workdir"] / cli.INGEST_SUMMARY_FILE).read_text())
+        blob = (pipeline["workdir"] / cli.TRANSACTIONS_FILE).read_bytes()
+        assert summary["transactions_sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 class TestErrorSurface:
@@ -1512,7 +1708,7 @@ class TestErrorSurface:
         log = corpus.load_saved_transactions(path, 7)[0]
         last = log.article_ids[-1]
         rows = [row for row in log_rows(log) if row[2] != last]
-        corpus.save_transactions(purchase_log(rows, log.article_ids[:-1]), path, 7)
+        save_log(purchase_log(rows, log.article_ids[:-1]), path)
         before = {path.name: path.read_bytes() for path in clone["workdir"].iterdir()}
         capsys.readouterr()
         assert run_cli(command, *clone["base"]) == 1
@@ -1688,7 +1884,7 @@ READERS = {
     cli.CHECKPOINT_FILE: ("recommend",),
     cli.INDEX_FILE: ("recommend",),
     cli.SUBMISSION_FILE: ("evaluate",),
-    cli.INGEST_SUMMARY_FILE: ("stats", "train", "recommend"),
+    cli.INGEST_SUMMARY_FILE: ("stats", "train", "recommend", "evaluate"),
 }
 # what each command writes; not recommend's index.bin, a cache that records
 # the digests of the checkpoint and catalog file it was built from, which

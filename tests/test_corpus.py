@@ -250,15 +250,19 @@ class TestPrepareArticles:
             "--articles", str(articles), "--transactions", str(transactions),
         ]) == 0
         rows = corpus.load_articles(articles)
-        expected = "article_id\ttext\ttext_len\n" + "".join(
-            f"{a.article_id}\t{text}\t{len(text.split())}\n"
+        # the product type keeps its case, each whitespace run made one space
+        expected = "article_id\ttext\ttext_len\tproduct_type\n" + "".join(
+            f"{a.article_id}\t{text}\t{len(text.split())}\t{' '.join(a.product_type_name.split())}\n"
             for a in rows
             for text in [reference_clean(
                 " ".join(getattr(a, name) or "" for name in corpus.TEXTUAL_COLUMNS)
             )]
         )
         assert rows[1].detail_desc == "Jersey\r\ntop\twith  straps"
+        assert [a.product_type_name for a in rows] == ["\tCap\t", "Vest\u2028top", "\u00a0\u2028\u3000"]
         assert (workdir / cli.PREPARED_FILE).read_bytes() == expected.encode("utf-8")
+        prepared = corpus.load_prepared(workdir / cli.PREPARED_FILE)[0]
+        assert [p.product_type for p in prepared] == ["Cap", "Vest top", ""]
 
     def test_merges_columns_in_order(self, tmp_path):
         records = corpus.load_articles(write(tmp_path, "a.csv", ARTICLES_CSV))
@@ -444,7 +448,8 @@ class TestPersistence:
     def test_non_integer_text_len_names_file_and_row(self, tmp_path):
         path = tmp_path / "prepared.tsv"
         path.write_text(
-            "article_id\ttext\ttext_len\n0000000001\tcap\t1\n0000000002\tred cap\ttwo\n",
+            "article_id\ttext\ttext_len\tproduct_type\n0000000001\tcap\t1\tCap\n"
+            "0000000002\tred cap\ttwo\tCap\n",
             encoding="utf-8",
         )
         with pytest.raises(MalformedRowError, match=r"prepared\.tsv: row 2: bad text_len 'two'"):
@@ -454,7 +459,8 @@ class TestPersistence:
     def test_prepared_ids_must_ascend(self, tmp_path, second):
         path = tmp_path / "prepared.tsv"
         path.write_text(
-            f"article_id\ttext\ttext_len\n0000000001\tcap\t1\n{second}\tred cap\t2\n",
+            f"article_id\ttext\ttext_len\tproduct_type\n0000000001\tcap\t1\tCap\n"
+            f"{second}\tred cap\t2\tCap\n",
             encoding="utf-8",
         )
         with pytest.raises(MalformedRowError) as caught:

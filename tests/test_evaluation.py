@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from titlerec import evaluation as ev
-from titlerec.corpus import ArticleRecord, PreparedArticle
+from titlerec.corpus import ArticleRecord, prepare_articles
 from titlerec.errors import (
     DuplicateCustomerError,
     DuplicatePredictionError,
@@ -366,12 +367,8 @@ def catalog():
 
 
 def prepared():
-    texts = {
-        "0000000001": "summer gown dress ladieswear flowing hem",
-        "0000000002": "winter gown dress ladieswear",
-        "0000000003": "rain cap hat menswear waxed cotton",
-    }
-    return [PreparedArticle(a, text, len(text.split())) for a, text in texts.items()]
+    """The catalog as ingest prepares it: text, word count and product type."""
+    return prepare_articles(catalog())
 
 
 def purchases(customer, article_ids):
@@ -384,7 +381,6 @@ class TestManualReport:
             "alice",
             purchases("alice", ["0000000001"]),
             ["0000000002", "0000000003"],
-            catalog(),
             prepared(),
         )
         assert "purchased items (1):" in report
@@ -398,7 +394,6 @@ class TestManualReport:
             "alice",
             purchases("alice", ["0000000001"]),
             ["0000000002", "0000000003"],
-            catalog(),
             prepared(),
         )
         overlap_line = [l for l in report.splitlines() if l.startswith("shared product types:")]
@@ -406,7 +401,7 @@ class TestManualReport:
 
     def test_cold_start_notes_fallback(self):
         report = ev.manual_eval_report(
-            "bob", purchase_log([]), ["0000000003"], catalog(), prepared()
+            "bob", purchase_log([]), ["0000000003"], prepared()
         )
         assert "purchased items (0):" in report
         assert "cold start, popularity fallback applies" in report
@@ -415,7 +410,7 @@ class TestManualReport:
     def test_unknown_customer_rejected(self):
         with pytest.raises(UnknownCustomerError):
             ev.manual_eval_report(
-                "ghost", purchases("alice", ["0000000001"]), [], catalog(), prepared()
+                "ghost", purchases("alice", ["0000000001"]), [], prepared()
             )
 
     def test_disjoint_types_reported_as_none(self):
@@ -423,19 +418,31 @@ class TestManualReport:
             "alice",
             purchases("alice", ["0000000001"]),
             ["0000000003"],
-            catalog(),
             prepared(),
         )
         assert report.rstrip().endswith("shared product types: none")
 
     def test_both_sides_show_the_prepared_text(self):
-        names_only = [PreparedArticle(a.article_id, a.prod_name.lower(), 2) for a in catalog()]
+        names_only = prepare_articles(catalog(), text_columns=("prod_name",))
         report = ev.manual_eval_report(
             "alice",
             purchases("alice", ["0000000001"]),
             ["0000000002"],
-            catalog(),
             names_only,
         )
         assert report.splitlines()[3] == "  0000000001  dress  summer gown"
         assert report.splitlines()[6] == "  0000000002  dress  winter gown"
+
+    def test_types_and_texts_come_from_the_prepared_articles(self):
+        # an id outside the prepared catalog shows "?" and no text
+        retyped = [replace(p, product_type="Gown dress") for p in prepared()]
+        report = ev.manual_eval_report(
+            "alice", purchases("alice", ["0000000001"]), ["0000000002", "0000000009"], retyped
+        )
+        lines = report.splitlines()
+        assert lines[3] == "  0000000001  Gown dress  summer gown dress ladieswear flowing hem"
+        assert lines[6:8] == [
+            "  0000000002  Gown dress  winter gown dress ladieswear",
+            "  0000000009  ?  ",
+        ]
+        assert lines[-1] == "shared product types: Gown dress"

@@ -4,17 +4,23 @@ tests fail when a rename or a new signature would leave its spans absent or
 its pair counts wrong. The tracer's source is read as it is and run in a
 module of its own, so nothing is written beside it."""
 
+import contextlib
 import importlib
 import inspect
+import io
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from titlerec import cli
 from titlerec import encoder as enc
 from titlerec import objectives as obj
 from titlerec.tokenizer import Vocabulary, encode_single
+
+from synth import small_inputs
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # the layers whose targets must all exist; the corpus and index targets
@@ -89,3 +95,35 @@ def test_pair_counts_are_the_pairs(tracing):
         "objectives.pairs_encoded": 3,
         "objectives.pairs_trained": 3,
     }
+
+
+# the loaders a stage passes to the workdir reader; the tracer replaces each
+# module attribute, so a reader that held the function itself would run it
+# untimed and its metrics would read 0
+WORKDIR_LOADERS = ("corpus.load_prepared", "corpus.load_saved_transactions",
+                   "encoder.load_checkpoint")
+
+
+def test_workdir_loaders_are_traced(tracing, tmp_path):
+    inputs = small_inputs(tmp_path)
+    flags = ["--workdir", str(tmp_path / "w"), "--articles", str(inputs["articles_path"]),
+             "--transactions", str(inputs["transactions_path"]), "--d-model", "8",
+             "--n-heads", "2", "--n-layers", "1", "--d-ff", "16", "--max-len", "12",
+             "--max-steps", "2"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("ingest", "train"):
+            assert cli.main([command, *flags]) == 0, command
+    namespaces = [m for name, m in sys.modules.items() if name.split(".")[0] == "titlerec"]
+    saved = {namespace: dict(vars(namespace)) for namespace in namespaces}
+    recorder = tracing.Recorder()
+    modules = {layer: importlib.import_module(f"titlerec.{layer}") for layer in tracing.LAYERS}
+    try:
+        tracing.install(recorder, modules, namespaces)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["recommend", *flags]) == 0
+    finally:
+        for namespace, attributes in saved.items():
+            for name, value in attributes.items():
+                setattr(namespace, name, value)
+    for loader in WORKDIR_LOADERS:
+        assert recorder.names.count(loader) == 1, loader
